@@ -6,8 +6,9 @@ Usage: bench/check_journal.py JOURNAL.jsonl
 Checks the envelope contract every consumer (mrcp_audit, the determinism
 tests) relies on:
 
-  - every line is a JSON object with v in {1, 2} (v2 added the chaos
-    fault events and the run-end fault totals);
+  - every line is a JSON object with v in {1, 2, 3} (v2 added the chaos
+    fault events and the run-end fault totals, v3 dropped the invoke
+    line's solve.restarts and session.reused_nogoods);
   - seq is contiguous from 0 (the file is complete and ordered);
   - t (virtual ms) is a non-negative integer, non-decreasing within a
     run (it resets after each run-end: one journal may hold several
@@ -43,12 +44,12 @@ REQUIRED = {
                   "inflated_ms"},
 }
 
-# fault totals every v2 run-end line must carry
+# fault totals every run-end line must carry from v2 on
 RUN_END_V2 = {"crashes", "rejoins", "task_failures", "stragglers",
               "lost_work_ms"}
 
 SOLVE_REQUIRED = {"stop_reason", "seed_late", "lower_bound", "proved",
-                  "warm_seeded", "nodes", "failures", "restarts", "lns_moves"}
+                  "warm_seeded", "nodes", "failures", "lns_moves"}
 
 STOP_REASONS = {"proved", "hit_carried_bound", "cache_hit", "fail_limit",
                 "node_limit", "wall_limit", "lns_stall", "interrupted"}
@@ -81,7 +82,7 @@ def main(path):
             keys = [k for k, _ in pairs]
             events += 1
 
-            if ev.get("v") not in (1, 2):
+            if ev.get("v") not in (1, 2, 3):
                 err(lineno, f"unsupported version {ev.get('v')!r}")
             if ev.get("seq") != expect_seq:
                 err(lineno, f"seq {ev.get('seq')!r}, expected {expect_seq}")
@@ -123,8 +124,9 @@ def main(path):
                     err(lineno, "invoke: missing wall.elapsed_s")
             elif kind == "run-end":
                 runs += 1
-                last_t = None  # virtual time restarts with the next run
-                if ev.get("v") == 2:
+                last_t = None  # virtual time starts over with the next run
+                v = ev.get("v")
+                if isinstance(v, int) and v >= 2:
                     missing = RUN_END_V2 - set(keys)
                     if missing:
                         err(lineno,

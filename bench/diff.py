@@ -3,8 +3,8 @@
 
 Usage: bench/diff.py BASELINE.json FRESH.json
 
-Understands the three snapshot formats bench/main.exe emits
-(prop-compare, search-compare, session-compare) and prints one line per
+Understands the two snapshot formats bench/main.exe emits
+(prop-compare, session-compare) and prints one line per
 tracked metric.  A regression of more than REGRESSION_PCT — lower
 throughput (nodes/s), or higher per-invocation overhead O — is surfaced
 as a GitHub Actions ::warning:: annotation so it shows up on the PR
@@ -61,34 +61,6 @@ def diff_prop(base, fresh):
             )
 
 
-def diff_search(base, fresh):
-    fresh_by = {
-        (c["case"], s["search"]): s
-        for c in fresh.get("cases", [])
-        for s in c.get("searches", [])
-    }
-    for c in base.get("cases", []):
-        for s in c.get("searches", []):
-            key = (c["case"], s["search"])
-            f = fresh_by.get(key)
-            if f is None:
-                print(f"  {key}: dropped from fresh run")
-                continue
-            base_rate = s["nodes"] / s["elapsed_s"] if s["elapsed_s"] > 0 else 0.0
-            fresh_rate = f["nodes"] / f["elapsed_s"] if f["elapsed_s"] > 0 else 0.0
-            report(
-                f"search {key[0]}/{key[1]} nodes/s",
-                round(base_rate, 1),
-                round(fresh_rate, 1),
-                higher_is_better=True,
-            )
-            if f["late"] != s["late"]:
-                warn(
-                    f"search {key[0]}/{key[1]} objective moved: "
-                    f"{s['late']} -> {f['late']} late jobs"
-                )
-
-
 def diff_session(base, fresh):
     for mode in ("cold", "session"):
         report(
@@ -124,7 +96,6 @@ def diff_session(base, fresh):
 
 DIFFERS = {
     "prop-compare": diff_prop,
-    "search-compare": diff_search,
     "session-compare": diff_session,
 }
 

@@ -366,6 +366,19 @@ let json_escape s =
     s;
   Buffer.contents b
 
+(* Every comparison mode prints its one-line JSON and, with [--out FILE],
+   also writes it to FILE with a trailing newline. *)
+let emit ~out json =
+  print_endline json;
+  match out with
+  | Some path ->
+      let oc = open_out path in
+      output_string oc json;
+      output_char oc '\n';
+      close_out oc;
+      Printf.eprintf "wrote %s\n" path
+  | None -> ()
+
 let portfolio_compare ~domains ~out () =
   let options =
     { Cp.Solver.default_options with Cp.Solver.time_limit = 2.0; seed = 42 }
@@ -416,15 +429,7 @@ let portfolio_compare ~domains ~out () =
       {|{"bench":"portfolio-compare","domains":%d,"cases":[%s]}|} domains
       (String.concat "," cases)
   in
-  print_endline json;
-  match out with
-  | Some path ->
-      let oc = open_out path in
-      output_string oc json;
-      output_char oc '\n';
-      close_out oc;
-      Printf.eprintf "wrote %s\n" path
-  | None -> ()
+  emit ~out json
 
 (* ------------------------------------------------------------------ *)
 (* propagation-kernel comparison mode (--prop-compare): the same       *)
@@ -533,15 +538,7 @@ let prop_compare ~fail_limit ~out () =
       {|{"bench":"prop-compare","fail_limit":%d,"cases":[%s]}|} fail_limit
       (String.concat "," cases)
   in
-  print_endline json;
-  match out with
-  | Some path ->
-      let oc = open_out path in
-      output_string oc json;
-      output_char oc '\n';
-      close_out oc;
-      Printf.eprintf "wrote %s\n" path
-  | None -> ()
+  emit ~out json
 
 (* ------------------------------------------------------------------ *)
 (* warm-start comparison mode (--warm-compare): the Fig. 2 Facebook    *)
@@ -580,15 +577,7 @@ let warm_compare ~jobs_n ~out () =
       {|{"bench":"warm-compare","workload":"facebook","lambda":%g,"seed":%d,"jobs":%d,"cold":%s,"warm":%s}|}
       lambda seed jobs_n cold warm
   in
-  print_endline json;
-  match out with
-  | Some path ->
-      let oc = open_out path in
-      output_string oc json;
-      output_char oc '\n';
-      close_out oc;
-      Printf.eprintf "wrote %s\n" path
-  | None -> ()
+  emit ~out json
 
 (* ------------------------------------------------------------------ *)
 (* session comparison mode (--session-compare): the acceptance         *)
@@ -672,15 +661,7 @@ let session_compare ~jobs_n ~out () =
       {|{"bench":"session-compare","workload":"synthetic","lambda":%g,"seed":%d,"jobs":%d,"cold":%s,"session":%s,"o_reduction_pct":%.2f}|}
       lambda seed jobs_n cold_json sess_json reduction_pct
   in
-  print_endline json;
-  match out with
-  | Some path ->
-      let oc = open_out path in
-      output_string oc json;
-      output_char oc '\n';
-      close_out oc;
-      Printf.eprintf "wrote %s\n" path
-  | None -> ()
+  emit ~out json
 
 (* ------------------------------------------------------------------ *)
 (* driver                                                              *)
@@ -723,245 +704,45 @@ let print_group name results =
       Printf.printf "  %-45s %s  (r2=%.3f)\n" test_name pretty r2)
     (List.sort compare !rows)
 
-(* ------------------------------------------------------------------ *)
-(* restart-search comparison mode (--search-compare): the same        *)
-(* branch-and-bound model solved by plain DFS, Luby restarts without  *)
-(* nogood recording, and Luby restarts with nogood recording, on      *)
-(* Fig. 2 Facebook batches (full-width and contended variants) plus   *)
-(* the synthetic 40-job batch — all at one shared fail budget, so the *)
-(* comparison is about which nodes each search visits, emitted as     *)
-(* JSON so BENCH_search.json snapshots can track search quality       *)
-(* across PRs                                                         *)
-(* ------------------------------------------------------------------ *)
-
-(* contended Fig. 2 variants: the same Facebook-sampled jobs squeezed
-   onto an eighth of the cluster, so lateness is unavoidable and the
-   search has real packing decisions to get wrong early *)
-let fb_tight_instance =
-  Sched.Instance.of_fresh_jobs ~now:0 ~map_capacity:8 ~reduce_capacity:8
-    (facebook_jobs ~n:8 ~lambda:0.0004 3)
-
-(* half-width Fig. 2 variant: contended but not saturated — the regime
-   where restart search pays off most visibly *)
-let fb10_half_instance =
-  Sched.Instance.of_fresh_jobs ~now:0 ~map_capacity:32 ~reduce_capacity:32
-    (facebook_jobs ~n:10 ~lambda:0.0004 5)
-
-(* a draw where plain DFS does prove optimality, eventually — measures
-   fails-to-proof rather than proof-vs-no-proof *)
-let fb8_seed11_instance =
-  Sched.Instance.of_fresh_jobs ~now:0 ~map_capacity:64 ~reduce_capacity:64
-    (facebook_jobs ~n:8 ~lambda:0.0004 11)
-
-let search_compare ~fail_limit ~out () =
-  let run_arm inst (name, restart, with_nogoods) =
-    let model =
-      Cp.Model.build inst ~horizon:(Cp.Model.default_horizon inst)
-    in
-    let greedy = Sched.Greedy.solve inst in
-    model.Cp.Model.bound := greedy.Sched.Solution.late_jobs + 1;
-    let db =
-      if with_nogoods then begin
-        let d = Cp.Nogood.create () in
-        Cp.Nogood.attach d model.Cp.Model.store
-          ~vars:
-            (Array.append model.Cp.Model.lates
-               (Array.map
-                  (fun tv -> tv.Cp.Model.var)
-                  model.Cp.Model.starts));
-        Some d
-      end
-      else None
-    in
-    let t0 = Unix.gettimeofday () in
-    let o =
-      Cp.Search.run ~restart ?nogoods:db model
-        { Cp.Search.no_limits with Cp.Search.fail_limit }
-    in
-    let dt = Unix.gettimeofday () -. t0 in
-    let late =
-      match o.Cp.Search.best with
-      | Some s -> s.Sched.Solution.late_jobs
-      | None -> greedy.Sched.Solution.late_jobs
-    in
-    let nogoods, unit_props =
-      match db with
-      | Some d -> (Cp.Nogood.size d, Cp.Nogood.stats_unit_props d)
-      | None -> (0, 0)
-    in
-    Printf.sprintf
-      {|{"search":"%s","late":%d,"nodes":%d,"failures":%d,"restarts":%d,"nogoods":%d,"unit_props":%d,"proved":%b,"elapsed_s":%.6f}|}
-      (json_escape name) late o.Cp.Search.nodes o.Cp.Search.failures
-      o.Cp.Search.restarts nogoods unit_props o.Cp.Search.proved_optimal dt
-  in
-  let arms =
-    [
-      ("dfs", Cp.Restart.Off, false);
-      ("luby", Cp.Restart.default, false);
-      ("luby+nogoods", Cp.Restart.default, true);
-    ]
-  in
-  let case name inst =
-    Printf.sprintf {|{"case":"%s","searches":[%s]}|} (json_escape name)
-      (String.concat "," (List.map (run_arm inst) arms))
-  in
-  let cases =
-    [
-      case "fig2-fb8" fb_batch_instance;
-      case "fig2-fb10-half" fb10_half_instance;
-      case "fig2-fb8-s11" fb8_seed11_instance;
-      case "fig2-fb8-tight" fb_tight_instance;
-      case "batch40" batch_instance;
-    ]
-  in
-  let json =
-    Printf.sprintf
-      {|{"bench":"search-compare","fail_limit":%d,"cases":[%s]}|} fail_limit
-      (String.concat "," cases)
-  in
-  print_endline json;
-  match out with
-  | Some path ->
-      let oc = open_out path in
-      output_string oc json;
-      output_char oc '\n';
-      close_out oc;
-      Printf.eprintf "wrote %s\n" path
-  | None -> ()
+(* bench/main.exe MODE [N] [--out FILE]: N is the mode's size argument
+   (domains, fail limit or job count), taken when the token after MODE is a
+   positive integer; otherwise the mode's default applies.  Without a mode
+   the bechamel micro- and figure benches run. *)
+let modes =
+  [
+    ( "--portfolio-compare",
+      Cp.Portfolio.recommended_domains,
+      fun n ~out -> portfolio_compare ~domains:n ~out () );
+    ( "--prop-compare",
+      (fun () -> 20_000),
+      fun n ~out -> prop_compare ~fail_limit:n ~out () );
+    ( "--warm-compare",
+      (fun () -> 200),
+      fun n ~out -> warm_compare ~jobs_n:n ~out () );
+    ( "--session-compare",
+      (fun () -> 40),
+      fun n ~out -> session_compare ~jobs_n:n ~out () );
+  ]
 
 let () =
-  let argv = Sys.argv in
-  if Array.exists (( = ) "--portfolio-compare") argv then begin
-    (* bench/main.exe --portfolio-compare [N] [--out FILE]:
-       sequential-vs-portfolio JSON, optionally also written to FILE *)
-    let n = Array.length argv in
-    let domains =
-      let rec find i =
-        if i >= n then Cp.Portfolio.recommended_domains ()
-        else if argv.(i) = "--portfolio-compare" && i + 1 < n then
-          match int_of_string_opt argv.(i + 1) with
-          | Some d when d > 0 -> d
-          | _ -> Cp.Portfolio.recommended_domains ()
-        else find (i + 1)
+  let args = List.tl (Array.to_list Sys.argv) in
+  let rec after flag = function
+    | f :: v :: _ when f = flag -> Some v
+    | _ :: rest -> after flag rest
+    | [] -> None
+  in
+  match List.find_opt (fun (flag, _, _) -> List.mem flag args) modes with
+  | Some (flag, default, run) ->
+      let n =
+        match Option.bind (after flag args) int_of_string_opt with
+        | Some n when n > 0 -> n
+        | _ -> default ()
       in
-      find 1
-    in
-    let out =
-      let rec find i =
-        if i >= n then None
-        else if argv.(i) = "--out" && i + 1 < n then Some argv.(i + 1)
-        else find (i + 1)
-      in
-      find 1
-    in
-    portfolio_compare ~domains ~out ()
-  end
-  else if Array.exists (( = ) "--prop-compare") argv then begin
-    (* bench/main.exe --prop-compare [FAIL_LIMIT] [--out FILE]:
-       per-kernel search comparison JSON on the fixture instances *)
-    let n = Array.length argv in
-    let fail_limit =
-      let rec find i =
-        if i >= n then 20_000
-        else if argv.(i) = "--prop-compare" && i + 1 < n then
-          match int_of_string_opt argv.(i + 1) with
-          | Some f when f > 0 -> f
-          | _ -> 20_000
-        else find (i + 1)
-      in
-      find 1
-    in
-    let out =
-      let rec find i =
-        if i >= n then None
-        else if argv.(i) = "--out" && i + 1 < n then Some argv.(i + 1)
-        else find (i + 1)
-      in
-      find 1
-    in
-    prop_compare ~fail_limit ~out ()
-  end
-  else if Array.exists (( = ) "--search-compare") argv then begin
-    (* bench/main.exe --search-compare [FAIL_LIMIT] [--out FILE]:
-       dfs vs luby vs luby+nogoods JSON on the Fig. 2 fixtures *)
-    let n = Array.length argv in
-    let fail_limit =
-      let rec find i =
-        if i >= n then 20_000
-        else if argv.(i) = "--search-compare" && i + 1 < n then
-          match int_of_string_opt argv.(i + 1) with
-          | Some f when f > 0 -> f
-          | _ -> 20_000
-        else find (i + 1)
-      in
-      find 1
-    in
-    let out =
-      let rec find i =
-        if i >= n then None
-        else if argv.(i) = "--out" && i + 1 < n then Some argv.(i + 1)
-        else find (i + 1)
-      in
-      find 1
-    in
-    search_compare ~fail_limit ~out ()
-  end
-  else if Array.exists (( = ) "--warm-compare") argv then begin
-    (* bench/main.exe --warm-compare [JOBS] [--out FILE]:
-       cold-vs-warm manager comparison JSON on the Fig. 2 workload *)
-    let n = Array.length argv in
-    let jobs_n =
-      let rec find i =
-        if i >= n then 200
-        else if argv.(i) = "--warm-compare" && i + 1 < n then
-          match int_of_string_opt argv.(i + 1) with
-          | Some j when j > 0 -> j
-          | _ -> 200
-        else find (i + 1)
-      in
-      find 1
-    in
-    let out =
-      let rec find i =
-        if i >= n then None
-        else if argv.(i) = "--out" && i + 1 < n then Some argv.(i + 1)
-        else find (i + 1)
-      in
-      find 1
-    in
-    warm_compare ~jobs_n ~out ()
-  end
-  else if Array.exists (( = ) "--session-compare") argv then begin
-    (* bench/main.exe --session-compare [JOBS] [--out FILE]:
-       cold-vs-persistent-session manager comparison JSON on the
-       synthetic lambda=0.05 workload *)
-    let n = Array.length argv in
-    let jobs_n =
-      let rec find i =
-        if i >= n then 40
-        else if argv.(i) = "--session-compare" && i + 1 < n then
-          match int_of_string_opt argv.(i + 1) with
-          | Some j when j > 0 -> j
-          | _ -> 40
-        else find (i + 1)
-      in
-      find 1
-    in
-    let out =
-      let rec find i =
-        if i >= n then None
-        else if argv.(i) = "--out" && i + 1 < n then Some argv.(i + 1)
-        else find (i + 1)
-      in
-      find 1
-    in
-    session_compare ~jobs_n ~out ()
-  end
-  else begin
-    Printf.printf
-      "MRCP-RM benchmark harness (bechamel); full-scale figure regeneration \
-       lives in bin/experiments.exe\n";
-    print_group "micro" (analyze (benchmark micro_tests));
-    print_group "figures (scaled-down)" (analyze (benchmark figure_tests));
-    Printf.printf "\ndone.\n"
-  end
+      run n ~out:(after "--out" args)
+  | None ->
+      Printf.printf
+        "MRCP-RM benchmark harness (bechamel); full-scale figure regeneration \
+         lives in bin/experiments.exe\n";
+      print_group "micro" (analyze (benchmark micro_tests));
+      print_group "figures (scaled-down)" (analyze (benchmark figure_tests));
+      Printf.printf "\ndone.\n"

@@ -32,7 +32,7 @@ let all_ids =
   ]
 
 let run_ids ids reps jobs fb_jobs seed budget out validate lambdas trace_out
-    metrics no_warm_start no_session kernel restart journal_out metrics_every
+    metrics no_warm_start no_session kernel journal_out metrics_every
     metrics_out trace_limit =
   let journal = Option.map (fun _ -> Obs.Journal.create ()) journal_out in
   let base =
@@ -46,7 +46,6 @@ let run_ids ids reps jobs fb_jobs seed budget out validate lambdas trace_out
       warm_start = not no_warm_start;
       session = not no_session;
       kernel;
-      restart;
       journal;
       metrics_every =
         Option.map (fun s -> int_of_float (1000. *. s)) metrics_every;
@@ -228,21 +227,6 @@ let kernel =
            ~doc:"Propagation kernel for every CP solve: timetable, \
                  edge-finding, both (default), or naive.")
 
-let restart =
-  let restart_conv =
-    let parse s =
-      match Cp.Restart.of_string s with
-      | Ok p -> Ok p
-      | Error msg -> Error (`Msg msg)
-    in
-    Arg.conv
-      (parse, fun ppf p -> Format.pp_print_string ppf (Cp.Restart.to_string p))
-  in
-  Arg.(value & opt restart_conv Cp.Restart.Off
-       & info [ "restarts" ]
-           ~doc:"Restart policy for every CP solve: off (plain DFS, \
-                 default), luby[:SCALE], or geom:BASE:GROW.")
-
 let journal_out =
   Arg.(value & opt (some string) None
        & info [ "journal" ]
@@ -274,14 +258,14 @@ let cmd =
   let term =
     Term.(
       const (fun ids reps jobs fb_jobs seed budget out validate lambdas
-                 trace_out metrics no_warm_start no_session kernel restart
+                 trace_out metrics no_warm_start no_session kernel
                  journal_out metrics_every metrics_out trace_limit ->
           run_ids (expand ids) reps jobs fb_jobs seed budget out validate
-            lambdas trace_out metrics no_warm_start no_session kernel restart
+            lambdas trace_out metrics no_warm_start no_session kernel
             journal_out metrics_every metrics_out trace_limit)
       $ ids_arg $ reps $ jobs $ fb_jobs $ seed $ budget $ out $ validate
       $ lambdas $ trace_out $ metrics $ no_warm_start $ no_session $ kernel
-      $ restart $ journal_out $ metrics_every $ metrics_out $ trace_limit)
+      $ journal_out $ metrics_every $ metrics_out $ trace_limit)
   in
   Cmd.v
     (Cmd.info "experiments" ~doc:"Regenerate the paper's tables and figures")

@@ -41,7 +41,7 @@ let write_metrics_out path = function
 
 let run workload manager jobs lambda e_max p s_max d_m m map_cap reduce_cap
     seed budget ordering domains deferral validate verbose replay trace_out
-    metrics no_warm_start no_session kernel restart journal_out metrics_every
+    metrics no_warm_start no_session kernel journal_out metrics_every
     metrics_out trace_limit crash_rate straggler_p straggler_factor task_fail_p
     =
   let warm_start = not no_warm_start in
@@ -84,7 +84,6 @@ let run workload manager jobs lambda e_max p s_max d_m m map_cap reduce_cap
       warm_start;
       session;
       kernel;
-      restart;
       journal;
       metrics_every;
       chaos;
@@ -127,8 +126,7 @@ let run workload manager jobs lambda e_max p s_max d_m m map_cap reduce_cap
             | Expkit.Runner.Mrcp_rm | Expkit.Runner.Greedy_only ->
                 let solver =
                   { Cp.Solver.default_options with Cp.Solver.ordering;
-                    time_limit = budget; seed; instrument = metrics; kernel;
-                    restart }
+                    time_limit = budget; seed; instrument = metrics; kernel }
                 in
                 Opensim.Driver.of_mrcp
                   (Mrcp.Manager.create ~cluster
@@ -236,14 +234,6 @@ let kernel_conv =
        (fun k -> (Cp.Propagators.kernel_to_string k, k))
        Cp.Propagators.all_kernels)
 
-let restart_conv =
-  let parse s =
-    match Cp.Restart.of_string s with
-    | Ok p -> Ok p
-    | Error msg -> Error (`Msg msg)
-  in
-  Arg.conv (parse, fun ppf p -> Format.pp_print_string ppf (Cp.Restart.to_string p))
-
 let term =
   Term.(
     const run
@@ -301,13 +291,6 @@ let term =
                      edge-finding (Θ-tree filtering on unary-equivalent \
                      pools), both (default), or naive (pre-overhaul \
                      reference kernel).")
-    $ Arg.(value & opt restart_conv Cp.Restart.Off
-           & info [ "restarts" ]
-               ~doc:"Restart policy for the CP search: off (plain DFS, \
-                     default), luby[:SCALE] (Luby sequence of fail budgets, \
-                     scale 128 if omitted), or geom:BASE:GROW (geometric).  \
-                     Restarted searches record nogoods from each abandoned \
-                     slice and branch with last-conflict reasoning.")
     $ Arg.(value & opt (some string) None
            & info [ "journal" ]
                ~doc:"Write the structured decision journal (JSONL, one event \

@@ -219,7 +219,7 @@ let sum_exec tasks = List.fold_left (fun acc t -> acc + t.T.exec_time) 0 tasks
 let longest tasks = List.fold_left (fun acc t -> max acc t.T.exec_time) 0 tasks
 
 let dispatches t ~now =
-  let t0 = Unix.gettimeofday () in
+  let t0 = Obs.Clock.now () in
   t.last_now <- now;
   let out = ref [] in
   let eligible =
@@ -316,7 +316,7 @@ let dispatches t ~now =
         | None -> continue := false
       done)
     eligible;
-  t.overhead <- t.overhead +. (Unix.gettimeofday () -. t0);
+  t.overhead <- t.overhead +. (Obs.Clock.now () -. t0);
   List.rev !out
 
 let next_wake t =

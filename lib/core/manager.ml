@@ -284,7 +284,7 @@ let invoke t ~now =
   if (not (Queue.is_empty t.queue)) || t.dirty then begin
     t.dirty <- false;
     let span_ts = if Obs.Trace.enabled () then Some (Obs.Trace.now_us ()) else None in
-    let t0 = Unix.gettimeofday () in
+    let t0 = Obs.Clock.now () in
     (* absorb the job queue into the active set *)
     let arrived = ref [] in
     Queue.iter
@@ -368,9 +368,8 @@ let invoke t ~now =
           ( Cp.Session.stats_appended_jobs s,
             Cp.Session.stats_retracted s,
             Cp.Session.stats_rebuilds s,
-            Cp.Session.stats_reused_nogoods s,
             Cp.Session.stats_cert_proofs s )
-      | _ -> (0, 0, 0, 0, 0)
+      | _ -> (0, 0, 0, 0)
     in
     let solution, stats =
       if t.config.domains > 1 then begin
@@ -385,7 +384,7 @@ let invoke t ~now =
           match t.session with
           | Some s -> s
           | None ->
-              let s = Cp.Session.create ~options () in
+              let s = Cp.Session.create () in
               t.session <- Some s;
               s
         in
@@ -477,7 +476,7 @@ let invoke t ~now =
     let prev_plan = t.current_plan in
     t.current_plan <- List.sort Dispatch.compare_by_start dispatches;
     t.plan_version <- t.plan_version + 1;
-    let elapsed = Unix.gettimeofday () -. t0 in
+    let elapsed = Obs.Clock.now () -. t0 in
     if elapsed > t.max_invocation then t.max_invocation <- elapsed;
     t.overhead <- t.overhead +. elapsed;
     let late = solution.Solution.late_jobs in
@@ -528,7 +527,7 @@ let invoke t ~now =
             in
             Hashtbl.replace t.job_overhead id (cur +. elapsed))
           t.active;
-        let sa, sr, sb, sn, sc = sess_before in
+        let sa, sr, sb, sc = sess_before in
         let session_fields =
           match t.session with
           | None -> []
@@ -543,8 +542,6 @@ let invoke t ~now =
                         Obs.Json.Int (Cp.Session.stats_retracted s - sr) );
                       ( "rebuilds",
                         Obs.Json.Int (Cp.Session.stats_rebuilds s - sb) );
-                      ( "reused_nogoods",
-                        Obs.Json.Int (Cp.Session.stats_reused_nogoods s - sn) );
                       ( "cert_proofs",
                         Obs.Json.Int (Cp.Session.stats_cert_proofs s - sc) );
                     ] );
@@ -593,7 +590,6 @@ let invoke t ~now =
                    ("warm_seeded", Obs.Json.Bool stats.Cp.Solver.warm_seeded);
                    ("nodes", Obs.Json.Int stats.Cp.Solver.nodes);
                    ("failures", Obs.Json.Int stats.Cp.Solver.failures);
-                   ("restarts", Obs.Json.Int stats.Cp.Solver.restarts);
                    ("lns_moves", Obs.Json.Int stats.Cp.Solver.lns_moves);
                  ] );
              ( "plan",

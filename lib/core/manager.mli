@@ -52,7 +52,7 @@ type config = {
   session : bool;
       (** solve through one persistent {!Cp.Session} — the manager's solver
           store is created once and diffed between invocations (arrivals
-          appended, completed tasks retracted, nogoods carried) instead of
+          appended, completed tasks retracted) instead of
           rebuilt from scratch.  Only effective with [domains = 1]; the
           portfolio's workers each build their own store.  Default [true];
           disable ([--no-session] in the CLIs) to reproduce the historical

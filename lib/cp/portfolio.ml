@@ -7,7 +7,6 @@ type worker_stats = {
   w_late_jobs : int;
   w_nodes : int;
   w_failures : int;
-  w_restarts : int;
   w_lns_moves : int;
   w_proved : bool;
   w_elapsed : float;
@@ -27,10 +26,9 @@ let pp_stats fmt s =
     s.base s.domains_used s.winner;
   Array.iteri
     (fun i w ->
-      Format.fprintf fmt "%s%s:late=%d,n=%d,f=%d,r=%d,lns=%d%s"
+      Format.fprintf fmt "%s%s:late=%d,n=%d,f=%d,lns=%d%s"
         (if i > 0 then " " else "")
-        w.strategy w.w_late_jobs w.w_nodes w.w_failures w.w_restarts
-        w.w_lns_moves
+        w.strategy w.w_late_jobs w.w_nodes w.w_failures w.w_lns_moves
         (if w.w_proved then ",proved" else ""))
     s.workers;
   Format.fprintf fmt "]>"
@@ -41,16 +39,14 @@ let worker_of_solver ~strategy (sol : Solution.t) (s : Solver.stats) =
     w_late_jobs = sol.Solution.late_jobs;
     w_nodes = s.Solver.nodes;
     w_failures = s.Solver.failures;
-    w_restarts = s.Solver.restarts;
     w_lns_moves = s.Solver.lns_moves;
     w_proved = s.Solver.proved_optimal;
     w_elapsed = s.Solver.elapsed;
   }
 
 (* Worker 0 replicates the sequential solver exactly (same ordering, same
-   tie-break, same restart policy, same RNG seed, isolated from foreign
-   bounds); workers 1.. walk the (ordering × tie-break × restart-policy)
-   grid with distinct RNG streams. *)
+   tie-break, same RNG seed, isolated from foreign bounds); workers 1.. walk
+   the (ordering × tie-break) grid with distinct RNG streams. *)
 let strategy (base : Solver.options) i =
   if i = 0 then (base, "sequential", true)
   else begin
@@ -58,36 +54,20 @@ let strategy (base : Solver.options) i =
     let ties =
       [| Search.Slack_first; Search.Duration_first; Search.Deadline_first |]
     in
-    (* restart arms anchored on the configured policy: the base policy, a
-       slower Luby (longer slices, deeper dives), an aggressive geometric
-       one, and the plain chronological DFS *)
-    let scale =
-      match base.Solver.restart with Restart.Luby s -> s | _ -> 128
-    in
-    let restarts =
-      [|
-        base.Solver.restart;
-        Restart.Luby (2 * scale);
-        Restart.Geometric { base = scale; grow = 2.0 };
-        Restart.Off;
-      |]
-    in
     let idx = i - 1 in
     let ordering = orders.(idx mod 3) in
     (* Latin-square walk of the grid, varying the tie-break immediately:
        the greedy seed already tries every ordering, so for B&B workers the
-       tie-break and restart policy are the axes that actually change the
-       tree explored. *)
+       tie-break is the axis that actually changes the tree explored. *)
     let tie_break = ties.((idx + (idx / 3) + 1) mod 3) in
-    let restart = restarts.(idx mod 4) in
     let seed = base.Solver.seed + (7919 * i) in
     let name =
-      Printf.sprintf "%s/%s/%s/s%d"
+      Printf.sprintf "%s/%s/s%d"
         (Greedy.order_to_string ordering)
         (Search.tie_break_to_string tie_break)
-        (Restart.to_string restart) seed
+        seed
     in
-    ({ base with Solver.ordering; tie_break; restart; seed }, name, false)
+    ({ base with Solver.ordering; tie_break; seed }, name, false)
   end
 
 let solve ?(domains = 1) ?(options = Solver.default_options)
@@ -123,7 +103,6 @@ let solve ?(domains = 1) ?(options = Solver.default_options)
              else Obs.Solve_stats.Proved);
           nodes = 0;
           failures = 0;
-          restarts = 0;
           lns_moves = 0;
           elapsed = Obs.Clock.now () -. t0;
           metrics =
@@ -253,7 +232,6 @@ let solve ?(domains = 1) ?(options = Solver.default_options)
               stop_reason;
               nodes = sum (fun s -> s.Solver.nodes);
               failures = sum (fun s -> s.Solver.failures);
-              restarts = sum (fun s -> s.Solver.restarts);
               lns_moves = sum (fun s -> s.Solver.lns_moves);
               elapsed = Obs.Clock.now () -. t0;
               metrics;

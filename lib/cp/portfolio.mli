@@ -8,12 +8,11 @@
     + worker 0 is a {e sequential replica}: the exact configuration (job
       ordering, tie-break, RNG seed) of {!Solver.solve}, isolated from
       foreign bounds so its trajectory is reproducible;
-    + workers 1..K-1 walk the (job-ordering × branching-tie-break ×
-      restart-policy) grid — the three greedy orderings of §VI.B seed the
-      search, exact B&B workers differ in their SetTimes tie-break
-      ({!Search.tie_break}) and {!Restart.policy} (base / slow Luby /
-      geometric / off), and LNS workers (chosen automatically on large
-      instances, as in {!Solver.solve}) draw from distinct RNG streams.
+    + workers 1..K-1 walk the (job-ordering × branching-tie-break) grid —
+      the three greedy orderings of §VI.B seed the search, exact B&B
+      workers differ in their SetTimes tie-break ({!Search.tie_break}), and
+      LNS workers (chosen automatically on large instances, as in
+      {!Solver.solve}) draw from distinct RNG streams.
 
     All workers share the incumbent Σ N_j through an [Atomic]: B&B workers
     adopt it as their bound mid-search (pruning against the best solution
@@ -41,11 +40,10 @@
 
 type worker_stats = {
   strategy : string;
-      (** e.g. ["sequential"], ["edf/duration/luby:256/s7919"] *)
+      (** e.g. ["sequential"], ["edf/duration/s7919"] *)
   w_late_jobs : int;  (** best Σ N_j this worker found *)
   w_nodes : int;
   w_failures : int;
-  w_restarts : int;  (** restart slice cuts across this worker's searches *)
   w_lns_moves : int;
   w_proved : bool;  (** this worker completed an optimality proof *)
   w_elapsed : float;

@@ -14,14 +14,9 @@
        schedules, which is exhaustive for regular objectives such as the
        paper's Σ N_j.
 
-    With a {!Restart.policy} other than [Off], the DFS is additionally cut
-    into slices by a per-slice fail budget: each slice restarts from the
-    root (keeping the incumbent and bound), rightmost-branch nogoods are
-    recorded into the optional {!Nogood} database at every cut, failed
-    decisions steer variable selection (last-conflict reasoning), and the
-    incumbent's start times steer value selection (solution-guided domain
-    splits).  With [Off] — the default — the search is bit-identical to the
-    plain chronological DFS.
+    The search is one chronological DFS; the snapshot tests in
+    [test/test_cp.ml] pin its trajectory (nodes, failures) on five fixed
+    instances.
 
     The search is generic over a {!problem} view so that both the MapReduce
     model ({!Model}) and extensions (e.g. DAG workflows in [lib/workflow])
@@ -75,9 +70,7 @@ type 'a problem = {
 
 (** Which condition ended the search.  [Exhausted] means the tree was
     explored to completion (or cut to emptiness by the bound) — the proof
-    case; the others name the hard limit whose [Limit_reached] unwound the
-    final slice.  Restart-slice cuts are {e not} stops and never surface
-    here. *)
+    case; the others name the limit that cut the search. *)
 type stop_cause = Exhausted | Node_budget | Fail_budget | Wall_clock | Interrupt
 
 val stop_reason_of_cause : stop_cause -> Obs.Solve_stats.stop_reason
@@ -93,43 +86,19 @@ type 'a generic_outcome = {
           the search *)
   nodes : int;
   failures : int;
-  restarts : int;  (** slices cut by the restart policy *)
 }
 
 val run_problem :
-  ?tie_break:tie_break ->
-  ?restart:Restart.policy ->
-  ?nogoods:Nogood.t ->
-  ?guide:int array ->
-  ?late_vrefs:int array ->
-  ?start_vrefs:int array ->
-  'a problem ->
-  limits ->
-  'a generic_outcome
+  ?tie_break:tie_break -> 'a problem -> limits -> 'a generic_outcome
 (** Explore.  [problem.bound] must hold the strict bound to beat on entry.
     [tie_break] picks the SetTimes tie-breaking rule (default
     {!Slack_first}, the historical behaviour).
 
-    The search treats the store level at entry as its base: restarts and the
-    final unwind return to that level, never below it, so a caller may set
-    up trailed state (objective cut, committed nogoods) in a pushed guard
-    level around the search — {!Session} does.  Called at the root this is
-    the historical behaviour exactly.
-
-    [late_vrefs] / [start_vrefs] name [problem.lates] / [problem.starts]
-    entries in recorded nogood literals (matching the [vars] mapping of the
-    attached {!Nogood} database).  The defaults are the dense convention
-    [j] and [n_lates + i]; a {!Session} passes store variable ids, which
-    stay stable across invocations.
-
-    [restart] (default {!Restart.Off}) cuts the DFS into fail-budgeted
-    slices.  [nogoods] — only consulted when restarts are on — receives the
-    rightmost-branch nogoods at every cut; pass a database already
-    {!Nogood.attach}ed to [problem.store] so the clauses also prune.
-    [guide], when given, must be one incumbent start value per entry of
-    [problem.starts] ([min_int] = no guidance) and seeds solution-guided
-    value ordering (used only under restarts; updated in place as better
-    incumbents are found). *)
+    The search treats the store level at entry as its base: the final
+    unwind returns to that level, never below it, so a caller may set up
+    trailed state (the armed objective cut) in a pushed guard level around
+    the search — {!Session} does.  Called at the root this is the
+    historical behaviour exactly. *)
 
 type outcome = {
   best : Sched.Solution.t option;
@@ -137,15 +106,7 @@ type outcome = {
   stopped : stop_cause;
   nodes : int;
   failures : int;
-  restarts : int;
 }
 
-val run :
-  ?tie_break:tie_break ->
-  ?restart:Restart.policy ->
-  ?nogoods:Nogood.t ->
-  ?guide:int array ->
-  Model.t ->
-  limits ->
-  outcome
+val run : ?tie_break:tie_break -> Model.t -> limits -> outcome
 (** {!run_problem} specialized to the Table-1 MapReduce model. *)

@@ -32,14 +32,12 @@ type core = {
   reduce_pool : Propagators.dyn_pool;
   bound : int ref;  (* max_int between searches: the cut is disarmed *)
   objective : Propagators.dyn_sum;
-  nogoods : Nogood.t option;
   jobs : (int, job_slot) Hashtbl.t;  (* job id -> slot *)
   tasks : (int, task_slot) Hashtbl.t;  (* task id -> slot *)
   (* previous-solve store counter values, for per-invocation deltas *)
   mutable generation : int;  (* bumped by every sync *)
   mutable last_propagations : int;
   mutable last_wakeups : int;
-  mutable last_ng_prunes : int;
   mutable last_scratch : int;
   mutable last_ef : int;
   mutable last_pm : (string * Store.prop_metric) list;
@@ -65,7 +63,6 @@ type cert = {
 }
 
 type t = {
-  restart : Restart.policy;
   (* realized start per dispatched task: filled from every returned plan and
      every freeze, read when a task leaves the instance (completed) and its
      variable must be fixed at the start it actually ran at *)
@@ -73,39 +70,30 @@ type t = {
   mutable core : core option;
   mutable cert : cert option;
   mutable cert_proofs : int;
-  (* jobs that departed with lateness 1: the part of every previously
-     recorded nogood bound that is now a realized constant (see
-     {!Nogood.refresh}) *)
-  mutable departed_late : int;
   mutable retracted : int;
   mutable appended : int;
   mutable rebuilds : int;
-  mutable reused : int;
 }
 
-let create ~options () =
+let create () =
   {
-    restart = options.Solver.restart;
     last_starts = Hashtbl.create 256;
     core = None;
     cert = None;
     cert_proofs = 0;
-    departed_late = 0;
     retracted = 0;
     appended = 0;
     rebuilds = 0;
-    reused = 0;
   }
 
 let stats_retracted t = t.retracted
 let stats_cert_proofs t = t.cert_proofs
 let stats_appended_jobs t = t.appended
 let stats_rebuilds t = t.rebuilds
-let stats_reused_nogoods t = t.reused
 
 (* --- store construction --------------------------------------------------- *)
 
-let make_core restart (inst : Instance.t) =
+let make_core (inst : Instance.t) =
   let store = Store.create () in
   (* Headroom over the creation instance's need, so later instances fit
      without a rebuild until the workload genuinely outgrows it.  A wider
@@ -118,17 +106,6 @@ let make_core restart (inst : Instance.t) =
   let horizon = (4 * Model.default_horizon inst) + 65_536 in
   let value_horizon = 2 * horizon in
   let bound = ref max_int in
-  let nogoods =
-    if restart = Restart.Off then None
-    else begin
-      let db = Nogood.create () in
-      Nogood.attach db store ~vars:[||];
-      (* armed only inside a search's guard level: root syncs mutate the
-         store with no objective bound in force *)
-      Nogood.set_armed db false;
-      Some db
-    end
-  in
   {
     store;
     horizon;
@@ -139,13 +116,11 @@ let make_core restart (inst : Instance.t) =
       Propagators.cumulative_dyn store ~capacity:inst.Instance.reduce_capacity;
     bound;
     objective = Propagators.sum_lt_bound_dyn store ~bound;
-    nogoods;
     jobs = Hashtbl.create 64;
     tasks = Hashtbl.create 256;
     generation = 0;
     last_propagations = 0;
     last_wakeups = 0;
-    last_ng_prunes = 0;
     last_scratch = 0;
     last_ef = 0;
     last_pm = [];
@@ -289,7 +264,7 @@ let sync_job t core (pj : Instance.pending_job) slot =
     slot.j_tasks
 
 let fresh_core t inst =
-  let core = make_core t.restart inst in
+  let core = make_core inst in
   Array.iter (fun pj -> append_job t core pj) inst.Instance.jobs;
   Store.propagate core.store;
   t.core <- Some core;
@@ -328,8 +303,6 @@ let sync t (inst : Instance.t) =
              and hence the lateness variable *)
           if not (Store.is_fixed core.store slot.j_late) then
             raise (Store.Fail "session: departed job with open lateness");
-          t.departed_late <-
-            t.departed_late + Store.value core.store slot.j_late;
           Propagators.dyn_sum_remove core.objective core.store slot.j_late;
           slot.j_active <- false)
         !departed;
@@ -365,8 +338,6 @@ let harvest registry core =
   count "prop/edge_finder_prunes"
     (Store.stats_edge_finder_prunes s - core.last_ef);
   core.last_ef <- Store.stats_edge_finder_prunes s;
-  count "nogood/prunes" (Store.stats_nogood_prunes s - core.last_ng_prunes);
-  core.last_ng_prunes <- Store.stats_nogood_prunes s;
   if Store.instrumented s then begin
     let pms = Store.propagator_metrics s in
     List.iter
@@ -461,7 +432,6 @@ let solve t ~options (inst : Instance.t) =
   let retracted0 = t.retracted
   and appended0 = t.appended
   and rebuilds0 = t.rebuilds
-  and reused0 = t.reused
   and cert0 = t.cert_proofs in
   let lb_classic = Solver.late_lower_bound inst in
   let lb = max lb_classic (cert_lower_bound t inst) in
@@ -487,15 +457,14 @@ let solve t ~options (inst : Instance.t) =
         count "session/retracted" (t.retracted - retracted0);
         count "session/appended_jobs" (t.appended - appended0);
         count "session/rebuilds" (t.rebuilds - rebuilds0);
-        count "session/reused_nogoods" (t.reused - reused0);
         count "session/cert_proofs" (t.cert_proofs - cert0);
         count "store/words_allocated"
           (int_of_float (Gc.minor_words () -. words0));
         (match core with Some core -> harvest r core | None -> ());
         Some (Obs.Metrics.snapshot r)
   in
-  let finish ?(core = None) ?(nodes = 0) ?(failures = 0) ?(restarts = 0)
-      ~proved ~stop incumbent =
+  let finish ?(core = None) ?(nodes = 0) ?(failures = 0) ~proved ~stop
+      incumbent =
     remember incumbent;
     update_cert t ~proved inst incumbent;
     ( incumbent,
@@ -507,7 +476,6 @@ let solve t ~options (inst : Instance.t) =
         stop_reason = stop;
         nodes;
         failures;
-        restarts;
         lns_moves = 0;
         elapsed = Obs.Clock.now () -. t0;
         metrics = session_metrics ~core ();
@@ -568,9 +536,7 @@ let solve t ~options (inst : Instance.t) =
             pj.Instance.job.T.deadline ))
         inst.Instance.jobs
     in
-    let infos = ref []
-    and pairs = ref []
-    and guides = ref [] in
+    let infos = ref [] and pairs = ref [] in
     Array.iter
       (fun (pj : Instance.pending_job) ->
         let add (task : T.task) =
@@ -582,99 +548,57 @@ let solve t ~options (inst : Instance.t) =
               deadline = pj.Instance.job.T.deadline;
             }
             :: !infos;
-          pairs := (task.T.task_id, sl.t_var) :: !pairs;
-          guides :=
-            (match Hashtbl.find_opt seed.Solution.starts task.T.task_id with
-            | Some g -> g
-            | None -> min_int)
-            :: !guides
+          pairs := (task.T.task_id, sl.t_var) :: !pairs
         in
         Array.iter add pj.Instance.pending_maps;
         Array.iter add pj.Instance.pending_reduces)
       inst.Instance.jobs;
     let starts = Array.of_list (List.rev !infos) in
     let pairs = Array.of_list (List.rev !pairs) in
-    let guide = Array.of_list (List.rev !guides) in
-    let late_vrefs = Array.map fst lates in
-    let start_vrefs =
-      Array.map (fun (i : Search.start_info) -> i.Search.svar) starts
-    in
     let extract () =
       let m = Hashtbl.create (Array.length pairs) in
       Array.iter (fun (id, v) -> Hashtbl.replace m id (Store.value s v)) pairs;
       let sol = Solution.evaluate inst m in
       (sol, sol.Solution.late_jobs)
     in
-    (* Everything objective-relative — the armed bound, committed nogood
-       watches and unit assertions — lives inside this guard level, so
-       nothing of it survives into the root the next sync mutates. *)
+    (* The armed objective bound lives inside this guard level, so nothing
+       objective-relative survives into the root the next sync mutates. *)
     core.bound := seed.Solution.late_jobs;
     Store.push_level s;
     let hit_lb = ref false in
-    let proved_by_nogood = ref false in
-    (match core.nogoods with
-    | Some db when options.Solver.restart <> Restart.Off ->
-        Nogood.grow_vars db ~vars:(Array.init (Store.num_vars s) Fun.id);
-        Nogood.refresh db ~departed_late:t.departed_late
-          ~initial_bound:seed.Solution.late_jobs;
-        t.reused <- t.reused + Nogood.size db;
-        Nogood.set_armed db true;
-        (try Nogood.commit db
-         with Store.Fail _ ->
-           (* a carried clause is violated before the search even starts:
-              no solution beats the seed — a free optimality proof *)
-           proved_by_nogood := true)
-    | _ -> ());
     let outcome =
       Fun.protect
         ~finally:(fun () ->
-          (match core.nogoods with
-          | Some db -> Nogood.set_armed db false
-          | None -> ());
           Store.backtrack_to s 0;
           core.bound := max_int)
         (fun () ->
-          if !proved_by_nogood then
-            ({
-               Search.best = None;
-               proved_optimal = true;
-               stopped = Search.Exhausted;
-               nodes = 0;
-               failures = 1;
-               restarts = 0;
-             }
-              : Solution.t Search.generic_outcome)
-          else begin
-            Store.schedule s (Propagators.dyn_sum_pid core.objective);
-            let problem =
-              {
-                Search.store = s;
-                starts;
-                lates;
-                bound = core.bound;
-                bound_pid = Propagators.dyn_sum_pid core.objective;
-                extract;
-              }
-            in
-            (* the carried certificate gives this search a bound the cold
-               pipeline does not have: an improving solution that reaches
-               [lb] is optimal, so stop there instead of exhausting the
-               rest of the tree to prove what the certificate already
-               knows *)
-            let limits =
-              {
-                Search.fail_limit = options.Solver.fail_limit;
-                node_limit = 0;
-                wall_deadline = Some (t0 +. options.Solver.time_limit);
-                interrupt = Some (fun () -> !hit_lb);
-                tighten_bound = None;
-                on_improve = Some (fun v -> if v <= lb then hit_lb := true);
-              }
-            in
-            Search.run_problem ~tie_break:options.Solver.tie_break
-              ~restart:options.Solver.restart ?nogoods:core.nogoods ~guide
-              ~late_vrefs ~start_vrefs problem limits
-          end)
+          Store.schedule s (Propagators.dyn_sum_pid core.objective);
+          let problem =
+            {
+              Search.store = s;
+              starts;
+              lates;
+              bound = core.bound;
+              bound_pid = Propagators.dyn_sum_pid core.objective;
+              extract;
+            }
+          in
+          (* the carried certificate gives this search a bound the cold
+             pipeline does not have: an improving solution that reaches [lb]
+             is optimal, so stop there instead of exhausting the rest of the
+             tree to prove what the certificate already knows *)
+          let limits =
+            {
+              Search.fail_limit = options.Solver.fail_limit;
+              node_limit = 0;
+              wall_deadline = Some (t0 +. options.Solver.time_limit);
+              interrupt = Some (fun () -> !hit_lb);
+              tighten_bound = None;
+              on_improve = Some (fun v -> if v <= lb then hit_lb := true);
+            }
+          in
+          Search.run_problem ~tie_break:options.Solver.tie_break problem
+            limits)
     in
     let incumbent =
       match outcome.Search.best with Some b -> b | None -> seed
@@ -696,6 +620,5 @@ let solve t ~options (inst : Instance.t) =
       else Search.stop_reason_of_cause outcome.Search.stopped
     in
     finish ~core:(Some core) ~nodes:outcome.Search.nodes
-      ~failures:outcome.Search.failures ~restarts:outcome.Search.restarts
-      ~proved ~stop incumbent
+      ~failures:outcome.Search.failures ~proved ~stop incumbent
   end

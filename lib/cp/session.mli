@@ -18,16 +18,13 @@
       watch-list entries unhooked ({!Store.unwatch}).  Its window ends at
       or before [now] while every pending est is at least [now], so the
       retraction never changes what the remaining tasks see;
-    - a departed job's realized lateness moves into the session's
-      departed-late counter and its variables go inert.
+    - a departed job leaves the objective sum and its variables go inert.
 
-    Search then re-enters the {e same} store: the nogood database survives
-    (clauses revalidated against departures by {!Nogood.refresh}), and all
-    propagation scratch — pool event permutations, Θ-tree buffers, watch
-    pools — is already warm.  Everything objective-relative (the armed
-    bound, committed nogood watches and unit assertions) lives in a guard
-    level pushed around each search, because root state must stay valid
-    across invocations whose objectives differ.
+    Search then re-enters the {e same} store, with all propagation scratch —
+    pool event permutations, Θ-tree buffers, watch pools — already warm.
+    The armed objective bound lives in a guard level pushed around each
+    search, because root state must stay valid across invocations whose
+    objectives differ.
 
     The session also carries an {e optimality certificate} between
     invocations: after a proved solve it records the proved Σ N_j together
@@ -62,11 +59,9 @@
 
 type t
 
-val create : options:Solver.options -> unit -> t
-(** A session for a manager that will solve with (at least) these options.
-    [options.restart] decides once whether the session carries a nogood
-    database across invocations; the remaining options are read per
-    {!solve} call. *)
+val create : unit -> t
+(** An empty session; the store is built by the first searching {!solve},
+    and the options are read per call. *)
 
 val solve :
   t ->
@@ -81,7 +76,7 @@ val solve :
     Same contract as {!Solver.solve}: never fails, at worst returns the
     greedy seed.  With [options.instrument] the stats carry the session
     counters ([session/retracted], [session/appended_jobs],
-    [session/rebuilds], [session/reused_nogoods], [session/cert_proofs],
+    [session/rebuilds], [session/cert_proofs],
     [store/words_allocated]) along with per-invocation deltas of the store
     counters. *)
 
@@ -96,9 +91,6 @@ val stats_appended_jobs : t -> int
 val stats_rebuilds : t -> int
 (** Times the store was rebuilt from scratch (outgrown horizon, or a root
     sync failure). *)
-
-val stats_reused_nogoods : t -> int
-(** Carried clauses surviving {!Nogood.refresh}, summed over solves. *)
 
 val stats_cert_proofs : t -> int
 (** Invocations proved optimal by the carried optimality certificate alone —

@@ -20,7 +20,6 @@ type options = {
   instrument : bool;
   warm_start : incumbent option;
   kernel : Propagators.kernel;
-  restart : Restart.policy;
 }
 
 let default_options =
@@ -36,7 +35,6 @@ let default_options =
     instrument = false;
     warm_start = None;
     kernel = Propagators.Both;
-    restart = Restart.Off;
   }
 
 (* Hooks a portfolio coordinator installs so concurrent workers share the
@@ -67,7 +65,6 @@ type stats = Obs.Solve_stats.t = {
   stop_reason : Obs.Solve_stats.stop_reason;
   nodes : int;
   failures : int;
-  restarts : int;
   lns_moves : int;
   elapsed : float;
   metrics : Obs.Metrics.snapshot option;
@@ -195,30 +192,6 @@ let merge_starts (inst : Instance.t) (incumbent : Solution.t)
   let merged = Hashtbl.copy incumbent.Solution.starts in
   Hashtbl.iter (Hashtbl.replace merged) partial.Solution.starts;
   Solution.evaluate inst merged
-
-(* Structural fingerprint of an LNS fragment: which jobs are frozen and at
-   which start times.  Nogoods recorded against a fragment are only valid
-   for bit-identical frozen context, so this is compared as a full string —
-   never a hash, where a collision would make the pruning unsound. *)
-let frozen_fingerprint (inst : Instance.t) (incumbent : Solution.t) relax_set =
-  let b = Buffer.create 256 in
-  Array.iteri
-    (fun jdx (j : Instance.pending_job) ->
-      if not (Hashtbl.mem relax_set jdx) then begin
-        Buffer.add_string b (string_of_int jdx);
-        Buffer.add_char b ':';
-        let add (task : T.task) =
-          Buffer.add_string b
-            (string_of_int
-               (Solution.start_of incumbent ~task_id:task.T.task_id));
-          Buffer.add_char b ','
-        in
-        Array.iter add j.Instance.pending_maps;
-        Array.iter add j.Instance.pending_reduces;
-        Buffer.add_char b ';'
-      end)
-    inst.Instance.jobs;
-  Buffer.contents b
 
 (* Checks the same Table-1 constraints as [Solution.feasibility_errors] —
    every pending task has a start, starts respect est, reduces respect the
@@ -373,8 +346,6 @@ let harvest_store registry store =
     (Store.stats_edge_finder_prunes store);
   Obs.Metrics.add (Obs.Metrics.counter registry "prop/scratch_reuse")
     (Store.stats_scratch_reuse store);
-  Obs.Metrics.add (Obs.Metrics.counter registry "nogood/prunes")
-    (Store.stats_nogood_prunes store);
   List.iter
     (fun (pm : Store.prop_metric) ->
       let pfx = "prop/" ^ pm.Store.prop_name in
@@ -387,60 +358,15 @@ let harvest_store registry store =
         pm.Store.time_s)
     (Store.propagator_metrics store)
 
-(* One incumbent start value per model start variable, for solution-guided
-   value ordering; tasks the solution does not cover get no guidance. *)
-let guide_of_solution model (sol : Solution.t) =
-  Array.map
-    (fun (tv : Model.task_var) ->
-      match Hashtbl.find_opt sol.Solution.starts tv.Model.task.T.task_id with
-      | Some s -> s
-      | None -> min_int)
-    model.Model.starts
-
-let run_exact ?tie_break ?registry ?kernel ?(restart = Restart.Off) ?nogoods
-    ?guide_sol inst ~bound_to_beat ~limits =
+let run_exact ?tie_break ?registry ?kernel inst ~bound_to_beat ~limits =
   let model = Model.build ?kernel inst ~horizon:(Model.default_horizon inst) in
   model.Model.bound := bound_to_beat;
   (match registry with
   | Some _ -> Store.set_instrumented model.Model.store true
   | None -> ());
-  let nogoods = if restart = Restart.Off then None else nogoods in
-  let attach_ok =
-    match nogoods with
-    | None -> true
-    | Some db -> (
-        let vars =
-          Array.append model.Model.lates
-            (Array.map (fun (tv : Model.task_var) -> tv.Model.var)
-               model.Model.starts)
-        in
-        try
-          Nogood.attach db model.Model.store ~vars;
-          true
-        with Store.Fail _ -> false)
-  in
-  let outcome =
-    if attach_ok then
-      let guide = Option.map (guide_of_solution model) guide_sol in
-      Search.run ?tie_break ~restart ?nogoods ?guide model limits
-    else
-      (* a carried nogood failed the fresh root: no solution beats
-         [bound_to_beat], which is a (cheap) proof of optimality *)
-      {
-        Search.best = None;
-        proved_optimal = true;
-        stopped = Search.Exhausted;
-        nodes = 0;
-        failures = 1;
-        restarts = 0;
-      }
-  in
+  let outcome = Search.run ?tie_break model limits in
   (match registry with
-  | Some r ->
-      harvest_store r model.Model.store;
-      Obs.Metrics.add
-        (Obs.Metrics.counter r "restart/restarts")
-        outcome.Search.restarts
+  | Some r -> harvest_store r model.Model.store
   | None -> ());
   outcome
 
@@ -453,28 +379,8 @@ let solve_linked ~options ~link (inst : Instance.t) =
   let lb = late_lower_bound inst in
   let seed_sol, warm_seeded = starting_incumbent ~options ~lb inst in
   link.announce seed_sol.Solution.late_jobs;
-  let nodes = ref 0
-  and failures = ref 0
-  and restarts = ref 0
-  and lns_moves = ref 0 in
-  (* one nogood database for the whole solve: the exact path keeps a single
-     context, LNS moves share clauses across identically-frozen fragments *)
-  let db =
-    if options.restart = Restart.Off then None else Some (Nogood.create ())
-  in
+  let nodes = ref 0 and failures = ref 0 and lns_moves = ref 0 in
   let finish ~stop incumbent proved =
-    (match (registry, db) with
-    | Some r, Some d ->
-        Obs.Metrics.add
-          (Obs.Metrics.counter r "nogood/recorded")
-          (Nogood.stats_recorded d);
-        Obs.Metrics.add
-          (Obs.Metrics.counter r "nogood/unit_props")
-          (Nogood.stats_unit_props d);
-        Obs.Metrics.add
-          (Obs.Metrics.counter r "nogood/conflicts")
-          (Nogood.stats_conflicts d)
-    | _ -> ());
     ( incumbent,
       {
         seed_late = seed_sol.Solution.late_jobs;
@@ -484,7 +390,6 @@ let solve_linked ~options ~link (inst : Instance.t) =
         stop_reason = stop;
         nodes = !nodes;
         failures = !failures;
-        restarts = !restarts;
         lns_moves = !lns_moves;
         elapsed = Obs.Clock.now () -. t0;
         metrics = Option.map Obs.Metrics.snapshot registry;
@@ -516,15 +421,12 @@ let solve_linked ~options ~link (inst : Instance.t) =
                 link.announce v);
         }
       in
-      (match db with Some d -> Nogood.set_context d "exact" | None -> ());
       let outcome =
         run_exact ~tie_break:options.tie_break ?registry ~kernel:options.kernel
-          ~restart:options.restart ?nogoods:db ~guide_sol:seed_sol inst
-          ~bound_to_beat:seed_sol.Solution.late_jobs ~limits
+          inst ~bound_to_beat:seed_sol.Solution.late_jobs ~limits
       in
       nodes := outcome.Search.nodes;
       failures := outcome.Search.failures;
-      restarts := outcome.Search.restarts;
       let incumbent =
         match outcome.Search.best with
         | Some better -> better
@@ -605,17 +507,9 @@ let solve_linked ~options ~link (inst : Instance.t) =
           if link.isolated then !incumbent.Solution.late_jobs
           else min !incumbent.Solution.late_jobs (link.global_bound ())
         in
-        (* clauses survive to the next move exactly when its frozen context
-           is identical (common when consecutive moves relax the same late
-           jobs); otherwise the context switch clears them *)
-        (match db with
-        | Some d ->
-            Nogood.set_context d (frozen_fingerprint inst !incumbent relax_set)
-        | None -> ());
         let run () =
           run_exact ~tie_break:options.tie_break ?registry
-            ~kernel:options.kernel ~restart:options.restart ?nogoods:db
-            ~guide_sol:!incumbent sub ~bound_to_beat ~limits
+            ~kernel:options.kernel sub ~bound_to_beat ~limits
         in
         let outcome =
           if Obs.Trace.enabled () then
@@ -626,7 +520,6 @@ let solve_linked ~options ~link (inst : Instance.t) =
         in
         nodes := !nodes + outcome.Search.nodes;
         failures := !failures + outcome.Search.failures;
-        restarts := !restarts + outcome.Search.restarts;
         match outcome.Search.best with
         | Some partial ->
             let merged = merge_starts inst !incumbent partial in

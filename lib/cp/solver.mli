@@ -54,19 +54,6 @@ type options = {
           builds (default {!Propagators.Both}; [Timetable] is the escape
           hatch reproducing the pre-overhaul trajectory exactly, [Naive] the
           allocation-heavy reference kernel). *)
-  restart : Restart.policy;
-      (** restart policy for every exact search the solve runs (default
-          {!Restart.Off}: the deterministic chronological DFS, bit-for-bit
-          the pre-restart trajectories).  Any other policy makes searches
-          record rightmost-branch nogoods into one {!Nogood} database shared
-          across LNS moves (clauses survive between identically-frozen
-          fragments), branch with last-conflict reasoning, and use the
-          incumbent's start times for solution-guided value ordering.
-          Restarted search visits fewer bad subtrees but costs more wall
-          time per failure (slice replays + nogood propagation), so it pays
-          on contended instances and hurts on easy ones — opt in per run
-          with {!Restart.default} (Luby-128), via [--restarts] in the CLIs,
-          or implicitly through {!Portfolio}'s restart-diversified arms. *)
 }
 
 val default_options : options
@@ -89,7 +76,6 @@ type stats = Obs.Solve_stats.t = {
           (or LNS stall / portfolio interrupt) that cut it *)
   nodes : int;
   failures : int;
-  restarts : int;  (** restart slice cuts, summed over all searches run *)
   lns_moves : int;
   elapsed : float;  (** wall-clock seconds spent *)
   metrics : Obs.Metrics.snapshot option;

@@ -109,15 +109,10 @@ and t = {
   mutable stamp : int;
   mutable mod_stamp : int array;
   mutable running : int;  (* pid executing right now, -1 outside propagate *)
-  mutable backtracks : int;  (* monotone undo counter, never reset *)
-  mutable undo_stamp : int array;
-  (* per var: value of [backtracks] when a backtrack last restored one of
-     its bounds; 0 when never restored.  Read via {!restore_stamp}. *)
   mutable propagations : int;
   mutable wakeups_skipped : int;
   mutable scratch_reuse : int;
   mutable edge_finder_prunes : int;
-  mutable nogood_prunes : int;
   (* Per-propagator telemetry, off by default: the propagation loop guards on
      the single [instrumented] bool, so the uninstrumented hot path costs one
      load.  All state lives in this record (store.mli's domain-locality
@@ -156,14 +151,11 @@ let create () =
     level_marks = Vec.create ();
     stamp = 0;
     mod_stamp = Array.make 64 0;
-    undo_stamp = Array.make 64 0;
     running = -1;
-    backtracks = 0;
     propagations = 0;
     wakeups_skipped = 0;
     scratch_reuse = 0;
     edge_finder_prunes = 0;
-    nogood_prunes = 0;
     instrumented = false;
     prop_names = Array.make 16 "";
     prop_fires = Array.make 16 0;
@@ -184,7 +176,6 @@ let new_var t ~min ~max =
     t.mins <- grow t.mins 0;
     t.maxs <- grow t.maxs 0;
     t.mod_stamp <- grow t.mod_stamp 0;
-    t.undo_stamp <- grow t.undo_stamp 0;
     let grow3 a =
       let a' = Array.make (3 * n) (-1) in
       Array.blit a 0 a' 0 (3 * id);
@@ -196,7 +187,6 @@ let new_var t ~min ~max =
   t.mins.(id) <- min;
   t.maxs.(id) <- max;
   t.mod_stamp.(id) <- 0;
-  t.undo_stamp.(id) <- 0;
   let base = 3 * id in
   t.watch_head.(base) <- -1;
   t.watch_head.(base + 1) <- -1;
@@ -419,13 +409,11 @@ let push_level t = Vec.push t.level_marks (Vec.length t.trail_tags)
 let backtrack t =
   if Vec.length t.level_marks = 0 then
     invalid_arg "Store.backtrack: already at root";
-  t.backtracks <- t.backtracks + 1;
   let mark = Vec.pop t.level_marks in
   while Vec.length t.trail_tags > mark do
     let tag = Vec.pop t.trail_tags in
     let old_value = Vec.pop t.trail_values in
     let v = tag lsr 1 in
-    t.undo_stamp.(v) <- t.backtracks;
     if tag land 1 = 1 then t.mins.(v) <- old_value else t.maxs.(v) <- old_value
   done
 
@@ -442,7 +430,6 @@ let backtrack_to t target =
 
 let backtrack_to_root t = backtrack_to t 0
 
-let num_vars t = t.nvars
 let stats_propagations t = t.propagations
 let stats_wakeups_skipped t = t.wakeups_skipped
 let stats_scratch_reuse t = t.scratch_reuse
@@ -451,10 +438,6 @@ let note_scratch_reuse t = t.scratch_reuse <- t.scratch_reuse + 1
 
 let note_edge_finder_prunes t n =
   t.edge_finder_prunes <- t.edge_finder_prunes + n
-
-let stats_nogood_prunes t = t.nogood_prunes
-let note_nogood_prune t = t.nogood_prunes <- t.nogood_prunes + 1
-let restore_stamp t v = t.undo_stamp.(v)
 
 let set_instrumented t on = t.instrumented <- on
 let instrumented t = t.instrumented

@@ -117,18 +117,8 @@ val backtrack_to : t -> int -> unit
 val backtrack_to_root : t -> unit
 (** [backtrack_to t 0]. *)
 
-val restore_stamp : t -> var -> int
-(** Monotone per-variable undo stamp: bumped whenever a {!backtrack} restores
-    one of the variable's bounds (0 if never restored).  Lets an incremental
-    propagator cache "already processed at bounds (min, max)" snapshots
-    exactly: if a variable's bounds {e and} restore stamp both match the
-    snapshot, nothing about it changed since — bounds only tighten between
-    backtracks, and any loosening (or re-tightening back to the same values)
-    went through a restore that bumped the stamp (see {!Nogood}). *)
-
 (** {2 Introspection} *)
 
-val num_vars : t -> int
 val stats_propagations : t -> int
 (** Number of propagator executions so far (for benchmarks). *)
 
@@ -146,13 +136,8 @@ val stats_edge_finder_prunes : t -> int
 (** Bound tightenings performed by the disjunctive edge-finding propagator
     (see {!Propagators.disjunctive}); bumped via {!note_edge_finder_prunes}. *)
 
-val stats_nogood_prunes : t -> int
-(** Lateness variables forced by nogood unit propagation (see {!Nogood});
-    bumped via {!note_nogood_prune}. *)
-
 val note_scratch_reuse : t -> unit
 val note_edge_finder_prunes : t -> int -> unit
-val note_nogood_prune : t -> unit
 (** Counter hooks for propagator kernels (all state lives in [t] — the
     domain-locality contract above). *)
 

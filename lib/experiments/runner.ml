@@ -24,7 +24,6 @@ type config = {
   warm_start : bool;
   session : bool;
   kernel : Cp.Propagators.kernel;
-  restart : Cp.Restart.policy;
   journal : Obs.Journal.t option;
       (* one journal shared across reps: events of rep i+1 append after rep
          i's (seq keeps growing); use reps = 1 for per-run audit files *)
@@ -49,7 +48,6 @@ let default_config =
     warm_start = true;
     session = true;
     kernel = Cp.Propagators.Both;
-    restart = Cp.Restart.Off;
     journal = None;
     metrics_every = None;
     chaos = None;
@@ -80,7 +78,6 @@ let make_driver config cluster ~seed =
           seed;
           instrument = config.instrument;
           kernel = config.kernel;
-          restart = config.restart;
         }
       in
       let solver =

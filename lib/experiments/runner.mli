@@ -40,9 +40,6 @@ type config = {
   kernel : Cp.Propagators.kernel;
       (** propagation kernel for every CP solve ([--kernel] in the CLIs;
           default {!Cp.Propagators.Both}) *)
-  restart : Cp.Restart.policy;
-      (** restart policy for every CP solve ([--restarts] in the CLIs;
-          default {!Cp.Restart.Off} — opt in with e.g. [--restarts luby]) *)
   journal : Obs.Journal.t option;
       (** decision journal shared by the manager and the simulator
           ([--journal] in the CLIs).  One journal spans every replication:

@@ -1,4 +1,4 @@
-let version = 2
+let version = 3
 
 type t = { buf : Buffer.t; mutable seq : int }
 

@@ -32,7 +32,8 @@ val version : int
     v2 added the fault events ("resource-crash", "resource-rejoin",
     "task-attempt-failed", "straggler") and the run-end fault totals
     (crash/rejoin/failure/straggler counters, [lost_work_ms]); v1 readers
-    must reject it. *)
+    must reject it.  v3 dropped the invoke line's [solve.restarts] and
+    [session.reused_nogoods] fields. *)
 
 val create : unit -> t
 

@@ -38,7 +38,6 @@ type t = {
   stop_reason : stop_reason;
   nodes : int;
   failures : int;
-  restarts : int;
   lns_moves : int;
   elapsed : float;
   metrics : Metrics.snapshot option;
@@ -47,18 +46,17 @@ type t = {
 let pp fmt s =
   Format.fprintf fmt
     "cp-stats<seed_late=%d lb=%d optimal=%b%s stop=%s nodes=%d fails=%d \
-     restarts=%d lns=%d t=%.4fs>"
+     lns=%d t=%.4fs>"
     s.seed_late s.lower_bound s.proved_optimal
     (if s.warm_seeded then " warm" else "")
     (stop_reason_to_string s.stop_reason)
-    s.nodes s.failures s.restarts s.lns_moves s.elapsed
+    s.nodes s.failures s.lns_moves s.elapsed
 
 let to_metrics s =
   let m = Metrics.create () in
   Metrics.add (Metrics.counter m "solver/solves") 1;
   Metrics.add (Metrics.counter m "solver/nodes") s.nodes;
   Metrics.add (Metrics.counter m "solver/failures") s.failures;
-  Metrics.add (Metrics.counter m "solver/restarts") s.restarts;
   Metrics.add (Metrics.counter m "solver/lns_moves") s.lns_moves;
   if s.proved_optimal then Metrics.add (Metrics.counter m "solver/proofs") 1;
   if s.warm_seeded then

@@ -42,7 +42,6 @@ type t = {
           reconstructed from counters *)
   nodes : int;  (** branch-and-bound nodes explored *)
   failures : int;  (** search failures (dead ends) *)
-  restarts : int;  (** restart-policy slice cuts across all searches run *)
   lns_moves : int;  (** large-neighbourhood moves attempted (0: pure B&B) *)
   elapsed : float;  (** wall-clock seconds spent *)
   metrics : Metrics.snapshot option;

@@ -101,7 +101,7 @@ let of_string text =
     List.iter
       (fun (line, j) ->
         (match int_field "v" j with
-        | Some (1 | 2) -> ()
+        | Some (1 | 2 | 3) -> ()
         | Some v ->
             failwith (Printf.sprintf "line %d: unsupported version %d" line v)
         | None -> failwith (Printf.sprintf "line %d: missing version" line));
@@ -253,7 +253,7 @@ let of_string text =
               o_per_job;
           ]
           @
-          (* v2 fault totals: present on every v2 run-end line; absent from
+          (* fault totals: present on every run-end line from v2 on; absent from
              archived v1 journals, whose fault counters are necessarily 0 *)
           (match int_field "crashes" re with
           | None ->

@@ -152,7 +152,6 @@ type stats = Obs.Solve_stats.t = {
   stop_reason : Obs.Solve_stats.stop_reason;
   nodes : int;
   failures : int;
-  restarts : int;
   lns_moves : int;
   elapsed : float;
   metrics : Obs.Metrics.snapshot option;
@@ -288,7 +287,6 @@ let solve ?(limits = Cp.Search.no_limits) ?(instrument = false) inst =
         stop_reason = Obs.Solve_stats.Proved;
         nodes = 0;
         failures = 0;
-        restarts = 0;
         lns_moves = 0;
         elapsed = Obs.Clock.now () -. t0;
         metrics = (if instrument then Some Obs.Metrics.empty else None);
@@ -307,7 +305,6 @@ let solve ?(limits = Cp.Search.no_limits) ?(instrument = false) inst =
         stop_reason = Cp.Search.stop_reason_of_cause outcome.Cp.Search.stopped;
         nodes = outcome.Cp.Search.nodes;
         failures = outcome.Cp.Search.failures;
-        restarts = outcome.Cp.Search.restarts;
         lns_moves = 0;
         elapsed = Obs.Clock.now () -. t0;
         metrics =

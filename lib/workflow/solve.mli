@@ -48,7 +48,6 @@ type stats = Obs.Solve_stats.t = {
           cache/session/LNS reasons, which don't exist here *)
   nodes : int;
   failures : int;
-  restarts : int;  (** always 0: the DAG solver runs without restarts *)
   lns_moves : int;
   elapsed : float;
   metrics : Obs.Metrics.snapshot option;

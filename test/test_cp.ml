@@ -705,6 +705,84 @@ let prop_optimal_matches_bruteforce =
       let sol, _ = solve inst in
       sol.Solution.late_jobs <= best_seq)
 
+(* --- DFS trajectory snapshots ------------------------------------------- *)
+
+(* (nodes, failures, late, proved) of the branch-and-bound search at fail
+   limit 50k on five fixed instances, unchanged since the propagation-kernel
+   overhaul.  Any drift means the search no longer makes the same decisions
+   in the same order, which silently invalidates every historical
+   benchmark. *)
+let snapshot_cases () =
+  let reset = Gen.reset_tasks in
+  [
+    ( "tight-6",
+      (reset ();
+       instance ~map_cap:2 ~reduce_cap:1
+         (List.init 6 (fun i ->
+              mk_job ~id:i
+                ~deadline:(25 + (4 * i))
+                ~maps:[ 9; 7 ] ~reduces:[ 4 ] ()))),
+      (7908, 6727, 1, true) );
+    ( "mixed-5",
+      (reset ();
+       instance ~map_cap:2 ~reduce_cap:2
+         [
+           mk_job ~id:0 ~deadline:30 ~maps:[ 12; 5 ] ~reduces:[ 6; 3 ] ();
+           mk_job ~id:1 ~deadline:22 ~maps:[ 8 ] ~reduces:[ 8 ] ();
+           mk_job ~id:2 ~est:10 ~deadline:45 ~maps:[ 10; 10 ] ~reduces:[ 5 ] ();
+           mk_job ~id:3 ~deadline:18 ~maps:[ 6; 6; 6 ] ~reduces:[] ();
+           mk_job ~id:4 ~deadline:60 ~maps:[ 15 ] ~reduces:[ 9 ] ();
+         ]),
+      (65, 46, 0, true) );
+    ( "ar-8",
+      (reset ();
+       instance ~map_cap:3 ~reduce_cap:2
+         (List.init 8 (fun i ->
+              mk_job ~id:i
+                ~est:(3 * (i mod 3))
+                ~deadline:(28 + (5 * i))
+                ~maps:[ 7; 5 + (i mod 4) ]
+                ~reduces:(if i mod 2 = 0 then [ 4 ] else [])
+                ()))),
+      (231, 190, 0, true) );
+    ( "unary-4",
+      (reset ();
+       instance ~map_cap:1 ~reduce_cap:1
+         (List.init 4 (fun i ->
+              mk_job ~id:i
+                ~deadline:(20 + (6 * i))
+                ~maps:[ 5 + i ] ~reduces:[ 3 ] ()))),
+      (45, 28, 0, true) );
+    ( "loose-10",
+      (reset ();
+       instance ~map_cap:4 ~reduce_cap:2
+         (List.init 10 (fun i ->
+              mk_job ~id:i
+                ~deadline:(40 + (7 * i))
+                ~maps:[ 6; 4 ] ~reduces:[ 5 ] ()))),
+      (496, 435, 0, true) );
+  ]
+
+let test_dfs_snapshots () =
+  List.iter
+    (fun (name, inst, (nodes, failures, late, proved)) ->
+      let model =
+        Cp.Model.build inst ~horizon:(Cp.Model.default_horizon inst)
+      in
+      let greedy = Sched.Greedy.solve inst in
+      model.Cp.Model.bound := greedy.Solution.late_jobs + 1;
+      let o =
+        Cp.Search.run model
+          { Cp.Search.no_limits with Cp.Search.fail_limit = 50_000 }
+      in
+      let best = Option.value o.Cp.Search.best ~default:greedy in
+      Alcotest.(check int) (name ^ " nodes") nodes o.Cp.Search.nodes;
+      Alcotest.(check int) (name ^ " failures") failures o.Cp.Search.failures;
+      Alcotest.(check int) (name ^ " late") late best.Solution.late_jobs;
+      Alcotest.(check bool)
+        (name ^ " proved") proved o.Cp.Search.proved_optimal)
+    (snapshot_cases ())
+
 let () =
   Alcotest.run "cp"
     [
@@ -741,6 +819,11 @@ let () =
           Alcotest.test_case "deterministic" `Quick test_solver_deterministic;
           Alcotest.test_case "search limits" `Quick
             test_search_limits_honoured;
+        ] );
+      ( "trajectory",
+        [
+          Alcotest.test_case "five DFS snapshots unchanged" `Quick
+            test_dfs_snapshots;
         ] );
       ( "portfolio",
         [

@@ -221,7 +221,7 @@ let test_audit_rejects_garbage () =
         (String.length e > 0 && String.sub e 0 6 = "line 1"));
   match
     Report.Audit.of_string
-      {|{"v":3,"seq":0,"t":0,"ev":"arrival","job":0,"est":0,"deadline":1,"tasks":1}|}
+      {|{"v":4,"seq":0,"t":0,"ev":"arrival","job":0,"est":0,"deadline":1,"tasks":1}|}
   with
   | Ok _ -> Alcotest.fail "accepted future version"
   | Error _ -> ()

@@ -17,14 +17,13 @@ module Solution = Sched.Solution
 (* Proof-complete options: on Gen.tiny-scale instances every solve runs the
    exact B&B to exhaustion, so session and cold must both prove and land on
    the same objective. *)
-let proof_options restart =
+let proof_options =
   {
     Cp.Solver.default_options with
     Cp.Solver.exact_task_limit = 200;
     fail_limit = 1_000_000;
     time_limit = 60.;
     seed = 7;
-    restart;
   }
 
 (* --- mini-driver: Table-2 classification against an installed plan ------ *)
@@ -102,7 +101,7 @@ let event_times jobs =
    instance alongside it.  [check inst session_result cold_result] runs per
    event; the session's plan drives the stream. *)
 let drive ~options ~map_cap ~reduce_cap jobs check =
-  let session = Cp.Session.create ~options () in
+  let session = Cp.Session.create () in
   let dispatch = Hashtbl.create 64 in
   List.iter
     (fun now ->
@@ -163,10 +162,11 @@ let arb_stream = QCheck.make ~print:print_stream gen_stream
 
 (* (a) Per invocation, session and cold solve prove the same Σ N_j, and the
    session's solution passes the Table-1 oracle for the instance. *)
-let prop_session_matches_cold ~restart ~count name =
-  QCheck.Test.make ~count ~name arb_stream
+let prop_session_matches_cold =
+  QCheck.Test.make ~count:35 ~name:"session = cold optimum (no restarts)"
+    arb_stream
     (fun (jobs, map_cap, reduce_cap) ->
-      let options = proof_options restart in
+      let options = proof_options in
       let _session =
         drive ~options ~map_cap ~reduce_cap jobs
           (fun inst (ssol, sst) (csol, cst) ->
@@ -198,7 +198,7 @@ let prop_session_counters =
   QCheck.Test.make ~count:40 ~name:"session counters account for the stream"
     arb_stream
     (fun (jobs, map_cap, reduce_cap) ->
-      let options = proof_options Cp.Restart.Off in
+      let options = proof_options in
       let session =
         drive ~options ~map_cap ~reduce_cap jobs (fun _ _ _ -> ())
       in
@@ -240,7 +240,7 @@ let contention_stream () =
 
 let test_counters_deterministic () =
   let jobs = contention_stream () in
-  let options = proof_options Cp.Restart.Off in
+  let options = proof_options in
   let session =
     drive ~options ~map_cap:1 ~reduce_cap:1 jobs
       (fun inst (ssol, sst) (csol, cst) ->
@@ -273,7 +273,7 @@ let test_cert_proof () =
         ~reduces:[] ();
     ]
   in
-  let options = proof_options Cp.Restart.Off in
+  let options = proof_options in
   let session =
     drive ~options ~map_cap:1 ~reduce_cap:1 jobs
       (fun inst (ssol, sst) (csol, cst) ->
@@ -296,8 +296,8 @@ let test_empty_invocation () =
     Gen.mk_job ~id:1 ~arrival:100 ~est:100 ~deadline:140 ~maps:[ 4 ]
       ~reduces:[ 2 ] ()
   in
-  let options = proof_options Cp.Restart.Off in
-  let session = Cp.Session.create ~options () in
+  let options = proof_options in
+  let session = Cp.Session.create () in
   let dispatch = Hashtbl.create 16 in
   let solve_at now =
     let inst =
@@ -336,7 +336,7 @@ let test_no_session_bit_identity () =
     ]
   in
   let jobs = mk () in
-  let base = proof_options Cp.Restart.Off in
+  let base = proof_options in
   let cluster =
     T.uniform_cluster ~m:1 ~map_capacity:1 ~reduce_capacity:1
   in
@@ -382,7 +382,7 @@ let test_no_session_bit_identity () =
 let test_session_metrics () =
   let jobs = contention_stream () in
   let options =
-    { (proof_options Cp.Restart.Off) with Cp.Solver.instrument = true }
+    { proof_options with Cp.Solver.instrument = true }
   in
   let snaps = ref [] in
   let _session =
@@ -415,10 +415,7 @@ let () =
       ( "differential",
         qsuite
           [
-            prop_session_matches_cold ~restart:Cp.Restart.Off ~count:35
-              "session = cold optimum (no restarts)";
-            prop_session_matches_cold ~restart:(Cp.Restart.Luby 16) ~count:20
-              "session = cold optimum (luby restarts, carried nogoods)";
+            prop_session_matches_cold;
             prop_session_counters;
           ] );
       ( "deterministic",
