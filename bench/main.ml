@@ -330,29 +330,8 @@ let figure_tests =
     ]
 
 (* ------------------------------------------------------------------ *)
-(* portfolio comparison mode (--portfolio-compare): sequential vs      *)
-(* portfolio solve on the fixture instances, emitted as JSON so        *)
-(* BENCH_*.json snapshots can track the speedup across PRs             *)
+(* JSON comparison modes                                               *)
 (* ------------------------------------------------------------------ *)
-
-(* a larger instance that keeps the LNS regime busy for the comparison *)
-let batch80_instance =
-  let rng = Simrand.Rng.create 2 in
-  let jobs =
-    List.init 80 (fun i ->
-        let maps =
-          List.init (1 + Simrand.Rng.int rng 6) (fun _ -> 1 + Simrand.Rng.int rng 50)
-        in
-        let reduces =
-          List.init (Simrand.Rng.int rng 4) (fun _ -> 1 + Simrand.Rng.int rng 50)
-        in
-        let total = List.fold_left ( + ) 0 maps + List.fold_left ( + ) 0 reduces in
-        mk_job ~id:i
-          ~est:(Simrand.Rng.int rng 200)
-          ~deadline:(total + Simrand.Rng.int rng 200)
-          ~maps ~reduces)
-  in
-  Sched.Instance.of_fresh_jobs ~now:0 ~map_capacity:4 ~reduce_capacity:2 jobs
 
 let json_escape s =
   let b = Buffer.create (String.length s) in
@@ -378,58 +357,6 @@ let emit ~out json =
       close_out oc;
       Printf.eprintf "wrote %s\n" path
   | None -> ()
-
-let portfolio_compare ~domains ~out () =
-  let options =
-    { Cp.Solver.default_options with Cp.Solver.time_limit = 2.0; seed = 42 }
-  in
-  let case name inst =
-    let seq_sol, seq_stats = Cp.Solver.solve ~options inst in
-    let par_sol, par_stats = Cp.Portfolio.solve ~domains ~options inst in
-    let nodes_per_sec nodes t =
-      if t > 0. then float_of_int nodes /. t else 0.
-    in
-    let workers =
-      par_stats.Cp.Portfolio.workers
-      |> Array.map (fun (w : Cp.Portfolio.worker_stats) ->
-             Printf.sprintf
-               {|{"strategy":"%s","late":%d,"nodes":%d,"failures":%d,"lns_moves":%d,"proved":%b,"elapsed_s":%.6f,"nodes_per_sec":%.1f}|}
-               (json_escape w.Cp.Portfolio.strategy)
-               w.Cp.Portfolio.w_late_jobs w.Cp.Portfolio.w_nodes
-               w.Cp.Portfolio.w_failures w.Cp.Portfolio.w_lns_moves
-               w.Cp.Portfolio.w_proved w.Cp.Portfolio.w_elapsed
-               (nodes_per_sec w.Cp.Portfolio.w_nodes w.Cp.Portfolio.w_elapsed))
-      |> Array.to_list |> String.concat ","
-    in
-    let seq_t = seq_stats.Cp.Solver.elapsed in
-    let par_t = par_stats.Cp.Portfolio.base.Cp.Solver.elapsed in
-    Printf.sprintf
-      {|{"case":"%s","seq":{"late":%d,"tardiness":%d,"nodes":%d,"elapsed_s":%.6f,"nodes_per_sec":%.1f,"proved":%b},"portfolio":{"late":%d,"tardiness":%d,"nodes":%d,"elapsed_s":%.6f,"nodes_per_sec":%.1f,"proved":%b,"winner":"%s","workers":[%s]},"speedup":%.3f}|}
-      name seq_sol.Sched.Solution.late_jobs seq_sol.Sched.Solution.total_tardiness
-      seq_stats.Cp.Solver.nodes seq_t
-      (nodes_per_sec seq_stats.Cp.Solver.nodes seq_t)
-      seq_stats.Cp.Solver.proved_optimal
-      par_sol.Sched.Solution.late_jobs par_sol.Sched.Solution.total_tardiness
-      par_stats.Cp.Portfolio.base.Cp.Solver.nodes par_t
-      (nodes_per_sec par_stats.Cp.Portfolio.base.Cp.Solver.nodes par_t)
-      par_stats.Cp.Portfolio.base.Cp.Solver.proved_optimal
-      (json_escape par_stats.Cp.Portfolio.winner)
-      workers
-      (if par_t > 0. then seq_t /. par_t else 0.)
-  in
-  let cases =
-    [
-      case "exact6" exact_instance;
-      case "batch40" batch_instance;
-      case "batch80" batch80_instance;
-    ]
-  in
-  let json =
-    Printf.sprintf
-      {|{"bench":"portfolio-compare","domains":%d,"cases":[%s]}|} domains
-      (String.concat "," cases)
-  in
-  emit ~out json
 
 (* ------------------------------------------------------------------ *)
 (* propagation-kernel comparison mode (--prop-compare): the same       *)
@@ -537,45 +464,6 @@ let prop_compare ~fail_limit ~out () =
     Printf.sprintf
       {|{"bench":"prop-compare","fail_limit":%d,"cases":[%s]}|} fail_limit
       (String.concat "," cases)
-  in
-  emit ~out json
-
-(* ------------------------------------------------------------------ *)
-(* warm-start comparison mode (--warm-compare): the Fig. 2 Facebook    *)
-(* workload (lambda = 3e-4, seed 42) simulated twice — cold re-solve   *)
-(* on every manager invocation (the paper's behaviour) vs warm-start   *)
-(* re-solving with the plan cache — emitted as JSON so CI can track    *)
-(* the per-invocation overhead saving across PRs                       *)
-(* ------------------------------------------------------------------ *)
-
-let warm_compare ~jobs_n ~out () =
-  let lambda = 0.0003 and seed = 42 in
-  let jobs = facebook_jobs ~n:jobs_n ~lambda seed in
-  let run ~warm_start =
-    let mgr =
-      Mrcp.Manager.create ~cluster:fb_cluster
-        { Mrcp.Manager.default_config with Mrcp.Manager.warm_start }
-    in
-    let driver = Opensim.Driver.of_mrcp mgr in
-    let r = Opensim.Simulator.run ~driver ~jobs () in
-    let solves = Mrcp.Manager.solve_count mgr in
-    let overhead = Mrcp.Manager.overhead_seconds mgr in
-    Printf.sprintf
-      {|{"mode":"%s","n_late":%d,"jobs":%d,"solves":%d,"cache_hits":%d,"overhead_s":%.6f,"o_per_invocation_s":%.6f,"o_max_invocation_s":%.6f,"o_per_job_s":%.6f}|}
-      (if warm_start then "warm" else "cold")
-      r.Opensim.Simulator.n_late r.Opensim.Simulator.jobs_total solves
-      (Mrcp.Manager.cache_hit_count mgr)
-      overhead
-      (if solves > 0 then overhead /. float_of_int solves else 0.)
-      (Mrcp.Manager.max_invocation_seconds mgr)
-      r.Opensim.Simulator.overhead_per_job_s
-  in
-  let cold = run ~warm_start:false in
-  let warm = run ~warm_start:true in
-  let json =
-    Printf.sprintf
-      {|{"bench":"warm-compare","workload":"facebook","lambda":%g,"seed":%d,"jobs":%d,"cold":%s,"warm":%s}|}
-      lambda seed jobs_n cold warm
   in
   emit ~out json
 
@@ -705,20 +593,14 @@ let print_group name results =
     (List.sort compare !rows)
 
 (* bench/main.exe MODE [N] [--out FILE]: N is the mode's size argument
-   (domains, fail limit or job count), taken when the token after MODE is a
+   (fail limit or job count), taken when the token after MODE is a
    positive integer; otherwise the mode's default applies.  Without a mode
    the bechamel micro- and figure benches run. *)
 let modes =
   [
-    ( "--portfolio-compare",
-      Cp.Portfolio.recommended_domains,
-      fun n ~out -> portfolio_compare ~domains:n ~out () );
     ( "--prop-compare",
       (fun () -> 20_000),
       fun n ~out -> prop_compare ~fail_limit:n ~out () );
-    ( "--warm-compare",
-      (fun () -> 200),
-      fun n ~out -> warm_compare ~jobs_n:n ~out () );
     ( "--session-compare",
       (fun () -> 40),
       fun n ~out -> session_compare ~jobs_n:n ~out () );

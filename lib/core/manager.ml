@@ -647,7 +647,7 @@ let invoke t ~now =
     t.last_late <- late;
     Log.debug (fun m ->
         m
-          "invocation at %d: %d active jobs, %d pending tasks planned, %a,            %.4fs"
+          "invocation at %d: %d active jobs, %d pending tasks planned, %a, %.4fs"
           now (List.length t.active) (List.length dispatches)
           (Fmt.option Cp.Solver.pp_stats)
           t.last_stats elapsed)

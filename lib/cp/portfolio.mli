@@ -14,11 +14,15 @@
       LNS workers (chosen automatically on large instances, as in
       {!Solver.solve}) draw from distinct RNG streams.
 
-    All workers share the incumbent Σ N_j through an [Atomic]: B&B workers
-    adopt it as their bound mid-search (pruning against the best solution
-    found anywhere), LNS workers use it to cut hopeless fragment searches,
-    and the first worker to prove optimality raises a cancellation flag that
-    stops the rest.
+    Every worker runs the one solve pipeline, {!Solver.solve_linked}, with
+    its default exact backend (a fresh {!Model} per worker); the
+    persistent-store backend belongs to {!Session}, which the portfolio
+    does not use, so the portfolio bounds with the classic lower bound
+    only.  All workers share the incumbent Σ N_j through an [Atomic]: B&B
+    workers adopt it as their bound mid-search (pruning against the best
+    solution found anywhere), LNS workers use it to cut hopeless fragment
+    searches, and the first worker to prove optimality raises a
+    cancellation flag that stops the rest.
 
     Guarantees:
     - [solve ~domains:1] delegates to {!Solver.solve} — bit-identical
@@ -26,8 +30,8 @@
     - with [domains ≥ 2] the returned Σ N_j is never worse than the
       sequential solver's on the same instance and options (worker 0 runs
       the identical trajectory and the coordinator returns the best worker
-      solution), and the greedy-seed-is-optimal fast path short-circuits
-      without spawning any domain;
+      solution), and the pipeline's seed-is-optimal fast path
+      ({!Solver.settle}) short-circuits without spawning any domain;
     - every worker owns its {!Store}, {!Model} and RNG; the only shared
       mutable state is the two [Atomic]s (see the store's domain-locality
       notes in [store.mli]);

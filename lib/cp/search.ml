@@ -329,13 +329,7 @@ let run_problem ?(tie_break = Slack_first) problem limits =
 
 (* --- MapReduce-model entry point -------------------------------------- *)
 
-type outcome = {
-  best : Sched.Solution.t option;
-  proved_optimal : bool;
-  stopped : stop_cause;
-  nodes : int;
-  failures : int;
-}
+type outcome = Sched.Solution.t generic_outcome
 
 let problem_of_model (m : Model.t) =
   let deadline_of jdx =
@@ -362,11 +356,4 @@ let problem_of_model (m : Model.t) =
   }
 
 let run ?tie_break model limits =
-  let o = run_problem ?tie_break (problem_of_model model) limits in
-  {
-    best = o.best;
-    proved_optimal = o.proved_optimal;
-    stopped = o.stopped;
-    nodes = o.nodes;
-    failures = o.failures;
-  }
+  run_problem ?tie_break (problem_of_model model) limits

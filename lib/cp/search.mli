@@ -100,13 +100,7 @@ val run_problem :
     the search — {!Session} does.  Called at the root this is the
     historical behaviour exactly. *)
 
-type outcome = {
-  best : Sched.Solution.t option;
-  proved_optimal : bool;
-  stopped : stop_cause;
-  nodes : int;
-  failures : int;
-}
+type outcome = Sched.Solution.t generic_outcome
 
 val run : ?tie_break:tie_break -> Model.t -> limits -> outcome
 (** {!run_problem} specialized to the Table-1 MapReduce model. *)

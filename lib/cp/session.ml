@@ -34,13 +34,9 @@ type core = {
   objective : Propagators.dyn_sum;
   jobs : (int, job_slot) Hashtbl.t;  (* job id -> slot *)
   tasks : (int, task_slot) Hashtbl.t;  (* task id -> slot *)
-  (* previous-solve store counter values, for per-invocation deltas *)
   mutable generation : int;  (* bumped by every sync *)
-  mutable last_propagations : int;
-  mutable last_wakeups : int;
-  mutable last_scratch : int;
-  mutable last_ef : int;
-  mutable last_pm : (string * Store.prop_metric) list;
+  mutable harvested : Store.telemetry_mark option;
+      (* telemetry at the last harvest, for per-invocation deltas *)
 }
 
 (* Persistent optimality certificate.  A proved invocation's "no schedule
@@ -119,11 +115,7 @@ let make_core (inst : Instance.t) =
     jobs = Hashtbl.create 64;
     tasks = Hashtbl.create 256;
     generation = 0;
-    last_propagations = 0;
-    last_wakeups = 0;
-    last_scratch = 0;
-    last_ef = 0;
-    last_pm = [];
+    harvested = None;
   }
 
 (* Append one job's constraint block — the Table-1 rows of Model.build, with
@@ -322,42 +314,6 @@ let sync t (inst : Instance.t) =
       fresh_core t inst
   | None -> fresh_core t inst
 
-(* --- telemetry ------------------------------------------------------------ *)
-
-let harvest registry core =
-  let s = core.store in
-  let count name v = Obs.Metrics.add (Obs.Metrics.counter registry name) v in
-  count "store/propagations"
-    (Store.stats_propagations s - core.last_propagations);
-  core.last_propagations <- Store.stats_propagations s;
-  count "prop/wakeups_skipped"
-    (Store.stats_wakeups_skipped s - core.last_wakeups);
-  core.last_wakeups <- Store.stats_wakeups_skipped s;
-  count "prop/scratch_reuse" (Store.stats_scratch_reuse s - core.last_scratch);
-  core.last_scratch <- Store.stats_scratch_reuse s;
-  count "prop/edge_finder_prunes"
-    (Store.stats_edge_finder_prunes s - core.last_ef);
-  core.last_ef <- Store.stats_edge_finder_prunes s;
-  if Store.instrumented s then begin
-    let pms = Store.propagator_metrics s in
-    List.iter
-      (fun (pm : Store.prop_metric) ->
-        let fires0, fails0, time0 =
-          match List.assoc_opt pm.Store.prop_name core.last_pm with
-          | Some p -> (p.Store.fires, p.Store.fails, p.Store.time_s)
-          | None -> (0, 0, 0.)
-        in
-        let pfx = "prop/" ^ pm.Store.prop_name in
-        count (pfx ^ "/fires") (pm.Store.fires - fires0);
-        count (pfx ^ "/fails") (pm.Store.fails - fails0);
-        Obs.Metrics.observe
-          (Obs.Metrics.histogram registry (pfx ^ "/time_s"))
-          (pm.Store.time_s -. time0))
-      pms;
-    core.last_pm <-
-      List.map (fun (pm : Store.prop_metric) -> (pm.Store.prop_name, pm)) pms
-  end
-
 (* --- persistent optimality certificate ------------------------------------ *)
 
 (* Lower bound the certificate yields for [inst]: [c_bound] minus the
@@ -423,202 +379,120 @@ let update_cert t ~proved (inst : Instance.t) (sol : Solution.t) =
 
 (* --- the solve ------------------------------------------------------------ *)
 
+(* The session's exact search over a synced store: arm the objective bound
+   inside a guard level and search. *)
+let search_core ~options core (inst : Instance.t) ~bound_to_beat limits =
+  let s = core.store in
+  (* search views in the cold model's ordering: instance job order, each
+     job's pending maps then pending reduces *)
+  let lates =
+    Array.map
+      (fun (pj : Instance.pending_job) ->
+        ( (Hashtbl.find core.jobs pj.Instance.job.T.id).j_late,
+          pj.Instance.job.T.deadline ))
+      inst.Instance.jobs
+  in
+  let infos = ref [] and pairs = ref [] in
+  Array.iter
+    (fun (pj : Instance.pending_job) ->
+      let add (task : T.task) =
+        let sl = Hashtbl.find core.tasks task.T.task_id in
+        infos :=
+          {
+            Search.svar = sl.t_var;
+            duration = task.T.exec_time;
+            deadline = pj.Instance.job.T.deadline;
+          }
+          :: !infos;
+        pairs := (task.T.task_id, sl.t_var) :: !pairs
+      in
+      Array.iter add pj.Instance.pending_maps;
+      Array.iter add pj.Instance.pending_reduces)
+    inst.Instance.jobs;
+  let starts = Array.of_list (List.rev !infos) in
+  let pairs = Array.of_list (List.rev !pairs) in
+  let extract () =
+    let m = Hashtbl.create (Array.length pairs) in
+    Array.iter (fun (id, v) -> Hashtbl.replace m id (Store.value s v)) pairs;
+    let sol = Solution.evaluate inst m in
+    (sol, sol.Solution.late_jobs)
+  in
+  (* The armed objective bound lives inside this guard level, so nothing
+     objective-relative survives into the root the next sync mutates. *)
+  core.bound := bound_to_beat;
+  Store.push_level s;
+  Fun.protect
+    ~finally:(fun () ->
+      Store.backtrack_to s 0;
+      core.bound := max_int)
+    (fun () ->
+      Store.schedule s (Propagators.dyn_sum_pid core.objective);
+      let problem =
+        {
+          Search.store = s;
+          starts;
+          lates;
+          bound = core.bound;
+          bound_pid = Propagators.dyn_sum_pid core.objective;
+          extract;
+        }
+      in
+      Search.run_problem ~tie_break:options.Solver.tie_break problem limits)
+
+(* every dispatched plan is a future fix point for its tasks: remember it *)
+let remember t (inst : Instance.t) (sol : Solution.t) =
+  let note (task : T.task) =
+    match Hashtbl.find_opt sol.Solution.starts task.T.task_id with
+    | Some st -> Hashtbl.replace t.last_starts task.T.task_id st
+    | None -> ()
+  in
+  Array.iter
+    (fun (pj : Instance.pending_job) ->
+      Array.iter note pj.Instance.pending_maps;
+      Array.iter note pj.Instance.pending_reduces)
+    inst.Instance.jobs
+
 let solve t ~options (inst : Instance.t) =
   let t0 = Obs.Clock.now () in
   let words0 = Gc.minor_words () in
-  let registry =
-    if options.Solver.instrument then Some (Obs.Metrics.create ()) else None
-  in
   let retracted0 = t.retracted
   and appended0 = t.appended
-  and rebuilds0 = t.rebuilds
-  and cert0 = t.cert_proofs in
-  let lb_classic = Solver.late_lower_bound inst in
-  let lb = max lb_classic (cert_lower_bound t inst) in
-  let seed, warm_seeded = Solver.starting_incumbent ~options ~lb inst in
-  (* every dispatched plan is a future fix point for its tasks: remember it *)
-  let remember (sol : Solution.t) =
-    let note (task : T.task) =
-      match Hashtbl.find_opt sol.Solution.starts task.T.task_id with
-      | Some st -> Hashtbl.replace t.last_starts task.T.task_id st
-      | None -> ()
-    in
-    Array.iter
-      (fun (pj : Instance.pending_job) ->
-        Array.iter note pj.Instance.pending_maps;
-        Array.iter note pj.Instance.pending_reduces)
-      inst.Instance.jobs
+  and rebuilds0 = t.rebuilds in
+  (* The exact backend is the only place that syncs the store, so a pass
+     the fast path or LNS settles never pays for a diff ([sync] is a diff
+     against the instance, not an event log: a skipped pass folds into the
+     next searching one's). *)
+  let searched = ref None in
+  let exact ~registry ~bound_to_beat limits =
+    let core = sync t inst in
+    searched := Some core;
+    if registry <> None then Store.set_instrumented core.store true;
+    search_core ~options core inst ~bound_to_beat limits
   in
-  let session_metrics ~core () =
-    match registry with
-    | None -> None
-    | Some r ->
+  let on_settle registry sol (st : Solver.stats) =
+    remember t inst sol;
+    update_cert t ~proved:st.Solver.proved_optimal inst sol;
+    (* proofs the classic bound alone could not have delivered *)
+    let via_cert = st.Solver.stop_reason = Obs.Solve_stats.Hit_carried_bound in
+    if via_cert then t.cert_proofs <- t.cert_proofs + 1;
+    Option.iter
+      (fun r ->
         let count name v = Obs.Metrics.add (Obs.Metrics.counter r name) v in
         count "session/retracted" (t.retracted - retracted0);
         count "session/appended_jobs" (t.appended - appended0);
         count "session/rebuilds" (t.rebuilds - rebuilds0);
-        count "session/cert_proofs" (t.cert_proofs - cert0);
+        count "session/cert_proofs" (Bool.to_int via_cert);
         count "store/words_allocated"
           (int_of_float (Gc.minor_words () -. words0));
-        (match core with Some core -> harvest r core | None -> ());
-        Some (Obs.Metrics.snapshot r)
+        (* harvested after the words count, which measures the solve and
+           not its telemetry; the store's counters run from the last
+           harvest, so the diff and the search of this pass are counted *)
+        Option.iter
+          (fun core ->
+            Store.harvest ?since:core.harvested r core.store;
+            core.harvested <- Some (Store.telemetry_mark core.store))
+          !searched)
+      registry
   in
-  let finish ?(core = None) ?(nodes = 0) ?(failures = 0) ~proved ~stop
-      incumbent =
-    remember incumbent;
-    update_cert t ~proved inst incumbent;
-    ( incumbent,
-      {
-        Obs.Solve_stats.seed_late = seed.Solution.late_jobs;
-        lower_bound = lb;
-        proved_optimal = proved;
-        warm_seeded;
-        stop_reason = stop;
-        nodes;
-        failures;
-        lns_moves = 0;
-        elapsed = Obs.Clock.now () -. t0;
-        metrics = session_metrics ~core ();
-      } )
-  in
-  (* Laziness mirrors the cold pipeline: a seed-optimal invocation never
-     touches any model there, so it must not pay a store sync here either
-     ([remember] keeps enough — the realized starts — for a later sync to
-     retire whatever completed in between; [sync] is a diff against the
-     instance, not an event log, so skipped invocations simply fold into
-     the next one's diff). *)
-  if seed.Solution.late_jobs <= lb then begin
-    (* proofs the classic bound alone could not have delivered *)
-    let via_cert = seed.Solution.late_jobs > lb_classic in
-    if via_cert then t.cert_proofs <- t.cert_proofs + 1;
-    finish ~proved:true
-      ~stop:
-        (if via_cert then Obs.Solve_stats.Hit_carried_bound
-         else if warm_seeded then Obs.Solve_stats.Cache_hit
-         else Obs.Solve_stats.Proved)
-      seed
-  end
-  else if
-    Instance.pending_task_count inst > options.Solver.exact_task_limit
-  then begin
-    (* LNS regime: the neighbourhood moves each solve their own fragment
-       models — nothing for the persistent store to carry.  Fall back to the
-       ephemeral pipeline for this invocation without syncing. *)
-    let sol, st = Solver.solve_linked ~options ~link:Solver.null_link inst in
-    remember sol;
-    update_cert t ~proved:st.Obs.Solve_stats.proved_optimal inst sol;
-    let st =
-      match session_metrics ~core:None () with
-      | None -> st
-      | Some snap ->
-          {
-            st with
-            Obs.Solve_stats.metrics =
-              Some
-                (match st.Obs.Solve_stats.metrics with
-                | None -> snap
-                | Some m -> Obs.Metrics.merge m snap);
-          }
-    in
-    (sol, st)
-  end
-  else begin
-    let core = sync t inst in
-    if options.Solver.instrument && not (Store.instrumented core.store) then
-      Store.set_instrumented core.store true;
-    let s = core.store in
-    (* search views in the cold model's ordering: instance job order, each
-       job's pending maps then pending reduces *)
-    let lates =
-      Array.map
-        (fun (pj : Instance.pending_job) ->
-          ( (Hashtbl.find core.jobs pj.Instance.job.T.id).j_late,
-            pj.Instance.job.T.deadline ))
-        inst.Instance.jobs
-    in
-    let infos = ref [] and pairs = ref [] in
-    Array.iter
-      (fun (pj : Instance.pending_job) ->
-        let add (task : T.task) =
-          let sl = Hashtbl.find core.tasks task.T.task_id in
-          infos :=
-            {
-              Search.svar = sl.t_var;
-              duration = task.T.exec_time;
-              deadline = pj.Instance.job.T.deadline;
-            }
-            :: !infos;
-          pairs := (task.T.task_id, sl.t_var) :: !pairs
-        in
-        Array.iter add pj.Instance.pending_maps;
-        Array.iter add pj.Instance.pending_reduces)
-      inst.Instance.jobs;
-    let starts = Array.of_list (List.rev !infos) in
-    let pairs = Array.of_list (List.rev !pairs) in
-    let extract () =
-      let m = Hashtbl.create (Array.length pairs) in
-      Array.iter (fun (id, v) -> Hashtbl.replace m id (Store.value s v)) pairs;
-      let sol = Solution.evaluate inst m in
-      (sol, sol.Solution.late_jobs)
-    in
-    (* The armed objective bound lives inside this guard level, so nothing
-       objective-relative survives into the root the next sync mutates. *)
-    core.bound := seed.Solution.late_jobs;
-    Store.push_level s;
-    let hit_lb = ref false in
-    let outcome =
-      Fun.protect
-        ~finally:(fun () ->
-          Store.backtrack_to s 0;
-          core.bound := max_int)
-        (fun () ->
-          Store.schedule s (Propagators.dyn_sum_pid core.objective);
-          let problem =
-            {
-              Search.store = s;
-              starts;
-              lates;
-              bound = core.bound;
-              bound_pid = Propagators.dyn_sum_pid core.objective;
-              extract;
-            }
-          in
-          (* the carried certificate gives this search a bound the cold
-             pipeline does not have: an improving solution that reaches [lb]
-             is optimal, so stop there instead of exhausting the rest of the
-             tree to prove what the certificate already knows *)
-          let limits =
-            {
-              Search.fail_limit = options.Solver.fail_limit;
-              node_limit = 0;
-              wall_deadline = Some (t0 +. options.Solver.time_limit);
-              interrupt = Some (fun () -> !hit_lb);
-              tighten_bound = None;
-              on_improve = Some (fun v -> if v <= lb then hit_lb := true);
-            }
-          in
-          Search.run_problem ~tie_break:options.Solver.tie_break problem
-            limits)
-    in
-    let incumbent =
-      match outcome.Search.best with Some b -> b | None -> seed
-    in
-    (* an incumbent meeting [lb] is optimal even when the search was cut
-       short by [hit_lb] before exhausting the tree *)
-    let proved =
-      outcome.Search.proved_optimal || incumbent.Solution.late_jobs <= lb
-    in
-    let via_cert =
-      proved
-      && (not outcome.Search.proved_optimal)
-      && incumbent.Solution.late_jobs > lb_classic
-    in
-    if via_cert then t.cert_proofs <- t.cert_proofs + 1;
-    let stop =
-      if via_cert then Obs.Solve_stats.Hit_carried_bound
-      else if proved then Obs.Solve_stats.Proved
-      else Search.stop_reason_of_cause outcome.Search.stopped
-    in
-    finish ~core:(Some core) ~nodes:outcome.Search.nodes
-      ~failures:outcome.Search.failures ~proved ~stop incumbent
-  end
+  Solver.solve_linked ~options ~link:Solver.null_link ~t0
+    ~carried_bound:(cert_lower_bound t inst) ~exact ~on_settle inst

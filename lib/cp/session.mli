@@ -49,9 +49,12 @@
     the differential property test in [test/test_session.ml] checks exactly
     that.  When an instance outgrows the horizon — or any root operation
     fails unexpectedly — the session rebuilds from scratch, which is
-    precisely a cold store.  Instances past [options.exact_task_limit] fall
-    back to the ephemeral LNS pipeline for that invocation (fragment models
-    are throwaway by design); the store stays synced throughout.
+    precisely a cold store.
+
+    The solve policy is {!Solver.solve_linked}'s; the session adds only
+    the carried bound, an exact search over its store and its bookkeeping.
+    Instances past [options.exact_task_limit] go to the pipeline's LNS on
+    throwaway fragment models and never sync the store.
 
     A session serves one manager sequentially — it is not thread-safe and
     is not used by the multi-domain {!Portfolio} (managers run sessions
@@ -68,17 +71,15 @@ val solve :
   options:Solver.options ->
   Sched.Instance.t ->
   Sched.Solution.t * Solver.stats
-(** Run the seed → bound → search pipeline against the persistent store.
-    The sync is {e lazy}, mirroring the cold pipeline's laziness: an
-    invocation settled by the bound (seed-optimal, possibly via the carried
-    certificate) or routed to LNS never touches the store at all — the
-    skipped diff simply folds into the next searching invocation's diff.
-    Same contract as {!Solver.solve}: never fails, at worst returns the
-    greedy seed.  With [options.instrument] the stats carry the session
-    counters ([session/retracted], [session/appended_jobs],
-    [session/rebuilds], [session/cert_proofs],
-    [store/words_allocated]) along with per-invocation deltas of the store
-    counters. *)
+(** Run {!Solver.solve_linked} with the certificate's bound and the
+    persistent store as exact backend.  The sync is {e lazy}: an invocation
+    settled by the bound or routed to LNS never touches the store.
+    [elapsed], the wall deadline and [store/words_allocated] cover the whole
+    call.  Never fails, at worst returns the greedy seed.  With
+    [options.instrument] the stats carry the session counters
+    ([session/retracted], [session/appended_jobs], [session/rebuilds],
+    [session/cert_proofs], [store/words_allocated]) and the store counters
+    of the search that ran. *)
 
 (** {1 Introspection} (cumulative over the session's lifetime) *)
 

@@ -336,212 +336,227 @@ let starting_incumbent ~options ?lb inst =
           if not (Solution.better preferred warm) then (warm, true)
           else (greedy_seed ~preferred ~ordering:options.ordering inst, false))
 
-(* Drain a searched store's per-propagator telemetry into the registry. *)
-let harvest_store registry store =
-  Obs.Metrics.add (Obs.Metrics.counter registry "store/propagations")
-    (Store.stats_propagations store);
-  Obs.Metrics.add (Obs.Metrics.counter registry "prop/wakeups_skipped")
-    (Store.stats_wakeups_skipped store);
-  Obs.Metrics.add (Obs.Metrics.counter registry "prop/edge_finder_prunes")
-    (Store.stats_edge_finder_prunes store);
-  Obs.Metrics.add (Obs.Metrics.counter registry "prop/scratch_reuse")
-    (Store.stats_scratch_reuse store);
-  List.iter
-    (fun (pm : Store.prop_metric) ->
-      let pfx = "prop/" ^ pm.Store.prop_name in
-      Obs.Metrics.add (Obs.Metrics.counter registry (pfx ^ "/fires"))
-        pm.Store.fires;
-      Obs.Metrics.add (Obs.Metrics.counter registry (pfx ^ "/fails"))
-        pm.Store.fails;
-      Obs.Metrics.observe
-        (Obs.Metrics.histogram registry (pfx ^ "/time_s"))
-        pm.Store.time_s)
-    (Store.propagator_metrics store)
+type exact_search =
+  registry:Obs.Metrics.t option ->
+  bound_to_beat:int ->
+  Search.limits ->
+  Search.outcome
 
-let run_exact ?tie_break ?registry ?kernel inst ~bound_to_beat ~limits =
-  let model = Model.build ?kernel inst ~horizon:(Model.default_horizon inst) in
+(* The default exact backend: a fresh Table-1 model of [inst].  LNS runs
+   every fragment through it too. *)
+let model_search ~options inst ~registry ~bound_to_beat limits =
+  let model =
+    Model.build ~kernel:options.kernel inst
+      ~horizon:(Model.default_horizon inst)
+  in
   model.Model.bound := bound_to_beat;
-  (match registry with
-  | Some _ -> Store.set_instrumented model.Model.store true
-  | None -> ());
-  let outcome = Search.run ?tie_break model limits in
-  (match registry with
-  | Some r -> harvest_store r model.Model.store
-  | None -> ());
+  if registry <> None then Store.set_instrumented model.Model.store true;
+  let outcome = Search.run ~tie_break:options.tie_break model limits in
+  Option.iter (fun r -> Store.harvest r model.Model.store) registry;
   outcome
 
-let solve_linked ~options ~link (inst : Instance.t) =
-  let t0 = Obs.Clock.now () in
-  let deadline = t0 +. options.time_limit in
+(* What the pipeline knows once it has seeded and bounded the instance. *)
+type start = {
+  t0 : float;
+  registry : Obs.Metrics.t option;
+  lb : int;  (* max of the classic and the carried bound *)
+  lb_classic : int;
+  seed : Solution.t;
+  warm_seeded : bool;
+  on_settle : Obs.Metrics.t option -> Solution.t -> stats -> unit;
+}
+
+let start ~options ?(t0 = Obs.Clock.now ()) ?(carried_bound = min_int)
+    ?(on_settle = fun _ _ _ -> ()) inst =
   let registry =
     if options.instrument then Some (Obs.Metrics.create ()) else None
   in
-  let lb = late_lower_bound inst in
-  let seed_sol, warm_seeded = starting_incumbent ~options ~lb inst in
-  link.announce seed_sol.Solution.late_jobs;
-  let nodes = ref 0 and failures = ref 0 and lns_moves = ref 0 in
-  let finish ~stop incumbent proved =
-    ( incumbent,
-      {
-        seed_late = seed_sol.Solution.late_jobs;
-        lower_bound = lb;
-        proved_optimal = proved;
-        warm_seeded;
-        stop_reason = stop;
-        nodes = !nodes;
-        failures = !failures;
-        lns_moves = !lns_moves;
-        elapsed = Obs.Clock.now () -. t0;
-        metrics = Option.map Obs.Metrics.snapshot registry;
-      } )
+  let lb_classic = late_lower_bound inst in
+  let lb = max lb_classic carried_bound in
+  let seed, warm_seeded = starting_incumbent ~options ~lb inst in
+  { t0; registry; lb; lb_classic; seed; warm_seeded; on_settle }
+
+(* Every return of the pipeline goes through here: the caller's hook sees
+   the result first, then the clock and the metrics snapshot are read, so
+   both cover the hook's work as well. *)
+let settle_with st ?(nodes = 0) ?(failures = 0) ?(lns_moves = 0) ~proved ~stop
+    incumbent =
+  let stats elapsed metrics =
+    {
+      seed_late = st.seed.Solution.late_jobs;
+      lower_bound = st.lb;
+      proved_optimal = proved;
+      warm_seeded = st.warm_seeded;
+      stop_reason = stop;
+      nodes;
+      failures;
+      lns_moves;
+      elapsed;
+      metrics;
+    }
   in
-  if seed_sol.Solution.late_jobs <= lb then
-    finish seed_sol true
-      ~stop:
-        (if warm_seeded then Obs.Solve_stats.Cache_hit
-         else Obs.Solve_stats.Proved)
-  else begin
-    let task_count = Instance.pending_task_count inst in
-    if task_count <= options.exact_task_limit then begin
-      (* an improving solution that reaches [lb] is already optimal — stop
-         there instead of exhausting the rest of the tree to re-prove it *)
-      let hit_lb = ref false in
-      let limits =
-        {
-          Search.fail_limit = options.fail_limit;
-          node_limit = 0;
-          wall_deadline = Some deadline;
-          interrupt = Some (fun () -> !hit_lb || link.should_stop ());
-          tighten_bound =
-            (if link.isolated then None else Some link.global_bound);
-          on_improve =
-            Some
-              (fun v ->
-                if v <= lb then hit_lb := true;
-                link.announce v);
-        }
+  st.on_settle st.registry incumbent (stats 0. None);
+  ( incumbent,
+    stats
+      (Obs.Clock.now () -. st.t0)
+      (Option.map Obs.Metrics.snapshot st.registry) )
+
+(* An incumbent that meets the bound is optimal.  The proof belongs to the
+   carried bound when the classic bound alone would not have settled it. *)
+let bound_stop st (sol : Solution.t) =
+  if sol.Solution.late_jobs > st.lb_classic then
+    Obs.Solve_stats.Hit_carried_bound
+  else Obs.Solve_stats.Proved
+
+let fast_path st =
+  if st.seed.Solution.late_jobs > st.lb then None
+  else
+    let stop =
+      match bound_stop st st.seed with
+      | Obs.Solve_stats.Proved when st.warm_seeded -> Obs.Solve_stats.Cache_hit
+      | stop -> stop
+    in
+    Some (settle_with st ~proved:true ~stop st.seed)
+
+let settle ~options inst = fast_path (start ~options inst)
+
+let exact_regime ~options ~link ~exact st =
+  (* an improving solution that reaches [lb] is already optimal — stop
+     there instead of exhausting the rest of the tree to re-prove it *)
+  let hit_lb = ref false in
+  let limits =
+    {
+      Search.fail_limit = options.fail_limit;
+      node_limit = 0;
+      wall_deadline = Some (st.t0 +. options.time_limit);
+      interrupt = Some (fun () -> !hit_lb || link.should_stop ());
+      tighten_bound = (if link.isolated then None else Some link.global_bound);
+      on_improve =
+        Some
+          (fun v ->
+            if v <= st.lb then hit_lb := true;
+            link.announce v);
+    }
+  in
+  let outcome =
+    exact ~registry:st.registry ~bound_to_beat:st.seed.Solution.late_jobs
+      limits
+  in
+  let incumbent = Option.value outcome.Search.best ~default:st.seed in
+  let proved =
+    outcome.Search.proved_optimal || incumbent.Solution.late_jobs <= st.lb
+  in
+  let stop =
+    if outcome.Search.proved_optimal then Obs.Solve_stats.Proved
+    else if proved then bound_stop st incumbent
+    else Search.stop_reason_of_cause outcome.Search.stopped
+  in
+  settle_with st ~nodes:outcome.Search.nodes ~failures:outcome.Search.failures
+    ~proved ~stop incumbent
+
+(* LNS over job neighbourhoods *)
+let lns_regime ~options ~link st (inst : Instance.t) =
+  let deadline = st.t0 +. options.time_limit in
+  let rng = Simrand.Rng.create options.seed in
+  let n_jobs = Array.length inst.Instance.jobs in
+  let incumbent = ref st.seed in
+  let stall = ref 0 and nodes = ref 0 and failures = ref 0 in
+  let lns_moves = ref 0 in
+  (* warm start: the jobs the caller flagged as changed since the last
+     solve (new arrivals, repaired jobs) are relaxed on the first move, so
+     the search immediately re-optimizes around the delta instead of a
+     random neighbourhood *)
+  let changed =
+    match options.warm_start with Some inc -> inc.changed_jobs | None -> []
+  in
+  let continue () =
+    !incumbent.Solution.late_jobs > st.lb
+    && !stall < options.lns_max_stall
+    && Obs.Clock.now () < deadline
+    && not (link.should_stop ())
+  in
+  while continue () do
+    incr lns_moves;
+    let relax_set = Hashtbl.create 16 in
+    (* the changed jobs on the first move, all currently-late jobs ... *)
+    Array.iteri
+      (fun jdx (j : Instance.pending_job) ->
+        let completion = Solution.job_completion j !incumbent.Solution.starts in
+        if
+          completion > j.Instance.job.T.deadline
+          || (!lns_moves = 1 && List.mem j.Instance.job.T.id changed)
+        then Hashtbl.replace relax_set jdx ())
+      inst.Instance.jobs;
+    (* ... plus a few random neighbours *)
+    for _ = 1 to options.lns_neighbors do
+      Hashtbl.replace relax_set (Simrand.Rng.int rng n_jobs) ()
+    done;
+    let sub = freeze_except inst !incumbent relax_set in
+    let limits =
+      {
+        Search.fail_limit = options.fail_limit;
+        node_limit = 0;
+        wall_deadline = Some deadline;
+        interrupt = Some link.should_stop;
+        (* the subsearch walks a local neighbourhood; foreign bounds feed in
+           through [bound_to_beat] below, not mid-search, so the isolated
+           (sequential-replica) trajectory stays reproducible *)
+        tighten_bound = None;
+        on_improve = None;
+      }
+    in
+    (* prune against the best solution found anywhere: a fragment is only
+       worth exploring if it can beat the global incumbent *)
+    let bound_to_beat =
+      if link.isolated then !incumbent.Solution.late_jobs
+      else min !incumbent.Solution.late_jobs (link.global_bound ())
+    in
+    let run () =
+      model_search ~options sub ~registry:st.registry ~bound_to_beat limits
+    in
+    let outcome =
+      if Obs.Trace.enabled () then
+        Obs.Trace.with_span ~cat:"search" "lns-move"
+          ~args:[ ("relaxed_jobs", Obs.Trace.Int (Hashtbl.length relax_set)) ]
+          run
+      else run ()
+    in
+    nodes := !nodes + outcome.Search.nodes;
+    failures := !failures + outcome.Search.failures;
+    match outcome.Search.best with
+    | Some partial ->
+        let merged = merge_starts inst !incumbent partial in
+        if Solution.better merged !incumbent then begin
+          incumbent := merged;
+          stall := 0;
+          link.announce merged.Solution.late_jobs
+        end
+        else incr stall
+    | None -> incr stall
+  done;
+  let proved = !incumbent.Solution.late_jobs <= st.lb in
+  (* mirror [continue]'s evaluation order for the attributed cause *)
+  let stop =
+    if proved then bound_stop st !incumbent
+    else if !stall >= options.lns_max_stall then Obs.Solve_stats.Lns_stall
+    else if not (Obs.Clock.now () < deadline) then Obs.Solve_stats.Wall_limit
+    else Obs.Solve_stats.Interrupted
+  in
+  settle_with st ~nodes:!nodes ~failures:!failures ~lns_moves:!lns_moves
+    ~proved ~stop !incumbent
+
+let solve_linked ~options ~link ?t0 ?carried_bound ?exact ?on_settle
+    (inst : Instance.t) =
+  let st = start ~options ?t0 ?carried_bound ?on_settle inst in
+  link.announce st.seed.Solution.late_jobs;
+  match fast_path st with
+  | Some settled -> settled
+  | None when Instance.pending_task_count inst <= options.exact_task_limit ->
+      let exact =
+        match exact with Some e -> e | None -> model_search ~options inst
       in
-      let outcome =
-        run_exact ~tie_break:options.tie_break ?registry ~kernel:options.kernel
-          inst ~bound_to_beat:seed_sol.Solution.late_jobs ~limits
-      in
-      nodes := outcome.Search.nodes;
-      failures := outcome.Search.failures;
-      let incumbent =
-        match outcome.Search.best with
-        | Some better -> better
-        | None -> seed_sol
-      in
-      let proved =
-        outcome.Search.proved_optimal || incumbent.Solution.late_jobs <= lb
-      in
-      finish incumbent proved
-        ~stop:
-          (if proved then Obs.Solve_stats.Proved
-           else Search.stop_reason_of_cause outcome.Search.stopped)
-    end
-    else begin
-      (* LNS over job neighbourhoods *)
-      let rng = Simrand.Rng.create options.seed in
-      let n_jobs = Array.length inst.Instance.jobs in
-      let incumbent = ref seed_sol in
-      let stall = ref 0 in
-      (* warm start: the jobs the caller flagged as changed since the last
-         solve (new arrivals, repaired jobs) are relaxed on the first move,
-         so the search immediately re-optimizes around the delta instead of
-         a random neighbourhood *)
-      let changed_idxs =
-        match options.warm_start with
-        | Some { changed_jobs = (_ :: _) as ids; _ } ->
-            let wanted = Hashtbl.create 16 in
-            List.iter (fun id -> Hashtbl.replace wanted id ()) ids;
-            let acc = ref [] in
-            Array.iteri
-              (fun jdx (j : Instance.pending_job) ->
-                if Hashtbl.mem wanted j.Instance.job.T.id then acc := jdx :: !acc)
-              inst.Instance.jobs;
-            !acc
-        | Some _ | None -> []
-      in
-      let continue () =
-        !incumbent.Solution.late_jobs > lb
-        && !stall < options.lns_max_stall
-        && Obs.Clock.now () < deadline
-        && not (link.should_stop ())
-      in
-      while continue () do
-        incr lns_moves;
-        let relax_set = Hashtbl.create 16 in
-        if !lns_moves = 1 then
-          List.iter (fun jdx -> Hashtbl.replace relax_set jdx ()) changed_idxs;
-        (* all currently-late jobs ... *)
-        Array.iteri
-          (fun jdx (j : Instance.pending_job) ->
-            let completion =
-              Solution.job_completion j !incumbent.Solution.starts
-            in
-            if completion > j.Instance.job.T.deadline then
-              Hashtbl.replace relax_set jdx ())
-          inst.Instance.jobs;
-        (* ... plus a few random neighbours *)
-        for _ = 1 to options.lns_neighbors do
-          Hashtbl.replace relax_set (Simrand.Rng.int rng n_jobs) ()
-        done;
-        let sub = freeze_except inst !incumbent relax_set in
-        let limits =
-          {
-            Search.fail_limit = options.fail_limit;
-            node_limit = 0;
-            wall_deadline = Some deadline;
-            interrupt = Some link.should_stop;
-            (* the subsearch walks a local neighbourhood; foreign bounds feed
-               in through [bound_to_beat] below, not mid-search, so the
-               isolated (sequential-replica) trajectory stays reproducible *)
-            tighten_bound = None;
-            on_improve = None;
-          }
-        in
-        (* prune against the best solution found anywhere: a fragment is only
-           worth exploring if it can beat the global incumbent *)
-        let bound_to_beat =
-          if link.isolated then !incumbent.Solution.late_jobs
-          else min !incumbent.Solution.late_jobs (link.global_bound ())
-        in
-        let run () =
-          run_exact ~tie_break:options.tie_break ?registry
-            ~kernel:options.kernel sub ~bound_to_beat ~limits
-        in
-        let outcome =
-          if Obs.Trace.enabled () then
-            Obs.Trace.with_span ~cat:"search" "lns-move"
-              ~args:[ ("relaxed_jobs", Obs.Trace.Int (Hashtbl.length relax_set)) ]
-              run
-          else run ()
-        in
-        nodes := !nodes + outcome.Search.nodes;
-        failures := !failures + outcome.Search.failures;
-        match outcome.Search.best with
-        | Some partial ->
-            let merged = merge_starts inst !incumbent partial in
-            if Solution.better merged !incumbent then begin
-              incumbent := merged;
-              stall := 0;
-              link.announce merged.Solution.late_jobs
-            end
-            else incr stall
-        | None -> incr stall
-      done;
-      (* mirror [continue]'s evaluation order for the attributed cause *)
-      let stop =
-        if !incumbent.Solution.late_jobs <= lb then Obs.Solve_stats.Proved
-        else if !stall >= options.lns_max_stall then Obs.Solve_stats.Lns_stall
-        else if not (Obs.Clock.now () < deadline) then
-          Obs.Solve_stats.Wall_limit
-        else Obs.Solve_stats.Interrupted
-      in
-      finish !incumbent (!incumbent.Solution.late_jobs <= lb) ~stop
-    end
-  end
+      exact_regime ~options ~link ~exact st
+  | None -> lns_regime ~options ~link st inst
 
 let solve ?(options = default_options) (inst : Instance.t) =
   solve_linked ~options ~link:null_link inst

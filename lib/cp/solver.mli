@@ -1,9 +1,10 @@
 (** Anytime solver for a scheduling instance — the role CPLEX CP Optimizer
     plays in the paper (§IV–V).
 
-    Pipeline:
+    Pipeline ({!solve_linked} holds it once for every caller):
     + seed with greedy list schedules under the paper's three job orderings
-      (§VI.B) and keep the best;
+      (§VI.B) plus a doomed-last variant and keep the best (or adopt a
+      carried warm-start plan that is at least as good);
     + compute a per-job lower bound on Σ N_j ({!late_lower_bound}: a job whose
       est + wave-bound makespan already exceeds its deadline is late in every
       schedule); if the seed meets the bound it is optimal — the common case
@@ -105,22 +106,43 @@ val null_link : link
 (** All hooks are no-ops, [isolated = true].  [solve = solve_linked
     ~link:null_link]. *)
 
-val solve_linked :
-  options:options -> link:link -> Sched.Instance.t -> Sched.Solution.t * stats
-(** One portfolio worker: the full seed → bound → B&B-or-LNS pipeline of
-    {!solve}, wired to the coordinator through [link].  Thread-safety: the
-    worker builds its own {!Store}/{!Model} and RNG, shares only the
-    read-only instance and the [link] callbacks, and is therefore safe to
-    run on its own domain (see {!Portfolio}). *)
+type exact_search =
+  registry:Obs.Metrics.t option ->
+  bound_to_beat:int ->
+  Search.limits ->
+  Search.outcome
+(** An exact-regime backend: B&B over the whole instance against the
+    strict bound [bound_to_beat], its store telemetry added into
+    [registry] when given.  {!Session} supplies one over its persistent
+    store. *)
 
-val greedy_seed :
-  ?preferred:Sched.Solution.t ->
-  ordering:Sched.Greedy.order -> Sched.Instance.t -> Sched.Solution.t
-(** Best greedy solution across the three §VI.B orderings plus the
-    doomed-last variant, preferring [ordering] on ties — the cold seed
-    {!solve} starts from.  Deterministic; exported so the portfolio
-    coordinator can take the seed-is-optimal shortcut without spawning
-    domains. *)
+val solve_linked :
+  options:options ->
+  link:link ->
+  ?t0:float ->
+  ?carried_bound:int ->
+  ?exact:exact_search ->
+  ?on_settle:(Obs.Metrics.t option -> Sched.Solution.t -> stats -> unit) ->
+  Sched.Instance.t ->
+  Sched.Solution.t * stats
+(** The pipeline above — the one copy of the solve policy, run by {!solve},
+    the {!Portfolio} workers and {!Session}.  The bound is [max
+    (late_lower_bound inst) carried_bound]; a seed meeting it returns at
+    once with [Proved], [Cache_hit] (adopted warm plan) or
+    [Hit_carried_bound] (only the carried bound settles it).  Instances with
+    at most [options.exact_task_limit] pending tasks go to [exact] (default:
+    a fresh {!Model}), larger ones to LNS on fresh fragment models; both stop
+    once an incumbent meets the bound.  The wall deadline and
+    [stats.elapsed] run from [t0] (default: now).  [on_settle registry
+    incumbent stats] runs once on every return path, before [elapsed] and
+    the metrics snapshot are read.  With the default [exact] the worker
+    shares only the read-only instance and [link], so it can run on its own
+    domain. *)
+
+val settle :
+  options:options -> Sched.Instance.t -> (Sched.Solution.t * stats) option
+(** The pipeline's fast path alone: [Some] with what {!solve} returns when
+    the seed meets the classic bound, [None] when it would search. *)
 
 val warm_candidate :
   Sched.Instance.t -> incumbent -> Sched.Solution.t option
@@ -130,20 +152,8 @@ val warm_candidate :
     entries) is EDF-list-scheduled around them.  Returns [None] when nothing
     usable was carried or the completed candidate fails the Table-1 oracle —
     a returned candidate always passes {!Sched.Solution.feasibility_errors}.
-    Deterministic.  The manager uses this directly for its plan-cache-hit
-    fast path (skip the solve when the candidate already meets
-    {!late_lower_bound}). *)
-
-val starting_incumbent :
-  options:options -> ?lb:int -> Sched.Instance.t ->
-  Sched.Solution.t * bool
-(** The incumbent the seed → bound → B&B/LNS pipeline actually starts from:
-    {!greedy_seed}, or the {!warm_candidate} when [options.warm_start] is
-    set and the candidate is at least as good (ties prefer the warm plan to
-    minimize schedule churn).  The flag is [true] iff the warm candidate was
-    adopted.  Passing [?lb] (from {!late_lower_bound}) enables the
-    plan-cache-hit fast path: a warm candidate that already meets the bound
-    is returned without computing any greedy seed. *)
+    Deterministic.  The pipeline seeds from it when [options.warm_start] is
+    set. *)
 
 val late_lower_bound : Sched.Instance.t -> int
 (** Number of jobs that are late in {e every} schedule: est plus the

@@ -466,3 +466,39 @@ let propagator_metrics t =
       { prop_name; fires; fails; time_s } :: acc)
     by_name []
   |> List.sort (fun a b -> compare a.prop_name b.prop_name)
+
+type telemetry_mark = (string * int) list * prop_metric list
+
+let counters t =
+  [
+    ("store/propagations", t.propagations);
+    ("prop/wakeups_skipped", t.wakeups_skipped);
+    ("prop/scratch_reuse", t.scratch_reuse);
+    ("prop/edge_finder_prunes", t.edge_finder_prunes);
+  ]
+
+let telemetry_mark t = (counters t, propagator_metrics t)
+
+let harvest ?since registry t =
+  let counters0, props0 = Option.value since ~default:([], []) in
+  let count name v v0 =
+    Obs.Metrics.add (Obs.Metrics.counter registry name) (v - v0)
+  in
+  List.iter
+    (fun (name, v) ->
+      count name v (Option.value (List.assoc_opt name counters0) ~default:0))
+    (counters t);
+  List.iter
+    (fun pm ->
+      let p0 =
+        match List.find_opt (fun p -> p.prop_name = pm.prop_name) props0 with
+        | Some p -> p
+        | None -> { pm with fires = 0; fails = 0; time_s = 0. }
+      in
+      let pfx = "prop/" ^ pm.prop_name in
+      count (pfx ^ "/fires") pm.fires p0.fires;
+      count (pfx ^ "/fails") pm.fails p0.fails;
+      Obs.Metrics.observe
+        (Obs.Metrics.histogram registry (pfx ^ "/time_s"))
+        (pm.time_s -. p0.time_s))
+    (propagator_metrics t)

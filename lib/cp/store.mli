@@ -162,3 +162,17 @@ type prop_metric = {
 val propagator_metrics : t -> prop_metric list
 (** Telemetry aggregated over propagator instances sharing a name, sorted by
     name.  All-zero entries are included (one per registered name). *)
+
+(** {2 Metrics harvest} *)
+
+type telemetry_mark
+(** The store's counters and per-propagator telemetry at one moment. *)
+
+val telemetry_mark : t -> telemetry_mark
+
+val harvest : ?since:telemetry_mark -> Obs.Metrics.t -> t -> unit
+(** Add the store's counters ([store/propagations], [prop/wakeups_skipped],
+    [prop/scratch_reuse], [prop/edge_finder_prunes]) and per-propagator
+    [prop/<name>/fires], [/fails] and [/time_s] into a registry, counted
+    since [since] (a mark of this store) or since creation.  Every searched
+    store reports through it: models, LNS fragments, sessions, workflows. *)

@@ -256,58 +256,39 @@ let build_problem inst ~bound_init =
         (sol, sol.late_jobs));
   }
 
-(* Same metric names as Cp.Solver's harvest, so workflow and MapReduce solves
-   merge into one propagator table. *)
-let harvest store =
-  let m = Obs.Metrics.create () in
-  Obs.Metrics.add (Obs.Metrics.counter m "store/propagations")
-    (Cp.Store.stats_propagations store);
-  List.iter
-    (fun (pm : Cp.Store.prop_metric) ->
-      let pfx = "prop/" ^ pm.Cp.Store.prop_name in
-      Obs.Metrics.add (Obs.Metrics.counter m (pfx ^ "/fires")) pm.Cp.Store.fires;
-      Obs.Metrics.add (Obs.Metrics.counter m (pfx ^ "/fails")) pm.Cp.Store.fails;
-      Obs.Metrics.observe
-        (Obs.Metrics.histogram m (pfx ^ "/time_s"))
-        pm.Cp.Store.time_s)
-    (Cp.Store.propagator_metrics store);
-  Obs.Metrics.snapshot m
-
 let solve ?(limits = Cp.Search.no_limits) ?(instrument = false) inst =
   let t0 = Obs.Clock.now () in
+  let registry = if instrument then Some (Obs.Metrics.create ()) else None in
   let seed = greedy inst in
   let lb = lower_bound inst in
-  if seed.late_jobs <= lb then
-    ( seed,
-      {
-        seed_late = seed.late_jobs;
-        lower_bound = lb;
-        proved_optimal = true;
-        warm_seeded = false;
-        stop_reason = Obs.Solve_stats.Proved;
-        nodes = 0;
-        failures = 0;
-        lns_moves = 0;
-        elapsed = Obs.Clock.now () -. t0;
-        metrics = (if instrument then Some Obs.Metrics.empty else None);
-      } )
-  else begin
-    let problem = build_problem inst ~bound_init:seed.late_jobs in
-    if instrument then Cp.Store.set_instrumented problem.Cp.Search.store true;
-    let outcome = Cp.Search.run_problem problem limits in
-    let best = Option.value outcome.Cp.Search.best ~default:seed in
-    ( best,
-      {
-        seed_late = seed.late_jobs;
-        lower_bound = lb;
-        proved_optimal = outcome.Cp.Search.proved_optimal;
-        warm_seeded = false;
-        stop_reason = Cp.Search.stop_reason_of_cause outcome.Cp.Search.stopped;
-        nodes = outcome.Cp.Search.nodes;
-        failures = outcome.Cp.Search.failures;
-        lns_moves = 0;
-        elapsed = Obs.Clock.now () -. t0;
-        metrics =
-          (if instrument then Some (harvest problem.Cp.Search.store) else None);
-      } )
-  end
+  let best, proved, stop_reason, nodes, failures =
+    if seed.late_jobs <= lb then (seed, true, Obs.Solve_stats.Proved, 0, 0)
+    else begin
+      let problem = build_problem inst ~bound_init:seed.late_jobs in
+      if instrument then Cp.Store.set_instrumented problem.Cp.Search.store true;
+      let o = Cp.Search.run_problem problem limits in
+      (* the MapReduce solves' metric names, so both merge into one
+         propagator table *)
+      Option.iter
+        (fun r -> Cp.Store.harvest r problem.Cp.Search.store)
+        registry;
+      ( Option.value o.Cp.Search.best ~default:seed,
+        o.Cp.Search.proved_optimal,
+        Cp.Search.stop_reason_of_cause o.Cp.Search.stopped,
+        o.Cp.Search.nodes,
+        o.Cp.Search.failures )
+    end
+  in
+  ( best,
+    {
+      seed_late = seed.late_jobs;
+      lower_bound = lb;
+      proved_optimal = proved;
+      warm_seeded = false;
+      stop_reason;
+      nodes;
+      failures;
+      lns_moves = 0;
+      elapsed = Obs.Clock.now () -. t0;
+      metrics = Option.map Obs.Metrics.snapshot registry;
+    } )

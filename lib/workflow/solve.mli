@@ -57,5 +57,6 @@ val solve :
   ?limits:Cp.Search.limits -> ?instrument:bool -> instance -> solution * stats
 (** Greedy seed, then exact branch-and-bound when the seed does not meet the
     lower bound.  Never fails; at worst returns the seed.  With
-    [~instrument:true], [stats.metrics] carries the per-propagator
-    fire/fail/time counters (same names as {!Cp.Solver}'s). *)
+    [~instrument:true], [stats.metrics] carries the store counters and the
+    per-propagator fire/fail/time metrics, harvested by {!Cp.Store.harvest}
+    under the same names {!Cp.Solver} reports. *)

@@ -624,9 +624,13 @@ let prop_portfolio_domains1_bit_identical =
     {
       Cp.Solver.default_options with
       Cp.Solver.exact_task_limit = 12;
-      time_limit = 60. (* never binds: stall/fail limits terminate; keep
-                           headroom so core contention from parallel suites
-                           cannot cut one arm short and break bit-identity *);
+      time_limit = infinity
+      (* no wall clock at all: stall/fail limits terminate, and bit-identity
+         is only defined when neither arm can be cut short.  A finite cap
+         used to bind under core contention from parallel suites: LNS
+         fragments whose SetTimes postponements fail nothing can run
+         millions of nodes (one generated 28-task instance takes 7.2M nodes,
+         about 30 s per arm on a loaded x86-64 core). *);
       fail_limit = 2_000;
       seed = 7;
     }
@@ -711,7 +715,9 @@ let prop_optimal_matches_bruteforce =
    limit 50k on five fixed instances, unchanged since the propagation-kernel
    overhaul.  Any drift means the search no longer makes the same decisions
    in the same order, which silently invalidates every historical
-   benchmark. *)
+   benchmark.  The second tuple pins the whole {!Cp.Solver.solve} pipeline
+   (seed, bound, fast path, B&B) on the same instances: (nodes, failures,
+   stop_reason, seed_late, lower_bound, late). *)
 let snapshot_cases () =
   let reset = Gen.reset_tasks in
   [
@@ -722,7 +728,8 @@ let snapshot_cases () =
               mk_job ~id:i
                 ~deadline:(25 + (4 * i))
                 ~maps:[ 9; 7 ] ~reduces:[ 4 ] ()))),
-      (7908, 6727, 1, true) );
+      (7908, 6727, 1, true),
+      (7907, 6726, Obs.Solve_stats.Proved, 2, 0, 1) );
     ( "mixed-5",
       (reset ();
        instance ~map_cap:2 ~reduce_cap:2
@@ -733,7 +740,8 @@ let snapshot_cases () =
            mk_job ~id:3 ~deadline:18 ~maps:[ 6; 6; 6 ] ~reduces:[] ();
            mk_job ~id:4 ~deadline:60 ~maps:[ 15 ] ~reduces:[ 9 ] ();
          ]),
-      (65, 46, 0, true) );
+      (65, 46, 0, true),
+      (0, 0, Obs.Solve_stats.Proved, 0, 0, 0) );
     ( "ar-8",
       (reset ();
        instance ~map_cap:3 ~reduce_cap:2
@@ -744,7 +752,8 @@ let snapshot_cases () =
                 ~maps:[ 7; 5 + (i mod 4) ]
                 ~reduces:(if i mod 2 = 0 then [ 4 ] else [])
                 ()))),
-      (231, 190, 0, true) );
+      (231, 190, 0, true),
+      (0, 0, Obs.Solve_stats.Proved, 0, 0, 0) );
     ( "unary-4",
       (reset ();
        instance ~map_cap:1 ~reduce_cap:1
@@ -752,7 +761,8 @@ let snapshot_cases () =
               mk_job ~id:i
                 ~deadline:(20 + (6 * i))
                 ~maps:[ 5 + i ] ~reduces:[ 3 ] ()))),
-      (45, 28, 0, true) );
+      (45, 28, 0, true),
+      (0, 0, Obs.Solve_stats.Proved, 0, 0, 0) );
     ( "loose-10",
       (reset ();
        instance ~map_cap:4 ~reduce_cap:2
@@ -760,12 +770,30 @@ let snapshot_cases () =
               mk_job ~id:i
                 ~deadline:(40 + (7 * i))
                 ~maps:[ 6; 4 ] ~reduces:[ 5 ] ()))),
-      (496, 435, 0, true) );
+      (496, 435, 0, true),
+      (0, 0, Obs.Solve_stats.Proved, 0, 0, 0) );
   ]
+
+(* Options under which the pipeline pins are wall-clock independent: the
+   search is bounded by failures only, never by the deadline. *)
+let pin_options =
+  {
+    Cp.Solver.default_options with
+    Cp.Solver.fail_limit = 50_000;
+    time_limit = 60.;
+  }
+
+let stop_reason =
+  Alcotest.testable
+    (Fmt.of_to_string Obs.Solve_stats.stop_reason_to_string)
+    ( = )
 
 let test_dfs_snapshots () =
   List.iter
-    (fun (name, inst, (nodes, failures, late, proved)) ->
+    (fun ( name,
+           inst,
+           (nodes, failures, late, proved),
+           (s_nodes, s_failures, s_stop, s_seed, s_lb, s_late) ) ->
       let model =
         Cp.Model.build inst ~horizon:(Cp.Model.default_horizon inst)
       in
@@ -780,8 +808,30 @@ let test_dfs_snapshots () =
       Alcotest.(check int) (name ^ " failures") failures o.Cp.Search.failures;
       Alcotest.(check int) (name ^ " late") late best.Solution.late_jobs;
       Alcotest.(check bool)
-        (name ^ " proved") proved o.Cp.Search.proved_optimal)
+        (name ^ " proved") proved o.Cp.Search.proved_optimal;
+      let sol, st = solve ~options:pin_options inst in
+      let check what = Alcotest.(check int) (name ^ " solver " ^ what) in
+      check "nodes" s_nodes st.Cp.Solver.nodes;
+      check "failures" s_failures st.Cp.Solver.failures;
+      Alcotest.check stop_reason (name ^ " solver stop") s_stop
+        st.Cp.Solver.stop_reason;
+      check "seed" s_seed st.Cp.Solver.seed_late;
+      check "bound" s_lb st.Cp.Solver.lower_bound;
+      check "late" s_late sol.Solution.late_jobs)
     (snapshot_cases ())
+
+(* The LNS regime's trajectory on the one snapshot instance whose seed is
+   not already optimal: (nodes, failures, lns_moves, stop_reason, late). *)
+let test_lns_snapshot () =
+  let name, inst, _, _ = List.hd (snapshot_cases ()) in
+  let options = { pin_options with Cp.Solver.exact_task_limit = 0 } in
+  let sol, st = solve ~options inst in
+  Alcotest.(check int) (name ^ " nodes") 394 st.Cp.Solver.nodes;
+  Alcotest.(check int) (name ^ " failures") 333 st.Cp.Solver.failures;
+  Alcotest.(check int) (name ^ " moves") 13 st.Cp.Solver.lns_moves;
+  Alcotest.check stop_reason (name ^ " stop") Obs.Solve_stats.Lns_stall
+    st.Cp.Solver.stop_reason;
+  Alcotest.(check int) (name ^ " late") 1 sol.Solution.late_jobs
 
 let () =
   Alcotest.run "cp"
@@ -824,6 +874,7 @@ let () =
         [
           Alcotest.test_case "five DFS snapshots unchanged" `Quick
             test_dfs_snapshots;
+          Alcotest.test_case "LNS snapshot unchanged" `Quick test_lns_snapshot;
         ] );
       ( "portfolio",
         [

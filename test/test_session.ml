@@ -238,12 +238,41 @@ let contention_stream () =
       ~reduces:[] ();
   ]
 
+let stop_reason =
+  Alcotest.testable
+    (Fmt.of_to_string Obs.Solve_stats.stop_reason_to_string)
+    ( = )
+
+(* The session trajectory of [contention_stream], per invocation time:
+   (nodes, failures, stop_reason, lower_bound, late). *)
+let contention_trajectory =
+  [
+    (0, (0, 1, Obs.Solve_stats.Proved, 0, 1));
+    (21, (0, 1, Obs.Solve_stats.Proved, 0, 1));
+    (58, (0, 0, Obs.Solve_stats.Proved, 0, 0));
+    (5021, (0, 0, Obs.Solve_stats.Proved, 0, 0));
+  ]
+
 let test_counters_deterministic () =
   let jobs = contention_stream () in
   let options = proof_options in
+  let seen = ref [] in
   let session =
     drive ~options ~map_cap:1 ~reduce_cap:1 jobs
       (fun inst (ssol, sst) (csol, cst) ->
+        let now = inst.Instance.now in
+        seen := now :: !seen;
+        let nodes, failures, stop, lb, late =
+          match List.assoc_opt now contention_trajectory with
+          | Some pin -> pin
+          | None -> Alcotest.failf "unexpected invocation at %d" now
+        in
+        let at what = Printf.sprintf "t=%d %s" now what in
+        Alcotest.(check int) (at "nodes") nodes sst.Cp.Solver.nodes;
+        Alcotest.(check int) (at "failures") failures sst.Cp.Solver.failures;
+        Alcotest.check stop_reason (at "stop") stop sst.Cp.Solver.stop_reason;
+        Alcotest.(check int) (at "lower bound") lb sst.Cp.Solver.lower_bound;
+        Alcotest.(check int) (at "late") late ssol.Solution.late_jobs;
         Alcotest.(check bool) "session proved" true sst.Cp.Solver.proved_optimal;
         Alcotest.(check bool) "cold proved" true cst.Cp.Solver.proved_optimal;
         Alcotest.(check int) "same optimum" csol.Solution.late_jobs
@@ -252,6 +281,8 @@ let test_counters_deterministic () =
           "feasible" []
           (Solution.feasibility_errors inst ssol))
   in
+  Alcotest.(check (list int))
+    "invocation times" (List.map fst contention_trajectory) (List.rev !seen);
   Alcotest.(check int) "appended" 4 (Cp.Session.stats_appended_jobs session);
   Alcotest.(check int) "retracted" 2 (Cp.Session.stats_retracted session);
   Alcotest.(check int) "rebuilds" 0 (Cp.Session.stats_rebuilds session)
@@ -286,6 +317,56 @@ let test_cert_proof () =
   in
   Alcotest.(check int) "one certificate proof" 1
     (Cp.Session.stats_cert_proofs session)
+
+(* The carried bound reaches the LNS regime too.  At t = 0 the contending
+   pair costs one late job, which only search can prove (the classic bound
+   is 0).  At t = 1 a second contending pair arrives and the invocation is
+   forced into LNS ([exact_task_limit = 0]).  Its seed (three late: EDF
+   runs the doomed-by-contention job 1 ahead of the second pair) is above
+   the carried bound (one: the certificate pair, whose plan ran job 0
+   first, plus no solo dooms), so the pipeline runs LNS against that bound
+   and reports it as the invocation's lower bound. *)
+let test_cert_bound_in_lns () =
+  Gen.reset_tasks ();
+  let pair =
+    [
+      Gen.mk_job ~id:0 ~deadline:10 ~maps:[ 10 ] ~reduces:[] ();
+      Gen.mk_job ~id:1 ~deadline:12 ~maps:[ 10 ] ~reduces:[] ();
+    ]
+  in
+  let second_pair =
+    [
+      Gen.mk_job ~id:2 ~arrival:1 ~est:1 ~deadline:25 ~maps:[ 10 ]
+        ~reduces:[] ();
+      Gen.mk_job ~id:3 ~arrival:1 ~est:1 ~deadline:27 ~maps:[ 10 ]
+        ~reduces:[] ();
+    ]
+  in
+  let session = Cp.Session.create () in
+  let dispatch = Hashtbl.create 16 in
+  let solve_at ~options now =
+    let inst =
+      instance_at ~now ~map_cap:1 ~reduce_cap:1 dispatch (pair @ second_pair)
+    in
+    let sol, st = Cp.Session.solve session ~options inst in
+    install dispatch inst sol;
+    (inst, sol, st)
+  in
+  let _, sol0, st0 = solve_at ~options:proof_options 0 in
+  Alcotest.(check int) "t=0 optimum" 1 sol0.Solution.late_jobs;
+  Alcotest.(check int) "t=0 classic bound" 0 st0.Cp.Solver.lower_bound;
+  Alcotest.check stop_reason "t=0 proved by search" Obs.Solve_stats.Proved
+    st0.Cp.Solver.stop_reason;
+  let inst1, sol1, st1 =
+    solve_at ~options:{ proof_options with Cp.Solver.exact_task_limit = 0 } 1
+  in
+  Alcotest.(check int) "t=1 classic bound" 0 (Cp.Solver.late_lower_bound inst1);
+  Alcotest.(check int) "t=1 seed" 3 st1.Cp.Solver.seed_late;
+  Alcotest.(check int) "t=1 carried bound" 1 st1.Cp.Solver.lower_bound;
+  Alcotest.(check bool) "t=1 ran LNS" true (st1.Cp.Solver.lns_moves > 0);
+  Alcotest.(check (list string))
+    "t=1 feasible" []
+    (Solution.feasibility_errors inst1 sol1)
 
 (* An empty invocation (every job already departed) must come back optimal
    with zero late jobs and leave the session healthy for a later arrival. *)
@@ -424,6 +505,8 @@ let () =
             test_counters_deterministic;
           Alcotest.test_case "certificate carries a proof" `Quick
             test_cert_proof;
+          Alcotest.test_case "carried bound reaches LNS" `Quick
+            test_cert_bound_in_lns;
           Alcotest.test_case "empty invocation mid-stream" `Quick
             test_empty_invocation;
           Alcotest.test_case "--no-session bit-identity" `Quick
