@@ -17,7 +17,9 @@ tests) relies on:
   - the "wall" key, when present, is the LAST key of the object -- the
     determinism contract canonicalizes lines by stripping the trailing
     wall suffix textually, so anything after it would survive the strip
-    and break same-seed fingerprint equality.
+    and break same-seed fingerprint equality;
+  - an invoke line's wall timers (elapsed_s, and the solver phases
+    seed_s and search_s when present) are non-negative numbers.
 
 Exit 0 when the journal is well-formed, 1 otherwise (one line per
 violation on stderr).
@@ -50,6 +52,9 @@ RUN_END_V2 = {"crashes", "rejoins", "task_failures", "stragglers",
 
 SOLVE_REQUIRED = {"stop_reason", "seed_late", "lower_bound", "proved",
                   "warm_seeded", "nodes", "failures", "lns_moves"}
+
+# the invoke line's wall-clock timers: the pass, and the solver's phases
+WALL_TIMERS = {"elapsed_s", "seed_s", "search_s"}
 
 STOP_REASONS = {"proved", "hit_carried_bound", "cache_hit", "fail_limit",
                 "node_limit", "wall_limit", "lns_stall", "interrupted"}
@@ -122,6 +127,13 @@ def main(path):
                 wall = ev.get("wall")
                 if not isinstance(wall, dict) or "elapsed_s" not in wall:
                     err(lineno, "invoke: missing wall.elapsed_s")
+                else:
+                    for key in WALL_TIMERS & wall.keys():
+                        v = wall[key]
+                        if (isinstance(v, bool)
+                                or not isinstance(v, (int, float)) or v < 0):
+                            err(lineno, f"invoke: wall.{key} must be a "
+                                        f"non-negative number, got {v!r}")
             elif kind == "run-end":
                 runs += 1
                 last_t = None  # virtual time starts over with the next run

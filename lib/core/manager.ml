@@ -180,10 +180,11 @@ let release_due t ~now =
    pending-job view for the CP instance, or None when the job has fully
    completed (and should leave the system). *)
 let classify ~now (js : job_state) =
-  let pending = ref [] and fixed = ref [] in
   let frozen_lfmt = ref 0 and frozen_completion = ref 0 in
   let remaining = ref 0 in
-  let scan is_map ts =
+  (* consed in task order, so each array lists its tasks last-first, the
+     order every solver trajectory has been pinned on *)
+  let scan ~is_map pending fixed ts =
     match ts.dispatch with
     | Some d when d.Dispatch.start <= now ->
         let finish = Dispatch.finish d in
@@ -196,7 +197,7 @@ let classify ~now (js : job_state) =
         else begin
           (* line 11: started but running — freeze *)
           incr remaining;
-          fixed := (is_map, { Instance.task = ts.task; start = d.Dispatch.start }) :: !fixed;
+          fixed := { Instance.task = ts.task; start = d.Dispatch.start } :: !fixed;
           if is_map && finish > !frozen_lfmt then frozen_lfmt := finish;
           if finish > !frozen_completion then frozen_completion := finish
         end
@@ -204,28 +205,31 @@ let classify ~now (js : job_state) =
         (* not started: remap and reschedule *)
         incr remaining;
         ts.dispatch <- None;
-        pending := (is_map, ts.task) :: !pending
+        pending := ts.task :: !pending
   in
-  Array.iter (scan true) js.maps;
-  Array.iter (scan false) js.reduces;
+  let pending_maps = ref [] and fixed_maps = ref [] in
+  let pending_reduces = ref [] and fixed_reduces = ref [] in
+  Array.iter (scan ~is_map:true pending_maps fixed_maps) js.maps;
+  Array.iter (scan ~is_map:false pending_reduces fixed_reduces) js.reduces;
   if !remaining = 0 then None
   else begin
     js.est <- max js.job.T.earliest_start now;
-    let select b l = List.filter_map (fun (m, x) -> if m = b then Some x else None) l in
     Some
       {
         Instance.job = js.job;
         est = js.est;
-        pending_maps = Array.of_list (select true !pending);
-        pending_reduces = Array.of_list (select false !pending);
-        fixed_maps = Array.of_list (select true !fixed);
-        fixed_reduces = Array.of_list (select false !fixed);
+        pending_maps = Array.of_list !pending_maps;
+        pending_reduces = Array.of_list !pending_reduces;
+        fixed_maps = Array.of_list !fixed_maps;
+        fixed_reduces = Array.of_list !fixed_reduces;
         frozen_lfmt = !frozen_lfmt;
         frozen_completion = !frozen_completion;
       }
   end
 
-let task_states js = Array.to_list js.maps @ Array.to_list js.reduces
+let iter_tasks f js =
+  Array.iter f js.maps;
+  Array.iter f js.reduces
 
 (* Plans from consecutive invocations must keep each running task on its slot
    and never double-book a unit slot.  [ests] maps each scheduled job to the
@@ -308,14 +312,11 @@ let invoke t ~now =
     let carried = Hashtbl.create 64 in
     if t.config.warm_start then
       List.iter
-        (fun js ->
-          List.iter
-            (fun ts ->
-              match ts.dispatch with
-              | Some d when (not ts.finished) && d.Dispatch.start > now ->
-                  Hashtbl.replace carried ts.task.T.task_id d.Dispatch.start
-              | Some _ | None -> ())
-            (task_states js))
+        (iter_tasks (fun ts ->
+             match ts.dispatch with
+             | Some d when (not ts.finished) && d.Dispatch.start > now ->
+                 Hashtbl.replace carried ts.task.T.task_id d.Dispatch.start
+             | Some _ | None -> ()))
         t.active;
     (* classify tasks, dropping completed jobs (Table 2 l.15–16) *)
     let still_active, pending_jobs =
@@ -425,30 +426,23 @@ let invoke t ~now =
       |> List.sort compare
       |> List.iter (fun resource_id -> Matchmaker.disable_resource mm ~resource_id);
     let frozen_dispatches = ref [] in
+    let pending_states = ref [] and pending_tasks = ref [] in
     List.iter
-      (fun js ->
-        List.iter
-          (fun ts ->
-            match ts.dispatch with
-            | Some d when not ts.finished ->
-                (* running task keeps its slot *)
-                Matchmaker.occupy mm ~kind:ts.task.T.kind ~slot:d.Dispatch.slot
-                  ~until:(Dispatch.finish d);
-                frozen_dispatches := d :: !frozen_dispatches
-            | Some _ | None -> ())
-          (task_states js))
+      (iter_tasks (fun ts ->
+           if not ts.finished then
+             match ts.dispatch with
+             | Some d ->
+                 (* running task keeps its slot *)
+                 Matchmaker.occupy mm ~kind:ts.task.T.kind
+                   ~slot:d.Dispatch.slot ~until:(Dispatch.finish d);
+                 frozen_dispatches := d :: !frozen_dispatches
+             | None ->
+                 pending_states := ts :: !pending_states;
+                 pending_tasks := ts.task :: !pending_tasks))
       t.active;
-    let pending_tasks =
-      List.concat_map
-        (fun js ->
-          List.filter_map
-            (fun ts -> if ts.dispatch = None && not ts.finished then Some ts.task else None)
-            (task_states js))
-        t.active
-    in
     let dispatches =
       Matchmaker.assign_all mm ~starts:solution.Solution.starts
-        ~pending:pending_tasks
+        ~pending:!pending_tasks
     in
     if t.config.validate then begin
       let ests = Hashtbl.create 64 in
@@ -458,23 +452,21 @@ let invoke t ~now =
         pending_jobs;
       validate_plan dispatches !frozen_dispatches ~ests
     end;
-    (* install the new plan on the task states *)
-    let by_id = Hashtbl.create 256 in
+    (* install the new plan on the task states it was made for *)
+    let by_id = Hashtbl.create (List.length !pending_tasks) in
     List.iter
       (fun (d : Dispatch.t) ->
         Hashtbl.replace by_id d.Dispatch.task.T.task_id d)
       dispatches;
     List.iter
-      (fun js ->
-        List.iter
-          (fun ts ->
-            match Hashtbl.find_opt by_id ts.task.T.task_id with
-            | Some d -> ts.dispatch <- Some d
-            | None -> ())
-          (task_states js))
-      t.active;
+      (fun ts ->
+        match Hashtbl.find_opt by_id ts.task.T.task_id with
+        | Some d -> ts.dispatch <- Some d
+        | None -> ())
+      !pending_states;
     let prev_plan = t.current_plan in
-    t.current_plan <- List.sort Dispatch.compare_by_start dispatches;
+    (* already in [Dispatch.compare_by_start] order *)
+    t.current_plan <- dispatches;
     t.plan_version <- t.plan_version + 1;
     let elapsed = Obs.Clock.now () -. t0 in
     if elapsed > t.max_invocation then t.max_invocation <- elapsed;
@@ -564,7 +556,12 @@ let invoke t ~now =
           t.current_plan;
         let removed = Hashtbl.length old_by_task in
         Obs.Journal.event j ~t_ms:now "invoke"
-          ~wall:[ ("elapsed_s", Obs.Json.Float elapsed) ]
+          ~wall:
+            [
+              ("elapsed_s", Obs.Json.Float elapsed);
+              ("seed_s", Obs.Json.Float stats.Cp.Solver.seed_s);
+              ("search_s", Obs.Json.Float stats.Cp.Solver.search_s);
+            ]
           ([
              ("invocation", Obs.Json.Int (t.solves - 1));
              ( "arrived",
@@ -607,15 +604,14 @@ let invoke t ~now =
            (and for the initial state only when it is already at_risk). *)
         List.iter
           (fun js ->
-            let predicted =
-              List.fold_left
-                (fun acc ts ->
-                  match (acc, ts.dispatch) with
-                  | None, _ | _, None -> None
-                  | Some m, Some d -> Some (max m (Dispatch.finish d)))
-                (Some 0) (task_states js)
-            in
-            match predicted with
+            let planned = ref true and last = ref 0 in
+            iter_tasks
+              (fun ts ->
+                match ts.dispatch with
+                | Some d -> last := max !last (Dispatch.finish d)
+                | None -> planned := false)
+              js;
+            match if !planned then Some !last else None with
             | None -> () (* not fully planned; keep the previous state *)
             | Some completion ->
                 let at_risk = completion > js.job.T.deadline in

@@ -74,52 +74,54 @@ let assign t ~kind ~task ~start =
       t.last_reduce_start <- start);
   (* Best fit: among slots free by [start], take the one freed latest
      (smallest remaining gap, paper §V.D). *)
-  let best = ref None in
-  Array.iter
-    (fun s ->
-      if s.available_from <= start then
-        match !best with
-        | Some b when b.available_from >= s.available_from -> ()
-        | _ -> best := Some s)
-    slots;
-  match !best with
-  | None ->
-      failwith
-        (Printf.sprintf
-           "Matchmaker.assign: no free %s slot at %d for task %d (solver \
-            capacity bug)"
-           (T.task_kind_to_string kind) start task.T.task_id)
-  | Some s ->
-      s.available_from <- start + task.T.exec_time;
-      {
-        Sched.Dispatch.task;
-        resource_id = s.resource_id;
-        slot = s.slot_id;
-        start;
-      }
+  let best = ref (-1) in
+  for i = 0 to Array.length slots - 1 do
+    let s = slots.(i) in
+    if
+      s.available_from <= start
+      && (!best < 0 || slots.(!best).available_from < s.available_from)
+    then best := i
+  done;
+  if !best < 0 then
+    failwith
+      (Printf.sprintf
+         "Matchmaker.assign: no free %s slot at %d for task %d (solver \
+          capacity bug)"
+         (T.task_kind_to_string kind) start task.T.task_id)
+  else begin
+    let s = slots.(!best) in
+    s.available_from <- start + task.T.exec_time;
+    { Sched.Dispatch.task; resource_id = s.resource_id; slot = s.slot_id; start }
+  end
 
 let assign_all t ~starts ~pending =
-  let with_start =
-    List.map
+  let tasks = Array.of_list pending in
+  let start_of =
+    Array.map
       (fun (task : T.task) ->
         match Hashtbl.find_opt starts task.T.task_id with
-        | Some s -> (s, task)
+        | Some s -> s
         | None ->
             invalid_arg
               (Printf.sprintf "Matchmaker.assign_all: task %d has no start"
                  task.T.task_id))
-      pending
+      tasks
   in
-  let sorted =
-    List.sort
-      (fun (s1, t1) (s2, t2) ->
-        let c = compare s1 s2 in
-        if c <> 0 then c else compare t1.T.task_id t2.T.task_id)
-      with_start
-  in
-  List.map
-    (fun (start, task) -> assign t ~kind:task.T.kind ~task ~start)
-    sorted
+  let order = Array.init (Array.length tasks) Fun.id in
+  Array.stable_sort
+    (fun a b ->
+      let c = Int.compare start_of.(a) start_of.(b) in
+      if c <> 0 then c
+      else Int.compare tasks.(a).T.task_id tasks.(b).T.task_id)
+    order;
+  let dispatches = ref [] in
+  Array.iter
+    (fun i ->
+      let task = tasks.(i) in
+      dispatches :=
+        assign t ~kind:task.T.kind ~task ~start:start_of.(i) :: !dispatches)
+    order;
+  List.rev !dispatches
 
 let spread_evenly ~slots ~over =
   if over <= 0 then invalid_arg "Matchmaker.spread_evenly: over must be > 0";

@@ -61,7 +61,8 @@ val assign_all :
   pending:Mapreduce.Types.task list ->
   Sched.Dispatch.t list
 (** Sort [pending] by combined-schedule start (looked up in [starts]) and
-    assign every task; returns dispatches in start order. *)
+    assign every task; returns dispatches in start order, ties by task id
+    ({!Sched.Dispatch.compare_by_start}). *)
 
 val spread_evenly : slots:int -> over:int -> int array
 (** The paper's redistribution example (§V.D): divide [slots] unit slots over

@@ -67,6 +67,8 @@ type stats = Obs.Solve_stats.t = {
   failures : int;
   lns_moves : int;
   elapsed : float;
+  seed_s : float;
+  search_s : float;
   metrics : Obs.Metrics.snapshot option;
 }
 
@@ -108,41 +110,44 @@ let late_lower_bound (inst : Instance.t) =
 (* EDF sequence with provably-doomed jobs pushed last: a job that cannot meet
    its deadline in any schedule should not take resources ahead of savable
    ones — the sacrifice the CP objective makes naturally, pre-baked into a
-   seed. *)
+   seed.  Sorted on (doomed, deadline, id), each job's doom computed once. *)
 let doomed_last_sequence (inst : Instance.t) =
-  let n = Array.length inst.Instance.jobs in
-  let seq = Array.init n (fun i -> i) in
-  let key i =
-    let j = inst.Instance.jobs.(i) in
-    let doomed =
-      if job_min_completion inst j > j.Instance.job.T.deadline then 1 else 0
-    in
-    (doomed, j.Instance.job.T.deadline, j.Instance.job.T.id)
-  in
-  Array.sort (fun a b -> compare (key a) (key b)) seq;
+  let jobs = inst.Instance.jobs in
+  let doomed = Array.map (job_doomed inst) jobs in
+  let deadline i = jobs.(i).Instance.job.T.deadline
+  and id i = jobs.(i).Instance.job.T.id in
+  let seq = Array.init (Array.length jobs) Fun.id in
+  Array.sort
+    (fun a b ->
+      let c = Bool.compare doomed.(a) doomed.(b) in
+      if c <> 0 then c
+      else
+        let c = Int.compare (deadline a) (deadline b) in
+        if c <> 0 then c else Int.compare (id a) (id b))
+    seq;
   seq
 
 (* Best greedy seed across the orderings (plus the doomed-last variant),
    preferring the configured one on ties.  [?preferred] lets a caller that
    already ran the configured ordering hand the result in. *)
-let greedy_seed ?preferred ~ordering inst =
+let greedy_seed ?preferred ~ordering (pass : Greedy.pass) inst =
   let preferred =
     match preferred with
     | Some p -> p
-    | None -> Greedy.solve ~order:ordering inst
+    | None -> Greedy.schedule ~order:ordering pass
   in
   let best =
     List.fold_left
       (fun best order ->
         if order = ordering then best
         else
-          let sol = Greedy.solve ~order inst in
+          let sol = Greedy.schedule ~order pass in
           if Solution.better sol best then sol else best)
       preferred
       [ Greedy.By_job_id; Greedy.Edf; Greedy.Least_laxity ]
   in
   let doomed_last =
-    Greedy.solve_with_sequence inst (doomed_last_sequence inst)
+    Greedy.schedule_sequence pass (doomed_last_sequence inst)
   in
   if Solution.better doomed_last best then doomed_last else best
 
@@ -193,80 +198,16 @@ let merge_starts (inst : Instance.t) (incumbent : Solution.t)
   Hashtbl.iter (Hashtbl.replace merged) partial.Solution.starts;
   Solution.evaluate inst merged
 
-(* Checks the same Table-1 constraints as [Solution.feasibility_errors] —
-   every pending task has a start, starts respect est, reduces respect the
-   job's latest-finishing-map time, pool capacities are never exceeded — but
-   with per-task arithmetic plus one event sweep per pool instead of
-   replaying every task through a capacity profile.  This runs on every
-   warm-started solve, where the profile replay was measured to cost as much
-   as a whole greedy pass. *)
-let candidate_feasible (inst : Instance.t) (sol : Solution.t) =
-  let ok = ref true in
-  let map_events = ref [] and reduce_events = ref [] in
-  let push evs start (task : T.task) =
-    evs :=
-      (start, task.T.capacity_req)
-      :: (start + task.T.exec_time, -task.T.capacity_req)
-      :: !evs
-  in
-  Array.iter
-    (fun (j : Instance.pending_job) ->
-      Array.iter
-        (fun (f : Instance.fixed_task) ->
-          push map_events f.Instance.start f.Instance.task)
-        j.Instance.fixed_maps;
-      Array.iter
-        (fun (f : Instance.fixed_task) ->
-          push reduce_events f.Instance.start f.Instance.task)
-        j.Instance.fixed_reduces;
-      let lfmt = ref j.Instance.frozen_lfmt in
-      Array.iter
-        (fun (task : T.task) ->
-          match Hashtbl.find_opt sol.Solution.starts task.T.task_id with
-          | None -> ok := false
-          | Some s ->
-              if s < j.Instance.est then ok := false;
-              if s + task.T.exec_time > !lfmt then
-                lfmt := s + task.T.exec_time;
-              push map_events s task)
-        j.Instance.pending_maps;
-      Array.iter
-        (fun (task : T.task) ->
-          match Hashtbl.find_opt sol.Solution.starts task.T.task_id with
-          | None -> ok := false
-          | Some s ->
-              if s < !lfmt then ok := false;
-              push reduce_events s task)
-        j.Instance.pending_reduces)
-    inst.Instance.jobs;
-  let capacity_ok events capacity =
-    let evs = Array.of_list !events in
-    (* releases sort before acquisitions at equal times, so back-to-back
-       tasks on the same slot don't double-count *)
-    Array.sort
-      (fun (t1, d1) (t2, d2) ->
-        if t1 <> t2 then compare t1 t2 else compare d1 d2)
-      evs;
-    let load = ref 0 and fits = ref true in
-    Array.iter
-      (fun (_, delta) ->
-        load := !load + delta;
-        if !load > capacity then fits := false)
-      evs;
-    !fits
-  in
-  !ok
-  && capacity_ok map_events inst.Instance.map_capacity
-  && capacity_ok reduce_events inst.Instance.reduce_capacity
-
 (* Complete a carried-over plan into a full candidate solution for the
    updated instance.  A job is "covered" when every one of its pending tasks
-   still has a carried (non-stale) start; covered jobs are frozen at those
-   starts and the remaining jobs (new arrivals, or jobs whose carried entries
-   went stale) are list-scheduled around them.  The result is only returned
-   when it passes the Table-1 constraint check, so a warm start can never
-   inject an infeasible incumbent. *)
-let warm_candidate (inst : Instance.t) (inc : incumbent) =
+   still has a carried (non-stale) start; covered jobs keep those starts and
+   the remaining jobs (new arrivals, or jobs whose carried entries went
+   stale) are list-scheduled around them on the pass's frozen profiles.  The
+   result is only returned when it passes the Table-1 constraint check
+   ({!Greedy.complete}: per-task est and precedence arithmetic plus the
+   finished profiles' peaks), so a warm start can never inject an
+   infeasible incumbent. *)
+let warm_in (pass : Greedy.pass) (inst : Instance.t) (inc : incumbent) =
   let fresh j (task : T.task) =
     (* a carried start below the job's current est is stale (the clock or a
        deferral release bumped s_j past it) and poisons the whole job *)
@@ -274,40 +215,22 @@ let warm_candidate (inst : Instance.t) (inc : incumbent) =
     | Some s -> s >= j.Instance.est
     | None -> false
   in
-  let covered (j : Instance.pending_job) =
-    Array.for_all (fresh j) j.Instance.pending_maps
-    && Array.for_all (fresh j) j.Instance.pending_reduces
+  let covered =
+    Array.map
+      (fun (j : Instance.pending_job) ->
+        Array.for_all (fresh j) j.Instance.pending_maps
+        && Array.for_all (fresh j) j.Instance.pending_reduces)
+      inst.Instance.jobs
   in
-  let uncovered = Hashtbl.create 8 in
-  Array.iteri
-    (fun jdx j -> if not (covered j) then Hashtbl.replace uncovered jdx ())
-    inst.Instance.jobs;
-  let n_jobs = Array.length inst.Instance.jobs in
-  if n_jobs = 0 || Hashtbl.length uncovered = n_jobs then None
-  else begin
-    let starts = Hashtbl.create 64 in
-    Array.iteri
-      (fun jdx (j : Instance.pending_job) ->
-        if not (Hashtbl.mem uncovered jdx) then begin
-          let copy (task : T.task) =
-            Hashtbl.replace starts task.T.task_id
-              (Hashtbl.find inc.carried_starts task.T.task_id)
-          in
-          Array.iter copy j.Instance.pending_maps;
-          Array.iter copy j.Instance.pending_reduces
-        end)
-      inst.Instance.jobs;
-    if Hashtbl.length uncovered > 0 then begin
-      let pseudo = { Solution.starts; late_jobs = 0; total_tardiness = 0 } in
-      let sub = freeze_except inst pseudo uncovered in
-      (* fixed Edf completion order keeps the candidate identical across
-         portfolio workers whatever their own seed ordering is *)
-      let partial = Greedy.solve ~order:Greedy.Edf sub in
-      Hashtbl.iter (Hashtbl.replace starts) partial.Solution.starts
-    end;
-    let sol = Solution.evaluate inst starts in
-    if candidate_feasible inst sol then Some sol else None
-  end
+  if not (Array.exists Fun.id covered) then None
+  else
+    (* fixed Edf completion order keeps the candidate identical across
+       portfolio workers whatever their own seed ordering is *)
+    match Greedy.complete pass ~carried:inc.carried_starts ~covered with
+    | sol, true -> Some sol
+    | _, false -> None
+
+let warm_candidate inst inc = warm_in (Greedy.prepare inst) inst inc
 
 (* The incumbent the search pipeline actually starts from.  Cold solves take
    the best greedy seed over every ordering.  Warm solves put the carried
@@ -318,13 +241,16 @@ let warm_candidate (inst : Instance.t) (inc : incumbent) =
    otherwise the candidate is raced against a single pass of the configured
    ordering, and only when it loses does the full multi-ordering cold seed
    run.  Ties go to the warm plan — it minimizes churn against the previous
-   schedule.  The returned flag records whether the warm candidate won. *)
+   schedule.  The returned flag records whether the warm candidate won.
+   Every schedule shares one {!Greedy.pass}: the frozen tasks' profiles are
+   built once per call. *)
 let starting_incumbent ~options ?lb inst =
-  let cold () = (greedy_seed ~ordering:options.ordering inst, false) in
+  let pass = Greedy.prepare inst in
+  let cold () = (greedy_seed ~ordering:options.ordering pass inst, false) in
   match options.warm_start with
   | None -> cold ()
   | Some inc -> (
-      match warm_candidate inst inc with
+      match warm_in pass inst inc with
       | None -> cold ()
       | Some warm
         when (match lb with
@@ -332,9 +258,11 @@ let starting_incumbent ~options ?lb inst =
              | None -> false) ->
           (warm, true)
       | Some warm ->
-          let preferred = Greedy.solve ~order:options.ordering inst in
+          let preferred = Greedy.schedule ~order:options.ordering pass in
           if not (Solution.better preferred warm) then (warm, true)
-          else (greedy_seed ~preferred ~ordering:options.ordering inst, false))
+          else
+            ( greedy_seed ~preferred ~ordering:options.ordering pass inst,
+              false ))
 
 type exact_search =
   registry:Obs.Metrics.t option ->
@@ -363,6 +291,7 @@ type start = {
   lb_classic : int;
   seed : Solution.t;
   warm_seeded : bool;
+  seed_s : float;  (* the bound plus the seed *)
   on_settle : Obs.Metrics.t option -> Solution.t -> stats -> unit;
 }
 
@@ -371,16 +300,24 @@ let start ~options ?(t0 = Obs.Clock.now ()) ?(carried_bound = min_int)
   let registry =
     if options.instrument then Some (Obs.Metrics.create ()) else None
   in
+  let t_seed = Obs.Clock.now () in
   let lb_classic = late_lower_bound inst in
   let lb = max lb_classic carried_bound in
   let seed, warm_seeded = starting_incumbent ~options ~lb inst in
-  { t0; registry; lb; lb_classic; seed; warm_seeded; on_settle }
+  let seed_s = Obs.Clock.now () -. t_seed in
+  { t0; registry; lb; lb_classic; seed; warm_seeded; seed_s; on_settle }
+
+(* [f ()] and the wall seconds it took *)
+let timed f =
+  let t = Obs.Clock.now () in
+  let r = f () in
+  (r, Obs.Clock.now () -. t)
 
 (* Every return of the pipeline goes through here: the caller's hook sees
    the result first, then the clock and the metrics snapshot are read, so
    both cover the hook's work as well. *)
-let settle_with st ?(nodes = 0) ?(failures = 0) ?(lns_moves = 0) ~proved ~stop
-    incumbent =
+let settle_with st ?(nodes = 0) ?(failures = 0) ?(lns_moves = 0)
+    ?(search_s = 0.) ~proved ~stop incumbent =
   let stats elapsed metrics =
     {
       seed_late = st.seed.Solution.late_jobs;
@@ -392,6 +329,8 @@ let settle_with st ?(nodes = 0) ?(failures = 0) ?(lns_moves = 0) ~proved ~stop
       failures;
       lns_moves;
       elapsed;
+      seed_s = st.seed_s;
+      search_s;
       metrics;
     }
   in
@@ -438,9 +377,10 @@ let exact_regime ~options ~link ~exact st =
             link.announce v);
     }
   in
-  let outcome =
-    exact ~registry:st.registry ~bound_to_beat:st.seed.Solution.late_jobs
-      limits
+  let outcome, search_s =
+    timed (fun () ->
+        exact ~registry:st.registry ~bound_to_beat:st.seed.Solution.late_jobs
+          limits)
   in
   let incumbent = Option.value outcome.Search.best ~default:st.seed in
   let proved =
@@ -452,10 +392,11 @@ let exact_regime ~options ~link ~exact st =
     else Search.stop_reason_of_cause outcome.Search.stopped
   in
   settle_with st ~nodes:outcome.Search.nodes ~failures:outcome.Search.failures
-    ~proved ~stop incumbent
+    ~search_s ~proved ~stop incumbent
 
 (* LNS over job neighbourhoods *)
 let lns_regime ~options ~link st (inst : Instance.t) =
+  let t_search = Obs.Clock.now () in
   let deadline = st.t0 +. options.time_limit in
   let rng = Simrand.Rng.create options.seed in
   let n_jobs = Array.length inst.Instance.jobs in
@@ -534,6 +475,7 @@ let lns_regime ~options ~link st (inst : Instance.t) =
         else incr stall
     | None -> incr stall
   done;
+  let search_s = Obs.Clock.now () -. t_search in
   let proved = !incumbent.Solution.late_jobs <= st.lb in
   (* mirror [continue]'s evaluation order for the attributed cause *)
   let stop =
@@ -543,7 +485,7 @@ let lns_regime ~options ~link st (inst : Instance.t) =
     else Obs.Solve_stats.Interrupted
   in
   settle_with st ~nodes:!nodes ~failures:!failures ~lns_moves:!lns_moves
-    ~proved ~stop !incumbent
+    ~search_s ~proved ~stop !incumbent
 
 let solve_linked ~options ~link ?t0 ?carried_bound ?exact ?on_settle
     (inst : Instance.t) =

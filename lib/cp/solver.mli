@@ -79,6 +79,9 @@ type stats = Obs.Solve_stats.t = {
   failures : int;
   lns_moves : int;
   elapsed : float;  (** wall-clock seconds spent *)
+  seed_s : float;  (** of which the bound and the starting incumbent *)
+  search_s : float;
+      (** of which the exact backend (session sync included) or LNS *)
   metrics : Obs.Metrics.snapshot option;
       (** [Some] iff [options.instrument] was set *)
 }
@@ -148,12 +151,25 @@ val warm_candidate :
   Sched.Instance.t -> incumbent -> Sched.Solution.t option
 (** Complete a carried-over plan into a full solution for the (updated)
     instance: jobs whose pending tasks all still have non-stale carried
-    starts are frozen there, every other job (new arrivals, jobs with stale
-    entries) is EDF-list-scheduled around them.  Returns [None] when nothing
-    usable was carried or the completed candidate fails the Table-1 oracle —
-    a returned candidate always passes {!Sched.Solution.feasibility_errors}.
+    starts keep them, every other job (new arrivals, jobs with stale
+    entries) is EDF-list-scheduled around them on the frozen tasks'
+    profiles.  Returns [None] when nothing usable was carried or the
+    completed candidate breaks Table 1 — checked without a sweep, by
+    per-task est and precedence arithmetic on the carried starts and the
+    peak of the profiles the completion just built — so a returned
+    candidate always passes {!Sched.Solution.feasibility_errors}.
     Deterministic.  The pipeline seeds from it when [options.warm_start] is
     set. *)
+
+val starting_incumbent :
+  options:options -> ?lb:int -> Sched.Instance.t -> Sched.Solution.t * bool
+(** The pipeline's seed, and whether it is the adopted {!warm_candidate}.
+    Cold ([options.warm_start = None]): the best greedy schedule over the
+    three orderings and the doomed-last sequence, ties to
+    [options.ordering].  Warm: the candidate when it meets [lb]; otherwise
+    the candidate unless one greedy pass of [options.ordering] beats it, in
+    which case the cold seed.  All these schedules share one
+    {!Sched.Greedy.pass}. *)
 
 val late_lower_bound : Sched.Instance.t -> int
 (** Number of jobs that are late in {e every} schedule: est plus the

@@ -44,6 +44,13 @@ type t = {
   failures : int;  (** search failures (dead ends) *)
   lns_moves : int;  (** large-neighbourhood moves attempted (0: pure B&B) *)
   elapsed : float;  (** wall-clock seconds spent *)
+  seed_s : float;
+      (** wall-clock seconds of [elapsed] spent on the lower bound and the
+          starting incumbent (greedy seed or warm candidate) *)
+  search_s : float;
+      (** wall-clock seconds of [elapsed] spent in the exact backend (for a
+          session, its store sync included) or in LNS; 0 when the seed
+          settled the solve *)
   metrics : Metrics.snapshot option;
       (** per-propagator and solver metrics; [None] unless the solve ran
           with instrumentation enabled *)
@@ -53,5 +60,6 @@ val pp : Format.formatter -> t -> unit
 
 val to_metrics : t -> Metrics.snapshot
 (** The record's scalar fields as a snapshot (counters [solver/*],
-    including [solver/stop/<reason>]), merged over [metrics] when present
+    including [solver/stop/<reason>]; histograms [solver/solve_s],
+    [solver/seed_s] and [solver/search_s]), merged over [metrics] when present
     — the machine-readable payload. *)

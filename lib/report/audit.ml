@@ -27,6 +27,8 @@ type report = {
   latencies_s : float array;
   n_late : int;
   total_overhead_s : float;
+  seed_s : float;
+  search_s : float;
   crashes : int;
   rejoins : int;
   task_failures : int;
@@ -94,6 +96,7 @@ let of_string text =
     let stop_reasons = Hashtbl.create 8 in
     let latencies = ref [] in
     let total_overhead = ref 0. in
+    let seed_total = ref 0. and search_total = ref 0. in
     let run_end = ref None in
     let crashes = ref 0 and rejoins = ref 0 in
     let task_failures = ref 0 and stragglers = ref 0 in
@@ -129,7 +132,23 @@ let of_string text =
             let e = req "wall.elapsed_s" line (wall_field "elapsed_s" j) in
             let e = req "wall.elapsed_s" line (J.to_float_opt e) in
             total_overhead := !total_overhead +. e;
-            latencies := e :: !latencies
+            latencies := e :: !latencies;
+            (* solver phase timers: optional (journals before they were
+               recorded lack them), non-negative when present *)
+            let phase k acc =
+              match wall_field k j with
+              | None -> ()
+              | Some v -> (
+                  match J.to_float_opt v with
+                  | Some s when s >= 0. -> acc := !acc +. s
+                  | _ ->
+                      failwith
+                        (Printf.sprintf
+                           "line %d: wall.%s must be a non-negative number"
+                           line k))
+            in
+            phase "seed_s" seed_total;
+            phase "search_s" search_total
         | "job-done" ->
             let a = job_acc line j in
             a.a_done <-
@@ -296,6 +315,8 @@ let of_string text =
         latencies_s = Array.of_list (List.rev !latencies);
         n_late;
         total_overhead_s = !total_overhead;
+        seed_s = !seed_total;
+        search_s = !search_total;
         crashes = !crashes;
         rejoins = !rejoins;
         task_failures = !task_failures;
@@ -348,6 +369,13 @@ let render r =
        (Table.fmt_float ~decimals:4 (latency_quantile r 0.99))
        (Table.fmt_float ~decimals:4 (latency_quantile r 1.0))
        (Array.length r.latencies_s));
+  if r.seed_s +. r.search_s > 0. then
+    add
+      (Printf.sprintf
+         "solver phases: seed %ss, search %ss of %ss total overhead\n\n"
+         (Table.fmt_float ~decimals:4 r.seed_s)
+         (Table.fmt_float ~decimals:4 r.search_s)
+         (Table.fmt_float ~decimals:4 r.total_overhead_s));
   if r.stop_reasons <> [] then
     add
       (Table.render ~title:"solver stop reasons"

@@ -42,6 +42,11 @@ type report = {
   latencies_s : float array;  (** invoke elapsed, journal order *)
   n_late : int;  (** recomputed Σ N_j *)
   total_overhead_s : float;  (** recomputed Σ invoke elapsed *)
+  seed_s : float;
+      (** Σ invoke [wall.seed_s]: the solver's bound and starting
+          incumbent (0 for journals without the phase timers) *)
+  search_s : float;
+      (** Σ invoke [wall.search_s]: the exact backend or LNS *)
   crashes : int;  (** counted "resource-crash" events (v2 journals) *)
   rejoins : int;
   task_failures : int;

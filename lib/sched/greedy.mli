@@ -17,6 +17,31 @@ type order =
 
 val order_to_string : order -> string
 
+(** One instance prepared for several list schedules: the fixed tasks'
+    profiles are built once and copied by each schedule, and each job's
+    pending tasks are sorted once.  Every schedule from a [pass] equals the
+    matching {!solve} / {!solve_with_sequence} on its instance. *)
+type pass
+
+val prepare : Instance.t -> pass
+
+val schedule : ?order:order -> pass -> Solution.t
+(** [solve ~order] on the prepared instance. *)
+
+val schedule_sequence : pass -> int array -> Solution.t
+(** [solve_with_sequence] on the prepared instance, without the permutation
+    check. *)
+
+val complete :
+  pass -> carried:(int, int) Hashtbl.t -> covered:bool array -> Solution.t * bool
+(** Warm-start completion.  Every pending task of a job flagged in
+    [covered] keeps its start from [carried] (it must have one); the other
+    jobs are list-scheduled around them in {!Edf} order.  The flag is
+    [true] iff the result satisfies Table 1: the covered starts respect est
+    and their job's map finishes, and neither pool's capacity is exceeded
+    anywhere, fixed tasks included.  The placed jobs satisfy est and
+    precedence by construction. *)
+
 val solve : ?order:order -> Instance.t -> Solution.t
 (** Default order is {!Edf} (the configuration the paper reports). *)
 

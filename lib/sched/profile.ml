@@ -19,6 +19,9 @@ let create ~capacity =
 
 let capacity t = t.capacity
 
+let copy t =
+  { t with times = Array.copy t.times; usage = Array.copy t.usage }
+
 (* Rightmost index i with times.(i) <= time, or -1. *)
 let floor_index t time =
   let lo = ref 0 and hi = ref (t.n - 1) and res = ref (-1) in

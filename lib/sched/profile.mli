@@ -18,6 +18,10 @@ val create : capacity:int -> t
 
 val capacity : t -> int
 
+val copy : t -> t
+(** An independent copy: adding to or removing from one leaves the other
+    unchanged. *)
+
 val add : t -> start:int -> duration:int -> amount:int -> unit
 (** Occupy [amount] units over [start, start+duration).  Zero-duration tasks
     occupy nothing.  No overflow check — see {!fits} / {!val-max_usage}. *)

@@ -31,18 +31,20 @@ let job_completion (j : Instance.pending_job) starts =
     (fun acc task -> max acc (completion_of starts task))
     acc j.Instance.pending_maps
 
-let evaluate (inst : Instance.t) starts =
+let tally (inst : Instance.t) starts ~completion =
   let late = ref 0 and tardiness = ref 0 in
-  Array.iter
-    (fun j ->
-      let completion = job_completion j starts in
-      let over = completion - j.Instance.job.T.deadline in
+  Array.iteri
+    (fun jdx j ->
+      let over = completion jdx j - j.Instance.job.T.deadline in
       if over > 0 then begin
         incr late;
         tardiness := !tardiness + over
       end)
     inst.Instance.jobs;
   { starts; late_jobs = !late; total_tardiness = !tardiness }
+
+let evaluate inst starts =
+  tally inst starts ~completion:(fun _ j -> job_completion j starts)
 
 let feasibility_errors (inst : Instance.t) t =
   let errors = ref [] in

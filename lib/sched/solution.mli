@@ -27,6 +27,15 @@ val job_lfmt : Instance.pending_job -> (int, int) Hashtbl.t -> int
 val evaluate : Instance.t -> (int, int) Hashtbl.t -> t
 (** Compute the objective from a start map. *)
 
+val tally :
+  Instance.t ->
+  (int, int) Hashtbl.t ->
+  completion:(int -> Instance.pending_job -> int) ->
+  t
+(** {!evaluate} with each job's completion supplied by the caller
+    ([completion jdx job], [jdx] indexing [inst.jobs]) instead of read back
+    from the start map; a list scheduler already knows it. *)
+
 val feasibility_errors : Instance.t -> t -> string list
 (** Empty when the solution satisfies, for every job: completeness (every
     pending task has a start), est (maps not before est — Table 1 (2)),

@@ -154,6 +154,8 @@ type stats = Obs.Solve_stats.t = {
   failures : int;
   lns_moves : int;
   elapsed : float;
+  seed_s : float;
+  search_s : float;
   metrics : Obs.Metrics.snapshot option;
 }
 
@@ -261,6 +263,7 @@ let solve ?(limits = Cp.Search.no_limits) ?(instrument = false) inst =
   let registry = if instrument then Some (Obs.Metrics.create ()) else None in
   let seed = greedy inst in
   let lb = lower_bound inst in
+  let t_search = Obs.Clock.now () in
   let best, proved, stop_reason, nodes, failures =
     if seed.late_jobs <= lb then (seed, true, Obs.Solve_stats.Proved, 0, 0)
     else begin
@@ -290,5 +293,7 @@ let solve ?(limits = Cp.Search.no_limits) ?(instrument = false) inst =
       failures;
       lns_moves = 0;
       elapsed = Obs.Clock.now () -. t0;
+      seed_s = t_search -. t0;
+      search_s = Obs.Clock.now () -. t_search;
       metrics = Option.map Obs.Metrics.snapshot registry;
     } )

@@ -50,6 +50,8 @@ type stats = Obs.Solve_stats.t = {
   failures : int;
   lns_moves : int;
   elapsed : float;
+  seed_s : float;
+  search_s : float;
   metrics : Obs.Metrics.snapshot option;
 }
 

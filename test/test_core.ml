@@ -60,7 +60,16 @@ let test_assign_never_overlaps () =
             Alcotest.(check bool) "no slot overlap" true disjoint
           end)
         ds)
-    ds
+    ds;
+  (* the manager installs the result as its plan without sorting it again:
+     start order, ties by task id, whatever order [pending] came in *)
+  let mm = Mrcp.Matchmaker.create ~cluster in
+  let ds = Mrcp.Matchmaker.assign_all mm ~starts ~pending:!tasks in
+  Alcotest.(check (list int)) "compare_by_start order"
+    (List.map
+       (fun (d : Dispatch.t) -> d.Dispatch.task.T.task_id)
+       (List.sort Dispatch.compare_by_start ds))
+    (List.map (fun (d : Dispatch.t) -> d.Dispatch.task.T.task_id) ds)
 
 let test_occupied_slots_avoided () =
   let cluster = T.uniform_cluster ~m:1 ~map_capacity:2 ~reduce_capacity:1 in

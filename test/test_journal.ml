@@ -204,6 +204,11 @@ let test_audit_crosscheck () =
     (Float.equal
        (Mrcp.Manager.overhead_seconds mgr)
        rep.Report.Audit.total_overhead_s);
+  (* the solver's phase timers are sub-intervals of each pass *)
+  Alcotest.(check bool) "seed phase timed" true (rep.Report.Audit.seed_s > 0.);
+  Alcotest.(check bool) "phases within O" true
+    (rep.Report.Audit.seed_s +. rep.Report.Audit.search_s
+    <= rep.Report.Audit.total_overhead_s *. (1. +. 1e-9));
   (* the renderers should not raise on a real report *)
   Alcotest.(check bool) "render nonempty" true
     (String.length (Report.Audit.render rep) > 0);
@@ -219,12 +224,20 @@ let test_audit_rejects_garbage () =
   | Error e ->
       Alcotest.(check bool) "names the line" true
         (String.length e > 0 && String.sub e 0 6 = "line 1"));
-  match
+  (match
     Report.Audit.of_string
       {|{"v":4,"seq":0,"t":0,"ev":"arrival","job":0,"est":0,"deadline":1,"tasks":1}|}
   with
   | Ok _ -> Alcotest.fail "accepted future version"
-  | Error _ -> ()
+  | Error _ -> ());
+  match
+    Report.Audit.of_string
+      {|{"v":3,"seq":0,"t":0,"ev":"invoke","wall":{"elapsed_s":0.1,"seed_s":-1.0}}|}
+  with
+  | Ok _ -> Alcotest.fail "accepted a negative phase timer"
+  | Error e ->
+      Alcotest.(check string) "names the line and the key"
+        "line 1: wall.seed_s must be a non-negative number" e
 
 (* --- zero cost when off ------------------------------------------------- *)
 

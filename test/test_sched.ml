@@ -57,6 +57,29 @@ let test_profile_remove () =
   Alcotest.(check bool) "fits again" true
     (Profile.fits p ~start:0 ~duration:10 ~amount:1)
 
+(* A copy and its original share no state, whether a change lands inside
+   the existing steps or grows the step arrays. *)
+let test_profile_copy_independent () =
+  let steps = Alcotest.(list (pair int int)) in
+  let p = Profile.create ~capacity:3 in
+  Profile.add p ~start:0 ~duration:10 ~amount:1;
+  let before = Profile.steps p in
+  let c = Profile.copy p in
+  Alcotest.(check steps) "copy equals original" before (Profile.steps c);
+  Profile.add c ~start:0 ~duration:10 ~amount:2;
+  for i = 1 to 40 do
+    Profile.add c ~start:(20 * i) ~duration:5 ~amount:1
+  done;
+  Alcotest.(check steps) "original untouched by the copy" before
+    (Profile.steps p);
+  let grown = Profile.steps c in
+  Profile.remove p ~start:0 ~duration:10 ~amount:1;
+  Profile.add p ~start:3 ~duration:4 ~amount:3;
+  Alcotest.(check steps) "copy untouched by the original" grown
+    (Profile.steps c);
+  Alcotest.(check int) "copy peak" 3 (Profile.max_usage c);
+  Alcotest.(check int) "copy capacity" 3 (Profile.capacity c)
+
 let test_profile_zero_duration () =
   let p = Profile.create ~capacity:1 in
   Profile.add p ~start:5 ~duration:0 ~amount:1;
@@ -305,6 +328,8 @@ let () =
             test_profile_earliest_fit_gap;
           Alcotest.test_case "remove" `Quick test_profile_remove;
           Alcotest.test_case "zero duration" `Quick test_profile_zero_duration;
+          Alcotest.test_case "copy shares no state" `Quick
+            test_profile_copy_independent;
           Alcotest.test_case "bad capacity" `Quick
             test_profile_rejects_bad_capacity;
         ] );

@@ -116,6 +116,209 @@ let prop_fast_path_iff_feasible_and_bound_optimal =
       in
       hit = expect_hit)
 
+(* --- the seed pipeline against its reference (test/seed_oracle.ml) ------- *)
+
+(* One mid-stream invocation: [base] planned by [plan], the clock advanced
+   to [now] as Manager.classify sees it.  Tasks the plan finished by [now]
+   leave and raise their job's frozen floors, tasks it started keep running
+   as fixed tasks, the rest stay pending with est bumped to [now]; jobs with
+   nothing left leave.  [crash_*] slots are lost per pool afterwards, so the
+   running tasks may already exceed the capacity that remains. *)
+let advance (base : Instance.t) plan ~now ~crash_maps ~crash_reduces =
+  let step (pj : Instance.pending_job) =
+    let lfmt = ref 0 and completion = ref 0 in
+    let fixed_maps = ref [] and fixed_reduces = ref [] in
+    let pending_maps = ref [] and pending_reduces = ref [] in
+    let classify is_map (task : T.task) =
+      let start = Hashtbl.find plan task.T.task_id in
+      let finish = start + task.T.exec_time in
+      if start <= now then begin
+        if is_map && finish > !lfmt then lfmt := finish;
+        if finish > !completion then completion := finish;
+        if finish > now then
+          let f = { Instance.task; start } in
+          if is_map then fixed_maps := f :: !fixed_maps
+          else fixed_reduces := f :: !fixed_reduces
+      end
+      else if is_map then pending_maps := task :: !pending_maps
+      else pending_reduces := task :: !pending_reduces
+    in
+    Array.iter (classify true) pj.Instance.pending_maps;
+    Array.iter (classify false) pj.Instance.pending_reduces;
+    let arr l = Array.of_list (List.rev !l) in
+    if
+      !fixed_maps = [] && !fixed_reduces = [] && !pending_maps = []
+      && !pending_reduces = []
+    then None
+    else
+      Some
+        {
+          pj with
+          Instance.est = max pj.Instance.est now;
+          pending_maps = arr pending_maps;
+          pending_reduces = arr pending_reduces;
+          fixed_maps = arr fixed_maps;
+          fixed_reduces = arr fixed_reduces;
+          frozen_lfmt = !lfmt;
+          frozen_completion = !completion;
+        }
+  in
+  {
+    Instance.now;
+    map_capacity = max 1 (base.Instance.map_capacity - crash_maps);
+    reduce_capacity = max 1 (base.Instance.reduce_capacity - crash_reduces);
+    jobs = Array.of_list (List.filter_map step (Array.to_list base.Instance.jobs));
+  }
+
+type seed_case = {
+  inst : Instance.t;
+  carried : (int, int) Hashtbl.t;
+  ordering : Sched.Greedy.order;
+  lb : int option;
+}
+
+(* Zero-duration tasks included; the carried plan is the base plan with
+   entries dropped (missing), pulled back (stale once below the bumped
+   est) or pushed forward (overlapping its neighbours). *)
+let gen_seed_case =
+  let open QCheck.Gen in
+  let p = { Gen.default_params with Gen.n_jobs = (0, 6); exec = (0, 30) } in
+  let* base = Gen.gen_instance ~p () in
+  let* now_pct = int_range 0 100 in
+  let* crash_maps = int_range 0 2 in
+  let* crash_reduces = int_range 0 2 in
+  let* salt = int_bound 1000 in
+  let* ordering =
+    oneofl [ Sched.Greedy.By_job_id; Sched.Greedy.Edf; Sched.Greedy.Least_laxity ]
+  in
+  let* lb = opt (int_range 0 3) in
+  let plan = (Seed_oracle.greedy base).Solution.starts in
+  let horizon =
+    Array.fold_left
+      (fun acc (pj : Instance.pending_job) ->
+        max acc (Solution.job_completion pj plan))
+      0 base.Instance.jobs
+  in
+  let inst =
+    advance base plan ~now:(horizon * now_pct / 100) ~crash_maps ~crash_reduces
+  in
+  return { inst; carried = corrupt_starts ~salt plan; ordering; lb }
+
+let print_seed_case c =
+  let fixed =
+    Array.to_list c.inst.Instance.jobs
+    |> List.concat_map (fun (pj : Instance.pending_job) ->
+           Array.to_list pj.Instance.fixed_maps
+           @ Array.to_list pj.Instance.fixed_reduces)
+    |> List.map (fun (f : Instance.fixed_task) ->
+           Printf.sprintf "%d@%d+%d" f.Instance.task.T.task_id f.Instance.start
+             f.Instance.task.T.exec_time)
+  in
+  let carried =
+    Hashtbl.fold (fun k v acc -> (k, v) :: acc) c.carried []
+    |> List.sort compare
+    |> List.map (fun (k, v) -> Printf.sprintf "%d@%d" k v)
+  in
+  Format.asprintf "%a order=%s lb=%s fixed=[%s] carried=[%s]" Instance.pp
+    c.inst
+    (Sched.Greedy.order_to_string c.ordering)
+    (match c.lb with Some b -> string_of_int b | None -> "-")
+    (String.concat " " fixed) (String.concat " " carried)
+
+let arb_seed_case = QCheck.make ~print:print_seed_case gen_seed_case
+
+let sorted_starts (sol : Solution.t) =
+  Hashtbl.fold (fun k v acc -> (k, v) :: acc) sol.Solution.starts []
+  |> List.sort compare
+
+let same_solution (a : Solution.t) (b : Solution.t) =
+  a.Solution.late_jobs = b.Solution.late_jobs
+  && a.Solution.total_tardiness = b.Solution.total_tardiness
+  && sorted_starts a = sorted_starts b
+
+(* both sides raise the same way or return the same thing *)
+let agree same f g =
+  let run h = try Ok (h ()) with e -> Error (Printexc.to_string e) in
+  match (run f, run g) with
+  | Ok a, Ok b -> same a b
+  | Error a, Error b -> a = b
+  | _ -> false
+
+let prop_warm_candidate_matches_reference =
+  QCheck.Test.make ~count:500
+    ~name:"warm candidate = reference (same option, starts, objective)"
+    arb_seed_case (fun c ->
+      let inc = incumbent_of_starts c.carried ~changed:[] in
+      agree (Option.equal same_solution)
+        (fun () -> Cp.Solver.warm_candidate c.inst inc)
+        (fun () -> Seed_oracle.warm_candidate c.inst inc))
+
+let prop_starting_incumbent_matches_reference =
+  QCheck.Test.make ~count:500
+    ~name:"starting incumbent = reference, cold and warm"
+    arb_seed_case (fun c ->
+      let same (a, wa) (b, wb) = wa = wb && same_solution a b in
+      List.for_all
+        (fun warm_start ->
+          let options =
+            {
+              Cp.Solver.default_options with
+              Cp.Solver.ordering = c.ordering;
+              warm_start;
+            }
+          in
+          agree same
+            (fun () -> Cp.Solver.starting_incumbent ~options ?lb:c.lb c.inst)
+            (fun () -> Seed_oracle.starting_incumbent ~options ?lb:c.lb c.inst))
+        [ None; Some (incumbent_of_starts c.carried ~changed:[]) ])
+
+(* Two maps still running from before a crash now share a pool of one
+   slot.  The carried plan's own start is clear of both, yet the candidate
+   must be rejected: the frozen tasks alone break the capacity. *)
+let test_frozen_overload_rejected () =
+  Gen.reset_tasks ();
+  let a = Gen.mk_job ~id:0 ~deadline:1000 ~maps:[ 100 ] ~reduces:[] () in
+  let b = Gen.mk_job ~id:1 ~deadline:1000 ~maps:[ 100 ] ~reduces:[] () in
+  let c = Gen.mk_job ~id:2 ~deadline:1000 ~maps:[ 10 ] ~reduces:[] () in
+  let running (j : T.job) =
+    {
+      Instance.job = j;
+      est = 50;
+      pending_maps = [||];
+      pending_reduces = [||];
+      fixed_maps = [| { Instance.task = j.T.map_tasks.(0); start = 0 } |];
+      fixed_reduces = [||];
+      frozen_lfmt = 100;
+      frozen_completion = 100;
+    }
+  in
+  let waiting =
+    {
+      (running c) with
+      Instance.pending_maps = c.T.map_tasks;
+      fixed_maps = [||];
+      frozen_lfmt = 0;
+      frozen_completion = 0;
+    }
+  in
+  let inst ~map_capacity =
+    {
+      Instance.now = 50;
+      map_capacity;
+      reduce_capacity = 1;
+      jobs = [| running a; running b; waiting |];
+    }
+  in
+  let carried = Hashtbl.create 4 in
+  Hashtbl.replace carried c.T.map_tasks.(0).T.task_id 200;
+  let inc = incumbent_of_starts carried ~changed:[] in
+  Alcotest.(check bool) "accepted before the crash" true
+    (Cp.Solver.warm_candidate (inst ~map_capacity:2) inc <> None);
+  Alcotest.(check bool) "rejected after it" true
+    (Cp.Solver.warm_candidate (inst ~map_capacity:1) inc = None);
+  Alcotest.(check bool) "as the reference does" true
+    (Seed_oracle.warm_candidate (inst ~map_capacity:1) inc = None)
+
 (* --- manager-level cache-hit plumbing ----------------------------------- *)
 
 let cluster2x2 = T.uniform_cluster ~m:2 ~map_capacity:2 ~reduce_capacity:2
@@ -291,6 +494,14 @@ let () =
           Alcotest.test_case "deferred re-entry past deadline validated"
             `Quick test_deferred_reentry_past_deadline_validated;
         ] );
+      ( "oracle",
+        Alcotest.test_case "frozen overload rejects the candidate" `Quick
+          test_frozen_overload_rejected
+        :: List.map QCheck_alcotest.to_alcotest
+             [
+               prop_warm_candidate_matches_reference;
+               prop_starting_incumbent_matches_reference;
+             ] );
       ( "properties",
         List.map QCheck_alcotest.to_alcotest
           [
