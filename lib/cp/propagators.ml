@@ -41,26 +41,32 @@ let max_of s ~result ~terms ~floor =
       in
       Store.schedule s pid
   | _ ->
+      let xs = Array.of_list (List.map fst terms)
+      and cs = Array.of_list (List.map snd terms) in
+      let n = Array.length xs in
       let pid =
         Store.register s ~priority:1 ~name:"max_of" ~idempotent:true (fun s ->
+            let mins = Store.mins s and maxs = Store.maxs s in
             (* result >= every term and >= floor *)
-            Store.set_min s result floor;
             let max_min = ref floor and max_max = ref floor in
-            List.iter
-              (fun (x, c) ->
-                let mn = Store.min_of s x + c and mx = Store.max_of s x + c in
-                if mn > !max_min then max_min := mn;
-                if mx > !max_max then max_max := mx)
-              terms;
-            Store.set_min s result !max_min;
-            Store.set_max s result !max_max;
+            for k = 0 to n - 1 do
+              let x = xs.(k) and c = cs.(k) in
+              let mn = mins.(x) + c and mx = maxs.(x) + c in
+              if mn > !max_min then max_min := mn;
+              if mx > !max_max then max_max := mx
+            done;
+            if !max_min > mins.(result) then Store.set_min s result !max_min;
+            if !max_max < maxs.(result) then Store.set_max s result !max_max;
             (* every term <= result *)
-            let ub = Store.max_of s result in
-            List.iter (fun (x, c) -> Store.set_max s x (ub - c)) terms)
+            let ub = maxs.(result) in
+            for k = 0 to n - 1 do
+              let x = xs.(k) and c = cs.(k) in
+              if ub - c < maxs.(x) then Store.set_max s x (ub - c)
+            done)
       in
       (* reads both bounds of the terms but only result's upper bound (no
          rule propagates from result's min back to the terms) *)
-      List.iter (fun (x, _) -> Store.watch s x pid) terms;
+      Array.iter (fun x -> Store.watch s x pid) xs;
       Store.watch_max s result pid;
       Store.schedule s pid
 
@@ -764,13 +770,25 @@ let cumulative_gated ?(energetic = false) s ~tasks ~capacity =
 (* [cumulative]'s task set is fixed at posting time; a {!Session} needs one
    capacity propagator per pool whose registry grows (job arrivals) and
    shrinks (completed tasks retracted) across solver invocations.  The
-   kernel below is the [cumulative_naive] algorithm — identical segment
-   profile, identical per-task overload pruning — run over a mutable
-   registry, with the allocation-free machinery of [cumulative]: stable
-   per-task event slots ([max_int] sentinel when a task has no compulsory
-   part), a persistent insertion-sorted event permutation (reset to the
-   identity whenever the registry changes shape), and preallocated segment
-   scratch. *)
+   kernel below applies the [cumulative_naive] rules — identical segment
+   profile, identical per-task overload pruning — to a mutable registry,
+   with the allocation-free machinery of [cumulative]: stable per-task
+   event slots ([max_int] sentinel when a task has no compulsory part), a
+   persistent insertion-sorted event permutation (reset to the identity
+   whenever the registry changes shape), and preallocated segment scratch.
+
+   Unlike the static kernels it runs to its own fixpoint: after a pass that
+   moved a bound it refreshes and prunes again before returning, so it is
+   registered idempotent and its own writes never re-queue it.  Two caches
+   make a re-run cheap, both value-compared against the store so that
+   backtracking needs no hook:
+   - the segment profile is a function of the compulsory parts alone, so it
+     is rebuilt only when some task's compulsory part moved
+     ([dp_seg_valid]);
+   - a task's pruning is a function of its own bounds and the segments, so
+     a task marked [dp_pruned] (pruned to a no-op against the current
+     segments at its cached bounds) is skipped until its bounds move or the
+     segments are rebuilt. *)
 type dyn_pool = {
   dp_capacity : int;
   mutable dp_pid : Store.propagator_id option;
@@ -778,6 +796,9 @@ type dyn_pool = {
   mutable dp_dur : int array;
   mutable dp_dem : int array;
   mutable dp_n : int;
+  (* registry slot of each start variable, -1 when absent; indexed by
+     variable *)
+  mutable dp_slot : int array;
   (* scratch, grown with the registry *)
   mutable dp_comp_lo : int array;
   mutable dp_comp_hi : int array;
@@ -787,158 +808,188 @@ type dyn_pool = {
   mutable dp_seg_a : int array;
   mutable dp_seg_b : int array;
   mutable dp_seg_u : int array;
+  mutable dp_nseg : int;
   mutable dp_perm_dirty : bool;
-  (* start bounds each task's event slots were last computed from, plus a
-     fixpoint marker — the same incremental skip the static [cumulative]
-     does, which matters even more here: a session store keeps one pool
-     alive across thousands of propagations *)
+  (* start bounds each task's event slots were last computed from *)
   mutable dp_cache_est : int array;
   mutable dp_cache_lst : int array;
-  mutable dp_valid : bool;
+  (* the segments match the compulsory parts in [dp_comp_lo]/[dp_comp_hi] *)
+  mutable dp_seg_valid : bool;
+  (* task i is at fixpoint against the segments at its cached bounds *)
+  mutable dp_pruned : bool array;
 }
 
 let dyn_pool_pid p = Option.get p.dp_pid
 
-let dyn_run p s =
-  let n = p.dp_n in
-  if n > 0 then begin
-    let ne = 2 * n in
-    (* 1. refresh event slots of tasks whose bounds moved since last run *)
-    let moved = ref false in
-    for i = 0 to n - 1 do
-      let dur = p.dp_dur.(i) and dem = p.dp_dem.(i) in
-      if dur > 0 && dem > 0 then begin
-        let est = Store.min_of s p.dp_start.(i)
-        and lst = Store.max_of s p.dp_start.(i) in
-        if est <> p.dp_cache_est.(i) || lst <> p.dp_cache_lst.(i) then begin
-          moved := true;
-          p.dp_cache_est.(i) <- est;
-          p.dp_cache_lst.(i) <- lst;
-          let lo = lst and hi = est + dur in
-          if lo < hi then begin
-            p.dp_comp_lo.(i) <- lo;
-            p.dp_comp_hi.(i) <- hi;
-            p.dp_ev_time.(2 * i) <- lo;
-            p.dp_ev_dem.(2 * i) <- dem;
-            p.dp_ev_time.((2 * i) + 1) <- hi;
-            p.dp_ev_dem.((2 * i) + 1) <- -dem
-          end
-          else begin
-            p.dp_comp_lo.(i) <- max_int;
-            p.dp_comp_hi.(i) <- max_int;
-            p.dp_ev_time.(2 * i) <- max_int;
-            p.dp_ev_dem.(2 * i) <- 0;
-            p.dp_ev_time.((2 * i) + 1) <- max_int;
-            p.dp_ev_dem.((2 * i) + 1) <- 0
-          end
+(* Write task [i]'s compulsory part [lo, hi) and its two event slots;
+   [lo = max_int] parks both slots at the sentinel (no compulsory part). *)
+let dyn_set_comp p i lo hi =
+  let dem = if lo = max_int then 0 else p.dp_dem.(i) in
+  p.dp_comp_lo.(i) <- lo;
+  p.dp_comp_hi.(i) <- hi;
+  p.dp_ev_time.(2 * i) <- lo;
+  p.dp_ev_dem.(2 * i) <- dem;
+  p.dp_ev_time.((2 * i) + 1) <- hi;
+  p.dp_ev_dem.((2 * i) + 1) <- -dem
+
+(* Forget everything cached about slot [i] (a task just entered it). *)
+let dyn_reset_slot p i =
+  dyn_set_comp p i max_int max_int;
+  p.dp_cache_est.(i) <- min_int;
+  p.dp_cache_lst.(i) <- min_int;
+  p.dp_pruned.(i) <- false;
+  p.dp_perm_dirty <- true;
+  p.dp_seg_valid <- false
+
+(* Bring every task's cached bounds in line with the store: a task whose
+   bounds moved loses its prune mark, and one whose compulsory part moved
+   invalidates the segments. *)
+let dyn_refresh p mins maxs =
+  for i = 0 to p.dp_n - 1 do
+    let dur = p.dp_dur.(i) in
+    if dur > 0 && p.dp_dem.(i) > 0 then begin
+      let v = p.dp_start.(i) in
+      let est = mins.(v) and lst = maxs.(v) in
+      if est <> p.dp_cache_est.(i) || lst <> p.dp_cache_lst.(i) then begin
+        p.dp_cache_est.(i) <- est;
+        p.dp_cache_lst.(i) <- lst;
+        p.dp_pruned.(i) <- false;
+        let has_comp = lst < est + dur in
+        let lo = if has_comp then lst else max_int
+        and hi = if has_comp then est + dur else max_int in
+        if lo <> p.dp_comp_lo.(i) || hi <> p.dp_comp_hi.(i) then begin
+          dyn_set_comp p i lo hi;
+          p.dp_seg_valid <- false
         end
       end
-      else begin
-        p.dp_comp_lo.(i) <- max_int;
-        p.dp_comp_hi.(i) <- max_int;
-        p.dp_ev_time.(2 * i) <- max_int;
-        p.dp_ev_dem.(2 * i) <- 0;
-        p.dp_ev_time.((2 * i) + 1) <- max_int;
-        p.dp_ev_dem.((2 * i) + 1) <- 0
-      end
-    done;
-    if (not !moved) && p.dp_valid then Store.note_scratch_reuse s
-    else begin
-      p.dp_valid <- false;
-      if p.dp_perm_dirty then begin
-        for k = 0 to ne - 1 do
-          p.dp_perm.(k) <- k
-        done;
-        p.dp_perm_dirty <- false
-      end;
-      (* insertion sort: nearly sorted between consecutive runs *)
-      for k = 1 to ne - 1 do
-        let e = p.dp_perm.(k) in
-        let te = p.dp_ev_time.(e) in
-        let j = ref (k - 1) in
-        while !j >= 0 && p.dp_ev_time.(p.dp_perm.(!j)) > te do
-          p.dp_perm.(!j + 1) <- p.dp_perm.(!j);
-          decr j
-        done;
-        p.dp_perm.(!j + 1) <- e
-      done;
-      (* 2. sweep into a step profile (sentinel events terminate the scan) *)
-      let i = ref 0 and usage = ref 0 and nseg = ref 0 in
-      while !i < ne && p.dp_ev_time.(p.dp_perm.(!i)) < max_int do
-        let time = p.dp_ev_time.(p.dp_perm.(!i)) in
-        while !i < ne && p.dp_ev_time.(p.dp_perm.(!i)) = time do
-          usage := !usage + p.dp_ev_dem.(p.dp_perm.(!i));
-          incr i
-        done;
-        if !usage > p.dp_capacity then
-          raise (Store.Fail "cumulative overload");
-        let next =
-          if !i < ne then p.dp_ev_time.(p.dp_perm.(!i)) else max_int
-        in
-        if !usage > 0 && next > time then begin
-          p.dp_seg_a.(!nseg) <- time;
-          p.dp_seg_b.(!nseg) <- next;
-          p.dp_seg_u.(!nseg) <- !usage;
-          incr nseg
-        end
-      done;
-      let nseg = !nseg in
-      (* 3. prune exactly as [cumulative_naive]; segments are sorted and
-         disjoint, so binary-search the first candidate and stop past the
-         window (same reasoning as the static kernel) *)
-      let changed = ref false in
-      if nseg > 0 then
-        for t = 0 to n - 1 do
-          let dur = p.dp_dur.(t) and dem = p.dp_dem.(t) in
-          if dur > 0 && dem > 0 && not (Store.is_fixed s p.dp_start.(t))
-          then begin
-            let own_lo = p.dp_comp_lo.(t) and own_hi = p.dp_comp_hi.(t) in
-            let overloaded k =
-              let u = p.dp_seg_u.(k) in
-              let u =
-                if own_lo < p.dp_seg_b.(k) && own_hi > p.dp_seg_a.(k) then
-                  u - dem
-                else u
-              in
-              u + dem > p.dp_capacity
-            in
-            let est = ref (Store.min_of s p.dp_start.(t)) in
-            let lo = ref 0 and hi = ref nseg in
-            while !lo < !hi do
-              let mid = (!lo + !hi) / 2 in
-              if p.dp_seg_b.(mid) > !est then hi := mid else lo := mid + 1
-            done;
-            let k = ref !lo in
-            while !k < nseg && p.dp_seg_a.(!k) < !est + dur do
-              if p.dp_seg_b.(!k) > !est && overloaded !k then
-                est := p.dp_seg_b.(!k);
-              incr k
-            done;
-            if !est > Store.min_of s p.dp_start.(t) then changed := true;
-            Store.set_min s p.dp_start.(t) !est;
-            let lst = ref (Store.max_of s p.dp_start.(t)) in
-            let lo = ref 0 and hi = ref nseg in
-            while !lo < !hi do
-              let mid = (!lo + !hi) / 2 in
-              if p.dp_seg_a.(mid) < !lst + dur then lo := mid + 1
-              else hi := mid
-            done;
-            let k = ref (!lo - 1) in
-            let scanning = ref true in
-            while !scanning && !k >= 0 do
-              if p.dp_seg_b.(!k) > !lst then begin
-                if p.dp_seg_a.(!k) < !lst + dur && overloaded !k then
-                  lst := p.dp_seg_a.(!k) - dur;
-                decr k
-              end
-              else scanning := false
-            done;
-            if !lst < Store.max_of s p.dp_start.(t) then changed := true;
-            Store.set_max s p.dp_start.(t) !lst
-          end
-        done;
-      if not !changed then p.dp_valid <- true
     end
+  done
+
+(* Sort the events and sweep them into the step profile of segments with
+   positive usage.  @raise Store.Fail on an overloaded segment. *)
+let dyn_rebuild p =
+  let ne = 2 * p.dp_n in
+  if p.dp_perm_dirty then begin
+    for k = 0 to ne - 1 do
+      p.dp_perm.(k) <- k
+    done;
+    p.dp_perm_dirty <- false
+  end;
+  (* insertion sort: nearly sorted between consecutive runs *)
+  for k = 1 to ne - 1 do
+    let e = p.dp_perm.(k) in
+    let te = p.dp_ev_time.(e) in
+    let j = ref (k - 1) in
+    while !j >= 0 && p.dp_ev_time.(p.dp_perm.(!j)) > te do
+      p.dp_perm.(!j + 1) <- p.dp_perm.(!j);
+      decr j
+    done;
+    p.dp_perm.(!j + 1) <- e
+  done;
+  (* sentinel events terminate the scan *)
+  let i = ref 0 and usage = ref 0 and nseg = ref 0 in
+  while !i < ne && p.dp_ev_time.(p.dp_perm.(!i)) < max_int do
+    let time = p.dp_ev_time.(p.dp_perm.(!i)) in
+    while !i < ne && p.dp_ev_time.(p.dp_perm.(!i)) = time do
+      usage := !usage + p.dp_ev_dem.(p.dp_perm.(!i));
+      incr i
+    done;
+    if !usage > p.dp_capacity then raise (Store.Fail "cumulative overload");
+    let next = if !i < ne then p.dp_ev_time.(p.dp_perm.(!i)) else max_int in
+    if !usage > 0 && next > time then begin
+      p.dp_seg_a.(!nseg) <- time;
+      p.dp_seg_b.(!nseg) <- next;
+      p.dp_seg_u.(!nseg) <- !usage;
+      incr nseg
+    end
+  done;
+  p.dp_nseg <- !nseg;
+  Array.fill p.dp_pruned 0 p.dp_n false;
+  p.dp_seg_valid <- true
+
+(* Whether segment [k] has no room for [dem] beside the other tasks'
+   compulsory parts: the task's own part [own_lo, own_hi) is taken out of
+   the usage where it overlaps. *)
+let dyn_overloaded p k ~own_lo ~own_hi ~dem =
+  let u = p.dp_seg_u.(k) in
+  let u =
+    if own_lo < p.dp_seg_b.(k) && own_hi > p.dp_seg_a.(k) then u - dem else u
+  in
+  u + dem > p.dp_capacity
+
+(* Prune task [i] exactly as [cumulative_naive] does; the segments are
+   sorted and disjoint, so binary-search the first candidate and stop past
+   the window.  Marks the task pruned when nothing moved; returns whether a
+   bound moved. *)
+let dyn_prune p s mins maxs i =
+  let v = p.dp_start.(i) and dur = p.dp_dur.(i) and dem = p.dp_dem.(i) in
+  let est0 = mins.(v) and lst0 = maxs.(v) in
+  if est0 = lst0 then begin
+    p.dp_pruned.(i) <- true;
+    false
+  end
+  else begin
+    let nseg = p.dp_nseg in
+    let own_lo = p.dp_comp_lo.(i) and own_hi = p.dp_comp_hi.(i) in
+    let est = ref est0 in
+    let lo = ref 0 and hi = ref nseg in
+    while !lo < !hi do
+      let mid = (!lo + !hi) / 2 in
+      if p.dp_seg_b.(mid) > !est then hi := mid else lo := mid + 1
+    done;
+    let k = ref !lo in
+    while !k < nseg && p.dp_seg_a.(!k) < !est + dur do
+      if p.dp_seg_b.(!k) > !est && dyn_overloaded p !k ~own_lo ~own_hi ~dem
+      then est := p.dp_seg_b.(!k);
+      incr k
+    done;
+    if !est > est0 then Store.set_min s v !est;
+    let lst = ref lst0 in
+    let lo = ref 0 and hi = ref nseg in
+    while !lo < !hi do
+      let mid = (!lo + !hi) / 2 in
+      if p.dp_seg_a.(mid) < !lst + dur then lo := mid + 1 else hi := mid
+    done;
+    let k = ref (!lo - 1) in
+    let scanning = ref true in
+    while !scanning && !k >= 0 do
+      if p.dp_seg_b.(!k) > !lst then begin
+        if
+          p.dp_seg_a.(!k) < !lst + dur
+          && dyn_overloaded p !k ~own_lo ~own_hi ~dem
+        then lst := p.dp_seg_a.(!k) - dur;
+        decr k
+      end
+      else scanning := false
+    done;
+    if !lst < lst0 then Store.set_max s v !lst;
+    let moved = !est > est0 || !lst < lst0 in
+    if not moved then p.dp_pruned.(i) <- true;
+    moved
+  end
+
+let dyn_run p s =
+  if p.dp_n > 0 then begin
+    let mins = Store.mins s and maxs = Store.maxs s in
+    dyn_refresh p mins maxs;
+    if p.dp_seg_valid then Store.note_scratch_reuse s;
+    let again = ref true in
+    while !again do
+      if not p.dp_seg_valid then dyn_rebuild p;
+      let moved = ref false in
+      for i = 0 to p.dp_n - 1 do
+        if
+          (not p.dp_pruned.(i))
+          && p.dp_dur.(i) > 0
+          && p.dp_dem.(i) > 0
+          && dyn_prune p s mins maxs i
+        then moved := true
+      done;
+      (* pruning grows compulsory parts: refresh and go again until a pass
+         moves nothing *)
+      if !moved then dyn_refresh p mins maxs;
+      again := !moved
+    done
   end
 
 let cumulative_dyn s ~capacity =
@@ -952,6 +1003,7 @@ let cumulative_dyn s ~capacity =
       dp_dur = Array.make cap0 0;
       dp_dem = Array.make cap0 0;
       dp_n = 0;
+      dp_slot = Array.make 64 (-1);
       dp_comp_lo = Array.make cap0 max_int;
       dp_comp_hi = Array.make cap0 max_int;
       dp_ev_time = Array.make (2 * cap0) max_int;
@@ -960,14 +1012,18 @@ let cumulative_dyn s ~capacity =
       dp_seg_a = Array.make (2 * cap0) 0;
       dp_seg_b = Array.make (2 * cap0) 0;
       dp_seg_u = Array.make (2 * cap0) 0;
+      dp_nseg = 0;
       dp_perm_dirty = true;
       dp_cache_est = Array.make cap0 min_int;
       dp_cache_lst = Array.make cap0 min_int;
-      dp_valid = false;
+      dp_seg_valid = false;
+      dp_pruned = Array.make cap0 false;
     }
   in
   p.dp_pid <-
-    Some (Store.register s ~priority:2 ~name:"cumulative" (fun s -> dyn_run p s));
+    Some
+      (Store.register s ~priority:2 ~name:"cumulative" ~idempotent:true
+         (fun s -> dyn_run p s));
   p
 
 let dyn_grow p =
@@ -991,6 +1047,7 @@ let dyn_grow p =
     p.dp_comp_hi <- ext p.dp_comp_hi max_int;
     p.dp_cache_est <- ext p.dp_cache_est min_int;
     p.dp_cache_lst <- ext p.dp_cache_lst min_int;
+    p.dp_pruned <- ext p.dp_pruned false;
     p.dp_ev_time <- ext2 p.dp_ev_time max_int;
     p.dp_ev_dem <- ext2 p.dp_ev_dem 0;
     p.dp_perm <- Array.init (2 * cap') Fun.id;
@@ -1006,35 +1063,36 @@ let dyn_add p s term =
     raise (Store.Fail "task demand > capacity");
   dyn_grow p;
   let i = p.dp_n in
-  p.dp_start.(i) <- term.start;
+  let v = term.start in
+  if v >= Array.length p.dp_slot then begin
+    let a = Array.make (max (v + 1) (2 * Array.length p.dp_slot)) (-1) in
+    Array.blit p.dp_slot 0 a 0 (Array.length p.dp_slot);
+    p.dp_slot <- a
+  end;
+  p.dp_slot.(v) <- i;
+  p.dp_start.(i) <- v;
   p.dp_dur.(i) <- term.duration;
   p.dp_dem.(i) <- term.demand;
-  p.dp_cache_est.(i) <- min_int;
-  p.dp_cache_lst.(i) <- min_int;
+  dyn_reset_slot p i;
   p.dp_n <- i + 1;
-  p.dp_perm_dirty <- true;
-  p.dp_valid <- false;
   let pid = dyn_pool_pid p in
-  Store.watch s term.start pid;
+  Store.watch s v pid;
   Store.schedule s pid
 
 let dyn_retire p s start =
-  let i = ref (-1) in
-  for k = 0 to p.dp_n - 1 do
-    if p.dp_start.(k) = start then i := k
-  done;
-  if !i < 0 then invalid_arg "dyn_retire: variable not in registry";
+  let i = if start < Array.length p.dp_slot then p.dp_slot.(start) else -1 in
+  if i < 0 then invalid_arg "dyn_retire: variable not in registry";
   let last = p.dp_n - 1 in
-  p.dp_start.(!i) <- p.dp_start.(last);
-  p.dp_dur.(!i) <- p.dp_dur.(last);
-  p.dp_dem.(!i) <- p.dp_dem.(last);
+  let moved = p.dp_start.(last) in
+  p.dp_start.(i) <- moved;
+  p.dp_dur.(i) <- p.dp_dur.(last);
+  p.dp_dem.(i) <- p.dp_dem.(last);
+  p.dp_slot.(moved) <- i;
+  p.dp_slot.(start) <- -1;
   (* the swapped-in task inherits a slot whose events belong to the retired
-     one: poison its cache so the next run rewrites them *)
-  p.dp_cache_est.(!i) <- min_int;
-  p.dp_cache_lst.(!i) <- min_int;
+     one: reset it so the next run rewrites them *)
+  dyn_reset_slot p i;
   p.dp_n <- last;
-  p.dp_perm_dirty <- true;
-  p.dp_valid <- false;
   let pid = dyn_pool_pid p in
   Store.unwatch s start pid;
   Store.schedule s pid
@@ -1055,16 +1113,17 @@ let sum_lt_bound_dyn s ~bound =
     Some
       (Store.register s ~priority:0 ~name:"sum_lt_bound" ~idempotent:true
          (fun s ->
+           let mins = Store.mins s and maxs = Store.maxs s in
            let sum_min = ref 0 in
            for k = 0 to d.ds_n - 1 do
-             sum_min := !sum_min + Store.min_of s d.ds_vars.(k)
+             sum_min := !sum_min + mins.(d.ds_vars.(k))
            done;
            if !sum_min >= !(d.ds_bound) then
              raise (Store.Fail "objective bound");
            if !sum_min = !(d.ds_bound) - 1 then
              for k = 0 to d.ds_n - 1 do
                let v = d.ds_vars.(k) in
-               if Store.min_of s v = 0 then Store.set_max s v 0
+               if mins.(v) = 0 && maxs.(v) > 0 then Store.set_max s v 0
              done));
   d
 

@@ -152,7 +152,13 @@ val cumulative_gated :
 type dyn_pool
 (** A capacity propagator over a mutable task registry: the
     {!cumulative_naive} profile and pruning (identical fixpoint), with
-    {!cumulative}'s allocation-free event machinery. *)
+    {!cumulative}'s allocation-free event machinery.  Each run iterates to
+    the propagator's own fixpoint, so it is registered idempotent.  It
+    rebuilds its segment profile only when some compulsory part moved, and
+    re-prunes only the tasks whose bounds moved since they were last found
+    at fixpoint against that profile; both caches are value-compared
+    against the store, so they survive backtracking without a hook.
+    Segment reuse is counted in {!Store.stats_scratch_reuse}. *)
 
 val cumulative_dyn : Store.t -> capacity:int -> dyn_pool
 (** Register the propagator with an empty registry (priority 2). *)
@@ -166,7 +172,8 @@ val dyn_retire : dyn_pool -> Store.t -> Store.var -> unit
 (** Remove the task whose start variable is the given one: unhooks the
     pool from the variable's watch lists ({!Store.unwatch}) and reschedules.
     The caller fixes the variable at its realized start first, so removal
-    never loosens the profile seen by the remaining tasks.
+    never loosens the profile seen by the remaining tasks.  The registry
+    slot is found through a variable-indexed table, in constant time.
     @raise Invalid_argument when the variable is not in the registry. *)
 
 val dyn_pool_pid : dyn_pool -> Store.propagator_id

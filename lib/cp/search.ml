@@ -7,6 +7,7 @@ type limits = {
   interrupt : (unit -> bool) option;
   tighten_bound : (unit -> int) option;
   on_improve : (int -> unit) option;
+  target : int option;
 }
 
 let no_limits =
@@ -17,6 +18,7 @@ let no_limits =
     interrupt = None;
     tighten_bound = None;
     on_improve = None;
+    target = None;
   }
 
 type tie_break = Slack_first | Duration_first | Deadline_first
@@ -37,10 +39,16 @@ type 'a problem = {
   extract : unit -> 'a * int;
 }
 
-type stop_cause = Exhausted | Node_budget | Fail_budget | Wall_clock | Interrupt
+type stop_cause =
+  | Exhausted
+  | Target_met
+  | Node_budget
+  | Fail_budget
+  | Wall_clock
+  | Interrupt
 
 let stop_reason_of_cause = function
-  | Exhausted -> Obs.Solve_stats.Proved
+  | Exhausted | Target_met -> Obs.Solve_stats.Proved
   | Node_budget -> Obs.Solve_stats.Node_limit
   | Fail_budget -> Obs.Solve_stats.Fail_limit
   | Wall_clock -> Obs.Solve_stats.Wall_limit
@@ -126,13 +134,15 @@ let check_limits st =
    decided; [st.late_cursor] is set to the resume position for the
    children. *)
 let select_late st late_from =
-  let s = st.problem.store in
+  let mins = Store.mins st.problem.store
+  and maxs = Store.maxs st.problem.store in
   let lates = st.problem.lates in
   let order = st.late_order in
   let n = Array.length order in
-  let k = ref late_from in
-  while !k < n && Store.is_fixed s (fst lates.(Array.unsafe_get order !k)) do
-    incr k
+  let k = ref late_from and scanning = ref true in
+  while !scanning && !k < n do
+    let v = fst lates.(Array.unsafe_get order !k) in
+    if mins.(v) = maxs.(v) then incr k else scanning := false
   done;
   st.late_cursor <- !k;
   if !k >= n then -1 else order.(!k)
@@ -141,7 +151,8 @@ let select_late st late_from =
    est.  postponed.(i) holds the est at which task i was postponed, or
    min_int. *)
 let select_start st postponed =
-  let s = st.problem.store in
+  let mins = Store.mins st.problem.store
+  and maxs = Store.maxs st.problem.store in
   let starts = st.problem.starts in
   let best = ref (-1) in
   (* the (est, k2, k3) selection key, kept in three int refs so the scan —
@@ -149,8 +160,8 @@ let select_start st postponed =
   let b_est = ref max_int and b_k2 = ref max_int and b_k3 = ref min_int in
   for i = 0 to Array.length starts - 1 do
     let info = Array.unsafe_get starts i in
-    if not (Store.is_fixed s info.svar) then begin
-      let est = Store.min_of s info.svar in
+    let est = mins.(info.svar) in
+    if est <> maxs.(info.svar) then begin
       if postponed.(i) <> est then begin
         let slack = info.deadline - est - info.duration in
         (* always prefer small est; the remaining tie-break is the
@@ -180,8 +191,10 @@ let select_start st postponed =
   !best
 
 let all_starts_fixed st =
+  let mins = Store.mins st.problem.store
+  and maxs = Store.maxs st.problem.store in
   Array.for_all
-    (fun info -> Store.is_fixed st.problem.store info.svar)
+    (fun info -> mins.(info.svar) = maxs.(info.svar))
     st.problem.starts
 
 let record_solution st =
@@ -192,9 +205,14 @@ let record_solution st =
   if late_count < !(st.problem.bound) then begin
     st.best <- Some payload;
     st.problem.bound := late_count;
-    match st.limits.on_improve with
+    (match st.limits.on_improve with
     | Some announce -> announce late_count
-    | None -> ()
+    | None -> ());
+    match st.limits.target with
+    | Some target when late_count <= target ->
+        st.stop_cause <- Target_met;
+        raise Limit_reached
+    | _ -> ()
   end
 
 let rec dfs st postponed late_from =

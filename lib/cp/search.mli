@@ -39,6 +39,11 @@ type limits = {
   on_improve : (int -> unit) option;
       (** called with the new Σ N_j whenever this search records a better
           solution — the write side of the shared incumbent. *)
+  target : int option;
+      (** stop at the node that records a solution with Σ N_j at most this
+          value, reported as {!Target_met}.  Pass a proved lower bound: no
+          later solution could then beat the one just recorded, so the rest
+          of the tree would only re-prove it. *)
 }
 
 val no_limits : limits
@@ -71,12 +76,18 @@ type 'a problem = {
 (** Which condition ended the search.  [Exhausted] means the tree was
     explored to completion (or cut to emptiness by the bound) — the proof
     case; the others name the limit that cut the search. *)
-type stop_cause = Exhausted | Node_budget | Fail_budget | Wall_clock | Interrupt
+type stop_cause =
+  | Exhausted
+  | Target_met  (** a recorded solution reached [limits.target] *)
+  | Node_budget
+  | Fail_budget
+  | Wall_clock
+  | Interrupt
 
 val stop_reason_of_cause : stop_cause -> Obs.Solve_stats.stop_reason
-(** The telemetry-level reason for a search-level cause ([Exhausted] maps
-    to [Proved]; callers with richer context — cache hits, carried
-    certificates, LNS stalls — substitute their own). *)
+(** The telemetry-level reason for a search-level cause ([Exhausted] and
+    [Target_met] map to [Proved]; callers with richer context — cache hits,
+    carried certificates, LNS stalls — substitute their own). *)
 
 type 'a generic_outcome = {
   best : 'a option;

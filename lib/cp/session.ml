@@ -392,28 +392,32 @@ let search_core ~options core (inst : Instance.t) ~bound_to_beat limits =
           pj.Instance.job.T.deadline ))
       inst.Instance.jobs
   in
-  let infos = ref [] and pairs = ref [] in
+  let n = Instance.pending_task_count inst in
+  let starts = Array.make n { Search.svar = 0; duration = 0; deadline = 0 } in
+  let ids = Array.make n 0 and vars = Array.make n 0 in
+  let k = ref 0 in
   Array.iter
     (fun (pj : Instance.pending_job) ->
       let add (task : T.task) =
         let sl = Hashtbl.find core.tasks task.T.task_id in
-        infos :=
+        starts.(!k) <-
           {
             Search.svar = sl.t_var;
             duration = task.T.exec_time;
             deadline = pj.Instance.job.T.deadline;
-          }
-          :: !infos;
-        pairs := (task.T.task_id, sl.t_var) :: !pairs
+          };
+        ids.(!k) <- task.T.task_id;
+        vars.(!k) <- sl.t_var;
+        incr k
       in
       Array.iter add pj.Instance.pending_maps;
       Array.iter add pj.Instance.pending_reduces)
     inst.Instance.jobs;
-  let starts = Array.of_list (List.rev !infos) in
-  let pairs = Array.of_list (List.rev !pairs) in
   let extract () =
-    let m = Hashtbl.create (Array.length pairs) in
-    Array.iter (fun (id, v) -> Hashtbl.replace m id (Store.value s v)) pairs;
+    let m = Hashtbl.create n in
+    for k = 0 to n - 1 do
+      Hashtbl.replace m ids.(k) (Store.value s vars.(k))
+    done;
     let sol = Solution.evaluate inst m in
     (sol, sol.Solution.late_jobs)
   in

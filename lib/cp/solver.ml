@@ -360,21 +360,18 @@ let fast_path st =
 let settle ~options inst = fast_path (start ~options inst)
 
 let exact_regime ~options ~link ~exact st =
-  (* an improving solution that reaches [lb] is already optimal — stop
-     there instead of exhausting the rest of the tree to re-prove it *)
-  let hit_lb = ref false in
   let limits =
     {
       Search.fail_limit = options.fail_limit;
       node_limit = 0;
       wall_deadline = Some (st.t0 +. options.time_limit);
-      interrupt = Some (fun () -> !hit_lb || link.should_stop ());
+      interrupt = Some link.should_stop;
       tighten_bound = (if link.isolated then None else Some link.global_bound);
-      on_improve =
-        Some
-          (fun v ->
-            if v <= st.lb then hit_lb := true;
-            link.announce v);
+      on_improve = Some link.announce;
+      (* an improving solution that reaches [lb] is already optimal — stop
+         at that node instead of exhausting the rest of the tree to
+         re-prove it *)
+      target = Some st.lb;
     }
   in
   let outcome, search_s =
@@ -444,6 +441,7 @@ let lns_regime ~options ~link st (inst : Instance.t) =
            (sequential-replica) trajectory stays reproducible *)
         tighten_bound = None;
         on_improve = None;
+        target = None;
       }
     in
     (* prune against the best solution found anywhere: a fragment is only

@@ -197,6 +197,8 @@ let new_var t ~min ~max =
   t.nvars <- id + 1;
   id
 
+let mins t = t.mins
+let maxs t = t.maxs
 let min_of t v = t.mins.(v)
 let max_of t v = t.maxs.(v)
 let is_fixed t v = t.mins.(v) = t.maxs.(v)
@@ -372,34 +374,37 @@ let drain_queues t =
       Ring.clear q)
     t.queues
 
+(* The next pending propagator, lowest priority bucket first; -1 when every
+   queue is empty.  An int sentinel rather than an option: this runs once per
+   propagator execution and must not allocate. *)
+let next_pid t =
+  let q = t.queues in
+  if not (Ring.is_empty q.(0)) then Ring.pop q.(0)
+  else if not (Ring.is_empty q.(1)) then Ring.pop q.(1)
+  else if not (Ring.is_empty q.(2)) then Ring.pop q.(2)
+  else -1
+
 let propagate t =
-  let rec next_pid () =
-    if not (Ring.is_empty t.queues.(0)) then Some (Ring.pop t.queues.(0))
-    else if not (Ring.is_empty t.queues.(1)) then Some (Ring.pop t.queues.(1))
-    else if not (Ring.is_empty t.queues.(2)) then Some (Ring.pop t.queues.(2))
-    else None
-  and loop () =
-    match next_pid () with
-    | None -> ()
-    | Some pid ->
-        let p = t.props.(pid) in
-        p.queued <- false;
-        t.propagations <- t.propagations + 1;
-        let start_stamp = t.stamp in
-        t.running <- pid;
-        (match if t.instrumented then run_metered t pid p else p.run t with
-        | () ->
-            t.running <- -1;
-            (* Idempotent propagators are at fixpoint w.r.t. their own
-               writes too ([touch] kept [seen] current); others have only
-               provably absorbed the state they started from. *)
-            p.seen <- (if p.idempotent then t.stamp else start_stamp)
-        | exception e ->
-            t.running <- -1;
-            raise e);
-        loop ()
-  in
-  try loop ()
+  try
+    let pid = ref (next_pid t) in
+    while !pid >= 0 do
+      let p = t.props.(!pid) in
+      p.queued <- false;
+      t.propagations <- t.propagations + 1;
+      let start_stamp = t.stamp in
+      t.running <- !pid;
+      (match if t.instrumented then run_metered t !pid p else p.run t with
+      | () ->
+          t.running <- -1;
+          (* Idempotent propagators are at fixpoint w.r.t. their own
+             writes too ([touch] kept [seen] current); others have only
+             provably absorbed the state they started from. *)
+          p.seen <- (if p.idempotent then t.stamp else start_stamp)
+      | exception e ->
+          t.running <- -1;
+          raise e);
+      pid := next_pid t
+    done
   with Fail _ as e ->
     drain_queues t;
     raise e

@@ -35,6 +35,25 @@ val is_fixed : t -> var -> bool
 val value : t -> var -> int
 (** @raise Invalid_argument if not fixed. *)
 
+(** {2 Bulk read-only view of the bounds}
+
+    [mins t] and [maxs t] are the store's own bound arrays, not copies:
+    [(mins t).(v) = min_of t v] and [(maxs t).(v) = max_of t v] for every
+    variable [v], and the arrays keep reflecting every later {!set_min},
+    {!set_max} and backtrack.  The view is valid until the next {!new_var},
+    which may replace the arrays when it grows them; take it afresh at the
+    start of every propagator run or search step rather than keeping it
+    across registrations.  Indices at or beyond the number of variables hold
+    garbage.  Never write through the view: a write would bypass the trail
+    and the watch lists.
+
+    Hot loops read bounds through this view.  The dev build profile compiles
+    with [-opaque], which hides [min_of] and friends from the inliner, so
+    each per-element accessor call is a real cross-module call. *)
+
+val mins : t -> int array
+val maxs : t -> int array
+
 val set_min : t -> var -> int -> unit
 (** Raise the lower bound.  No-op if already at least that.  @raise Fail when
     it would cross the upper bound. *)
@@ -129,8 +148,9 @@ val stats_wakeups_skipped : t -> int
 
 val stats_scratch_reuse : t -> int
 (** Times a cumulative kernel skipped a full recompute because its cached
-    compulsory-part state matched the current bounds (see
-    {!Propagators.cumulative}); bumped via {!note_scratch_reuse}. *)
+    compulsory-part state matched the current bounds: a skipped run of
+    {!Propagators.cumulative}, or a run of {!Propagators.cumulative_dyn}
+    that reused its segment profile; bumped via {!note_scratch_reuse}. *)
 
 val stats_edge_finder_prunes : t -> int
 (** Bound tightenings performed by the disjunctive edge-finding propagator

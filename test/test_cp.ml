@@ -833,6 +833,65 @@ let test_lns_snapshot () =
     st.Cp.Solver.stop_reason;
   Alcotest.(check int) (name ^ " late") 1 sol.Solution.late_jobs
 
+(* --- bound target -------------------------------------------------------- *)
+
+(* A B&B run on a fresh model of [inst] under [limits]: (late count and
+   starts of the incumbent, nodes, stop cause). *)
+let target_run inst limits =
+  let model = Cp.Model.build inst ~horizon:(Cp.Model.default_horizon inst) in
+  let greedy = Sched.Greedy.solve inst in
+  model.Cp.Model.bound := greedy.Solution.late_jobs + 1;
+  let o = Cp.Search.run model limits in
+  let best =
+    Option.map
+      (fun (sol : Solution.t) ->
+        ( sol.Solution.late_jobs,
+          List.sort compare
+            (Hashtbl.fold (fun id st acc -> (id, st) :: acc) sol.Solution.starts
+               []) ))
+      o.Cp.Search.best
+  in
+  (best, o.Cp.Search.nodes, o.Cp.Search.stopped)
+
+(* Stopping at a proved lower bound changes nothing but the work: against
+   the classic bound and against the proved optimum, a search with that
+   target returns the untargeted search's incumbent, uses no more nodes,
+   and stops at the very node that recorded it — a run capped one node
+   earlier has not found it yet, a run capped at that node has. *)
+let prop_target_stops_at_incumbent =
+  QCheck.Test.make ~count:100 ~name:"target = lb: same incumbent, fewer nodes"
+    Gen.arb_tiny_instance (fun inst ->
+      let base = { Cp.Search.no_limits with Cp.Search.fail_limit = 50_000 } in
+      let plain, plain_nodes, plain_stop = target_run inst base in
+      let optimum =
+        match (plain, plain_stop) with
+        | Some (late, _), Cp.Search.Exhausted -> [ late ]
+        | _ -> []
+      in
+      let targets = Cp.Solver.late_lower_bound inst :: optimum in
+      List.for_all
+        (fun target ->
+          let best, nodes, stop =
+            target_run inst { base with Cp.Search.target = Some target }
+          in
+          let met =
+            match best with Some (late, _) -> late <= target | None -> false
+          in
+          let capped n =
+            let b, _, _ =
+              target_run inst { base with Cp.Search.node_limit = n }
+            in
+            b
+          in
+          let recorded_here () =
+            capped nodes = best && (nodes = 1 || capped (nodes - 1) <> best)
+          in
+          best = plain
+          && nodes <= plain_nodes
+          && (stop = Cp.Search.Target_met) = met
+          && ((not met) || recorded_here ()))
+        targets)
+
 let () =
   Alcotest.run "cp"
     [
@@ -907,5 +966,6 @@ let () =
             prop_portfolio_domains1_bit_identical;
             prop_portfolio_no_worse_than_sequential;
             prop_optimal_matches_bruteforce;
+            prop_target_stops_at_incumbent;
           ] );
     ]

@@ -236,6 +236,148 @@ let test_wakeups_skipped_on_search () =
   Alcotest.(check bool) "wakeups were suppressed" true
     (Store.stats_wakeups_skipped model.Model.store > 0)
 
+(* --- session pool caches ---------------------------------------------- *)
+
+(* Random walks over one [cumulative_dyn] pool: fix a start, tighten a
+   bound, backtrack, or (at the root, as a session does between searches)
+   add a task or retire a fixed one.  After every step the pool's fixpoint
+   must equal that of a fresh pool built over the same tasks at the bounds
+   the step started from: the fresh pool has no cached segments, prune
+   marks or event permutation, so any stale cache shows up as a different
+   bound or a different failure verdict. *)
+
+(* A walk is a capacity, initial tasks (est, lst - est, duration, demand,
+   frozen) and steps (kind, a, b): kinds 0–2 fix a start, 3 raise its min,
+   4 lower its max, 5–6 backtrack one level, 7 add a task at the root and 8
+   retire one there.  [a] and [b] pick the task and the value. *)
+let gen_walk =
+  let open QCheck.Gen in
+  let task =
+    tup5 (int_range 0 20) (int_range 0 15) (int_range 0 8) (int_range 0 3)
+      (frequency [ (1, return true); (4, return false) ])
+  in
+  tup3 (int_range 1 3)
+    (list_size (int_range 1 8) task)
+    (list_size (int_range 1 40)
+       (tup3 (int_range 0 8) (int_range 0 1000) (int_range 0 1000)))
+
+let print_walk (cap, tasks, ops) =
+  Printf.sprintf "capacity %d\ntasks %s\nops %s" cap
+    (String.concat "; "
+       (List.map
+          (fun (e, w, d, r, f) -> Printf.sprintf "(%d,%d,%d,%d,%b)" e w d r f)
+          tasks))
+    (String.concat "; "
+       (List.map (fun (k, a, b) -> Printf.sprintf "(%d,%d,%d)" k a b) ops))
+
+(* The fixpoint of a cache-free pool over [tasks] ((duration, demand, min,
+   max) each) at those bounds, or [None] when it fails. *)
+let fresh_fixpoint ~capacity tasks =
+  let s = Store.create () in
+  let pool = P.cumulative_dyn s ~capacity in
+  let vars =
+    List.map
+      (fun (duration, demand, lo, hi) ->
+        let v = Store.new_var s ~min:lo ~max:hi in
+        P.dyn_add pool s { P.start = v; duration; demand };
+        v)
+      tasks
+  in
+  match Store.propagate s with
+  | () -> Some (List.map (fun v -> (Store.min_of s v, Store.max_of s v)) vars)
+  | exception Store.Fail _ -> None
+
+let prop_dyn_pool_caches =
+  QCheck.Test.make ~count:300 ~name:"session pool caches = fresh pool"
+    (QCheck.make ~print:print_walk gen_walk) (fun (capacity, init, ops) ->
+      let s = Store.create () in
+      let pool = P.cumulative_dyn s ~capacity in
+      (* the registry as the test sees it: (var, duration, demand) *)
+      let live = ref [] in
+      let add (est, w, dur, dem, frozen) =
+        let dem = min dem capacity in
+        let v =
+          if frozen then Store.new_var s ~min:est ~max:est
+          else Store.new_var s ~min:est ~max:(est + w)
+        in
+        P.dyn_add pool s { P.start = v; duration = dur; demand = dem };
+        live := !live @ [ (v, dur, dem) ]
+      in
+      List.iter add init;
+      (* one propagation checked against the fresh pool; false once the
+         store failed at the root, which ends the walk *)
+      let checked_propagate () =
+        let before =
+          List.map
+            (fun (v, dur, dem) ->
+              (dur, dem, Store.min_of s v, Store.max_of s v))
+            !live
+        in
+        let expect = fresh_fixpoint ~capacity before in
+        let got =
+          match Store.propagate s with
+          | () ->
+              Some
+                (List.map
+                   (fun (v, _, _) -> (Store.min_of s v, Store.max_of s v))
+                   !live)
+          | exception Store.Fail _ -> None
+        in
+        if got <> expect then
+          QCheck.Test.fail_reportf "fixpoint differs at level %d"
+            (Store.level s);
+        got <> None
+      in
+      let pick a = List.nth !live (a mod List.length !live) in
+      let rec walk = function
+        | [] -> true
+        | (kind, a, b) :: rest ->
+            let ok =
+              if kind >= 5 && kind <= 6 then begin
+                if Store.level s > 0 then Store.backtrack s;
+                true
+              end
+              else if kind >= 7 then begin
+                Store.backtrack_to s 0;
+                if kind = 7 then begin
+                  add (a mod 21, b mod 16, a mod 9, b mod 4, false);
+                  checked_propagate ()
+                end
+                else begin
+                  (* a session fixes a completed task at its realized start,
+                     then retires it *)
+                  let v, _, _ = pick a in
+                  Store.fix s v (Store.min_of s v);
+                  checked_propagate ()
+                  && begin
+                       P.dyn_retire pool s v;
+                       live := List.filter (fun (u, _, _) -> u <> v) !live;
+                       !live <> [] && checked_propagate ()
+                     end
+                end
+              end
+              else begin
+                Store.push_level s;
+                let v, _, _ = pick a in
+                let lo = Store.min_of s v and hi = Store.max_of s v in
+                let x = lo + (b mod (hi - lo + 1)) in
+                (match kind with
+                | 3 -> Store.set_min s v x
+                | 4 -> Store.set_max s v x
+                | _ -> Store.fix s v x);
+                if checked_propagate () then true
+                else begin
+                  (* a failed node: undo it as the search does *)
+                  Store.backtrack s;
+                  true
+                end
+              end
+            in
+            if ok then walk rest
+            else (* root failure: the walk ends *) true
+      in
+      (not (checked_propagate ())) || walk ops)
+
 let () =
   Alcotest.run "kernels"
     [
@@ -262,5 +404,6 @@ let () =
             prop_root_fixpoint_no_looser;
             prop_timetable_trajectory_bit_identical;
             prop_kernels_agree_on_optimum;
+            prop_dyn_pool_caches;
           ] );
     ]
