@@ -31,9 +31,33 @@ let all_ids =
     "ablation-decomp";
   ]
 
+(* The workload generators reject out-of-range parameters with
+   [Invalid_argument].  Run their checks on the values the flags set before
+   any figure runs, so that a bad flag is a usage error (exit 124) rather
+   than an internal error. *)
+let check_inputs ~jobs ~fb_jobs ~lambdas =
+  match
+    Mapreduce.Synthetic.validate
+      { Mapreduce.Synthetic.default with Mapreduce.Synthetic.n_jobs = jobs };
+    List.iter
+      (fun lambda ->
+        Mapreduce.Facebook.validate
+          {
+            Mapreduce.Facebook.default with
+            Mapreduce.Facebook.n_jobs = fb_jobs;
+            lambda;
+          })
+      lambdas
+  with
+  | () -> Ok ()
+  | exception Invalid_argument msg -> Error (`Msg msg)
+
 let run_ids ids reps jobs fb_jobs seed budget out validate lambdas trace_out
-    metrics no_warm_start no_session kernel journal_out metrics_every
-    metrics_out trace_limit =
+    metrics no_warm_start no_session journal_out metrics_every metrics_out
+    trace_limit =
+  match check_inputs ~jobs ~fb_jobs ~lambdas with
+  | Error _ as error -> error
+  | Ok () ->
   let journal = Option.map (fun _ -> Obs.Journal.create ()) journal_out in
   let base =
     {
@@ -45,7 +69,6 @@ let run_ids ids reps jobs fb_jobs seed budget out validate lambdas trace_out
       instrument = metrics;
       warm_start = not no_warm_start;
       session = not no_session;
-      kernel;
       journal;
       metrics_every =
         Option.map (fun s -> int_of_float (1000. *. s)) metrics_every;
@@ -155,7 +178,7 @@ let run_ids ids reps jobs fb_jobs seed budget out validate lambdas trace_out
           close_out oc;
           Printf.printf "metrics: snapshot written to %s\n" path)
   | None -> ());
-  0
+  Ok 0
 
 let ids_arg =
   let doc =
@@ -215,18 +238,6 @@ let no_session =
                  and model on every manager invocation (the historical \
                  cold path).")
 
-let kernel =
-  let kernel_conv =
-    Arg.enum
-      (List.map
-         (fun k -> (Cp.Propagators.kernel_to_string k, k))
-         Cp.Propagators.all_kernels)
-  in
-  Arg.(value & opt kernel_conv Cp.Propagators.Both
-       & info [ "kernel" ]
-           ~doc:"Propagation kernel for every CP solve: timetable, \
-                 edge-finding, both (default), or naive.")
-
 let journal_out =
   Arg.(value & opt (some string) None
        & info [ "journal" ]
@@ -256,15 +267,16 @@ let cmd =
     List.concat_map (fun id -> if id = "all" then all_ids else [ id ]) ids
   in
   let term =
-    Term.(
+    Term.term_result ~usage:true
+    @@ Term.(
       const (fun ids reps jobs fb_jobs seed budget out validate lambdas
-                 trace_out metrics no_warm_start no_session kernel
-                 journal_out metrics_every metrics_out trace_limit ->
+                 trace_out metrics no_warm_start no_session journal_out
+                 metrics_every metrics_out trace_limit ->
           run_ids (expand ids) reps jobs fb_jobs seed budget out validate
-            lambdas trace_out metrics no_warm_start no_session kernel
-            journal_out metrics_every metrics_out trace_limit)
+            lambdas trace_out metrics no_warm_start no_session journal_out
+            metrics_every metrics_out trace_limit)
       $ ids_arg $ reps $ jobs $ fb_jobs $ seed $ budget $ out $ validate
-      $ lambdas $ trace_out $ metrics $ no_warm_start $ no_session $ kernel
+      $ lambdas $ trace_out $ metrics $ no_warm_start $ no_session
       $ journal_out $ metrics_every $ metrics_out $ trace_limit)
   in
   Cmd.v

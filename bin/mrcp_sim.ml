@@ -39,11 +39,48 @@ let write_metrics_out path = function
       Printf.eprintf
         "warning: --metrics-out needs solver instrumentation; pass --metrics\n"
 
+(* The workload generators and [uniform_cluster] reject out-of-range
+   parameters with [Invalid_argument].  Run the checks of the ones this
+   invocation uses before any simulation work, so that a bad flag is a usage
+   error (exit 124) rather than an internal error. *)
+let check_inputs ~workload ~replay ~synthetic ~facebook ~cluster =
+  match
+    match (replay, workload) with
+    | Some _, _ -> ignore (cluster ())
+    | None, Synthetic ->
+        ignore (cluster ());
+        Mapreduce.Synthetic.validate synthetic
+    | None, Facebook -> Mapreduce.Facebook.validate facebook
+  with
+  | () -> Ok ()
+  | exception Invalid_argument msg -> Error (`Msg msg)
+
 let run workload manager jobs lambda e_max p s_max d_m m map_cap reduce_cap
     seed budget ordering domains deferral validate verbose replay trace_out
-    metrics no_warm_start no_session kernel journal_out metrics_every
+    metrics no_warm_start no_session journal_out metrics_every
     metrics_out trace_limit crash_rate straggler_p straggler_factor task_fail_p
     =
+  let synthetic =
+    {
+      Mapreduce.Synthetic.default with
+      Mapreduce.Synthetic.n_jobs = jobs;
+      e_max;
+      p;
+      s_max;
+      d_m;
+      lambda;
+    }
+  in
+  let facebook =
+    { Mapreduce.Facebook.default with Mapreduce.Facebook.n_jobs = jobs; lambda }
+  in
+  let cluster () =
+    Mapreduce.Types.uniform_cluster ~m ~map_capacity:map_cap
+      ~reduce_capacity:reduce_cap
+  in
+  match check_inputs ~workload ~replay ~synthetic ~facebook ~cluster with
+  | Error _ as error -> error
+  | Ok () ->
   let warm_start = not no_warm_start in
   let session = not no_session in
   let chaos =
@@ -83,7 +120,6 @@ let run workload manager jobs lambda e_max p s_max d_m m map_cap reduce_cap
       instrument = metrics;
       warm_start;
       session;
-      kernel;
       journal;
       metrics_every;
       chaos;
@@ -105,7 +141,7 @@ let run workload manager jobs lambda e_max p s_max d_m m map_cap reduce_cap
         Printf.printf "journal: %d events written to %s\n"
           (Obs.Journal.events j) path
     | _ -> ());
-    code
+    Ok code
   in
   finish
   @@
@@ -117,16 +153,13 @@ let run workload manager jobs lambda e_max p s_max d_m m map_cap reduce_cap
           Printf.eprintf "error loading %s: %s\n" path e;
           1
       | Ok trace_jobs ->
-          let cluster =
-            Mapreduce.Types.uniform_cluster ~m ~map_capacity:map_cap
-              ~reduce_capacity:reduce_cap
-          in
+          let cluster = cluster () in
           let driver =
             match manager with
             | Expkit.Runner.Mrcp_rm | Expkit.Runner.Greedy_only ->
                 let solver =
                   { Cp.Solver.default_options with Cp.Solver.ordering;
-                    time_limit = budget; seed; instrument = metrics; kernel }
+                    time_limit = budget; seed; instrument = metrics }
                 in
                 Opensim.Driver.of_mrcp
                   (Mrcp.Manager.create ~cluster
@@ -177,22 +210,8 @@ let run workload manager jobs lambda e_max p s_max d_m m map_cap reduce_cap
     match workload with
     | Synthetic ->
         Expkit.Runner.run_synthetic ~m ~map_capacity:map_cap
-          ~reduce_capacity:reduce_cap
-          ~params:
-            {
-              Mapreduce.Synthetic.default with
-              Mapreduce.Synthetic.e_max;
-              p;
-              s_max;
-              d_m;
-              lambda;
-            }
-          ~config ()
-    | Facebook ->
-        Expkit.Runner.run_facebook
-          ~params:
-            { Mapreduce.Facebook.default with Mapreduce.Facebook.lambda }
-          ~config ()
+          ~reduce_capacity:reduce_cap ~params:synthetic ~config ()
+    | Facebook -> Expkit.Runner.run_facebook ~params:facebook ~config ()
   in
   print_string
     (Report.Table.render ~headers:Expkit.Runner.point_headers
@@ -228,14 +247,9 @@ let ordering_conv =
       ("least-laxity", Sched.Greedy.Least_laxity);
     ]
 
-let kernel_conv =
-  Arg.enum
-    (List.map
-       (fun k -> (Cp.Propagators.kernel_to_string k, k))
-       Cp.Propagators.all_kernels)
-
 let term =
-  Term.(
+  Term.term_result ~usage:true
+  @@ Term.(
     const run
     $ Arg.(value & opt workload_conv Synthetic
            & info [ "workload" ] ~doc:"synthetic (Table 3) or facebook (Table 4).")
@@ -285,12 +299,6 @@ let term =
                ~doc:"Disable the persistent solver session: rebuild the \
                      store and model on every invocation (the historical \
                      cold path, bit-identical trajectories).")
-    $ Arg.(value & opt kernel_conv Cp.Propagators.Both
-           & info [ "kernel" ]
-               ~doc:"Propagation kernel: timetable (incremental time table), \
-                     edge-finding (Θ-tree filtering on unary-equivalent \
-                     pools), both (default), or naive (pre-overhaul \
-                     reference kernel).")
     $ Arg.(value & opt (some string) None
            & info [ "journal" ]
                ~doc:"Write the structured decision journal (JSONL, one event \

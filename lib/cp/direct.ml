@@ -30,14 +30,7 @@ type model = {
   bound_pid : Store.propagator_id;
 }
 
-let build ?(kernel = Propagators.Both) (inst : Instance.t) ~cluster ~horizon =
-  (* the gated kernel is always the incremental time table; [kernel] decides
-     whether the energetic-reasoning failure check rides along *)
-  let energetic =
-    match kernel with
-    | Propagators.Edge_finding | Propagators.Both -> true
-    | Propagators.Naive | Propagators.Timetable -> false
-  in
+let build (inst : Instance.t) ~cluster ~horizon =
   if Instance.fixed_task_count inst > 0 then
     invalid_arg "Direct.build: frozen tasks are not supported";
   if
@@ -103,7 +96,7 @@ let build ?(kernel = Propagators.Both) (inst : Instance.t) ~cluster ~horizon =
         |> Array.of_list
       in
       if res.T.map_capacity > 0 then
-        Propagators.cumulative_gated ~energetic store ~tasks:(gated T.Map_task)
+        Propagators.cumulative_gated store ~tasks:(gated T.Map_task)
           ~capacity:res.T.map_capacity
       else if
         Array.exists (fun e -> e.task.T.kind = T.Map_task) entries
@@ -123,7 +116,7 @@ let build ?(kernel = Propagators.Both) (inst : Instance.t) ~cluster ~horizon =
             end)
           entries;
       if res.T.reduce_capacity > 0 then
-        Propagators.cumulative_gated ~energetic store
+        Propagators.cumulative_gated store
           ~tasks:(gated T.Reduce_task) ~capacity:res.T.reduce_capacity
       else if Array.exists (fun e -> e.task.T.kind = T.Reduce_task) entries
       then
@@ -278,11 +271,11 @@ let rec dfs st postponed =
               postponed'.(i) <- est;
               dfs st postponed'))
 
-let solve ?(limits = Search.no_limits) ?kernel ~cluster (inst : Instance.t) =
+let solve ?(limits = Search.no_limits) ~cluster (inst : Instance.t) =
   let t0 = Obs.Clock.now () in
   let greedy = Sched.Greedy.solve inst in
   let horizon = Model.default_horizon inst in
-  let model = build ?kernel inst ~cluster ~horizon in
+  let model = build inst ~cluster ~horizon in
   model.bound := greedy.Solution.late_jobs + 1;
   let st =
     { model; limits; best = None; nodes = 0; failures = 0; ticks = 1 }

@@ -25,13 +25,10 @@ type stats = {
 
 val solve :
   ?limits:Search.limits ->
-  ?kernel:Propagators.kernel ->
   cluster:Mapreduce.Types.resource array ->
   Sched.Instance.t ->
   (assignment option * stats)
-(** Branch-and-bound on the direct model.  [kernel] (default
-    {!Propagators.Both}) only selects whether the gated cumulative also runs
-    the energetic-reasoning failure check ([Edge_finding]/[Both] do).  The objective bound starts at
+(** Branch-and-bound on the direct model.  The objective bound starts at
     (greedy late count + 1), so the search must find its own full
     task-to-resource assignment at least as good as the greedy combined
     schedule — i.e. the direct formulation performs matchmaking and

@@ -34,7 +34,7 @@ let default_horizon (inst : Instance.t) =
     inst.Instance.jobs;
   max (max !max_est !frozen) inst.Instance.now + !work + 1
 
-let build ?(kernel = Propagators.Both) (inst : Instance.t) ~horizon =
+let build ?(kernel = Propagators.capacity) (inst : Instance.t) ~horizon =
   let store = Store.create () in
   let n_jobs = Array.length inst.Instance.jobs in
   let starts = ref [] in
@@ -112,12 +112,10 @@ let build ?(kernel = Propagators.Both) (inst : Instance.t) ~horizon =
                     f.Instance.task.T.capacity_req )))
     |> Array.of_list
   in
-  Propagators.cumulative_kernel store ~kernel
-    ~tasks:(Array.of_list !map_terms)
+  kernel store ~tasks:(Array.of_list !map_terms)
     ~fixed:(fixed_of (fun j -> j.Instance.fixed_maps))
     ~capacity:inst.Instance.map_capacity;
-  Propagators.cumulative_kernel store ~kernel
-    ~tasks:(Array.of_list !reduce_terms)
+  kernel store ~tasks:(Array.of_list !reduce_terms)
     ~fixed:(fixed_of (fun j -> j.Instance.fixed_reduces))
     ~capacity:inst.Instance.reduce_capacity;
   (* objective cut for branch-and-bound: Σ N_j < bound *)

@@ -29,13 +29,24 @@ type t = {
   horizon : int;
 }
 
-val build : ?kernel:Propagators.kernel -> Sched.Instance.t -> horizon:int -> t
+val build :
+  ?kernel:
+    (Store.t ->
+    tasks:Propagators.term array ->
+    fixed:(int * int * int) array ->
+    capacity:int ->
+    unit) ->
+  Sched.Instance.t ->
+  horizon:int ->
+  t
 (** Construct and post all constraints.  Does not propagate; callers run
     {!Store.propagate} (and should catch {!Store.Fail} — an instance can be
     infeasible only if the horizon is too small, since lateness is soft).
-    [kernel] selects the capacity-constraint implementation (default
-    {!Propagators.Both}: incremental time table everywhere, plus
-    edge finding on unary-equivalent pools). *)
+
+    [kernel] posts the capacity constraint of each pool, map pool first.  It
+    defaults to {!Propagators.capacity}, which every solve uses; the
+    parameter is a seam for tests that compare the model under other
+    postings (a reference time table, the time table alone). *)
 
 val default_horizon : Sched.Instance.t -> int
 (** A horizon provably large enough to contain some optimal semi-active

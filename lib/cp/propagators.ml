@@ -1,22 +1,5 @@
 type term = { start : Store.var; duration : int; demand : int }
 
-type kernel = Naive | Timetable | Edge_finding | Both
-
-let kernel_to_string = function
-  | Naive -> "naive"
-  | Timetable -> "timetable"
-  | Edge_finding -> "edge-finding"
-  | Both -> "both"
-
-let kernel_of_string = function
-  | "naive" -> Some Naive
-  | "timetable" -> Some Timetable
-  | "edge-finding" | "edge_finding" -> Some Edge_finding
-  | "both" -> Some Both
-  | _ -> None
-
-let all_kernels = [ Naive; Timetable; Edge_finding; Both ]
-
 let ge_offset s y x c =
   let pid =
     Store.register s ~priority:0 ~name:"ge_offset" ~idempotent:true (fun s ->
@@ -109,113 +92,10 @@ let check_cumulative_args ~tasks ~capacity =
       if t.demand > capacity then raise (Store.Fail "task demand > capacity"))
     tasks
 
-(* Reference kernel, kept verbatim as the [Naive] baseline for differential
-   tests and benchmarks: rebuilds the profile with list allocation and a
-   full O(n log n) sort on every run.  [cumulative] below computes the same
-   fixpoint without allocating. *)
-let cumulative_naive s ~tasks ~fixed ~capacity =
-  check_cumulative_args ~tasks ~capacity;
-  let n = Array.length tasks in
-  (* events of the frozen tasks never change: precompute *)
-  let fixed_events =
-    Array.to_list fixed
-    |> List.concat_map (fun (start, duration, demand) ->
-           if duration > 0 && demand > 0 then
-             [ (start, demand); (start + duration, -demand) ]
-           else [])
-  in
-  let run s =
-    (* 1. collect compulsory parts *)
-    let events = ref fixed_events in
-    let comp_lo = Array.make n 0 and comp_hi = Array.make n 0 in
-    for i = 0 to n - 1 do
-      let t = tasks.(i) in
-      if t.duration > 0 && t.demand > 0 then begin
-        let est = Store.min_of s t.start and lst = Store.max_of s t.start in
-        let lo = lst and hi = est + t.duration in
-        if lo < hi then begin
-          comp_lo.(i) <- lo;
-          comp_hi.(i) <- hi;
-          events := (lo, t.demand) :: (hi, -t.demand) :: !events
-        end
-        else begin
-          comp_lo.(i) <- max_int;
-          comp_hi.(i) <- max_int
-        end
-      end
-      else begin
-        comp_lo.(i) <- max_int;
-        comp_hi.(i) <- max_int
-      end
-    done;
-    (* 2. sweep into a step profile *)
-    let events = Array.of_list !events in
-    Array.sort (fun (a, _) (b, _) -> compare a b) events;
-    let ne = Array.length events in
-    (* segments: (seg_start, seg_end, usage), usage > 0 only *)
-    let seg_start = ref [] in
-    let i = ref 0 in
-    let usage = ref 0 in
-    while !i < ne do
-      let time = fst events.(!i) in
-      while !i < ne && fst events.(!i) = time do
-        usage := !usage + snd events.(!i);
-        incr i
-      done;
-      if !usage > capacity then raise (Store.Fail "cumulative overload");
-      let next = if !i < ne then fst events.(!i) else max_int in
-      if !usage > 0 && next > time then
-        seg_start := (time, next, !usage) :: !seg_start
-    done;
-    let segments = Array.of_list (List.rev !seg_start) in
-    let nseg = Array.length segments in
-    if nseg > 0 then begin
-      (* 3. prune: for each task, push est right (and lst left) past segments
-         where the remaining capacity cannot fit its demand.  A task's own
-         compulsory contribution is subtracted before testing. *)
-      for t = 0 to n - 1 do
-        let task = tasks.(t) in
-        if task.duration > 0 && task.demand > 0
-           && not (Store.is_fixed s task.start)
-        then begin
-          let own_lo = comp_lo.(t) and own_hi = comp_hi.(t) in
-          let overloaded (a, b, u) =
-            let u =
-              if own_lo < b && own_hi > a then u - task.demand else u
-            in
-            u + task.demand > capacity
-          in
-          (* min side *)
-          let est = ref (Store.min_of s task.start) in
-          for k = 0 to nseg - 1 do
-            let (a, b, _) = segments.(k) in
-            if
-              a < !est + task.duration && b > !est
-              && overloaded segments.(k)
-            then est := b
-          done;
-          Store.set_min s task.start !est;
-          (* max side (mirror, sweep right to left) *)
-          let lst = ref (Store.max_of s task.start) in
-          for k = nseg - 1 downto 0 do
-            let (a, b, _) = segments.(k) in
-            if
-              a < !lst + task.duration && b > !lst
-              && overloaded segments.(k)
-            then lst := a - task.duration
-          done;
-          Store.set_max s task.start !lst
-        end
-      done
-    end
-  in
-  let pid = Store.register s ~priority:2 ~name:"cumulative_naive" run in
-  Array.iter (fun t -> Store.watch s t.start pid) tasks;
-  Store.schedule s pid
-
-(* Allocation-free incremental time-table kernel.  Same propagation (segment
-   profile + per-task overload test) as [cumulative_naive], so search
-   trajectories are identical; only the mechanics differ:
+(* Allocation-free incremental time-table kernel.  The propagation is the
+   textbook one (segment profile + per-task overload test; the list-based
+   reference version is the test suite's oracle), computed without
+   allocating:
 
    - every task owns two stable event slots (2i for the compulsory-part
      start, 2i+1 for its end); frozen occupations live in the tail slots,
@@ -330,7 +210,7 @@ let cumulative s ~tasks ~fixed ~capacity =
         end
       done;
       let nseg = !nseg in
-      (* 4. prune — same rules and same order as the naive kernel *)
+      (* 4. prune — same rules and same order as the reference kernel *)
       let changed = ref false in
       if nseg > 0 then
         for t = 0 to n - 1 do
@@ -547,22 +427,14 @@ let disjunctive s ~tasks ~fixed =
     Store.schedule s pid
   end
 
-(* --- kernel dispatch ------------------------------------------------------ *)
+(* --- the capacity constraint of one pool --------------------------------- *)
 
-let cumulative_kernel s ~kernel ~tasks ~fixed ~capacity =
-  let eligible () = disjunctive_applicable ~tasks ~fixed ~capacity in
-  match kernel with
-  | Naive -> cumulative_naive s ~tasks ~fixed ~capacity
-  | Timetable -> cumulative s ~tasks ~fixed ~capacity
-  | Edge_finding ->
-      (* sound alone only on unary-equivalent pools: there any overlap is an
-         overload the Θ-tree check catches, so leaf states are fully
-         verified; elsewhere fall back to the timetable *)
-      if eligible () then disjunctive s ~tasks ~fixed
-      else cumulative s ~tasks ~fixed ~capacity
-  | Both ->
-      cumulative s ~tasks ~fixed ~capacity;
-      if eligible () then disjunctive s ~tasks ~fixed
+let capacity s ~tasks ~fixed ~capacity =
+  cumulative s ~tasks ~fixed ~capacity;
+  (* on a unary-equivalent pool the Θ-tree rules prune what the time table
+     cannot; elsewhere they would be unsound *)
+  if disjunctive_applicable ~tasks ~fixed ~capacity then
+    disjunctive s ~tasks ~fixed
 
 (* --- per-resource cumulative gated on assignment variables --------------- *)
 
@@ -579,7 +451,7 @@ type gated = {
    the paper decomposes, §V.D), so the bound is generous in practice. *)
 let energetic_member_limit = 24
 
-let cumulative_gated ?(energetic = false) s ~tasks ~capacity =
+let cumulative_gated s ~tasks ~capacity =
   if capacity <= 0 then invalid_arg "cumulative_gated: capacity must be > 0";
   let n = Array.length tasks in
   (* same incremental machinery as [cumulative]: stable per-task event
@@ -752,7 +624,7 @@ let cumulative_gated ?(energetic = false) s ~tasks ~capacity =
             Store.set_max s task.g_start !lst
           end
         done;
-      if energetic then energetic_check s;
+      energetic_check s;
       if not !changed then valid := true
     end
   in
@@ -770,12 +642,12 @@ let cumulative_gated ?(energetic = false) s ~tasks ~capacity =
 (* [cumulative]'s task set is fixed at posting time; a {!Session} needs one
    capacity propagator per pool whose registry grows (job arrivals) and
    shrinks (completed tasks retracted) across solver invocations.  The
-   kernel below applies the [cumulative_naive] rules — identical segment
-   profile, identical per-task overload pruning — to a mutable registry,
-   with the allocation-free machinery of [cumulative]: stable per-task
-   event slots ([max_int] sentinel when a task has no compulsory part), a
-   persistent insertion-sorted event permutation (reset to the identity
-   whenever the registry changes shape), and preallocated segment scratch.
+   kernel below applies the [cumulative] rules — identical segment profile,
+   identical per-task overload pruning — to a mutable registry, with the
+   same allocation-free machinery: stable per-task event slots ([max_int]
+   sentinel when a task has no compulsory part), a persistent
+   insertion-sorted event permutation (reset to the identity whenever the
+   registry changes shape), and preallocated segment scratch.
 
    Unlike the static kernels it runs to its own fixpoint: after a pass that
    moved a bound it refreshes and prunes again before returning, so it is
@@ -917,7 +789,7 @@ let dyn_overloaded p k ~own_lo ~own_hi ~dem =
   in
   u + dem > p.dp_capacity
 
-(* Prune task [i] exactly as [cumulative_naive] does; the segments are
+(* Prune task [i] exactly as [cumulative] does; the segments are
    sorted and disjoint, so binary-search the first candidate and stop past
    the window.  Marks the task pruned when nothing moved; returns whether a
    bound moved. *)

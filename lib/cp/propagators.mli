@@ -10,7 +10,8 @@
       checking, handling both variable-start tasks and frozen
       (isPrevScheduled) tasks;
     - {!disjunctive}: Θ-tree overload checking + edge finding for pools that
-      behave as a unary resource.
+      behave as a unary resource;
+    - {!capacity}: the two above combined, as the model posts them.
 
     Each function registers the propagator, wires its watches (to exactly
     the variable events its rules read — see {!Store.watch_min} etc.), and
@@ -18,24 +19,6 @@
 
 type term = { start : Store.var; duration : int; demand : int }
 (** A task as seen by [cumulative]. *)
-
-(** Which capacity-constraint implementation the model posts.  [Naive] is
-    the allocation-heavy reference time-table kernel, kept as the baseline
-    for differential tests and benchmarks.  [Timetable] is the incremental
-    allocation-free kernel with the identical fixpoint (and hence identical
-    search trajectory).  [Edge_finding] replaces the time-table with
-    {!disjunctive} on pools where that is sound (see
-    {!disjunctive_applicable}), falling back to [Timetable] elsewhere.
-    [Both] — the default — runs the time-table everywhere and additionally
-    posts {!disjunctive} on eligible pools. *)
-type kernel = Naive | Timetable | Edge_finding | Both
-
-val kernel_to_string : kernel -> string
-val kernel_of_string : string -> kernel option
-(** Accepts ["naive"], ["timetable"], ["edge-finding"] (or
-    ["edge_finding"]), ["both"]. *)
-
-val all_kernels : kernel list
 
 val ge_offset : Store.t -> Store.var -> Store.var -> int -> unit
 (** [ge_offset s y x c] enforces y ≥ x + c (bounds in both directions). *)
@@ -74,18 +57,8 @@ val cumulative :
     per-task event slots refreshed only when the task's bounds moved, an
     insertion sort over the (nearly sorted) event permutation, and a
     witnessed-fixpoint skip counted in {!Store.stats_scratch_reuse}.  The
-    propagation — and so the search trajectory — is identical to
-    {!cumulative_naive}. *)
-
-val cumulative_naive :
-  Store.t ->
-  tasks:term array ->
-  fixed:(int * int * int) array ->
-  capacity:int ->
-  unit
-(** The pre-overhaul reference implementation of {!cumulative} (rebuilds
-    the profile with fresh lists and a full sort each run).  Same pruning;
-    kept for differential testing and as the benchmark baseline. *)
+    test suite checks its fixpoints and search trajectories against a
+    list-based reference implementation of the same rules. *)
 
 val disjunctive_applicable :
   tasks:term array -> fixed:(int * int * int) array -> capacity:int -> bool
@@ -104,15 +77,15 @@ val disjunctive :
     is reported as an overload failure.  Prunes are counted in
     {!Store.stats_edge_finder_prunes}. *)
 
-val cumulative_kernel :
+val capacity :
   Store.t ->
-  kernel:kernel ->
   tasks:term array ->
   fixed:(int * int * int) array ->
   capacity:int ->
   unit
-(** Post the capacity constraint for one pool according to [kernel] (see
-    {!type:kernel}). *)
+(** Post the capacity constraint of one pool (constraints (5)/(6)): {!cumulative} on every pool, plus {!disjunctive}
+    where {!disjunctive_applicable} holds (there edge finding prunes what
+    the time table cannot). *)
 
 type gated = {
   g_start : Store.var;
@@ -122,8 +95,7 @@ type gated = {
   g_value : int;  (** the task occupies this resource iff g_member = value *)
 }
 
-val cumulative_gated :
-  ?energetic:bool -> Store.t -> tasks:gated array -> capacity:int -> unit
+val cumulative_gated : Store.t -> tasks:gated array -> capacity:int -> unit
 (** Per-resource cumulative for the paper's {e direct} formulation (the x_tr
     variables of Table 1, before the §V.D decomposition): a task contributes
     to this resource's profile only once its choice variable is fixed to
@@ -133,13 +105,13 @@ val cumulative_gated :
     branch-and-bound needs for soundness.
 
     Incremental like {!cumulative} (membership + bounds cache, stable event
-    slots, witnessed-fixpoint skip).  With [energetic] (default false), a
-    run additionally performs an energetic-reasoning failure check over the
-    current members: for every window spanned by member release dates and
-    deadlines, the summed minimal-intersection energy must fit
-    [capacity × window]; the check detects some infeasible partial
-    assignments the time table cannot, and is skipped beyond a small member
-    count to bound its O(m²)-windows cost. *)
+    slots, witnessed-fixpoint skip).  Each run also performs an
+    energetic-reasoning failure check over the current members: for every
+    window spanned by member release dates and deadlines, the summed
+    minimal-intersection energy must fit [capacity × window]; the check
+    detects some infeasible partial assignments the time table cannot, and
+    is skipped beyond a small member count to bound its O(m²)-windows
+    cost. *)
 
 (** {1 Dynamic registries}
 
@@ -151,8 +123,8 @@ val cumulative_gated :
 
 type dyn_pool
 (** A capacity propagator over a mutable task registry: the
-    {!cumulative_naive} profile and pruning (identical fixpoint), with
-    {!cumulative}'s allocation-free event machinery.  Each run iterates to
+    {!cumulative} profile and pruning (identical fixpoint), with its
+    allocation-free event machinery.  Each run iterates to
     the propagator's own fixpoint, so it is registered idempotent.  It
     rebuilds its segment profile only when some compulsory part moved, and
     re-prunes only the tasks whose bounds moved since they were last found

@@ -19,7 +19,6 @@ type options = {
   tie_break : Search.tie_break;
   instrument : bool;
   warm_start : incumbent option;
-  kernel : Propagators.kernel;
 }
 
 let default_options =
@@ -34,7 +33,6 @@ let default_options =
     tie_break = Search.Slack_first;
     instrument = false;
     warm_start = None;
-    kernel = Propagators.Both;
   }
 
 (* Hooks a portfolio coordinator installs so concurrent workers share the
@@ -273,10 +271,7 @@ type exact_search =
 (* The default exact backend: a fresh Table-1 model of [inst].  LNS runs
    every fragment through it too. *)
 let model_search ~options inst ~registry ~bound_to_beat limits =
-  let model =
-    Model.build ~kernel:options.kernel inst
-      ~horizon:(Model.default_horizon inst)
-  in
+  let model = Model.build inst ~horizon:(Model.default_horizon inst) in
   model.Model.bound := bound_to_beat;
   if registry <> None then Store.set_instrumented model.Model.store true;
   let outcome = Search.run ~tie_break:options.tie_break model limits in

@@ -50,11 +50,6 @@ type options = {
           candidate only replaces the greedy seed when it passes the Table-1
           oracle and is at least as good, so a warm solve is never seeded
           worse than a cold one. *)
-  kernel : Propagators.kernel;
-      (** capacity-constraint implementation for every model the solve
-          builds (default {!Propagators.Both}; [Timetable] is the escape
-          hatch reproducing the pre-overhaul trajectory exactly, [Naive] the
-          allocation-heavy reference kernel). *)
 }
 
 val default_options : options

@@ -23,7 +23,6 @@ type config = {
   instrument : bool;
   warm_start : bool;
   session : bool;
-  kernel : Cp.Propagators.kernel;
   journal : Obs.Journal.t option;
       (* one journal shared across reps: events of rep i+1 append after rep
          i's (seq keeps growing); use reps = 1 for per-run audit files *)
@@ -47,7 +46,6 @@ let default_config =
     instrument = false;
     warm_start = true;
     session = true;
-    kernel = Cp.Propagators.Both;
     journal = None;
     metrics_every = None;
     chaos = None;
@@ -77,7 +75,6 @@ let make_driver config cluster ~seed =
           time_limit = config.solver_time_limit;
           seed;
           instrument = config.instrument;
-          kernel = config.kernel;
         }
       in
       let solver =

@@ -1,7 +1,7 @@
 (** Shared experiment runner: one "point" = one (workload, system, manager)
     configuration, replicated over several seeds, summarizing the paper's
     four metrics.  Used by bin/experiments.ml (figure regeneration) and
-    bench/main.ml. *)
+    bin/mrcp_sim.ml. *)
 
 type manager_kind =
   | Mrcp_rm  (** the paper's contribution *)
@@ -37,9 +37,6 @@ type config = {
       (** solve through a persistent {!Cp.Session} (one store per manager,
           diffed between invocations); [false] rebuilds the model on every
           invocation ([--no-session] in the CLIs) *)
-  kernel : Cp.Propagators.kernel;
-      (** propagation kernel for every CP solve ([--kernel] in the CLIs;
-          default {!Cp.Propagators.Both}) *)
   journal : Obs.Journal.t option;
       (** decision journal shared by the manager and the simulator
           ([--journal] in the CLIs).  One journal spans every replication:

@@ -50,10 +50,13 @@ let expected_reduces_per_job () = mix_mean (fun c -> c.reduces)
 
 let ms_per_s = 1000.
 
-let generate p ~cluster ~seed =
+let validate p =
   if p.n_jobs <= 0 then invalid_arg "Facebook.generate: n_jobs must be > 0";
   if p.lambda <= 0. then invalid_arg "Facebook.generate: lambda must be > 0";
-  if p.d_m < 1. then invalid_arg "Facebook.generate: d_M must be >= 1";
+  if p.d_m < 1. then invalid_arg "Facebook.generate: d_M must be >= 1"
+
+let generate p ~cluster ~seed =
+  validate p;
   let root = Simrand.Rng.create seed in
   let arrivals_rng = Simrand.Rng.split root in
   let class_rng = Simrand.Rng.split root in

@@ -34,7 +34,12 @@ val cluster : unit -> Types.resource array
 
 val generate : params -> cluster:Types.resource array -> seed:int -> Types.job list
 (** Stream of jobs with Poisson arrivals; class of each job drawn from the
-    Table-4 empirical mix. *)
+    Table-4 empirical mix.  @raise Invalid_argument as {!validate}. *)
+
+val validate : params -> unit
+(** The parameter checks {!generate} starts with, for callers that want to
+    reject bad input before doing any work.
+    @raise Invalid_argument naming the first out-of-range field. *)
 
 val expected_maps_per_job : unit -> float
 (** Mean k_mp over the mix — used by tests. *)

@@ -33,6 +33,12 @@ val default : params
 val generate : params -> cluster:Types.resource array -> seed:int -> Types.job list
 (** Jobs sorted by (strictly increasing ids and) non-decreasing arrival time.
     Task ids are globally unique across the returned workload.  The [cluster]
-    is needed to compute TE for the deadline formula. *)
+    is needed to compute TE for the deadline formula.
+    @raise Invalid_argument as {!validate}. *)
+
+val validate : params -> unit
+(** The parameter checks {!generate} starts with, for callers that want to
+    reject bad input before doing any work.
+    @raise Invalid_argument naming the first out-of-range field. *)
 
 val pp_params : Format.formatter -> params -> unit

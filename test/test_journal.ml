@@ -7,9 +7,9 @@ module T = Mapreduce.Types
 module M = Obs.Metrics
 
 (* The acceptance workload: the contended λ=0.05 / 40-job / 4-host variant
-   of the Fig. 2 setup that BENCH_session.json tracks.  fail_limit (not the
-   wall clock) cuts every exact search, so trajectories — and hence
-   journals — are deterministic. *)
+   of the Fig. 2 setup, with the job parameters of each episode of
+   perfbench's contended-episodes workload.  fail_limit (not the wall clock) cuts every exact search, so
+   trajectories — and hence journals — are deterministic. *)
 let cluster = T.uniform_cluster ~m:4 ~map_capacity:2 ~reduce_capacity:2
 
 let params =

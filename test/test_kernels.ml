@@ -1,19 +1,39 @@
-(* Tests for the propagation-kernel overhaul: event-granular watchers and
+(* Tests for the capacity propagators: event-granular watchers and
    timestamp wakeup suppression in the store, the Θ-Λ tree, and differential
-   properties between the naive, timetable and edge-finding kernels.
+   properties between capacity postings passed through [Model.build]'s
+   [kernel] seam:
+   - [naive]: the list-based reference time table ({!Naive_cumulative});
+   - [timetable]: the library's allocation-free time table alone;
+   - [edge_finding]: the Θ-tree filter alone where it is sound, the time
+     table elsewhere;
+   - [production]: what every solve posts, {!Cp.Propagators.capacity} (the
+     time table everywhere, plus the Θ-tree filter on unary-equivalent
+     pools).
 
    The key invariants:
-   - [Timetable] computes exactly the pre-overhaul fixpoints, so its search
+   - [timetable] computes exactly the reference fixpoints, so its search
      trajectory (nodes/failures/objective/proof) is bit-identical to
-     [Naive]'s on every instance;
-   - the edge-finding kernels only prune — they never lose a solution the
-     timetable search can reach, so proved objectives agree across all four
-     kernels. *)
+     [naive]'s on every instance;
+   - edge finding only prunes — it never loses a solution the time-table
+     search can reach, so proved objectives agree across all four
+     postings;
+   - [production] engages the edge finder exactly on unary pools. *)
 
 module Store = Cp.Store
 module P = Cp.Propagators
 module Model = Cp.Model
 module Search = Cp.Search
+
+let naive = Naive_cumulative.post
+let timetable = P.cumulative
+
+let edge_finding s ~tasks ~fixed ~capacity =
+  if P.disjunctive_applicable ~tasks ~fixed ~capacity then
+    P.disjunctive s ~tasks ~fixed
+  else P.cumulative s ~tasks ~fixed ~capacity
+
+let production = P.capacity
+let all_postings = [ naive; timetable; edge_finding; production ]
 
 (* --- event-granular watchers ------------------------------------------- *)
 
@@ -130,12 +150,12 @@ let test_edge_finding_prunes_textbook () =
         { P.start = c; duration = 5; demand = 1 };
       |]
     in
-    P.cumulative_kernel s ~kernel ~tasks ~fixed:[||] ~capacity:1;
+    kernel s ~tasks ~fixed:[||] ~capacity:1;
     Store.propagate s;
     (s, c)
   in
-  let s_tt, c_tt = build P.Timetable in
-  let s_ef, c_ef = build P.Both in
+  let s_tt, c_tt = build timetable in
+  let s_ef, c_ef = build production in
   (* lcts are 11: t1 and t2 must both finish before t3 can start *)
   Alcotest.(check bool) "timetable leaves c's est weak" true
     (Store.min_of s_tt c_tt < 10);
@@ -161,21 +181,21 @@ let root_bounds kernel inst =
            ])
   | exception Store.Fail _ -> None
 
-(* Root fixpoints: [Timetable] is exactly [Naive]'s; the edge-finding
-   kernels are at least as tight on every variable (or fail earlier). *)
+(* Root fixpoints: [timetable]'s are exactly [naive]'s; [production] is at
+   least as tight on every variable (or fails earlier). *)
 let prop_root_fixpoint_no_looser =
   QCheck.Test.make ~count:150 ~name:"root fixpoints: timetable = naive <= EF"
     Gen.arb_instance (fun inst ->
-      match root_bounds P.Naive inst with
+      match root_bounds naive inst with
       | None -> true (* naive failed: nothing to compare *)
       | Some naive -> (
-          (match root_bounds P.Timetable inst with
+          (match root_bounds timetable inst with
           | Some tt ->
               if tt <> naive then
                 QCheck.Test.fail_report
                   "timetable root fixpoint differs from naive"
           | None -> QCheck.Test.fail_report "timetable failed where naive ran");
-          match root_bounds P.Both inst with
+          match root_bounds production inst with
           | None -> true (* strictly stronger: found the inconsistency *)
           | Some both ->
               Array.for_all2
@@ -196,21 +216,21 @@ let search_outcome kernel inst =
   in
   (o.Search.nodes, o.Search.failures, late, o.Search.proved_optimal)
 
-(* The timetable escape hatch reproduces the pre-overhaul (= naive) search
-   trajectory bit-identically: same nodes, same failures, same objective,
-   same proof status. *)
+(* The library time table reproduces the reference search trajectory
+   bit-identically: same nodes, same failures, same objective, same proof
+   status. *)
 let prop_timetable_trajectory_bit_identical =
   QCheck.Test.make ~count:40 ~name:"naive/timetable trajectories identical"
     Gen.arb_instance (fun inst ->
-      search_outcome P.Naive inst = search_outcome P.Timetable inst)
+      search_outcome naive inst = search_outcome timetable inst)
 
 (* Edge finding never prunes a reachable solution: on proof-complete runs
-   every kernel lands on the same optimal objective. *)
+   every posting lands on the same optimal objective. *)
 let prop_kernels_agree_on_optimum =
   QCheck.Test.make ~count:40 ~name:"all kernels prove the same optimum"
     Gen.arb_tiny_instance (fun inst ->
       let outcomes =
-        List.map (fun k -> search_outcome k inst) P.all_kernels
+        List.map (fun k -> search_outcome k inst) all_postings
       in
       let proved = List.for_all (fun (_, _, _, p) -> p) outcomes in
       QCheck.assume proved;
@@ -218,6 +238,78 @@ let prop_kernels_agree_on_optimum =
       | (_, _, late0, _) :: rest ->
           List.for_all (fun (_, _, late, _) -> late = late0) rest
       | [] -> false)
+
+(* --- the default posting engages the edge finder on unary pools only ----- *)
+
+(* Eight jobs on capacity-1 pools with seeded sizes and tight deadlines:
+   every pool is unary, so [production] posts the Θ-tree filter too. *)
+let unary_instance () =
+  let rng = Simrand.Rng.create 11 in
+  Gen.instance ~map_cap:1 ~reduce_cap:1
+    (List.init 8 (fun i ->
+         let maps =
+           List.init
+             (1 + Simrand.Rng.int rng 3)
+             (fun _ -> 1 + Simrand.Rng.int rng 20)
+         in
+         let reduces =
+           List.init (Simrand.Rng.int rng 2) (fun _ ->
+               1 + Simrand.Rng.int rng 20)
+         in
+         let total =
+           List.fold_left ( + ) 0 maps + List.fold_left ( + ) 0 reduces
+         in
+         let deadline = (total / 2) + Simrand.Rng.int rng 60 in
+         let est = Simrand.Rng.int rng 20 in
+         Gen.mk_job ~id:i ~est ~deadline ~maps ~reduces ()))
+
+(* One branch-and-bound from the greedy bound under [fail_limit] 20k:
+   (nodes, proved, edge-finder prunes, propagations). *)
+let search_counters ?kernel inst =
+  let model =
+    Model.build ?kernel inst ~horizon:(Model.default_horizon inst)
+  in
+  let greedy = Sched.Greedy.solve inst in
+  model.Model.bound := greedy.Sched.Solution.late_jobs + 1;
+  let o =
+    Search.run model { Search.no_limits with Search.fail_limit = 20_000 }
+  in
+  let store = model.Model.store in
+  ( o.Search.nodes,
+    o.Search.proved_optimal,
+    Store.stats_edge_finder_prunes store,
+    Store.stats_propagations store )
+
+let test_default_edge_finds_unary_pools () =
+  let inst = unary_instance () in
+  let nodes, proved, prunes, _ = search_counters inst in
+  Alcotest.(check bool) "the default model proves the optimum" true proved;
+  Alcotest.(check bool)
+    (Printf.sprintf "within 200 nodes (took %d)" nodes)
+    true (nodes <= 200);
+  Alcotest.(check bool) "the edge finder pruned" true (prunes > 0);
+  let tt_nodes, _, _, _ = search_counters ~kernel:timetable inst in
+  Alcotest.(check bool)
+    (Printf.sprintf "the time table alone needs > 10000 nodes (took %d)"
+       tt_nodes)
+    true (tt_nodes > 10_000)
+
+(* Capacity 2, demand 1: no pool is unary, so the default posting is the
+   time table alone and propagates exactly as much. *)
+let test_default_is_timetable_on_shared_pools () =
+  let inst =
+    Gen.instance ~map_cap:2 ~reduce_cap:2
+      (List.init 5 (fun i ->
+           Gen.mk_job ~id:i ~est:(3 * i) ~deadline:(25 + (4 * i))
+             ~maps:[ 9; 7; 4 ] ~reduces:[ 6 ] ()))
+  in
+  let nodes, _, prunes, props = search_counters inst in
+  let tt_nodes, _, _, tt_props = search_counters ~kernel:timetable inst in
+  Alcotest.(check bool) "the search branched" true (nodes > 1);
+  Alcotest.(check int) "same nodes as the time table alone" tt_nodes nodes;
+  Alcotest.(check int) "same propagations as the time table alone" tt_props
+    props;
+  Alcotest.(check int) "no edge-finder prune" 0 prunes
 
 (* Wakeup suppression engages on real searches. *)
 let test_wakeups_skipped_on_search () =
@@ -228,7 +320,7 @@ let test_wakeups_skipped_on_search () =
              ~reduces:[ 5 ] ()))
   in
   let model =
-    Model.build ~kernel:P.Timetable inst
+    Model.build ~kernel:timetable inst
       ~horizon:(Model.default_horizon inst)
   in
   model.Model.bound := 5;
@@ -397,6 +489,10 @@ let () =
             test_disjunctive_applicable;
           Alcotest.test_case "edge finding beats the time table" `Quick
             test_edge_finding_prunes_textbook;
+          Alcotest.test_case "default edge-finds unary pools" `Quick
+            test_default_edge_finds_unary_pools;
+          Alcotest.test_case "default is the time table on shared pools"
+            `Quick test_default_is_timetable_on_shared_pools;
         ] );
       ( "properties",
         List.map QCheck_alcotest.to_alcotest
