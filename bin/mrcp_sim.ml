@@ -148,7 +148,17 @@ let run workload manager jobs lambda e_max p s_max d_m m map_cap reduce_cap
   match replay with
   | Some path -> begin
       (* replay a saved trace (see bin/workload_gen.exe) on the given cluster *)
-      match Mapreduce.Trace.load ~path with
+      let loaded =
+        match (Mapreduce.Trace.load ~path, manager) with
+        | Ok jobs, (Expkit.Runner.Mrcp_rm | Expkit.Runner.Greedy_only) ->
+            (* the matchmaker takes unit demands only: refuse the trace now
+               rather than mid-simulation *)
+            Result.map
+              (fun () -> jobs)
+              (Mrcp.Matchmaker.check_unit_demands jobs)
+        | loaded, _ -> loaded
+      in
+      match loaded with
       | Error e ->
           Printf.eprintf "error loading %s: %s\n" path e;
           1

@@ -58,12 +58,22 @@ let occupy t ~kind ~slot ~until =
   let s = slots.(slot) in
   if until > s.available_from then s.available_from <- until
 
+let unit_demand_only =
+  "Matchmaker.assign: only unit capacity requirements are supported (the \
+   paper's q_t = 1); tasks with q_t > 1 cannot be matched to unit slots"
+
+let check_unit_demands jobs =
+  let unit (task : T.task) = task.T.capacity_req = 1 in
+  if
+    List.for_all
+      (fun (j : T.job) ->
+        Array.for_all unit j.T.map_tasks && Array.for_all unit j.T.reduce_tasks)
+      jobs
+  then Ok ()
+  else Error unit_demand_only
+
 let assign t ~kind ~task ~start =
-  if task.T.capacity_req <> 1 then
-    invalid_arg
-      "Matchmaker.assign: only unit capacity requirements are supported \
-       (the paper's q_t = 1); tasks with q_t > 1 cannot be matched to unit \
-       slots";
+  if task.T.capacity_req <> 1 then invalid_arg unit_demand_only;
   let slots = slots_for t kind in
   (match kind with
   | T.Map_task ->

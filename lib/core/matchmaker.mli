@@ -55,6 +55,11 @@ val assign :
     @raise Failure if no slot is free — impossible for capacity-feasible
     combined schedules, so this signals a solver bug. *)
 
+val check_unit_demands : Mapreduce.Types.job list -> (unit, string) result
+(** [Error] with {!assign}'s message when some task of the workload has
+    [capacity_req <> 1], so a caller can reject such a workload before a
+    matchmaking manager meets it mid-run. *)
+
 val assign_all :
   t ->
   starts:(int, int) Hashtbl.t ->

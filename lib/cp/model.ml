@@ -146,6 +146,3 @@ let extract m =
       Hashtbl.replace starts tv.task.T.task_id (Store.value m.store tv.var))
     m.starts;
   Solution.evaluate m.instance starts
-
-let late_count_min m =
-  Array.fold_left (fun acc v -> acc + Store.min_of m.store v) 0 m.lates

@@ -56,8 +56,4 @@ val extract : t -> Sched.Solution.t
 (** Read a solution once every start variable is fixed.
     @raise Invalid_argument otherwise. *)
 
-val late_count_min : t -> int
-(** Σ over jobs of min N_j under current bounds (a lower bound on the
-    objective in the current subtree). *)
-
 val all_starts_fixed : t -> bool

@@ -56,7 +56,7 @@ val cumulative :
     Allocation-free on the hot path: per-instance scratch arrays, stable
     per-task event slots refreshed only when the task's bounds moved, an
     insertion sort over the (nearly sorted) event permutation, and a
-    witnessed-fixpoint skip counted in {!Store.stats_scratch_reuse}.  The
+    witnessed-fixpoint skip counted in the [prop/scratch_reuse] metric.  The
     test suite checks its fixpoints and search trajectories against a
     list-based reference implementation of the same rules. *)
 
@@ -130,7 +130,7 @@ type dyn_pool
     re-prunes only the tasks whose bounds moved since they were last found
     at fixpoint against that profile; both caches are value-compared
     against the store, so they survive backtracking without a hook.
-    Segment reuse is counted in {!Store.stats_scratch_reuse}. *)
+    Segment reuse is counted in the [prop/scratch_reuse] metric. *)
 
 val cumulative_dyn : Store.t -> capacity:int -> dyn_pool
 (** Register the propagator with an empty registry (priority 2). *)

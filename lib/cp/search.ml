@@ -30,13 +30,13 @@ let tie_break_to_string = function
 
 type start_info = { svar : Store.var; duration : int; deadline : int }
 
-type 'a problem = {
+type problem = {
   store : Store.t;
   starts : start_info array;
   lates : (Store.var * int) array;
   bound : int ref;
   bound_pid : Store.propagator_id;
-  extract : unit -> 'a * int;
+  extract : unit -> Sched.Solution.t;
 }
 
 type stop_cause =
@@ -54,8 +54,8 @@ let stop_reason_of_cause = function
   | Wall_clock -> Obs.Solve_stats.Wall_limit
   | Interrupt -> Obs.Solve_stats.Interrupted
 
-type 'a generic_outcome = {
-  best : 'a option;
+type outcome = {
+  best : Sched.Solution.t option;
   proved_optimal : bool;
   stopped : stop_cause;
   nodes : int;
@@ -64,8 +64,8 @@ type 'a generic_outcome = {
 
 exception Limit_reached
 
-type 'a state = {
-  problem : 'a problem;
+type state = {
+  problem : problem;
   limits : limits;
   tie_break : tie_break;
   (* [Obs.Trace.enabled] sampled once per search, so the hot path tests a
@@ -75,7 +75,7 @@ type 'a state = {
      from the first entry not yet fixed on the current path instead of
      rescanning all jobs at every node *)
   late_order : int array;
-  mutable best : 'a option;
+  mutable best : Sched.Solution.t option;
   mutable nodes : int;
   mutable failures : int;
   mutable stop_cause : stop_cause;  (* which hard limit cut the search *)
@@ -201,9 +201,10 @@ let record_solution st =
   (* The true late count can be below Σ N_j (constraint (4) is
      one-directional), and the bound may have been tightened by a solution in
      a sibling subtree, so re-check improvement here. *)
-  let payload, late_count = st.problem.extract () in
+  let sol = st.problem.extract () in
+  let late_count = sol.Sched.Solution.late_jobs in
   if late_count < !(st.problem.bound) then begin
-    st.best <- Some payload;
+    st.best <- Some sol;
     st.problem.bound := late_count;
     (match st.limits.on_improve with
     | Some announce -> announce late_count
@@ -347,8 +348,6 @@ let run_problem ?(tie_break = Slack_first) problem limits =
 
 (* --- MapReduce-model entry point -------------------------------------- *)
 
-type outcome = Sched.Solution.t generic_outcome
-
 let problem_of_model (m : Model.t) =
   let deadline_of jdx =
     m.Model.instance.Sched.Instance.jobs.(jdx).Sched.Instance.job.T.deadline
@@ -367,10 +366,7 @@ let problem_of_model (m : Model.t) =
     lates = Array.mapi (fun jdx late -> (late, deadline_of jdx)) m.Model.lates;
     bound = m.Model.bound;
     bound_pid = m.Model.bound_pid;
-    extract =
-      (fun () ->
-        let sol = Model.extract m in
-        (sol, sol.Sched.Solution.late_jobs));
+    extract = (fun () -> Model.extract m);
   }
 
 let run ?tie_break model limits =

@@ -16,11 +16,7 @@
 
     The search is one chronological DFS; the snapshot tests in
     [test/test_cp.ml] pin its trajectory (nodes, failures) on five fixed
-    instances.
-
-    The search is generic over a {!problem} view so that both the MapReduce
-    model ({!Model}) and extensions (e.g. DAG workflows in [lib/workflow])
-    reuse it; {!run} is the MapReduce-model entry point. *)
+    instances. *)
 
 type limits = {
   fail_limit : int;  (** max failures before giving up (0 = unlimited) *)
@@ -62,16 +58,19 @@ type start_info = {
   deadline : int;  (** of the owning job, for slack tie-breaking *)
 }
 
-type 'a problem = {
+type problem = {
   store : Store.t;
   starts : start_info array;  (** every pending start variable *)
   lates : (Store.var * int) array;  (** (N_j, d_j) per job *)
   bound : int ref;  (** strict upper bound on Σ N_j *)
   bound_pid : Store.propagator_id;  (** re-scheduled at every node *)
-  extract : unit -> 'a * int;
-      (** payload and its true late count, called at full leaves; only
-          strictly-bound-improving payloads are kept *)
+  extract : unit -> Sched.Solution.t;
+      (** the schedule at a full leaf; only solutions whose true late count
+          ([late_jobs]) strictly improves on the bound are kept *)
 }
+(** The variables the search branches on, in a store it does not own:
+    {!run} builds one from a {!Model}, {!Session} one over its persistent
+    store. *)
 
 (** Which condition ended the search.  [Exhausted] means the tree was
     explored to completion (or cut to emptiness by the bound) — the proof
@@ -89,8 +88,8 @@ val stop_reason_of_cause : stop_cause -> Obs.Solve_stats.stop_reason
     [Target_met] map to [Proved]; callers with richer context — cache hits,
     carried certificates, LNS stalls — substitute their own). *)
 
-type 'a generic_outcome = {
-  best : 'a option;
+type outcome = {
+  best : Sched.Solution.t option;
   proved_optimal : bool;
   stopped : stop_cause;
       (** [Exhausted] iff [proved_optimal]; otherwise the limit that cut
@@ -99,8 +98,7 @@ type 'a generic_outcome = {
   failures : int;
 }
 
-val run_problem :
-  ?tie_break:tie_break -> 'a problem -> limits -> 'a generic_outcome
+val run_problem : ?tie_break:tie_break -> problem -> limits -> outcome
 (** Explore.  [problem.bound] must hold the strict bound to beat on entry.
     [tie_break] picks the SetTimes tie-breaking rule (default
     {!Slack_first}, the historical behaviour).
@@ -110,8 +108,6 @@ val run_problem :
     trailed state (the armed objective cut) in a pushed guard level around
     the search — {!Session} does.  Called at the root this is the
     historical behaviour exactly. *)
-
-type outcome = Sched.Solution.t generic_outcome
 
 val run : ?tie_break:tie_break -> Model.t -> limits -> outcome
 (** {!run_problem} specialized to the Table-1 MapReduce model. *)

@@ -418,8 +418,7 @@ let search_core ~options core (inst : Instance.t) ~bound_to_beat limits =
     for k = 0 to n - 1 do
       Hashtbl.replace m ids.(k) (Store.value s vars.(k))
     done;
-    let sol = Solution.evaluate inst m in
-    (sol, sol.Solution.late_jobs)
+    Solution.evaluate inst m
   in
   (* The armed objective bound lives inside this guard level, so nothing
      objective-relative survives into the root the next sync mutates. *)

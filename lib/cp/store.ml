@@ -437,7 +437,6 @@ let backtrack_to_root t = backtrack_to t 0
 
 let stats_propagations t = t.propagations
 let stats_wakeups_skipped t = t.wakeups_skipped
-let stats_scratch_reuse t = t.scratch_reuse
 let stats_edge_finder_prunes t = t.edge_finder_prunes
 let note_scratch_reuse t = t.scratch_reuse <- t.scratch_reuse + 1
 

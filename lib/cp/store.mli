@@ -146,12 +146,6 @@ val stats_wakeups_skipped : t -> int
     propagators already at fixpoint for the change (idempotent
     self-notifications).  Each would have been a queued no-op execution. *)
 
-val stats_scratch_reuse : t -> int
-(** Times a cumulative kernel skipped a full recompute because its cached
-    compulsory-part state matched the current bounds: a skipped run of
-    {!Propagators.cumulative}, or a run of {!Propagators.cumulative_dyn}
-    that reused its segment profile; bumped via {!note_scratch_reuse}. *)
-
 val stats_edge_finder_prunes : t -> int
 (** Bound tightenings performed by the disjunctive edge-finding propagator
     (see {!Propagators.disjunctive}); bumped via {!note_edge_finder_prunes}. *)
@@ -159,7 +153,12 @@ val stats_edge_finder_prunes : t -> int
 val note_scratch_reuse : t -> unit
 val note_edge_finder_prunes : t -> int -> unit
 (** Counter hooks for propagator kernels (all state lives in [t] — the
-    domain-locality contract above). *)
+    domain-locality contract above).  [note_scratch_reuse] counts a
+    cumulative kernel skipping a full recompute because its cached
+    compulsory-part state matched the current bounds: a skipped run of
+    {!Propagators.cumulative}, or a run of {!Propagators.cumulative_dyn}
+    that reused its segment profile.  {!harvest} reports it as
+    [prop/scratch_reuse]. *)
 
 (** {2 Per-propagator telemetry}
 
@@ -195,4 +194,4 @@ val harvest : ?since:telemetry_mark -> Obs.Metrics.t -> t -> unit
     [prop/scratch_reuse], [prop/edge_finder_prunes]) and per-propagator
     [prop/<name>/fires], [/fails] and [/time_s] into a registry, counted
     since [since] (a mark of this store) or since creation.  Every searched
-    store reports through it: models, LNS fragments, sessions, workflows. *)
+    store reports through it: models, LNS fragments and sessions. *)

@@ -171,10 +171,11 @@ let save ~path jobs =
     (fun () -> output_string oc (to_csv jobs))
 
 let load ~path =
-  let ic = open_in path in
-  let contents =
+  match
+    let ic = open_in path in
     Fun.protect
       ~finally:(fun () -> close_in ic)
       (fun () -> really_input_string ic (in_channel_length ic))
-  in
-  of_csv contents
+  with
+  | contents -> of_csv contents
+  | exception Sys_error msg -> Error msg

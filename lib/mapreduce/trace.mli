@@ -21,3 +21,5 @@ val of_csv : string -> (Types.job list, string) result
 
 val save : path:string -> Types.job list -> unit
 val load : path:string -> (Types.job list, string) result
+(** {!of_csv} on the file's contents; [Error] also when the file cannot be
+    read. *)

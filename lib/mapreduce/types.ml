@@ -69,6 +69,10 @@ let validate_job j =
 
 let uniform_cluster ~m ~map_capacity ~reduce_capacity =
   if m <= 0 then invalid_arg "uniform_cluster: m must be positive";
+  if map_capacity <= 0 then
+    invalid_arg "uniform_cluster: map_capacity must be positive";
+  if reduce_capacity <= 0 then
+    invalid_arg "uniform_cluster: reduce_capacity must be positive";
   Array.init m (fun i -> { res_id = i; map_capacity; reduce_capacity })
 
 let total_map_slots rs =

@@ -59,7 +59,8 @@ val validate_job : job -> (unit, string) result
 val uniform_cluster :
   m:int -> map_capacity:int -> reduce_capacity:int -> resource array
 (** [m] identical resources, ids 0..m-1 (Table 3's system parameters).
-    @raise Invalid_argument when [m <= 0]. *)
+    @raise Invalid_argument when [m], [map_capacity] or [reduce_capacity]
+    is not positive. *)
 
 val total_map_slots : resource array -> int
 val total_reduce_slots : resource array -> int

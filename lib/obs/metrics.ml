@@ -44,7 +44,6 @@ let counter t name =
       c
 
 let add c n = c.c <- c.c + n
-let counter_value c = c.c
 
 let gauge t name =
   match Hashtbl.find_opt t name with

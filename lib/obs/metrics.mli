@@ -27,7 +27,6 @@ type histo
 
 val counter : t -> string -> counter
 val add : counter -> int -> unit
-val counter_value : counter -> int
 
 val gauge : t -> string -> gauge
 val set_gauge : gauge -> float -> unit

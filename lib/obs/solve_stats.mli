@@ -1,10 +1,9 @@
 (** The canonical solver-telemetry record.
 
-    One solve — whether the MapReduce solver ({!Cp.Solver}), a portfolio
-    worker ({!Cp.Portfolio}) or the DAG-workflow solver ({!Workflow.Solve})
-    — reports this shape; those modules re-export it (OCaml's
-    [type t = Obs.Solve_stats.t = {...}] idiom) rather than each declaring
-    its own copy of the node/failure/LNS fields. *)
+    One solve — whether the MapReduce solver ({!Cp.Solver}) or a portfolio
+    worker ({!Cp.Portfolio}) — reports this shape; those modules re-export
+    it (OCaml's [type t = Obs.Solve_stats.t = {...}] idiom) rather than
+    each declaring its own copy of the node/failure/LNS fields. *)
 
 type stop_reason =
   | Proved  (** search (or a bound match) established optimality outright *)

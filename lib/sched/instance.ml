@@ -46,8 +46,6 @@ let fixed_task_count t =
     (fun acc j -> acc + Array.length j.fixed_maps + Array.length j.fixed_reduces)
     0 t.jobs
 
-let job_lfmt_floor j = j.frozen_lfmt
-
 let pending_exec_total j =
   let sum = Array.fold_left (fun acc t -> acc + t.T.exec_time) in
   sum (sum 0 j.pending_maps) j.pending_reduces

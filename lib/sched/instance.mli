@@ -49,9 +49,6 @@ val of_fresh_jobs :
 val pending_task_count : t -> int
 val fixed_task_count : t -> int
 
-val job_lfmt_floor : pending_job -> int
-(** Lower bound for reduce starts before scheduling: [frozen_lfmt]. *)
-
 val pending_exec_total : pending_job -> int
 (** Σ e_t over pending tasks (for the laxity ordering). *)
 
