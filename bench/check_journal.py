@@ -19,7 +19,7 @@ tests) relies on:
     wall suffix textually, so anything after it would survive the strip
     and break same-seed fingerprint equality;
   - an invoke line's wall timers (elapsed_s, and the solver phases
-    seed_s and search_s when present) are non-negative numbers.
+    seed_s, sync_s and search_s when present) are non-negative numbers.
 
 Exit 0 when the journal is well-formed, 1 otherwise (one line per
 violation on stderr).
@@ -54,7 +54,7 @@ SOLVE_REQUIRED = {"stop_reason", "seed_late", "lower_bound", "proved",
                   "warm_seeded", "nodes", "failures", "lns_moves"}
 
 # the invoke line's wall-clock timers: the pass, and the solver's phases
-WALL_TIMERS = {"elapsed_s", "seed_s", "search_s"}
+WALL_TIMERS = {"elapsed_s", "seed_s", "sync_s", "search_s"}
 
 STOP_REASONS = {"proved", "hit_carried_bound", "cache_hit", "fail_limit",
                 "node_limit", "wall_limit", "lns_stall", "interrupted"}

@@ -28,17 +28,17 @@ let job ~id ~est ~deadline ~maps ~reduces =
   }
 
 let print_schedule inst (solution : Sched.Solution.t) =
-  Array.iter
-    (fun (pj : Sched.Instance.pending_job) ->
+  Array.iteri
+    (fun jdx (pj : Sched.Instance.pending_job) ->
       let j = pj.Sched.Instance.job in
       let completion =
-        Sched.Solution.job_completion pj solution.Sched.Solution.starts
+        Sched.Solution.job_completion inst jdx solution.Sched.Solution.starts
       in
       Format.printf "job %d (est=%d, deadline=%d): completes at %d -> %s@."
         j.T.id pj.Sched.Instance.est j.T.deadline completion
         (if completion > j.T.deadline then "LATE" else "on time");
       let show (t : T.task) =
-        let s = Sched.Solution.start_of solution ~task_id:t.T.task_id in
+        let s = Sched.Solution.start_of inst solution ~task_id:t.T.task_id in
         Format.printf "    %s task %d: [%d, %d)@."
           (T.task_kind_to_string t.T.kind)
           t.T.task_id s (s + t.T.exec_time)
@@ -92,15 +92,9 @@ let () =
     T.uniform_cluster ~m:1 ~map_capacity:2 ~reduce_capacity:1
   in
   let mm = Mrcp.Matchmaker.create ~cluster in
-  let pending =
-    Array.to_list inst.Sched.Instance.jobs
-    |> List.concat_map (fun (pj : Sched.Instance.pending_job) ->
-           Array.to_list pj.Sched.Instance.pending_maps
-           @ Array.to_list pj.Sched.Instance.pending_reduces)
-  in
   let dispatches =
     Mrcp.Matchmaker.assign_all mm ~starts:solution.Sched.Solution.starts
-      ~pending
+      ~tasks:(Sched.Instance.pending_tasks inst)
   in
   Format.printf "@.%s@." (Report.Gantt.render ~width:60 dispatches);
 

@@ -34,6 +34,9 @@ type task_state = {
   mutable task : T.task;
   mutable dispatch : Dispatch.t option;
   mutable finished : bool;
+  (* while pending: the start the previous plan gave the task ([min_int]
+     when none), the warm start's carried start *)
+  mutable carried : int;
 }
 
 type job_state = {
@@ -177,8 +180,9 @@ let release_due t ~now =
     due_jobs
 
 (* Table 2 lines 5–18: classify a job's tasks by the clock.  Returns the
-   pending-job view for the CP instance, or None when the job has fully
-   completed (and should leave the system). *)
+   pending-job view for the CP instance with the states of its pending
+   tasks (maps then reduces, in the view's order), or None when the job has
+   fully completed (and should leave the system). *)
 let classify ~now (js : job_state) =
   let frozen_lfmt = ref 0 and frozen_completion = ref 0 in
   let remaining = ref 0 in
@@ -201,11 +205,13 @@ let classify ~now (js : job_state) =
           if is_map && finish > !frozen_lfmt then frozen_lfmt := finish;
           if finish > !frozen_completion then frozen_completion := finish
         end
-    | Some _ | None ->
+    | planned ->
         (* not started: remap and reschedule *)
         incr remaining;
+        ts.carried <-
+          (match planned with Some d -> d.Dispatch.start | None -> min_int);
         ts.dispatch <- None;
-        pending := ts.task :: !pending
+        pending := ts :: !pending
   in
   let pending_maps = ref [] and fixed_maps = ref [] in
   let pending_reduces = ref [] and fixed_reduces = ref [] in
@@ -214,17 +220,21 @@ let classify ~now (js : job_state) =
   if !remaining = 0 then None
   else begin
     js.est <- max js.job.T.earliest_start now;
+    let map_states = Array.of_list !pending_maps
+    and reduce_states = Array.of_list !pending_reduces in
+    let task ts = ts.task in
     Some
-      {
-        Instance.job = js.job;
-        est = js.est;
-        pending_maps = Array.of_list !pending_maps;
-        pending_reduces = Array.of_list !pending_reduces;
-        fixed_maps = Array.of_list !fixed_maps;
-        fixed_reduces = Array.of_list !fixed_reduces;
-        frozen_lfmt = !frozen_lfmt;
-        frozen_completion = !frozen_completion;
-      }
+      ( {
+          Instance.job = js.job;
+          est = js.est;
+          pending_maps = Array.map task map_states;
+          pending_reduces = Array.map task reduce_states;
+          fixed_maps = Array.of_list !fixed_maps;
+          fixed_reduces = Array.of_list !fixed_reduces;
+          frozen_lfmt = !frozen_lfmt;
+          frozen_completion = !frozen_completion;
+        },
+        Array.append map_states reduce_states )
   end
 
 let iter_tasks f js =
@@ -257,8 +267,10 @@ let validate_plan dispatches frozen ~ests =
   in
   List.iter
     (fun (d : Dispatch.t) ->
-      record d.Dispatch.task.T.kind d.Dispatch.slot d.Dispatch.start
-        (Dispatch.finish d) d.Dispatch.task.T.task_id)
+      (* a zero-length task occupies no slot time *)
+      if d.Dispatch.task.T.exec_time > 0 then
+        record d.Dispatch.task.T.kind d.Dispatch.slot d.Dispatch.start
+          (Dispatch.finish d) d.Dispatch.task.T.task_id)
     (frozen @ dispatches);
   List.iter
     (fun (d : Dispatch.t) ->
@@ -293,7 +305,15 @@ let invoke t ~now =
     let arrived = ref [] in
     Queue.iter
       (fun (job : T.job) ->
-        let state task = { nominal = task; task; dispatch = None; finished = false } in
+        let state task =
+          {
+            nominal = task;
+            task;
+            dispatch = None;
+            finished = false;
+            carried = min_int;
+          }
+        in
         t.active <-
           {
             job;
@@ -306,26 +326,17 @@ let invoke t ~now =
         t.scheduled_jobs <- t.scheduled_jobs + 1)
       t.queue;
     Queue.clear t.queue;
-    (* warm start: snapshot the surviving plan (planned-but-unstarted tasks)
-       before [classify] wipes their dispatches.  Started/finished tasks need
-       no carried entry — they re-enter the instance as frozen tasks. *)
-    let carried = Hashtbl.create 64 in
-    if t.config.warm_start then
-      List.iter
-        (iter_tasks (fun ts ->
-             match ts.dispatch with
-             | Some d when (not ts.finished) && d.Dispatch.start > now ->
-                 Hashtbl.replace carried ts.task.T.task_id d.Dispatch.start
-             | Some _ | None -> ()))
-        t.active;
-    (* classify tasks, dropping completed jobs (Table 2 l.15–16) *)
-    let still_active, pending_jobs =
+    (* classify tasks, dropping completed jobs (Table 2 l.15–16); each
+       pending task keeps the start the surviving plan gave it, the warm
+       start's carried plan.  Started/finished tasks need no carried start —
+       they re-enter the instance as frozen tasks. *)
+    let still_active, pending_jobs, pending_states =
       List.fold_left
-        (fun (actives, pjs) js ->
+        (fun (actives, pjs, states) js ->
           match classify ~now js with
-          | None -> (actives, pjs)
-          | Some pj -> (js :: actives, pj :: pjs))
-        ([], []) t.active
+          | None -> (actives, pjs, states)
+          | Some (pj, st) -> (js :: actives, pj :: pjs, st :: states))
+        ([], [], []) t.active
     in
     t.active <- still_active;
     if pending_jobs = [] then begin
@@ -341,19 +352,25 @@ let invoke t ~now =
     end
     else begin
     let inst =
-      {
-        Instance.now;
-        map_capacity = up_capacity t (fun r -> r.T.map_capacity);
-        reduce_capacity = up_capacity t (fun r -> r.T.reduce_capacity);
-        jobs = Array.of_list pending_jobs;
-      }
+      Instance.make ~now
+        ~map_capacity:(up_capacity t (fun r -> r.T.map_capacity))
+        ~reduce_capacity:(up_capacity t (fun r -> r.T.reduce_capacity))
+        (Array.of_list pending_jobs)
     in
+    (* the pending tasks' states by the instance's task index *)
+    let states = Array.concat pending_states in
     (* lines 19–20: generate and solve the model, warm-started from the
        carried plan when one survived *)
     let warm =
-      if t.config.warm_start && Hashtbl.length carried > 0 then
+      if
+        t.config.warm_start
+        && Array.exists (fun ts -> ts.carried <> min_int) states
+      then
         Some
-          { Cp.Solver.carried_starts = carried; changed_jobs = !arrived }
+          {
+            Cp.Solver.carried_starts = Array.map (fun ts -> ts.carried) states;
+            changed_jobs = !arrived;
+          }
       else None
     in
     let options =
@@ -426,7 +443,6 @@ let invoke t ~now =
       |> List.sort compare
       |> List.iter (fun resource_id -> Matchmaker.disable_resource mm ~resource_id);
     let frozen_dispatches = ref [] in
-    let pending_states = ref [] and pending_tasks = ref [] in
     List.iter
       (iter_tasks (fun ts ->
            if not ts.finished then
@@ -436,13 +452,14 @@ let invoke t ~now =
                  Matchmaker.occupy mm ~kind:ts.task.T.kind
                    ~slot:d.Dispatch.slot ~until:(Dispatch.finish d);
                  frozen_dispatches := d :: !frozen_dispatches
-             | None ->
-                 pending_states := ts :: !pending_states;
-                 pending_tasks := ts.task :: !pending_tasks))
+             | None -> ()))
       t.active;
+    (* install the new plan on the task states it was made for as it is
+       matchmade *)
     let dispatches =
       Matchmaker.assign_all mm ~starts:solution.Solution.starts
-        ~pending:!pending_tasks
+        ~tasks:(Array.map (fun ts -> ts.task) states)
+        ~on_assign:(fun k d -> states.(k).dispatch <- Some d)
     in
     if t.config.validate then begin
       let ests = Hashtbl.create 64 in
@@ -452,18 +469,6 @@ let invoke t ~now =
         pending_jobs;
       validate_plan dispatches !frozen_dispatches ~ests
     end;
-    (* install the new plan on the task states it was made for *)
-    let by_id = Hashtbl.create (List.length !pending_tasks) in
-    List.iter
-      (fun (d : Dispatch.t) ->
-        Hashtbl.replace by_id d.Dispatch.task.T.task_id d)
-      dispatches;
-    List.iter
-      (fun ts ->
-        match Hashtbl.find_opt by_id ts.task.T.task_id with
-        | Some d -> ts.dispatch <- Some d
-        | None -> ())
-      !pending_states;
     let prev_plan = t.current_plan in
     (* already in [Dispatch.compare_by_start] order *)
     t.current_plan <- dispatches;
@@ -560,6 +565,7 @@ let invoke t ~now =
             [
               ("elapsed_s", Obs.Json.Float elapsed);
               ("seed_s", Obs.Json.Float stats.Cp.Solver.seed_s);
+              ("sync_s", Obs.Json.Float stats.Cp.Solver.sync_s);
               ("search_s", Obs.Json.Float stats.Cp.Solver.search_s);
             ]
           ([

@@ -92,7 +92,27 @@ let assign t ~kind ~task ~start =
       && (!best < 0 || slots.(!best).available_from < s.available_from)
     then best := i
   done;
-  if !best < 0 then
+  if !best < 0 && task.T.exec_time = 0 then begin
+    (* a zero-length task occupies nothing, so the combined schedule may
+       start it while every slot is busy: it goes on the first slot of a
+       live resource, which it leaves as it was *)
+    let live = ref (-1) in
+    Array.iteri
+      (fun i s -> if !live < 0 && s.available_from < max_int then live := i)
+      slots;
+    if !live < 0 then
+      failwith
+        (Printf.sprintf "Matchmaker.assign: no live %s slot for task %d"
+           (T.task_kind_to_string kind) task.T.task_id);
+    let s = slots.(!live) in
+    {
+      Sched.Dispatch.task;
+      resource_id = s.resource_id;
+      slot = s.slot_id;
+      start;
+    }
+  end
+  else if !best < 0 then
     failwith
       (Printf.sprintf
          "Matchmaker.assign: no free %s slot at %d for task %d (solver \
@@ -104,32 +124,22 @@ let assign t ~kind ~task ~start =
     { Sched.Dispatch.task; resource_id = s.resource_id; slot = s.slot_id; start }
   end
 
-let assign_all t ~starts ~pending =
-  let tasks = Array.of_list pending in
-  let start_of =
-    Array.map
-      (fun (task : T.task) ->
-        match Hashtbl.find_opt starts task.T.task_id with
-        | Some s -> s
-        | None ->
-            invalid_arg
-              (Printf.sprintf "Matchmaker.assign_all: task %d has no start"
-                 task.T.task_id))
-      tasks
-  in
+let assign_all ?(on_assign = fun _ _ -> ()) t ~starts ~tasks =
+  if Array.length starts <> Array.length tasks then
+    invalid_arg "Matchmaker.assign_all: one start per task expected";
   let order = Array.init (Array.length tasks) Fun.id in
   Array.stable_sort
     (fun a b ->
-      let c = Int.compare start_of.(a) start_of.(b) in
-      if c <> 0 then c
-      else Int.compare tasks.(a).T.task_id tasks.(b).T.task_id)
+      let c = Int.compare starts.(a) starts.(b) in
+      if c <> 0 then c else Int.compare tasks.(a).T.task_id tasks.(b).T.task_id)
     order;
   let dispatches = ref [] in
   Array.iter
-    (fun i ->
-      let task = tasks.(i) in
-      dispatches :=
-        assign t ~kind:task.T.kind ~task ~start:start_of.(i) :: !dispatches)
+    (fun k ->
+      let task = tasks.(k) in
+      let d = assign t ~kind:task.T.kind ~task ~start:starts.(k) in
+      on_assign k d;
+      dispatches := d :: !dispatches)
     order;
   List.rev !dispatches
 

@@ -61,13 +61,17 @@ val check_unit_demands : Mapreduce.Types.job list -> (unit, string) result
     matchmaking manager meets it mid-run. *)
 
 val assign_all :
+  ?on_assign:(int -> Sched.Dispatch.t -> unit) ->
   t ->
-  starts:(int, int) Hashtbl.t ->
-  pending:Mapreduce.Types.task list ->
+  starts:int array ->
+  tasks:Mapreduce.Types.task array ->
   Sched.Dispatch.t list
-(** Sort [pending] by combined-schedule start (looked up in [starts]) and
-    assign every task; returns dispatches in start order, ties by task id
-    ({!Sched.Dispatch.compare_by_start}). *)
+(** Assign every task, [tasks.(k)] at [starts.(k)] (an instance's
+    {!Sched.Solution.t} start array with {!Sched.Instance.pending_tasks}),
+    in start order, ties by task id ({!Sched.Dispatch.compare_by_start});
+    returns the dispatches in that order.  [on_assign k d] sees each
+    dispatch with its task's index as it is made.
+    @raise Invalid_argument when the two arrays differ in length. *)
 
 val spread_evenly : slots:int -> over:int -> int array
 (** The paper's redistribution example (§V.D): divide [slots] unit slots over

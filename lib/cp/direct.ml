@@ -219,13 +219,16 @@ let select_start st postponed =
 
 let record st =
   let m = st.model in
-  let starts = Hashtbl.create 64 and resource_of = Hashtbl.create 64 in
+  let resource_of = Hashtbl.create 64 in
   Array.iter
     (fun e ->
-      Hashtbl.replace starts e.task.T.task_id (Store.value m.store e.svar);
       Hashtbl.replace resource_of e.task.T.task_id (Store.value m.store e.avar))
     m.entries;
-  let solution = Solution.evaluate m.instance starts in
+  (* entries are in task-index order *)
+  let solution =
+    Solution.evaluate m.instance
+      (Array.map (fun e -> Store.value m.store e.svar) m.entries)
+  in
   if solution.Solution.late_jobs < !(m.bound) then begin
     st.best <- Some { solution; resource_of };
     m.bound := solution.Solution.late_jobs

@@ -140,9 +140,5 @@ let all_starts_fixed m =
 let extract m =
   if not (all_starts_fixed m) then
     invalid_arg "Model.extract: not all start variables are fixed";
-  let starts = Hashtbl.create (Array.length m.starts) in
-  Array.iter
-    (fun tv ->
-      Hashtbl.replace starts tv.task.T.task_id (Store.value m.store tv.var))
-    m.starts;
-  Solution.evaluate m.instance starts
+  Solution.evaluate m.instance
+    (Array.map (fun tv -> Store.value m.store tv.var) m.starts)

@@ -21,7 +21,7 @@ type task_var = {
 type t = {
   store : Store.t;
   instance : Sched.Instance.t;
-  starts : task_var array;  (** every pending task, maps then reduces *)
+  starts : task_var array;  (** every pending task, by task index *)
   lates : Store.var array;  (** N_j per job, aligned with instance.jobs *)
   completions : Store.var array;  (** C_j per job *)
   bound : int ref;  (** strict upper bound on Σ N_j for branch-and-bound *)

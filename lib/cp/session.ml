@@ -15,6 +15,9 @@ type task_slot = {
   mutable t_state : task_state;
   (* generation mark: tasks not seen by the current sync have completed *)
   mutable t_gen : int;
+  (* the start the task was last planned or frozen at ([min_int] before
+     the first): when it completes, its variable is fixed there *)
+  mutable t_last : int;
 }
 
 type job_slot = {
@@ -35,6 +38,10 @@ type core = {
   jobs : (int, job_slot) Hashtbl.t;  (* job id -> slot *)
   tasks : (int, task_slot) Hashtbl.t;  (* task id -> slot *)
   mutable generation : int;  (* bumped by every sync *)
+  (* the last synced instance's slots: its pending tasks by task index, and
+     its jobs in order; the search views and [remember] read them *)
+  mutable view : task_slot array;
+  mutable job_view : job_slot array;
   mutable harvested : Store.telemetry_mark option;
       (* telemetry at the last harvest, for per-invocation deltas *)
 }
@@ -59,10 +66,6 @@ type cert = {
 }
 
 type t = {
-  (* realized start per dispatched task: filled from every returned plan and
-     every freeze, read when a task leaves the instance (completed) and its
-     variable must be fixed at the start it actually ran at *)
-  last_starts : (int, int) Hashtbl.t;
   mutable core : core option;
   mutable cert : cert option;
   mutable cert_proofs : int;
@@ -73,7 +76,6 @@ type t = {
 
 let create () =
   {
-    last_starts = Hashtbl.create 256;
     core = None;
     cert = None;
     cert_proofs = 0;
@@ -115,14 +117,42 @@ let make_core (inst : Instance.t) =
     jobs = Hashtbl.create 64;
     tasks = Hashtbl.create 256;
     generation = 0;
+    view = [||];
+    job_view = [||];
     harvested = None;
   }
+
+(* fills [view] until a sync writes the real slots *)
+let no_slot =
+  {
+    t_var = -1;
+    t_task =
+      {
+        T.task_id = -1;
+        job_id = -1;
+        kind = T.Map_task;
+        exec_time = 0;
+        capacity_req = 0;
+      };
+    t_is_map = true;
+    t_state = Retired;
+    t_gen = -1;
+    t_last = min_int;
+  }
+
+let no_job = { j_late = -1; j_tasks = [||]; j_active = false; j_gen = -1 }
+
+(* fresh views for the instance a sync is about to walk *)
+let open_views core (inst : Instance.t) =
+  core.view <- Array.make (Instance.pending_task_count inst) no_slot;
+  core.job_view <- Array.make (Array.length inst.Instance.jobs) no_job
 
 (* Append one job's constraint block — the Table-1 rows of Model.build, with
    two differences: frozen tasks become root-fixed variables (so they live
    in the same dynamic pool registries their pending siblings do), and the
    pool/objective propagators are the session's dynamic registries. *)
-let append_job t core (pj : Instance.pending_job) =
+let append_job t core (inst : Instance.t) jdx =
+  let pj = inst.Instance.jobs.(jdx) in
   let s = core.store in
   let est = pj.Instance.est in
   let gen = core.generation in
@@ -133,22 +163,27 @@ let append_job t core (pj : Instance.pending_job) =
       t_is_map = is_map;
       t_state = Pending;
       t_gen = gen;
+      t_last = min_int;
     }
   in
   let mk_fixed ~is_map (f : Instance.fixed_task) =
-    Hashtbl.replace t.last_starts f.Instance.task.T.task_id f.Instance.start;
     {
       t_var = Store.new_var s ~min:f.Instance.start ~max:f.Instance.start;
       t_task = f.Instance.task;
       t_is_map = is_map;
       t_state = Frozen;
       t_gen = gen;
+      t_last = f.Instance.start;
     }
   in
+  let off = inst.Instance.first.(jdx) in
+  let pending_maps =
+    Array.map (mk_pending ~is_map:true ~vmax:core.horizon)
+      pj.Instance.pending_maps
+  in
+  Array.blit pending_maps 0 core.view off (Array.length pending_maps);
   let maps =
-    Array.append
-      (Array.map (mk_pending ~is_map:true ~vmax:core.horizon)
-         pj.Instance.pending_maps)
+    Array.append pending_maps
       (Array.map (mk_fixed ~is_map:true) pj.Instance.fixed_maps)
   in
   let lfmt = Store.new_var s ~min:0 ~max:core.value_horizon in
@@ -162,6 +197,9 @@ let append_job t core (pj : Instance.pending_job) =
       (mk_pending ~is_map:false ~vmax:core.value_horizon)
       pj.Instance.pending_reduces
   in
+  Array.blit pending_reduces 0 core.view
+    (off + Array.length pending_maps)
+    (Array.length pending_reduces);
   (* precedence (3) only for movable reduces: a frozen reduce already ran
      after its maps, and re-imposing lfmt <= start on a fixed variable could
      only fail spuriously *)
@@ -203,6 +241,7 @@ let append_job t core (pj : Instance.pending_job) =
         })
     slot.j_tasks;
   Hashtbl.replace core.jobs pj.Instance.job.T.id slot;
+  core.job_view.(jdx) <- slot;
   t.appended <- t.appended + 1
 
 (* A task left the instance: it completed.  Fix its variable at the start it
@@ -214,11 +253,9 @@ let append_job t core (pj : Instance.pending_job) =
 let retire_task t core sl =
   if sl.t_state <> Retired then begin
     let s = core.store in
-    (match Hashtbl.find_opt t.last_starts sl.t_task.T.task_id with
-    | Some start ->
-        Store.fix s sl.t_var start;
-        Hashtbl.remove t.last_starts sl.t_task.T.task_id
-    | None -> raise (Store.Fail "session: completed task has no known start"));
+    if sl.t_last = min_int then
+      raise (Store.Fail "session: completed task has no known start");
+    Store.fix s sl.t_var sl.t_last;
     let pool = if sl.t_is_map then core.map_pool else core.reduce_pool in
     Propagators.dyn_retire pool s sl.t_var;
     sl.t_state <- Retired;
@@ -228,24 +265,29 @@ let retire_task t core sl =
 (* Diff one already-known job against its instance row: bump pending ests
    (est = max(s_j, now) only grows), fix newly frozen tasks at their
    dispatched starts, retire tasks that no longer appear (completed). *)
-let sync_job t core (pj : Instance.pending_job) slot =
+let sync_job t core (inst : Instance.t) jdx slot =
+  let pj = inst.Instance.jobs.(jdx) in
   let s = core.store in
   let est = pj.Instance.est in
   let gen = core.generation in
-  let bump (task : T.task) =
+  core.job_view.(jdx) <- slot;
+  let bump off i (task : T.task) =
     let sl = Hashtbl.find core.tasks task.T.task_id in
     sl.t_gen <- gen;
+    core.view.(off + i) <- sl;
     Store.set_min s sl.t_var est
   in
-  Array.iter bump pj.Instance.pending_maps;
-  Array.iter bump pj.Instance.pending_reduces;
+  let off = inst.Instance.first.(jdx) in
+  Array.iteri (bump off) pj.Instance.pending_maps;
+  Array.iteri
+    (bump (off + Array.length pj.Instance.pending_maps))
+    pj.Instance.pending_reduces;
   let freeze (f : Instance.fixed_task) =
-    let id = f.Instance.task.T.task_id in
-    let sl = Hashtbl.find core.tasks id in
+    let sl = Hashtbl.find core.tasks f.Instance.task.T.task_id in
     sl.t_gen <- gen;
     if sl.t_state = Pending then begin
       Store.fix s sl.t_var f.Instance.start;
-      Hashtbl.replace t.last_starts id f.Instance.start;
+      sl.t_last <- f.Instance.start;
       sl.t_state <- Frozen
     end
   in
@@ -257,7 +299,8 @@ let sync_job t core (pj : Instance.pending_job) slot =
 
 let fresh_core t inst =
   let core = make_core inst in
-  Array.iter (fun pj -> append_job t core pj) inst.Instance.jobs;
+  open_views core inst;
+  Array.iteri (fun jdx _ -> append_job t core inst jdx) inst.Instance.jobs;
   Store.propagate core.store;
   t.core <- Some core;
   core
@@ -270,13 +313,14 @@ let fresh_core t inst =
 let sync t (inst : Instance.t) =
   let apply core =
     core.generation <- core.generation + 1;
-    Array.iter
-      (fun (pj : Instance.pending_job) ->
+    open_views core inst;
+    Array.iteri
+      (fun jdx (pj : Instance.pending_job) ->
         match Hashtbl.find_opt core.jobs pj.Instance.job.T.id with
-        | None -> append_job t core pj
+        | None -> append_job t core inst jdx
         | Some slot ->
             slot.j_gen <- core.generation;
-            sync_job t core pj slot)
+            sync_job t core inst jdx slot)
       inst.Instance.jobs;
     let departed = ref [] in
     Hashtbl.iter
@@ -353,16 +397,16 @@ let cert_lower_bound t (inst : Instance.t) =
    certificate on the instance; an unproved one may only refresh recorded
    jobs (the proof does not cover newcomers). *)
 let update_cert t ~proved (inst : Instance.t) (sol : Solution.t) =
-  let entry (pj : Instance.pending_job) =
-    let completion = Solution.job_completion pj sol.Solution.starts in
+  let entry jdx (pj : Instance.pending_job) =
+    let completion = Solution.job_completion inst jdx sol.Solution.starts in
     let late = if completion > pj.Instance.job.T.deadline then 1 else 0 in
     (late, completion)
   in
   if proved then begin
     let lates = Hashtbl.create 64 in
-    Array.iter
-      (fun (pj : Instance.pending_job) ->
-        Hashtbl.replace lates pj.Instance.job.T.id (entry pj))
+    Array.iteri
+      (fun jdx (pj : Instance.pending_job) ->
+        Hashtbl.replace lates pj.Instance.job.T.id (entry jdx pj))
       inst.Instance.jobs;
     t.cert <- Some { c_bound = sol.Solution.late_jobs; c_lates = lates }
   end
@@ -370,55 +414,48 @@ let update_cert t ~proved (inst : Instance.t) (sol : Solution.t) =
     match t.cert with
     | None -> ()
     | Some c ->
-        Array.iter
-          (fun (pj : Instance.pending_job) ->
+        Array.iteri
+          (fun jdx (pj : Instance.pending_job) ->
             let id = pj.Instance.job.T.id in
             if Hashtbl.mem c.c_lates id then
-              Hashtbl.replace c.c_lates id (entry pj))
+              Hashtbl.replace c.c_lates id (entry jdx pj))
           inst.Instance.jobs
 
 (* --- the solve ------------------------------------------------------------ *)
 
-(* The session's exact search over a synced store: arm the objective bound
-   inside a guard level and search. *)
+(* The session's exact search over the store [sync] just brought in line
+   with [inst]: arm the objective bound inside a guard level and search. *)
 let search_core ~options core (inst : Instance.t) ~bound_to_beat limits =
   let s = core.store in
-  (* search views in the cold model's ordering: instance job order, each
-     job's pending maps then pending reduces *)
+  (* search views in the cold model's ordering, the task index *)
+  let view = core.view in
   let lates =
-    Array.map
-      (fun (pj : Instance.pending_job) ->
-        ( (Hashtbl.find core.jobs pj.Instance.job.T.id).j_late,
-          pj.Instance.job.T.deadline ))
+    Array.mapi
+      (fun jdx (pj : Instance.pending_job) ->
+        (core.job_view.(jdx).j_late, pj.Instance.job.T.deadline))
       inst.Instance.jobs
   in
-  let n = Instance.pending_task_count inst in
+  let n = Array.length view in
   let starts = Array.make n { Search.svar = 0; duration = 0; deadline = 0 } in
-  let ids = Array.make n 0 and vars = Array.make n 0 in
-  let k = ref 0 in
-  Array.iter
-    (fun (pj : Instance.pending_job) ->
-      let add (task : T.task) =
-        let sl = Hashtbl.find core.tasks task.T.task_id in
-        starts.(!k) <-
+  Array.iteri
+    (fun jdx (pj : Instance.pending_job) ->
+      let deadline = pj.Instance.job.T.deadline in
+      let add off i (task : T.task) =
+        starts.(off + i) <-
           {
-            Search.svar = sl.t_var;
+            Search.svar = view.(off + i).t_var;
             duration = task.T.exec_time;
-            deadline = pj.Instance.job.T.deadline;
-          };
-        ids.(!k) <- task.T.task_id;
-        vars.(!k) <- sl.t_var;
-        incr k
+            deadline;
+          }
       in
-      Array.iter add pj.Instance.pending_maps;
-      Array.iter add pj.Instance.pending_reduces)
+      let off = inst.Instance.first.(jdx) in
+      Array.iteri (add off) pj.Instance.pending_maps;
+      Array.iteri
+        (add (off + Array.length pj.Instance.pending_maps))
+        pj.Instance.pending_reduces)
     inst.Instance.jobs;
   let extract () =
-    let m = Hashtbl.create n in
-    for k = 0 to n - 1 do
-      Hashtbl.replace m ids.(k) (Store.value s vars.(k))
-    done;
-    Solution.evaluate inst m
+    Solution.evaluate inst (Array.map (fun sl -> Store.value s sl.t_var) view)
   in
   (* The armed objective bound lives inside this guard level, so nothing
      objective-relative survives into the root the next sync mutates. *)
@@ -442,18 +479,23 @@ let search_core ~options core (inst : Instance.t) ~bound_to_beat limits =
       in
       Search.run_problem ~tie_break:options.Solver.tie_break problem limits)
 
-(* every dispatched plan is a future fix point for its tasks: remember it *)
-let remember t (inst : Instance.t) (sol : Solution.t) =
-  let note (task : T.task) =
-    match Hashtbl.find_opt sol.Solution.starts task.T.task_id with
-    | Some st -> Hashtbl.replace t.last_starts task.T.task_id st
-    | None -> ()
-  in
-  Array.iter
-    (fun (pj : Instance.pending_job) ->
-      Array.iter note pj.Instance.pending_maps;
-      Array.iter note pj.Instance.pending_reduces)
-    inst.Instance.jobs
+(* Every dispatched plan is a future fix point for its tasks: remember it.
+   After a sync the view holds this instance's slots.  A pass that did not
+   sync looks up the tasks the store already holds; the others will enter
+   it pending, or frozen at their dispatched start. *)
+let remember t ~synced (inst : Instance.t) (sol : Solution.t) =
+  let starts = sol.Solution.starts in
+  match t.core with
+  | None -> ()
+  | Some core when synced ->
+      Array.iteri (fun k sl -> sl.t_last <- starts.(k)) core.view
+  | Some core ->
+      Array.iteri
+        (fun k (task : T.task) ->
+          match Hashtbl.find_opt core.tasks task.T.task_id with
+          | Some sl -> sl.t_last <- starts.(k)
+          | None -> ())
+        (Instance.pending_tasks inst)
 
 let solve t ~options (inst : Instance.t) =
   let t0 = Obs.Clock.now () in
@@ -467,13 +509,15 @@ let solve t ~options (inst : Instance.t) =
      next searching one's). *)
   let searched = ref None in
   let exact ~registry ~bound_to_beat limits =
+    let t_sync = Obs.Clock.now () in
     let core = sync t inst in
+    let sync_s = Obs.Clock.now () -. t_sync in
     searched := Some core;
     if registry <> None then Store.set_instrumented core.store true;
-    search_core ~options core inst ~bound_to_beat limits
+    (search_core ~options core inst ~bound_to_beat limits, sync_s)
   in
   let on_settle registry sol (st : Solver.stats) =
-    remember t inst sol;
+    remember t ~synced:(Option.is_some !searched) inst sol;
     update_cert t ~proved:st.Solver.proved_optimal inst sol;
     (* proofs the classic bound alone could not have delivered *)
     let via_cert = st.Solver.stop_reason = Obs.Solve_stats.Hit_carried_bound in

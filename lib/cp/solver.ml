@@ -3,10 +3,7 @@ module Instance = Sched.Instance
 module Solution = Sched.Solution
 module Greedy = Sched.Greedy
 
-type incumbent = {
-  carried_starts : (int, int) Hashtbl.t;
-  changed_jobs : int list;
-}
+type incumbent = { carried_starts : int array; changed_jobs : int list }
 
 type options = {
   ordering : Greedy.order;
@@ -66,6 +63,7 @@ type stats = Obs.Solve_stats.t = {
   lns_moves : int;
   elapsed : float;
   seed_s : float;
+  sync_s : float;
   search_s : float;
   metrics : Obs.Metrics.snapshot option;
 }
@@ -115,7 +113,7 @@ let doomed_last_sequence (inst : Instance.t) =
   let deadline i = jobs.(i).Instance.job.T.deadline
   and id i = jobs.(i).Instance.job.T.id in
   let seq = Array.init (Array.length jobs) Fun.id in
-  Array.sort
+  Array.stable_sort
     (fun a b ->
       let c = Bool.compare doomed.(a) doomed.(b) in
       if c <> 0 then c
@@ -150,21 +148,27 @@ let greedy_seed ?preferred ~ordering (pass : Greedy.pass) inst =
   if Solution.better doomed_last best then doomed_last else best
 
 (* Freeze the pending tasks of every non-relaxed job at their incumbent
-   start times, producing the LNS subproblem. *)
-let freeze_except (inst : Instance.t) (incumbent : Solution.t) relax_set =
+   start times, producing the LNS subproblem.  A relaxed job keeps its
+   pending tasks, so the subproblem's task index lists exactly theirs, job
+   by job. *)
+let freeze_except (inst : Instance.t) (incumbent : Solution.t) relaxed =
   let jobs =
     Array.mapi
       (fun jdx (j : Instance.pending_job) ->
-        if Hashtbl.mem relax_set jdx then j
+        if relaxed.(jdx) then j
         else begin
-          let freeze (task : T.task) =
-            {
-              Instance.task;
-              start = Solution.start_of incumbent ~task_id:task.T.task_id;
-            }
+          let freeze off i (task : T.task) =
+            { Instance.task; start = incumbent.Solution.starts.(off + i) }
           in
-          let new_fixed_maps = Array.map freeze j.Instance.pending_maps in
-          let new_fixed_reduces = Array.map freeze j.Instance.pending_reduces in
+          let off = inst.Instance.first.(jdx) in
+          let new_fixed_maps =
+            Array.mapi (freeze off) j.Instance.pending_maps
+          in
+          let new_fixed_reduces =
+            Array.mapi
+              (freeze (off + Array.length j.Instance.pending_maps))
+              j.Instance.pending_reduces
+          in
           let completion_of (f : Instance.fixed_task) =
             f.Instance.start + f.Instance.task.T.exec_time
           in
@@ -188,12 +192,21 @@ let freeze_except (inst : Instance.t) (incumbent : Solution.t) relax_set =
         end)
       inst.Instance.jobs
   in
-  { inst with Instance.jobs = jobs }
+  Instance.with_jobs inst jobs
 
-let merge_starts (inst : Instance.t) (incumbent : Solution.t)
-    (partial : Solution.t) =
-  let merged = Hashtbl.copy incumbent.Solution.starts in
-  Hashtbl.iter (Hashtbl.replace merged) partial.Solution.starts;
+(* The incumbent with the relaxed jobs' starts replaced by the subproblem
+   [sub]'s solution [partial]: job [jdx]'s block of [sub]'s task index is
+   either empty (frozen) or the same tasks as its block of [inst]'s. *)
+let merge_starts (inst : Instance.t) (sub : Instance.t)
+    (incumbent : Solution.t) (partial : Solution.t) =
+  let merged = Array.copy incumbent.Solution.starts in
+  for jdx = 0 to Array.length sub.Instance.jobs - 1 do
+    let from = sub.Instance.first.(jdx) in
+    let len = sub.Instance.first.(jdx + 1) - from in
+    if len > 0 then
+      Array.blit partial.Solution.starts from merged inst.Instance.first.(jdx)
+        len
+  done;
   Solution.evaluate inst merged
 
 (* Complete a carried-over plan into a full candidate solution for the
@@ -206,18 +219,20 @@ let merge_starts (inst : Instance.t) (incumbent : Solution.t)
    finished profiles' peaks), so a warm start can never inject an
    infeasible incumbent. *)
 let warm_in (pass : Greedy.pass) (inst : Instance.t) (inc : incumbent) =
-  let fresh j (task : T.task) =
-    (* a carried start below the job's current est is stale (the clock or a
-       deferral release bumped s_j past it) and poisons the whole job *)
-    match Hashtbl.find_opt inc.carried_starts task.T.task_id with
-    | Some s -> s >= j.Instance.est
-    | None -> false
-  in
+  let carried = inc.carried_starts in
+  (* a carried start below the job's current est is stale (the clock or a
+     deferral release bumped s_j past it) and poisons the whole job; a task
+     without a carried start holds [min_int], below every est *)
   let covered =
-    Array.map
-      (fun (j : Instance.pending_job) ->
-        Array.for_all (fresh j) j.Instance.pending_maps
-        && Array.for_all (fresh j) j.Instance.pending_reduces)
+    Array.mapi
+      (fun jdx (j : Instance.pending_job) ->
+        let est = j.Instance.est in
+        let k = ref inst.Instance.first.(jdx)
+        and stop = inst.Instance.first.(jdx + 1) in
+        while !k < stop && carried.(!k) >= est do
+          incr k
+        done;
+        !k = stop)
       inst.Instance.jobs
   in
   if not (Array.exists Fun.id covered) then None
@@ -266,7 +281,7 @@ type exact_search =
   registry:Obs.Metrics.t option ->
   bound_to_beat:int ->
   Search.limits ->
-  Search.outcome
+  Search.outcome * float
 
 (* The default exact backend: a fresh Table-1 model of [inst].  LNS runs
    every fragment through it too. *)
@@ -276,7 +291,7 @@ let model_search ~options inst ~registry ~bound_to_beat limits =
   if registry <> None then Store.set_instrumented model.Model.store true;
   let outcome = Search.run ~tie_break:options.tie_break model limits in
   Option.iter (fun r -> Store.harvest r model.Model.store) registry;
-  outcome
+  (outcome, 0.)
 
 (* What the pipeline knows once it has seeded and bounded the instance. *)
 type start = {
@@ -312,7 +327,7 @@ let timed f =
    the result first, then the clock and the metrics snapshot are read, so
    both cover the hook's work as well. *)
 let settle_with st ?(nodes = 0) ?(failures = 0) ?(lns_moves = 0)
-    ?(search_s = 0.) ~proved ~stop incumbent =
+    ?(sync_s = 0.) ?(search_s = 0.) ~proved ~stop incumbent =
   let stats elapsed metrics =
     {
       seed_late = st.seed.Solution.late_jobs;
@@ -325,6 +340,7 @@ let settle_with st ?(nodes = 0) ?(failures = 0) ?(lns_moves = 0)
       lns_moves;
       elapsed;
       seed_s = st.seed_s;
+      sync_s;
       search_s;
       metrics;
     }
@@ -369,11 +385,12 @@ let exact_regime ~options ~link ~exact st =
       target = Some st.lb;
     }
   in
-  let outcome, search_s =
+  let (outcome, sync_s), total_s =
     timed (fun () ->
         exact ~registry:st.registry ~bound_to_beat:st.seed.Solution.late_jobs
           limits)
   in
+  let search_s = total_s -. sync_s in
   let incumbent = Option.value outcome.Search.best ~default:st.seed in
   let proved =
     outcome.Search.proved_optimal || incumbent.Solution.late_jobs <= st.lb
@@ -384,7 +401,7 @@ let exact_regime ~options ~link ~exact st =
     else Search.stop_reason_of_cause outcome.Search.stopped
   in
   settle_with st ~nodes:outcome.Search.nodes ~failures:outcome.Search.failures
-    ~search_s ~proved ~stop incumbent
+    ~sync_s ~search_s ~proved ~stop incumbent
 
 (* LNS over job neighbourhoods *)
 let lns_regime ~options ~link st (inst : Instance.t) =
@@ -410,21 +427,23 @@ let lns_regime ~options ~link st (inst : Instance.t) =
   in
   while continue () do
     incr lns_moves;
-    let relax_set = Hashtbl.create 16 in
+    let relaxed = Array.make n_jobs false in
     (* the changed jobs on the first move, all currently-late jobs ... *)
     Array.iteri
       (fun jdx (j : Instance.pending_job) ->
-        let completion = Solution.job_completion j !incumbent.Solution.starts in
+        let completion =
+          Solution.job_completion inst jdx !incumbent.Solution.starts
+        in
         if
           completion > j.Instance.job.T.deadline
           || (!lns_moves = 1 && List.mem j.Instance.job.T.id changed)
-        then Hashtbl.replace relax_set jdx ())
+        then relaxed.(jdx) <- true)
       inst.Instance.jobs;
     (* ... plus a few random neighbours *)
     for _ = 1 to options.lns_neighbors do
-      Hashtbl.replace relax_set (Simrand.Rng.int rng n_jobs) ()
+      relaxed.(Simrand.Rng.int rng n_jobs) <- true
     done;
-    let sub = freeze_except inst !incumbent relax_set in
+    let sub = freeze_except inst !incumbent relaxed in
     let limits =
       {
         Search.fail_limit = options.fail_limit;
@@ -446,12 +465,18 @@ let lns_regime ~options ~link st (inst : Instance.t) =
       else min !incumbent.Solution.late_jobs (link.global_bound ())
     in
     let run () =
-      model_search ~options sub ~registry:st.registry ~bound_to_beat limits
+      fst
+        (model_search ~options sub ~registry:st.registry ~bound_to_beat limits)
     in
     let outcome =
       if Obs.Trace.enabled () then
         Obs.Trace.with_span ~cat:"search" "lns-move"
-          ~args:[ ("relaxed_jobs", Obs.Trace.Int (Hashtbl.length relax_set)) ]
+          ~args:
+            [
+              ( "relaxed_jobs",
+                Obs.Trace.Int
+                  (Array.fold_left (fun n r -> n + Bool.to_int r) 0 relaxed) );
+            ]
           run
       else run ()
     in
@@ -459,7 +484,7 @@ let lns_regime ~options ~link st (inst : Instance.t) =
     failures := !failures + outcome.Search.failures;
     match outcome.Search.best with
     | Some partial ->
-        let merged = merge_starts inst !incumbent partial in
+        let merged = merge_starts inst sub !incumbent partial in
         if Solution.better merged !incumbent then begin
           incumbent := merged;
           stall := 0;

@@ -17,15 +17,14 @@
       shape. *)
 
 (** A carried-over plan from a previous solve, injected as a warm start.
-    [carried_starts] maps task ids to the start times the previous schedule
-    gave them (entries for tasks that are no longer pending are ignored);
-    [changed_jobs] lists the job ids that changed since that schedule was
-    produced (new arrivals, repaired jobs) — LNS relaxes them on its first
-    move so the search re-optimizes around the delta first. *)
-type incumbent = {
-  carried_starts : (int, int) Hashtbl.t;
-  changed_jobs : int list;
-}
+    [carried_starts] is an array over the instance's task index
+    ({!Sched.Instance.t}) holding the start the previous schedule gave each
+    pending task, or [min_int] for a task it did not plan (a start below
+    the job's est is stale either way); [changed_jobs] lists the job ids
+    that changed since that schedule was produced (new arrivals, repaired
+    jobs) — LNS relaxes them on its first move so the search re-optimizes
+    around the delta first. *)
+type incumbent = { carried_starts : int array; changed_jobs : int list }
 
 type options = {
   ordering : Sched.Greedy.order;
@@ -75,8 +74,8 @@ type stats = Obs.Solve_stats.t = {
   lns_moves : int;
   elapsed : float;  (** wall-clock seconds spent *)
   seed_s : float;  (** of which the bound and the starting incumbent *)
-  search_s : float;
-      (** of which the exact backend (session sync included) or LNS *)
+  sync_s : float;  (** of which the session store's sync ({!Session}) *)
+  search_s : float;  (** of which the exact search or LNS *)
   metrics : Obs.Metrics.snapshot option;
       (** [Some] iff [options.instrument] was set *)
 }
@@ -108,11 +107,13 @@ type exact_search =
   registry:Obs.Metrics.t option ->
   bound_to_beat:int ->
   Search.limits ->
-  Search.outcome
+  Search.outcome * float
 (** An exact-regime backend: B&B over the whole instance against the
     strict bound [bound_to_beat], its store telemetry added into
-    [registry] when given.  {!Session} supplies one over its persistent
-    store. *)
+    [registry] when given.  It returns the outcome and the seconds it spent
+    bringing its store in line with the instance before searching, which
+    the pipeline reports as [sync_s] (0 for a fresh model).  {!Session}
+    supplies one over its persistent store. *)
 
 val solve_linked :
   options:options ->

@@ -63,15 +63,9 @@ let run ?(sizes = [ 2; 4; 6; 8 ]) ?(m = 4) ?(direct_budget = 5.) ?(seed = 23)
       let t0 = Obs.Clock.now () in
       let solution, _ = Cp.Solver.solve inst in
       let mm = Mrcp.Matchmaker.create ~cluster in
-      let pending =
-        Array.to_list inst.Sched.Instance.jobs
-        |> List.concat_map (fun (j : Sched.Instance.pending_job) ->
-               Array.to_list j.Sched.Instance.pending_maps
-               @ Array.to_list j.Sched.Instance.pending_reduces)
-      in
       let _ =
-        Mrcp.Matchmaker.assign_all mm
-          ~starts:solution.Sched.Solution.starts ~pending
+        Mrcp.Matchmaker.assign_all mm ~starts:solution.Sched.Solution.starts
+          ~tasks:(Sched.Instance.pending_tasks inst)
       in
       let combined_time_s = Obs.Clock.now () -. t0 in
       (* direct formulation *)

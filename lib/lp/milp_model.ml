@@ -152,15 +152,17 @@ let solve ?(limits = Mip.no_limits) m =
   let solution =
     Option.map
       (fun ((_, x) : float * float array) ->
-        let starts = Hashtbl.create 64 in
-        Array.iter
-          (fun tc ->
-            let chosen = ref tc.lo in
-            for k = 0 to tc.hi - tc.lo do
-              if x.(tc.base + k) > 0.5 then chosen := tc.lo + k
-            done;
-            Hashtbl.replace starts tc.task.T.task_id (!chosen * m.quantum))
-          m.tasks;
+        (* [m.tasks] is in task-index order *)
+        let starts =
+          Array.map
+            (fun tc ->
+              let chosen = ref tc.lo in
+              for k = 0 to tc.hi - tc.lo do
+                if x.(tc.base + k) > 0.5 then chosen := tc.lo + k
+              done;
+              !chosen * m.quantum)
+            m.tasks
+        in
         Sched.Solution.evaluate m.instance starts)
       outcome.Mip.best
   in
@@ -170,20 +172,10 @@ let suggested_horizon_slots (inst : Instance.t) ~quantum =
   (* greedy-seed makespan: usually contains an optimal schedule; for a
      guaranteed bound use max est + total work (much larger) *)
   let seed = Sched.Greedy.solve inst in
-  let makespan =
-    Hashtbl.fold
-      (fun task_id start acc ->
-        let dur =
-          Array.fold_left
-            (fun d (j : Instance.pending_job) ->
-              let scan =
-                Array.fold_left (fun d (t : T.task) ->
-                    if t.T.task_id = task_id then t.T.exec_time else d)
-              in
-              scan (scan d j.Instance.pending_maps) j.Instance.pending_reduces)
-            0 inst.Instance.jobs
-        in
-        max acc (start + dur))
-      seed.Sched.Solution.starts 0
-  in
+  let tasks = Instance.pending_tasks inst in
+  let makespan = ref 0 in
+  Array.iteri
+    (fun k start -> makespan := max !makespan (start + tasks.(k).T.exec_time))
+    seed.Sched.Solution.starts;
+  let makespan = !makespan in
   ceil_div makespan quantum + 1

@@ -46,10 +46,14 @@ type t = {
   seed_s : float;
       (** wall-clock seconds of [elapsed] spent on the lower bound and the
           starting incumbent (greedy seed or warm candidate) *)
+  sync_s : float;
+      (** wall-clock seconds of [elapsed] spent bringing a persistent
+          session store in line with the instance ({!Cp.Session}: the store
+          diff and its root propagation); 0 without a session, and when the
+          seed settled the solve *)
   search_s : float;
-      (** wall-clock seconds of [elapsed] spent in the exact backend (for a
-          session, its store sync included) or in LNS; 0 when the seed
-          settled the solve *)
+      (** wall-clock seconds of [elapsed] spent in the exact search (after
+          the sync) or in LNS; 0 when the seed settled the solve *)
   metrics : Metrics.snapshot option;
       (** per-propagator and solver metrics; [None] unless the solve ran
           with instrumentation enabled *)
@@ -60,5 +64,6 @@ val pp : Format.formatter -> t -> unit
 val to_metrics : t -> Metrics.snapshot
 (** The record's scalar fields as a snapshot (counters [solver/*],
     including [solver/stop/<reason>]; histograms [solver/solve_s],
-    [solver/seed_s] and [solver/search_s]), merged over [metrics] when present
+    [solver/seed_s], [solver/sync_s] and [solver/search_s]), merged over
+    [metrics] when present
     — the machine-readable payload. *)

@@ -151,15 +151,19 @@ let check_start st (d : Dispatch.t) now =
         fail "reduce task %d of job %d started with %d/%d maps done"
           task.T.task_id task.T.job_id jp.maps_done jp.map_count
   | T.Map_task -> ());
-  let key = (task.T.kind, d.Dispatch.slot) in
-  (match Hashtbl.find_opt st.slot_busy_until key with
-  | Some (other, until) when until > now ->
-      fail "%s slot %d double-booked at %d: task %d overlaps task %d"
-        (T.task_kind_to_string task.T.kind)
-        d.Dispatch.slot now task.T.task_id other
-  | Some _ | None -> ());
-  Hashtbl.replace st.slot_busy_until key
-    (task.T.task_id, now + task.T.exec_time)
+  (* a zero-length task occupies no slot time, so it neither conflicts with
+     the slot's occupant nor replaces it *)
+  if task.T.exec_time > 0 then begin
+    let key = (task.T.kind, d.Dispatch.slot) in
+    (match Hashtbl.find_opt st.slot_busy_until key with
+    | Some (other, until) when until > now ->
+        fail "%s slot %d double-booked at %d: task %d overlaps task %d"
+          (T.task_kind_to_string task.T.kind)
+          d.Dispatch.slot now task.T.task_id other
+    | Some _ | None -> ());
+    Hashtbl.replace st.slot_busy_until key
+      (task.T.task_id, now + task.T.exec_time)
+  end
 
 let rec on_task_complete st (d : Dispatch.t) sim =
   let now = Engine.now sim in

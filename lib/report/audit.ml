@@ -28,6 +28,7 @@ type report = {
   n_late : int;
   total_overhead_s : float;
   seed_s : float;
+  sync_s : float;
   search_s : float;
   crashes : int;
   rejoins : int;
@@ -96,7 +97,7 @@ let of_string text =
     let stop_reasons = Hashtbl.create 8 in
     let latencies = ref [] in
     let total_overhead = ref 0. in
-    let seed_total = ref 0. and search_total = ref 0. in
+    let seed_total = ref 0. and sync_total = ref 0. and search_total = ref 0. in
     let run_end = ref None in
     let crashes = ref 0 and rejoins = ref 0 in
     let task_failures = ref 0 and stragglers = ref 0 in
@@ -148,6 +149,7 @@ let of_string text =
                            line k))
             in
             phase "seed_s" seed_total;
+            phase "sync_s" sync_total;
             phase "search_s" search_total
         | "job-done" ->
             let a = job_acc line j in
@@ -316,6 +318,7 @@ let of_string text =
         n_late;
         total_overhead_s = !total_overhead;
         seed_s = !seed_total;
+        sync_s = !sync_total;
         search_s = !search_total;
         crashes = !crashes;
         rejoins = !rejoins;
@@ -369,11 +372,13 @@ let render r =
        (Table.fmt_float ~decimals:4 (latency_quantile r 0.99))
        (Table.fmt_float ~decimals:4 (latency_quantile r 1.0))
        (Array.length r.latencies_s));
-  if r.seed_s +. r.search_s > 0. then
+  if r.seed_s +. r.sync_s +. r.search_s > 0. then
     add
       (Printf.sprintf
-         "solver phases: seed %ss, search %ss of %ss total overhead\n\n"
+         "solver phases: seed %ss, sync %ss, search %ss of %ss total \
+          overhead\n\n"
          (Table.fmt_float ~decimals:4 r.seed_s)
+         (Table.fmt_float ~decimals:4 r.sync_s)
          (Table.fmt_float ~decimals:4 r.search_s)
          (Table.fmt_float ~decimals:4 r.total_overhead_s));
   if r.stop_reasons <> [] then

@@ -45,8 +45,11 @@ type report = {
   seed_s : float;
       (** Σ invoke [wall.seed_s]: the solver's bound and starting
           incumbent (0 for journals without the phase timers) *)
+  sync_s : float;
+      (** Σ invoke [wall.sync_s]: the session store's sync (0 for journals
+          without it) *)
   search_s : float;
-      (** Σ invoke [wall.search_s]: the exact backend or LNS *)
+      (** Σ invoke [wall.search_s]: the exact search or LNS *)
   crashes : int;  (** counted "resource-crash" events (v2 journals) *)
   rejoins : int;
   task_failures : int;

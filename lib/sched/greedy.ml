@@ -7,12 +7,6 @@ let order_to_string = function
   | Edf -> "edf"
   | Least_laxity -> "least-laxity"
 
-(* Longest tasks first within a phase: pairs well with earliest-fit since the
-   big tasks claim contiguous room before fragmentation sets in. *)
-let by_duration_desc (a : T.task) (b : T.task) =
-  let c = compare b.T.exec_time a.T.exec_time in
-  if c <> 0 then c else compare a.T.task_id b.T.task_id
-
 (* What every list schedule of one instance shares.  The frozen tasks'
    profiles are built once and copied per schedule: a profile's usage does
    not depend on the order its tasks were added in, so a copy equals a
@@ -21,9 +15,9 @@ type pass = {
   inst : Instance.t;
   map_frozen : Profile.t;
   reduce_frozen : Profile.t;
-  pending : int;  (* pending task count, to size the start tables *)
-  maps : T.task array array;
-  reduces : T.task array array;
+  tasks : T.task array;  (* the pending tasks, by task index *)
+  maps : int array array;  (* per job: its maps' task indices, once sorted *)
+  reduces : int array array;
   sorted : bool array;
 }
 
@@ -34,41 +28,53 @@ let occupy profile (f : Instance.fixed_task) =
 let prepare (inst : Instance.t) =
   let map_frozen = Profile.create ~capacity:inst.Instance.map_capacity in
   let reduce_frozen = Profile.create ~capacity:inst.Instance.reduce_capacity in
+  let jobs = inst.Instance.jobs in
   Array.iter
     (fun (j : Instance.pending_job) ->
       Array.iter (occupy map_frozen) j.Instance.fixed_maps;
       Array.iter (occupy reduce_frozen) j.Instance.fixed_reduces)
-    inst.Instance.jobs;
-  let jobs = inst.Instance.jobs in
+    jobs;
+  let n = Array.length jobs in
   {
     inst;
     map_frozen;
     reduce_frozen;
-    pending = Instance.pending_task_count inst;
-    maps = Array.map (fun j -> j.Instance.pending_maps) jobs;
-    reduces = Array.map (fun j -> j.Instance.pending_reduces) jobs;
-    sorted = Array.make (Array.length jobs) false;
+    tasks = Instance.pending_tasks inst;
+    maps = Array.make n [||];
+    reduces = Array.make n [||];
+    sorted = Array.make n false;
   }
 
+(* Longest tasks first within a phase: pairs well with earliest-fit since the
+   big tasks claim contiguous room before fragmentation sets in. *)
 let sort_job p jdx =
   if not p.sorted.(jdx) then begin
-    let sorted tasks =
-      let a = Array.copy tasks in
-      Array.sort by_duration_desc a;
+    let j = p.inst.Instance.jobs.(jdx) in
+    let longest_first from count =
+      let a = Array.init count (fun i -> from + i) in
+      Array.stable_sort
+        (fun x y ->
+          let tx = p.tasks.(x) and ty = p.tasks.(y) in
+          let c = Int.compare ty.T.exec_time tx.T.exec_time in
+          if c <> 0 then c else Int.compare tx.T.task_id ty.T.task_id)
+        a;
       a
     in
-    p.maps.(jdx) <- sorted p.maps.(jdx);
-    p.reduces.(jdx) <- sorted p.reduces.(jdx);
+    let off = p.inst.Instance.first.(jdx) in
+    let n_maps = Array.length j.Instance.pending_maps in
+    p.maps.(jdx) <- longest_first off n_maps;
+    p.reduces.(jdx) <-
+      longest_first (off + n_maps) (Array.length j.Instance.pending_reduces);
     p.sorted.(jdx) <- true
   end
 
 (* One schedule under construction: the frozen profiles' copies, the start
-   table and each job's completion so far (the same value
-   [Solution.job_completion] reads back from the table). *)
+   array and each job's completion so far (the same value
+   [Solution.job_completion] reads back from the array). *)
 type sheet = {
   map_profile : Profile.t;
   reduce_profile : Profile.t;
-  starts : (int, int) Hashtbl.t;
+  starts : int array;
   completion : int array;
 }
 
@@ -76,28 +82,27 @@ let sheet p =
   {
     map_profile = Profile.copy p.map_frozen;
     reduce_profile = Profile.copy p.reduce_frozen;
-    starts = Hashtbl.create p.pending;
+    starts = Array.make (Array.length p.tasks) 0;
     completion =
       Array.map (fun j -> j.Instance.frozen_completion) p.inst.Instance.jobs;
   }
 
-let record sh jdx (task : T.task) start =
-  Hashtbl.replace sh.starts task.T.task_id start;
-  let finish = start + task.T.exec_time in
+let record p sh jdx k start =
+  sh.starts.(k) <- start;
+  let finish = start + p.tasks.(k).T.exec_time in
   if finish > sh.completion.(jdx) then sh.completion.(jdx) <- finish;
   finish
 
 (* Each job of [sequence] in turn: maps longest-first at their earliest fit
    from est, then reduces longest-first from the job's latest map finish. *)
 let place_jobs p sh sequence =
-  let place profile jdx ~floor (task : T.task) =
+  let place profile jdx ~floor k =
+    let task = p.tasks.(k) in
     let start =
-      Profile.earliest_fit profile ~from:floor ~duration:task.T.exec_time
+      Profile.place profile ~from:floor ~duration:task.T.exec_time
         ~amount:task.T.capacity_req
     in
-    Profile.add profile ~start ~duration:task.T.exec_time
-      ~amount:task.T.capacity_req;
-    record sh jdx task start
+    record p sh jdx k start
   in
   Array.iter
     (fun jdx ->
@@ -105,14 +110,13 @@ let place_jobs p sh sequence =
       sort_job p jdx;
       let lfmt = ref j.Instance.frozen_lfmt in
       Array.iter
-        (fun task ->
-          let finish = place sh.map_profile jdx ~floor:j.Instance.est task in
+        (fun k ->
+          let finish = place sh.map_profile jdx ~floor:j.Instance.est k in
           if finish > !lfmt then lfmt := finish)
         p.maps.(jdx);
       let reduce_floor = max !lfmt j.Instance.est in
       Array.iter
-        (fun task ->
-          ignore (place sh.reduce_profile jdx ~floor:reduce_floor task))
+        (fun k -> ignore (place sh.reduce_profile jdx ~floor:reduce_floor k))
         p.reduces.(jdx))
     sequence
 
@@ -135,10 +139,10 @@ let sort_by order (inst : Instance.t) sequence =
   in
   let keys = Array.map key inst.Instance.jobs in
   let id jdx = inst.Instance.jobs.(jdx).Instance.job.T.id in
-  Array.sort
+  Array.stable_sort
     (fun a b ->
-      let c = compare (keys.(a) : int) keys.(b) in
-      if c <> 0 then c else compare (id a : int) (id b))
+      let c = Int.compare keys.(a) keys.(b) in
+      if c <> 0 then c else Int.compare (id a) (id b))
     sequence;
   sequence
 
@@ -156,24 +160,24 @@ let complete p ~carried ~covered =
   Array.iteri
     (fun jdx (j : Instance.pending_job) ->
       if covered.(jdx) then begin
-        let add profile ~floor (task : T.task) =
-          let start = Hashtbl.find carried task.T.task_id in
+        let add profile ~floor k =
+          let start = carried.(k) and task = p.tasks.(k) in
           if start < floor then ok := false;
           Profile.add profile ~start ~duration:task.T.exec_time
             ~amount:task.T.capacity_req;
-          record sh jdx task start
+          record p sh jdx k start
         in
+        let off = p.inst.Instance.first.(jdx) in
+        let n_maps = Array.length j.Instance.pending_maps in
         let lfmt = ref j.Instance.frozen_lfmt in
-        Array.iter
-          (fun task ->
-            let finish = add sh.map_profile ~floor:j.Instance.est task in
-            if finish > !lfmt then lfmt := finish)
-          j.Instance.pending_maps;
-        Array.iter
-          (fun task ->
-            ignore
-              (add sh.reduce_profile ~floor:(max !lfmt j.Instance.est) task))
-          j.Instance.pending_reduces
+        for k = off to off + n_maps - 1 do
+          let finish = add sh.map_profile ~floor:j.Instance.est k in
+          if finish > !lfmt then lfmt := finish
+        done;
+        let reduce_floor = max !lfmt j.Instance.est in
+        for k = off + n_maps to p.inst.Instance.first.(jdx + 1) - 1 do
+          ignore (add sh.reduce_profile ~floor:reduce_floor k)
+        done
       end)
     p.inst.Instance.jobs;
   let rest = Array.make (Array.length covered) 0 and n_rest = ref 0 in

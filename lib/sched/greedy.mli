@@ -33,14 +33,15 @@ val schedule_sequence : pass -> int array -> Solution.t
     check. *)
 
 val complete :
-  pass -> carried:(int, int) Hashtbl.t -> covered:bool array -> Solution.t * bool
+  pass -> carried:int array -> covered:bool array -> Solution.t * bool
 (** Warm-start completion.  Every pending task of a job flagged in
-    [covered] keeps its start from [carried] (it must have one); the other
-    jobs are list-scheduled around them in {!Edf} order.  The flag is
-    [true] iff the result satisfies Table 1: the covered starts respect est
-    and their job's map finishes, and neither pool's capacity is exceeded
-    anywhere, fixed tasks included.  The placed jobs satisfy est and
-    precedence by construction. *)
+    [covered] keeps its start from [carried], an array over the instance's
+    task index; the other jobs are list-scheduled around them in {!Edf}
+    order ([carried] is not read for them).  The flag is [true] iff the
+    result satisfies Table 1: the covered starts respect est and their
+    job's map finishes, and neither pool's capacity is exceeded anywhere,
+    fixed tasks included.  The placed jobs satisfy est and precedence by
+    construction. *)
 
 val solve : ?order:order -> Instance.t -> Solution.t
 (** Default order is {!Edf} (the configuration the paper reports). *)

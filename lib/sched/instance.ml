@@ -18,10 +18,25 @@ type t = {
   map_capacity : int;
   reduce_capacity : int;
   jobs : pending_job array;
+  first : int array;
 }
 
+let make ~now ~map_capacity ~reduce_capacity jobs =
+  let n = Array.length jobs in
+  let first = Array.make (n + 1) 0 in
+  for jdx = 0 to n - 1 do
+    let j = jobs.(jdx) in
+    first.(jdx + 1) <-
+      first.(jdx) + Array.length j.pending_maps + Array.length j.pending_reduces
+  done;
+  { now; map_capacity; reduce_capacity; jobs; first }
+
+let with_jobs t jobs =
+  make ~now:t.now ~map_capacity:t.map_capacity
+    ~reduce_capacity:t.reduce_capacity jobs
+
 let of_fresh_jobs ~now ~map_capacity ~reduce_capacity jobs =
-  let make job =
+  let pending job =
     {
       job;
       est = max job.T.earliest_start now;
@@ -33,13 +48,37 @@ let of_fresh_jobs ~now ~map_capacity ~reduce_capacity jobs =
       frozen_completion = 0;
     }
   in
-  { now; map_capacity; reduce_capacity; jobs = Array.of_list (List.map make jobs) }
+  make ~now ~map_capacity ~reduce_capacity
+    (Array.of_list (List.map pending jobs))
 
-let pending_task_count t =
-  Array.fold_left
-    (fun acc j ->
-      acc + Array.length j.pending_maps + Array.length j.pending_reduces)
-    0 t.jobs
+let pending_task_count t = t.first.(Array.length t.jobs)
+
+let pending_tasks t =
+  let jdx = ref 0 in
+  Array.init (pending_task_count t) (fun k ->
+      (* [Array.init] fills in index order, so the owning job only advances *)
+      while t.first.(!jdx + 1) <= k do
+        incr jdx
+      done;
+      let j = t.jobs.(!jdx) in
+      let i = k - t.first.(!jdx) in
+      let n_maps = Array.length j.pending_maps in
+      if i < n_maps then j.pending_maps.(i) else j.pending_reduces.(i - n_maps))
+
+let task_index t ~task_id =
+  let found = ref (-1) in
+  Array.iteri
+    (fun jdx j ->
+      let scan off tasks =
+        Array.iteri
+          (fun i (task : T.task) ->
+            if task.T.task_id = task_id then found := off + i)
+          tasks
+      in
+      scan t.first.(jdx) j.pending_maps;
+      scan (t.first.(jdx) + Array.length j.pending_maps) j.pending_reduces)
+    t.jobs;
+  if !found < 0 then raise Not_found else !found
 
 let fixed_task_count t =
   Array.fold_left

@@ -30,12 +30,29 @@ type pending_job = {
       (** latest completion among all completed+fixed tasks; 0 if none *)
 }
 
-type t = {
+(** The task index.  Each pending task has a dense index, fixed once per
+    instance: jobs in [jobs] order, and within a job its [pending_maps] then
+    its [pending_reduces].  Job [jdx]'s maps are
+    [first.(jdx) .. first.(jdx) + |pending_maps| - 1], its reduces follow,
+    and [first.(|jobs|)] is the pending task count.  Start times of one
+    schedule ({!Solution.t}, a warm start, a search view) are [int array]s
+    over this index.  The record is private so that [first] always matches
+    [jobs]: build instances with {!make}, {!with_jobs} or
+    {!of_fresh_jobs}. *)
+type t = private {
   now : int;
   map_capacity : int;  (** total map slots of the cluster *)
   reduce_capacity : int;  (** total reduce slots *)
   jobs : pending_job array;
+  first : int array;  (** dense index of each job's first pending task *)
 }
+
+val make :
+  now:int -> map_capacity:int -> reduce_capacity:int -> pending_job array -> t
+(** The instance over [jobs] (not copied), with its task index. *)
+
+val with_jobs : t -> pending_job array -> t
+(** Same clock and capacities, other jobs (re-indexed). *)
 
 val of_fresh_jobs :
   now:int ->
@@ -47,6 +64,16 @@ val of_fresh_jobs :
     invocation): every task pending, est = max(s_j, now). *)
 
 val pending_task_count : t -> int
+(** [first.(|jobs|)]: the length of every start array over [t]. *)
+
+val pending_tasks : t -> Mapreduce.Types.task array
+(** The pending tasks by task index (a fresh array). *)
+
+val task_index : t -> task_id:int -> int
+(** The dense index of a pending task, by a linear scan (for tests and
+    boundary conversions; hot paths walk the index directly).
+    @raise Not_found when no pending task has that id. *)
+
 val fixed_task_count : t -> int
 
 val pending_exec_total : pending_job -> int

@@ -40,6 +40,14 @@ val earliest_fit : t -> from:int -> duration:int -> amount:int -> int
 (** Earliest [t >= from] such that [fits t].  Always terminates: after the
     last profile step the profile is empty. *)
 
+val place : t -> from:int -> duration:int -> amount:int -> int
+(** {!earliest_fit} followed by {!add} at the start found, in one pass: the
+    fit's boundary indices are reused instead of searched again.  Returns
+    the start; equal profiles and starts to the two calls.
+    @raise Invalid_argument on a negative duration or amount, or an amount
+    above capacity (a zero duration or amount returns [from] and occupies
+    nothing). *)
+
 val max_usage : t -> int
 (** Peak usage over all time (0 for an empty profile). *)
 

@@ -5,42 +5,48 @@
     solution — the oracle used by tests and (in debug mode) by the manager. *)
 
 type t = {
-  starts : (int, int) Hashtbl.t;  (** task_id → assigned start time *)
+  starts : int array;
+      (** start time per pending task, over the instance's task index
+          ({!Instance.t}: jobs in order, each job's pending maps then its
+          pending reduces) *)
   late_jobs : int;  (** Σ N_j *)
   total_tardiness : int;  (** Σ max(0, C_j − d_j) *)
 }
 
-val start_of : t -> task_id:int -> int
-(** @raise Not_found when the task has no assigned start. *)
+val start_of : Instance.t -> t -> task_id:int -> int
+(** The start of one pending task of the instance [t] was made for, looked
+    up by a linear scan ({!Instance.task_index}).
+    @raise Not_found when the instance has no such pending task. *)
 
 val better : t -> t -> bool
 (** [better a b]: does [a] strictly improve on [b] (fewer late jobs, or equal
     late jobs and less tardiness)? *)
 
-val job_completion : Instance.pending_job -> (int, int) Hashtbl.t -> int
-(** Completion time of a job under the given start map: max over pending task
-    completions and the frozen floor. *)
+val job_completion : Instance.t -> int -> int array -> int
+(** [job_completion inst jdx starts]: completion time of job [jdx] under
+    the start array: max over its pending task completions and the frozen
+    floor. *)
 
-val job_lfmt : Instance.pending_job -> (int, int) Hashtbl.t -> int
-(** Latest finishing map task (pending + frozen). *)
+val job_lfmt : Instance.t -> int -> int array -> int
+(** Latest finishing map task (pending + frozen) of job [jdx]. *)
 
-val evaluate : Instance.t -> (int, int) Hashtbl.t -> t
-(** Compute the objective from a start map. *)
+val evaluate : Instance.t -> int array -> t
+(** Compute the objective from a start array. *)
 
 val tally :
   Instance.t ->
-  (int, int) Hashtbl.t ->
+  int array ->
   completion:(int -> Instance.pending_job -> int) ->
   t
 (** {!evaluate} with each job's completion supplied by the caller
     ([completion jdx job], [jdx] indexing [inst.jobs]) instead of read back
-    from the start map; a list scheduler already knows it. *)
+    from the start array; a list scheduler already knows it. *)
 
 val feasibility_errors : Instance.t -> t -> string list
-(** Empty when the solution satisfies, for every job: completeness (every
-    pending task has a start), est (maps not before est — Table 1 (2)),
-    precedence (reduces not before the job's LFMT — (3)), non-preemption
-    of fixed tasks, and the combined map/reduce capacity profiles (5)(6).
-    Late-job accounting (4) is also cross-checked. *)
+(** Empty when the solution satisfies, for every job: completeness (one
+    start per pending task of the instance), est (maps not before est —
+    Table 1 (2)), precedence (reduces not before the job's LFMT — (3)),
+    non-preemption of fixed tasks, and the combined map/reduce capacity
+    profiles (5)(6).  Late-job accounting (4) is also cross-checked. *)
 
 val pp : Format.formatter -> t -> unit

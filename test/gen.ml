@@ -103,6 +103,22 @@ let gen_instance ?(p = default_params) () =
   let* reduce_cap = range p.cap in
   return (instance ~map_cap ~reduce_cap jobs)
 
+(* Degenerate but legal inputs: zero-length tasks, no jobs at all, and a
+   clock past some deadlines, so that those jobs' est ([max s_j now])
+   falls after their deadline and they are late in every schedule. *)
+let degenerate_params = { default_params with n_jobs = (0, 6); exec = (0, 30) }
+
+let gen_degenerate_instance =
+  let open QCheck.Gen in
+  let* base = gen_instance ~p:degenerate_params () in
+  let* now = int_range 0 200 in
+  return
+    (Instance.of_fresh_jobs ~now ~map_capacity:base.Instance.map_capacity
+       ~reduce_capacity:base.Instance.reduce_capacity
+       (Array.to_list
+          (Array.map (fun (pj : Instance.pending_job) -> pj.Instance.job)
+             base.Instance.jobs)))
+
 let gen_cluster =
   let open QCheck.Gen in
   let* m = range (1, 4) in

@@ -3,13 +3,32 @@
    list schedule rebuilds the frozen tasks' profiles anew, the warm
    candidate is completed on a frozen sub-instance by a full greedy solve,
    and its Table-1 check sorts every task into one event sweep per pool.
-   Only [Sched.Profile] and [Sched.Solution] are shared with the library. *)
+   Starts are kept in tables keyed by task id, independent of the
+   instance's task index; they become [Solution.t] start arrays only at the
+   boundary.  Only [Sched.Profile] and [Sched.Solution] are shared with the
+   library. *)
 
 module T = Mapreduce.Types
 module Instance = Sched.Instance
 module Solution = Sched.Solution
 module Profile = Sched.Profile
 module Greedy = Sched.Greedy
+
+(* --- task-id tables and start arrays -------------------------------------- *)
+
+let table_of (inst : Instance.t) starts =
+  let table = Hashtbl.create 64 in
+  Array.iteri
+    (fun k (task : T.task) ->
+      if starts.(k) <> min_int then
+        Hashtbl.replace table task.T.task_id starts.(k))
+    (Instance.pending_tasks inst);
+  table
+
+let array_of (inst : Instance.t) table =
+  Array.map
+    (fun (task : T.task) -> Hashtbl.find table task.T.task_id)
+    (Instance.pending_tasks inst)
 
 (* --- greedy list scheduling ---------------------------------------------- *)
 
@@ -69,7 +88,7 @@ let schedule_sequence (inst : Instance.t) sequence =
         (fun task -> ignore (place reduce_profile ~floor:reduce_floor task))
         reduces)
     sequence;
-  Solution.evaluate inst starts
+  Solution.evaluate inst (array_of inst starts)
 
 let greedy ?(order = Greedy.Edf) (inst : Instance.t) =
   let n = Array.length inst.Instance.jobs in
@@ -137,17 +156,14 @@ let greedy_seed ?preferred ~ordering inst =
 
 (* --- the warm candidate -------------------------------------------------- *)
 
-let freeze_except (inst : Instance.t) (incumbent : Solution.t) relax_set =
+let freeze_except (inst : Instance.t) starts relax_set =
   let jobs =
     Array.mapi
       (fun jdx (j : Instance.pending_job) ->
         if Hashtbl.mem relax_set jdx then j
         else begin
           let freeze (task : T.task) =
-            {
-              Instance.task;
-              start = Solution.start_of incumbent ~task_id:task.T.task_id;
-            }
+            { Instance.task; start = Hashtbl.find starts task.T.task_id }
           in
           let new_fixed_maps = Array.map freeze j.Instance.pending_maps in
           let new_fixed_reduces = Array.map freeze j.Instance.pending_reduces in
@@ -175,9 +191,9 @@ let freeze_except (inst : Instance.t) (incumbent : Solution.t) relax_set =
         end)
       inst.Instance.jobs
   in
-  { inst with Instance.jobs = jobs }
+  Instance.with_jobs inst jobs
 
-let candidate_feasible (inst : Instance.t) (sol : Solution.t) =
+let candidate_feasible (inst : Instance.t) starts =
   let ok = ref true in
   let map_events = ref [] and reduce_events = ref [] in
   let push evs start (task : T.task) =
@@ -199,7 +215,7 @@ let candidate_feasible (inst : Instance.t) (sol : Solution.t) =
       let lfmt = ref j.Instance.frozen_lfmt in
       Array.iter
         (fun (task : T.task) ->
-          match Hashtbl.find_opt sol.Solution.starts task.T.task_id with
+          match Hashtbl.find_opt starts task.T.task_id with
           | None -> ok := false
           | Some s ->
               if s < j.Instance.est then ok := false;
@@ -209,7 +225,7 @@ let candidate_feasible (inst : Instance.t) (sol : Solution.t) =
         j.Instance.pending_maps;
       Array.iter
         (fun (task : T.task) ->
-          match Hashtbl.find_opt sol.Solution.starts task.T.task_id with
+          match Hashtbl.find_opt starts task.T.task_id with
           | None -> ok := false
           | Some s ->
               if s < !lfmt then ok := false;
@@ -235,7 +251,7 @@ let candidate_feasible (inst : Instance.t) (sol : Solution.t) =
   && capacity_ok reduce_events inst.Instance.reduce_capacity
 
 let warm_candidate (inst : Instance.t) (inc : Cp.Solver.incumbent) =
-  let carried = inc.Cp.Solver.carried_starts in
+  let carried = table_of inst inc.Cp.Solver.carried_starts in
   let fresh j (task : T.task) =
     match Hashtbl.find_opt carried task.T.task_id with
     | Some s -> s >= j.Instance.est
@@ -265,13 +281,14 @@ let warm_candidate (inst : Instance.t) (inc : Cp.Solver.incumbent) =
         end)
       inst.Instance.jobs;
     if Hashtbl.length uncovered > 0 then begin
-      let pseudo = { Solution.starts; late_jobs = 0; total_tardiness = 0 } in
-      let sub = freeze_except inst pseudo uncovered in
+      let sub = freeze_except inst starts uncovered in
       let partial = greedy ~order:Greedy.Edf sub in
-      Hashtbl.iter (Hashtbl.replace starts) partial.Solution.starts
+      Hashtbl.iter (Hashtbl.replace starts)
+        (table_of sub partial.Solution.starts)
     end;
-    let sol = Solution.evaluate inst starts in
-    if candidate_feasible inst sol then Some sol else None
+    if candidate_feasible inst starts then
+      Some (Solution.evaluate inst (array_of inst starts))
+    else None
   end
 
 let starting_incumbent ~(options : Cp.Solver.options) ?lb inst =

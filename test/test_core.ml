@@ -37,15 +37,16 @@ let test_assign_never_overlaps () =
   let cluster = T.uniform_cluster ~m:3 ~map_capacity:2 ~reduce_capacity:1 in
   let mm = Mrcp.Matchmaker.create ~cluster in
   (* 6 map slots: schedule tasks with <= 6 concurrent *)
-  let starts = Hashtbl.create 32 in
-  let tasks = ref [] in
-  for i = 0 to 17 do
-    let t = mk_task ~id:i ~e:10 () in
-    tasks := t :: !tasks;
-    (* waves of 6 starting at 0, 10, 20 *)
-    Hashtbl.replace starts i (i / 6 * 10)
-  done;
-  let ds = Mrcp.Matchmaker.assign_all mm ~starts ~pending:(List.rev !tasks) in
+  let tasks = Array.init 18 (fun i -> mk_task ~id:i ~e:10 ()) in
+  (* waves of 6 starting at 0, 10, 20 *)
+  let starts = Array.init 18 (fun i -> i / 6 * 10) in
+  let installed = Array.make 18 (-1) in
+  let ds =
+    Mrcp.Matchmaker.assign_all mm ~starts ~tasks
+      ~on_assign:(fun k d -> installed.(k) <- d.Dispatch.task.T.task_id)
+  in
+  Alcotest.(check (array int)) "each dispatch reported at its task's index"
+    (Array.init 18 Fun.id) installed;
   Alcotest.(check int) "all assigned" 18 (List.length ds);
   (* no two dispatches on the same slot overlap *)
   List.iteri
@@ -62,9 +63,14 @@ let test_assign_never_overlaps () =
         ds)
     ds;
   (* the manager installs the result as its plan without sorting it again:
-     start order, ties by task id, whatever order [pending] came in *)
+     start order, ties by task id, whatever order [tasks] came in *)
   let mm = Mrcp.Matchmaker.create ~cluster in
-  let ds = Mrcp.Matchmaker.assign_all mm ~starts ~pending:!tasks in
+  let rev a =
+    Array.init (Array.length a) (fun i -> a.(Array.length a - 1 - i))
+  in
+  let ds =
+    Mrcp.Matchmaker.assign_all mm ~starts:(rev starts) ~tasks:(rev tasks)
+  in
   Alcotest.(check (list int)) "compare_by_start order"
     (List.map
        (fun (d : Dispatch.t) -> d.Dispatch.task.T.task_id)

@@ -113,7 +113,7 @@ let test_single_job_on_time () =
   (* maps start at est=0, reduce after the longest map *)
   let reduce = job.T.reduce_tasks.(0) in
   Alcotest.(check int) "reduce after LFMT" 20
-    (Solution.start_of sol ~task_id:reduce.T.task_id)
+    (Solution.start_of inst sol ~task_id:reduce.T.task_id)
 
 (* A job that cannot make its deadline is late in every schedule; the lower
    bound detects it and the seed is proved optimal without search. *)
@@ -230,7 +230,7 @@ let test_frozen_tasks_respected () =
         frozen_completion = 50;
       }
     in
-    { base with Instance.jobs = Array.append base.Instance.jobs [| frozen_job |] }
+    Instance.with_jobs base (Array.append base.Instance.jobs [| frozen_job |])
   in
   let inst_ok = make_instance 70 in
   let sol, _ = solve inst_ok in
@@ -238,7 +238,7 @@ let test_frozen_tasks_respected () =
   Alcotest.(check int) "fits after the running task" 0 sol.Solution.late_jobs;
   let j0_task = inst_ok.Instance.jobs.(0).Instance.pending_maps.(0) in
   Alcotest.(check bool) "starts at or after 50" true
-    (Solution.start_of sol ~task_id:j0_task.T.task_id >= 50);
+    (Solution.start_of inst_ok sol ~task_id:j0_task.T.task_id >= 50);
   let inst_late = make_instance 55 in
   let sol2, stats2 = solve inst_late in
   check_feasible inst_late sol2;
@@ -257,7 +257,7 @@ let test_doomed_job_sacrificed () =
   check_feasible inst sol;
   Alcotest.(check int) "only the doomed job is late" 1 sol.Solution.late_jobs;
   Alcotest.(check bool) "optimal" true stats.Cp.Solver.proved_optimal;
-  let s1 = Solution.start_of sol ~task_id:savable.T.map_tasks.(0).T.task_id in
+  let s1 = Solution.start_of inst sol ~task_id:savable.T.map_tasks.(0).T.task_id in
   Alcotest.(check bool) "savable job runs first" true (s1 + 10 <= 15)
 
 (* Search limits: with a zero-ish budget the solver still returns a feasible
@@ -347,14 +347,8 @@ let check_same_solution msg (a : Solution.t) (b : Solution.t) =
     b.Solution.late_jobs;
   Alcotest.(check int) (msg ^ ": tardiness") a.Solution.total_tardiness
     b.Solution.total_tardiness;
-  Alcotest.(check int) (msg ^ ": size") (Hashtbl.length a.Solution.starts)
-    (Hashtbl.length b.Solution.starts);
-  Hashtbl.iter
-    (fun task_id start ->
-      match Hashtbl.find_opt b.Solution.starts task_id with
-      | Some s -> Alcotest.(check int) (Printf.sprintf "%s: task %d" msg task_id) start s
-      | None -> Alcotest.failf "%s: task %d missing" msg task_id)
-    a.Solution.starts
+  Alcotest.(check (array int)) (msg ^ ": starts") a.Solution.starts
+    b.Solution.starts
 
 (* instances exercising all three solver regimes: seed-optimal fast path,
    exact B&B, and LNS *)
@@ -513,7 +507,7 @@ let direct_assignment_feasible cluster (inst : Instance.t)
                      = res.T.res_id
                 then begin
                   let start =
-                    Solution.start_of a.Cp.Direct.solution
+                    Solution.start_of inst a.Cp.Direct.solution
                       ~task_id:task.T.task_id
                   in
                   if
@@ -641,14 +635,7 @@ let prop_portfolio_domains1_bit_identical =
       let seq_sol, seq = Cp.Solver.solve ~options inst in
       let par_sol, p = Cp.Portfolio.solve ~domains:1 ~options inst in
       let base = p.Cp.Portfolio.base in
-      let same_starts =
-        Hashtbl.length seq_sol.Solution.starts
-        = Hashtbl.length par_sol.Solution.starts
-        && Hashtbl.fold
-             (fun id s acc ->
-               acc && Hashtbl.find_opt par_sol.Solution.starts id = Some s)
-             seq_sol.Solution.starts true
-      in
+      let same_starts = seq_sol.Solution.starts = par_sol.Solution.starts in
       same_starts
       && seq_sol.Solution.late_jobs = par_sol.Solution.late_jobs
       && seq_sol.Solution.total_tardiness = par_sol.Solution.total_tardiness
@@ -845,10 +832,7 @@ let target_run inst limits =
   let best =
     Option.map
       (fun (sol : Solution.t) ->
-        ( sol.Solution.late_jobs,
-          List.sort compare
-            (Hashtbl.fold (fun id st acc -> (id, st) :: acc) sol.Solution.starts
-               []) ))
+        (sol.Solution.late_jobs, Array.to_list sol.Solution.starts))
       o.Cp.Search.best
   in
   (best, o.Cp.Search.nodes, o.Cp.Search.stopped)

@@ -207,7 +207,8 @@ let test_audit_crosscheck () =
   (* the solver's phase timers are sub-intervals of each pass *)
   Alcotest.(check bool) "seed phase timed" true (rep.Report.Audit.seed_s > 0.);
   Alcotest.(check bool) "phases within O" true
-    (rep.Report.Audit.seed_s +. rep.Report.Audit.search_s
+    (rep.Report.Audit.seed_s +. rep.Report.Audit.sync_s
+     +. rep.Report.Audit.search_s
     <= rep.Report.Audit.total_overhead_s *. (1. +. 1e-9));
   (* the renderers should not raise on a real report *)
   Alcotest.(check bool) "render nonempty" true

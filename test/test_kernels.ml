@@ -333,10 +333,11 @@ let test_wakeups_skipped_on_search () =
 (* Random walks over one [cumulative_dyn] pool: fix a start, tighten a
    bound, backtrack, or (at the root, as a session does between searches)
    add a task or retire a fixed one.  After every step the pool's fixpoint
-   must equal that of a fresh pool built over the same tasks at the bounds
-   the step started from: the fresh pool has no cached segments, prune
-   marks or event permutation, so any stale cache shows up as a different
-   bound or a different failure verdict. *)
+   must equal that of the reference time table ({!Naive_cumulative}) posted
+   fresh over the same tasks at the bounds the step started from: the
+   reference shares no code with the session kernel and has no cached
+   segments, prune marks or event permutation, so any stale cache shows up
+   as a different bound or a different failure verdict. *)
 
 (* A walk is a capacity, initial tasks (est, lst - est, duration, demand,
    frozen) and steps (kind, a, b): kinds 0–2 fix a start, 3 raise its min,
@@ -362,20 +363,22 @@ let print_walk (cap, tasks, ops) =
     (String.concat "; "
        (List.map (fun (k, a, b) -> Printf.sprintf "(%d,%d,%d)" k a b) ops))
 
-(* The fixpoint of a cache-free pool over [tasks] ((duration, demand, min,
-   max) each) at those bounds, or [None] when it fails. *)
+(* The reference time table's fixpoint over [tasks] ((duration, demand,
+   min, max) each) at those bounds, or [None] when it fails. *)
 let fresh_fixpoint ~capacity tasks =
   let s = Store.create () in
-  let pool = P.cumulative_dyn s ~capacity in
   let vars =
-    List.map
-      (fun (duration, demand, lo, hi) ->
-        let v = Store.new_var s ~min:lo ~max:hi in
-        P.dyn_add pool s { P.start = v; duration; demand };
-        v)
-      tasks
+    List.map (fun (_, _, lo, hi) -> Store.new_var s ~min:lo ~max:hi) tasks
   in
-  match Store.propagate s with
+  let terms =
+    List.map2
+      (fun v (duration, demand, _, _) -> { P.start = v; duration; demand })
+      vars tasks
+  in
+  match
+    naive s ~tasks:(Array.of_list terms) ~fixed:[||] ~capacity;
+    Store.propagate s
+  with
   | () -> Some (List.map (fun v -> (Store.min_of s v, Store.max_of s v)) vars)
   | exception Store.Fail _ -> None
 
@@ -470,6 +473,53 @@ let prop_dyn_pool_caches =
       in
       (not (checked_propagate ())) || walk ops)
 
+(* A fix that fails on overload must fail again when it is made again after
+   backtracking: nothing the session kernel caches across levels may keep
+   the failed level's profile, or forget it.  On one unit slot, two 5-long
+   tasks that may start in [0, 5] have no compulsory part at the root; a
+   start at 3 leaves the other no room, a start at 0 pushes it to 5. *)
+let test_dyn_pool_refails_after_backtrack () =
+  List.iter
+    (fun (name, post) ->
+      let s = Store.create () in
+      let a = Store.new_var s ~min:0 ~max:5 in
+      let b = Store.new_var s ~min:0 ~max:5 in
+      post s
+        [|
+          { P.start = a; duration = 5; demand = 1 };
+          { P.start = b; duration = 5; demand = 1 };
+        |];
+      Store.propagate s;
+      let try_fix x =
+        Store.push_level s;
+        let failed =
+          match
+            Store.fix s a x;
+            Store.propagate s
+          with
+          | () -> false
+          | exception Store.Fail _ -> true
+        in
+        let b_fixed = Store.is_fixed s b && not failed in
+        let b_at = if b_fixed then Store.min_of s b else -1 in
+        Store.backtrack s;
+        (failed, b_at)
+      in
+      let check what expect got =
+        Alcotest.(check (pair bool int)) (name ^ ": " ^ what) expect got
+      in
+      check "overload fails" (true, -1) (try_fix 3);
+      check "same fix fails again" (true, -1) (try_fix 3);
+      check "a fitting fix pushes the other" (false, 5) (try_fix 0);
+      check "and the overload still fails" (true, -1) (try_fix 3))
+    [
+      ( "session kernel",
+        fun s tasks ->
+          let pool = P.cumulative_dyn s ~capacity:1 in
+          Array.iter (P.dyn_add pool s) tasks );
+      ("reference", fun s tasks -> naive s ~tasks ~fixed:[||] ~capacity:1);
+    ]
+
 let () =
   Alcotest.run "kernels"
     [
@@ -493,6 +543,11 @@ let () =
             test_default_edge_finds_unary_pools;
           Alcotest.test_case "default is the time table on shared pools"
             `Quick test_default_is_timetable_on_shared_pools;
+        ] );
+      ( "session pool",
+        [
+          Alcotest.test_case "a failed fix fails again after backtracking"
+            `Quick test_dyn_pool_refails_after_backtrack;
         ] );
       ( "properties",
         List.map QCheck_alcotest.to_alcotest

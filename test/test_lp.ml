@@ -251,7 +251,7 @@ let test_milp_respects_est () =
   match sol with
   | Some s ->
       let start =
-        Sched.Solution.start_of s
+        Sched.Solution.start_of i s
           ~task_id:i.Sched.Instance.jobs.(0).Sched.Instance.pending_maps.(0).T.task_id
       in
       Alcotest.(check bool) "start >= est" true (start >= 5)
@@ -267,7 +267,7 @@ let test_milp_rejects_frozen () =
   let pj =
     { pj with Sched.Instance.fixed_maps = [| { Sched.Instance.task = frozen; start = 0 } |] }
   in
-  let i = { i with Sched.Instance.jobs = [| pj |] } in
+  let i = Sched.Instance.with_jobs i [| pj |] in
   Alcotest.(check bool) "frozen rejected" true
     (try
        ignore (Lp.Milp_model.build i ~quantum:1 ~horizon_slots:12);

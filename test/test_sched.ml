@@ -121,6 +121,52 @@ let prop_earliest_fit_matches_oracle =
       let oracle = scan from in
       result = oracle)
 
+(* the fused placement against the two calls it replaces, over sequences
+   long enough to grow the arrays, with zero durations and amounts; the
+   steps are also checked against the intervals placed so far: a boundary
+   at every start and finish, each carrying the sum of the intervals that
+   cover it *)
+let prop_place_matches_fit_then_add =
+  let gen =
+    QCheck.Gen.(
+      let* cap = int_range 1 3 in
+      let* n = int_range 0 40 in
+      let* ops =
+        list_repeat n
+          (quad (int_range 0 60) (int_range 0 12) (int_range 0 cap) bool)
+      in
+      return (cap, ops))
+  in
+  QCheck.Test.make ~count:1000 ~name:"place = earliest_fit then add"
+    (QCheck.make gen) (fun (cap, ops) ->
+      let fused = ref (Profile.create ~capacity:cap)
+      and split = Profile.create ~capacity:cap
+      and placed = ref [] in
+      let expected () =
+        List.concat_map (fun (s, f, _) -> [ s; f ]) !placed
+        |> List.sort_uniq compare
+        |> List.map (fun t ->
+               ( t,
+                 List.fold_left
+                   (fun acc (s, f, a) ->
+                     if s <= t && t < f then acc + a else acc)
+                   0 !placed ))
+      in
+      List.for_all
+        (fun (from, duration, amount, copy) ->
+          (* a copy must keep placing like its original *)
+          if copy then fused := Profile.copy !fused;
+          let fused = !fused in
+          let s1 = Profile.place fused ~from ~duration ~amount in
+          let s2 = Profile.earliest_fit split ~from ~duration ~amount in
+          Profile.add split ~start:s2 ~duration ~amount;
+          if duration > 0 && amount > 0 then
+            placed := (s1, s1 + duration, amount) :: !placed;
+          s1 = s2
+          && Profile.steps fused = Profile.steps split
+          && Profile.steps fused = expected ())
+        ops)
+
 (* --- instance ----------------------------------------------------------- *)
 
 let counter = ref 0
@@ -165,7 +211,7 @@ let test_greedy_single_job () =
   Alcotest.(check int) "on time" 0 sol.Solution.late_jobs;
   (* both maps fit in parallel (cap 2), so reduce starts at 20 *)
   let r = j.T.reduce_tasks.(0) in
-  Alcotest.(check int) "reduce at LFMT" 20 (Solution.start_of sol ~task_id:r.T.task_id)
+  Alcotest.(check int) "reduce at LFMT" 20 (Solution.start_of inst sol ~task_id:r.T.task_id)
 
 let test_greedy_respects_capacity () =
   let j = mk_job ~id:0 ~deadline:10_000 ~maps:[ 10; 10; 10 ] ~reduces:[] () in
@@ -174,14 +220,14 @@ let test_greedy_respects_capacity () =
   Alcotest.(check (list string)) "feasible" []
     (Solution.feasibility_errors inst sol);
   (* serialized on one slot: completions at 10,20,30 *)
-  let completion = Solution.job_completion inst.Instance.jobs.(0) sol.Solution.starts in
+  let completion = Solution.job_completion inst 0 sol.Solution.starts in
   Alcotest.(check int) "serialized" 30 completion
 
 let test_greedy_respects_est () =
   let j = mk_job ~id:0 ~est:500 ~deadline:10_000 ~maps:[ 10 ] ~reduces:[] () in
   let inst = fresh_instance [ j ] in
   let sol = Sched.Greedy.solve inst in
-  let s = Solution.start_of sol ~task_id:j.T.map_tasks.(0).T.task_id in
+  let s = Solution.start_of inst sol ~task_id:j.T.map_tasks.(0).T.task_id in
   Alcotest.(check int) "starts at est" 500 s
 
 let test_greedy_edf_order_helps () =
@@ -201,7 +247,7 @@ let test_greedy_backfills_ar_gap () =
   let small = mk_job ~id:1 ~deadline:5000 ~maps:[ 50 ] ~reduces:[] () in
   let inst = fresh_instance ~map_cap:1 [ ar; small ] in
   let sol = Sched.Greedy.solve ~order:Sched.Greedy.Edf inst in
-  let s_small = Solution.start_of sol ~task_id:small.T.map_tasks.(0).T.task_id in
+  let s_small = Solution.start_of inst sol ~task_id:small.T.map_tasks.(0).T.task_id in
   Alcotest.(check int) "backfilled at 0" 0 s_small;
   Alcotest.(check int) "none late" 0 sol.Solution.late_jobs
 
@@ -222,13 +268,13 @@ let test_greedy_precedence_with_frozen_lfmt () =
       frozen_completion = 100;
     }
   in
-  let inst = { inst with Instance.jobs = [| pj |] } in
+  let inst = Instance.with_jobs inst [| pj |] in
   let sol = Sched.Greedy.solve inst in
   Alcotest.(check (list string)) "feasible" []
     (Solution.feasibility_errors inst sol);
   let r = j.T.reduce_tasks.(0) in
   Alcotest.(check bool) "reduce after frozen LFMT" true
-    (Solution.start_of sol ~task_id:r.T.task_id >= 100)
+    (Solution.start_of inst sol ~task_id:r.T.task_id >= 100)
 
 let test_greedy_zero_duration_task () =
   (* zero-length tasks are legal (e_t >= 0): they occupy nothing and
@@ -240,7 +286,7 @@ let test_greedy_zero_duration_task () =
     (Solution.feasibility_errors inst sol);
   Alcotest.(check int) "on time" 0 sol.Solution.late_jobs;
   (* completion = the 10-long map; the zero reduce adds nothing *)
-  let completion = Solution.job_completion inst.Instance.jobs.(0) sol.Solution.starts in
+  let completion = Solution.job_completion inst 0 sol.Solution.starts in
   Alcotest.(check int) "completion from real work" 10 completion
 
 let test_greedy_many_jobs_single_slot () =
@@ -254,14 +300,14 @@ let test_greedy_many_jobs_single_slot () =
     (Solution.feasibility_errors inst sol);
   let makespan =
     Array.fold_left
-      (fun acc j -> max acc (Solution.job_completion j sol.Solution.starts))
-      0 inst.Instance.jobs
+      (fun acc jdx -> max acc (Solution.job_completion inst jdx sol.Solution.starts))
+      0 (Array.init (Array.length inst.Instance.jobs) Fun.id)
   in
   Alcotest.(check int) "no idle gaps" 100 makespan
 
 let test_solution_better () =
   let mk late tard =
-    { Solution.starts = Hashtbl.create 1; late_jobs = late; total_tardiness = tard }
+    { Solution.starts = [||]; late_jobs = late; total_tardiness = tard }
   in
   Alcotest.(check bool) "fewer late wins" true (Solution.better (mk 1 99) (mk 2 0));
   Alcotest.(check bool) "tie broken by tardiness" true
@@ -272,11 +318,8 @@ let test_solution_better () =
 let test_feasibility_catches_violations () =
   let j = mk_job ~id:0 ~est:100 ~deadline:1000 ~maps:[ 10 ] ~reduces:[ 10 ] () in
   let inst = fresh_instance [ j ] in
-  let starts = Hashtbl.create 4 in
   (* map before est, reduce before map completes *)
-  Hashtbl.replace starts j.T.map_tasks.(0).T.task_id 50;
-  Hashtbl.replace starts j.T.reduce_tasks.(0).T.task_id 55;
-  let sol = Solution.evaluate inst starts in
+  let sol = Solution.evaluate inst [| 50; 55 |] in
   let errs = Solution.feasibility_errors inst sol in
   Alcotest.(check bool) "est violation reported" true
     (List.exists (fun e -> String.length e > 0 && String.sub e 0 3 = "map") errs);
@@ -359,5 +402,9 @@ let () =
         ] );
       ( "properties",
         List.map QCheck_alcotest.to_alcotest
-          [ prop_earliest_fit_matches_oracle; prop_greedy_feasible ] );
+          [
+            prop_earliest_fit_matches_oracle;
+            prop_place_matches_fit_then_add;
+            prop_greedy_feasible;
+          ] );
     ]

@@ -73,22 +73,14 @@ let instance_at ~now ~map_cap ~reduce_cap dispatch jobs =
     |> List.filter (fun j -> j.T.arrival <= now)
     |> List.filter_map (classify ~now dispatch)
   in
-  {
-    Instance.now;
-    map_capacity = map_cap;
-    reduce_capacity = reduce_cap;
-    jobs = Array.of_list pjobs;
-  }
+  Instance.make ~now ~map_capacity:map_cap ~reduce_capacity:reduce_cap
+    (Array.of_list pjobs)
 
 let install dispatch (inst : Instance.t) (sol : Solution.t) =
-  Array.iter
-    (fun pj ->
-      Array.iter
-        (fun (t : T.task) ->
-          Hashtbl.replace dispatch t.T.task_id
-            (Solution.start_of sol ~task_id:t.T.task_id))
-        (Array.append pj.Instance.pending_maps pj.Instance.pending_reduces))
-    inst.Instance.jobs
+  Array.iteri
+    (fun k (t : T.task) ->
+      Hashtbl.replace dispatch t.T.task_id sol.Solution.starts.(k))
+    (Instance.pending_tasks inst)
 
 (* Event times: every distinct arrival, plus two drain points so tasks
    complete (exercising retraction) and jobs depart entirely. *)
@@ -312,8 +304,15 @@ let test_cert_proof () =
         Alcotest.(check bool) "cold proved" true cst.Cp.Solver.proved_optimal;
         Alcotest.(check int) "same optimum" csol.Solution.late_jobs
           ssol.Solution.late_jobs;
-        if inst.Instance.now = 1 then
-          Alcotest.(check int) "no search at t=1" 0 sst.Cp.Solver.nodes)
+        (* the sync is timed apart from the search, and only when the
+           store is searched *)
+        if inst.Instance.now = 1 then begin
+          Alcotest.(check int) "no search at t=1" 0 sst.Cp.Solver.nodes;
+          Alcotest.(check (float 0.)) "no sync without a search" 0.
+            sst.Cp.Solver.sync_s
+        end
+        else if sst.Cp.Solver.nodes > 0 then
+          Alcotest.(check bool) "sync timed" true (sst.Cp.Solver.sync_s > 0.))
   in
   Alcotest.(check int) "one certificate proof" 1
     (Cp.Session.stats_cert_proofs session)

@@ -29,8 +29,18 @@ let proof_options =
     seed = 5;
   }
 
-let incumbent_of_starts starts ~changed =
-  { Cp.Solver.carried_starts = starts; changed_jobs = changed }
+(* A carried plan given as a task-id table, as the incumbent's start array
+   over [inst]'s task index ([min_int] where the table has no entry). *)
+let incumbent_of_starts inst carried ~changed =
+  {
+    Cp.Solver.carried_starts =
+      Array.map
+        (fun (task : T.task) ->
+          Option.value (Hashtbl.find_opt carried task.T.task_id)
+            ~default:min_int)
+        (Instance.pending_tasks inst);
+    changed_jobs = changed;
+  }
 
 (* Deterministically corrupt a carried plan: drop some entries (partial
    carry-over), shift others (possibly below est, i.e. stale; possibly
@@ -59,11 +69,15 @@ let prop_warm_never_worse_than_cold =
     ~name:"warm solve never worse than cold (equal under proofs)"
     arb_instance_with_salt (fun (inst, salt) ->
       let cold_sol, cold_stats = Cp.Solver.solve ~options:proof_options inst in
-      let carried = corrupt_starts ~salt cold_sol.Solution.starts in
+      let carried =
+        corrupt_starts ~salt
+          (Seed_oracle.table_of inst cold_sol.Solution.starts)
+      in
       let warm_options =
         {
           proof_options with
-          Cp.Solver.warm_start = Some (incumbent_of_starts carried ~changed:[]);
+          Cp.Solver.warm_start =
+            Some (incumbent_of_starts inst carried ~changed:[]);
         }
       in
       let warm_sol, warm_stats = Cp.Solver.solve ~options:warm_options inst in
@@ -80,9 +94,12 @@ let prop_warm_candidate_always_feasible =
     ~name:"warm candidate always passes the Table-1 oracle"
     arb_instance_with_salt (fun (inst, salt) ->
       let base, _ = Cp.Solver.solve ~options:proof_options inst in
-      let carried = corrupt_starts ~salt base.Solution.starts in
+      let carried =
+        corrupt_starts ~salt (Seed_oracle.table_of inst base.Solution.starts)
+      in
       match
-        Cp.Solver.warm_candidate inst (incumbent_of_starts carried ~changed:[])
+        Cp.Solver.warm_candidate inst
+          (incumbent_of_starts inst carried ~changed:[])
       with
       | None -> true
       | Some cand -> Solution.feasibility_errors inst cand = [])
@@ -96,8 +113,10 @@ let prop_fast_path_iff_feasible_and_bound_optimal =
            bound-optimal"
     arb_instance_with_salt (fun (inst, salt) ->
       let base, _ = Cp.Solver.solve ~options:proof_options inst in
-      let carried = corrupt_starts ~salt base.Solution.starts in
-      let inc = incumbent_of_starts carried ~changed:[] in
+      let carried =
+        corrupt_starts ~salt (Seed_oracle.table_of inst base.Solution.starts)
+      in
+      let inc = incumbent_of_starts inst carried ~changed:[] in
       let lb = Cp.Solver.late_lower_bound inst in
       let expect_hit =
         match Cp.Solver.warm_candidate inst inc with
@@ -163,12 +182,10 @@ let advance (base : Instance.t) plan ~now ~crash_maps ~crash_reduces =
           frozen_completion = !completion;
         }
   in
-  {
-    Instance.now;
-    map_capacity = max 1 (base.Instance.map_capacity - crash_maps);
-    reduce_capacity = max 1 (base.Instance.reduce_capacity - crash_reduces);
-    jobs = Array.of_list (List.filter_map step (Array.to_list base.Instance.jobs));
-  }
+  Instance.make ~now
+    ~map_capacity:(max 1 (base.Instance.map_capacity - crash_maps))
+    ~reduce_capacity:(max 1 (base.Instance.reduce_capacity - crash_reduces))
+    (Array.of_list (List.filter_map step (Array.to_list base.Instance.jobs)))
 
 type seed_case = {
   inst : Instance.t;
@@ -177,13 +194,13 @@ type seed_case = {
   lb : int option;
 }
 
-(* Zero-duration tasks included; the carried plan is the base plan with
+(* Degenerate instances ({!Gen.gen_degenerate_instance}: zero-duration
+   tasks, deadlines before est); the carried plan is the base plan with
    entries dropped (missing), pulled back (stale once below the bumped
    est) or pushed forward (overlapping its neighbours). *)
 let gen_seed_case =
   let open QCheck.Gen in
-  let p = { Gen.default_params with Gen.n_jobs = (0, 6); exec = (0, 30) } in
-  let* base = Gen.gen_instance ~p () in
+  let* base = Gen.gen_degenerate_instance in
   let* now_pct = int_range 0 100 in
   let* crash_maps = int_range 0 2 in
   let* crash_reduces = int_range 0 2 in
@@ -192,13 +209,14 @@ let gen_seed_case =
     oneofl [ Sched.Greedy.By_job_id; Sched.Greedy.Edf; Sched.Greedy.Least_laxity ]
   in
   let* lb = opt (int_range 0 3) in
-  let plan = (Seed_oracle.greedy base).Solution.starts in
-  let horizon =
-    Array.fold_left
-      (fun acc (pj : Instance.pending_job) ->
-        max acc (Solution.job_completion pj plan))
-      0 base.Instance.jobs
-  in
+  let starts = (Seed_oracle.greedy base).Solution.starts in
+  let plan = Seed_oracle.table_of base starts in
+  let horizon = ref 0 in
+  Array.iteri
+    (fun jdx _ ->
+      horizon := max !horizon (Solution.job_completion base jdx starts))
+    base.Instance.jobs;
+  let horizon = !horizon in
   let inst =
     advance base plan ~now:(horizon * now_pct / 100) ~crash_maps ~crash_reduces
   in
@@ -227,14 +245,10 @@ let print_seed_case c =
 
 let arb_seed_case = QCheck.make ~print:print_seed_case gen_seed_case
 
-let sorted_starts (sol : Solution.t) =
-  Hashtbl.fold (fun k v acc -> (k, v) :: acc) sol.Solution.starts []
-  |> List.sort compare
-
 let same_solution (a : Solution.t) (b : Solution.t) =
   a.Solution.late_jobs = b.Solution.late_jobs
   && a.Solution.total_tardiness = b.Solution.total_tardiness
-  && sorted_starts a = sorted_starts b
+  && a.Solution.starts = b.Solution.starts
 
 (* both sides raise the same way or return the same thing *)
 let agree same f g =
@@ -248,7 +262,7 @@ let prop_warm_candidate_matches_reference =
   QCheck.Test.make ~count:500
     ~name:"warm candidate = reference (same option, starts, objective)"
     arb_seed_case (fun c ->
-      let inc = incumbent_of_starts c.carried ~changed:[] in
+      let inc = incumbent_of_starts c.inst c.carried ~changed:[] in
       agree (Option.equal same_solution)
         (fun () -> Cp.Solver.warm_candidate c.inst inc)
         (fun () -> Seed_oracle.warm_candidate c.inst inc))
@@ -270,7 +284,7 @@ let prop_starting_incumbent_matches_reference =
           agree same
             (fun () -> Cp.Solver.starting_incumbent ~options ?lb:c.lb c.inst)
             (fun () -> Seed_oracle.starting_incumbent ~options ?lb:c.lb c.inst))
-        [ None; Some (incumbent_of_starts c.carried ~changed:[]) ])
+        [ None; Some (incumbent_of_starts c.inst c.carried ~changed:[]) ])
 
 (* Two maps still running from before a crash now share a pool of one
    slot.  The carried plan's own start is clear of both, yet the candidate
@@ -302,16 +316,11 @@ let test_frozen_overload_rejected () =
     }
   in
   let inst ~map_capacity =
-    {
-      Instance.now = 50;
-      map_capacity;
-      reduce_capacity = 1;
-      jobs = [| running a; running b; waiting |];
-    }
+    Instance.make ~now:50 ~map_capacity ~reduce_capacity:1
+      [| running a; running b; waiting |]
   in
-  let carried = Hashtbl.create 4 in
-  Hashtbl.replace carried c.T.map_tasks.(0).T.task_id 200;
-  let inc = incumbent_of_starts carried ~changed:[] in
+  (* the waiting job's one map is the only pending task *)
+  let inc = { Cp.Solver.carried_starts = [| 200 |]; changed_jobs = [] } in
   Alcotest.(check bool) "accepted before the crash" true
     (Cp.Solver.warm_candidate (inst ~map_capacity:2) inc <> None);
   Alcotest.(check bool) "rejected after it" true
@@ -478,6 +487,39 @@ let test_deferred_reentry_past_deadline_validated () =
     plan;
   Alcotest.(check int) "provably late" 1 (last_stats mgr).Cp.Solver.lower_bound
 
+(* One validated manager pass over a degenerate instance: every task gets a
+   dispatch at or after the clock. The generator makes no input the manager
+   should reject, so any exception fails. *)
+let prop_degenerate_manager_pass =
+  QCheck.Test.make ~count:100 ~name:"degenerate inputs: one manager pass"
+    (QCheck.make ~print:(Format.asprintf "%a" Instance.pp)
+       Gen.gen_degenerate_instance) (fun inst ->
+      let now = inst.Instance.now in
+      let cluster =
+        T.uniform_cluster ~m:1 ~map_capacity:inst.Instance.map_capacity
+          ~reduce_capacity:inst.Instance.reduce_capacity
+      in
+      (* validity does not depend on how far the search gets *)
+      let config =
+        {
+          base_config with
+          Mrcp.Manager.solver =
+            { Cp.Solver.default_options with Cp.Solver.time_limit = 0.02 };
+        }
+      in
+      match
+        let mgr = Mrcp.Manager.create ~cluster config in
+        Array.iter
+          (fun (pj : Instance.pending_job) ->
+            Mrcp.Manager.submit mgr ~now pj.Instance.job)
+          inst.Instance.jobs;
+        Mrcp.Manager.invoke mgr ~now;
+        Mrcp.Manager.plan mgr
+      with
+      | plan ->
+          List.length plan = Instance.pending_task_count inst
+          && List.for_all (fun (d : Dispatch.t) -> d.Dispatch.start >= now) plan)
+
 let () =
   Alcotest.run "warm_start"
     [
@@ -493,6 +535,7 @@ let () =
             test_stream_warm_equals_cold_objective;
           Alcotest.test_case "deferred re-entry past deadline validated"
             `Quick test_deferred_reentry_past_deadline_validated;
+          QCheck_alcotest.to_alcotest prop_degenerate_manager_pass;
         ] );
       ( "oracle",
         Alcotest.test_case "frozen overload rejects the candidate" `Quick
