@@ -10,26 +10,48 @@
 
 open Cmdliner
 
-let figure_of_id config ~lambdas ~id =
-  match id with
-  | "fig2" | "fig3" | "fig2-3" -> Expkit.Figures.fig2_3 ~config ~lambdas
-  | "fig4" -> Expkit.Figures.fig4 ~config
-  | "fig5" -> Expkit.Figures.fig5 ~config
-  | "fig6" -> Expkit.Figures.fig6 ~config
-  | "fig7" -> Expkit.Figures.fig7 ~config
-  | "fig8" -> Expkit.Figures.fig8 ~config
-  | "fig9" -> Expkit.Figures.fig9 ~config
-  | "ablation-ordering" -> Expkit.Figures.ablation_ordering ~config
-  | "ablation-cp" -> Expkit.Figures.ablation_cp ~config
-  | "ablation-deferral" -> Expkit.Figures.ablation_deferral ~config
-  | other -> failwith (Printf.sprintf "unknown figure %S" other)
-
-let all_ids =
+(* Every figure, in the order [all] runs them.  The figure's own [id] names
+   its CSV file. *)
+let figures =
   [
-    "fig2-3"; "fig4"; "fig5"; "fig6"; "fig7"; "fig8"; "fig9";
-    "ablation-ordering"; "ablation-cp"; "ablation-deferral"; "ablation-lp";
-    "ablation-decomp";
+    ("fig2-3", fun config ~lambdas -> Expkit.Figures.fig2_3 ~config ~lambdas);
+    ("fig4", fun config ~lambdas:_ -> Expkit.Figures.fig4 ~config);
+    ("fig5", fun config ~lambdas:_ -> Expkit.Figures.fig5 ~config);
+    ("fig6", fun config ~lambdas:_ -> Expkit.Figures.fig6 ~config);
+    ("fig7", fun config ~lambdas:_ -> Expkit.Figures.fig7 ~config);
+    ("fig8", fun config ~lambdas:_ -> Expkit.Figures.fig8 ~config);
+    ("fig9", fun config ~lambdas:_ -> Expkit.Figures.fig9 ~config);
+    ( "ablation-ordering",
+      fun config ~lambdas:_ -> Expkit.Figures.ablation_ordering ~config );
+    ("ablation-cp", fun config ~lambdas:_ -> Expkit.Figures.ablation_cp ~config);
+    ( "ablation-deferral",
+      fun config ~lambdas:_ -> Expkit.Figures.ablation_deferral ~config );
   ]
+
+let all_ids = List.map fst figures
+
+(* Fig. 2 and Fig. 3 are one set of runs. *)
+let aliases = [ ("fig2", "fig2-3"); ("fig3", "fig2-3") ]
+
+let valid_ids = List.map fst aliases @ all_ids @ [ "all" ]
+
+(* Expand [all] and the aliases, refusing an unknown id before any figure
+   runs. *)
+let expand ids =
+  let ids =
+    List.concat_map
+      (fun id ->
+        if id = "all" then all_ids
+        else [ Option.value (List.assoc_opt id aliases) ~default:id ])
+      ids
+  in
+  match List.find_opt (fun id -> not (List.mem_assoc id figures)) ids with
+  | None -> Ok ids
+  | Some id ->
+      Error
+        (`Msg
+          (Printf.sprintf "unknown figure %S (valid: %s)" id
+             (String.concat ", " valid_ids)))
 
 (* The workload generators reject out-of-range parameters with
    [Invalid_argument].  Run their checks on the values the flags set before
@@ -55,9 +77,11 @@ let check_inputs ~jobs ~fb_jobs ~lambdas =
 let run_ids ids reps jobs fb_jobs seed budget out validate lambdas trace_out
     metrics no_warm_start no_session journal_out metrics_every metrics_out
     trace_limit =
-  match check_inputs ~jobs ~fb_jobs ~lambdas with
+  match
+    Result.bind (check_inputs ~jobs ~fb_jobs ~lambdas) (fun () -> expand ids)
+  with
   | Error _ as error -> error
-  | Ok () ->
+  | Ok ids ->
   let journal = Option.map (fun _ -> Obs.Journal.create ()) journal_out in
   let base =
     {
@@ -78,44 +102,13 @@ let run_ids ids reps jobs fb_jobs seed budget out validate lambdas trace_out
   let all_metrics = ref [] in
   List.iter
     (fun id ->
-      if id = "ablation-decomp" then begin
-        let t0 = Unix.gettimeofday () in
-        let rows = Expkit.Decomp.run ~seed () in
-        print_string (Expkit.Decomp.render rows);
-        Printf.printf "(generated in %.1fs)\n\n%!" (Unix.gettimeofday () -. t0);
-        match out with
-        | Some dir ->
-            (try Unix.mkdir dir 0o755
-             with Unix.Unix_error (Unix.EEXIST, _, _) -> ());
-            let path = Filename.concat dir "ablation-decomp.csv" in
-            Report.Table.write_file ~path (Expkit.Decomp.to_csv rows);
-            Printf.printf "wrote %s\n\n%!" path
-        | None -> ()
-      end
-      else if id = "ablation-lp" then begin
-        (* solver-vs-solver table, not a simulation figure *)
-        let t0 = Unix.gettimeofday () in
-        let rows = Expkit.Cp_vs_lp.run ~seed () in
-        print_string (Expkit.Cp_vs_lp.render rows);
-        Printf.printf "(generated in %.1fs)\n\n%!" (Unix.gettimeofday () -. t0);
-        match out with
-        | Some dir ->
-            (try Unix.mkdir dir 0o755
-             with Unix.Unix_error (Unix.EEXIST, _, _) -> ());
-            let path = Filename.concat dir "ablation-lp.csv" in
-            Report.Table.write_file ~path (Expkit.Cp_vs_lp.to_csv rows);
-            Printf.printf "wrote %s\n\n%!" path
-        | None -> ()
-      end
-      else begin
       let config =
         (* the Facebook comparison uses its own job count: 1000 in the paper *)
-        if String.length id >= 4 && String.sub id 0 4 = "fig2" then
-          { base with Expkit.Runner.n_jobs = fb_jobs }
+        if id = "fig2-3" then { base with Expkit.Runner.n_jobs = fb_jobs }
         else { base with Expkit.Runner.n_jobs = jobs }
       in
       let t0 = Unix.gettimeofday () in
-      let fig = figure_of_id config ~lambdas ~id in
+      let fig = (List.assoc id figures) config ~lambdas in
       print_string (Expkit.Figures.render fig);
       Printf.printf "(generated in %.1fs)\n\n%!" (Unix.gettimeofday () -. t0);
       (match
@@ -146,8 +139,7 @@ let run_ids ids reps jobs fb_jobs seed budget out validate lambdas trace_out
           let path = Filename.concat dir (fig.Expkit.Figures.id ^ ".csv") in
           Report.Table.write_file ~path (Expkit.Figures.to_csv fig);
           Printf.printf "wrote %s\n\n%!" path
-      | None -> ()
-      end)
+      | None -> ())
     ids;
   (match trace_out with
   | Some path ->
@@ -182,8 +174,8 @@ let run_ids ids reps jobs fb_jobs seed budget out validate lambdas trace_out
 
 let ids_arg =
   let doc =
-    "Figures to regenerate: fig2-3 fig4..fig9, ablation-ordering, \
-     ablation-cp, ablation-deferral, or 'all'."
+    "Figures to regenerate: " ^ String.concat ", " valid_ids
+    ^ " ('all' runs every figure once)."
   in
   Arg.(non_empty & pos_all string [] & info [] ~docv:"FIGURE" ~doc)
 
@@ -263,16 +255,13 @@ let trace_limit =
                  drop counts are reported in the --metrics summary.")
 
 let cmd =
-  let expand ids =
-    List.concat_map (fun id -> if id = "all" then all_ids else [ id ]) ids
-  in
   let term =
     Term.term_result ~usage:true
     @@ Term.(
       const (fun ids reps jobs fb_jobs seed budget out validate lambdas
                  trace_out metrics no_warm_start no_session journal_out
                  metrics_every metrics_out trace_limit ->
-          run_ids (expand ids) reps jobs fb_jobs seed budget out validate
+          run_ids ids reps jobs fb_jobs seed budget out validate
             lambdas trace_out metrics no_warm_start no_session journal_out
             metrics_every metrics_out trace_limit)
       $ ids_arg $ reps $ jobs $ fb_jobs $ seed $ budget $ out $ validate

@@ -436,207 +436,6 @@ let capacity s ~tasks ~fixed ~capacity =
   if disjunctive_applicable ~tasks ~fixed ~capacity then
     disjunctive s ~tasks ~fixed
 
-(* --- per-resource cumulative gated on assignment variables --------------- *)
-
-type gated = {
-  g_start : Store.var;
-  g_duration : int;
-  g_demand : int;
-  g_member : Store.var;
-  g_value : int;
-}
-
-(* How many members the O(m^2)-window energetic check is allowed to cover.
-   The direct formulation is only practical on small instances (that is why
-   the paper decomposes, §V.D), so the bound is generous in practice. *)
-let energetic_member_limit = 24
-
-let cumulative_gated s ~tasks ~capacity =
-  if capacity <= 0 then invalid_arg "cumulative_gated: capacity must be > 0";
-  let n = Array.length tasks in
-  (* same incremental machinery as [cumulative]: stable per-task event
-     slots, value-compared cache (membership + start bounds), insertion-
-     sorted permutation, witnessed-fixpoint full skip *)
-  let ne = 2 * n in
-  let ev_time = Array.make (max 1 ne) max_int in
-  let ev_delta = Array.make (max 1 ne) 0 in
-  let perm = Array.init (max 1 ne) (fun i -> i) in
-  let comp_lo = Array.make (max 1 n) max_int in
-  let comp_hi = Array.make (max 1 n) max_int in
-  let member = Array.make (max 1 n) false in
-  let cache_member = Array.make (max 1 n) false in
-  let cache_est = Array.make (max 1 n) min_int in
-  let cache_lst = Array.make (max 1 n) min_int in
-  let valid = ref false in
-  let seg_a = Array.make (ne + 1) 0 in
-  let seg_b = Array.make (ne + 1) 0 in
-  let seg_u = Array.make (ne + 1) 0 in
-  let clear_slot i =
-    comp_lo.(i) <- max_int;
-    comp_hi.(i) <- max_int;
-    ev_time.(2 * i) <- max_int;
-    ev_delta.(2 * i) <- 0;
-    ev_time.((2 * i) + 1) <- max_int;
-    ev_delta.((2 * i) + 1) <- 0
-  in
-  (* energetic-reasoning failure check over the current members: for every
-     window [t1, t2) spanned by member release dates and deadlines, the sum
-     of minimal-intersection energies may not exceed capacity * (t2 - t1) *)
-  let energetic_check s =
-    let m = ref 0 in
-    for i = 0 to n - 1 do
-      if member.(i) then incr m
-    done;
-    if !m >= 2 && !m <= energetic_member_limit then begin
-      let mi t1 t2 i =
-        let t = tasks.(i) in
-        let est = Store.min_of s t.g_start
-        and lst = Store.max_of s t.g_start in
-        let left = est + t.g_duration - t1 in
-        let right = t2 - lst in
-        let e = min (min (t2 - t1) t.g_duration) (min left right) in
-        if e > 0 then e * t.g_demand else 0
-      in
-      for i = 0 to n - 1 do
-        if member.(i) then begin
-          let t1 = Store.min_of s tasks.(i).g_start in
-          for j = 0 to n - 1 do
-            if member.(j) then begin
-              let tj = tasks.(j) in
-              let t2 = Store.max_of s tj.g_start + tj.g_duration in
-              if t2 > t1 then begin
-                let energy = ref 0 in
-                for q = 0 to n - 1 do
-                  if member.(q) then energy := !energy + mi t1 t2 q
-                done;
-                if !energy > capacity * (t2 - t1) then
-                  raise (Store.Fail "gated cumulative energetic overload")
-              end
-            end
-          done
-        end
-      done
-    end
-  in
-  let run s =
-    let moved = ref false in
-    for i = 0 to n - 1 do
-      let t = tasks.(i) in
-      let mem =
-        t.g_duration > 0 && t.g_demand > 0
-        && Store.is_fixed s t.g_member
-        && Store.value s t.g_member = t.g_value
-      in
-      member.(i) <- mem;
-      if mem then begin
-        let est = Store.min_of s t.g_start and lst = Store.max_of s t.g_start in
-        if
-          (not cache_member.(i))
-          || est <> cache_est.(i)
-          || lst <> cache_lst.(i)
-        then begin
-          moved := true;
-          cache_member.(i) <- true;
-          cache_est.(i) <- est;
-          cache_lst.(i) <- lst;
-          let lo = lst and hi = est + t.g_duration in
-          if lo < hi then begin
-            comp_lo.(i) <- lo;
-            comp_hi.(i) <- hi;
-            ev_time.(2 * i) <- lo;
-            ev_delta.(2 * i) <- t.g_demand;
-            ev_time.((2 * i) + 1) <- hi;
-            ev_delta.((2 * i) + 1) <- -t.g_demand
-          end
-          else clear_slot i
-        end
-      end
-      else if cache_member.(i) then begin
-        moved := true;
-        cache_member.(i) <- false;
-        clear_slot i
-      end
-    done;
-    if (not !moved) && !valid then Store.note_scratch_reuse s
-    else begin
-      valid := false;
-      for a = 1 to ne - 1 do
-        let pa = perm.(a) in
-        let ta = ev_time.(pa) in
-        let b = ref (a - 1) in
-        while !b >= 0 && ev_time.(perm.(!b)) > ta do
-          perm.(!b + 1) <- perm.(!b);
-          decr b
-        done;
-        perm.(!b + 1) <- pa
-      done;
-      let nseg = ref 0 in
-      let i = ref 0 and usage = ref 0 in
-      while !i < ne && ev_time.(perm.(!i)) < max_int do
-        let time = ev_time.(perm.(!i)) in
-        while !i < ne && ev_time.(perm.(!i)) = time do
-          usage := !usage + ev_delta.(perm.(!i));
-          incr i
-        done;
-        if !usage > capacity then
-          raise (Store.Fail "gated cumulative overload");
-        let next =
-          if !i < ne && ev_time.(perm.(!i)) < max_int then ev_time.(perm.(!i))
-          else max_int
-        in
-        if !usage > 0 && next > time then begin
-          seg_a.(!nseg) <- time;
-          seg_b.(!nseg) <- next;
-          seg_u.(!nseg) <- !usage;
-          incr nseg
-        end
-      done;
-      let nseg = !nseg in
-      let changed = ref false in
-      if nseg > 0 then
-        for t = 0 to n - 1 do
-          let task = tasks.(t) in
-          if member.(t) && not (Store.is_fixed s task.g_start) then begin
-            let own_lo = comp_lo.(t) and own_hi = comp_hi.(t) in
-            let overloaded k =
-              let u =
-                if own_lo < seg_b.(k) && own_hi > seg_a.(k) then
-                  seg_u.(k) - task.g_demand
-                else seg_u.(k)
-              in
-              u + task.g_demand > capacity
-            in
-            let est = ref (Store.min_of s task.g_start) in
-            for k = 0 to nseg - 1 do
-              if seg_a.(k) < !est + task.g_duration && seg_b.(k) > !est
-                 && overloaded k
-              then est := seg_b.(k)
-            done;
-            if !est > Store.min_of s task.g_start then changed := true;
-            Store.set_min s task.g_start !est;
-            let lst = ref (Store.max_of s task.g_start) in
-            for k = nseg - 1 downto 0 do
-              if seg_a.(k) < !lst + task.g_duration && seg_b.(k) > !lst
-                 && overloaded k
-              then lst := seg_a.(k) - task.g_duration
-            done;
-            if !lst < Store.max_of s task.g_start then changed := true;
-            Store.set_max s task.g_start !lst
-          end
-        done;
-      energetic_check s;
-      if not !changed then valid := true
-    end
-  in
-  let pid = Store.register s ~priority:2 ~name:"cumulative_gated" run in
-  Array.iter
-    (fun t ->
-      Store.watch s t.g_start pid;
-      (* only a domain collapse can flip membership *)
-      Store.watch_fix s t.g_member pid)
-    tasks;
-  Store.schedule s pid
-
 (* --- dynamic registries (persistent sessions) ----------------------------- *)
 
 (* [cumulative]'s task set is fixed at posting time; a {!Session} needs one

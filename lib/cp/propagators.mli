@@ -87,32 +87,6 @@ val capacity :
     where {!disjunctive_applicable} holds (there edge finding prunes what
     the time table cannot). *)
 
-type gated = {
-  g_start : Store.var;
-  g_duration : int;
-  g_demand : int;
-  g_member : Store.var;  (** resource-choice variable *)
-  g_value : int;  (** the task occupies this resource iff g_member = value *)
-}
-
-val cumulative_gated : Store.t -> tasks:gated array -> capacity:int -> unit
-(** Per-resource cumulative for the paper's {e direct} formulation (the x_tr
-    variables of Table 1, before the §V.D decomposition): a task contributes
-    to this resource's profile only once its choice variable is fixed to
-    [g_value], and only such tasks have their start bounds pruned here.
-    Weaker propagation than {!cumulative} (unassigned tasks are invisible),
-    but exact once every choice and start is fixed — which is all the
-    branch-and-bound needs for soundness.
-
-    Incremental like {!cumulative} (membership + bounds cache, stable event
-    slots, witnessed-fixpoint skip).  Each run also performs an
-    energetic-reasoning failure check over the current members: for every
-    window spanned by member release dates and deadlines, the summed
-    minimal-intersection energy must fit [capacity × window]; the check
-    detects some infeasible partial assignments the time table cannot, and
-    is skipped beyond a small member count to bound its O(m²)-windows
-    cost. *)
-
 (** {1 Dynamic registries}
 
     {!Session} keeps one store alive across solver invocations; the
@@ -147,8 +121,6 @@ val dyn_retire : dyn_pool -> Store.t -> Store.var -> unit
     never loosens the profile seen by the remaining tasks.  The registry
     slot is found through a variable-indexed table, in constant time.
     @raise Invalid_argument when the variable is not in the registry. *)
-
-val dyn_pool_pid : dyn_pool -> Store.propagator_id
 
 type dyn_sum
 (** Growable Σ N_j < bound over a mutable variable set. *)

@@ -80,13 +80,12 @@ and t = {
   mutable mins : int array;
   mutable maxs : int array;
   mutable nvars : int;
-  (* Event-granular watch lists: set_min wakes only the min list (plus the
-     fix list when the domain just became a singleton), set_max
-     symmetrically.  A propagator that reads both bounds registers in both
+  (* Event-granular watch lists: set_min wakes only the min list, set_max
+     only the max list.  A propagator that reads both bounds registers in both
      lists.  Struct-of-arrays layout: instead of one growable vector per
      (variable, event), every watch edge is a slot in the shared
      [wl_pid]/[wl_next] pool and each (variable, event) keeps only head/tail
-     slot indices ([3 * var + event], -1 = empty).  Appending at the tail
+     slot indices ([2 * var + event], -1 = empty).  Appending at the tail
      preserves registration order, so notification order — and hence the
      search trajectory — is identical to the per-variable vectors this
      replaces, while [new_var] no longer allocates anything. *)
@@ -131,15 +130,14 @@ let dummy_prop =
 (* Watch-event indices into [watch_head]/[watch_tail]. *)
 let ev_min = 0
 let ev_max = 1
-let ev_fix = 2
 
 let create () =
   {
     mins = Array.make 64 0;
     maxs = Array.make 64 0;
     nvars = 0;
-    watch_head = Array.make (3 * 64) (-1);
-    watch_tail = Array.make (3 * 64) (-1);
+    watch_head = Array.make (2 * 64) (-1);
+    watch_tail = Array.make (2 * 64) (-1);
     wl_pid = Array.make 64 0;
     wl_next = Array.make 64 (-1);
     wl_len = 0;
@@ -176,24 +174,22 @@ let new_var t ~min ~max =
     t.mins <- grow t.mins 0;
     t.maxs <- grow t.maxs 0;
     t.mod_stamp <- grow t.mod_stamp 0;
-    let grow3 a =
-      let a' = Array.make (3 * n) (-1) in
-      Array.blit a 0 a' 0 (3 * id);
+    let grow2 a =
+      let a' = Array.make (2 * n) (-1) in
+      Array.blit a 0 a' 0 (2 * id);
       a'
     in
-    t.watch_head <- grow3 t.watch_head;
-    t.watch_tail <- grow3 t.watch_tail
+    t.watch_head <- grow2 t.watch_head;
+    t.watch_tail <- grow2 t.watch_tail
   end;
   t.mins.(id) <- min;
   t.maxs.(id) <- max;
   t.mod_stamp.(id) <- 0;
-  let base = 3 * id in
+  let base = 2 * id in
   t.watch_head.(base) <- -1;
   t.watch_head.(base + 1) <- -1;
-  t.watch_head.(base + 2) <- -1;
   t.watch_tail.(base) <- -1;
   t.watch_tail.(base + 1) <- -1;
-  t.watch_tail.(base + 2) <- -1;
   t.nvars <- id + 1;
   id
 
@@ -225,7 +221,7 @@ let enqueue_for t v pid =
   end
 
 let notify_list t v ev =
-  let k = ref t.watch_head.((3 * v) + ev) in
+  let k = ref t.watch_head.((2 * v) + ev) in
   while !k >= 0 do
     enqueue_for t v t.wl_pid.(!k);
     k := t.wl_next.(!k)
@@ -253,8 +249,7 @@ let set_min t v x =
     Vec.push t.trail_values t.mins.(v);
     t.mins.(v) <- x;
     touch t v;
-    notify_list t v ev_min;
-    if t.mins.(v) = t.maxs.(v) then notify_list t v ev_fix
+    notify_list t v ev_min
   end
 
 let set_max t v x =
@@ -264,8 +259,7 @@ let set_max t v x =
     Vec.push t.trail_values t.maxs.(v);
     t.maxs.(v) <- x;
     touch t v;
-    notify_list t v ev_max;
-    if t.mins.(v) = t.maxs.(v) then notify_list t v ev_fix
+    notify_list t v ev_max
   end
 
 let fix t v x =
@@ -309,26 +303,25 @@ let watch_ev t v ev pid =
   t.wl_len <- slot + 1;
   t.wl_pid.(slot) <- pid;
   t.wl_next.(slot) <- -1;
-  let key = (3 * v) + ev in
+  let key = (2 * v) + ev in
   let tail = t.watch_tail.(key) in
   if tail < 0 then t.watch_head.(key) <- slot else t.wl_next.(tail) <- slot;
   t.watch_tail.(key) <- slot
 
 let watch_min t v pid = watch_ev t v ev_min pid
 let watch_max t v pid = watch_ev t v ev_max pid
-let watch_fix t v pid = watch_ev t v ev_fix pid
 
 let watch t v pid =
   watch_min t v pid;
   watch_max t v pid
 
-(* Unlink every watch edge of [pid] from [v]'s three lists.  The pool slots
+(* Unlink every watch edge of [pid] from [v]'s two lists.  The pool slots
    are not recycled — retraction is rare compared to registration, and a
    leaked slot is one int pair — but the lists themselves stay exact, so a
    retracted propagator is never notified again. *)
 let unwatch t v pid =
-  for ev = 0 to 2 do
-    let key = (3 * v) + ev in
+  for ev = ev_min to ev_max do
+    let key = (2 * v) + ev in
     let prev = ref (-1) and k = ref t.watch_head.(key) in
     while !k >= 0 do
       let next = t.wl_next.(!k) in
@@ -366,7 +359,7 @@ let run_metered t pid p =
       raise e
 
 (* Clear pending wakeups so the next propagation starts clean — the shared
-   tail of [propagate]'s fail path and [backtrack_to_root]. *)
+   tail of [propagate]'s fail path and [backtrack_to]. *)
 let drain_queues t =
   Array.iter
     (fun q ->
@@ -432,8 +425,6 @@ let backtrack_to t target =
   done;
   (* no pending wakeups should survive across a search reset *)
   drain_queues t
-
-let backtrack_to_root t = backtrack_to t 0
 
 let stats_propagations t = t.propagations
 let stats_wakeups_skipped t = t.wakeups_skipped

@@ -96,15 +96,11 @@ val watch_min : t -> var -> propagator_id -> unit
 val watch_max : t -> var -> propagator_id -> unit
 (** Wake the propagator when the variable's {e upper} bound drops. *)
 
-val watch_fix : t -> var -> propagator_id -> unit
-(** Wake the propagator when the variable becomes fixed (domain collapses to
-    a singleton, from either side). *)
-
 val watch : t -> var -> propagator_id -> unit
 (** Wake on any bound change: [watch_min] + [watch_max]. *)
 
 val unwatch : t -> var -> propagator_id -> unit
-(** Remove every watch of [pid] on [var] (all three event lists): the
+(** Remove every watch of [pid] on [var] (both event lists): the
     propagator is never again notified of the variable's changes.  Used by
     {!Session} to unhook retracted tasks from their pool propagators.  Cost
     is linear in the variable's watch-list lengths. *)
@@ -132,9 +128,6 @@ val backtrack_to : t -> int -> unit
     {!Session} guard level) reset to its own entry level instead of
     unwinding state it does not own.  @raise Invalid_argument when [n] is
     negative or above the current level. *)
-
-val backtrack_to_root : t -> unit
-(** [backtrack_to t 0]. *)
 
 (** {2 Introspection} *)
 

@@ -48,6 +48,25 @@ let test_store_backtrack () =
   Cp.Store.backtrack s;
   Alcotest.(check int) "min restored to root" 0 (Cp.Store.min_of s v)
 
+(* [unwatch] removes every edge of a propagator from both of a variable's
+   event lists, and only its own: the variable's other watchers still wake. *)
+let test_unwatch_both_events () =
+  let s = Cp.Store.create () in
+  let v = Cp.Store.new_var s ~min:0 ~max:10 in
+  let gone_runs = ref 0 and kept_runs = ref 0 in
+  let gone = Cp.Store.register s (fun _ -> incr gone_runs) in
+  let kept = Cp.Store.register s (fun _ -> incr kept_runs) in
+  Cp.Store.watch s v gone;
+  Cp.Store.watch s v kept;
+  Cp.Store.watch_min s v gone;
+  Cp.Store.unwatch s v gone;
+  Cp.Store.set_min s v 2;
+  Cp.Store.propagate s;
+  Cp.Store.set_max s v 8;
+  Cp.Store.propagate s;
+  Alcotest.(check int) "unwatched propagator never runs" 0 !gone_runs;
+  Alcotest.(check int) "other watcher wakes on both events" 2 !kept_runs
+
 let test_propagator_precedence () =
   let s = Cp.Store.create () in
   let x = Cp.Store.new_var s ~min:0 ~max:100 in
@@ -487,102 +506,6 @@ let test_tie_breaks_agree () =
   Alcotest.(check int) "deadline tie-break agrees" base
     (solve_with Cp.Search.Deadline_first)
 
-(* --- direct per-resource formulation (pre-§V.D) ------------------------ *)
-
-(* oracle for the direct model: every per-resource profile within capacity *)
-let direct_assignment_feasible cluster (inst : Instance.t)
-    (a : Cp.Direct.assignment) =
-  let ok = ref true in
-  Array.iter
-    (fun (res : T.resource) ->
-      let check kind cap =
-        if cap > 0 then begin
-          let profile = Sched.Profile.create ~capacity:cap in
-          Array.iter
-            (fun (j : Instance.pending_job) ->
-              let scan (task : T.task) =
-                if
-                  task.T.kind = kind
-                  && Hashtbl.find a.Cp.Direct.resource_of task.T.task_id
-                     = res.T.res_id
-                then begin
-                  let start =
-                    Solution.start_of inst a.Cp.Direct.solution
-                      ~task_id:task.T.task_id
-                  in
-                  if
-                    not
-                      (Sched.Profile.fits profile ~start
-                         ~duration:task.T.exec_time
-                         ~amount:task.T.capacity_req)
-                  then ok := false;
-                  Sched.Profile.add profile ~start ~duration:task.T.exec_time
-                    ~amount:task.T.capacity_req
-                end
-              in
-              Array.iter scan j.Instance.pending_maps;
-              Array.iter scan j.Instance.pending_reduces)
-            inst.Instance.jobs
-        end
-      in
-      check T.Map_task res.T.map_capacity;
-      check T.Reduce_task res.T.reduce_capacity)
-    cluster;
-  !ok
-
-let test_direct_matches_combined () =
-  let cluster = T.uniform_cluster ~m:2 ~map_capacity:1 ~reduce_capacity:1 in
-  let make () =
-    [
-      mk_job ~id:0 ~deadline:40 ~maps:[ 10; 10 ] ~reduces:[ 10 ] ();
-      mk_job ~id:1 ~deadline:35 ~maps:[ 15 ] ~reduces:[ 10 ] ();
-      mk_job ~id:2 ~est:5 ~deadline:60 ~maps:[ 10 ] ~reduces:[] ();
-    ]
-  in
-  let inst = instance ~map_cap:2 ~reduce_cap:2 (make ()) in
-  let combined, cstats = solve inst in
-  let direct, dstats = Cp.Direct.solve ~cluster inst in
-  Alcotest.(check bool) "combined proved" true cstats.Cp.Solver.proved_optimal;
-  Alcotest.(check bool) "direct proved" true dstats.Cp.Direct.proved_optimal;
-  match direct with
-  | Some a ->
-      Alcotest.(check int) "same optimal late count"
-        combined.Solution.late_jobs
-        a.Cp.Direct.solution.Solution.late_jobs;
-      Alcotest.(check bool) "per-resource capacities hold" true
-        (direct_assignment_feasible cluster inst a);
-      Alcotest.(check (list string)) "combined-level oracle holds" []
-        (Solution.feasibility_errors inst a.Cp.Direct.solution)
-  | None -> Alcotest.fail "direct model found no solution"
-
-let test_direct_slower_than_combined () =
-  (* the §V.D claim, in miniature: the direct model explores far more nodes
-     than the decomposed pipeline on the same batch *)
-  let cluster = T.uniform_cluster ~m:3 ~map_capacity:1 ~reduce_capacity:1 in
-  let jobs =
-    List.init 4 (fun i ->
-        mk_job ~id:i ~deadline:(35 + (3 * i)) ~maps:[ 10; 8 ] ~reduces:[ 6 ] ())
-  in
-  let inst = instance ~map_cap:3 ~reduce_cap:3 jobs in
-  let _, cstats = solve inst in
-  let limits = { Cp.Search.no_limits with Cp.Search.fail_limit = 200_000 } in
-  let _, dstats = Cp.Direct.solve ~limits ~cluster inst in
-  Alcotest.(check bool) "direct does much more work" true
-    (dstats.Cp.Direct.nodes
-    > (10 * cstats.Cp.Solver.nodes) + 10)
-
-let test_direct_rejects_mismatched_cluster () =
-  let cluster = T.uniform_cluster ~m:2 ~map_capacity:1 ~reduce_capacity:1 in
-  let inst =
-    instance ~map_cap:4 ~reduce_cap:4
-      [ mk_job ~id:0 ~deadline:100 ~maps:[ 5 ] ~reduces:[] () ]
-  in
-  Alcotest.(check bool) "mismatch rejected" true
-    (try
-       ignore (Cp.Direct.solve ~cluster inst);
-       false
-     with Invalid_argument _ -> true)
-
 (* --- qcheck properties ------------------------------------------------ *)
 
 let arb_instance = Gen.arb_instance
@@ -884,6 +807,11 @@ let () =
           Alcotest.test_case "bounds" `Quick test_store_bounds;
           Alcotest.test_case "backtrack" `Quick test_store_backtrack;
         ] );
+      ( "store watch events",
+        [
+          Alcotest.test_case "unwatch drops both events" `Quick
+            test_unwatch_both_events;
+        ] );
       ( "propagators",
         [
           Alcotest.test_case "precedence" `Quick test_propagator_precedence;
@@ -931,15 +859,6 @@ let () =
             test_portfolio_proves_optimal;
           Alcotest.test_case "tie-breaks agree on the optimum" `Quick
             test_tie_breaks_agree;
-        ] );
-      ( "direct formulation",
-        [
-          Alcotest.test_case "matches combined" `Quick
-            test_direct_matches_combined;
-          Alcotest.test_case "slower than combined" `Quick
-            test_direct_slower_than_combined;
-          Alcotest.test_case "rejects mismatch" `Quick
-            test_direct_rejects_mismatched_cluster;
         ] );
       ( "properties",
         List.map QCheck_alcotest.to_alcotest

@@ -37,30 +37,25 @@ let all_postings = [ naive; timetable; edge_finding; production ]
 
 (* --- event-granular watchers ------------------------------------------- *)
 
-(* A min-watcher is woken by set_min but not by set_max (and vice versa);
-   watch_fix fires only when the domain becomes a singleton. *)
+(* A min-watcher is woken by set_min but not by set_max (and vice versa). *)
 let test_watch_granularity () =
   let s = Store.create () in
   let v = Store.new_var s ~min:0 ~max:10 in
-  let min_runs = ref 0 and max_runs = ref 0 and fix_runs = ref 0 in
+  let min_runs = ref 0 and max_runs = ref 0 in
   let p_min = Store.register s (fun _ -> incr min_runs) in
   let p_max = Store.register s (fun _ -> incr max_runs) in
-  let p_fix = Store.register s (fun _ -> incr fix_runs) in
   Store.watch_min s v p_min;
   Store.watch_max s v p_max;
-  Store.watch_fix s v p_fix;
   Store.set_max s v 8;
   Store.propagate s;
   Alcotest.(check int) "set_max wakes no min-watcher" 0 !min_runs;
   Alcotest.(check int) "set_max wakes the max-watcher" 1 !max_runs;
-  Alcotest.(check int) "set_max (non-fixing) wakes no fix-watcher" 0 !fix_runs;
   Store.set_min s v 3;
   Store.propagate s;
   Alcotest.(check int) "set_min wakes the min-watcher" 1 !min_runs;
   Alcotest.(check int) "set_min wakes no max-watcher" 1 !max_runs;
   Store.fix s v 5;
   Store.propagate s;
-  Alcotest.(check int) "fixing wakes the fix-watcher" 1 !fix_runs;
   Alcotest.(check int) "fixing wakes both bound watchers" 2 !min_runs;
   Alcotest.(check int) "fixing wakes both bound watchers (max)" 2 !max_runs
 

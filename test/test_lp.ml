@@ -1,6 +1,7 @@
-(* Tests for the LP/MILP comparator: simplex on known LPs, branch-and-bound
-   on known IPs, and the time-indexed scheduling MILP cross-checked against
-   the CP solver on exact-quantum instances. *)
+(* Tests for the LP/MILP optimum oracle ([test/lp], sharing no code with
+   [lib/cp]): simplex on known LPs, branch-and-bound on known IPs, and the
+   time-indexed scheduling MILP cross-checked against the CP solver on
+   exact-quantum instances. *)
 
 module S = Lp.Simplex
 
@@ -216,9 +217,34 @@ let test_milp_single_job () =
         (Sched.Solution.feasibility_errors i s)
   | None -> Alcotest.fail "no solution"
 
+(* The MILP shares no code with the CP solver, so its proved optimum is an
+   independent ground truth for every CP entry point: the cold solver, a
+   fresh session and a two-domain portfolio.  [quantum] must make the MILP
+   exact (divide every time of the instance). *)
+let check_milp_matches_cp (i, quantum) =
+  let horizon = Lp.Milp_model.suggested_horizon_slots i ~quantum + 4 in
+  let m = Lp.Milp_model.build i ~quantum ~horizon_slots:horizon in
+  let milp_sol, outcome = Lp.Milp_model.solve m in
+  Alcotest.(check bool) "milp proved" true outcome.Lp.Mip.proved_optimal;
+  match milp_sol with
+  | Some s ->
+      Alcotest.(check (list string)) "milp feasible" []
+        (Sched.Solution.feasibility_errors i s);
+      let agrees name (sol : Sched.Solution.t) =
+        Alcotest.(check int) (name ^ " finds the milp optimum")
+          s.Sched.Solution.late_jobs sol.Sched.Solution.late_jobs
+      in
+      agrees "solver" (fst (Cp.Solver.solve i));
+      agrees "session"
+        (fst
+           (Cp.Session.solve (Cp.Session.create ())
+              ~options:Cp.Solver.default_options i));
+      agrees "portfolio" (fst (Cp.Portfolio.solve ~domains:2 i))
+  | None -> Alcotest.fail "milp found nothing"
+
 let test_milp_matches_cp_on_small_instances () =
   let rng = Simrand.Rng.create 5 in
-  for _ = 1 to 10 do
+  let random _ =
     let n = 1 + Simrand.Rng.int rng 2 in
     let jobs =
       List.init n (fun id ->
@@ -229,20 +255,21 @@ let test_milp_matches_cp_on_small_instances () =
           let total = List.fold_left ( + ) 0 maps + List.fold_left ( + ) 0 reduces in
           mk_job ~id ~deadline:(total + Simrand.Rng.int rng 6) ~maps ~reduces ())
     in
-    let i = inst jobs in
-    let cp_sol, _ = Cp.Solver.solve i in
-    let horizon = Lp.Milp_model.suggested_horizon_slots i ~quantum:1 + 4 in
-    let m = Lp.Milp_model.build i ~quantum:1 ~horizon_slots:horizon in
-    let milp_sol, outcome = Lp.Milp_model.solve m in
-    Alcotest.(check bool) "milp proved" true outcome.Lp.Mip.proved_optimal;
-    match milp_sol with
-    | Some s ->
-        Alcotest.(check (list string)) "milp feasible" []
-          (Sched.Solution.feasibility_errors i s);
-        Alcotest.(check int) "same optimal late count"
-          cp_sol.Sched.Solution.late_jobs s.Sched.Solution.late_jobs
-    | None -> Alcotest.fail "milp found nothing"
-  done
+    (inst jobs, 1)
+  in
+  List.iter check_milp_matches_cp (List.init 10 random)
+
+(* Two contending jobs with several tasks each plus one released late: every
+   time is a multiple of 5, so quantum 5 is exact. *)
+let test_milp_three_jobs_matches_cp () =
+  check_milp_matches_cp
+    ( inst ~map_cap:2 ~reduce_cap:2
+        [
+          mk_job ~id:0 ~deadline:40 ~maps:[ 10; 10 ] ~reduces:[ 10 ] ();
+          mk_job ~id:1 ~deadline:35 ~maps:[ 15 ] ~reduces:[ 10 ] ();
+          mk_job ~id:2 ~est:5 ~deadline:60 ~maps:[ 10 ] ~reduces:[] ();
+        ],
+      5 )
 
 let test_milp_respects_est () =
   let i = inst [ mk_job ~id:0 ~est:5 ~deadline:30 ~maps:[ 2 ] ~reduces:[] () ] in
@@ -311,6 +338,8 @@ let () =
           Alcotest.test_case "single job" `Quick test_milp_single_job;
           Alcotest.test_case "matches cp" `Slow
             test_milp_matches_cp_on_small_instances;
+          Alcotest.test_case "three-job instance matches cp" `Quick
+            test_milp_three_jobs_matches_cp;
           Alcotest.test_case "respects est" `Quick test_milp_respects_est;
           Alcotest.test_case "rejects frozen" `Quick test_milp_rejects_frozen;
           Alcotest.test_case "variable explosion" `Quick
