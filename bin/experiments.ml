@@ -75,8 +75,7 @@ let check_inputs ~jobs ~fb_jobs ~lambdas =
   | exception Invalid_argument msg -> Error (`Msg msg)
 
 let run_ids ids reps jobs fb_jobs seed budget out validate lambdas trace_out
-    metrics no_warm_start no_session journal_out metrics_every metrics_out
-    trace_limit =
+    metrics journal_out metrics_every metrics_out trace_limit =
   match
     Result.bind (check_inputs ~jobs ~fb_jobs ~lambdas) (fun () -> expand ids)
   with
@@ -91,8 +90,6 @@ let run_ids ids reps jobs fb_jobs seed budget out validate lambdas trace_out
       solver_time_limit = budget;
       validate;
       instrument = metrics;
-      warm_start = not no_warm_start;
-      session = not no_session;
       journal;
       metrics_every =
         Option.map (fun s -> int_of_float (1000. *. s)) metrics_every;
@@ -217,19 +214,6 @@ let metrics =
            ~doc:"Instrument the solver and print the merged \
                  counter/histogram and per-propagator tables per figure.")
 
-let no_warm_start =
-  Arg.(value & flag
-       & info [ "no-warm-start" ]
-           ~doc:"Disable warm-start re-solving: cold solve on every \
-                 manager invocation, as in the paper.")
-
-let no_session =
-  Arg.(value & flag
-       & info [ "no-session" ]
-           ~doc:"Disable the persistent solver session: rebuild the store \
-                 and model on every manager invocation (the historical \
-                 cold path).")
-
 let journal_out =
   Arg.(value & opt (some string) None
        & info [ "journal" ]
@@ -258,15 +242,10 @@ let cmd =
   let term =
     Term.term_result ~usage:true
     @@ Term.(
-      const (fun ids reps jobs fb_jobs seed budget out validate lambdas
-                 trace_out metrics no_warm_start no_session journal_out
-                 metrics_every metrics_out trace_limit ->
-          run_ids ids reps jobs fb_jobs seed budget out validate
-            lambdas trace_out metrics no_warm_start no_session journal_out
-            metrics_every metrics_out trace_limit)
+      const run_ids
       $ ids_arg $ reps $ jobs $ fb_jobs $ seed $ budget $ out $ validate
-      $ lambdas $ trace_out $ metrics $ no_warm_start $ no_session
-      $ journal_out $ metrics_every $ metrics_out $ trace_limit)
+      $ lambdas $ trace_out $ metrics $ journal_out $ metrics_every
+      $ metrics_out $ trace_limit)
   in
   Cmd.v
     (Cmd.info "experiments" ~doc:"Regenerate the paper's tables and figures")

@@ -7,8 +7,9 @@
 
    Exit 0 when every scenario passes; 1 on a violation (after shrinking it
    to a minimal repro and writing a replayable JSON file); 2 on usage
-   errors.  Fully deterministic: the same --seed/--count always explores
-   the same scenarios and produces byte-identical journals. *)
+   errors, among them a --replay file that cannot be loaded.  Fully
+   deterministic: the same --seed/--count always explores the same
+   scenarios and produces byte-identical journals. *)
 
 open Cmdliner
 
@@ -54,12 +55,14 @@ let run seed count shrink_fuel no_shrink out replay mutation expect_violation =
         report_violation ~mutation ~shrink_fuel ~no_shrink ~out scenario message;
         false
   in
-  let all_ok =
+  let verdict =
     match replay with
-    | Some path ->
-        let scenario = Dst.load ~path in
-        Format.printf "replaying %s:@ %a@." path Dst.pp_scenario scenario;
-        check_one scenario
+    | Some path -> (
+        match Dst.load ~path with
+        | Error msg -> Error (Printf.sprintf "error loading %s: %s" path msg)
+        | Ok scenario ->
+            Format.printf "replaying %s:@ %a@." path Dst.pp_scenario scenario;
+            Ok (check_one scenario))
     | None ->
         let ok = ref true in
         (try
@@ -70,16 +73,20 @@ let run seed count shrink_fuel no_shrink out replay mutation expect_violation =
              end
            done
          with Exit -> ());
-        !ok
+        Ok !ok
   in
   (* --expect-violation (mutation self-test): invert the verdict, so CI can
-     assert that a deliberately broken manager is caught *)
-  match (expect_violation, all_ok) with
-  | false, ok -> if ok then 0 else 1
-  | true, false ->
+     assert that a deliberately broken manager is caught.  A repro file that
+     does not load is a usage error either way. *)
+  match (verdict, expect_violation) with
+  | Error msg, _ ->
+      prerr_endline msg;
+      2
+  | Ok ok, false -> if ok then 0 else 1
+  | Ok false, true ->
       print_endline "expected violation found";
       0
-  | true, true ->
+  | Ok true, true ->
       prerr_endline "error: expected a violation but every scenario passed";
       1
 

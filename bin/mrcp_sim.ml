@@ -57,9 +57,8 @@ let check_inputs ~workload ~replay ~synthetic ~facebook ~cluster =
 
 let run workload manager jobs lambda e_max p s_max d_m m map_cap reduce_cap
     seed budget ordering domains deferral validate verbose replay trace_out
-    metrics no_warm_start no_session journal_out metrics_every
-    metrics_out trace_limit crash_rate straggler_p straggler_factor task_fail_p
-    =
+    metrics journal_out metrics_every metrics_out trace_limit crash_rate
+    straggler_p straggler_factor task_fail_p =
   let synthetic =
     {
       Mapreduce.Synthetic.default with
@@ -81,8 +80,6 @@ let run workload manager jobs lambda e_max p s_max d_m m map_cap reduce_cap
   match check_inputs ~workload ~replay ~synthetic ~facebook ~cluster with
   | Error _ as error -> error
   | Ok () ->
-  let warm_start = not no_warm_start in
-  let session = not no_session in
   let chaos =
     if crash_rate = 0. && straggler_p = 0. && task_fail_p = 0. then None
     else
@@ -118,8 +115,6 @@ let run workload manager jobs lambda e_max p s_max d_m m map_cap reduce_cap
       deferral_window = deferral;
       validate;
       instrument = metrics;
-      warm_start;
-      session;
       journal;
       metrics_every;
       chaos;
@@ -149,14 +144,14 @@ let run workload manager jobs lambda e_max p s_max d_m m map_cap reduce_cap
   | Some path -> begin
       (* replay a saved trace (see bin/workload_gen.exe) on the given cluster *)
       let loaded =
-        match (Mapreduce.Trace.load ~path, manager) with
-        | Ok jobs, (Expkit.Runner.Mrcp_rm | Expkit.Runner.Greedy_only) ->
+        match Mapreduce.Trace.load ~path with
+        | Ok jobs when Opensim.Driver.plan_based manager ->
             (* the matchmaker takes unit demands only: refuse the trace now
                rather than mid-simulation *)
             Result.map
               (fun () -> jobs)
               (Mrcp.Matchmaker.check_unit_demands jobs)
-        | loaded, _ -> loaded
+        | loaded -> loaded
       in
       match loaded with
       | Error e ->
@@ -164,30 +159,7 @@ let run workload manager jobs lambda e_max p s_max d_m m map_cap reduce_cap
           1
       | Ok trace_jobs ->
           let cluster = cluster () in
-          let driver =
-            match manager with
-            | Expkit.Runner.Mrcp_rm | Expkit.Runner.Greedy_only ->
-                let solver =
-                  { Cp.Solver.default_options with Cp.Solver.ordering;
-                    time_limit = budget; seed; instrument = metrics }
-                in
-                Opensim.Driver.of_mrcp
-                  (Mrcp.Manager.create ~cluster
-                     { Mrcp.Manager.solver; domains;
-                       deferral_window = deferral; validate; warm_start;
-                       session; journal })
-            | Expkit.Runner.Min_edf_wc | Expkit.Runner.Edf_wc
-            | Expkit.Runner.Fcfs_wc ->
-                let policy =
-                  match manager with
-                  | Expkit.Runner.Min_edf_wc ->
-                      Baselines.Slot_scheduler.Min_edf_wc
-                  | Expkit.Runner.Edf_wc -> Baselines.Slot_scheduler.Edf_wc
-                  | _ -> Baselines.Slot_scheduler.Fcfs_wc
-                in
-                Opensim.Driver.of_slot_scheduler
-                  (Baselines.Slot_scheduler.create ~cluster ~policy)
-          in
+          let driver = Expkit.Runner.make_driver config cluster ~seed in
           let plan =
             match chaos with
             | None -> Opensim.Chaos.no_faults
@@ -239,15 +211,7 @@ let run workload manager jobs lambda e_max p s_max d_m m map_cap reduce_cap
 let workload_conv =
   Arg.enum [ ("synthetic", Synthetic); ("facebook", Facebook) ]
 
-let manager_conv =
-  Arg.enum
-    [
-      ("mrcp-rm", Expkit.Runner.Mrcp_rm);
-      ("minedf-wc", Expkit.Runner.Min_edf_wc);
-      ("edf-wc", Expkit.Runner.Edf_wc);
-      ("fcfs-wc", Expkit.Runner.Fcfs_wc);
-      ("greedy-only", Expkit.Runner.Greedy_only);
-    ]
+let manager_conv = Arg.enum Opensim.Driver.kinds
 
 let ordering_conv =
   Arg.enum
@@ -263,9 +227,10 @@ let term =
     const run
     $ Arg.(value & opt workload_conv Synthetic
            & info [ "workload" ] ~doc:"synthetic (Table 3) or facebook (Table 4).")
-    $ Arg.(value & opt manager_conv Expkit.Runner.Mrcp_rm
+    $ Arg.(value & opt manager_conv Opensim.Driver.Mrcp_rm
            & info [ "manager" ]
-               ~doc:"mrcp-rm, minedf-wc, edf-wc, fcfs-wc or greedy-only.")
+               ~doc:("The resource manager: "
+                     ^ doc_alts_enum Opensim.Driver.kinds ^ "."))
     $ Arg.(value & opt int 100 & info [ "jobs" ] ~doc:"Number of jobs.")
     $ Arg.(value & opt float 0.01 & info [ "lambda" ] ~doc:"Arrival rate, jobs/s.")
     $ Arg.(value & opt int 50 & info [ "e-max" ] ~doc:"Map-task time bound, s.")
@@ -300,15 +265,6 @@ let term =
            & info [ "metrics" ]
                ~doc:"Instrument the solver and print counter/histogram and \
                      per-propagator fire/fail/time tables after the run.")
-    $ Arg.(value & flag
-           & info [ "no-warm-start" ]
-               ~doc:"Disable warm-start re-solving: cold solve on every \
-                     invocation, as in the paper.")
-    $ Arg.(value & flag
-           & info [ "no-session" ]
-               ~doc:"Disable the persistent solver session: rebuild the \
-                     store and model on every invocation (the historical \
-                     cold path, bit-identical trajectories).")
     $ Arg.(value & opt (some string) None
            & info [ "journal" ]
                ~doc:"Write the structured decision journal (JSONL, one event \

@@ -12,8 +12,6 @@ type config = {
   domains : int;
   deferral_window : int option;
   validate : bool;
-  warm_start : bool;
-  session : bool;
   journal : Obs.Journal.t option;
 }
 
@@ -23,8 +21,6 @@ let default_config =
     domains = 1;
     deferral_window = Some 300_000 (* 300 s *);
     validate = false;
-    warm_start = true;
-    session = true;
     journal = None;
   }
 
@@ -64,8 +60,8 @@ type t = {
   mutable last_stats : Cp.Solver.stats option;
   mutable last_portfolio : Cp.Portfolio.stats option;
   (* the persistent solver store, created lazily at the first solve; None
-     when [config.session] is off or [config.domains > 1] (the portfolio's
-     workers each need their own store) *)
+     when [config.domains > 1] (the portfolio's workers each need their own
+     store) *)
   mutable session : Cp.Session.t option;
   (* manager-level metrics (invocation counts/latency), allocated only when
      [config.solver.instrument] is set *)
@@ -362,10 +358,7 @@ let invoke t ~now =
     (* lines 19–20: generate and solve the model, warm-started from the
        carried plan when one survived *)
     let warm =
-      if
-        t.config.warm_start
-        && Array.exists (fun ts -> ts.carried <> min_int) states
-      then
+      if Array.exists (fun ts -> ts.carried <> min_int) states then
         Some
           {
             Cp.Solver.carried_starts = Array.map (fun ts -> ts.carried) states;
@@ -397,7 +390,7 @@ let invoke t ~now =
         t.last_portfolio <- Some ps;
         (sol, ps.Cp.Portfolio.base)
       end
-      else if t.config.session then begin
+      else begin
         let session =
           match t.session with
           | Some s -> s
@@ -408,7 +401,6 @@ let invoke t ~now =
         in
         Cp.Session.solve session ~options inst
       end
-      else Cp.Solver.solve ~options inst
     in
     (* plan cache hit: the carried plan, completed around the new arrivals,
        was still feasible and already met the lower bound, so the solver

@@ -10,11 +10,12 @@
       (reschedulable), started-but-running (frozen via an equality
       constraint, [isPrevScheduled]), or finished (removed; a job with no
       remaining tasks leaves the system) (l.5–18);
-    + rebuild the CP model over pending tasks and solve it (l.19–20),
-      seeding/solving through {!Cp.Solver} with the configured job ordering —
-      warm-started (when [config.warm_start]) from the surviving portion of
-      the previous plan, with the solve skipped entirely when that carried
-      plan is still feasible and already bound-optimal (a "plan cache hit");
+    + build the CP model over pending tasks and solve it (l.19–20) with the
+      configured job ordering, warm-started from whatever survives of the
+      previous plan, with the solve skipped entirely when that carried plan
+      is still feasible and already bound-optimal (a "plan cache hit").
+      With [domains = 1] every solve goes through one persistent
+      {!Cp.Session}; with [domains > 1] through {!Cp.Portfolio};
     + extract the new combined schedule and matchmake it onto physical
       resources (§V.D) to produce the new plan (l.21–22).
 
@@ -31,32 +32,20 @@
 type config = {
   solver : Cp.Solver.options;
   domains : int;
-      (** > 1: solve through {!Cp.Portfolio} on that many OCaml domains;
-          1 (default) keeps the sequential, deterministic {!Cp.Solver} *)
+      (** 1 (default): solve through one persistent {!Cp.Session}, whose
+          store is created at the first solve and diffed between
+          invocations (arrivals appended, completed tasks retracted), with
+          the sequential, deterministic {!Cp.Solver} pipeline.  > 1: solve
+          through {!Cp.Portfolio} on that many OCaml domains; its workers
+          each build their own store. *)
   deferral_window : int option;
       (** §V.E: [Some w] defers jobs with s_j > now + w; [None] disables *)
   validate : bool;
       (** re-check every solution against the Table-1 oracle and every plan
           against slot-exclusivity (slower; on in tests).  Applies to every
-          path that installs a plan — cold solves, warm-started solves, the
-          plan-cache-hit fast path, and invocations triggered by deferred
-          jobs re-entering via {!next_wake}. *)
-  warm_start : bool;
-      (** carry the surviving portion of the previous plan into the next
-          solve as a starting incumbent ({!Cp.Solver.options.warm_start}),
-          and skip the solve entirely (a "plan cache hit") when that carried
-          plan — completed around the new arrivals — is still feasible and
-          already meets the lower bound.  Default [true]; disable
-          ([--no-warm-start] in the CLIs) to reproduce the paper's cold
-          re-solve on every invocation. *)
-  session : bool;
-      (** solve through one persistent {!Cp.Session} — the manager's solver
-          store is created once and diffed between invocations (arrivals
-          appended, completed tasks retracted) instead of
-          rebuilt from scratch.  Only effective with [domains = 1]; the
-          portfolio's workers each build their own store.  Default [true];
-          disable ([--no-session] in the CLIs) to reproduce the historical
-          cold per-invocation {!Cp.Solver.solve} bit-for-bit. *)
+          path that installs a plan — searched solves, the plan-cache-hit
+          fast path, and invocations triggered by deferred jobs re-entering
+          via {!next_wake}. *)
   journal : Obs.Journal.t option;
       (** [Some j]: append one structured {!Obs.Journal} event per admission
           decision ("submit": admit/defer/release with reason), per
@@ -69,8 +58,8 @@ type config = {
 }
 
 val default_config : config
-(** EDF ordering, 1 domain (sequential), deferral window 300 s, validation
-    off, warm start on, persistent session on, journaling off. *)
+(** EDF ordering, 1 domain (sequential, through the persistent session),
+    deferral window 300 s, validation off, journaling off. *)
 
 type t
 
@@ -155,8 +144,7 @@ val solve_count : t -> int
 val cache_hit_count : t -> int
 (** Passes that skipped the CP solve because the carried-over plan was still
     feasible and bound-optimal (also counted in the [manager/plan_cache_hits]
-    metric and flagged on the invoke trace span).  Always 0 when
-    [config.warm_start] is false. *)
+    metric and flagged on the invoke trace span). *)
 
 val jobs_scheduled : t -> int
 (** Total jobs that have been through at least one scheduling pass —

@@ -3,27 +3,12 @@ module Chaos = Opensim.Chaos
 module Rng = Simrand.Rng
 module J = Obs.Json
 
-type manager = Mrcp_rm | Min_edf_wc | Edf_wc | Fcfs_wc
-
-let manager_to_string = function
-  | Mrcp_rm -> "mrcp-rm"
-  | Min_edf_wc -> "minedf-wc"
-  | Edf_wc -> "edf-wc"
-  | Fcfs_wc -> "fcfs-wc"
-
-let manager_of_string = function
-  | "mrcp-rm" -> Mrcp_rm
-  | "minedf-wc" -> Min_edf_wc
-  | "edf-wc" -> Edf_wc
-  | "fcfs-wc" -> Fcfs_wc
-  | s -> failwith ("unknown manager " ^ s)
-
 type scenario = {
   seed : int;
   m : int;
   map_capacity : int;
   reduce_capacity : int;
-  manager : manager;
+  manager : Opensim.Driver.kind;
   jobs : T.job list;
   faults : Chaos.plan;
 }
@@ -53,10 +38,10 @@ let generate ~seed =
   let reduce_capacity = 1 + Rng.int rng 2 in
   let manager =
     match Rng.int rng 6 with
-    | 0 -> Min_edf_wc
-    | 1 -> Edf_wc
-    | 2 -> Fcfs_wc
-    | _ -> Mrcp_rm
+    | 0 -> Opensim.Driver.Min_edf_wc
+    | 1 -> Opensim.Driver.Edf_wc
+    | 2 -> Opensim.Driver.Fcfs_wc
+    | _ -> Opensim.Driver.Mrcp_rm
   in
   let n_jobs = 1 + Rng.int rng 7 in
   let task_counter = ref 0 in
@@ -95,38 +80,25 @@ let generate ~seed =
 
 (* --- execution ---------------------------------------------------------- *)
 
+(* deterministic cutoffs for the plan-based managers: bounded fail/task
+   limits with an effectively infinite wall budget, so the search never
+   depends on the clock *)
 let make_driver scenario cluster ~journal =
-  match scenario.manager with
-  | Mrcp_rm ->
-      (* deterministic cutoffs: bounded fail/task limits with an effectively
-         infinite wall budget, so the search never depends on the clock *)
-      let solver =
+  Opensim.Driver.make scenario.manager ~cluster
+    {
+      Mrcp.Manager.default_config with
+      Mrcp.Manager.solver =
         {
           Cp.Solver.default_options with
           Cp.Solver.exact_task_limit = 400;
           fail_limit = 2_000;
           time_limit = 1e9;
           seed = scenario.seed;
-        }
-      in
-      Opensim.Driver.of_mrcp
-        (Mrcp.Manager.create ~cluster
-           {
-             Mrcp.Manager.default_config with
-             Mrcp.Manager.solver;
-             validate = true;
-             deferral_window = Some 2_000;
-             journal = Some journal;
-           })
-  | (Min_edf_wc | Edf_wc | Fcfs_wc) as p ->
-      let policy =
-        match p with
-        | Min_edf_wc -> Baselines.Slot_scheduler.Min_edf_wc
-        | Edf_wc -> Baselines.Slot_scheduler.Edf_wc
-        | _ -> Baselines.Slot_scheduler.Fcfs_wc
-      in
-      Opensim.Driver.of_slot_scheduler
-        (Baselines.Slot_scheduler.create ~cluster ~policy)
+        };
+      validate = true;
+      deferral_window = Some 2_000;
+      journal = Some journal;
+    }
 
 let mutate mutation (d : Opensim.Driver.t) =
   match mutation with
@@ -179,25 +151,24 @@ type verdict =
    that contract only holds for managers that journal their invocations
    (MRCP-RM); the slot-scheduler baselines journal no "invoke" lines. *)
 let audit scenario (o : outcome) =
-  match scenario.manager with
-  | Min_edf_wc | Edf_wc | Fcfs_wc -> None
-  | Mrcp_rm -> (
-      match Report.Audit.of_string o.journal with
-      | Error e -> Some ("journal does not parse: " ^ e)
-      | Ok r ->
-          if Report.Audit.checks_ok r then None
-          else
-            Some
-              (String.concat "; "
-                 (List.filter_map
-                    (fun (c : Report.Audit.check) ->
-                      if c.Report.Audit.ok then None
-                      else
-                        Some
-                          (Printf.sprintf "audit: %s: run-end %s <> recomputed %s"
-                             c.Report.Audit.name c.Report.Audit.expected
-                             c.Report.Audit.actual))
-                    r.Report.Audit.checks)))
+  if not (Opensim.Driver.plan_based scenario.manager) then None
+  else
+    match Report.Audit.of_string o.journal with
+    | Error e -> Some ("journal does not parse: " ^ e)
+    | Ok r ->
+        if Report.Audit.checks_ok r then None
+        else
+          Some
+            (String.concat "; "
+               (List.filter_map
+                  (fun (c : Report.Audit.check) ->
+                    if c.Report.Audit.ok then None
+                    else
+                      Some
+                        (Printf.sprintf "audit: %s: run-end %s <> recomputed %s"
+                           c.Report.Audit.name c.Report.Audit.expected
+                           c.Report.Audit.actual))
+                  r.Report.Audit.checks))
 
 (* The full check: run the scenario twice and demand (a) no invariant
    violation, (b) byte-identical canonical journals across the two runs
@@ -365,7 +336,7 @@ let to_json s =
       ("m", J.Int s.m);
       ("map_capacity", J.Int s.map_capacity);
       ("reduce_capacity", J.Int s.reduce_capacity);
-      ("manager", J.String (manager_to_string s.manager));
+      ("manager", J.String (Opensim.Driver.kind_to_string s.manager));
       ("jobs", J.List (List.map job_to_json s.jobs));
       ("faults", J.List (List.map Chaos.fault_to_json s.faults));
     ]
@@ -391,7 +362,11 @@ let of_json j =
     m = geti "m";
     map_capacity = geti "map_capacity";
     reduce_capacity = geti "reduce_capacity";
-    manager = manager_of_string (gets "manager");
+    manager =
+      (let name = gets "manager" in
+       match Opensim.Driver.kind_of_string name with
+       | Some kind -> kind
+       | None -> failwith ("unknown manager " ^ name));
     jobs = List.map job_of_json (list "jobs");
     faults = List.map Chaos.fault_of_json (list "faults");
   }
@@ -403,19 +378,18 @@ let save s ~path =
   close_out oc
 
 let load ~path =
-  let ic = open_in_bin path in
-  let n = in_channel_length ic in
-  let text = really_input_string ic n in
-  close_in ic;
-  match J.of_string text with
-  | Ok j -> of_json j
-  | Error e -> failwith ("repro file: " ^ e)
+  match In_channel.with_open_bin path In_channel.input_all with
+  | exception Sys_error msg -> Error msg
+  | text -> (
+      match J.of_string text with
+      | Error e -> Error ("repro file: " ^ e)
+      | Ok j -> ( try Ok (of_json j) with Failure msg -> Error msg))
 
 let pp_scenario fmt s =
   Format.fprintf fmt
     "@[<v>scenario seed=%d %s m=%d caps=(%d,%d) jobs=%d tasks=%d faults=%d@,%a@]"
     s.seed
-    (manager_to_string s.manager)
+    (Opensim.Driver.kind_to_string s.manager)
     s.m s.map_capacity s.reduce_capacity (List.length s.jobs)
     (List.fold_left (fun acc j -> acc + T.task_count j) 0 s.jobs)
     (List.length s.faults)

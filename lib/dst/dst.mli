@@ -18,17 +18,14 @@
     fault notifications); the harness must catch and shrink them — the
     standard self-test that the oracle actually bites. *)
 
-type manager = Mrcp_rm | Min_edf_wc | Edf_wc | Fcfs_wc
-
-val manager_to_string : manager -> string
-val manager_of_string : string -> manager
-
 type scenario = {
   seed : int;
   m : int;
   map_capacity : int;
   reduce_capacity : int;
-  manager : manager;
+  manager : Opensim.Driver.kind;
+      (** the driver {!Opensim.Driver.make} builds; {!generate} draws
+          MRCP-RM or one of the three slot schedulers *)
   jobs : Mapreduce.Types.job list;
   faults : Opensim.Chaos.plan;
 }
@@ -86,7 +83,9 @@ val of_json : Obs.Json.t -> scenario
 (** @raise Failure on malformed input. *)
 
 val save : scenario -> path:string -> unit
-val load : path:string -> scenario
-(** @raise Failure on malformed input. *)
+
+val load : path:string -> (scenario, string) result
+(** [Error] carries the message when the file cannot be read, is not JSON,
+    or is not a scenario. *)
 
 val pp_scenario : Format.formatter -> scenario -> unit

@@ -25,11 +25,11 @@ let fig2_3 ~config ~lambdas =
             Runner.run_facebook
               ~label:
                 (Printf.sprintf "%s lambda=%g"
-                   (Runner.manager_to_string manager)
+                   (Opensim.Driver.kind_to_string manager)
                    lambda)
               ~params:{ Mapreduce.Facebook.default with Mapreduce.Facebook.lambda }
               ~config ())
-          [ Runner.Mrcp_rm; Runner.Min_edf_wc ])
+          Opensim.Driver.[ Mrcp_rm; Min_edf_wc ])
       lambdas
   in
   {
@@ -124,12 +124,9 @@ let ablation_cp ~config =
       (fun manager ->
         let config = { config with Runner.manager } in
         Runner.run_synthetic
-          ~label:(Runner.manager_to_string manager)
+          ~label:(Opensim.Driver.kind_to_string manager)
           ~params ~config ())
-      [
-        Runner.Mrcp_rm; Runner.Greedy_only; Runner.Min_edf_wc; Runner.Edf_wc;
-        Runner.Fcfs_wc;
-      ]
+      Opensim.Driver.[ Mrcp_rm; Greedy_only; Min_edf_wc; Edf_wc; Fcfs_wc ]
   in
   {
     id = "ablation-cp";

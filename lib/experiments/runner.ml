@@ -1,28 +1,17 @@
 module T = Mapreduce.Types
 module Sim = Opensim.Simulator
 
-type manager_kind = Mrcp_rm | Min_edf_wc | Edf_wc | Fcfs_wc | Greedy_only
-
-let manager_to_string = function
-  | Mrcp_rm -> "mrcp-rm"
-  | Min_edf_wc -> "minedf-wc"
-  | Edf_wc -> "edf-wc"
-  | Fcfs_wc -> "fcfs-wc"
-  | Greedy_only -> "greedy-only"
-
 type config = {
   n_jobs : int;
   reps : int;
   base_seed : int;
-  manager : manager_kind;
+  manager : Opensim.Driver.kind;
   ordering : Sched.Greedy.order;
   solver_time_limit : float;
   solver_domains : int;
   deferral_window : int option;
   validate : bool;
   instrument : bool;
-  warm_start : bool;
-  session : bool;
   journal : Obs.Journal.t option;
       (* one journal shared across reps: events of rep i+1 append after rep
          i's (seq keeps growing); use reps = 1 for per-run audit files *)
@@ -37,15 +26,13 @@ let default_config =
     n_jobs = 200;
     reps = 3;
     base_seed = 42;
-    manager = Mrcp_rm;
+    manager = Opensim.Driver.Mrcp_rm;
     ordering = Sched.Greedy.Edf;
     solver_time_limit = 0.2;
     solver_domains = 1;
     deferral_window = Some 300_000;
     validate = false;
     instrument = false;
-    warm_start = true;
-    session = true;
     journal = None;
     metrics_every = None;
     chaos = None;
@@ -66,44 +53,21 @@ type point = {
 }
 
 let make_driver config cluster ~seed =
-  match config.manager with
-  | Mrcp_rm | Greedy_only ->
-      let solver =
+  Opensim.Driver.make config.manager ~cluster
+    {
+      Mrcp.Manager.solver =
         {
           Cp.Solver.default_options with
           Cp.Solver.ordering = config.ordering;
           time_limit = config.solver_time_limit;
           seed;
           instrument = config.instrument;
-        }
-      in
-      let solver =
-        if config.manager = Greedy_only then
-          { solver with Cp.Solver.exact_task_limit = 0; lns_max_stall = 0;
-            time_limit = 0. }
-        else solver
-      in
-      let mconfig =
-        {
-          Mrcp.Manager.solver;
-          domains = config.solver_domains;
-          deferral_window = config.deferral_window;
-          validate = config.validate;
-          warm_start = config.warm_start;
-          session = config.session;
-          journal = config.journal;
-        }
-      in
-      Opensim.Driver.of_mrcp (Mrcp.Manager.create ~cluster mconfig)
-  | Min_edf_wc | Edf_wc | Fcfs_wc ->
-      let policy =
-        match config.manager with
-        | Min_edf_wc -> Baselines.Slot_scheduler.Min_edf_wc
-        | Edf_wc -> Baselines.Slot_scheduler.Edf_wc
-        | Fcfs_wc | Mrcp_rm | Greedy_only -> Baselines.Slot_scheduler.Fcfs_wc
-      in
-      Opensim.Driver.of_slot_scheduler
-        (Baselines.Slot_scheduler.create ~cluster ~policy)
+        };
+      domains = config.solver_domains;
+      deferral_window = config.deferral_window;
+      validate = config.validate;
+      journal = config.journal;
+    }
 
 let summarize ~label ~config ~elapsed results =
   let metric f = Array.of_list (List.map f results) in
@@ -166,7 +130,8 @@ let run_synthetic ?label ?(m = 50) ?(map_capacity = 2) ?(reduce_capacity = 2)
   let label =
     Option.value label
       ~default:
-        (Format.asprintf "%s %a" (manager_to_string config.manager)
+        (Format.asprintf "%s %a"
+           (Opensim.Driver.kind_to_string config.manager)
            Mapreduce.Synthetic.pp_params params)
   in
   let make_jobs ~seed = Mapreduce.Synthetic.generate params ~cluster ~seed in
@@ -179,7 +144,7 @@ let run_facebook ?label ~params ~config () =
     Option.value label
       ~default:
         (Printf.sprintf "%s facebook lambda=%g"
-           (manager_to_string config.manager)
+           (Opensim.Driver.kind_to_string config.manager)
            params.Mapreduce.Facebook.lambda)
   in
   let make_jobs ~seed = Mapreduce.Facebook.generate params ~cluster ~seed in

@@ -3,40 +3,21 @@
     four metrics.  Used by bin/experiments.ml (figure regeneration) and
     bin/mrcp_sim.ml. *)
 
-type manager_kind =
-  | Mrcp_rm  (** the paper's contribution *)
-  | Min_edf_wc  (** Verma et al. [8], the Fig. 2/3 comparator *)
-  | Edf_wc  (** ablation: work-conserving EDF without min allocation *)
-  | Fcfs_wc  (** ablation: FCFS *)
-  | Greedy_only
-      (** ablation: MRCP-RM pipeline with the CP improvement search disabled
-          (greedy seed only) — isolates the CP solver's contribution *)
-
-val manager_to_string : manager_kind -> string
-
 type config = {
   n_jobs : int;  (** jobs per replication *)
   reps : int;  (** replications (paper: until CI ±1%; here fixed count) *)
   base_seed : int;
-  manager : manager_kind;
+  manager : Opensim.Driver.kind;
   ordering : Sched.Greedy.order;  (** MRCP-RM job-ordering strategy *)
   solver_time_limit : float;  (** per-invocation CP budget, seconds *)
   solver_domains : int;
       (** > 1 solves through {!Cp.Portfolio} on that many domains; 1 keeps
-          the deterministic sequential solver *)
+          the deterministic sequential solver and its persistent session *)
   deferral_window : int option;  (** §V.E, ms *)
   validate : bool;
   instrument : bool;
       (** collect solver/propagator metrics into [point.metrics] (MRCP-RM
           managers only) *)
-  warm_start : bool;
-      (** carry the previous plan into each solve as a starting incumbent
-          (see {!Mrcp.Manager.config}); [false] reproduces the paper's cold
-          re-solve on every invocation ([--no-warm-start] in the CLIs) *)
-  session : bool;
-      (** solve through a persistent {!Cp.Session} (one store per manager,
-          diffed between invocations); [false] rebuilds the model on every
-          invocation ([--no-session] in the CLIs) *)
   journal : Obs.Journal.t option;
       (** decision journal shared by the manager and the simulator
           ([--journal] in the CLIs).  One journal spans every replication:
@@ -55,7 +36,7 @@ type config = {
 
 val default_config : config
 (** 200 jobs, 3 reps, MRCP-RM, EDF, 0.2 s budget, 1 domain, 300 s deferral
-    window, warm start on, persistent session on. *)
+    window. *)
 
 type point = {
   label : string;
@@ -91,6 +72,11 @@ val run_facebook :
   unit ->
   point
 (** Table-4 Facebook workload on the 64×(1,1) cluster of Fig. 2/3. *)
+
+val make_driver :
+  config -> Mapreduce.Types.resource array -> seed:int -> Opensim.Driver.t
+(** The driver of [config.manager] on the cluster ({!Opensim.Driver.make}),
+    its solver seeded with [seed]: one replication's manager. *)
 
 val point_row : point -> string list
 (** [label; O; T; P; N] formatted for {!Report.Table}. *)

@@ -88,3 +88,41 @@ let of_slot_scheduler sched =
     metrics = (fun () -> None);
     description = "slot-based dynamic scheduler";
   }
+
+type kind = Mrcp_rm | Min_edf_wc | Edf_wc | Fcfs_wc | Greedy_only
+
+let kinds =
+  [
+    ("mrcp-rm", Mrcp_rm);
+    ("minedf-wc", Min_edf_wc);
+    ("edf-wc", Edf_wc);
+    ("fcfs-wc", Fcfs_wc);
+    ("greedy-only", Greedy_only);
+  ]
+
+let kind_to_string kind = fst (List.find (fun (_, k) -> k = kind) kinds)
+let kind_of_string name = List.assoc_opt name kinds
+
+let plan_based = function
+  | Mrcp_rm | Greedy_only -> true
+  | Min_edf_wc | Edf_wc | Fcfs_wc -> false
+
+let make kind ~cluster (config : Mrcp.Manager.config) =
+  let slot_scheduler policy =
+    of_slot_scheduler (Baselines.Slot_scheduler.create ~cluster ~policy)
+  in
+  match kind with
+  | Mrcp_rm -> of_mrcp (Mrcp.Manager.create ~cluster config)
+  | Greedy_only ->
+      let solver =
+        {
+          config.Mrcp.Manager.solver with
+          Cp.Solver.exact_task_limit = 0;
+          lns_max_stall = 0;
+          time_limit = 0.;
+        }
+      in
+      of_mrcp (Mrcp.Manager.create ~cluster { config with Mrcp.Manager.solver })
+  | Min_edf_wc -> slot_scheduler Baselines.Slot_scheduler.Min_edf_wc
+  | Edf_wc -> slot_scheduler Baselines.Slot_scheduler.Edf_wc
+  | Fcfs_wc -> slot_scheduler Baselines.Slot_scheduler.Fcfs_wc

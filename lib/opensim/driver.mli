@@ -59,3 +59,33 @@ val of_mrcp : Mrcp.Manager.t -> t
 
 val of_slot_scheduler : Baselines.Slot_scheduler.t -> t
 (** Wrap a slot scheduler (immediate). *)
+
+(** {1 Managers by name} *)
+
+type kind =
+  | Mrcp_rm  (** the paper's contribution *)
+  | Min_edf_wc  (** Verma et al. [8], the Fig. 2/3 comparator *)
+  | Edf_wc  (** ablation: work-conserving EDF without min allocation *)
+  | Fcfs_wc  (** ablation: FCFS *)
+  | Greedy_only
+      (** ablation: the MRCP-RM pipeline with the CP improvement search
+          disabled (greedy seed only) — isolates the CP solver's
+          contribution *)
+
+val kinds : (string * kind) list
+(** Every kind under its name ([--manager] in the CLIs, the [manager] field
+    of DST repro files), in that order. *)
+
+val kind_to_string : kind -> string
+val kind_of_string : string -> kind option
+
+val plan_based : kind -> bool
+(** [true] for the two kinds that run {!Mrcp.Manager} ([Mrcp_rm],
+    [Greedy_only]). *)
+
+val make :
+  kind -> cluster:Mapreduce.Types.resource array -> Mrcp.Manager.config -> t
+(** The driver a kind names, on [cluster].  The plan-based kinds create an
+    {!Mrcp.Manager} from the config; [Greedy_only] first zeroes its solver's
+    exact-search task limit, LNS stall limit and time limit, so every pass
+    keeps the greedy seed.  The slot schedulers ignore the config. *)

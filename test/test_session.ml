@@ -400,36 +400,35 @@ let test_empty_invocation () =
     "later arrival feasible" []
     (Solution.feasibility_errors inst100 sol100)
 
-(* --no-session bit-identity: with the session disabled the manager's first
-   invocation routes through Cp.Solver.solve on the classified instance, so
-   its search trajectory (nodes, failures, seed, bound, proof) and objective
-   must match a direct cold solve on the equivalent fresh-jobs instance. *)
-let test_no_session_bit_identity () =
+(* The manager's first pass on the default config (persistent session, warm
+   start) must end where a cold Cp.Solver.solve on the equivalent fresh-jobs
+   instance ends: same seed, bound, proof and objective.  That also checks
+   that classify builds the cold instance.  Nodes and failures are not
+   compared: the session store has its own horizon. *)
+let test_first_pass_matches_cold () =
   (* single-task phases: the manager's classify reverses per-phase task
-     order, so multi-task phases would not reproduce of_fresh_jobs's layout *)
+     order, so multi-task phases would not reproduce of_fresh_jobs's layout.
+     The deadlines leave the greedy seed (2 late) above the optimum (1 late)
+     and the bound (0), so the pass searches. *)
   let mk () =
     Gen.reset_tasks ();
     [
       Gen.mk_job ~id:0 ~deadline:11 ~maps:[ 6 ] ~reduces:[ 4 ] ();
-      Gen.mk_job ~id:1 ~deadline:19 ~maps:[ 5 ] ~reduces:[ 3 ] ();
-      Gen.mk_job ~id:2 ~deadline:26 ~maps:[ 4 ] ~reduces:[ 2 ] ();
+      Gen.mk_job ~id:1 ~deadline:13 ~maps:[ 5 ] ~reduces:[ 3 ] ();
+      Gen.mk_job ~id:2 ~deadline:16 ~maps:[ 4 ] ~reduces:[ 2 ] ();
     ]
   in
   let jobs = mk () in
-  let base = proof_options in
   let cluster =
     T.uniform_cluster ~m:1 ~map_capacity:1 ~reduce_capacity:1
   in
   let mgr =
     Mrcp.Manager.create ~cluster
       {
-        Mrcp.Manager.solver = base;
-        domains = 1;
+        Mrcp.Manager.default_config with
+        Mrcp.Manager.solver = proof_options;
         deferral_window = None;
         validate = true;
-        warm_start = false;
-        session = false;
-        journal = None;
       }
   in
   List.iter (fun j -> Mrcp.Manager.submit mgr ~now:0 j) jobs;
@@ -439,22 +438,33 @@ let test_no_session_bit_identity () =
     | Some s -> s
     | None -> Alcotest.fail "manager did not solve"
   in
+  (* every task is still unstarted at 0, so the plan holds the whole
+     schedule *)
+  let mlate =
+    List.length
+      (List.filter
+         (fun (j : T.job) ->
+           List.exists
+             (fun (d : Sched.Dispatch.t) ->
+               d.Sched.Dispatch.task.T.job_id = j.T.id
+               && Sched.Dispatch.finish d > j.T.deadline)
+             (Mrcp.Manager.plan mgr))
+         jobs)
+  in
   let jobs' = mk () in
   let inst =
     Instance.of_fresh_jobs ~now:0 ~map_capacity:1 ~reduce_capacity:1 jobs'
   in
   (* the manager salts the LNS seed with its solve counter (0 here) and
-     passes warm_start = None on a cold first invocation *)
-  let _, dstats = Cp.Solver.solve ~options:base inst in
-  Alcotest.(check int) "nodes" dstats.Cp.Solver.nodes mstats.Cp.Solver.nodes;
-  Alcotest.(check int) "failures" dstats.Cp.Solver.failures
-    mstats.Cp.Solver.failures;
+     passes warm_start = None on a first invocation *)
+  let dsol, dstats = Cp.Solver.solve ~options:proof_options inst in
   Alcotest.(check int) "seed_late" dstats.Cp.Solver.seed_late
     mstats.Cp.Solver.seed_late;
   Alcotest.(check int) "lower_bound" dstats.Cp.Solver.lower_bound
     mstats.Cp.Solver.lower_bound;
   Alcotest.(check bool) "proved" dstats.Cp.Solver.proved_optimal
-    mstats.Cp.Solver.proved_optimal
+    mstats.Cp.Solver.proved_optimal;
+  Alcotest.(check int) "late_jobs" dsol.Solution.late_jobs mlate
 
 (* Instrumented session solves surface the session counters in stats; their
    per-invocation deltas must sum to the same totals the introspection
@@ -508,8 +518,8 @@ let () =
             test_cert_bound_in_lns;
           Alcotest.test_case "empty invocation mid-stream" `Quick
             test_empty_invocation;
-          Alcotest.test_case "--no-session bit-identity" `Quick
-            test_no_session_bit_identity;
+          Alcotest.test_case "manager first pass matches cold solve" `Quick
+            test_first_pass_matches_cold;
           Alcotest.test_case "instrumented session counters" `Quick
             test_session_metrics;
         ] );
