@@ -101,7 +101,7 @@ let run workload manager jobs lambda e_max p s_max d_m m map_cap reduce_cap
     Logs.set_level (Some Logs.Debug)
   end;
   let domains =
-    if domains = 0 then Cp.Portfolio.recommended_domains () else domains
+    if domains = 0 then Domain.recommended_domain_count () else domains
   in
   let config =
     {

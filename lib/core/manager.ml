@@ -30,9 +30,6 @@ type task_state = {
   mutable task : T.task;
   mutable dispatch : Dispatch.t option;
   mutable finished : bool;
-  (* while pending: the start the previous plan gave the task ([min_int]
-     when none), the warm start's carried start *)
-  mutable carried : int;
 }
 
 type job_state = {
@@ -58,11 +55,8 @@ type t = {
   mutable cache_hits : int;
   mutable scheduled_jobs : int;
   mutable last_stats : Cp.Solver.stats option;
-  mutable last_portfolio : Cp.Portfolio.stats option;
-  (* the persistent solver store, created lazily at the first solve; None
-     when [config.domains > 1] (the portfolio's workers each need their own
-     store) *)
-  mutable session : Cp.Session.t option;
+  (* runs every solve; carries the plan, certificate and store between passes *)
+  session : Cp.Session.t;
   (* manager-level metrics (invocation counts/latency), allocated only when
      [config.solver.instrument] is set *)
   registry : Obs.Metrics.t option;
@@ -72,8 +66,8 @@ type t = {
   mutable last_late : int;
   (* fault-reaction state: resources currently down, whether a fault
      notification forces the next invocation to re-plan even with an empty
-     queue, and how many times a fault invalidated the persistent session
-     (and with it the carried optimality certificate) *)
+     queue, and how many times a fault reset the session's store and
+     certificate *)
   down : (int, unit) Hashtbl.t;
   mutable dirty : bool;
   mutable fault_resets : int;
@@ -102,8 +96,7 @@ let create ~cluster config =
     cache_hits = 0;
     scheduled_jobs = 0;
     last_stats = None;
-    last_portfolio = None;
-    session = None;
+    session = Cp.Session.create ~domains:config.domains ();
     registry =
       (if config.solver.Cp.Solver.instrument then Some (Obs.Metrics.create ())
        else None);
@@ -201,11 +194,9 @@ let classify ~now (js : job_state) =
           if is_map && finish > !frozen_lfmt then frozen_lfmt := finish;
           if finish > !frozen_completion then frozen_completion := finish
         end
-    | planned ->
+    | _ ->
         (* not started: remap and reschedule *)
         incr remaining;
-        ts.carried <-
-          (match planned with Some d -> d.Dispatch.start | None -> min_int);
         ts.dispatch <- None;
         pending := ts :: !pending
   in
@@ -291,6 +282,15 @@ let up_capacity t select =
         if Hashtbl.mem t.down r.T.res_id then acc else acc + select r)
       0 t.cluster
 
+(* the session's counters, reported per invocation by the journal *)
+let session_counters =
+  [
+    ("appended_jobs", Cp.Session.stats_appended_jobs);
+    ("retracted", Cp.Session.stats_retracted);
+    ("rebuilds", Cp.Session.stats_rebuilds);
+    ("cert_proofs", Cp.Session.stats_cert_proofs);
+  ]
+
 let invoke t ~now =
   release_due t ~now;
   if (not (Queue.is_empty t.queue)) || t.dirty then begin
@@ -302,13 +302,7 @@ let invoke t ~now =
     Queue.iter
       (fun (job : T.job) ->
         let state task =
-          {
-            nominal = task;
-            task;
-            dispatch = None;
-            finished = false;
-            carried = min_int;
-          }
+          { nominal = task; task; dispatch = None; finished = false }
         in
         t.active <-
           {
@@ -322,10 +316,7 @@ let invoke t ~now =
         t.scheduled_jobs <- t.scheduled_jobs + 1)
       t.queue;
     Queue.clear t.queue;
-    (* classify tasks, dropping completed jobs (Table 2 l.15–16); each
-       pending task keeps the start the surviving plan gave it, the warm
-       start's carried plan.  Started/finished tasks need no carried start —
-       they re-enter the instance as frozen tasks. *)
+    (* classify tasks, dropping completed jobs (Table 2 l.15–16) *)
     let still_active, pending_jobs, pending_states =
       List.fold_left
         (fun (actives, pjs, states) js ->
@@ -355,53 +346,18 @@ let invoke t ~now =
     in
     (* the pending tasks' states by the instance's task index *)
     let states = Array.concat pending_states in
-    (* lines 19–20: generate and solve the model, warm-started from the
-       carried plan when one survived *)
-    let warm =
-      if Array.exists (fun ts -> ts.carried <> min_int) states then
-        Some
-          {
-            Cp.Solver.carried_starts = Array.map (fun ts -> ts.carried) states;
-            changed_jobs = !arrived;
-          }
-      else None
-    in
+    (* lines 19–20: generate and solve the model; the session warm-starts
+       it from what survives of the plan it returned last *)
     let options =
       { t.config.solver with
-        Cp.Solver.seed = t.config.solver.Cp.Solver.seed + t.solves;
-        warm_start = warm }
+        Cp.Solver.seed = t.config.solver.Cp.Solver.seed + t.solves }
     in
     (* session counters before the solve, so the journal can report this
        invocation's store-diff work as deltas *)
     let sess_before =
-      match (t.config.journal, t.session) with
-      | Some _, Some s ->
-          ( Cp.Session.stats_appended_jobs s,
-            Cp.Session.stats_retracted s,
-            Cp.Session.stats_rebuilds s,
-            Cp.Session.stats_cert_proofs s )
-      | _ -> (0, 0, 0, 0)
+      List.map (fun (_, count) -> count t.session) session_counters
     in
-    let solution, stats =
-      if t.config.domains > 1 then begin
-        let sol, ps =
-          Cp.Portfolio.solve ~domains:t.config.domains ~options inst
-        in
-        t.last_portfolio <- Some ps;
-        (sol, ps.Cp.Portfolio.base)
-      end
-      else begin
-        let session =
-          match t.session with
-          | Some s -> s
-          | None ->
-              let s = Cp.Session.create () in
-              t.session <- Some s;
-              s
-        in
-        Cp.Session.solve session ~options inst
-      end
-    in
+    let solution, stats = Cp.Session.solve t.session ~options inst in
     (* plan cache hit: the carried plan, completed around the new arrivals,
        was still feasible and already met the lower bound, so the solver
        adopted it and returned straight from the fast path — no model was
@@ -516,25 +472,12 @@ let invoke t ~now =
             in
             Hashtbl.replace t.job_overhead id (cur +. elapsed))
           t.active;
-        let sa, sr, sb, sc = sess_before in
-        let session_fields =
-          match t.session with
-          | None -> []
-          | Some s ->
-              [
-                ( "session",
-                  Obs.Json.Obj
-                    [
-                      ( "appended_jobs",
-                        Obs.Json.Int (Cp.Session.stats_appended_jobs s - sa) );
-                      ( "retracted",
-                        Obs.Json.Int (Cp.Session.stats_retracted s - sr) );
-                      ( "rebuilds",
-                        Obs.Json.Int (Cp.Session.stats_rebuilds s - sb) );
-                      ( "cert_proofs",
-                        Obs.Json.Int (Cp.Session.stats_cert_proofs s - sc) );
-                    ] );
-              ]
+        let session_delta =
+          Obs.Json.Obj
+            (List.map2
+               (fun (name, count) before ->
+                 (name, Obs.Json.Int (count t.session - before)))
+               session_counters sess_before)
         in
         (* plan diff against the previously installed plan, by task id *)
         let old_by_task = Hashtbl.create 64 in
@@ -595,8 +538,8 @@ let invoke t ~now =
                    ("added", Obs.Json.Int !added);
                    ("removed", Obs.Json.Int removed);
                  ] );
-           ]
-          @ session_fields);
+             ("session", session_delta);
+           ]);
         (* predicted SLA state per active job: at risk when the installed
            plan already finishes it past d_j.  One "sla" line per transition
            (and for the initial state only when it is already at_risk). *)
@@ -662,13 +605,11 @@ let find_task_state t task_id =
     t.active;
   !hit
 
-(* Any fault invalidates the persistent session and its carried optimality
-   certificate: a rejoin grows the capacity (a carried bound could overclaim),
-   a lost or failed task falsifies the session's root-fixed starts, and a
-   straggler changes a duration baked into the stored model.  The next solve
-   rebuilds a fresh session from scratch. *)
-let drop_session t =
-  t.session <- None;
+(* Any fault invalidates the session's store and its carried optimality
+   certificate ({!Cp.Session.reset}); the plan it keeps still seeds the next
+   solve. *)
+let reset_session t =
+  Cp.Session.reset t.session;
   t.fault_resets <- t.fault_resets + 1;
   t.dirty <- true
 
@@ -688,17 +629,17 @@ let resource_lost t ~now:_ ~resource_id ~lost =
       | Some ts -> requeue_task ts
       | None -> ())
     lost;
-  drop_session t
+  reset_session t
 
 let resource_rejoined t ~now:_ ~resource_id =
   Hashtbl.remove t.down resource_id;
-  drop_session t
+  reset_session t
 
 let task_attempt_failed t ~now:_ ~task_id =
   (match find_task_state t task_id with
   | Some ts -> requeue_task ts
   | None -> ());
-  drop_session t
+  reset_session t
 
 let task_started t ~now:_ ~task_id ~exec_ms =
   match find_task_state t task_id with
@@ -709,7 +650,7 @@ let task_started t ~now:_ ~task_id ~exec_ms =
         (match ts.dispatch with
         | Some d -> ts.dispatch <- Some { d with Dispatch.task = ts.task }
         | None -> ());
-        drop_session t
+        reset_session t
       end
 
 let fault_resets t = t.fault_resets
@@ -726,9 +667,7 @@ let job_overhead_seconds t id =
 let solve_count t = t.solves
 let cache_hit_count t = t.cache_hits
 let jobs_scheduled t = t.scheduled_jobs
-let last_stats t = t.last_stats
-let last_solver_stats = last_stats
-let last_portfolio_stats t = t.last_portfolio
+let last_solver_stats t = t.last_stats
 
 let metrics t =
   match t.registry with

@@ -14,8 +14,8 @@
       configured job ordering, warm-started from whatever survives of the
       previous plan, with the solve skipped entirely when that carried plan
       is still feasible and already bound-optimal (a "plan cache hit").
-      With [domains = 1] every solve goes through one persistent
-      {!Cp.Session}; with [domains > 1] through {!Cp.Portfolio};
+      Every solve goes through the manager's {!Cp.Session}, which carries
+      that plan and the optimality certificate from pass to pass;
     + extract the new combined schedule and matchmake it onto physical
       resources (§V.D) to produce the new plan (l.21–22).
 
@@ -32,12 +32,11 @@
 type config = {
   solver : Cp.Solver.options;
   domains : int;
-      (** 1 (default): solve through one persistent {!Cp.Session}, whose
-          store is created at the first solve and diffed between
-          invocations (arrivals appended, completed tasks retracted), with
-          the sequential, deterministic {!Cp.Solver} pipeline.  > 1: solve
-          through {!Cp.Portfolio} on that many OCaml domains; its workers
-          each build their own store. *)
+      (** 1 (default): the session solves with the sequential,
+          deterministic {!Cp.Solver} pipeline over its persistent store,
+          diffed between invocations.  > 1: it runs a parallel portfolio on
+          that many OCaml domains ({!Cp.Session.create}), whose workers each
+          build their own model. *)
   deferral_window : int option;
       (** §V.E: [Some w] defers jobs with s_j > now + w; [None] disables *)
   validate : bool;
@@ -80,14 +79,14 @@ val resource_lost : t -> now:int -> resource_id:int -> lost:int list -> unit
     died with it: their dispatches are forgotten (the work is lost; they
     re-enter the next instance as pending with est bumped to now), the
     resource is excluded from capacity and matchmaking until
-    {!resource_rejoined}, the persistent session and its carried optimality
-    certificate are invalidated, and the next {!invoke} re-solves even with
-    an empty queue. *)
+    {!resource_rejoined}, the session's store and certificate are dropped
+    (its plan still seeds the next solve), and the next {!invoke} re-solves
+    even with an empty queue. *)
 
 val resource_rejoined : t -> now:int -> resource_id:int -> unit
 (** The resource accepts work again.  Capacity grows back, so the carried
     certificate (a lower bound proved under the smaller capacity) is
-    invalidated along with the session, and a re-solve is forced. *)
+    dropped along with the session's store, and a re-solve is forced. *)
 
 val task_attempt_failed : t -> now:int -> task_id:int -> unit
 (** The task's running attempt aborted; it re-enters the open set and will
@@ -101,8 +100,8 @@ val task_started : t -> now:int -> task_id:int -> exec_ms:int -> unit
     [exec_ms] equals the recorded execution time. *)
 
 val fault_resets : t -> int
-(** Times a fault notification invalidated the persistent session (and the
-    carried optimality certificate).  0 in fault-free runs. *)
+(** Times a fault notification reset the session's store and carried
+    optimality certificate.  0 in fault-free runs. *)
 
 val resources_down : t -> int
 (** Resources currently excluded after {!resource_lost}. *)
@@ -151,12 +150,8 @@ val jobs_scheduled : t -> int
     the denominator of O. *)
 
 val last_solver_stats : t -> Cp.Solver.stats option
-(** Stats of the most recent solve.  Under a portfolio configuration this is
-    the aggregate ({!Cp.Portfolio.stats.base}). *)
-
-val last_portfolio_stats : t -> Cp.Portfolio.stats option
-(** Per-worker breakdown of the most recent solve; [None] until a solve has
-    run with [config.domains > 1]. *)
+(** Stats of the most recent solve.  With [config.domains > 1] this is the
+    portfolio's aggregate over its workers. *)
 
 val metrics : t -> Obs.Metrics.snapshot option
 (** Accumulated telemetry over every invocation so far — manager-level

@@ -4,12 +4,8 @@ module Greedy = Sched.Greedy
 
 type worker_stats = {
   strategy : string;
-  w_late_jobs : int;
   w_nodes : int;
-  w_failures : int;
   w_lns_moves : int;
-  w_proved : bool;
-  w_elapsed : float;
 }
 
 type stats = {
@@ -19,29 +15,11 @@ type stats = {
   domains_used : int;
 }
 
-let recommended_domains () = max 1 (Domain.recommended_domain_count ())
-
-let pp_stats fmt s =
-  Format.fprintf fmt "portfolio<%a domains=%d winner=%s workers=[" Solver.pp_stats
-    s.base s.domains_used s.winner;
-  Array.iteri
-    (fun i w ->
-      Format.fprintf fmt "%s%s:late=%d,n=%d,f=%d,lns=%d%s"
-        (if i > 0 then " " else "")
-        w.strategy w.w_late_jobs w.w_nodes w.w_failures w.w_lns_moves
-        (if w.w_proved then ",proved" else ""))
-    s.workers;
-  Format.fprintf fmt "]>"
-
-let worker_of_solver ~strategy (sol : Solution.t) (s : Solver.stats) =
+let worker_of_solver ~strategy (s : Solver.stats) =
   {
     strategy;
-    w_late_jobs = sol.Solution.late_jobs;
     w_nodes = s.Solver.nodes;
-    w_failures = s.Solver.failures;
     w_lns_moves = s.Solver.lns_moves;
-    w_proved = s.Solver.proved_optimal;
-    w_elapsed = s.Solver.elapsed;
   }
 
 (* Worker 0 replicates the sequential solver exactly (same ordering, same
@@ -70,27 +48,29 @@ let strategy (base : Solver.options) i =
     ({ base with Solver.ordering; tie_break; seed }, name, false)
   end
 
-let solve ?(domains = 1) ?(options = Solver.default_options)
-    (inst : Instance.t) =
+let solve ?(domains = 1) ?(options = Solver.default_options) ?warm
+    ?carried_bound (inst : Instance.t) =
   let t0 = Obs.Clock.now () in
   let single ~strategy (sol, s) =
     ( sol,
       {
         base = s;
-        workers = [| worker_of_solver ~strategy sol s |];
+        workers = [| worker_of_solver ~strategy s |];
         winner = strategy;
         domains_used = 1;
       } )
   in
   if domains <= 1 then
-    single ~strategy:"sequential" (Solver.solve ~options inst)
+    single ~strategy:"sequential"
+      (Solver.solve_linked ~options ~link:Solver.null_link ?carried_bound
+         ?warm inst)
   else
-    match Solver.settle ~options inst with
+    match Solver.settle ~options ?warm ?carried_bound inst with
     | Some settled ->
         (* the common open-system case: the starting incumbent (greedy
            seed, or the warm-start candidate carried over from the previous
-           solve) meets the lower bound, so the pipeline's fast path is
-           optimal — don't spawn domains *)
+           solve) meets the lower bound, classic or carried, so the
+           pipeline's fast path is optimal — don't spawn domains *)
         single ~strategy:"seed" settled
     | None -> (
         (* Shared state: the incumbent Σ N_j (an Atomic every worker prunes
@@ -122,7 +102,8 @@ let solve ?(domains = 1) ?(options = Solver.default_options)
           in
           let sol, s =
             Obs.Trace.with_span ~cat:"portfolio" ("worker:" ^ name) (fun () ->
-                Solver.solve_linked ~options:opts ~link inst)
+                Solver.solve_linked ~options:opts ~link ?carried_bound ?warm
+                  inst)
           in
           if s.Solver.proved_optimal then Atomic.set stop true;
           (name, sol, s)
@@ -155,7 +136,7 @@ let solve ?(domains = 1) ?(options = Solver.default_options)
             let workers =
               Array.of_list
                 (List.map
-                   (fun (name, sol, s) -> worker_of_solver ~strategy:name sol s)
+                   (fun (name, _, s) -> worker_of_solver ~strategy:name s)
                    results)
             in
             let sum f =

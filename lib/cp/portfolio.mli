@@ -15,17 +15,16 @@
       {!Solver.solve}) draw from distinct RNG streams.
 
     Every worker runs the one solve pipeline, {!Solver.solve_linked}, with
-    its default exact backend (a fresh {!Model} per worker); the
-    persistent-store backend belongs to {!Session}, which the portfolio
-    does not use, so the portfolio bounds with the classic lower bound
-    only.  All workers share the incumbent Σ N_j through an [Atomic]: B&B
-    workers adopt it as their bound mid-search (pruning against the best
-    solution found anywhere), LNS workers use it to cut hopeless fragment
-    searches, and the first worker to prove optimality raises a
-    cancellation flag that stops the rest.
+    its default exact backend (a fresh {!Model} per worker), and with the
+    warm start and carried bound of its caller, a {!Session} with
+    [domains > 1].  All workers share the incumbent Σ N_j through an
+    [Atomic]: B&B workers adopt it as their bound mid-search (pruning
+    against the best solution found anywhere), LNS workers use it to cut
+    hopeless fragment searches, and the first worker to prove optimality
+    raises a cancellation flag that stops the rest.
 
     Guarantees:
-    - [solve ~domains:1] delegates to {!Solver.solve} — bit-identical
+    - [solve ~domains:1] runs {!Solver.solve_linked} alone — bit-identical
       results, keeping simulations deterministic by default;
     - with [domains ≥ 2] the returned Σ N_j is never worse than the
       sequential solver's on the same instance and options (worker 0 runs
@@ -35,22 +34,18 @@
     - every worker owns its {!Store}, {!Model} and RNG; the only shared
       mutable state is the two [Atomic]s (see the store's domain-locality
       notes in [store.mli]);
-    - a warm start ([options.warm_start], see {!Solver.incumbent}) flows
-      through unchanged to every worker: each seeds from the same carried
-      candidate (completed deterministically, so all workers agree on it)
-      and publishes it into the shared incumbent immediately, and the
-      seed-is-optimal shortcut above also takes the warm candidate into
-      account. *)
+    - a warm start ([warm], see {!Solver.incumbent}) and a carried bound
+      flow through unchanged to every worker: each seeds from the same
+      carried candidate (completed deterministically, so all workers agree
+      on it), bounds with the same carried bound and publishes its seed
+      into the shared incumbent immediately, and the seed-is-optimal
+      shortcut above also takes both into account. *)
 
 type worker_stats = {
   strategy : string;
       (** e.g. ["sequential"], ["edf/duration/s7919"] *)
-  w_late_jobs : int;  (** best Σ N_j this worker found *)
   w_nodes : int;
-  w_failures : int;
   w_lns_moves : int;
-  w_proved : bool;  (** this worker completed an optimality proof *)
-  w_elapsed : float;
 }
 
 type stats = {
@@ -63,17 +58,14 @@ type stats = {
   domains_used : int;
 }
 
-val recommended_domains : unit -> int
-(** [Domain.recommended_domain_count], floored at 1. *)
-
 val solve :
   ?domains:int ->
   ?options:Solver.options ->
+  ?warm:Solver.incumbent ->
+  ?carried_bound:int ->
   Sched.Instance.t ->
   Sched.Solution.t * stats
 (** Never fails: at worst returns the greedy seed.  [domains] defaults to 1
     (sequential).  Ties between equally good worker solutions go to the
     earliest worker (worker 0 first), so the reported [winner] is
     deterministic. *)
-
-val pp_stats : Format.formatter -> stats -> unit

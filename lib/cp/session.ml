@@ -8,6 +8,14 @@ module Solution = Sched.Solution
 
 type task_state = Pending | Frozen | Retired
 
+(* by task or job id, on every pass: no polymorphic hash or compare *)
+module Ids = Hashtbl.Make (struct
+  type t = int
+
+  let equal = Int.equal
+  let hash id = id land max_int
+end)
+
 type task_slot = {
   t_var : Store.var;
   t_task : T.task;
@@ -15,9 +23,6 @@ type task_slot = {
   mutable t_state : task_state;
   (* generation mark: tasks not seen by the current sync have completed *)
   mutable t_gen : int;
-  (* the start the task was last planned or frozen at ([min_int] before
-     the first): when it completes, its variable is fixed there *)
-  mutable t_last : int;
 }
 
 type job_slot = {
@@ -66,18 +71,28 @@ type cert = {
 }
 
 type t = {
+  domains : int;
   mutable core : core option;
   mutable cert : cert option;
+  (* task id -> its start in the last plan returned that placed it: a
+     pending task's warm start, and where a completed one ran *)
+  plan : int ref Ids.t;
+  (* the jobs whose plan is kept, by id: those of the last solved instance,
+     and those that left while the store still held them *)
+  mutable kept : T.job Ids.t;
   mutable cert_proofs : int;
   mutable retracted : int;
   mutable appended : int;
   mutable rebuilds : int;
 }
 
-let create () =
+let create ?(domains = 1) () =
   {
+    domains;
     core = None;
     cert = None;
+    plan = Ids.create 16;
+    kept = Ids.create 16;
     cert_proofs = 0;
     retracted = 0;
     appended = 0;
@@ -137,7 +152,6 @@ let no_slot =
     t_is_map = true;
     t_state = Retired;
     t_gen = -1;
-    t_last = min_int;
   }
 
 let no_job = { j_late = -1; j_tasks = [||]; j_active = false; j_gen = -1 }
@@ -163,7 +177,6 @@ let append_job t core (inst : Instance.t) jdx =
       t_is_map = is_map;
       t_state = Pending;
       t_gen = gen;
-      t_last = min_int;
     }
   in
   let mk_fixed ~is_map (f : Instance.fixed_task) =
@@ -173,7 +186,6 @@ let append_job t core (inst : Instance.t) jdx =
       t_is_map = is_map;
       t_state = Frozen;
       t_gen = gen;
-      t_last = f.Instance.start;
     }
   in
   let off = inst.Instance.first.(jdx) in
@@ -244,18 +256,20 @@ let append_job t core (inst : Instance.t) jdx =
   core.job_view.(jdx) <- slot;
   t.appended <- t.appended + 1
 
-(* A task left the instance: it completed.  Fix its variable at the start it
-   actually ran at (always inside the root domain: the plan that dispatched
-   it was a solution of this very store) and remove it from its pool
-   registry — its execution window ends at or before [now], every pending
-   est is at least [now], so the removal never loosens the profile any
-   still-movable task sees. *)
+(* A task left the instance: it completed.  Fix a pending one at its last
+   planned start, where it ran (inside the root domain: the plan was a
+   solution of this very store), and remove it from its pool registry — its
+   execution window ends at or before [now], every pending est is at least
+   [now], so the removal never loosens the profile any still-movable task
+   sees. *)
 let retire_task t core sl =
   if sl.t_state <> Retired then begin
     let s = core.store in
-    if sl.t_last = min_int then
-      raise (Store.Fail "session: completed task has no known start");
-    Store.fix s sl.t_var sl.t_last;
+    if sl.t_state = Pending then begin
+      match Ids.find_opt t.plan sl.t_task.T.task_id with
+      | Some start -> Store.fix s sl.t_var !start
+      | None -> raise (Store.Fail "session: completed task has no known start")
+    end;
     let pool = if sl.t_is_map then core.map_pool else core.reduce_pool in
     Propagators.dyn_retire pool s sl.t_var;
     sl.t_state <- Retired;
@@ -287,7 +301,6 @@ let sync_job t core (inst : Instance.t) jdx slot =
     sl.t_gen <- gen;
     if sl.t_state = Pending then begin
       Store.fix s sl.t_var f.Instance.start;
-      sl.t_last <- f.Instance.start;
       sl.t_state <- Frozen
     end
   in
@@ -363,20 +376,16 @@ let sync t (inst : Instance.t) =
 (* Lower bound the certificate yields for [inst]: [c_bound] minus the
    realized lateness of certificate jobs that have completed and left.
    [min_int] when there is no certificate or it is inapplicable (a
-   certificate job absent without a completion on record). *)
-let cert_lower_bound t (inst : Instance.t) =
+   certificate job absent without a completion on record).  [present]
+   holds [inst]'s jobs by id. *)
+let cert_lower_bound t ~present (inst : Instance.t) =
   match t.cert with
   | None -> min_int
   | Some c ->
-      let present = Hashtbl.create 64 in
-      Array.iter
-        (fun (pj : Instance.pending_job) ->
-          Hashtbl.replace present pj.Instance.job.T.id ())
-        inst.Instance.jobs;
       let bound = ref c.c_bound and applicable = ref true in
       Hashtbl.iter
         (fun id (late, completion) ->
-          if not (Hashtbl.mem present id) then
+          if not (Ids.mem present id) then
             if completion <= inst.Instance.now then bound := !bound - late
             else applicable := false)
         c.c_lates;
@@ -479,23 +488,57 @@ let search_core ~options core (inst : Instance.t) ~bound_to_beat limits =
       in
       Search.run_problem ~tie_break:options.Solver.tie_break problem limits)
 
-(* Every dispatched plan is a future fix point for its tasks: remember it.
-   After a sync the view holds this instance's slots.  A pass that did not
-   sync looks up the tasks the store already holds; the others will enter
-   it pending, or frozen at their dispatched start. *)
-let remember t ~synced (inst : Instance.t) (sol : Solution.t) =
-  let starts = sol.Solution.starts in
-  match t.core with
-  | None -> ()
-  | Some core when synced ->
-      Array.iteri (fun k sl -> sl.t_last <- starts.(k)) core.view
-  | Some core ->
-      Array.iteri
-        (fun k (task : T.task) ->
-          match Hashtbl.find_opt core.tasks task.T.task_id with
-          | Some sl -> sl.t_last <- starts.(k)
-          | None -> ())
-        (Instance.pending_tasks inst)
+(* The recorded start of a task no plan placed; never written *)
+let unplanned = ref min_int
+
+(* The warm start for [inst] from [cells], its pending tasks' recorded
+   starts.  A pending task carries its recorded start while that is still
+   ahead of the clock: a start the clock has passed belongs to an attempt a
+   fault lost.  The changed jobs are those the last solved instance did not
+   have.  [None] when nothing is carried. *)
+let carried_plan t ~cells (inst : Instance.t) =
+  let carry start = if !start > inst.Instance.now then !start else min_int in
+  let starts = Array.map carry cells in
+  if Array.for_all (( = ) min_int) starts then None
+  else
+    let changed acc (pj : Instance.pending_job) =
+      let id = pj.Instance.job.T.id in
+      if Ids.mem t.kept id then acc else id :: acc
+    in
+    let changed_jobs = Array.fold_left changed [] inst.Instance.jobs in
+    Some { Solver.carried_starts = starts; changed_jobs }
+
+(* Every returned plan is dispatched: record its starts.  A job that has
+   left keeps its plan while the store holds it (the sync that retires its
+   tasks fixes them at these starts); [present], the solved instance's jobs,
+   becomes the kept set. *)
+let record t ~present ~tasks ~cells (sol : Solution.t) =
+  Array.iteri
+    (fun k start ->
+      let planned = sol.Solution.starts.(k) in
+      if start == unplanned then
+        Ids.add t.plan tasks.(k).T.task_id (ref planned)
+      else start := planned)
+    cells;
+  let held id =
+    match Option.map (fun core -> Hashtbl.find_opt core.jobs id) t.core with
+    | Some (Some slot) -> slot.j_active
+    | _ -> false
+  in
+  Ids.iter
+    (fun id (job : T.job) ->
+      if Ids.mem present id then ()
+      else if held id then Ids.add present id job
+      else
+        let forget (task : T.task) = Ids.remove t.plan task.T.task_id in
+        Array.iter forget job.T.map_tasks;
+        Array.iter forget job.T.reduce_tasks)
+    t.kept;
+  t.kept <- present
+
+let reset t =
+  t.core <- None;
+  t.cert <- None
 
 let solve t ~options (inst : Instance.t) =
   let t0 = Obs.Clock.now () in
@@ -503,43 +546,71 @@ let solve t ~options (inst : Instance.t) =
   let retracted0 = t.retracted
   and appended0 = t.appended
   and rebuilds0 = t.rebuilds in
-  (* The exact backend is the only place that syncs the store, so a pass
-     the fast path or LNS settles never pays for a diff ([sync] is a diff
-     against the instance, not an event log: a skipped pass folds into the
-     next searching one's). *)
-  let searched = ref None in
-  let exact ~registry ~bound_to_beat limits =
-    let t_sync = Obs.Clock.now () in
-    let core = sync t inst in
-    let sync_s = Obs.Clock.now () -. t_sync in
-    searched := Some core;
-    if registry <> None then Store.set_instrumented core.store true;
-    (search_core ~options core inst ~bound_to_beat limits, sync_s)
+  let present = Ids.create (Array.length inst.Instance.jobs) in
+  Array.iter
+    (fun (pj : Instance.pending_job) ->
+      Ids.add present pj.Instance.job.T.id pj.Instance.job)
+    inst.Instance.jobs;
+  let tasks = Instance.pending_tasks inst in
+  (* one lookup per pending task: [record] writes through the same cells *)
+  let cells =
+    Array.map
+      (fun (task : T.task) ->
+        try Ids.find t.plan task.T.task_id with Not_found -> unplanned)
+      tasks
   in
-  let on_settle registry sol (st : Solver.stats) =
-    remember t ~synced:(Option.is_some !searched) inst sol;
+  let warm = carried_plan t ~cells inst in
+  let carried_bound = cert_lower_bound t ~present inst in
+  (* what a returned plan leaves for the next instance; [true] for a proof
+     the classic bound alone could not have delivered *)
+  let keep sol (st : Solver.stats) =
+    record t ~present ~tasks ~cells sol;
     update_cert t ~proved:st.Solver.proved_optimal inst sol;
-    (* proofs the classic bound alone could not have delivered *)
     let via_cert = st.Solver.stop_reason = Obs.Solve_stats.Hit_carried_bound in
     if via_cert then t.cert_proofs <- t.cert_proofs + 1;
-    Option.iter
-      (fun r ->
-        let count name v = Obs.Metrics.add (Obs.Metrics.counter r name) v in
-        count "session/retracted" (t.retracted - retracted0);
-        count "session/appended_jobs" (t.appended - appended0);
-        count "session/rebuilds" (t.rebuilds - rebuilds0);
-        count "session/cert_proofs" (Bool.to_int via_cert);
-        count "store/words_allocated"
-          (int_of_float (Gc.minor_words () -. words0));
-        (* harvested after the words count, which measures the solve and
-           not its telemetry; the store's counters run from the last
-           harvest, so the diff and the search of this pass are counted *)
-        Option.iter
-          (fun core ->
-            Store.harvest ?since:core.harvested r core.store;
-            core.harvested <- Some (Store.telemetry_mark core.store))
-          !searched)
-      registry
+    via_cert
   in
-  Solver.solve_linked ~options ~link:Solver.null_link ~t0
-    ~carried_bound:(cert_lower_bound t inst) ~exact ~on_settle inst
+  if t.domains > 1 then begin
+    let sol, ps =
+      Portfolio.solve ~domains:t.domains ~options ?warm ~carried_bound inst
+    in
+    ignore (keep sol ps.Portfolio.base : bool);
+    (sol, ps.Portfolio.base)
+  end
+  else
+    (* The exact backend is the only place that syncs the store, so a pass
+       the fast path or LNS settles never pays for a diff ([sync] is a diff
+       against the instance, not an event log: a skipped pass folds into
+       the next searching one's). *)
+    let searched = ref None in
+    let exact ~registry ~bound_to_beat limits =
+      let t_sync = Obs.Clock.now () in
+      let core = sync t inst in
+      let sync_s = Obs.Clock.now () -. t_sync in
+      searched := Some core;
+      if registry <> None then Store.set_instrumented core.store true;
+      (search_core ~options core inst ~bound_to_beat limits, sync_s)
+    in
+    let on_settle registry sol st =
+      let via_cert = keep sol st in
+      Option.iter
+        (fun r ->
+          let count name v = Obs.Metrics.add (Obs.Metrics.counter r name) v in
+          count "session/retracted" (t.retracted - retracted0);
+          count "session/appended_jobs" (t.appended - appended0);
+          count "session/rebuilds" (t.rebuilds - rebuilds0);
+          count "session/cert_proofs" (Bool.to_int via_cert);
+          count "store/words_allocated"
+            (int_of_float (Gc.minor_words () -. words0));
+          (* harvested after the words count, which measures the solve and
+             not its telemetry; the store's counters run from the last
+             harvest, so the diff and the search of this pass are counted *)
+          Option.iter
+            (fun core ->
+              Store.harvest ?since:core.harvested r core.store;
+              core.harvested <- Some (Store.telemetry_mark core.store))
+            !searched)
+        registry
+    in
+    Solver.solve_linked ~options ~link:Solver.null_link ~t0 ~carried_bound
+      ?warm ~exact ~on_settle inst

@@ -51,35 +51,46 @@
     fails unexpectedly — the session rebuilds from scratch, which is
     precisely a cold store.
 
-    The solve policy is {!Solver.solve_linked}'s; the session adds only
-    the carried bound, an exact search over its store and its bookkeeping.
-    Instances past [options.exact_task_limit] go to the pipeline's LNS on
-    throwaway fragment models and never sync the store.
+    Last, the session records each task's start in the plans it returns: a
+    completed task is retired there, and the next warm start
+    ({!Solver.incumbent}) carries the recorded starts the clock has not
+    passed, with the jobs new since the last solve as the changed ones.
 
-    A session serves one manager sequentially — it is not thread-safe and
-    is not used by the multi-domain {!Portfolio} (managers run sessions
-    only with [domains = 1]). *)
+    The solve policy is {!Solver.solve_linked}'s; the session adds only
+    its warm start, the carried bound, an exact search over its store and
+    its bookkeeping.  Instances past [options.exact_task_limit] go to the
+    pipeline's LNS on throwaway fragment models and never sync the store.
+
+    A session serves one manager sequentially — it is not thread-safe.
+    With [domains > 1] it runs {!Portfolio} on its warm start and carried
+    bound instead; the workers build their own models. *)
 
 type t
 
-val create : unit -> t
+val create : ?domains:int -> unit -> t
 (** An empty session; the store is built by the first searching {!solve},
-    and the options are read per call. *)
+    and the options are read per call.  [domains]: see above (default 1). *)
 
 val solve :
   t ->
   options:Solver.options ->
   Sched.Instance.t ->
   Sched.Solution.t * Solver.stats
-(** Run {!Solver.solve_linked} with the certificate's bound and the
-    persistent store as exact backend.  The sync is {e lazy}: an invocation
-    settled by the bound or routed to LNS never touches the store.
-    [elapsed], the wall deadline and [store/words_allocated] cover the whole
-    call.  Never fails, at worst returns the greedy seed.  With
+(** Run {!Solver.solve_linked} with the warm start, the certificate's bound
+    and the persistent store as exact backend, and record the plan it
+    returns, which the caller dispatches.  The sync is {e lazy}: an
+    invocation settled by the bound or routed to LNS never touches the
+    store.  [elapsed], the wall deadline and [store/words_allocated] cover
+    the whole call.  Never fails, at worst returns the greedy seed.  With
     [options.instrument] the stats carry the session counters
     ([session/retracted], [session/appended_jobs], [session/rebuilds],
     [session/cert_proofs], [store/words_allocated]) and the store counters
-    of the search that ran. *)
+    of the search that ran (with [domains > 1], the portfolio's aggregate
+    stats alone). *)
+
+val reset : t -> unit
+(** After a fault: drop the store and the certificate, keep the recorded
+    plan (it only seeds a warm candidate checked against each instance). *)
 
 (** {1 Introspection} (cumulative over the session's lifetime) *)
 

@@ -15,7 +15,6 @@ type options = {
   seed : int;
   tie_break : Search.tie_break;
   instrument : bool;
-  warm_start : incumbent option;
 }
 
 let default_options =
@@ -29,7 +28,6 @@ let default_options =
     seed = 0;
     tie_break = Search.Slack_first;
     instrument = false;
-    warm_start = None;
   }
 
 (* Hooks a portfolio coordinator installs so concurrent workers share the
@@ -257,10 +255,10 @@ let warm_candidate inst inc = warm_in (Greedy.prepare inst) inst inc
    schedule.  The returned flag records whether the warm candidate won.
    Every schedule shares one {!Greedy.pass}: the frozen tasks' profiles are
    built once per call. *)
-let starting_incumbent ~options ?lb inst =
+let starting_incumbent ~options ?warm ?lb inst =
   let pass = Greedy.prepare inst in
   let cold () = (greedy_seed ~ordering:options.ordering pass inst, false) in
-  match options.warm_start with
+  match warm with
   | None -> cold ()
   | Some inc -> (
       match warm_in pass inst inc with
@@ -305,7 +303,7 @@ type start = {
   on_settle : Obs.Metrics.t option -> Solution.t -> stats -> unit;
 }
 
-let start ~options ?(t0 = Obs.Clock.now ()) ?(carried_bound = min_int)
+let start ~options ?(t0 = Obs.Clock.now ()) ?(carried_bound = min_int) ?warm
     ?(on_settle = fun _ _ _ -> ()) inst =
   let registry =
     if options.instrument then Some (Obs.Metrics.create ()) else None
@@ -313,7 +311,7 @@ let start ~options ?(t0 = Obs.Clock.now ()) ?(carried_bound = min_int)
   let t_seed = Obs.Clock.now () in
   let lb_classic = late_lower_bound inst in
   let lb = max lb_classic carried_bound in
-  let seed, warm_seeded = starting_incumbent ~options ~lb inst in
+  let seed, warm_seeded = starting_incumbent ~options ?warm ~lb inst in
   let seed_s = Obs.Clock.now () -. t_seed in
   { t0; registry; lb; lb_classic; seed; warm_seeded; seed_s; on_settle }
 
@@ -368,7 +366,8 @@ let fast_path st =
     in
     Some (settle_with st ~proved:true ~stop st.seed)
 
-let settle ~options inst = fast_path (start ~options inst)
+let settle ~options ?warm ?carried_bound inst =
+  fast_path (start ~options ?warm ?carried_bound inst)
 
 let exact_regime ~options ~link ~exact st =
   let limits =
@@ -404,7 +403,7 @@ let exact_regime ~options ~link ~exact st =
     ~sync_s ~search_s ~proved ~stop incumbent
 
 (* LNS over job neighbourhoods *)
-let lns_regime ~options ~link st (inst : Instance.t) =
+let lns_regime ~options ~link ?warm st (inst : Instance.t) =
   let t_search = Obs.Clock.now () in
   let deadline = st.t0 +. options.time_limit in
   let rng = Simrand.Rng.create options.seed in
@@ -417,7 +416,7 @@ let lns_regime ~options ~link st (inst : Instance.t) =
      the search immediately re-optimizes around the delta instead of a
      random neighbourhood *)
   let changed =
-    match options.warm_start with Some inc -> inc.changed_jobs | None -> []
+    match warm with Some inc -> inc.changed_jobs | None -> []
   in
   let continue () =
     !incumbent.Solution.late_jobs > st.lb
@@ -505,9 +504,9 @@ let lns_regime ~options ~link st (inst : Instance.t) =
   settle_with st ~nodes:!nodes ~failures:!failures ~lns_moves:!lns_moves
     ~search_s ~proved ~stop !incumbent
 
-let solve_linked ~options ~link ?t0 ?carried_bound ?exact ?on_settle
+let solve_linked ~options ~link ?t0 ?carried_bound ?warm ?exact ?on_settle
     (inst : Instance.t) =
-  let st = start ~options ?t0 ?carried_bound ?on_settle inst in
+  let st = start ~options ?t0 ?carried_bound ?warm ?on_settle inst in
   link.announce st.seed.Solution.late_jobs;
   match fast_path st with
   | Some settled -> settled
@@ -516,7 +515,7 @@ let solve_linked ~options ~link ?t0 ?carried_bound ?exact ?on_settle
         match exact with Some e -> e | None -> model_search ~options inst
       in
       exact_regime ~options ~link ~exact st
-  | None -> lns_regime ~options ~link st inst
+  | None -> lns_regime ~options ~link ?warm st inst
 
-let solve ?(options = default_options) (inst : Instance.t) =
-  solve_linked ~options ~link:null_link inst
+let solve ?(options = default_options) ?warm (inst : Instance.t) =
+  solve_linked ~options ~link:null_link ?warm inst

@@ -16,14 +16,14 @@
       budget — the same anytime regime CP Optimizer applies to models of this
       shape. *)
 
-(** A carried-over plan from a previous solve, injected as a warm start.
+(** A carried-over plan from a previous solve, the pipeline's warm start.
     [carried_starts] is an array over the instance's task index
     ({!Sched.Instance.t}) holding the start the previous schedule gave each
     pending task, or [min_int] for a task it did not plan (a start below
     the job's est is stale either way); [changed_jobs] lists the job ids
-    that changed since that schedule was produced (new arrivals, repaired
-    jobs) — LNS relaxes them on its first move so the search re-optimizes
-    around the delta first. *)
+    that changed since that schedule was produced (new arrivals) — LNS
+    relaxes them on its first move so the search re-optimizes around the
+    delta first.  {!Session} builds it from the plans it returned. *)
 type incumbent = { carried_starts : int array; changed_jobs : int list }
 
 type options = {
@@ -43,12 +43,6 @@ type options = {
       (** collect per-propagator fire/fail/time metrics into
           [stats.metrics] (default [false]).  Metering never changes
           pruning, so the search trajectory is identical either way. *)
-  warm_start : incumbent option;
-      (** seed the solve from the previous invocation's surviving schedule
-          (default [None], the historical cold solve).  The completed warm
-          candidate only replaces the greedy seed when it passes the Table-1
-          oracle and is at least as good, so a warm solve is never seeded
-          worse than a cold one. *)
 }
 
 val default_options : options
@@ -120,15 +114,17 @@ val solve_linked :
   link:link ->
   ?t0:float ->
   ?carried_bound:int ->
+  ?warm:incumbent ->
   ?exact:exact_search ->
   ?on_settle:(Obs.Metrics.t option -> Sched.Solution.t -> stats -> unit) ->
   Sched.Instance.t ->
   Sched.Solution.t * stats
 (** The pipeline above — the one copy of the solve policy, run by {!solve},
     the {!Portfolio} workers and {!Session}.  The bound is [max
-    (late_lower_bound inst) carried_bound]; a seed meeting it returns at
-    once with [Proved], [Cache_hit] (adopted warm plan) or
-    [Hit_carried_bound] (only the carried bound settles it).  Instances with
+    (late_lower_bound inst) carried_bound]; the seed is
+    {!starting_incumbent}'s, warm from [warm] when given, and a seed meeting
+    the bound returns at once with [Proved], [Cache_hit] (adopted warm plan)
+    or [Hit_carried_bound] (only the carried bound settles it).  Instances with
     at most [options.exact_task_limit] pending tasks go to [exact] (default:
     a fresh {!Model}), larger ones to LNS on fresh fragment models; both stop
     once an incumbent meets the bound.  The wall deadline and
@@ -139,9 +135,13 @@ val solve_linked :
     domain. *)
 
 val settle :
-  options:options -> Sched.Instance.t -> (Sched.Solution.t * stats) option
-(** The pipeline's fast path alone: [Some] with what {!solve} returns when
-    the seed meets the classic bound, [None] when it would search. *)
+  options:options ->
+  ?warm:incumbent ->
+  ?carried_bound:int ->
+  Sched.Instance.t ->
+  (Sched.Solution.t * stats) option
+(** The pipeline's fast path alone: [Some] with what {!solve_linked} returns
+    when the seed meets the bound, [None] when it would search. *)
 
 val warm_candidate :
   Sched.Instance.t -> incumbent -> Sched.Solution.t option
@@ -154,18 +154,22 @@ val warm_candidate :
     per-task est and precedence arithmetic on the carried starts and the
     peak of the profiles the completion just built — so a returned
     candidate always passes {!Sched.Solution.feasibility_errors}.
-    Deterministic.  The pipeline seeds from it when [options.warm_start] is
-    set. *)
+    Deterministic.  The pipeline seeds from it when given a [warm]
+    incumbent. *)
 
 val starting_incumbent :
-  options:options -> ?lb:int -> Sched.Instance.t -> Sched.Solution.t * bool
+  options:options ->
+  ?warm:incumbent ->
+  ?lb:int ->
+  Sched.Instance.t ->
+  Sched.Solution.t * bool
 (** The pipeline's seed, and whether it is the adopted {!warm_candidate}.
-    Cold ([options.warm_start = None]): the best greedy schedule over the
-    three orderings and the doomed-last sequence, ties to
-    [options.ordering].  Warm: the candidate when it meets [lb]; otherwise
-    the candidate unless one greedy pass of [options.ordering] beats it, in
-    which case the cold seed.  All these schedules share one
-    {!Sched.Greedy.pass}. *)
+    Cold (no [warm]): the best greedy schedule over the three orderings and
+    the doomed-last sequence, ties to [options.ordering].  Warm: the
+    candidate when it meets [lb]; otherwise the candidate unless one greedy
+    pass of [options.ordering] beats it, in which case the cold seed, so a
+    warm seed is never worse than a cold one.  All these schedules share
+    one {!Sched.Greedy.pass}. *)
 
 val late_lower_bound : Sched.Instance.t -> int
 (** Number of jobs that are late in {e every} schedule: est plus the
@@ -178,7 +182,12 @@ val job_doomed : Sched.Instance.t -> Sched.Instance.pending_job -> bool
     every other job, so these dooms add onto any lower bound for a disjoint
     job set — {!Cp.Session} exploits exactly that. *)
 
-val solve : ?options:options -> Sched.Instance.t -> Sched.Solution.t * stats
-(** Never fails: at worst returns the greedy seed. *)
+val solve :
+  ?options:options ->
+  ?warm:incumbent ->
+  Sched.Instance.t ->
+  Sched.Solution.t * stats
+(** [solve_linked ~link:null_link]: the tests' reference.  Never fails: at
+    worst returns the greedy seed. *)
 
 val pp_stats : Format.formatter -> stats -> unit

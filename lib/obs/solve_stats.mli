@@ -34,8 +34,8 @@ type t = {
   proved_optimal : bool;
   warm_seeded : bool;
       (** the starting incumbent was the warm-start candidate carried over
-          from a previous plan (always [false] without
-          {!Cp.Solver.options.warm_start}) *)
+          from a previous plan (always [false] for a solve given no warm
+          start, see {!Cp.Solver.incumbent}) *)
   stop_reason : stop_reason;
       (** why the solve returned — the explicit cause, not guesswork
           reconstructed from counters *)

@@ -122,7 +122,8 @@ let make kind ~cluster (config : Mrcp.Manager.config) =
           time_limit = 0.;
         }
       in
-      of_mrcp (Mrcp.Manager.create ~cluster { config with Mrcp.Manager.solver })
+      let mgr = Mrcp.Manager.create ~cluster { config with solver } in
+      { (of_mrcp mgr) with name = kind_to_string Greedy_only }
   | Min_edf_wc -> slot_scheduler Baselines.Slot_scheduler.Min_edf_wc
   | Edf_wc -> slot_scheduler Baselines.Slot_scheduler.Edf_wc
   | Fcfs_wc -> slot_scheduler Baselines.Slot_scheduler.Fcfs_wc

@@ -88,4 +88,5 @@ val make :
 (** The driver a kind names, on [cluster].  The plan-based kinds create an
     {!Mrcp.Manager} from the config; [Greedy_only] first zeroes its solver's
     exact-search task limit, LNS stall limit and time limit, so every pass
-    keeps the greedy seed.  The slot schedulers ignore the config. *)
+    keeps the greedy seed; its driver is named ["greedy-only"].  The slot
+    schedulers ignore the config. *)

@@ -291,10 +291,10 @@ let warm_candidate (inst : Instance.t) (inc : Cp.Solver.incumbent) =
     else None
   end
 
-let starting_incumbent ~(options : Cp.Solver.options) ?lb inst =
+let starting_incumbent ~(options : Cp.Solver.options) ?warm ?lb inst =
   let ordering = options.Cp.Solver.ordering in
   let cold () = (greedy_seed ~ordering inst, false) in
-  match options.Cp.Solver.warm_start with
+  match warm with
   | None -> cold ()
   | Some inc -> (
       match warm_candidate inst inc with

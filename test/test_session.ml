@@ -317,6 +317,49 @@ let test_cert_proof () =
   Alcotest.(check int) "one certificate proof" 1
     (Cp.Session.stats_cert_proofs session)
 
+(* The portfolio route carries the certificate too.  The stream of
+   [test_cert_proof] through a manager on two domains: the t = 1 pass seeds
+   from the surviving plan at one late job, above the classic bound (0), and
+   only the certificate carried from the t = 0 proof settles it. *)
+let test_portfolio_cert () =
+  Gen.reset_tasks ();
+  let jobs =
+    [
+      Gen.mk_job ~id:0 ~deadline:10 ~maps:[ 10 ] ~reduces:[] ();
+      Gen.mk_job ~id:1 ~deadline:12 ~maps:[ 10 ] ~reduces:[] ();
+      Gen.mk_job ~id:2 ~arrival:1 ~est:1 ~deadline:100 ~maps:[ 2 ]
+        ~reduces:[] ();
+    ]
+  in
+  let mgr =
+    Mrcp.Manager.create
+      ~cluster:(T.uniform_cluster ~m:1 ~map_capacity:1 ~reduce_capacity:1)
+      {
+        Mrcp.Manager.default_config with
+        Mrcp.Manager.solver = proof_options;
+        domains = 2;
+        validate = true;
+      }
+  in
+  let pass now =
+    List.iter
+      (fun (j : T.job) ->
+        if j.T.arrival = now then Mrcp.Manager.submit mgr ~now j)
+      jobs;
+    Mrcp.Manager.invoke mgr ~now;
+    match Mrcp.Manager.last_solver_stats mgr with
+    | Some s -> s
+    | None -> Alcotest.fail "manager did not solve"
+  in
+  let st0 = pass 0 in
+  Alcotest.(check bool) "t=0 proved" true st0.Cp.Solver.proved_optimal;
+  Alcotest.(check int) "t=0 classic bound" 0 st0.Cp.Solver.lower_bound;
+  let st1 = pass 1 in
+  Alcotest.(check int) "t=1 seed" 1 st1.Cp.Solver.seed_late;
+  Alcotest.(check int) "t=1 carried bound" 1 st1.Cp.Solver.lower_bound;
+  Alcotest.check stop_reason "t=1 proved by the certificate"
+    Obs.Solve_stats.Hit_carried_bound st1.Cp.Solver.stop_reason
+
 (* The carried bound reaches the LNS regime too.  At t = 0 the contending
    pair costs one late job, which only search can prove (the classic bound
    is 0).  At t = 1 a second contending pair arrives and the invocation is
@@ -456,7 +499,7 @@ let test_first_pass_matches_cold () =
     Instance.of_fresh_jobs ~now:0 ~map_capacity:1 ~reduce_capacity:1 jobs'
   in
   (* the manager salts the LNS seed with its solve counter (0 here) and
-     passes warm_start = None on a first invocation *)
+     has nothing to warm-start from on a first invocation *)
   let dsol, dstats = Cp.Solver.solve ~options:proof_options inst in
   Alcotest.(check int) "seed_late" dstats.Cp.Solver.seed_late
     mstats.Cp.Solver.seed_late;
@@ -522,5 +565,7 @@ let () =
             test_first_pass_matches_cold;
           Alcotest.test_case "instrumented session counters" `Quick
             test_session_metrics;
+          Alcotest.test_case "portfolio carries the certificate" `Quick
+            test_portfolio_cert;
         ] );
     ]

@@ -73,14 +73,11 @@ let prop_warm_never_worse_than_cold =
         corrupt_starts ~salt
           (Seed_oracle.table_of inst cold_sol.Solution.starts)
       in
-      let warm_options =
-        {
-          proof_options with
-          Cp.Solver.warm_start =
-            Some (incumbent_of_starts inst carried ~changed:[]);
-        }
+      let warm_sol, warm_stats =
+        Cp.Solver.solve ~options:proof_options
+          ~warm:(incumbent_of_starts inst carried ~changed:[])
+          inst
       in
-      let warm_sol, warm_stats = Cp.Solver.solve ~options:warm_options inst in
       QCheck.assume cold_stats.Cp.Solver.proved_optimal;
       QCheck.assume warm_stats.Cp.Solver.proved_optimal;
       Solution.feasibility_errors inst warm_sol = []
@@ -123,11 +120,7 @@ let prop_fast_path_iff_feasible_and_bound_optimal =
         | Some cand -> cand.Solution.late_jobs <= lb
         | None -> false
       in
-      let _, stats =
-        Cp.Solver.solve
-          ~options:{ proof_options with Cp.Solver.warm_start = Some inc }
-          inst
-      in
+      let _, stats = Cp.Solver.solve ~options:proof_options ~warm:inc inst in
       let hit =
         stats.Cp.Solver.warm_seeded
         && stats.Cp.Solver.seed_late <= stats.Cp.Solver.lower_bound
@@ -272,18 +265,16 @@ let prop_starting_incumbent_matches_reference =
     ~name:"starting incumbent = reference, cold and warm"
     arb_seed_case (fun c ->
       let same (a, wa) (b, wb) = wa = wb && same_solution a b in
+      let options =
+        { Cp.Solver.default_options with Cp.Solver.ordering = c.ordering }
+      in
       List.for_all
-        (fun warm_start ->
-          let options =
-            {
-              Cp.Solver.default_options with
-              Cp.Solver.ordering = c.ordering;
-              warm_start;
-            }
-          in
+        (fun warm ->
           agree same
-            (fun () -> Cp.Solver.starting_incumbent ~options ?lb:c.lb c.inst)
-            (fun () -> Seed_oracle.starting_incumbent ~options ?lb:c.lb c.inst))
+            (fun () ->
+              Cp.Solver.starting_incumbent ~options ?warm ?lb:c.lb c.inst)
+            (fun () ->
+              Seed_oracle.starting_incumbent ~options ?warm ?lb:c.lb c.inst))
         [ None; Some (incumbent_of_starts c.inst c.carried ~changed:[]) ])
 
 (* Two maps still running from before a crash now share a pool of one
@@ -369,6 +360,39 @@ let test_cache_hit_on_undisturbed_plan () =
   Alcotest.(check int) "no search ran" 0 s.Cp.Solver.nodes;
   Alcotest.(check bool) "bound met" true
     (s.Cp.Solver.seed_late <= s.Cp.Solver.lower_bound)
+
+(* A fault resets the session's store and certificate but not the plan it
+   carries: after a resource loss that takes no running task and leaves
+   enough slots, and after the rejoin, each forced pass is warm-seeded from
+   the surviving plan and is a plan cache hit. *)
+let test_fault_keeps_warm_plan () =
+  Gen.reset_tasks ();
+  let mgr =
+    Mrcp.Manager.create ~cluster:cluster2x2
+      { base_config with Mrcp.Manager.domains = 1 }
+  in
+  let j0 =
+    Gen.mk_job ~id:0 ~est:5_000 ~deadline:100_000 ~maps:[ 1000; 1000 ]
+      ~reduces:[ 500 ] ()
+  in
+  Mrcp.Manager.submit mgr ~now:0 j0;
+  Mrcp.Manager.invoke mgr ~now:0;
+  let forced_pass ~now ~resets =
+    Alcotest.(check int) "fault reset" resets (Mrcp.Manager.fault_resets mgr);
+    Mrcp.Manager.invoke mgr ~now;
+    Alcotest.(check int) "re-planned" (resets + 1)
+      (Mrcp.Manager.solve_count mgr);
+    let s = last_stats mgr in
+    Alcotest.(check bool) "warm seeded" true s.Cp.Solver.warm_seeded;
+    Alcotest.(check string) "cache hit" "cache_hit"
+      (Obs.Solve_stats.stop_reason_to_string s.Cp.Solver.stop_reason);
+    Alcotest.(check int) "hits so far" resets
+      (Mrcp.Manager.cache_hit_count mgr)
+  in
+  Mrcp.Manager.resource_lost mgr ~now:100 ~resource_id:1 ~lost:[];
+  forced_pass ~now:100 ~resets:1;
+  Mrcp.Manager.resource_rejoined mgr ~now:200 ~resource_id:1;
+  forced_pass ~now:200 ~resets:2
 
 (* A tight arrival that only fits if the carried job is pushed back: the
    carried plan completed around it is feasible but suboptimal, so the fast
@@ -524,6 +548,8 @@ let () =
           Alcotest.test_case "deferred re-entry past deadline validated"
             `Quick test_deferred_reentry_past_deadline_validated;
           QCheck_alcotest.to_alcotest prop_degenerate_manager_pass;
+          Alcotest.test_case "fault keeps the warm plan" `Quick
+            test_fault_keeps_warm_plan;
         ] );
       ( "oracle",
         Alcotest.test_case "frozen overload rejects the candidate" `Quick
