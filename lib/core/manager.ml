@@ -326,11 +326,16 @@ let invoke t ~now =
         ([], [], []) t.active
     in
     t.active <- still_active;
-    if pending_jobs = [] then begin
+    let map_capacity = up_capacity t (fun r -> r.T.map_capacity)
+    and reduce_capacity = up_capacity t (fun r -> r.T.reduce_capacity) in
+    if pending_jobs = [] || map_capacity = 0 || reduce_capacity = 0 then begin
       (* a fault notification left nothing pending (e.g. a rejoin with no
-         open tasks, or the affected tasks are all still running): install
-         the trivial empty plan — bumping the version so the simulator
-         reconciles away any stale start events — and skip the solve. *)
+         open tasks, or the affected tasks are all still running), or
+         every resource of a kind is down, so no pending task can be
+         placed: install the trivial empty plan — bumping the version so
+         the simulator reconciles away any stale start events — and skip
+         the solve.  The jobs stay active; the rejoin that brings capacity
+         back marks the manager dirty, and its pass plans them. *)
       (* not a scheduling pass: no solve ran and no "invoke" journal line is
          written, so the O bookkeeping skips it too — the audit tool's
          Σ elapsed over journaled invokes must equal the run-end total *)
@@ -339,9 +344,7 @@ let invoke t ~now =
     end
     else begin
     let inst =
-      Instance.make ~now
-        ~map_capacity:(up_capacity t (fun r -> r.T.map_capacity))
-        ~reduce_capacity:(up_capacity t (fun r -> r.T.reduce_capacity))
+      Instance.make ~now ~map_capacity ~reduce_capacity
         (Array.of_list pending_jobs)
     in
     (* the pending tasks' states by the instance's task index *)

@@ -96,23 +96,30 @@ val capacity :
     — never during one. *)
 
 type dyn_pool
-(** A capacity propagator over a mutable task registry: the
-    {!cumulative} profile and pruning (identical fixpoint), with its
-    allocation-free event machinery.  Each run iterates to
-    the propagator's own fixpoint, so it is registered idempotent.  It
-    rebuilds its segment profile only when some compulsory part moved, and
-    re-prunes only the tasks whose bounds moved since they were last found
-    at fixpoint against that profile; both caches are value-compared
-    against the store, so they survive backtracking without a hook.
-    Segment reuse is counted in the [prop/scratch_reuse] metric. *)
+(** A capacity propagator over a mutable task registry: the {!cumulative}
+    overload test and pruning rules (identical fixpoint), made incremental
+    so that a run costs what changed since the last one.  It keeps its
+    segment profile and edits it in place when a task's compulsory part
+    moves, checking overload only where usage rose; it re-reads only the
+    starts whose bound events it was sent ({!Store.register}'s [on_event]),
+    and every start after a backtrack; and it re-prunes only the tasks
+    whose bounds moved or whose est- or lst-window meets usage another
+    task's part added where it can block.  Each run iterates to the
+    propagator's own fixpoint, so it is registered idempotent.  Its work
+    is counted in [prop/tt_prunes] and [prop/tt_edits]; it reads its arrays
+    and the store's bound arrays without bounds checks, under the
+    invariants written next to its definition. *)
 
 val cumulative_dyn : Store.t -> capacity:int -> dyn_pool
-(** Register the propagator with an empty registry (priority 2). *)
+(** Register the propagator with an empty registry (priority 2).
+    @raise Invalid_argument when [capacity <= 0]. *)
 
 val dyn_add : dyn_pool -> Store.t -> term -> unit
 (** Append a task: watch its start and reschedule the pool.  Frozen tasks
     enter as fixed variables (their compulsory part is their whole
-    execution window).  @raise Store.Fail when [demand > capacity]. *)
+    execution window).  @raise Store.Fail when [demand > capacity].
+    @raise Invalid_argument on a negative duration or demand, or a start
+    that is not a variable of the store. *)
 
 val dyn_retire : dyn_pool -> Store.t -> Store.var -> unit
 (** Remove the task whose start variable is the given one: unhooks the

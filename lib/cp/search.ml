@@ -140,9 +140,12 @@ let select_late st late_from =
   let order = st.late_order in
   let n = Array.length order in
   let k = ref late_from and scanning = ref true in
+  (* [order] is a permutation of the [lates] indices, and [run_problem]
+     checked every late variable against the bound arrays *)
   while !scanning && !k < n do
-    let v = fst lates.(Array.unsafe_get order !k) in
-    if mins.(v) = maxs.(v) then incr k else scanning := false
+    let v = fst (Array.unsafe_get lates (Array.unsafe_get order !k)) in
+    if Array.unsafe_get mins v = Array.unsafe_get maxs v then incr k
+    else scanning := false
   done;
   st.late_cursor <- !k;
   if !k >= n then -1 else order.(!k)
@@ -158,11 +161,13 @@ let select_start st postponed =
   (* the (est, k2, k3) selection key, kept in three int refs so the scan —
      O(tasks) per node — never allocates or falls into polymorphic compare *)
   let b_est = ref max_int and b_k2 = ref max_int and b_k3 = ref min_int in
+  (* [postponed] has one entry per start, and [run_problem] checked every
+     start variable against the bound arrays *)
   for i = 0 to Array.length starts - 1 do
     let info = Array.unsafe_get starts i in
-    let est = mins.(info.svar) in
-    if est <> maxs.(info.svar) then begin
-      if postponed.(i) <> est then begin
+    let est = Array.unsafe_get mins info.svar in
+    if est <> Array.unsafe_get maxs info.svar then begin
+      if Array.unsafe_get postponed i <> est then begin
         let slack = info.deadline - est - info.duration in
         (* always prefer small est; the remaining tie-break is the
            portfolio's diversification axis *)
@@ -216,18 +221,30 @@ let record_solution st =
     | _ -> ()
   end
 
-let rec dfs st postponed late_from =
+(* Propagate a child's decision.  [cut] is the bound the objective cut
+   last ran at on this path: the cut reads the late variables' minima,
+   which wake it through its watches, and the bound, which nothing
+   watches.  So it is re-run explicitly only when a solution found since
+   lowered the bound; otherwise the parent's fixpoint already holds for it.
+   Returns the bound the child propagated at. *)
+let propagate_child st s cut =
+  let bound = !(st.problem.bound) in
+  if bound <> cut then Store.schedule s st.problem.bound_pid;
+  propagate_st st s;
+  bound
+
+let rec dfs st postponed late_from cut =
   check_limits st;
   st.nodes <- st.nodes + 1;
   match select_late st late_from with
   | -1 ->
       (* all lates decided: children resume past the whole order *)
-      start_phase st postponed st.late_cursor
+      start_phase st postponed st.late_cursor cut
   | j ->
       let cur = st.late_cursor in
-      branch_late st postponed cur j
+      branch_late st postponed cur j cut
 
-and start_phase st postponed late_from =
+and start_phase st postponed late_from cut =
   match select_start st postponed with
   | -1 ->
       if all_starts_fixed st then record_solution st
@@ -236,20 +253,18 @@ and start_phase st postponed late_from =
   | i ->
       branch_asym st postponed late_from i
         (Store.min_of st.problem.store st.problem.starts.(i).svar)
+        cut
 
 (* Two store-changing branches over a lateness variable: N_j <= 0, then its
    complement N_j >= 1. *)
-and branch_late st postponed late_from j =
+and branch_late st postponed late_from j cut =
   let s = st.problem.store in
   let late = fst st.problem.lates.(j) in
   let attempt f =
     Store.push_level s;
     (try
        f ();
-       (* the incumbent bound may have moved: re-check the objective cut *)
-       Store.schedule s st.problem.bound_pid;
-       propagate_st st s;
-       dfs st postponed late_from
+       dfs st postponed late_from (propagate_child st s cut)
      with Store.Fail _ -> st.failures <- st.failures + 1);
     backtrack_st st s
   in
@@ -269,15 +284,13 @@ and branch_late st postponed late_from j =
    propagation and no new level needed) and undoes it afterwards — the
    restore is skipped on a [Limit_reached] unwind, which is fine because
    that ends the search. *)
-and branch_asym st postponed late_from i est =
+and branch_asym st postponed late_from i est cut =
   let s = st.problem.store in
   let attempt () =
     Store.push_level s;
     (try
        Store.fix s st.problem.starts.(i).svar est;
-       Store.schedule s st.problem.bound_pid;
-       propagate_st st s;
-       dfs st postponed late_from
+       dfs st postponed late_from (propagate_child st s cut)
      with Store.Fail _ -> st.failures <- st.failures + 1);
     backtrack_st st s
   in
@@ -285,7 +298,8 @@ and branch_asym st postponed late_from i est =
   else attempt ();
   let old = postponed.(i) in
   postponed.(i) <- est;
-  dfs st postponed late_from;
+  (* the postpone branch changes no store state: same node, same cut *)
+  dfs st postponed late_from cut;
   postponed.(i) <- old
 
 let run_problem ?(tie_break = Slack_first) problem limits =
@@ -313,6 +327,14 @@ let run_problem ?(tie_break = Slack_first) problem limits =
     }
   in
   let s = problem.store in
+  (* the hot loops index the bound arrays at these unchecked; the arrays
+     only grow *)
+  let check_var v =
+    if v < 0 || v >= Array.length (Store.mins s) then
+      invalid_arg "Search.run_problem: not a variable of the store"
+  in
+  Array.iter (fun info -> check_var info.svar) problem.starts;
+  Array.iter (fun (v, _) -> check_var v) problem.lates;
   (* The search never unwinds below its entry level: a {!Session} pushes a
      guard level (the armed objective cut) before calling in, and that state
      belongs to the caller.  At the root ([base = 0]) this is exactly the
@@ -322,8 +344,8 @@ let run_problem ?(tie_break = Slack_first) problem limits =
   let proved_optimal =
     try
       (try
-         propagate_st st s;
-         dfs st postponed 0
+         (* the root runs the cut at the bound the search starts from *)
+         dfs st postponed 0 (propagate_child st s min_int)
        with Store.Fail _ -> st.failures <- st.failures + 1);
       true
     with Limit_reached -> false

@@ -75,7 +75,8 @@ type t = {
   mutable core : core option;
   mutable cert : cert option;
   (* task id -> its start in the last plan returned that placed it: a
-     pending task's warm start, and where a completed one ran *)
+     pending task's warm start, and where a completed one ran until the
+     store retires it *)
   plan : int ref Ids.t;
   (* the jobs whose plan is kept, by id: those of the last solved instance,
      and those that left while the store still held them *)
@@ -100,6 +101,7 @@ let create ?(domains = 1) () =
   }
 
 let stats_retracted t = t.retracted
+let stats_recorded_starts t = Ids.length t.plan
 let stats_cert_proofs t = t.cert_proofs
 let stats_appended_jobs t = t.appended
 let stats_rebuilds t = t.rebuilds
@@ -252,6 +254,15 @@ let append_job t core (inst : Instance.t) jdx =
           demand = sl.t_task.T.capacity_req;
         })
     slot.j_tasks;
+  (* tasks that completed before the store held the job are never retired:
+     their recorded starts go now *)
+  let job = pj.Instance.job in
+  let forget_done (task : T.task) =
+    if not (Hashtbl.mem core.tasks task.T.task_id) then
+      Ids.remove t.plan task.T.task_id
+  in
+  Array.iter forget_done job.T.map_tasks;
+  Array.iter forget_done job.T.reduce_tasks;
   Hashtbl.replace core.jobs pj.Instance.job.T.id slot;
   core.job_view.(jdx) <- slot;
   t.appended <- t.appended + 1
@@ -261,15 +272,18 @@ let append_job t core (inst : Instance.t) jdx =
    solution of this very store), and remove it from its pool registry — its
    execution window ends at or before [now], every pending est is at least
    [now], so the removal never loosens the profile any still-movable task
-   sees. *)
+   sees.  Nothing reads its recorded start after this, so the entry goes
+   too. *)
 let retire_task t core sl =
   if sl.t_state <> Retired then begin
     let s = core.store in
+    let id = sl.t_task.T.task_id in
     if sl.t_state = Pending then begin
-      match Ids.find_opt t.plan sl.t_task.T.task_id with
+      match Ids.find_opt t.plan id with
       | Some start -> Store.fix s sl.t_var !start
       | None -> raise (Store.Fail "session: completed task has no known start")
     end;
+    Ids.remove t.plan id;
     let pool = if sl.t_is_map then core.map_pool else core.reduce_pool in
     Propagators.dyn_retire pool s sl.t_var;
     sl.t_state <- Retired;

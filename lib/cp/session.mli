@@ -97,6 +97,11 @@ val reset : t -> unit
 val stats_retracted : t -> int
 (** Completed tasks retracted from pool registries. *)
 
+val stats_recorded_starts : t -> int
+(** Tasks whose start in a returned plan is recorded now (not cumulative):
+    pending and running tasks, and completed ones until the store retires
+    them or their job leaves. *)
+
 val stats_appended_jobs : t -> int
 (** Job blocks appended (rebuilds re-append live jobs). *)
 

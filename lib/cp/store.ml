@@ -9,19 +9,21 @@ module Vec = struct
 
   let create ?(capacity = 64) () = { data = Array.make (max capacity 1) 0; len = 0 }
 
-  let push v x =
+  (* [len < Array.length data] after the growth test *)
+  let[@inline] push v x =
     if v.len = Array.length v.data then begin
       let data' = Array.make (2 * v.len) 0 in
       Array.blit v.data 0 data' 0 v.len;
       v.data <- data'
     end;
-    v.data.(v.len) <- x;
+    Array.unsafe_set v.data v.len x;
     v.len <- v.len + 1
 
-  let pop v =
+  (* [0 <= len - 1 < Array.length data] after the emptiness test *)
+  let[@inline] pop v =
     if v.len = 0 then invalid_arg "Store.Vec.pop: empty vector";
     v.len <- v.len - 1;
-    v.data.(v.len)
+    Array.unsafe_get v.data v.len
 
   let length v = v.len
 end
@@ -34,8 +36,10 @@ module Ring = struct
   type t = { mutable data : int array; mutable head : int; mutable len : int }
 
   let create () = { data = Array.make 16 0; head = 0; len = 0 }
-  let is_empty r = r.len = 0
+  let[@inline] is_empty r = r.len = 0
 
+  (* Indices are masked by [Array.length data - 1], and the length is a
+     power of two, so every access below is in bounds. *)
   let push r x =
     let cap = Array.length r.data in
     if r.len = cap then begin
@@ -47,12 +51,12 @@ module Ring = struct
       r.data <- data';
       r.head <- 0
     end;
-    r.data.((r.head + r.len) land (Array.length r.data - 1)) <- x;
+    Array.unsafe_set r.data ((r.head + r.len) land (Array.length r.data - 1)) x;
     r.len <- r.len + 1
 
-  let pop r =
+  let[@inline] pop r =
     if r.len = 0 then invalid_arg "Store.Ring.pop: empty ring";
-    let x = r.data.(r.head) in
+    let x = Array.unsafe_get r.data r.head in
     r.head <- (r.head + 1) land (Array.length r.data - 1);
     r.len <- r.len - 1;
     x
@@ -72,6 +76,9 @@ type propagator = {
   run : t -> unit;
   priority : int;
   idempotent : bool;
+  (* called with the variable on every watched bound event, before the
+     wakeup test; [ignore_var] (compared physically) when not asked for *)
+  on_event : var -> unit;
   mutable queued : bool;
   mutable seen : int;  (* stamp up to which this propagator is at fixpoint *)
 }
@@ -108,10 +115,13 @@ and t = {
   mutable stamp : int;
   mutable mod_stamp : int array;
   mutable running : int;  (* pid executing right now, -1 outside propagate *)
+  mutable backtracks : int;  (* levels popped so far *)
   mutable propagations : int;
   mutable wakeups_skipped : int;
   mutable scratch_reuse : int;
   mutable edge_finder_prunes : int;
+  mutable tt_prunes : int;
+  mutable tt_edits : int;
   (* Per-propagator telemetry, off by default: the propagation loop guards on
      the single [instrumented] bool, so the uninstrumented hot path costs one
      load.  All state lives in this record (store.mli's domain-locality
@@ -123,9 +133,11 @@ and t = {
   mutable prop_time : float array; (* seconds, per propagator *)
 }
 
+let ignore_var (_ : var) = ()
+
 let dummy_prop =
-  { run = (fun _ -> ()); priority = 1; idempotent = false; queued = false;
-    seen = 0 }
+  { run = (fun _ -> ()); priority = 1; idempotent = false;
+    on_event = ignore_var; queued = false; seen = 0 }
 
 (* Watch-event indices into [watch_head]/[watch_tail]. *)
 let ev_min = 0
@@ -150,10 +162,13 @@ let create () =
     stamp = 0;
     mod_stamp = Array.make 64 0;
     running = -1;
+    backtracks = 0;
     propagations = 0;
     wakeups_skipped = 0;
     scratch_reuse = 0;
     edge_finder_prunes = 0;
+    tt_prunes = 0;
+    tt_edits = 0;
     instrumented = false;
     prop_names = Array.make 16 "";
     prop_fires = Array.make 16 0;
@@ -209,31 +224,38 @@ let value t v =
    [seen] is only advanced past a write by {!touch} (the writer itself, when
    idempotent) or at run completion, the rule exactly suppresses redundant
    self-notification of idempotent propagators and never drops a foreign
-   wakeup. *)
-let enqueue_for t v pid =
-  let p = t.props.(pid) in
-  if t.mod_stamp.(v) <= p.seen then begin
+   wakeup.
+
+   Unchecked accesses in this block and the bound setters below: [v] has
+   passed a checked read of [maxs.(v)] in the setter that got here, and
+   [mins], [maxs] and [mod_stamp] share one length while [watch_head] has
+   twice it; watch-list slots are below [wl_len] and hold registered pids,
+   which are below [nprops]; a queue bucket is 0, 1 or 2. *)
+let[@inline] enqueue_for t v pid =
+  let p = Array.unsafe_get t.props pid in
+  if p.on_event != ignore_var then p.on_event v;
+  if Array.unsafe_get t.mod_stamp v <= p.seen then begin
     if not p.queued then t.wakeups_skipped <- t.wakeups_skipped + 1
   end
   else if not p.queued then begin
     p.queued <- true;
-    Ring.push t.queues.(p.priority) pid
+    Ring.push (Array.unsafe_get t.queues p.priority) pid
   end
 
 let notify_list t v ev =
-  let k = ref t.watch_head.((2 * v) + ev) in
+  let k = ref (Array.unsafe_get t.watch_head ((2 * v) + ev)) in
   while !k >= 0 do
-    enqueue_for t v t.wl_pid.(!k);
-    k := t.wl_next.(!k)
+    enqueue_for t v (Array.unsafe_get t.wl_pid !k);
+    k := Array.unsafe_get t.wl_next !k
   done
 
-let touch t v =
+let[@inline] touch t v =
   t.stamp <- t.stamp + 1;
-  t.mod_stamp.(v) <- t.stamp;
+  Array.unsafe_set t.mod_stamp v t.stamp;
   (* the running idempotent propagator stays at fixpoint across its own
      writes: re-running it on the state it just produced is a no-op *)
   if t.running >= 0 then begin
-    let p = t.props.(t.running) in
+    let p = Array.unsafe_get t.props t.running in
     if p.idempotent then p.seen <- t.stamp
   end
 
@@ -242,22 +264,26 @@ let touch t v =
 let min_gt_max = "set_min: new min above max"
 let max_lt_min = "set_max: new max below min"
 
+(* The first read of each setter is checked; it proves [v] for the rest
+   (see [enqueue_for]). *)
 let set_min t v x =
   if x > t.maxs.(v) then raise (Fail min_gt_max);
-  if x > t.mins.(v) then begin
+  let old = Array.unsafe_get t.mins v in
+  if x > old then begin
     Vec.push t.trail_tags ((v lsl 1) lor 1);
-    Vec.push t.trail_values t.mins.(v);
-    t.mins.(v) <- x;
+    Vec.push t.trail_values old;
+    Array.unsafe_set t.mins v x;
     touch t v;
     notify_list t v ev_min
   end
 
 let set_max t v x =
   if x < t.mins.(v) then raise (Fail max_lt_min);
-  if x < t.maxs.(v) then begin
+  let old = Array.unsafe_get t.maxs v in
+  if x < old then begin
     Vec.push t.trail_tags (v lsl 1);
-    Vec.push t.trail_values t.maxs.(v);
-    t.maxs.(v) <- x;
+    Vec.push t.trail_values old;
+    Array.unsafe_set t.maxs v x;
     touch t v;
     notify_list t v ev_max
   end
@@ -266,7 +292,8 @@ let fix t v x =
   set_min t v x;
   set_max t v x
 
-let register t ?(priority = 1) ?(name = "anon") ?(idempotent = false) run =
+let register t ?(priority = 1) ?(name = "anon") ?(idempotent = false)
+    ?(on_event = ignore_var) run =
   if priority < 0 || priority > 2 then
     invalid_arg "Store.register: priority must be 0, 1 or 2";
   let id = t.nprops in
@@ -282,7 +309,8 @@ let register t ?(priority = 1) ?(name = "anon") ?(idempotent = false) run =
     t.prop_fails <- grow t.prop_fails 0;
     t.prop_time <- grow t.prop_time 0.
   end;
-  t.props.(id) <- { run; priority; idempotent; queued = false; seen = 0 };
+  t.props.(id) <-
+    { run; priority; idempotent; on_event; queued = false; seen = 0 };
   t.prop_names.(id) <- name;
   t.nprops <- id + 1;
   id
@@ -371,17 +399,22 @@ let drain_queues t =
    queue is empty.  An int sentinel rather than an option: this runs once per
    propagator execution and must not allocate. *)
 let next_pid t =
-  let q = t.queues in
-  if not (Ring.is_empty q.(0)) then Ring.pop q.(0)
-  else if not (Ring.is_empty q.(1)) then Ring.pop q.(1)
-  else if not (Ring.is_empty q.(2)) then Ring.pop q.(2)
-  else -1
+  (* [queues] has the three priority buckets *)
+  let q0 = Array.unsafe_get t.queues 0 in
+  if not (Ring.is_empty q0) then Ring.pop q0
+  else
+    let q1 = Array.unsafe_get t.queues 1 in
+    if not (Ring.is_empty q1) then Ring.pop q1
+    else
+      let q2 = Array.unsafe_get t.queues 2 in
+      if not (Ring.is_empty q2) then Ring.pop q2 else -1
 
 let propagate t =
   try
     let pid = ref (next_pid t) in
     while !pid >= 0 do
-      let p = t.props.(!pid) in
+      (* queued pids come from [register], so they are below [nprops] *)
+      let p = Array.unsafe_get t.props !pid in
       p.queued <- false;
       t.propagations <- t.propagations + 1;
       let start_stamp = t.stamp in
@@ -407,15 +440,24 @@ let push_level t = Vec.push t.level_marks (Vec.length t.trail_tags)
 let backtrack t =
   if Vec.length t.level_marks = 0 then
     invalid_arg "Store.backtrack: already at root";
+  t.backtracks <- t.backtracks + 1;
   let mark = Vec.pop t.level_marks in
-  while Vec.length t.trail_tags > mark do
-    let tag = Vec.pop t.trail_tags in
-    let old_value = Vec.pop t.trail_values in
+  (* the two trail vectors are pushed and popped together, and every
+     trailed variable passed a setter's checked read *)
+  let tags = t.trail_tags and values = t.trail_values in
+  let mins = t.mins and maxs = t.maxs in
+  for k = Vec.length tags - 1 downto mark do
+    let tag = Array.unsafe_get tags.Vec.data k in
+    let old_value = Array.unsafe_get values.Vec.data k in
     let v = tag lsr 1 in
-    if tag land 1 = 1 then t.mins.(v) <- old_value else t.maxs.(v) <- old_value
-  done
+    if tag land 1 = 1 then Array.unsafe_set mins v old_value
+    else Array.unsafe_set maxs v old_value
+  done;
+  tags.Vec.len <- mark;
+  values.Vec.len <- mark
 
 let level t = Vec.length t.level_marks
+let backtracks t = t.backtracks
 
 let backtrack_to t target =
   if target < 0 || target > level t then
@@ -429,7 +471,11 @@ let backtrack_to t target =
 let stats_propagations t = t.propagations
 let stats_wakeups_skipped t = t.wakeups_skipped
 let stats_edge_finder_prunes t = t.edge_finder_prunes
+let stats_tt_prunes t = t.tt_prunes
+let stats_tt_edits t = t.tt_edits
 let note_scratch_reuse t = t.scratch_reuse <- t.scratch_reuse + 1
+let note_tt_prune t = t.tt_prunes <- t.tt_prunes + 1
+let note_tt_edits t n = t.tt_edits <- t.tt_edits + n
 
 let note_edge_finder_prunes t n =
   t.edge_finder_prunes <- t.edge_finder_prunes + n
@@ -470,6 +516,8 @@ let counters t =
     ("prop/wakeups_skipped", t.wakeups_skipped);
     ("prop/scratch_reuse", t.scratch_reuse);
     ("prop/edge_finder_prunes", t.edge_finder_prunes);
+    ("prop/tt_prunes", t.tt_prunes);
+    ("prop/tt_edits", t.tt_edits);
   ]
 
 let telemetry_mark t = (counters t, propagator_metrics t)

@@ -49,7 +49,10 @@ val value : t -> var -> int
 
     Hot loops read bounds through this view.  The dev build profile compiles
     with [-opaque], which hides [min_of] and friends from the inliner, so
-    each per-element accessor call is a real cross-module call. *)
+    each per-element accessor call is a real cross-module call.  Some read
+    it without bounds checks: they check each variable they index against
+    [Array.length (mins t)] once, when it is registered with them, which
+    stays sound because the arrays only ever grow. *)
 
 val mins : t -> int array
 val maxs : t -> int array
@@ -70,6 +73,7 @@ val register :
   ?priority:int ->
   ?name:string ->
   ?idempotent:bool ->
+  ?on_event:(var -> unit) ->
   (t -> unit) ->
   propagator_id
 (** Add a propagator.  Lower [priority] runs first (default 1; use 0 for
@@ -88,7 +92,13 @@ val register :
     the propagation fixpoint — and hence the search trajectory — is
     unchanged.  Declare it only when the no-op property genuinely holds:
     e.g. [cumulative] is {e not} idempotent (pruning a start grows its own
-    compulsory part, enabling further pruning on re-run). *)
+    compulsory part, enabling further pruning on re-run).
+
+    [on_event], when given, is called with the variable on every bound
+    event of a variable the propagator watches, before the wakeup test and
+    also for the propagator's own writes: an incremental propagator keeps
+    the list of what moved since its last run this way.  Bounds restored by
+    {!backtrack} raise no event; compare {!backtracks} to notice them. *)
 
 val watch_min : t -> var -> propagator_id -> unit
 (** Wake the propagator when the variable's {e lower} bound rises. *)
@@ -122,6 +132,12 @@ val backtrack : t -> unit
 val level : t -> int
 (** Current depth (0 at root). *)
 
+val backtracks : t -> int
+(** Levels popped so far, by {!backtrack} and {!backtrack_to}.  A
+    propagator that caches bounds between runs and tracks changes through
+    [on_event] re-reads every bound when this moved since its last run:
+    undone bounds raise no event. *)
+
 val backtrack_to : t -> int -> unit
 (** [backtrack_to t n] pops levels until {!level} is [n] and clears the
     propagation queues.  Lets a search started above the root (e.g. inside a
@@ -143,15 +159,24 @@ val stats_edge_finder_prunes : t -> int
 (** Bound tightenings performed by the disjunctive edge-finding propagator
     (see {!Propagators.disjunctive}); bumped via {!note_edge_finder_prunes}. *)
 
+val stats_tt_prunes : t -> int
+val stats_tt_edits : t -> int
+(** The session kernel's work so far: tasks pruned and profile edits (see
+    {!note_tt_prune}). *)
+
 val note_scratch_reuse : t -> unit
 val note_edge_finder_prunes : t -> int -> unit
+val note_tt_prune : t -> unit
+val note_tt_edits : t -> int -> unit
 (** Counter hooks for propagator kernels (all state lives in [t] — the
-    domain-locality contract above).  [note_scratch_reuse] counts a
-    cumulative kernel skipping a full recompute because its cached
-    compulsory-part state matched the current bounds: a skipped run of
-    {!Propagators.cumulative}, or a run of {!Propagators.cumulative_dyn}
-    that reused its segment profile.  {!harvest} reports it as
-    [prop/scratch_reuse]. *)
+    domain-locality contract above).  [note_scratch_reuse] counts a run of
+    {!Propagators.cumulative} skipped because its cached compulsory-part
+    state matched the current bounds; {!harvest} reports it as
+    [prop/scratch_reuse].  The session kernel ({!Propagators.cumulative_dyn})
+    counts its work: [note_tt_prune] once per task it prunes
+    ([prop/tt_prunes]), [note_tt_edits] once per compulsory part it adds to,
+    removes from or moves in its profile ([prop/tt_edits]).  All four are
+    deterministic: a function of the search, not of the clock. *)
 
 (** {2 Per-propagator telemetry}
 
@@ -184,7 +209,8 @@ val telemetry_mark : t -> telemetry_mark
 
 val harvest : ?since:telemetry_mark -> Obs.Metrics.t -> t -> unit
 (** Add the store's counters ([store/propagations], [prop/wakeups_skipped],
-    [prop/scratch_reuse], [prop/edge_finder_prunes]) and per-propagator
+    [prop/scratch_reuse], [prop/edge_finder_prunes], [prop/tt_prunes],
+    [prop/tt_edits]) and per-propagator
     [prop/<name>/fires], [/fails] and [/time_s] into a registry, counted
     since [since] (a mark of this store) or since creation.  Every searched
     store reports through it: models, LNS fragments and sessions. *)

@@ -219,6 +219,30 @@ let test_manager_overhead_accumulates () =
   Alcotest.(check bool) "overhead measured" true
     (Mrcp.Manager.overhead_seconds mgr > 0.)
 
+(* With every resource down no pending task can be placed: the pass
+   installs an empty plan instead of solving over a zero capacity, and the
+   rejoin's pass plans every pending task. *)
+let test_manager_all_resources_down () =
+  let cluster = T.uniform_cluster ~m:2 ~map_capacity:1 ~reduce_capacity:1 in
+  let mgr = Mrcp.Manager.create ~cluster validating_config in
+  Mrcp.Manager.resource_lost mgr ~now:0 ~resource_id:0 ~lost:[];
+  Mrcp.Manager.resource_lost mgr ~now:0 ~resource_id:1 ~lost:[];
+  let job = mk_job ~id:0 ~deadline:100_000 ~maps:[ 1000; 2000 ] ~reduces:[ 500 ] () in
+  Mrcp.Manager.submit mgr ~now:0 job;
+  Mrcp.Manager.invoke mgr ~now:0;
+  Alcotest.(check int) "empty plan while everything is down" 0
+    (List.length (Mrcp.Manager.plan mgr));
+  Alcotest.(check int) "no solve" 0 (Mrcp.Manager.solve_count mgr);
+  Mrcp.Manager.resource_rejoined mgr ~now:10 ~resource_id:1;
+  Mrcp.Manager.invoke mgr ~now:10;
+  let plan = Mrcp.Manager.plan mgr in
+  Alcotest.(check int) "every pending task planned after the rejoin" 3
+    (List.length plan);
+  List.iter
+    (fun (d : Dispatch.t) ->
+      Alcotest.(check int) "on the resource that is up" 1 d.Dispatch.resource_id)
+    plan
+
 let () =
   Alcotest.run "core"
     [
@@ -252,5 +276,7 @@ let () =
             test_manager_completed_jobs_leave;
           Alcotest.test_case "overhead accumulates" `Quick
             test_manager_overhead_accumulates;
+          Alcotest.test_case "every resource down" `Quick
+            test_manager_all_resources_down;
         ] );
     ]

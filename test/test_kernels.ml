@@ -323,40 +323,42 @@ let test_wakeups_skipped_on_search () =
   Alcotest.(check bool) "wakeups were suppressed" true
     (Store.stats_wakeups_skipped model.Model.store > 0)
 
-(* --- session pool caches ---------------------------------------------- *)
+(* --- session pool ------------------------------------------------------ *)
 
-(* Random walks over one [cumulative_dyn] pool: fix a start, tighten a
-   bound, backtrack, or (at the root, as a session does between searches)
-   add a task or retire a fixed one.  After every step the pool's fixpoint
-   must equal that of the reference time table ({!Naive_cumulative}) posted
-   fresh over the same tasks at the bounds the step started from: the
-   reference shares no code with the session kernel and has no cached
-   segments, prune marks or event permutation, so any stale cache shows up
-   as a different bound or a different failure verdict. *)
+(* Random walks over one [cumulative_dyn] pool.  After every propagation
+   the pool's fixpoint must equal that of the reference time table
+   ({!Naive_cumulative}) posted fresh over the same tasks at the bounds the
+   step started from: the reference shares no code with the session kernel
+   and has no kept profile, change list or prune marks, so any stale cache
+   shows up as a different bound or a different failure verdict.  The
+   session kernel reads its arrays without bounds checks, and these walks
+   are what stands behind that. *)
 
-(* A walk is a capacity, initial tasks (est, lst - est, duration, demand,
-   frozen) and steps (kind, a, b): kinds 0–2 fix a start, 3 raise its min,
-   4 lower its max, 5–6 backtrack one level, 7 add a task at the root and 8
-   retire one there.  [a] and [b] pick the task and the value. *)
-let gen_walk =
-  let open QCheck.Gen in
-  let task =
-    tup5 (int_range 0 20) (int_range 0 15) (int_range 0 8) (int_range 0 3)
-      (frequency [ (1, return true); (4, return false) ])
+(* The pool under test and its registry as the test sees it:
+   (var, duration, demand), in insertion order. *)
+type pool_walk = {
+  w_store : Store.t;
+  w_pool : P.dyn_pool;
+  w_capacity : int;
+  mutable w_live : (Store.var * int * int) list;
+}
+
+let pool_walk capacity =
+  let s = Store.create () in
+  { w_store = s; w_pool = P.cumulative_dyn s ~capacity; w_capacity = capacity;
+    w_live = [] }
+
+(* A task (est, lst - est, duration, demand, frozen); the demand is clipped
+   to the capacity. *)
+let walk_add w (est, width, dur, dem, frozen) =
+  let s = w.w_store in
+  let dem = min dem w.w_capacity in
+  let v =
+    if frozen then Store.new_var s ~min:est ~max:est
+    else Store.new_var s ~min:est ~max:(est + width)
   in
-  tup3 (int_range 1 3)
-    (list_size (int_range 1 8) task)
-    (list_size (int_range 1 40)
-       (tup3 (int_range 0 8) (int_range 0 1000) (int_range 0 1000)))
-
-let print_walk (cap, tasks, ops) =
-  Printf.sprintf "capacity %d\ntasks %s\nops %s" cap
-    (String.concat "; "
-       (List.map
-          (fun (e, w, d, r, f) -> Printf.sprintf "(%d,%d,%d,%d,%b)" e w d r f)
-          tasks))
-    (String.concat "; "
-       (List.map (fun (k, a, b) -> Printf.sprintf "(%d,%d,%d)" k a b) ops))
+  P.dyn_add w.w_pool s { P.start = v; duration = dur; demand = dem };
+  w.w_live <- w.w_live @ [ (v, dur, dem) ]
 
 (* The reference time table's fixpoint over [tasks] ((duration, demand,
    min, max) each) at those bounds, or [None] when it fails. *)
@@ -377,48 +379,87 @@ let fresh_fixpoint ~capacity tasks =
   | () -> Some (List.map (fun v -> (Store.min_of s v, Store.max_of s v)) vars)
   | exception Store.Fail _ -> None
 
+(* One propagation checked against the fresh reference; false when the
+   store failed. *)
+let walk_propagate w =
+  let s = w.w_store in
+  let before =
+    List.map
+      (fun (v, dur, dem) -> (dur, dem, Store.min_of s v, Store.max_of s v))
+      w.w_live
+  in
+  let expect = fresh_fixpoint ~capacity:w.w_capacity before in
+  let got =
+    match Store.propagate s with
+    | () ->
+        Some
+          (List.map
+             (fun (v, _, _) -> (Store.min_of s v, Store.max_of s v))
+             w.w_live)
+    | exception Store.Fail _ -> None
+  in
+  if got <> expect then
+    QCheck.Test.fail_reportf "fixpoint differs at level %d" (Store.level s);
+  got <> None
+
+let walk_pick w a = List.nth w.w_live (a mod List.length w.w_live)
+
+(* At the root, as a session does between searches: fix a completed task
+   at its realized start, then retire it.  False once the store failed or
+   the registry is empty. *)
+let walk_retire w a =
+  let s = w.w_store in
+  Store.backtrack_to s 0;
+  let v, _, _ = walk_pick w a in
+  Store.fix s v (Store.min_of s v);
+  walk_propagate w
+  && begin
+       P.dyn_retire w.w_pool s v;
+       w.w_live <- List.filter (fun (u, _, _) -> u <> v) w.w_live;
+       w.w_live <> [] && walk_propagate w
+     end
+
+(* A node that fails is undone, as the search does; the walk goes on. *)
+let walk_node w decide =
+  let s = w.w_store in
+  Store.push_level s;
+  decide ();
+  if walk_propagate w then true
+  else begin
+    Store.backtrack s;
+    false
+  end
+
+(* Small walks: a capacity, initial tasks and steps (kind, a, b): kinds 0–2
+   fix a start, 3 raise its min, 4 lower its max, 5–6 backtrack one level,
+   7 add a task at the root and 8 retire one there.  [a] and [b] pick the
+   task and the value. *)
+let gen_walk =
+  let open QCheck.Gen in
+  let task =
+    tup5 (int_range 0 20) (int_range 0 15) (int_range 0 8) (int_range 0 3)
+      (frequency [ (1, return true); (4, return false) ])
+  in
+  tup3 (int_range 1 3)
+    (list_size (int_range 1 8) task)
+    (list_size (int_range 1 40)
+       (tup3 (int_range 0 8) (int_range 0 1000) (int_range 0 1000)))
+
+let print_walk (cap, tasks, ops) =
+  Printf.sprintf "capacity %d\ntasks %s\nops %s" cap
+    (String.concat "; "
+       (List.map
+          (fun (e, w, d, r, f) -> Printf.sprintf "(%d,%d,%d,%d,%b)" e w d r f)
+          tasks))
+    (String.concat "; "
+       (List.map (fun (k, a, b) -> Printf.sprintf "(%d,%d,%d)" k a b) ops))
+
 let prop_dyn_pool_caches =
-  QCheck.Test.make ~count:300 ~name:"session pool caches = fresh pool"
+  QCheck.Test.make ~count:300 ~name:"caches = fresh pool"
     (QCheck.make ~print:print_walk gen_walk) (fun (capacity, init, ops) ->
-      let s = Store.create () in
-      let pool = P.cumulative_dyn s ~capacity in
-      (* the registry as the test sees it: (var, duration, demand) *)
-      let live = ref [] in
-      let add (est, w, dur, dem, frozen) =
-        let dem = min dem capacity in
-        let v =
-          if frozen then Store.new_var s ~min:est ~max:est
-          else Store.new_var s ~min:est ~max:(est + w)
-        in
-        P.dyn_add pool s { P.start = v; duration = dur; demand = dem };
-        live := !live @ [ (v, dur, dem) ]
-      in
-      List.iter add init;
-      (* one propagation checked against the fresh pool; false once the
-         store failed at the root, which ends the walk *)
-      let checked_propagate () =
-        let before =
-          List.map
-            (fun (v, dur, dem) ->
-              (dur, dem, Store.min_of s v, Store.max_of s v))
-            !live
-        in
-        let expect = fresh_fixpoint ~capacity before in
-        let got =
-          match Store.propagate s with
-          | () ->
-              Some
-                (List.map
-                   (fun (v, _, _) -> (Store.min_of s v, Store.max_of s v))
-                   !live)
-          | exception Store.Fail _ -> None
-        in
-        if got <> expect then
-          QCheck.Test.fail_reportf "fixpoint differs at level %d"
-            (Store.level s);
-        got <> None
-      in
-      let pick a = List.nth !live (a mod List.length !live) in
+      let w = pool_walk capacity in
+      let s = w.w_store in
+      List.iter (walk_add w) init;
       let rec walk = function
         | [] -> true
         | (kind, a, b) :: rest ->
@@ -427,46 +468,124 @@ let prop_dyn_pool_caches =
                 if Store.level s > 0 then Store.backtrack s;
                 true
               end
-              else if kind >= 7 then begin
+              else if kind = 7 then begin
                 Store.backtrack_to s 0;
-                if kind = 7 then begin
-                  add (a mod 21, b mod 16, a mod 9, b mod 4, false);
-                  checked_propagate ()
-                end
-                else begin
-                  (* a session fixes a completed task at its realized start,
-                     then retires it *)
-                  let v, _, _ = pick a in
-                  Store.fix s v (Store.min_of s v);
-                  checked_propagate ()
-                  && begin
-                       P.dyn_retire pool s v;
-                       live := List.filter (fun (u, _, _) -> u <> v) !live;
-                       !live <> [] && checked_propagate ()
-                     end
-                end
+                walk_add w (a mod 21, b mod 16, a mod 9, b mod 4, false);
+                walk_propagate w
               end
+              else if kind = 8 then walk_retire w a
               else begin
-                Store.push_level s;
-                let v, _, _ = pick a in
-                let lo = Store.min_of s v and hi = Store.max_of s v in
-                let x = lo + (b mod (hi - lo + 1)) in
-                (match kind with
-                | 3 -> Store.set_min s v x
-                | 4 -> Store.set_max s v x
-                | _ -> Store.fix s v x);
-                if checked_propagate () then true
-                else begin
-                  (* a failed node: undo it as the search does *)
-                  Store.backtrack s;
-                  true
-                end
+                let v, _, _ = walk_pick w a in
+                ignore
+                  (walk_node w (fun () ->
+                       let lo = Store.min_of s v and hi = Store.max_of s v in
+                       let x = lo + (b mod (hi - lo + 1)) in
+                       match kind with
+                       | 3 -> Store.set_min s v x
+                       | 4 -> Store.set_max s v x
+                       | _ -> Store.fix s v x)
+                    : bool);
+                true
               end
             in
             if ok then walk rest
             else (* root failure: the walk ends *) true
       in
-      (not (checked_propagate ())) || walk ops)
+      (not (walk_propagate w)) || walk ops)
+
+(* Walks shaped like the session's searches, on pools the size of the
+   contended workloads' (up to 40 tasks, capacity up to 8): SetTimes dives
+   that fix the unfixed task of smallest est at that est, level by level
+   until a fix fails; est raises such as the precedences make; backtracks
+   over several levels; and adds, retirements and restarts at the root.
+   Steps (kind, a, b): 0–3 dive up to [1 + a mod 12] levels, 4–5 backtrack
+   [1 + a mod 6] levels, 6 raise a min, 7 add a task, 8 retire one, 9
+   return to the root. *)
+let gen_dive_walk =
+  let open QCheck.Gen in
+  let* capacity = int_range 1 8 in
+  let* n = int_range (min 40 (3 * capacity)) (min 40 (5 * capacity)) in
+  (* about as much work as the capacity can hold over the horizon *)
+  let task =
+    tup5
+      (int_range 0 (6 * n))
+      (int_range 0 (3 * n))
+      (int_range 0 15) (int_range 0 capacity)
+      (frequency [ (1, return true); (7, return false) ])
+  in
+  let* tasks = list_repeat n task in
+  let* ops =
+    list_size (int_range 1 30)
+      (tup3 (int_range 0 9) (int_range 0 1000) (int_range 0 1000))
+  in
+  return (capacity, tasks, ops)
+
+(* the unfixed task of smallest est (first in registry order on ties) *)
+let settimes_pick w =
+  let s = w.w_store in
+  List.fold_left
+    (fun best (v, _, _) ->
+      if Store.is_fixed s v then best
+      else
+        match best with
+        | Some u when Store.min_of s u <= Store.min_of s v -> best
+        | _ -> Some v)
+    None w.w_live
+
+let prop_dyn_pool_dives =
+  QCheck.Test.make ~count:500 ~name:"SetTimes dives = fresh pool"
+    (QCheck.make ~print:print_walk gen_dive_walk) (fun (capacity, init, ops) ->
+      let w = pool_walk capacity in
+      let s = w.w_store in
+      List.iter (walk_add w) init;
+      let rec dive depth =
+        depth > 0
+        &&
+        match settimes_pick w with
+        | None -> true
+        | Some v ->
+            walk_node w (fun () -> Store.fix s v (Store.min_of s v))
+            && dive (depth - 1)
+      in
+      let rec walk = function
+        | [] -> true
+        | (kind, a, b) :: rest ->
+            let ok =
+              if kind <= 3 then begin
+                ignore (dive (1 + (a mod 12)) : bool);
+                true
+              end
+              else if kind <= 5 then begin
+                Store.backtrack_to s (max 0 (Store.level s - 1 - (a mod 6)));
+                true
+              end
+              else if kind = 6 then begin
+                let v, _, _ = walk_pick w a in
+                ignore
+                  (walk_node w (fun () ->
+                       let lo = Store.min_of s v and hi = Store.max_of s v in
+                       Store.set_min s v (lo + (b mod (hi - lo + 1))))
+                    : bool);
+                true
+              end
+              else if kind = 7 then begin
+                Store.backtrack_to s 0;
+                let n = List.length w.w_live in
+                walk_add w
+                  (a mod ((6 * n) + 1), b mod ((3 * n) + 1), a mod 16, b mod 9,
+                   false);
+                walk_propagate w
+              end
+              else if kind = 8 then walk_retire w a
+              else begin
+                Store.backtrack_to s 0;
+                true
+              end
+            in
+            if ok then walk rest
+            else (* root failure: the walk ends *) true
+      in
+      (not (walk_propagate w)) || walk ops)
 
 (* A fix that fails on overload must fail again when it is made again after
    backtracking: nothing the session kernel caches across levels may keep
@@ -515,6 +634,166 @@ let test_dyn_pool_refails_after_backtrack () =
       ("reference", fun s tasks -> naive s ~tasks ~fixed:[||] ~capacity:1);
     ]
 
+(* The same after a failure of the overload check itself: the kernel
+   checks only the usage its edits raised, so a failed check must be
+   remembered, since backtracking and making the same fix again brings the
+   very parts that overloaded back without an edit.  A fix inside the
+   task's window can overload where no bound rule reaches: on one unit
+   slot, a 2-long task free in [0, 10] beside a frozen one at [4, 6). *)
+let test_dyn_pool_overload_refails_after_backtrack () =
+  List.iter
+    (fun (name, post) ->
+      let s = Store.create () in
+      let a = Store.new_var s ~min:0 ~max:10 in
+      let b = Store.new_var s ~min:4 ~max:4 in
+      post s
+        [|
+          { P.start = a; duration = 2; demand = 1 };
+          { P.start = b; duration = 2; demand = 1 };
+        |];
+      Store.propagate s;
+      let fails x =
+        Store.push_level s;
+        let failed =
+          match
+            Store.fix s a x;
+            Store.propagate s
+          with
+          | () -> false
+          | exception Store.Fail _ -> true
+        in
+        Store.backtrack s;
+        failed
+      in
+      let check what expect got =
+        Alcotest.(check bool) (name ^ ": " ^ what) expect got
+      in
+      check "overload fails" true (fails 3);
+      check "same fix fails again" true (fails 3);
+      check "a fitting fix" false (fails 0);
+      check "and the overload still fails" true (fails 3))
+    [
+      ( "session kernel",
+        fun s tasks ->
+          let pool = P.cumulative_dyn s ~capacity:1 in
+          Array.iter (P.dyn_add pool s) tasks );
+      ("reference", fun s tasks -> naive s ~tasks ~fixed:[||] ~capacity:1);
+    ]
+
+(* The kernel learns which starts moved from a list of bound events with
+   room for twice its registry's capacity; when more events than that pile
+   up between two runs (a session's sync bumps and freezes many starts at
+   the root), it must compare every slot instead.  Here 32 events on x fill
+   the list of a 16-slot pool, then y gains the compulsory part [10, 13),
+   which must push z out of [9, 14). *)
+let test_dyn_pool_event_overflow () =
+  List.iter
+    (fun (name, post) ->
+      let s = Store.create () in
+      let x = Store.new_var s ~min:0 ~max:100 in
+      let y = Store.new_var s ~min:0 ~max:10 in
+      let z = Store.new_var s ~min:9 ~max:30 in
+      post s
+        (Array.map
+           (fun v -> { P.start = v; duration = 5; demand = 1 })
+           [| x; y; z |]);
+      Store.propagate s;
+      for m = 1 to 32 do
+        Store.set_min s x m
+      done;
+      Store.set_min s y 8;
+      Store.propagate s;
+      Alcotest.(check int) (name ^ ": z pushed past y's part") 13
+        (Store.min_of s z))
+    [
+      ( "session kernel",
+        fun s tasks ->
+          let pool = P.cumulative_dyn s ~capacity:1 in
+          Array.iter (P.dyn_add pool s) tasks );
+      ("reference", fun s tasks -> naive s ~tasks ~fixed:[||] ~capacity:1);
+    ]
+
+(* The profile holds at most two breakpoints per task, and one more while
+   a part's end moves past a neighbour (the new breakpoint goes in before
+   the old one goes).  Sixteen tasks fill the pool's first capacity, each
+   with a part of its own and all ends distinct, so the profile is full;
+   then one end moves past the next breakpoint, and the pool grows.  The
+   kernel writes its arrays unchecked, so a profile one cell short would
+   overwrite the next block's header, which growing the pool then reads. *)
+let test_dyn_pool_full_profile () =
+  let s = Store.create () in
+  let pool = P.cumulative_dyn s ~capacity:16 in
+  let reference = Store.create () in
+  let add lo hi =
+    let v = Store.new_var s ~min:lo ~max:hi in
+    P.dyn_add pool s { P.start = v; duration = 5; demand = 1 };
+    v
+  in
+  (* task i may start in [4i, 4i + 2]: part [4i + 2, 4i + 5) *)
+  let vars = List.init 16 (fun i -> add (4 * i) ((4 * i) + 2)) in
+  Store.propagate s;
+  (* its part's end moves from 5 past the next task's start at 6 *)
+  Store.fix s (List.hd vars) 2;
+  Store.propagate s;
+  let more = List.init 20 (fun i -> add (100 + (7 * i)) (106 + (7 * i))) in
+  Store.propagate s;
+  Gc.full_major ();
+  let all = vars @ more in
+  let tasks =
+    List.map
+      (fun v ->
+        {
+          P.start = Store.new_var reference ~min:(Store.min_of s v)
+              ~max:(Store.max_of s v);
+          duration = 5;
+          demand = 1;
+        })
+      all
+  in
+  naive reference ~tasks:(Array.of_list tasks) ~fixed:[||] ~capacity:16;
+  Store.propagate reference;
+  Alcotest.(check (list (pair int int)))
+    "the fixpoint of a fresh reference"
+    (List.map
+       (fun (t : P.term) ->
+         (Store.min_of reference t.P.start, Store.max_of reference t.P.start))
+       tasks)
+    (List.map (fun v -> (Store.min_of s v, Store.max_of s v)) all)
+
+(* An edit of the profile re-prunes only the tasks whose est- or
+   lst-window meets the parts it changed ([prop/tt_prunes] counts the
+   tasks pruned).  One unit slot and four 5-long tasks, each free to start
+   anywhere in a window 5 wider than itself, so nothing has a compulsory
+   part at the root. *)
+let test_dyn_pool_scoped_prunes () =
+  let prunes_of fix =
+    let s = Store.create () in
+    let pool = P.cumulative_dyn s ~capacity:1 in
+    let task lo =
+      let v = Store.new_var s ~min:lo ~max:(lo + 5) in
+      P.dyn_add pool s { P.start = v; duration = 5; demand = 1 };
+      v
+    in
+    let a = task 0 and b = task 50 and _c = task 100 and e = task 44 in
+    Store.propagate s;
+    let before = Store.stats_tt_prunes s in
+    Store.push_level s;
+    fix s ~a ~b ~e;
+    Store.propagate s;
+    (Store.stats_tt_prunes s - before, Store.min_of s b)
+  in
+  (* a at 0 holds [0, 5): no other window comes near, and a fixed task
+     has nothing to prune *)
+  Alcotest.(check (pair int int)) "a part far from every window" (0, 50)
+    (prunes_of (fun s ~a ~b:_ ~e:_ -> Store.fix s a 0));
+  (* e at 48 holds [48, 53), inside b's est-window [50, 55): b is pruned
+     to start at 53, which gives it the part [55, 58).  That part meets
+     only b's own windows, and a task's own part never blocks it, so
+     nothing is pruned again; a and c keep their marks *)
+  Alcotest.(check (pair int int)) "a part inside another task's window"
+    (1, 53)
+    (prunes_of (fun s ~a:_ ~b:_ ~e -> Store.fix s e 48))
+
 let () =
   Alcotest.run "kernels"
     [
@@ -543,13 +822,22 @@ let () =
         [
           Alcotest.test_case "a failed fix fails again after backtracking"
             `Quick test_dyn_pool_refails_after_backtrack;
-        ] );
+          Alcotest.test_case "an overload fails again after backtracking"
+            `Quick test_dyn_pool_overload_refails_after_backtrack;
+          Alcotest.test_case "an edit re-prunes only the windows it meets"
+            `Quick test_dyn_pool_scoped_prunes;
+          Alcotest.test_case "an event overflow refreshes every slot" `Quick
+            test_dyn_pool_event_overflow;
+          Alcotest.test_case "a full profile and a moving end" `Quick
+            test_dyn_pool_full_profile;
+        ]
+        @ List.map QCheck_alcotest.to_alcotest
+            [ prop_dyn_pool_caches; prop_dyn_pool_dives ] );
       ( "properties",
         List.map QCheck_alcotest.to_alcotest
           [
             prop_root_fixpoint_no_looser;
             prop_timetable_trajectory_bit_identical;
             prop_kernels_agree_on_optimum;
-            prop_dyn_pool_caches;
           ] );
     ]

@@ -540,6 +540,42 @@ let test_session_metrics () =
   Alcotest.(check bool) "store/words_allocated present" true
     (List.mem_assoc "store/words_allocated" merged.Obs.Metrics.counters)
 
+(* (c) The recorded plan holds no finished work: the store retires a
+   completed task at its recorded start and drops the entry, and a job's
+   entries go once it has left.  After any pass that synced the store (the
+   exact search ran), the entries are at most the instance's pending and
+   running tasks. *)
+let prop_recorded_starts_bounded =
+  QCheck.Test.make ~count:40 ~name:"recorded starts bounded by open tasks"
+    arb_stream
+    (fun (jobs, map_cap, reduce_cap) ->
+      let session = Cp.Session.create () in
+      let dispatch = Hashtbl.create 64 in
+      List.iter
+        (fun now ->
+          let inst = instance_at ~now ~map_cap ~reduce_cap dispatch jobs in
+          let sol, st = Cp.Session.solve session ~options:proof_options inst in
+          install dispatch inst sol;
+          let open_tasks =
+            Array.fold_left
+              (fun acc (pj : Instance.pending_job) ->
+                acc
+                + Array.length pj.Instance.pending_maps
+                + Array.length pj.Instance.pending_reduces
+                + Array.length pj.Instance.fixed_maps
+                + Array.length pj.Instance.fixed_reduces)
+              0 inst.Instance.jobs
+          in
+          let recorded = Cp.Session.stats_recorded_starts session in
+          if st.Cp.Solver.nodes + st.Cp.Solver.failures > 0
+             && recorded > open_tasks
+          then
+            QCheck.Test.fail_reportf
+              "t=%d: %d recorded starts for %d open tasks" now recorded
+              open_tasks)
+        (event_times jobs);
+      true)
+
 let qsuite tests = List.map (QCheck_alcotest.to_alcotest ~verbose:false) tests
 
 let () =
@@ -551,6 +587,7 @@ let () =
             prop_session_matches_cold;
             prop_session_counters;
           ] );
+      ("plan", qsuite [ prop_recorded_starts_bounded ]);
       ( "deterministic",
         [
           Alcotest.test_case "counters over contending pairs" `Quick
