@@ -18,8 +18,10 @@ tests) relies on:
     determinism contract canonicalizes lines by stripping the trailing
     wall suffix textually, so anything after it would survive the strip
     and break same-seed fingerprint equality;
-  - an invoke line's wall timers (elapsed_s, and the solver phases
-    seed_s, sync_s and search_s when present) are non-negative numbers.
+  - an invoke line's wall timers (elapsed_s, and when present the
+    manager's phases classify_s and match_s and the solver's seed_s with
+    its parts bound_s, warm_s and list_s, sync_s and search_s) are
+    non-negative numbers.
 
 Exit 0 when the journal is well-formed, 1 otherwise (one line per
 violation on stderr).
@@ -53,8 +55,10 @@ RUN_END_V2 = {"crashes", "rejoins", "task_failures", "stragglers",
 SOLVE_REQUIRED = {"stop_reason", "seed_late", "lower_bound", "proved",
                   "warm_seeded", "nodes", "failures", "lns_moves"}
 
-# the invoke line's wall-clock timers: the pass, and the solver's phases
-WALL_TIMERS = {"elapsed_s", "seed_s", "sync_s", "search_s"}
+# the invoke line's wall-clock timers: the pass, the manager's phases and
+# the solver's phases
+WALL_TIMERS = {"elapsed_s", "classify_s", "seed_s", "bound_s", "warm_s",
+               "list_s", "sync_s", "search_s", "match_s"}
 
 STOP_REASONS = {"proved", "hit_carried_bound", "cache_hit", "fail_limit",
                 "node_limit", "wall_limit", "lns_stall", "interrupted"}

@@ -37,6 +37,14 @@ type job_state = {
   mutable est : int;
   maps : task_state array;
   reduces : task_state array;
+  (* the tasks not finished yet, each phase in task order: a pass walks
+     these, not the whole job.  A finished task leaves them, and its finish
+     folds into [done_lfmt] (maps) and [done_completion] (every task), 0
+     while none has finished *)
+  mutable open_maps : task_state array;
+  mutable open_reduces : task_state array;
+  mutable done_lfmt : int;
+  mutable done_completion : int;
 }
 
 type t = {
@@ -57,6 +65,8 @@ type t = {
   mutable last_stats : Cp.Solver.stats option;
   (* runs every solve; carries the plan, certificate and store between passes *)
   session : Cp.Session.t;
+  (* matchmakes every pass, reset first *)
+  matchmaker : Matchmaker.t;
   (* manager-level metrics (invocation counts/latency), allocated only when
      [config.solver.instrument] is set *)
   registry : Obs.Metrics.t option;
@@ -97,6 +107,7 @@ let create ~cluster config =
     scheduled_jobs = 0;
     last_stats = None;
     session = Cp.Session.create ~domains:config.domains ();
+    matchmaker = Matchmaker.create ~cluster;
     registry =
       (if config.solver.Cp.Solver.instrument then Some (Obs.Metrics.create ())
        else None);
@@ -168,61 +179,140 @@ let release_due t ~now =
       Queue.push j t.queue)
     due_jobs
 
-(* Table 2 lines 5–18: classify a job's tasks by the clock.  Returns the
-   pending-job view for the CP instance with the states of its pending
-   tasks (maps then reduces, in the view's order), or None when the job has
-   fully completed (and should leave the system). *)
-let classify ~now (js : job_state) =
-  let frozen_lfmt = ref 0 and frozen_completion = ref 0 in
-  let remaining = ref 0 in
-  (* consed in task order, so each array lists its tasks last-first, the
-     order every solver trajectory has been pinned on *)
-  let scan ~is_map pending fixed ts =
+(* One phase of a job's open tasks, classified by the clock: mark the
+   completed ones finished (their finishes fold into the job's [done_*]),
+   drop the dispatch of those not started, and return how many are pending
+   (no dispatch), how many are running, the latest finish among the
+   running ones ([min_int] when none), and whether any finished. *)
+let settle_phase ~now ~is_map js (states : task_state array) =
+  let pending = ref 0 and running = ref 0 and latest = ref min_int in
+  let finished = ref false in
+  for i = 0 to Array.length states - 1 do
+    let ts = states.(i) in
     match ts.dispatch with
     | Some d when d.Dispatch.start <= now ->
         let finish = Dispatch.finish d in
         if finish <= now then begin
           (* line 14: completed *)
           ts.finished <- true;
-          if is_map && finish > !frozen_lfmt then frozen_lfmt := finish;
-          if finish > !frozen_completion then frozen_completion := finish
+          finished := true;
+          if is_map && finish > js.done_lfmt then js.done_lfmt <- finish;
+          if finish > js.done_completion then js.done_completion <- finish
         end
         else begin
           (* line 11: started but running — freeze *)
-          incr remaining;
-          fixed := { Instance.task = ts.task; start = d.Dispatch.start } :: !fixed;
-          if is_map && finish > !frozen_lfmt then frozen_lfmt := finish;
-          if finish > !frozen_completion then frozen_completion := finish
+          incr running;
+          if finish > !latest then latest := finish
         end
     | _ ->
         (* not started: remap and reschedule *)
-        incr remaining;
         ts.dispatch <- None;
-        pending := ts :: !pending
+        incr pending
+  done;
+  (!pending, !running, !latest, !finished)
+
+(* [states] without its finished tasks *)
+let still_open states =
+  let n =
+    Array.fold_left (fun n ts -> if ts.finished then n else n + 1) 0 states
   in
-  let pending_maps = ref [] and fixed_maps = ref [] in
-  let pending_reduces = ref [] and fixed_reduces = ref [] in
-  Array.iter (scan ~is_map:true pending_maps fixed_maps) js.maps;
-  Array.iter (scan ~is_map:false pending_reduces fixed_reduces) js.reduces;
-  if !remaining = 0 then None
+  if n = 0 then [||]
+  else begin
+    let kept = Array.make n states.(0) and k = ref 0 in
+    Array.iter
+      (fun ts ->
+        if not ts.finished then begin
+          kept.(!k) <- ts;
+          incr k
+        end)
+      states;
+    kept
+  end
+
+(* A job's open tasks and [done_*] recomputed from all its tasks. *)
+let reopen js =
+  js.open_maps <- still_open js.maps;
+  js.open_reduces <- still_open js.reduces;
+  let latest acc ts =
+    match ts.dispatch with
+    | Some d when ts.finished -> max acc (Dispatch.finish d)
+    | _ -> acc
+  in
+  js.done_lfmt <- Array.fold_left latest 0 js.maps;
+  js.done_completion <- Array.fold_left latest js.done_lfmt js.reduces
+
+(* The phase's pending states into [into] from [off], and its running
+   tasks as fixed tasks, each listed last-first: the order every solver
+   trajectory has been pinned on. *)
+let fill_phase (states : task_state array) ~into ~off ~pending ~running =
+  let fixed =
+    if running = 0 then [||]
+    else Array.make running { Instance.task = states.(0).task; start = 0 }
+  in
+  let p = ref (off + pending) and f = ref running in
+  for i = 0 to Array.length states - 1 do
+    let ts = states.(i) in
+    if not ts.finished then
+      match ts.dispatch with
+      | Some d ->
+          decr f;
+          fixed.(!f) <- { Instance.task = ts.task; start = d.Dispatch.start }
+      | None ->
+          decr p;
+          into.(!p) <- ts
+  done;
+  fixed
+
+(* Table 2 lines 5–18: classify a job's tasks by the clock.  Returns the
+   pending-job view for the CP instance with the states of its pending
+   tasks (maps then reduces, in the view's order), or None when the job has
+   fully completed (and should leave the system). *)
+let classify ~now (js : job_state) =
+  let pm, fm, map_running, maps_done =
+    settle_phase ~now ~is_map:true js js.open_maps
+  in
+  let pr, fr, reduce_running, reduces_done =
+    settle_phase ~now ~is_map:false js js.open_reduces
+  in
+  if maps_done then js.open_maps <- still_open js.open_maps;
+  if reduces_done then js.open_reduces <- still_open js.open_reduces;
+  if pm + fm + pr + fr = 0 then None
   else begin
     js.est <- max js.job.T.earliest_start now;
-    let map_states = Array.of_list !pending_maps
-    and reduce_states = Array.of_list !pending_reduces in
-    let task ts = ts.task in
+    (* the latest finish among the started maps, and among all started
+       tasks *)
+    let lfmt = max js.done_lfmt map_running in
+    let completion = max (max js.done_completion lfmt) reduce_running in
+    let states =
+      if pm > 0 then Array.make (pm + pr) js.open_maps.(0)
+      else if pr > 0 then Array.make pr js.open_reduces.(0)
+      else [||]
+    in
+    let fixed_maps =
+      fill_phase js.open_maps ~into:states ~off:0 ~pending:pm ~running:fm
+    in
+    let fixed_reduces =
+      fill_phase js.open_reduces ~into:states ~off:pm ~pending:pr ~running:fr
+    in
+    let tasks off n = Array.init n (fun i -> states.(off + i).task) in
+    let pending_maps = tasks 0 pm and pending_reduces = tasks pm pr in
     Some
       ( {
           Instance.job = js.job;
           est = js.est;
-          pending_maps = Array.map task map_states;
-          pending_reduces = Array.map task reduce_states;
-          fixed_maps = Array.of_list !fixed_maps;
-          fixed_reduces = Array.of_list !fixed_reduces;
-          frozen_lfmt = !frozen_lfmt;
-          frozen_completion = !frozen_completion;
+          pending_maps;
+          pending_reduces;
+          fixed_maps;
+          fixed_reduces;
+          frozen_lfmt = lfmt;
+          frozen_completion = completion;
         },
-        Array.append map_states reduce_states )
+        states )
   end
+
+let iter_open f js =
+  Array.iter f js.open_maps;
+  Array.iter f js.open_reduces
 
 let iter_tasks f js =
   Array.iter f js.maps;
@@ -304,12 +394,18 @@ let invoke t ~now =
         let state task =
           { nominal = task; task; dispatch = None; finished = false }
         in
+        let maps = Array.map state job.T.map_tasks
+        and reduces = Array.map state job.T.reduce_tasks in
         t.active <-
           {
             job;
             est = max job.T.earliest_start now;
-            maps = Array.map state job.T.map_tasks;
-            reduces = Array.map state job.T.reduce_tasks;
+            maps;
+            reduces;
+            open_maps = maps;
+            open_reduces = reduces;
+            done_lfmt = 0;
+            done_completion = 0;
           }
           :: t.active;
         arrived := job.T.id :: !arrived;
@@ -349,6 +445,7 @@ let invoke t ~now =
     in
     (* the pending tasks' states by the instance's task index *)
     let states = Array.concat pending_states in
+    let t_classified = Obs.Clock.now () in
     (* lines 19–20: generate and solve the model; the session warm-starts
        it from what survives of the plan it returned last *)
     let options =
@@ -358,9 +455,12 @@ let invoke t ~now =
     (* session counters before the solve, so the journal can report this
        invocation's store-diff work as deltas *)
     let sess_before =
-      List.map (fun (_, count) -> count t.session) session_counters
+      match t.config.journal with
+      | None -> []
+      | Some _ -> List.map (fun (_, count) -> count t.session) session_counters
     in
     let solution, stats = Cp.Session.solve t.session ~options inst in
+    let t_solved = Obs.Clock.now () in
     (* plan cache hit: the carried plan, completed around the new arrivals,
        was still feasible and already met the lower bound, so the solver
        adopted it and returned straight from the fast path — no model was
@@ -388,21 +488,23 @@ let invoke t ~now =
        numbering always follows the full cluster — crashed resources keep
        their slot ids but are excluded from assignment — so frozen tasks on
        surviving resources stay on the slots they already hold. *)
-    let mm = Matchmaker.create ~cluster:t.cluster in
+    let mm = t.matchmaker in
+    Matchmaker.reset mm;
     if Hashtbl.length t.down > 0 then
       Hashtbl.fold (fun rid () acc -> rid :: acc) t.down []
       |> List.sort compare
       |> List.iter (fun resource_id -> Matchmaker.disable_resource mm ~resource_id);
     let frozen_dispatches = ref [] in
+    let validate = t.config.validate in
     List.iter
-      (iter_tasks (fun ts ->
+      (iter_open (fun ts ->
            if not ts.finished then
              match ts.dispatch with
              | Some d ->
                  (* running task keeps its slot *)
                  Matchmaker.occupy mm ~kind:ts.task.T.kind
                    ~slot:d.Dispatch.slot ~until:(Dispatch.finish d);
-                 frozen_dispatches := d :: !frozen_dispatches
+                 if validate then frozen_dispatches := d :: !frozen_dispatches
              | None -> ()))
       t.active;
     (* install the new plan on the task states it was made for as it is
@@ -424,7 +526,8 @@ let invoke t ~now =
     (* already in [Dispatch.compare_by_start] order *)
     t.current_plan <- dispatches;
     t.plan_version <- t.plan_version + 1;
-    let elapsed = Obs.Clock.now () -. t0 in
+    let t_installed = Obs.Clock.now () in
+    let elapsed = t_installed -. t0 in
     if elapsed > t.max_invocation then t.max_invocation <- elapsed;
     t.overhead <- t.overhead +. elapsed;
     let late = solution.Solution.late_jobs in
@@ -502,9 +605,14 @@ let invoke t ~now =
           ~wall:
             [
               ("elapsed_s", Obs.Json.Float elapsed);
+              ("classify_s", Obs.Json.Float (t_classified -. t0));
               ("seed_s", Obs.Json.Float stats.Cp.Solver.seed_s);
+              ("bound_s", Obs.Json.Float stats.Cp.Solver.bound_s);
+              ("warm_s", Obs.Json.Float stats.Cp.Solver.warm_s);
+              ("list_s", Obs.Json.Float stats.Cp.Solver.list_s);
               ("sync_s", Obs.Json.Float stats.Cp.Solver.sync_s);
               ("search_s", Obs.Json.Float stats.Cp.Solver.search_s);
+              ("match_s", Obs.Json.Float (t_installed -. t_solved));
             ]
           ([
              ("invocation", Obs.Json.Int (t.solves - 1));
@@ -598,10 +706,12 @@ let invoke t ~now =
 
 let find_task_state t task_id =
   let hit = ref None in
-  let scan ts = if ts.task.T.task_id = task_id then hit := Some ts in
   List.iter
     (fun js ->
       if !hit = None then begin
+        let scan ts =
+          if ts.task.T.task_id = task_id then hit := Some (js, ts)
+        in
         Array.iter scan js.maps;
         Array.iter scan js.reduces
       end)
@@ -619,17 +729,20 @@ let reset_session t =
 (* The attempt is gone: forget its dispatch and any straggler-inflated
    execution time so the task re-enters the next instance as freshly pending
    (classify will bump its effective est up to now). *)
-let requeue_task ts =
+let requeue_task (js, ts) =
+  let was_finished = ts.finished in
   ts.dispatch <- None;
   ts.finished <- false;
-  ts.task <- ts.nominal
+  ts.task <- ts.nominal;
+  (* a finished task has left the open ones: bring it back *)
+  if was_finished then reopen js
 
 let resource_lost t ~now:_ ~resource_id ~lost =
   Hashtbl.replace t.down resource_id ();
   List.iter
     (fun id ->
       match find_task_state t id with
-      | Some ts -> requeue_task ts
+      | Some hit -> requeue_task hit
       | None -> ())
     lost;
   reset_session t
@@ -640,14 +753,14 @@ let resource_rejoined t ~now:_ ~resource_id =
 
 let task_attempt_failed t ~now:_ ~task_id =
   (match find_task_state t task_id with
-  | Some ts -> requeue_task ts
+  | Some hit -> requeue_task hit
   | None -> ());
   reset_session t
 
 let task_started t ~now:_ ~task_id ~exec_ms =
   match find_task_state t task_id with
   | None -> ()
-  | Some ts ->
+  | Some (_, ts) ->
       if ts.task.T.exec_time <> exec_ms then begin
         ts.task <- { ts.task with T.exec_time = exec_ms };
         (match ts.dispatch with

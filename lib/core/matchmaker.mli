@@ -13,13 +13,6 @@
     Unit slots are numbered globally: resource 0's map slots first, then
     resource 1's, ...; reduce slots are numbered in a separate space. *)
 
-type slot_state = {
-  slot_id : int;
-  resource_id : int;
-  mutable available_from : int;
-      (** end of the latest task committed to this slot *)
-}
-
 type t
 
 val create : cluster:Mapreduce.Types.resource array -> t
@@ -28,9 +21,15 @@ val create : cluster:Mapreduce.Types.resource array -> t
 val map_slot_count : t -> int
 val reduce_slot_count : t -> int
 
+val reset : t -> unit
+(** Free every slot again, as {!create} left them (disabled resources
+    included: disable them again after the reset), so one matchmaker
+    serves every pass of a manager.  Slot states are int arrays, so a reset
+    is two fills. *)
+
 val disable_resource : t -> resource_id:int -> unit
 (** Mark every slot of a crashed resource permanently unavailable
-    ([available_from = max_int]) while keeping the global slot numbering
+    (free from [max_int]) while keeping the global slot numbering
     stable — best-fit assignment then never picks them, and frozen tasks on
     surviving resources keep their slot ids. *)
 

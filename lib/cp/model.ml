@@ -71,8 +71,8 @@ let build ?(kernel = Propagators.capacity) (inst : Instance.t) ~horizon =
     in
     (* LFMT: max of map completions over pending and frozen maps (3) *)
     let lfmt = Store.new_var store ~min:0 ~max:value_horizon in
-    Propagators.max_of store ~result:lfmt
-      ~terms:(Array.to_list map_vars)
+    Propagators.max_of store ~result:lfmt ~vars:(Array.map fst map_vars)
+      ~offsets:(Array.map snd map_vars)
       ~floor:(max j.Instance.frozen_lfmt est);
     (* reduce start variables: after LFMT *)
     let reduce_vars =
@@ -92,7 +92,8 @@ let build ?(kernel = Propagators.capacity) (inst : Instance.t) ~horizon =
     (* completion: max of reduce completions, LFMT, frozen completions *)
     let completion = Store.new_var store ~min:0 ~max:(value_horizon * 2) in
     Propagators.max_of store ~result:completion
-      ~terms:((lfmt, 0) :: Array.to_list reduce_vars)
+      ~vars:(Array.append [| lfmt |] (Array.map fst reduce_vars))
+      ~offsets:(Array.append [| 0 |] (Array.map snd reduce_vars))
       ~floor:j.Instance.frozen_completion;
     completions.(jdx) <- completion;
     (* N_j: constraint (4) *)

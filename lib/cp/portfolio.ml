@@ -48,7 +48,7 @@ let strategy (base : Solver.options) i =
     ({ base with Solver.ordering; tie_break; seed }, name, false)
   end
 
-let solve ?(domains = 1) ?(options = Solver.default_options) ?warm
+let solve ?(domains = 1) ?(options = Solver.default_options) ?pass ?warm
     ?carried_bound (inst : Instance.t) =
   let t0 = Obs.Clock.now () in
   let single ~strategy (sol, s) =
@@ -62,10 +62,10 @@ let solve ?(domains = 1) ?(options = Solver.default_options) ?warm
   in
   if domains <= 1 then
     single ~strategy:"sequential"
-      (Solver.solve_linked ~options ~link:Solver.null_link ?carried_bound
-         ?warm inst)
+      (Solver.solve_linked ~options ~link:Solver.null_link ?pass
+         ?carried_bound ?warm inst)
   else
-    match Solver.settle ~options ?warm ?carried_bound inst with
+    match Solver.settle ~options ?pass ?warm ?carried_bound inst with
     | Some settled ->
         (* the common open-system case: the starting incumbent (greedy
            seed, or the warm-start candidate carried over from the previous
@@ -100,10 +100,13 @@ let solve ?(domains = 1) ?(options = Solver.default_options) ?warm
               isolated;
             }
           in
+          (* the caller's pass is scratch of the calling domain: only
+             worker 0, which runs there, may use it *)
+          let pass = if i = 0 then pass else None in
           let sol, s =
             Obs.Trace.with_span ~cat:"portfolio" ("worker:" ^ name) (fun () ->
-                Solver.solve_linked ~options:opts ~link ?carried_bound ?warm
-                  inst)
+                Solver.solve_linked ~options:opts ~link ?pass ?carried_bound
+                  ?warm inst)
           in
           if s.Solver.proved_optimal then Atomic.set stop true;
           (name, sol, s)

@@ -61,6 +61,7 @@ type stats = {
 val solve :
   ?domains:int ->
   ?options:Solver.options ->
+  ?pass:Solver.pass ->
   ?warm:Solver.incumbent ->
   ?carried_bound:int ->
   Sched.Instance.t ->
@@ -68,4 +69,6 @@ val solve :
 (** Never fails: at worst returns the greedy seed.  [domains] defaults to 1
     (sequential).  Ties between equally good worker solutions go to the
     earliest worker (worker 0 first), so the reported [winner] is
-    deterministic. *)
+    deterministic.  A [pass] of [inst] ({!Solver.prepare}) is used by the
+    seed-is-optimal check and by worker 0, which both run on the calling
+    domain; the other workers prepare their own. *)

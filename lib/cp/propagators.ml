@@ -13,45 +13,46 @@ let ge_offset s y x c =
 
 let precedence s ~before ~duration ~after = ge_offset s after before duration
 
-let max_of s ~result ~terms ~floor =
-  match terms with
-  | [] ->
-      (* result is the constant floor *)
-      let pid =
-        Store.register s ~priority:0 ~name:"max_of" ~idempotent:true (fun s ->
-            Store.set_min s result floor;
-            Store.set_max s result floor)
-      in
-      Store.schedule s pid
-  | _ ->
-      let xs = Array.of_list (List.map fst terms)
-      and cs = Array.of_list (List.map snd terms) in
-      let n = Array.length xs in
-      let pid =
-        Store.register s ~priority:1 ~name:"max_of" ~idempotent:true (fun s ->
-            let mins = Store.mins s and maxs = Store.maxs s in
-            (* result >= every term and >= floor *)
-            let max_min = ref floor and max_max = ref floor in
-            for k = 0 to n - 1 do
-              let x = xs.(k) and c = cs.(k) in
-              let mn = mins.(x) + c and mx = maxs.(x) + c in
-              if mn > !max_min then max_min := mn;
-              if mx > !max_max then max_max := mx
-            done;
-            if !max_min > mins.(result) then Store.set_min s result !max_min;
-            if !max_max < maxs.(result) then Store.set_max s result !max_max;
-            (* every term <= result *)
-            let ub = maxs.(result) in
-            for k = 0 to n - 1 do
-              let x = xs.(k) and c = cs.(k) in
-              if ub - c < maxs.(x) then Store.set_max s x (ub - c)
-            done)
-      in
-      (* reads both bounds of the terms but only result's upper bound (no
-         rule propagates from result's min back to the terms) *)
-      Array.iter (fun x -> Store.watch s x pid) xs;
-      Store.watch_max s result pid;
-      Store.schedule s pid
+let max_of s ~result ~vars ~offsets ~floor =
+  let n = Array.length vars in
+  if Array.length offsets <> n then
+    invalid_arg "Propagators.max_of: one offset per variable expected";
+  if n = 0 then begin
+    (* result is the constant floor *)
+    let pid =
+      Store.register s ~priority:0 ~name:"max_of" ~idempotent:true (fun s ->
+          Store.set_min s result floor;
+          Store.set_max s result floor)
+    in
+    Store.schedule s pid
+  end
+  else begin
+    let pid =
+      Store.register s ~priority:1 ~name:"max_of" ~idempotent:true (fun s ->
+          let mins = Store.mins s and maxs = Store.maxs s in
+          (* result >= every term and >= floor *)
+          let max_min = ref floor and max_max = ref floor in
+          for k = 0 to n - 1 do
+            let x = vars.(k) and c = offsets.(k) in
+            let mn = mins.(x) + c and mx = maxs.(x) + c in
+            if mn > !max_min then max_min := mn;
+            if mx > !max_max then max_max := mx
+          done;
+          if !max_min > mins.(result) then Store.set_min s result !max_min;
+          if !max_max < maxs.(result) then Store.set_max s result !max_max;
+          (* every term <= result *)
+          let ub = maxs.(result) in
+          for k = 0 to n - 1 do
+            let x = vars.(k) and c = offsets.(k) in
+            if ub - c < maxs.(x) then Store.set_max s x (ub - c)
+          done)
+    in
+    (* reads both bounds of the terms but only result's upper bound (no
+       rule propagates from result's min back to the terms) *)
+    Array.iter (fun x -> Store.watch s x pid) vars;
+    Store.watch_max s result pid;
+    Store.schedule s pid
+  end
 
 let lateness s ~late ~completion ~deadline =
   let pid =

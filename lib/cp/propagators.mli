@@ -26,9 +26,17 @@ val ge_offset : Store.t -> Store.var -> Store.var -> int -> unit
 val precedence : Store.t -> before:Store.var -> duration:int -> after:Store.var -> unit
 (** [after ≥ before + duration]. *)
 
-val max_of : Store.t -> result:Store.var -> terms:(Store.var * int) list -> floor:int -> unit
-(** result = max(floor, max_i (x_i + c_i)).  With an empty term list, fixes
-    result to [floor]. *)
+val max_of :
+  Store.t ->
+  result:Store.var ->
+  vars:Store.var array ->
+  offsets:int array ->
+  floor:int ->
+  unit
+(** result = max(floor, max_i (vars.(i) + offsets.(i))).  With no terms,
+    fixes result to [floor].  The propagator keeps both arrays: the caller
+    hands over fresh ones and does not mutate them.
+    @raise Invalid_argument when the arrays differ in length. *)
 
 val lateness :
   Store.t -> late:Store.var -> completion:Store.var -> deadline:int -> unit

@@ -305,12 +305,10 @@ and branch_asym st postponed late_from i est cut =
 let run_problem ?(tie_break = Slack_first) problem limits =
   let tracing = Obs.Trace.enabled () in
   let t0 = if tracing then Obs.Trace.now_us () else 0. in
-  let late_order = Array.init (Array.length problem.lates) (fun j -> j) in
-  Array.sort
-    (fun a b ->
-      let da = snd problem.lates.(a) and db = snd problem.lates.(b) in
-      if da <> db then compare da db else compare a b)
-    late_order;
+  let n_lates = Array.length problem.lates in
+  let late_order = Array.init n_lates Fun.id in
+  Sched.Index_sort.sort late_order ~lo:0 ~hi:n_lates
+    ~key:(Array.map snd problem.lates) ~tie:(Array.init n_lates Fun.id);
   let st =
     {
       problem;

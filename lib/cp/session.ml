@@ -16,10 +16,17 @@ module Ids = Hashtbl.Make (struct
   let hash id = id land max_int
 end)
 
+(* [id]'s binding, or [default]: a lookup that allocates no option *)
+let find_or tbl id ~default =
+  match Ids.find tbl id with v -> v | exception Not_found -> default
+
 type task_slot = {
   t_var : Store.var;
   t_task : T.task;
   t_is_map : bool;
+  (* the start's search view, made once: the task's duration and its job's
+     deadline do not change while the store holds it *)
+  t_info : Search.start_info;
   mutable t_state : task_state;
   (* generation mark: tasks not seen by the current sync have completed *)
   mutable t_gen : int;
@@ -27,11 +34,15 @@ type task_slot = {
 
 type job_slot = {
   j_late : Store.var;
+  j_view : Store.var * int;  (* (N_j, d_j), the search's late view *)
   j_tasks : task_slot array;
-  mutable j_active : bool;
   mutable j_gen : int;
 }
 
+(* A job's slot is keyed by its id while the job is live: the sync that
+   sees it gone retires its last tasks and drops the slot, so the table
+   stays the size of the open work rather than of the history.  Its task
+   slots live in the job slot alone: a sync finds them through it. *)
 type core = {
   store : Store.t;
   horizon : int;  (* map-start maximum; headroom over the creation need *)
@@ -40,13 +51,14 @@ type core = {
   reduce_pool : Propagators.dyn_pool;
   bound : int ref;  (* max_int between searches: the cut is disarmed *)
   objective : Propagators.dyn_sum;
-  jobs : (int, job_slot) Hashtbl.t;  (* job id -> slot *)
-  tasks : (int, task_slot) Hashtbl.t;  (* task id -> slot *)
+  jobs : job_slot Ids.t;  (* job id -> slot, live jobs only *)
   mutable generation : int;  (* bumped by every sync *)
-  (* the last synced instance's slots: its pending tasks by task index, and
-     its jobs in order; the search views and [remember] read them *)
+  (* the search views of the last synced instance, written by the sync
+     walk: its pending tasks' slots and start views by task index, and its
+     jobs' late views in order *)
   mutable view : task_slot array;
-  mutable job_view : job_slot array;
+  mutable starts : Search.start_info array;
+  mutable lates : (Store.var * int) array;
   mutable harvested : Store.telemetry_mark option;
       (* telemetry at the last harvest, for per-invocation deltas *)
 }
@@ -65,7 +77,7 @@ type core = {
    inapplicable for that invocation, not invalid. *)
 type cert = {
   c_bound : int;  (* proved minimum number of late jobs of the set below *)
-  c_lates : (int, int * int) Hashtbl.t;
+  c_lates : (int * int) Ids.t;
       (* certificate job id -> (lateness, completion) under the last
          dispatched plan *)
 }
@@ -81,11 +93,19 @@ type t = {
   (* the jobs whose plan is kept, by id: those of the last solved instance,
      and those that left while the store still held them *)
   mutable kept : T.job Ids.t;
+  (* the next pass's [present], empty between passes; it swaps with
+     [kept] when the pass records its plan *)
+  mutable spare : T.job Ids.t;
+  (* the list schedules' working profiles, reused pass after pass *)
+  scratch : Sched.Greedy.scratch;
   mutable cert_proofs : int;
   mutable retracted : int;
   mutable appended : int;
   mutable rebuilds : int;
 }
+
+(* The recorded start of a task no plan placed; never written *)
+let unplanned = ref min_int
 
 let create ?(domains = 1) () =
   {
@@ -94,6 +114,8 @@ let create ?(domains = 1) () =
     cert = None;
     plan = Ids.create 16;
     kept = Ids.create 16;
+    spare = Ids.create 16;
+    scratch = Sched.Greedy.scratch ();
     cert_proofs = 0;
     retracted = 0;
     appended = 0;
@@ -106,7 +128,31 @@ let stats_cert_proofs t = t.cert_proofs
 let stats_appended_jobs t = t.appended
 let stats_rebuilds t = t.rebuilds
 
+type footprint = { root_trail : int; job_slots : int; task_slots : int }
+
 (* --- store construction --------------------------------------------------- *)
+
+let no_info = { Search.svar = 0; duration = 0; deadline = 0 }
+
+(* fills [view] until a sync writes the real slots *)
+let no_slot =
+  {
+    t_var = -1;
+    t_task =
+      {
+        T.task_id = -1;
+        job_id = -1;
+        kind = T.Map_task;
+        exec_time = 0;
+        capacity_req = 0;
+      };
+    t_is_map = true;
+    t_info = no_info;
+    t_state = Retired;
+    t_gen = -1;
+  }
+
+let no_job_slot = { j_late = -1; j_view = (-1, 0); j_tasks = [||]; j_gen = -1 }
 
 let make_core (inst : Instance.t) =
   let store = Store.create () in
@@ -131,37 +177,25 @@ let make_core (inst : Instance.t) =
       Propagators.cumulative_dyn store ~capacity:inst.Instance.reduce_capacity;
     bound;
     objective = Propagators.sum_lt_bound_dyn store ~bound;
-    jobs = Hashtbl.create 64;
-    tasks = Hashtbl.create 256;
+    jobs = Ids.create 16;
     generation = 0;
     view = [||];
-    job_view = [||];
+    starts = [||];
+    lates = [||];
     harvested = None;
   }
 
-(* fills [view] until a sync writes the real slots *)
-let no_slot =
-  {
-    t_var = -1;
-    t_task =
-      {
-        T.task_id = -1;
-        job_id = -1;
-        kind = T.Map_task;
-        exec_time = 0;
-        capacity_req = 0;
-      };
-    t_is_map = true;
-    t_state = Retired;
-    t_gen = -1;
-  }
-
-let no_job = { j_late = -1; j_tasks = [||]; j_active = false; j_gen = -1 }
-
 (* fresh views for the instance a sync is about to walk *)
 let open_views core (inst : Instance.t) =
-  core.view <- Array.make (Instance.pending_task_count inst) no_slot;
-  core.job_view <- Array.make (Array.length inst.Instance.jobs) no_job
+  let n = Instance.pending_task_count inst in
+  core.view <- Array.make n no_slot;
+  core.starts <- Array.make n no_info;
+  core.lates <- Array.make (Array.length inst.Instance.jobs) (-1, 0)
+
+(* a pending task's slot at task index [k] of the views *)
+let[@inline] set_view core k sl =
+  core.view.(k) <- sl;
+  core.starts.(k) <- sl.t_info
 
 (* Append one job's constraint block — the Table-1 rows of Model.build, with
    two differences: frozen tasks become root-fixed variables (so they live
@@ -171,49 +205,49 @@ let append_job t core (inst : Instance.t) jdx =
   let pj = inst.Instance.jobs.(jdx) in
   let s = core.store in
   let est = pj.Instance.est in
+  let deadline = pj.Instance.job.T.deadline in
   let gen = core.generation in
-  let mk_pending ~is_map ~vmax (task : T.task) =
+  let mk_slot ~is_map ~state var (task : T.task) =
     {
-      t_var = Store.new_var s ~min:est ~max:vmax;
+      t_var = var;
       t_task = task;
       t_is_map = is_map;
-      t_state = Pending;
+      t_info = { Search.svar = var; duration = task.T.exec_time; deadline };
+      t_state = state;
       t_gen = gen;
     }
   in
+  let mk_pending ~is_map ~vmax task =
+    mk_slot ~is_map ~state:Pending (Store.new_var s ~min:est ~max:vmax) task
+  in
   let mk_fixed ~is_map (f : Instance.fixed_task) =
-    {
-      t_var = Store.new_var s ~min:f.Instance.start ~max:f.Instance.start;
-      t_task = f.Instance.task;
-      t_is_map = is_map;
-      t_state = Frozen;
-      t_gen = gen;
-    }
+    let start = f.Instance.start in
+    mk_slot ~is_map ~state:Frozen
+      (Store.new_var s ~min:start ~max:start)
+      f.Instance.task
   in
   let off = inst.Instance.first.(jdx) in
   let pending_maps =
     Array.map (mk_pending ~is_map:true ~vmax:core.horizon)
       pj.Instance.pending_maps
   in
-  Array.blit pending_maps 0 core.view off (Array.length pending_maps);
+  Array.iteri (fun i sl -> set_view core (off + i) sl) pending_maps;
   let maps =
     Array.append pending_maps
       (Array.map (mk_fixed ~is_map:true) pj.Instance.fixed_maps)
   in
   let lfmt = Store.new_var s ~min:0 ~max:core.value_horizon in
   Propagators.max_of s ~result:lfmt
-    ~terms:
-      (Array.to_list
-         (Array.map (fun sl -> (sl.t_var, sl.t_task.T.exec_time)) maps))
+    ~vars:(Array.map (fun sl -> sl.t_var) maps)
+    ~offsets:(Array.map (fun sl -> sl.t_task.T.exec_time) maps)
     ~floor:(max pj.Instance.frozen_lfmt est);
   let pending_reduces =
     Array.map
       (mk_pending ~is_map:false ~vmax:core.value_horizon)
       pj.Instance.pending_reduces
   in
-  Array.blit pending_reduces 0 core.view
-    (off + Array.length pending_maps)
-    (Array.length pending_reduces);
+  let roff = off + Array.length pending_maps in
+  Array.iteri (fun i sl -> set_view core (roff + i) sl) pending_reduces;
   (* precedence (3) only for movable reduces: a frozen reduce already ran
      after its maps, and re-imposing lfmt <= start on a fixed variable could
      only fail spuriously *)
@@ -225,27 +259,28 @@ let append_job t core (inst : Instance.t) jdx =
       (Array.map (mk_fixed ~is_map:false) pj.Instance.fixed_reduces)
   in
   let completion = Store.new_var s ~min:0 ~max:(2 * core.value_horizon) in
+  let n_reduces = Array.length reduces in
   Propagators.max_of s ~result:completion
-    ~terms:
-      ((lfmt, 0)
-      :: Array.to_list
-           (Array.map (fun sl -> (sl.t_var, sl.t_task.T.exec_time)) reduces))
+    ~vars:
+      (Array.init (n_reduces + 1) (fun i ->
+           if i = 0 then lfmt else reduces.(i - 1).t_var))
+    ~offsets:
+      (Array.init (n_reduces + 1) (fun i ->
+           if i = 0 then 0 else reduces.(i - 1).t_task.T.exec_time))
     ~floor:pj.Instance.frozen_completion;
   let late = Store.new_var s ~min:0 ~max:1 in
-  Propagators.lateness s ~late ~completion
-    ~deadline:pj.Instance.job.T.deadline;
+  Propagators.lateness s ~late ~completion ~deadline;
   Propagators.dyn_sum_add core.objective s late;
   let slot =
     {
       j_late = late;
+      j_view = (late, deadline);
       j_tasks = Array.append maps reduces;
-      j_active = true;
       j_gen = gen;
     }
   in
   Array.iter
     (fun sl ->
-      Hashtbl.replace core.tasks sl.t_task.T.task_id sl;
       let pool = if sl.t_is_map then core.map_pool else core.reduce_pool in
       Propagators.dyn_add pool s
         {
@@ -255,16 +290,23 @@ let append_job t core (inst : Instance.t) jdx =
         })
     slot.j_tasks;
   (* tasks that completed before the store held the job are never retired:
-     their recorded starts go now *)
+     their recorded starts go now.  When the store holds every task of the
+     job, none did. *)
   let job = pj.Instance.job in
-  let forget_done (task : T.task) =
-    if not (Hashtbl.mem core.tasks task.T.task_id) then
-      Ids.remove t.plan task.T.task_id
-  in
-  Array.iter forget_done job.T.map_tasks;
-  Array.iter forget_done job.T.reduce_tasks;
-  Hashtbl.replace core.jobs pj.Instance.job.T.id slot;
-  core.job_view.(jdx) <- slot;
+  let n_held = Array.length slot.j_tasks in
+  if n_held < Array.length job.T.map_tasks + Array.length job.T.reduce_tasks
+  then begin
+    let held = Ids.create n_held in
+    Array.iter (fun sl -> Ids.replace held sl.t_task.T.task_id ()) slot.j_tasks;
+    let forget_done (task : T.task) =
+      let id = task.T.task_id in
+      if not (Ids.mem held id) then Ids.remove t.plan id
+    in
+    Array.iter forget_done job.T.map_tasks;
+    Array.iter forget_done job.T.reduce_tasks
+  end;
+  Ids.replace core.jobs pj.Instance.job.T.id slot;
+  core.lates.(jdx) <- slot.j_view;
   t.appended <- t.appended + 1
 
 (* A task left the instance: it completed.  Fix a pending one at its last
@@ -273,15 +315,16 @@ let append_job t core (inst : Instance.t) jdx =
    execution window ends at or before [now], every pending est is at least
    [now], so the removal never loosens the profile any still-movable task
    sees.  Nothing reads its recorded start after this, so the entry goes
-   too. *)
+   too.  Its slot stays in its job's, marked retired, until the job's slot
+   goes. *)
 let retire_task t core sl =
   if sl.t_state <> Retired then begin
     let s = core.store in
     let id = sl.t_task.T.task_id in
     if sl.t_state = Pending then begin
-      match Ids.find_opt t.plan id with
-      | Some start -> Store.fix s sl.t_var !start
-      | None -> raise (Store.Fail "session: completed task has no known start")
+      match find_or t.plan id ~default:unplanned with
+      | start when start != unplanned -> Store.fix s sl.t_var !start
+      | _ -> raise (Store.Fail "session: completed task has no known start")
     end;
     Ids.remove t.plan id;
     let pool = if sl.t_is_map then core.map_pool else core.reduce_pool in
@@ -289,6 +332,31 @@ let retire_task t core sl =
     sl.t_state <- Retired;
     t.retracted <- t.retracted + 1
   end
+
+(* The live slot of the job's task [id], searched in the job's slots from
+   [!cursor] on, wrapping around.  A sync walks a job's tasks in the order
+   [append_job] laid its slots out (each phase last-first, pending before
+   running, maps before reduces) minus the tasks that left, so the search
+   mostly hits at the cursor, and this beats a table lookup per task.  An
+   id that is no live task of the job fails the sync, which then rebuilds
+   the store. *)
+let job_task slot cursor id =
+  let tasks = slot.j_tasks in
+  let n = Array.length tasks in
+  let k = ref !cursor and left = ref n in
+  while
+    !left > 0
+    &&
+    let sl = tasks.(!k) in
+    sl.t_task.T.task_id <> id || sl.t_state = Retired
+  do
+    incr k;
+    if !k = n then k := 0;
+    decr left
+  done;
+  if !left = 0 then raise (Store.Fail "session: task not held by its job");
+  cursor := if !k + 1 = n then 0 else !k + 1;
+  tasks.(!k)
 
 (* Diff one already-known job against its instance row: bump pending ests
    (est = max(s_j, now) only grows), fix newly frozen tasks at their
@@ -298,20 +366,27 @@ let sync_job t core (inst : Instance.t) jdx slot =
   let s = core.store in
   let est = pj.Instance.est in
   let gen = core.generation in
-  core.job_view.(jdx) <- slot;
-  let bump off i (task : T.task) =
-    let sl = Hashtbl.find core.tasks task.T.task_id in
+  slot.j_gen <- gen;
+  core.lates.(jdx) <- slot.j_view;
+  let cursor = ref 0 in
+  let off = inst.Instance.first.(jdx) in
+  let bump k (task : T.task) =
+    let sl = job_task slot cursor task.T.task_id in
     sl.t_gen <- gen;
-    core.view.(off + i) <- sl;
+    set_view core k sl;
     Store.set_min s sl.t_var est
   in
-  let off = inst.Instance.first.(jdx) in
-  Array.iteri (bump off) pj.Instance.pending_maps;
-  Array.iteri
-    (bump (off + Array.length pj.Instance.pending_maps))
-    pj.Instance.pending_reduces;
+  let maps = pj.Instance.pending_maps in
+  for i = 0 to Array.length maps - 1 do
+    bump (off + i) maps.(i)
+  done;
+  let roff = off + Array.length maps
+  and reduces = pj.Instance.pending_reduces in
+  for i = 0 to Array.length reduces - 1 do
+    bump (roff + i) reduces.(i)
+  done;
   let freeze (f : Instance.fixed_task) =
-    let sl = Hashtbl.find core.tasks f.Instance.task.T.task_id in
+    let sl = job_task slot cursor f.Instance.task.T.task_id in
     sl.t_gen <- gen;
     if sl.t_state = Pending then begin
       Store.fix s sl.t_var f.Instance.start;
@@ -343,31 +418,33 @@ let sync t (inst : Instance.t) =
     open_views core inst;
     Array.iteri
       (fun jdx (pj : Instance.pending_job) ->
-        match Hashtbl.find_opt core.jobs pj.Instance.job.T.id with
-        | None -> append_job t core inst jdx
-        | Some slot ->
-            slot.j_gen <- core.generation;
-            sync_job t core inst jdx slot)
+        let slot =
+          find_or core.jobs pj.Instance.job.T.id ~default:no_job_slot
+        in
+        if slot == no_job_slot then append_job t core inst jdx
+        else sync_job t core inst jdx slot)
       inst.Instance.jobs;
+    (* [core.jobs] holds live jobs only, so this walk is the size of the
+       last instance plus the arrivals *)
     let departed = ref [] in
-    Hashtbl.iter
-      (fun _ slot ->
-        if slot.j_active && slot.j_gen <> core.generation then
-          departed := slot :: !departed)
+    Ids.iter
+      (fun id slot ->
+        if slot.j_gen <> core.generation then
+          departed := (id, slot) :: !departed)
       core.jobs;
     List.iter
-      (fun slot -> Array.iter (retire_task t core) slot.j_tasks)
+      (fun (_, slot) -> Array.iter (retire_task t core) slot.j_tasks)
       !departed;
     Store.propagate core.store;
     if !departed <> [] then begin
       List.iter
-        (fun slot ->
+        (fun (id, slot) ->
           (* with every task fixed, propagation fixed the completion chain
              and hence the lateness variable *)
           if not (Store.is_fixed core.store slot.j_late) then
             raise (Store.Fail "session: departed job with open lateness");
           Propagators.dyn_sum_remove core.objective core.store slot.j_late;
-          slot.j_active <- false)
+          Ids.remove core.jobs id)
         !departed;
       Store.propagate core.store
     end
@@ -391,13 +468,13 @@ let sync t (inst : Instance.t) =
    realized lateness of certificate jobs that have completed and left.
    [min_int] when there is no certificate or it is inapplicable (a
    certificate job absent without a completion on record).  [present]
-   holds [inst]'s jobs by id. *)
-let cert_lower_bound t ~present (inst : Instance.t) =
+   holds [inst]'s jobs by id; [pass] knows their solo dooms. *)
+let cert_lower_bound t ~present ~pass (inst : Instance.t) =
   match t.cert with
   | None -> min_int
   | Some c ->
       let bound = ref c.c_bound and applicable = ref true in
-      Hashtbl.iter
+      Ids.iter
         (fun id (late, completion) ->
           if not (Ids.mem present id) then
             if completion <= inst.Instance.now then bound := !bound - late
@@ -406,19 +483,20 @@ let cert_lower_bound t ~present (inst : Instance.t) =
       (* jobs outside the certificate set add their solo dooms: a job that
          cannot meet its deadline even alone is late in every schedule,
          independently of the certificate jobs — the two bounds add *)
-      Array.iter
-        (fun (pj : Instance.pending_job) ->
+      Array.iteri
+        (fun jdx (pj : Instance.pending_job) ->
           if
-            (not (Hashtbl.mem c.c_lates pj.Instance.job.T.id))
-            && Solver.job_doomed inst pj
+            (not (Ids.mem c.c_lates pj.Instance.job.T.id))
+            && Solver.doomed pass jdx
           then incr bound)
         inst.Instance.jobs;
       if !applicable then !bound else min_int
 
 (* Record what the plan being installed means for each job: its lateness
    and completion under that plan.  A proved solve re-grounds the whole
-   certificate on the instance; an unproved one may only refresh recorded
-   jobs (the proof does not cover newcomers). *)
+   certificate on the instance (in the table the old one used); an
+   unproved one may only refresh recorded jobs (the proof does not cover
+   newcomers). *)
 let update_cert t ~proved (inst : Instance.t) (sol : Solution.t) =
   let entry jdx (pj : Instance.pending_job) =
     let completion = Solution.job_completion inst jdx sol.Solution.starts in
@@ -426,10 +504,16 @@ let update_cert t ~proved (inst : Instance.t) (sol : Solution.t) =
     (late, completion)
   in
   if proved then begin
-    let lates = Hashtbl.create 64 in
+    let lates =
+      match t.cert with
+      | Some c ->
+          Ids.clear c.c_lates;
+          c.c_lates
+      | None -> Ids.create 16
+    in
     Array.iteri
       (fun jdx (pj : Instance.pending_job) ->
-        Hashtbl.replace lates pj.Instance.job.T.id (entry jdx pj))
+        Ids.replace lates pj.Instance.job.T.id (entry jdx pj))
       inst.Instance.jobs;
     t.cert <- Some { c_bound = sol.Solution.late_jobs; c_lates = lates }
   end
@@ -440,43 +524,18 @@ let update_cert t ~proved (inst : Instance.t) (sol : Solution.t) =
         Array.iteri
           (fun jdx (pj : Instance.pending_job) ->
             let id = pj.Instance.job.T.id in
-            if Hashtbl.mem c.c_lates id then
-              Hashtbl.replace c.c_lates id (entry jdx pj))
+            if Ids.mem c.c_lates id then
+              Ids.replace c.c_lates id (entry jdx pj))
           inst.Instance.jobs
 
 (* --- the solve ------------------------------------------------------------ *)
 
 (* The session's exact search over the store [sync] just brought in line
-   with [inst]: arm the objective bound inside a guard level and search. *)
+   with [inst], on the views the sync walk wrote: arm the objective bound
+   inside a guard level and search. *)
 let search_core ~options core (inst : Instance.t) ~bound_to_beat limits =
   let s = core.store in
-  (* search views in the cold model's ordering, the task index *)
   let view = core.view in
-  let lates =
-    Array.mapi
-      (fun jdx (pj : Instance.pending_job) ->
-        (core.job_view.(jdx).j_late, pj.Instance.job.T.deadline))
-      inst.Instance.jobs
-  in
-  let n = Array.length view in
-  let starts = Array.make n { Search.svar = 0; duration = 0; deadline = 0 } in
-  Array.iteri
-    (fun jdx (pj : Instance.pending_job) ->
-      let deadline = pj.Instance.job.T.deadline in
-      let add off i (task : T.task) =
-        starts.(off + i) <-
-          {
-            Search.svar = view.(off + i).t_var;
-            duration = task.T.exec_time;
-            deadline;
-          }
-      in
-      let off = inst.Instance.first.(jdx) in
-      Array.iteri (add off) pj.Instance.pending_maps;
-      Array.iteri
-        (add (off + Array.length pj.Instance.pending_maps))
-        pj.Instance.pending_reduces)
-    inst.Instance.jobs;
   let extract () =
     Solution.evaluate inst (Array.map (fun sl -> Store.value s sl.t_var) view)
   in
@@ -493,8 +552,8 @@ let search_core ~options core (inst : Instance.t) ~bound_to_beat limits =
       let problem =
         {
           Search.store = s;
-          starts;
-          lates;
+          starts = core.starts;
+          lates = core.lates;
           bound = core.bound;
           bound_pid = Propagators.dyn_sum_pid core.objective;
           extract;
@@ -502,57 +561,88 @@ let search_core ~options core (inst : Instance.t) ~bound_to_beat limits =
       in
       Search.run_problem ~tie_break:options.Solver.tie_break problem limits)
 
-(* The recorded start of a task no plan placed; never written *)
-let unplanned = ref min_int
-
-(* The warm start for [inst] from [cells], its pending tasks' recorded
-   starts.  A pending task carries its recorded start while that is still
-   ahead of the clock: a start the clock has passed belongs to an attempt a
-   fault lost.  The changed jobs are those the last solved instance did not
-   have.  [None] when nothing is carried. *)
-let carried_plan t ~cells (inst : Instance.t) =
-  let carry start = if !start > inst.Instance.now then !start else min_int in
-  let starts = Array.map carry cells in
-  if Array.for_all (( = ) min_int) starts then None
-  else
-    let changed acc (pj : Instance.pending_job) =
+(* One walk over [inst] before the solve: its jobs by id into [present]
+   (the session's spare table, emptied), each pending task's recorded-start
+   cell ([unplanned] when no plan placed it), and the warm start.  A
+   pending task carries its recorded start while that is still ahead of the
+   clock: a start the clock has passed belongs to an attempt a fault lost.
+   The changed jobs are those the last solved instance did not have.  The
+   warm start is [None] when nothing is carried. *)
+let open_pass t ~tasks (inst : Instance.t) =
+  let present = t.spare in
+  Ids.clear present;
+  let n = Array.length tasks in
+  let cells = Array.make n unplanned and carried = Array.make n min_int in
+  let now = inst.Instance.now and first = inst.Instance.first in
+  let any = ref false and changed = ref [] in
+  Array.iteri
+    (fun jdx (pj : Instance.pending_job) ->
       let id = pj.Instance.job.T.id in
-      if Ids.mem t.kept id then acc else id :: acc
-    in
-    let changed_jobs = Array.fold_left changed [] inst.Instance.jobs in
-    Some { Solver.carried_starts = starts; changed_jobs }
+      Ids.replace present id pj.Instance.job;
+      if not (Ids.mem t.kept id) then changed := id :: !changed;
+      for k = first.(jdx) to first.(jdx + 1) - 1 do
+        let cell = find_or t.plan tasks.(k).T.task_id ~default:unplanned in
+        cells.(k) <- cell;
+        if !cell > now then begin
+          carried.(k) <- !cell;
+          any := true
+        end
+      done)
+    inst.Instance.jobs;
+  let warm =
+    if !any then
+      Some { Solver.carried_starts = carried; changed_jobs = !changed }
+    else None
+  in
+  (present, cells, warm)
 
 (* Every returned plan is dispatched: record its starts.  A job that has
-   left keeps its plan while the store holds it (the sync that retires its
-   tasks fixes them at these starts); [present], the solved instance's jobs,
-   becomes the kept set. *)
+   left keeps its plan while the store holds its slot (the sync that
+   retires its tasks fixes them at these starts, and drops the slot);
+   [present], the solved instance's jobs, becomes the kept set, and the old
+   kept set the next pass's spare. *)
 let record t ~present ~tasks ~cells (sol : Solution.t) =
   Array.iteri
     (fun k start ->
       let planned = sol.Solution.starts.(k) in
       if start == unplanned then
-        Ids.add t.plan tasks.(k).T.task_id (ref planned)
+        Ids.replace t.plan tasks.(k).T.task_id (ref planned)
       else start := planned)
     cells;
   let held id =
-    match Option.map (fun core -> Hashtbl.find_opt core.jobs id) t.core with
-    | Some (Some slot) -> slot.j_active
-    | _ -> false
+    match t.core with Some core -> Ids.mem core.jobs id | None -> false
   in
   Ids.iter
     (fun id (job : T.job) ->
       if Ids.mem present id then ()
-      else if held id then Ids.add present id job
+      else if held id then Ids.replace present id job
       else
         let forget (task : T.task) = Ids.remove t.plan task.T.task_id in
         Array.iter forget job.T.map_tasks;
         Array.iter forget job.T.reduce_tasks)
     t.kept;
+  (* emptied now, not at the next pass: between passes it holds no jobs *)
+  Ids.clear t.kept;
+  t.spare <- t.kept;
   t.kept <- present
 
 let reset t =
   t.core <- None;
   t.cert <- None
+
+let stats_footprint t =
+  match t.core with
+  | None -> { root_trail = 0; job_slots = 0; task_slots = 0 }
+  | Some core ->
+      let task_slots = ref 0 in
+      Ids.iter
+        (fun _ slot -> task_slots := !task_slots + Array.length slot.j_tasks)
+        core.jobs;
+      {
+        root_trail = Store.trail_length core.store;
+        job_slots = Ids.length core.jobs;
+        task_slots = !task_slots;
+      }
 
 let solve t ~options (inst : Instance.t) =
   let t0 = Obs.Clock.now () in
@@ -560,21 +650,11 @@ let solve t ~options (inst : Instance.t) =
   let retracted0 = t.retracted
   and appended0 = t.appended
   and rebuilds0 = t.rebuilds in
-  let present = Ids.create (Array.length inst.Instance.jobs) in
-  Array.iter
-    (fun (pj : Instance.pending_job) ->
-      Ids.add present pj.Instance.job.T.id pj.Instance.job)
-    inst.Instance.jobs;
-  let tasks = Instance.pending_tasks inst in
+  let pass = Solver.prepare ~scratch:t.scratch inst in
+  let tasks = Solver.pass_tasks pass in
   (* one lookup per pending task: [record] writes through the same cells *)
-  let cells =
-    Array.map
-      (fun (task : T.task) ->
-        try Ids.find t.plan task.T.task_id with Not_found -> unplanned)
-      tasks
-  in
-  let warm = carried_plan t ~cells inst in
-  let carried_bound = cert_lower_bound t ~present inst in
+  let present, cells, warm = open_pass t ~tasks inst in
+  let carried_bound = cert_lower_bound t ~present ~pass inst in
   (* what a returned plan leaves for the next instance; [true] for a proof
      the classic bound alone could not have delivered *)
   let keep sol (st : Solver.stats) =
@@ -586,7 +666,8 @@ let solve t ~options (inst : Instance.t) =
   in
   if t.domains > 1 then begin
     let sol, ps =
-      Portfolio.solve ~domains:t.domains ~options ?warm ~carried_bound inst
+      Portfolio.solve ~domains:t.domains ~options ~pass ?warm ~carried_bound
+        inst
     in
     ignore (keep sol ps.Portfolio.base : bool);
     (sol, ps.Portfolio.base)
@@ -626,5 +707,5 @@ let solve t ~options (inst : Instance.t) =
             !searched)
         registry
     in
-    Solver.solve_linked ~options ~link:Solver.null_link ~t0 ~carried_bound
-      ?warm ~exact ~on_settle inst
+    Solver.solve_linked ~options ~link:Solver.null_link ~t0 ~pass
+      ~carried_bound ?warm ~exact ~on_settle inst

@@ -18,7 +18,16 @@
       watch-list entries unhooked ({!Store.unwatch}).  Its window ends at
       or before [now] while every pending est is at least [now], so the
       retraction never changes what the remaining tasks see;
-    - a departed job leaves the objective sum and its variables go inert.
+    - a departed job leaves the objective sum and its variables go inert;
+      its slot, with its tasks', leaves the session's tables, so they hold
+      the open work and not the history ({!stats_footprint}).  The dead
+      variables and propagators themselves stay in the store until a
+      rebuild.
+
+    Root writes take no trail entries ({!Store.set_min}), so a store kept
+    for a whole stream does not accumulate them either.  The sync walk also
+    writes the search's views (start and late variables by task and job
+    index) as it goes, so the search starts without rebuilding them.
 
     Search then re-enters the {e same} store, with all propagation scratch —
     pool event permutations, Θ-tree buffers, watch pools — already warm.
@@ -113,3 +122,22 @@ val stats_cert_proofs : t -> int
 (** Invocations proved optimal by the carried optimality certificate alone —
     proofs the instance's own lower bound could not deliver, so a cold solve
     would have had to search for them. *)
+
+type footprint = {
+  root_trail : int;
+      (** entries on the store's trail between solves: 0, since root writes
+          are not trailed ({!Store.set_min}) *)
+  job_slots : int;
+      (** job blocks the store's tables hold: the jobs of the last synced
+          instance (a departed job's slot goes at the sync that retires its
+          last tasks) *)
+  task_slots : int;
+      (** task slots those job blocks hold: every task open when its job
+          was appended, completed ones included until the job goes *)
+}
+
+val stats_footprint : t -> footprint
+(** The session's table sizes now (not cumulative); all 0 before the first
+    searching solve and after {!reset}.  Variables and propagators of
+    departed jobs are not in these counts: they stay in the store, inert,
+    until a rebuild. *)

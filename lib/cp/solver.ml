@@ -61,6 +61,9 @@ type stats = Obs.Solve_stats.t = {
   lns_moves : int;
   elapsed : float;
   seed_s : float;
+  bound_s : float;
+  warm_s : float;
+  list_s : float;
   sync_s : float;
   search_s : float;
   metrics : Obs.Metrics.snapshot option;
@@ -70,15 +73,15 @@ let pp_stats = Obs.Solve_stats.pp
 
 (* Wave-based lower bound on the span of a task set under a capacity:
    no schedule can beat the longest task, nor total-work/capacity. *)
-let wave_bound tasks capacity =
+let wave_bound (tasks : T.task array) capacity =
   if Array.length tasks = 0 then 0
   else begin
     let total = ref 0 and longest = ref 0 in
-    Array.iter
-      (fun (t : T.task) ->
-        total := !total + (t.T.exec_time * t.T.capacity_req);
-        if t.T.exec_time > !longest then longest := t.T.exec_time)
-      tasks;
+    for i = 0 to Array.length tasks - 1 do
+      let t = tasks.(i) in
+      total := !total + (t.T.exec_time * t.T.capacity_req);
+      if t.T.exec_time > !longest then longest := t.T.exec_time
+    done;
     max !longest (((!total + capacity) - 1) / capacity)
   end
 
@@ -96,38 +99,60 @@ let job_min_completion (inst : Instance.t) (j : Instance.pending_job) =
 let job_doomed (inst : Instance.t) (j : Instance.pending_job) =
   job_min_completion inst j > j.Instance.job.T.deadline
 
-let late_lower_bound (inst : Instance.t) =
-  Array.fold_left
-    (fun acc j -> if job_doomed inst j then acc + 1 else acc)
-    0 inst.Instance.jobs
+(* What one pass's seed work shares: the list schedules' pass (pending
+   tasks, frozen profiles, sort orders), each job's solo doom, read by the
+   classic bound, the doomed-last sequence and the session's certificate
+   bound, and the wall time it took to build. *)
+type pass = {
+  inst : Instance.t;
+  greedy : Greedy.pass;
+  dooms : bool array;
+  lb_classic : int;
+  prepare_s : float;
+}
+
+let prepare ?scratch (inst : Instance.t) =
+  let t0 = Obs.Clock.now () in
+  let greedy = Greedy.prepare ?scratch inst in
+  let dooms = Array.map (job_doomed inst) inst.Instance.jobs in
+  let lb_classic =
+    Array.fold_left (fun acc d -> if d then acc + 1 else acc) 0 dooms
+  in
+  { inst; greedy; dooms; lb_classic; prepare_s = Obs.Clock.now () -. t0 }
+
+let pass_tasks p = Greedy.tasks p.greedy
+let late_lower_bound p = p.lb_classic
+let doomed p jdx = p.dooms.(jdx)
 
 (* EDF sequence with provably-doomed jobs pushed last: a job that cannot meet
    its deadline in any schedule should not take resources ahead of savable
    ones — the sacrifice the CP objective makes naturally, pre-baked into a
-   seed.  Sorted on (doomed, deadline, id), each job's doom computed once. *)
-let doomed_last_sequence (inst : Instance.t) =
-  let jobs = inst.Instance.jobs in
-  let doomed = Array.map (job_doomed inst) jobs in
-  let deadline i = jobs.(i).Instance.job.T.deadline
-  and id i = jobs.(i).Instance.job.T.id in
-  let seq = Array.init (Array.length jobs) Fun.id in
-  Array.stable_sort
-    (fun a b ->
-      let c = Bool.compare doomed.(a) doomed.(b) in
-      if c <> 0 then c
-      else
-        let c = Int.compare (deadline a) (deadline b) in
-        if c <> 0 then c else Int.compare (id a) (id b))
-    seq;
+   seed.  The order on (doomed, deadline, id): the savable jobs in EDF
+   order, then the doomed ones in EDF order. *)
+let doomed_last_sequence p =
+  let edf = Greedy.edf_order p.greedy in
+  let seq = Array.make (Array.length edf) 0 and k = ref 0 in
+  let take doomed =
+    Array.iter
+      (fun jdx ->
+        if p.dooms.(jdx) = doomed then begin
+          seq.(!k) <- jdx;
+          incr k
+        end)
+      edf
+  in
+  take false;
+  take true;
   seq
 
 (* Best greedy seed across the orderings (plus the doomed-last variant),
    preferring the configured one on ties.  [?preferred] lets a caller that
    already ran the configured ordering hand the result in. *)
-let greedy_seed ?preferred ~ordering (pass : Greedy.pass) inst =
+let greedy_seed ?preferred ~ordering p =
+  let pass = p.greedy in
   let preferred =
     match preferred with
-    | Some p -> p
+    | Some sol -> sol
     | None -> Greedy.schedule ~order:ordering pass
   in
   let best =
@@ -140,9 +165,7 @@ let greedy_seed ?preferred ~ordering (pass : Greedy.pass) inst =
       preferred
       [ Greedy.By_job_id; Greedy.Edf; Greedy.Least_laxity ]
   in
-  let doomed_last =
-    Greedy.schedule_sequence pass (doomed_last_sequence inst)
-  in
+  let doomed_last = Greedy.schedule_sequence pass (doomed_last_sequence p) in
   if Solution.better doomed_last best then doomed_last else best
 
 (* Freeze the pending tasks of every non-relaxed job at their incumbent
@@ -221,27 +244,30 @@ let warm_in (pass : Greedy.pass) (inst : Instance.t) (inc : incumbent) =
   (* a carried start below the job's current est is stale (the clock or a
      deferral release bumped s_j past it) and poisons the whole job; a task
      without a carried start holds [min_int], below every est *)
+  let first = inst.Instance.first in
+  let any = ref false in
   let covered =
     Array.mapi
       (fun jdx (j : Instance.pending_job) ->
         let est = j.Instance.est in
-        let k = ref inst.Instance.first.(jdx)
-        and stop = inst.Instance.first.(jdx + 1) in
+        let k = ref first.(jdx) and stop = first.(jdx + 1) in
         while !k < stop && carried.(!k) >= est do
           incr k
         done;
-        !k = stop)
+        let c = !k = stop in
+        if c then any := true;
+        c)
       inst.Instance.jobs
   in
-  if not (Array.exists Fun.id covered) then None
+  if not !any then None
   else
     (* fixed Edf completion order keeps the candidate identical across
        portfolio workers whatever their own seed ordering is *)
-    match Greedy.complete pass ~carried:inc.carried_starts ~covered with
+    match Greedy.complete pass ~carried ~covered with
     | sol, true -> Some sol
     | _, false -> None
 
-let warm_candidate inst inc = warm_in (Greedy.prepare inst) inst inc
+let warm_candidate p inc = warm_in p.greedy p.inst inc
 
 (* The incumbent the search pipeline actually starts from.  Cold solves take
    the best greedy seed over every ordering.  Warm solves put the carried
@@ -252,28 +278,35 @@ let warm_candidate inst inc = warm_in (Greedy.prepare inst) inst inc
    otherwise the candidate is raced against a single pass of the configured
    ordering, and only when it loses does the full multi-ordering cold seed
    run.  Ties go to the warm plan — it minimizes churn against the previous
-   schedule.  The returned flag records whether the warm candidate won.
-   Every schedule shares one {!Greedy.pass}: the frozen tasks' profiles are
-   built once per call. *)
-let starting_incumbent ~options ?warm ?lb inst =
-  let pass = Greedy.prepare inst in
-  let cold () = (greedy_seed ~ordering:options.ordering pass inst, false) in
-  match warm with
-  | None -> cold ()
-  | Some inc -> (
-      match warm_in pass inst inc with
-      | None -> cold ()
-      | Some warm
-        when (match lb with
-             | Some b -> warm.Solution.late_jobs <= b
-             | None -> false) ->
-          (warm, true)
-      | Some warm ->
-          let preferred = Greedy.schedule ~order:options.ordering pass in
-          if not (Solution.better preferred warm) then (warm, true)
-          else
-            ( greedy_seed ~preferred ~ordering:options.ordering pass inst,
-              false ))
+   schedule.  Returns the incumbent, whether the warm candidate won, and
+   the wall seconds of the warm completion and of the list schedules.
+   Every schedule shares the one pass. *)
+let seed_incumbent ~options ?warm ?lb p =
+  let t0 = Obs.Clock.now () in
+  let candidate =
+    match warm with None -> None | Some inc -> warm_candidate p inc
+  in
+  let t1 = match warm with None -> t0 | Some _ -> Obs.Clock.now () in
+  let cold () = (greedy_seed ~ordering:options.ordering p, false) in
+  let seed, warm_seeded =
+    match candidate with
+    | None -> cold ()
+    | Some warm
+      when (match lb with
+           | Some b -> warm.Solution.late_jobs <= b
+           | None -> false) ->
+        (warm, true)
+    | Some warm ->
+        let preferred = Greedy.schedule ~order:options.ordering p.greedy in
+        if not (Solution.better preferred warm) then (warm, true)
+        else (greedy_seed ~preferred ~ordering:options.ordering p, false)
+  in
+  let t2 = Obs.Clock.now () in
+  (seed, warm_seeded, t1 -. t0, t2 -. t1)
+
+let starting_incumbent ~options ?warm ?lb p =
+  let seed, warm_seeded, _, _ = seed_incumbent ~options ?warm ?lb p in
+  (seed, warm_seeded)
 
 type exact_search =
   registry:Obs.Metrics.t option ->
@@ -299,21 +332,34 @@ type start = {
   lb_classic : int;
   seed : Solution.t;
   warm_seeded : bool;
-  seed_s : float;  (* the bound plus the seed *)
+  bound_s : float;  (* preparing the pass, the classic bound included *)
+  warm_s : float;
+  list_s : float;
   on_settle : Obs.Metrics.t option -> Solution.t -> stats -> unit;
 }
 
-let start ~options ?(t0 = Obs.Clock.now ()) ?(carried_bound = min_int) ?warm
-    ?(on_settle = fun _ _ _ -> ()) inst =
+let start ~options ?(t0 = Obs.Clock.now ()) ?pass ?(carried_bound = min_int)
+    ?warm ?(on_settle = fun _ _ _ -> ()) inst =
   let registry =
     if options.instrument then Some (Obs.Metrics.create ()) else None
   in
-  let t_seed = Obs.Clock.now () in
-  let lb_classic = late_lower_bound inst in
-  let lb = max lb_classic carried_bound in
-  let seed, warm_seeded = starting_incumbent ~options ?warm ~lb inst in
-  let seed_s = Obs.Clock.now () -. t_seed in
-  { t0; registry; lb; lb_classic; seed; warm_seeded; seed_s; on_settle }
+  let p = match pass with Some p -> p | None -> prepare inst in
+  let lb = max p.lb_classic carried_bound in
+  let seed, warm_seeded, warm_s, list_s =
+    seed_incumbent ~options ?warm ~lb p
+  in
+  {
+    t0;
+    registry;
+    lb;
+    lb_classic = p.lb_classic;
+    seed;
+    warm_seeded;
+    bound_s = p.prepare_s;
+    warm_s;
+    list_s;
+    on_settle;
+  }
 
 (* [f ()] and the wall seconds it took *)
 let timed f =
@@ -337,7 +383,10 @@ let settle_with st ?(nodes = 0) ?(failures = 0) ?(lns_moves = 0)
       failures;
       lns_moves;
       elapsed;
-      seed_s = st.seed_s;
+      seed_s = st.bound_s +. st.warm_s +. st.list_s;
+      bound_s = st.bound_s;
+      warm_s = st.warm_s;
+      list_s = st.list_s;
       sync_s;
       search_s;
       metrics;
@@ -366,8 +415,8 @@ let fast_path st =
     in
     Some (settle_with st ~proved:true ~stop st.seed)
 
-let settle ~options ?warm ?carried_bound inst =
-  fast_path (start ~options ?warm ?carried_bound inst)
+let settle ~options ?pass ?warm ?carried_bound inst =
+  fast_path (start ~options ?pass ?warm ?carried_bound inst)
 
 let exact_regime ~options ~link ~exact st =
   let limits =
@@ -504,9 +553,9 @@ let lns_regime ~options ~link ?warm st (inst : Instance.t) =
   settle_with st ~nodes:!nodes ~failures:!failures ~lns_moves:!lns_moves
     ~search_s ~proved ~stop !incumbent
 
-let solve_linked ~options ~link ?t0 ?carried_bound ?warm ?exact ?on_settle
-    (inst : Instance.t) =
-  let st = start ~options ?t0 ?carried_bound ?warm ?on_settle inst in
+let solve_linked ~options ~link ?t0 ?pass ?carried_bound ?warm ?exact
+    ?on_settle (inst : Instance.t) =
+  let st = start ~options ?t0 ?pass ?carried_bound ?warm ?on_settle inst in
   link.announce st.seed.Solution.late_jobs;
   match fast_path st with
   | Some settled -> settled

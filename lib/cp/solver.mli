@@ -5,7 +5,7 @@
     + seed with greedy list schedules under the paper's three job orderings
       (§VI.B) plus a doomed-last variant and keep the best (or adopt a
       carried warm-start plan that is at least as good);
-    + compute a per-job lower bound on Σ N_j ({!late_lower_bound}: a job whose
+    + compute a lower bound on Σ N_j ({!late_lower_bound}: a job whose
       est + wave-bound makespan already exceeds its deadline is late in every
       schedule); if the seed meets the bound it is optimal — the common case
       in the paper's open system, which is what keeps the measured overhead
@@ -68,6 +68,9 @@ type stats = Obs.Solve_stats.t = {
   lns_moves : int;
   elapsed : float;  (** wall-clock seconds spent *)
   seed_s : float;  (** of which the bound and the starting incumbent *)
+  bound_s : float;  (** of [seed_s], preparing the pass ({!prepare}) *)
+  warm_s : float;  (** of [seed_s], the {!warm_candidate} completion *)
+  list_s : float;  (** of [seed_s], the list schedules *)
   sync_s : float;  (** of which the session store's sync ({!Session}) *)
   search_s : float;  (** of which the exact search or LNS *)
   metrics : Obs.Metrics.snapshot option;
@@ -109,10 +112,33 @@ type exact_search =
     the pipeline reports as [sync_s] (0 for a fresh model).  {!Session}
     supplies one over its persistent store. *)
 
+(** One instance's shared seed work: the list schedules'
+    {!Sched.Greedy.pass}, each job's {!job_doomed} and their count, the
+    classic bound.  Built once per solve; like the greedy pass it is
+    scratch space for one caller and one domain. *)
+type pass
+
+val prepare : ?scratch:Sched.Greedy.scratch -> Sched.Instance.t -> pass
+(** With [scratch], valid until the next [prepare] on it
+    ({!Sched.Greedy.prepare}). *)
+
+val pass_tasks : pass -> Mapreduce.Types.task array
+(** {!Sched.Greedy.tasks}: the pending tasks by task index, shared. *)
+
+val late_lower_bound : pass -> int
+(** The classic bound: the number of the instance's jobs that are late in
+    {e every} schedule ({!job_doomed}: est plus the single-job wave lower
+    bound — max task length vs. total-work/capacity, per phase — already
+    exceeds the deadline). *)
+
+val doomed : pass -> int -> bool
+(** [doomed p jdx]: {!job_doomed} of the instance's job [jdx]. *)
+
 val solve_linked :
   options:options ->
   link:link ->
   ?t0:float ->
+  ?pass:pass ->
   ?carried_bound:int ->
   ?warm:incumbent ->
   ?exact:exact_search ->
@@ -121,8 +147,10 @@ val solve_linked :
   Sched.Solution.t * stats
 (** The pipeline above — the one copy of the solve policy, run by {!solve},
     the {!Portfolio} workers and {!Session}.  The bound is [max
-    (late_lower_bound inst) carried_bound]; the seed is
-    {!starting_incumbent}'s, warm from [warm] when given, and a seed meeting
+    (late_lower_bound pass) carried_bound]; the seed is
+    {!starting_incumbent}'s, warm from [warm] when given, built on [pass]
+    (default: prepared here; a caller that needs the pending tasks or the
+    dooms first prepares it once and hands it in), and a seed meeting
     the bound returns at once with [Proved], [Cache_hit] (adopted warm plan)
     or [Hit_carried_bound] (only the carried bound settles it).  Instances with
     at most [options.exact_task_limit] pending tasks go to [exact] (default:
@@ -136,32 +164,33 @@ val solve_linked :
 
 val settle :
   options:options ->
+  ?pass:pass ->
   ?warm:incumbent ->
   ?carried_bound:int ->
   Sched.Instance.t ->
   (Sched.Solution.t * stats) option
 (** The pipeline's fast path alone: [Some] with what {!solve_linked} returns
-    when the seed meets the bound, [None] when it would search. *)
+    when the seed meets the bound, [None] when it would search.  [pass] as
+    in {!solve_linked}. *)
 
-val warm_candidate :
-  Sched.Instance.t -> incumbent -> Sched.Solution.t option
-(** Complete a carried-over plan into a full solution for the (updated)
-    instance: jobs whose pending tasks all still have non-stale carried
-    starts keep them, every other job (new arrivals, jobs with stale
-    entries) is EDF-list-scheduled around them on the frozen tasks'
+val warm_candidate : pass -> incumbent -> Sched.Solution.t option
+(** Complete a carried-over plan into a full solution for the pass's
+    (updated) instance: jobs whose pending tasks all still have non-stale
+    carried starts keep them, every other job (new arrivals, jobs with
+    stale entries) is EDF-list-scheduled around them on the frozen tasks'
     profiles.  Returns [None] when nothing usable was carried or the
     completed candidate breaks Table 1 — checked without a sweep, by
     per-task est and precedence arithmetic on the carried starts and the
     peak of the profiles the completion just built — so a returned
     candidate always passes {!Sched.Solution.feasibility_errors}.
     Deterministic.  The pipeline seeds from it when given a [warm]
-    incumbent. *)
+    incumbent, on the pass it prepared or was handed. *)
 
 val starting_incumbent :
   options:options ->
   ?warm:incumbent ->
   ?lb:int ->
-  Sched.Instance.t ->
+  pass ->
   Sched.Solution.t * bool
 (** The pipeline's seed, and whether it is the adopted {!warm_candidate}.
     Cold (no [warm]): the best greedy schedule over the three orderings and
@@ -170,11 +199,6 @@ val starting_incumbent :
     pass of [options.ordering] beats it, in which case the cold seed, so a
     warm seed is never worse than a cold one.  All these schedules share
     one {!Sched.Greedy.pass}. *)
-
-val late_lower_bound : Sched.Instance.t -> int
-(** Number of jobs that are late in {e every} schedule: est plus the
-    single-job wave lower bound (max task length vs. total-work/capacity,
-    per phase) already exceeds the deadline. *)
 
 val job_doomed : Sched.Instance.t -> Sched.Instance.pending_job -> bool
 (** Can the job provably not meet its deadline even with the whole cluster

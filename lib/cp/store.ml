@@ -266,12 +266,17 @@ let max_lt_min = "set_max: new max below min"
 
 (* The first read of each setter is checked; it proves [v] for the rest
    (see [enqueue_for]). *)
+(* A write at the root is not trailed: no level mark sits below it, so no
+   backtrack could ever pop the entry, and the trail would only grow with
+   every root write a long-lived store takes. *)
 let set_min t v x =
   if x > t.maxs.(v) then raise (Fail min_gt_max);
   let old = Array.unsafe_get t.mins v in
   if x > old then begin
-    Vec.push t.trail_tags ((v lsl 1) lor 1);
-    Vec.push t.trail_values old;
+    if t.level_marks.Vec.len > 0 then begin
+      Vec.push t.trail_tags ((v lsl 1) lor 1);
+      Vec.push t.trail_values old
+    end;
     Array.unsafe_set t.mins v x;
     touch t v;
     notify_list t v ev_min
@@ -281,8 +286,10 @@ let set_max t v x =
   if x < t.mins.(v) then raise (Fail max_lt_min);
   let old = Array.unsafe_get t.maxs v in
   if x < old then begin
-    Vec.push t.trail_tags (v lsl 1);
-    Vec.push t.trail_values old;
+    if t.level_marks.Vec.len > 0 then begin
+      Vec.push t.trail_tags (v lsl 1);
+      Vec.push t.trail_values old
+    end;
     Array.unsafe_set t.maxs v x;
     touch t v;
     notify_list t v ev_max
@@ -458,6 +465,7 @@ let backtrack t =
 
 let level t = Vec.length t.level_marks
 let backtracks t = t.backtracks
+let trail_length t = Vec.length t.trail_tags
 
 let backtrack_to t target =
   if target < 0 || target > level t then

@@ -59,9 +59,14 @@ val maxs : t -> int array
 
 val set_min : t -> var -> int -> unit
 (** Raise the lower bound.  No-op if already at least that.  @raise Fail when
-    it would cross the upper bound. *)
+    it would cross the upper bound.  Above the root the old bound goes on
+    the trail for {!backtrack}; at the root ({!level} 0) it does not: no
+    backtrack can undo a root write, so a long-lived store's root writes
+    leave nothing behind. *)
 
 val set_max : t -> var -> int -> unit
+(** Lower the upper bound; the mirror of {!set_min}, trailed the same way. *)
+
 val fix : t -> var -> int -> unit
 
 (** {2 Propagators} *)
@@ -131,6 +136,10 @@ val backtrack : t -> unit
 
 val level : t -> int
 (** Current depth (0 at root). *)
+
+val trail_length : t -> int
+(** Bound changes on the trail now: those made above the root since the
+    levels still open were pushed.  0 at the root. *)
 
 val backtracks : t -> int
 (** Levels popped so far, by {!backtrack} and {!backtrack_to}.  A

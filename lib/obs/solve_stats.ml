@@ -41,6 +41,9 @@ type t = {
   lns_moves : int;
   elapsed : float;
   seed_s : float;
+  bound_s : float;
+  warm_s : float;
+  list_s : float;
   sync_s : float;
   search_s : float;
   metrics : Metrics.snapshot option;
@@ -49,11 +52,13 @@ type t = {
 let pp fmt s =
   Format.fprintf fmt
     "cp-stats<seed_late=%d lb=%d optimal=%b%s stop=%s nodes=%d fails=%d \
-     lns=%d t=%.4fs seed=%.4fs sync=%.4fs search=%.4fs>"
+     lns=%d t=%.4fs seed=%.4fs (bound=%.4fs warm=%.4fs list=%.4fs) \
+     sync=%.4fs search=%.4fs>"
     s.seed_late s.lower_bound s.proved_optimal
     (if s.warm_seeded then " warm" else "")
     (stop_reason_to_string s.stop_reason)
-    s.nodes s.failures s.lns_moves s.elapsed s.seed_s s.sync_s s.search_s
+    s.nodes s.failures s.lns_moves s.elapsed s.seed_s s.bound_s s.warm_s
+    s.list_s s.sync_s s.search_s
 
 let to_metrics s =
   let m = Metrics.create () in
@@ -70,6 +75,9 @@ let to_metrics s =
     1;
   Metrics.observe (Metrics.histogram m "solver/solve_s") s.elapsed;
   Metrics.observe (Metrics.histogram m "solver/seed_s") s.seed_s;
+  Metrics.observe (Metrics.histogram m "solver/bound_s") s.bound_s;
+  Metrics.observe (Metrics.histogram m "solver/warm_s") s.warm_s;
+  Metrics.observe (Metrics.histogram m "solver/list_s") s.list_s;
   Metrics.observe (Metrics.histogram m "solver/sync_s") s.sync_s;
   Metrics.observe (Metrics.histogram m "solver/search_s") s.search_s;
   let base = Metrics.snapshot m in

@@ -45,7 +45,18 @@ type t = {
   elapsed : float;  (** wall-clock seconds spent *)
   seed_s : float;
       (** wall-clock seconds of [elapsed] spent on the lower bound and the
-          starting incumbent (greedy seed or warm candidate) *)
+          starting incumbent (greedy seed or warm candidate):
+          [bound_s +. warm_s +. list_s] *)
+  bound_s : float;
+      (** the part of [seed_s] spent preparing the pass: the pending tasks,
+          the frozen tasks' profiles, each job's solo doom and the classic
+          lower bound *)
+  warm_s : float;
+      (** the part of [seed_s] spent completing the carried plan into a
+          warm candidate; 0 without a warm start *)
+  list_s : float;
+      (** the part of [seed_s] spent on list schedules: the EDF schedule a
+          warm candidate races, and the multi-ordering greedy seed *)
   sync_s : float;
       (** wall-clock seconds of [elapsed] spent bringing a persistent
           session store in line with the instance ({!Cp.Session}: the store
@@ -64,6 +75,7 @@ val pp : Format.formatter -> t -> unit
 val to_metrics : t -> Metrics.snapshot
 (** The record's scalar fields as a snapshot (counters [solver/*],
     including [solver/stop/<reason>]; histograms [solver/solve_s],
-    [solver/seed_s], [solver/sync_s] and [solver/search_s]), merged over
+    [solver/seed_s] with its parts [solver/bound_s], [solver/warm_s] and
+    [solver/list_s], [solver/sync_s] and [solver/search_s]), merged over
     [metrics] when present
     — the machine-readable payload. *)

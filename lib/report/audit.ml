@@ -27,9 +27,14 @@ type report = {
   latencies_s : float array;
   n_late : int;
   total_overhead_s : float;
+  classify_s : float;
   seed_s : float;
+  bound_s : float;
+  warm_s : float;
+  list_s : float;
   sync_s : float;
   search_s : float;
+  match_s : float;
   crashes : int;
   rejoins : int;
   task_failures : int;
@@ -98,6 +103,8 @@ let of_string text =
     let latencies = ref [] in
     let total_overhead = ref 0. in
     let seed_total = ref 0. and sync_total = ref 0. and search_total = ref 0. in
+    let classify_total = ref 0. and match_total = ref 0. in
+    let bound_total = ref 0. and warm_total = ref 0. and list_total = ref 0. in
     let run_end = ref None in
     let crashes = ref 0 and rejoins = ref 0 in
     let task_failures = ref 0 and stragglers = ref 0 in
@@ -148,9 +155,14 @@ let of_string text =
                            "line %d: wall.%s must be a non-negative number"
                            line k))
             in
+            phase "classify_s" classify_total;
             phase "seed_s" seed_total;
+            phase "bound_s" bound_total;
+            phase "warm_s" warm_total;
+            phase "list_s" list_total;
             phase "sync_s" sync_total;
-            phase "search_s" search_total
+            phase "search_s" search_total;
+            phase "match_s" match_total
         | "job-done" ->
             let a = job_acc line j in
             a.a_done <-
@@ -317,9 +329,14 @@ let of_string text =
         latencies_s = Array.of_list (List.rev !latencies);
         n_late;
         total_overhead_s = !total_overhead;
+        classify_s = !classify_total;
         seed_s = !seed_total;
+        bound_s = !bound_total;
+        warm_s = !warm_total;
+        list_s = !list_total;
         sync_s = !sync_total;
         search_s = !search_total;
+        match_s = !match_total;
         crashes = !crashes;
         rejoins = !rejoins;
         task_failures = !task_failures;
@@ -372,15 +389,25 @@ let render r =
        (Table.fmt_float ~decimals:4 (latency_quantile r 0.99))
        (Table.fmt_float ~decimals:4 (latency_quantile r 1.0))
        (Array.length r.latencies_s));
+  let f = Table.fmt_float ~decimals:4 in
   if r.seed_s +. r.sync_s +. r.search_s > 0. then
     add
       (Printf.sprintf
-         "solver phases: seed %ss, sync %ss, search %ss of %ss total \
-          overhead\n\n"
-         (Table.fmt_float ~decimals:4 r.seed_s)
-         (Table.fmt_float ~decimals:4 r.sync_s)
-         (Table.fmt_float ~decimals:4 r.search_s)
-         (Table.fmt_float ~decimals:4 r.total_overhead_s));
+         "solver phases: seed %ss (bound %ss, warm completion %ss, list \
+          schedules %ss), sync %ss, search %ss of %ss total overhead\n"
+         (f r.seed_s) (f r.bound_s) (f r.warm_s) (f r.list_s) (f r.sync_s)
+         (f r.search_s) (f r.total_overhead_s));
+  if r.classify_s +. r.match_s > 0. then
+    add
+      (Printf.sprintf
+         "manager phases: classify and instance %ss, matchmaking and install \
+          %ss, solver glue %ss\n"
+         (f r.classify_s) (f r.match_s)
+         (f
+            (r.total_overhead_s -. r.classify_s -. r.match_s -. r.seed_s
+           -. r.sync_s -. r.search_s)));
+  if r.seed_s +. r.sync_s +. r.search_s +. r.classify_s +. r.match_s > 0. then
+    add "\n";
   if r.stop_reasons <> [] then
     add
       (Table.render ~title:"solver stop reasons"

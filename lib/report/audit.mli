@@ -42,14 +42,27 @@ type report = {
   latencies_s : float array;  (** invoke elapsed, journal order *)
   n_late : int;  (** recomputed Σ N_j *)
   total_overhead_s : float;  (** recomputed Σ invoke elapsed *)
+  classify_s : float;
+      (** Σ invoke [wall.classify_s]: the manager classifying its tasks by
+          the clock and building the instance (0 for journals without it) *)
   seed_s : float;
       (** Σ invoke [wall.seed_s]: the solver's bound and starting
           incumbent (0 for journals without the phase timers) *)
+  bound_s : float;
+      (** Σ invoke [wall.bound_s], the part of [seed_s] preparing the pass
+          (pending tasks, frozen profiles, dooms, classic bound) *)
+  warm_s : float;
+      (** Σ invoke [wall.warm_s], the part of [seed_s] completing the
+          carried plan *)
+  list_s : float;
+      (** Σ invoke [wall.list_s], the part of [seed_s] in list schedules *)
   sync_s : float;
       (** Σ invoke [wall.sync_s]: the session store's sync (0 for journals
           without it) *)
   search_s : float;
       (** Σ invoke [wall.search_s]: the exact search or LNS *)
+  match_s : float;
+      (** Σ invoke [wall.match_s]: matchmaking and installing the plan *)
   crashes : int;  (** counted "resource-crash" events (v2 journals) *)
   rejoins : int;
   task_failures : int;

@@ -17,13 +17,35 @@ type order =
 
 val order_to_string : order -> string
 
-(** One instance prepared for several list schedules: the fixed tasks'
-    profiles are built once and copied by each schedule, and each job's
-    pending tasks are sorted once.  Every schedule from a [pass] equals the
-    matching {!solve} / {!solve_with_sequence} on its instance. *)
+(** One instance prepared for several list schedules.  The fixed tasks'
+    profiles are built once, and each schedule resets two working profiles
+    from them, which keep the room they grew to; the pending tasks' fields
+    sit in int arrays over the task index; each job's placement order is
+    sorted once, and the jobs' EDF order once.  Every schedule from a
+    [pass] equals the matching {!solve} / {!solve_with_sequence} on its
+    instance.  A pass is scratch space for one caller: its schedules run
+    one at a time, and it must not be shared between domains. *)
 type pass
 
-val prepare : Instance.t -> pass
+(** Working profiles a caller keeps for the passes it prepares one after
+    another, so that each pass starts on profiles that already have the
+    room the last one grew them to.  Empty when made. *)
+type scratch
+
+val scratch : unit -> scratch
+
+val prepare : ?scratch:scratch -> Instance.t -> pass
+(** With [scratch], the pass works on its profiles: it stays valid until
+    the next [prepare] on the same scratch. *)
+
+val tasks : pass -> Mapreduce.Types.task array
+(** The instance's pending tasks by task index
+    ({!Instance.pending_tasks}), built once by {!prepare}; shared, not to be
+    mutated. *)
+
+val edf_order : pass -> int array
+(** The job indices in {!Edf} order (deadline, ties to the lower job id),
+    sorted on the first call and then shared; not to be mutated. *)
 
 val schedule : ?order:order -> pass -> Solution.t
 (** [solve ~order] on the prepared instance. *)

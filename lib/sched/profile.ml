@@ -19,6 +19,11 @@ type t = {
      the fit found without allocating a tuple *)
   mutable fit_at : int;
   mutable fit_end : int;
+  (* the last floor search: [hint_floor] was the floor index of
+     [hint_time], and stays a lower bound of it: boundaries are only ever
+     inserted, which moves no time at or below [hint_floor] up *)
+  mutable hint_time : int;
+  mutable hint_floor : int;
 }
 
 let create ~capacity =
@@ -30,9 +35,15 @@ let create ~capacity =
     n = 0;
     fit_at = 0;
     fit_end = 0;
+    hint_time = min_int;
+    hint_floor = -1;
   }
 
 let capacity t = t.capacity
+let clear t =
+  t.n <- 0;
+  t.hint_time <- min_int;
+  t.hint_floor <- -1
 
 (* [dst.(i) <- src.(i)] for [i < n] *)
 let copy_prefix src dst n =
@@ -47,18 +58,57 @@ let copy t =
   copy_prefix t.usage usage t.n;
   { t with times; usage }
 
-(* Rightmost index i with times.(i) <= time, or -1. *)
-let floor_index t time =
-  let lo = ref 0 and hi = ref (t.n - 1) and res = ref (-1) in
+let copy_into ~src dst =
+  if src.capacity <> dst.capacity then
+    invalid_arg "Profile.copy_into: capacities differ";
+  if Array.length dst.times < src.n then begin
+    let cap = Array.length src.times in
+    dst.times <- Array.make cap 0;
+    dst.usage <- Array.make cap 0
+  end;
+  copy_prefix src.times dst.times src.n;
+  copy_prefix src.usage dst.usage src.n;
+  dst.n <- src.n;
+  dst.hint_time <- src.hint_time;
+  dst.hint_floor <- src.hint_floor
+
+(* Rightmost index i with times.(i) <= time, or -1, searching (lo, hi].
+   [mid] stays in [0, n), and [n] never exceeds the arrays' length. *)
+let bisect times ~lo ~hi time =
+  let lo = ref (lo + 1) and hi = ref hi and res = ref lo in
   while !lo <= !hi do
     let mid = (!lo + !hi) / 2 in
-    if t.times.(mid) <= time then begin
+    if Array.unsafe_get times mid <= time then begin
       res := mid;
       lo := mid + 1
     end
     else hi := mid - 1
   done;
   !res
+
+(* Rightmost index i with times.(i) <= time, or -1.  A list scheduler asks
+   for the same time over and over (every task of a phase fits from the
+   job's est, most jobs' est is the clock) or for times that only grow, so
+   a search at or after the last one walks a few steps from its answer and
+   bisects only the rest.  The walk's reads are below [n]. *)
+let floor_index t time =
+  let times = t.times and n = t.n in
+  let res =
+    if time >= t.hint_time then begin
+      let i = ref t.hint_floor and steps = ref 0 in
+      while
+        !steps < 4 && !i + 1 < n && Array.unsafe_get times (!i + 1) <= time
+      do
+        incr i;
+        incr steps
+      done;
+      if !steps < 4 then !i else bisect times ~lo:!i ~hi:(n - 1) time
+    end
+    else bisect times ~lo:(-1) ~hi:(n - 1) time
+  in
+  t.hint_time <- time;
+  t.hint_floor <- res;
+  res
 
 let usage_at t time =
   let i = floor_index t time in
@@ -87,32 +137,39 @@ let shift_right t ~from ~to_ ~by =
    is the index of the boundary at [start], or [-pos - 1] when one must be
    inserted at [pos]; [e] is the first index at or past [finish] (every
    boundary strictly between lies inside the window).  The missing
-   boundaries are inserted in one pass over the tail. *)
+   boundaries are inserted in one pass over the tail.
+
+   Unchecked accesses: every caller passes [0 <= pos <= e <= n] ([pos] and
+   [e] come from [floor_index] and a scan bounded by [n]), [n] never
+   exceeds the arrays' length, and [grow] makes room for the inserted
+   boundaries first, so every index below stays under [n + shift]. *)
 let occupy_window t ~start ~finish ~at ~e ~amount =
   let n = t.n in
   let new_start = at < 0 in
   let pos = if new_start then -at - 1 else at in
-  let new_end = not (e < n && t.times.(e) = finish) in
+  let new_end = not (e < n && Array.unsafe_get t.times e = finish) in
   let d = Bool.to_int new_start in
   let shift = d + Bool.to_int new_end in
-  let end_level = if e > 0 then t.usage.(e - 1) else 0 in
+  let end_level = if e > 0 then Array.unsafe_get t.usage (e - 1) else 0 in
   if shift > 0 then begin
     grow t shift;
     shift_right t ~from:e ~to_:n ~by:shift;
+    let times = t.times and usage = t.usage in
     if new_end then begin
-      t.times.(e + d) <- finish;
-      t.usage.(e + d) <- end_level
+      Array.unsafe_set times (e + d) finish;
+      Array.unsafe_set usage (e + d) end_level
     end;
     if new_start then begin
       shift_right t ~from:pos ~to_:e ~by:1;
-      t.times.(pos) <- start;
-      t.usage.(pos) <- (if pos > 0 then t.usage.(pos - 1) else 0)
+      Array.unsafe_set times pos start;
+      Array.unsafe_set usage pos
+        (if pos > 0 then Array.unsafe_get usage (pos - 1) else 0)
     end;
     t.n <- n + shift
   end;
   let usage = t.usage in
   for k = pos to e + d - 1 do
-    usage.(k) <- usage.(k) + amount
+    Array.unsafe_set usage k (Array.unsafe_get usage k + amount)
   done
 
 (* Index of the boundary at [time], or [-pos - 1] when it is absent and
@@ -126,7 +183,9 @@ let apply t ~start ~duration ~amount =
     let at = boundary_at t start in
     let finish = start + duration in
     let e = ref (if at >= 0 then at + 1 else -at - 1) in
-    while !e < t.n && t.times.(!e) < finish do
+    let times = t.times and n = t.n in
+    (* [!e < n] before each read *)
+    while !e < n && Array.unsafe_get times !e < finish do
       incr e
     done;
     occupy_window t ~start ~finish ~at ~e:!e ~amount
@@ -168,28 +227,35 @@ let scan t ~from ~duration ~amount =
   let times = t.times and usage = t.usage and n = t.n in
   let floor = floor_index t from in
   let candidate = ref from in
+  (* unchecked reads: [floor] is -1 or below [n], every [!i] read is
+     tested below [n] first, and a restart happens only after a read at an
+     index below [n], so [n - 1] is one too *)
   let at =
-    ref (if floor >= 0 && times.(floor) = from then floor else -floor - 2)
+    ref
+      (if floor >= 0 && Array.unsafe_get times floor = from then floor
+       else -floor - 2)
   in
   let i = ref (floor + 1) in
-  (* restart after the congestion: at the next step where usage drops low
-     enough *)
-  let skip () =
-    while !i < n && usage.(!i) > limit do
-      incr i
-    done;
-    at := if !i < n then !i else n - 1;
-    candidate := times.(!at);
-    incr i
-  in
-  (* invariant: usage is <= limit on [candidate, times.(i)) *)
-  if floor >= 0 && usage.(floor) > limit then skip ();
+  (* invariant, outside a restart: usage is <= limit on
+     [candidate, times.(i)).  A restart moves past the congestion, to the
+     next step where usage drops low enough.  No local closure: the refs
+     stay in registers. *)
+  let restart = ref (floor >= 0 && Array.unsafe_get usage floor > limit) in
   let searching = ref true in
   while !searching do
-    if !i >= n || times.(!i) >= !candidate + duration then
+    if !restart then begin
+      while !i < n && Array.unsafe_get usage !i > limit do
+        incr i
+      done;
+      at := if !i < n then !i else n - 1;
+      candidate := Array.unsafe_get times !at;
+      incr i;
+      restart := false
+    end
+    else if !i >= n || Array.unsafe_get times !i >= !candidate + duration then
       (* window [candidate, candidate+duration) is clear *)
       searching := false
-    else if usage.(!i) > limit then skip ()
+    else if Array.unsafe_get usage !i > limit then restart := true
     else incr i
   done;
   t.fit_at <- !at;

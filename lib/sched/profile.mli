@@ -18,9 +18,18 @@ val create : capacity:int -> t
 
 val capacity : t -> int
 
+val clear : t -> unit
+(** Empty the profile, keeping its arrays for reuse. *)
+
 val copy : t -> t
 (** An independent copy: adding to or removing from one leaves the other
     unchanged. *)
+
+val copy_into : src:t -> t -> unit
+(** [copy_into ~src dst] makes [dst] equal to [src], reusing [dst]'s
+    arrays when they have the room: a list scheduler resets one working
+    profile per schedule instead of copying afresh and growing the copy
+    again.  @raise Invalid_argument when the capacities differ. *)
 
 val add : t -> start:int -> duration:int -> amount:int -> unit
 (** Occupy [amount] units over [start, start+duration).  Zero-duration tasks

@@ -34,20 +34,17 @@ let job_completion (inst : Instance.t) jdx starts =
   (* Map-only jobs finish with their last map. *)
   latest_finish acc starts off j.Instance.pending_maps
 
-let tally (inst : Instance.t) starts ~completion =
+let evaluate (inst : Instance.t) starts =
   let late = ref 0 and tardiness = ref 0 in
   Array.iteri
-    (fun jdx j ->
-      let over = completion jdx j - j.Instance.job.T.deadline in
+    (fun jdx (j : Instance.pending_job) ->
+      let over = job_completion inst jdx starts - j.Instance.job.T.deadline in
       if over > 0 then begin
         incr late;
         tardiness := !tardiness + over
       end)
     inst.Instance.jobs;
   { starts; late_jobs = !late; total_tardiness = !tardiness }
-
-let evaluate inst starts =
-  tally inst starts ~completion:(fun jdx _ -> job_completion inst jdx starts)
 
 let feasibility_errors (inst : Instance.t) t =
   let errors = ref [] in

@@ -33,15 +33,6 @@ val job_lfmt : Instance.t -> int -> int array -> int
 val evaluate : Instance.t -> int array -> t
 (** Compute the objective from a start array. *)
 
-val tally :
-  Instance.t ->
-  int array ->
-  completion:(int -> Instance.pending_job -> int) ->
-  t
-(** {!evaluate} with each job's completion supplied by the caller
-    ([completion jdx job], [jdx] indexing [inst.jobs]) instead of read back
-    from the start array; a list scheduler already knows it. *)
-
 val feasibility_errors : Instance.t -> t -> string list
 (** Empty when the solution satisfies, for every job: completeness (one
     start per pending task of the instance), est (maps not before est —

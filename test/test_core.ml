@@ -211,6 +211,35 @@ let test_manager_completed_jobs_leave () =
   Mrcp.Manager.invoke mgr ~now:50_000;
   Alcotest.(check int) "j0 retired, j1 active" 1 (Mrcp.Manager.active_jobs mgr)
 
+(* A task the manager has counted as finished comes back when a fault
+   notification requeues it: the next pass plans it again (and the job,
+   with an open task, stays active). *)
+let test_manager_requeue_finished_task () =
+  let mgr = Mrcp.Manager.create ~cluster:cluster2x2 validating_config in
+  let j0 =
+    mk_job ~id:0 ~deadline:100_000 ~maps:[ 1000; 1000 ] ~reduces:[ 1000 ] ()
+  in
+  Mrcp.Manager.submit mgr ~now:0 j0;
+  Mrcp.Manager.invoke mgr ~now:0;
+  (* both maps ran on [0, 1000); a pass at 1500 counts them finished and
+     freezes the running reduce *)
+  let j1 =
+    mk_job ~id:1 ~arrival:1500 ~deadline:200_000 ~maps:[ 5000 ] ~reduces:[] ()
+  in
+  Mrcp.Manager.submit mgr ~now:1500 j1;
+  Mrcp.Manager.invoke mgr ~now:1500;
+  let map0 = j0.T.map_tasks.(0).T.task_id in
+  let planned id =
+    List.exists
+      (fun (d : Sched.Dispatch.t) -> d.Sched.Dispatch.task.T.task_id = id)
+      (Mrcp.Manager.plan mgr)
+  in
+  Alcotest.(check bool) "finished map not planned" false (planned map0);
+  Mrcp.Manager.task_attempt_failed mgr ~now:1600 ~task_id:map0;
+  Mrcp.Manager.invoke mgr ~now:1600;
+  Alcotest.(check bool) "requeued map planned again" true (planned map0);
+  Alcotest.(check int) "both jobs active" 2 (Mrcp.Manager.active_jobs mgr)
+
 let test_manager_overhead_accumulates () =
   let mgr = Mrcp.Manager.create ~cluster:cluster2x2 validating_config in
   let j = mk_job ~id:0 ~deadline:100_000 ~maps:[ 1000 ] ~reduces:[] () in
@@ -274,6 +303,8 @@ let () =
             test_manager_frozen_tasks_keep_slots;
           Alcotest.test_case "completed jobs leave" `Quick
             test_manager_completed_jobs_leave;
+          Alcotest.test_case "requeued finished task planned again" `Quick
+            test_manager_requeue_finished_task;
           Alcotest.test_case "overhead accumulates" `Quick
             test_manager_overhead_accumulates;
           Alcotest.test_case "every resource down" `Quick

@@ -48,6 +48,40 @@ let test_store_backtrack () =
   Cp.Store.backtrack s;
   Alcotest.(check int) "min restored to root" 0 (Cp.Store.min_of s v)
 
+(* A root write takes no trail entry (no backtrack could undo it), and
+   levels pushed after it restore exactly what they changed, down to the
+   root state the root writes left. *)
+let test_store_root_untrailed () =
+  let s = Cp.Store.create () in
+  let v = Cp.Store.new_var s ~min:0 ~max:10 in
+  let w = Cp.Store.new_var s ~min:0 ~max:10 in
+  Cp.Store.set_min s v 2;
+  Cp.Store.set_max s v 9;
+  Cp.Store.fix s w 4;
+  Alcotest.(check int) "no root entries" 0 (Cp.Store.trail_length s);
+  Cp.Store.push_level s;
+  Cp.Store.set_min s v 5;
+  Cp.Store.set_max s v 8;
+  Alcotest.(check int) "entries above the root" 2 (Cp.Store.trail_length s);
+  Cp.Store.push_level s;
+  Cp.Store.fix s v 6;
+  Cp.Store.backtrack s;
+  Alcotest.(check (pair int int)) "level 1 restored" (5, 8)
+    (Cp.Store.min_of s v, Cp.Store.max_of s v);
+  Cp.Store.backtrack s;
+  Alcotest.(check (pair int int)) "root writes kept" (2, 9)
+    (Cp.Store.min_of s v, Cp.Store.max_of s v);
+  Alcotest.(check (pair int int)) "root fix kept" (4, 4)
+    (Cp.Store.min_of s w, Cp.Store.max_of s w);
+  Alcotest.(check int) "trail empty again" 0 (Cp.Store.trail_length s);
+  (* a root write between searches, then a search level on top *)
+  Cp.Store.set_min s v 3;
+  Cp.Store.push_level s;
+  Cp.Store.set_min s v 7;
+  Cp.Store.backtrack_to s 0;
+  Alcotest.(check int) "second root write kept" 3 (Cp.Store.min_of s v);
+  Alcotest.(check int) "no entries left" 0 (Cp.Store.trail_length s)
+
 (* [unwatch] removes every edge of a propagator from both of a variable's
    event lists, and only its own: the variable's other watchers still wake. *)
 let test_unwatch_both_events () =
@@ -84,7 +118,8 @@ let test_propagator_max () =
   let a = Cp.Store.new_var s ~min:0 ~max:10 in
   let b = Cp.Store.new_var s ~min:5 ~max:20 in
   let m = Cp.Store.new_var s ~min:0 ~max:100 in
-  Cp.Propagators.max_of s ~result:m ~terms:[ (a, 2); (b, 0) ] ~floor:3;
+  Cp.Propagators.max_of s ~result:m ~vars:[| a; b |] ~offsets:[| 2; 0 |]
+    ~floor:3;
   Cp.Store.propagate s;
   Alcotest.(check int) "m min = max(3, 0+2, 5)" 5 (Cp.Store.min_of s m);
   Alcotest.(check int) "m max = max(3, 12, 20)" 20 (Cp.Store.max_of s m);
@@ -775,7 +810,9 @@ let prop_target_stops_at_incumbent =
         | Some (late, _), Cp.Search.Exhausted -> [ late ]
         | _ -> []
       in
-      let targets = Cp.Solver.late_lower_bound inst :: optimum in
+      let targets =
+        Cp.Solver.late_lower_bound (Cp.Solver.prepare inst) :: optimum
+      in
       List.for_all
         (fun target ->
           let best, nodes, stop =
@@ -806,6 +843,8 @@ let () =
         [
           Alcotest.test_case "bounds" `Quick test_store_bounds;
           Alcotest.test_case "backtrack" `Quick test_store_backtrack;
+          Alcotest.test_case "root writes are not trailed" `Quick
+            test_store_root_untrailed;
         ] );
       ( "store watch events",
         [

@@ -204,12 +204,19 @@ let test_audit_crosscheck () =
     (Float.equal
        (Mrcp.Manager.overhead_seconds mgr)
        rep.Report.Audit.total_overhead_s);
-  (* the solver's phase timers are sub-intervals of each pass *)
-  Alcotest.(check bool) "seed phase timed" true (rep.Report.Audit.seed_s > 0.);
+  (* the manager's and the solver's phase timers are disjoint
+     sub-intervals of each pass, and the seed's parts add up to it *)
+  let open Report.Audit in
+  Alcotest.(check bool) "seed phase timed" true (rep.seed_s > 0.);
+  Alcotest.(check bool) "classify phase timed" true (rep.classify_s > 0.);
+  Alcotest.(check bool) "match phase timed" true (rep.match_s > 0.);
+  Alcotest.(check bool) "bound part timed" true (rep.bound_s > 0.);
+  Alcotest.(check bool) "seed parts add up" true
+    (Float.abs (rep.bound_s +. rep.warm_s +. rep.list_s -. rep.seed_s)
+    <= 1e-9 *. (1. +. rep.seed_s));
   Alcotest.(check bool) "phases within O" true
-    (rep.Report.Audit.seed_s +. rep.Report.Audit.sync_s
-     +. rep.Report.Audit.search_s
-    <= rep.Report.Audit.total_overhead_s *. (1. +. 1e-9));
+    (rep.classify_s +. rep.seed_s +. rep.sync_s +. rep.search_s +. rep.match_s
+    <= rep.total_overhead_s *. (1. +. 1e-9));
   (* the renderers should not raise on a real report *)
   Alcotest.(check bool) "render nonempty" true
     (String.length (Report.Audit.render rep) > 0);

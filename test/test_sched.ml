@@ -121,11 +121,11 @@ let prop_earliest_fit_matches_oracle =
       let oracle = scan from in
       result = oracle)
 
-(* the fused placement against the two calls it replaces, over sequences
-   long enough to grow the arrays, with zero durations and amounts; the
-   steps are also checked against the intervals placed so far: a boundary
-   at every start and finish, each carrying the sum of the intervals that
-   cover it *)
+(* the fused placement against the two calls it replaces and a brute-force
+   fit, over sequences long enough to grow the arrays, with repeated
+   starting times, zero durations and amounts; the steps are also checked
+   against the intervals placed so far: a boundary at every start and
+   finish, each carrying the sum of the intervals that cover it *)
 let prop_place_matches_fit_then_add =
   let gen =
     QCheck.Gen.(
@@ -133,7 +133,8 @@ let prop_place_matches_fit_then_add =
       let* n = int_range 0 40 in
       let* ops =
         list_repeat n
-          (quad (int_range 0 60) (int_range 0 12) (int_range 0 cap) bool)
+          (quad (int_range 0 60) (int_range 0 12) (int_range 0 cap)
+             (int_range 0 2))
       in
       return (cap, ops))
   in
@@ -141,6 +142,7 @@ let prop_place_matches_fit_then_add =
     (QCheck.make gen) (fun (cap, ops) ->
       let fused = ref (Profile.create ~capacity:cap)
       and split = Profile.create ~capacity:cap
+      and scratch = Profile.create ~capacity:cap
       and placed = ref [] in
       let expected () =
         List.concat_map (fun (s, f, _) -> [ s; f ]) !placed
@@ -154,18 +156,64 @@ let prop_place_matches_fit_then_add =
       in
       List.for_all
         (fun (from, duration, amount, copy) ->
-          (* a copy must keep placing like its original *)
-          if copy then fused := Profile.copy !fused;
+          (* a copy must keep placing like its original, and so must a
+             reused profile the original was copied into (its arrays,
+             and its last search, were another profile's) *)
+          if copy = 1 then fused := Profile.copy !fused
+          else if copy = 2 then begin
+            Profile.copy_into ~src:!fused scratch;
+            let old = !fused in
+            fused := scratch;
+            ignore (Profile.place old ~from:(from + 7) ~duration:3 ~amount:1);
+            Profile.clear old;
+            Profile.copy_into ~src:scratch old;
+            fused := old
+          end;
           let fused = !fused in
+          (* brute force on the profile before the placement: the floor
+             search may resume from an earlier one's answer *)
+          let rec oracle t =
+            if Profile.fits split ~start:t ~duration ~amount then t
+            else oracle (t + 1)
+          in
+          let s0 = oracle from in
           let s1 = Profile.place fused ~from ~duration ~amount in
           let s2 = Profile.earliest_fit split ~from ~duration ~amount in
           Profile.add split ~start:s2 ~duration ~amount;
           if duration > 0 && amount > 0 then
             placed := (s1, s1 + duration, amount) :: !placed;
-          s1 = s2
+          s0 = s1 && s1 = s2
           && Profile.steps fused = Profile.steps split
           && Profile.steps fused = expected ())
         ops)
+
+(* Index_sort against [Array.stable_sort] on the same pairs: random
+   ranges of random index arrays (repeats allowed), keys with ties and
+   short and long ranges, so both the insertion and the merge path run. *)
+let prop_index_sort_matches_stable_sort =
+  let gen =
+    QCheck.Gen.(
+      let* n_keys = int_range 1 80 in
+      let* key = array_repeat n_keys (int_range (-5) 5) in
+      let* tie = array_repeat n_keys (int_range 0 8) in
+      let* len = int_range 0 120 in
+      let* a = array_repeat len (int_bound (n_keys - 1)) in
+      let* lo = int_bound len in
+      let* hi = int_range lo len in
+      return (key, tie, a, lo, hi))
+  in
+  QCheck.Test.make ~count:1000 ~name:"index sort = stable sort on the pairs"
+    (QCheck.make gen) (fun (key, tie, a, lo, hi) ->
+      let expected = Array.copy a in
+      let range = Array.sub a lo (hi - lo) in
+      Array.stable_sort
+        (fun x y ->
+          let c = compare key.(x) key.(y) in
+          if c <> 0 then c else compare tie.(x) tie.(y))
+        range;
+      Array.blit range 0 expected lo (hi - lo);
+      Sched.Index_sort.sort a ~lo ~hi ~key ~tie;
+      a = expected)
 
 (* --- instance ----------------------------------------------------------- *)
 
@@ -405,6 +453,7 @@ let () =
           [
             prop_earliest_fit_matches_oracle;
             prop_place_matches_fit_then_add;
+            prop_index_sort_matches_stable_sort;
             prop_greedy_feasible;
           ] );
     ]

@@ -402,7 +402,8 @@ let test_cert_bound_in_lns () =
   let inst1, sol1, st1 =
     solve_at ~options:{ proof_options with Cp.Solver.exact_task_limit = 0 } 1
   in
-  Alcotest.(check int) "t=1 classic bound" 0 (Cp.Solver.late_lower_bound inst1);
+  Alcotest.(check int) "t=1 classic bound" 0
+    (Cp.Solver.late_lower_bound (Cp.Solver.prepare inst1));
   Alcotest.(check int) "t=1 seed" 3 st1.Cp.Solver.seed_late;
   Alcotest.(check int) "t=1 carried bound" 1 st1.Cp.Solver.lower_bound;
   Alcotest.(check bool) "t=1 ran LNS" true (st1.Cp.Solver.lns_moves > 0);
@@ -576,6 +577,84 @@ let prop_recorded_starts_bounded =
         (event_times jobs);
       true)
 
+(* (d) What a long-lived session keeps does not grow with the stream: root
+   writes leave no trail entries, a departed job's slot goes at the sync
+   that retires it, and its task slots with it.  After every pass the
+   store's trail is empty; after a pass that synced the store, its job
+   slots are the instance's jobs, its task slots at most those jobs'
+   tasks (retired ones of live jobs included), and its recorded starts at
+   most their open tasks (so a job the store first holds after some of its
+   tasks completed drops their starts). *)
+let test_footprint_bounded () =
+  Gen.reset_tasks ();
+  let rng = Random.State.make [| 2027 |] in
+  let jobs =
+    List.init 90 (fun id ->
+        let arrival = 9 * id in
+        let list n = List.init n (fun _ -> 1 + Random.State.int rng 20) in
+        let maps = list (1 + Random.State.int rng 3)
+        and reduces = list (Random.State.int rng 3) in
+        let total = List.fold_left ( + ) 0 (maps @ reduces) in
+        Gen.mk_job ~id ~arrival ~est:arrival
+          ~deadline:(arrival + total + Random.State.int rng 40)
+          ~maps ~reduces ())
+  in
+  let options =
+    { proof_options with Cp.Solver.fail_limit = 2_000; time_limit = 60. }
+  in
+  let session = Cp.Session.create () in
+  let dispatch = Hashtbl.create 64 in
+  let synced = ref 0 and peak = ref 0 in
+  (* every arrival, and a point between each two so tasks complete *)
+  let times =
+    List.concat_map (fun (j : T.job) -> [ j.T.arrival; j.T.arrival + 5 ]) jobs
+    @ [ 2_000; 10_000 ]
+  in
+  List.iter
+    (fun now ->
+      let inst = instance_at ~now ~map_cap:2 ~reduce_cap:2 dispatch jobs in
+      let sol, st = Cp.Session.solve session ~options inst in
+      install dispatch inst sol;
+      let fp = Cp.Session.stats_footprint session in
+      peak := max !peak fp.Cp.Session.job_slots;
+      if fp.Cp.Session.root_trail <> 0 then
+        Alcotest.failf "t=%d: %d root trail entries" now
+          fp.Cp.Session.root_trail;
+      if st.Cp.Solver.nodes + st.Cp.Solver.failures > 0 then begin
+        incr synced;
+        let n_jobs = Array.length inst.Instance.jobs in
+        let count f =
+          Array.fold_left (fun acc pj -> acc + f pj) 0 inst.Instance.jobs
+        in
+        let n_tasks =
+          count (fun (pj : Instance.pending_job) ->
+              Array.length pj.Instance.job.T.map_tasks
+              + Array.length pj.Instance.job.T.reduce_tasks)
+        and n_open =
+          count (fun (pj : Instance.pending_job) ->
+              Array.length pj.Instance.pending_maps
+              + Array.length pj.Instance.pending_reduces
+              + Array.length pj.Instance.fixed_maps
+              + Array.length pj.Instance.fixed_reduces)
+        in
+        let recorded = Cp.Session.stats_recorded_starts session in
+        if recorded > n_open then
+          Alcotest.failf "t=%d: %d recorded starts for %d open tasks" now
+            recorded n_open;
+        if fp.Cp.Session.job_slots <> n_jobs then
+          Alcotest.failf "t=%d: %d job slots for %d jobs" now
+            fp.Cp.Session.job_slots n_jobs;
+        if fp.Cp.Session.task_slots > n_tasks then
+          Alcotest.failf "t=%d: %d task slots for %d tasks" now
+            fp.Cp.Session.task_slots n_tasks
+      end)
+    times;
+  Alcotest.(check bool) "the store synced on many passes" true (!synced > 20);
+  Alcotest.(check int) "no rebuild reset the tables" 0
+    (Cp.Session.stats_rebuilds session);
+  Alcotest.(check bool) "the tables held far fewer jobs than the stream"
+    true (!peak < 30)
+
 let qsuite tests = List.map (QCheck_alcotest.to_alcotest ~verbose:false) tests
 
 let () =
@@ -598,6 +677,8 @@ let () =
             test_cert_bound_in_lns;
           Alcotest.test_case "empty invocation mid-stream" `Quick
             test_empty_invocation;
+          Alcotest.test_case "footprint bounded over a long stream" `Quick
+            test_footprint_bounded;
           Alcotest.test_case "manager first pass matches cold solve" `Quick
             test_first_pass_matches_cold;
           Alcotest.test_case "instrumented session counters" `Quick

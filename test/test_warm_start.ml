@@ -95,7 +95,7 @@ let prop_warm_candidate_always_feasible =
         corrupt_starts ~salt (Seed_oracle.table_of inst base.Solution.starts)
       in
       match
-        Cp.Solver.warm_candidate inst
+        Cp.Solver.warm_candidate (Cp.Solver.prepare inst)
           (incumbent_of_starts inst carried ~changed:[])
       with
       | None -> true
@@ -114,9 +114,10 @@ let prop_fast_path_iff_feasible_and_bound_optimal =
         corrupt_starts ~salt (Seed_oracle.table_of inst base.Solution.starts)
       in
       let inc = incumbent_of_starts inst carried ~changed:[] in
-      let lb = Cp.Solver.late_lower_bound inst in
+      let pass = Cp.Solver.prepare inst in
+      let lb = Cp.Solver.late_lower_bound pass in
       let expect_hit =
-        match Cp.Solver.warm_candidate inst inc with
+        match Cp.Solver.warm_candidate pass inc with
         | Some cand -> cand.Solution.late_jobs <= lb
         | None -> false
       in
@@ -257,7 +258,7 @@ let prop_warm_candidate_matches_reference =
     arb_seed_case (fun c ->
       let inc = incumbent_of_starts c.inst c.carried ~changed:[] in
       agree (Option.equal same_solution)
-        (fun () -> Cp.Solver.warm_candidate c.inst inc)
+        (fun () -> Cp.Solver.warm_candidate (Cp.Solver.prepare c.inst) inc)
         (fun () -> Seed_oracle.warm_candidate c.inst inc))
 
 let prop_starting_incumbent_matches_reference =
@@ -272,10 +273,220 @@ let prop_starting_incumbent_matches_reference =
         (fun warm ->
           agree same
             (fun () ->
-              Cp.Solver.starting_incumbent ~options ?warm ?lb:c.lb c.inst)
+              Cp.Solver.starting_incumbent ~options ?warm ?lb:c.lb
+                (Cp.Solver.prepare c.inst))
             (fun () ->
               Seed_oracle.starting_incumbent ~options ?warm ?lb:c.lb c.inst))
         [ None; Some (incumbent_of_starts c.inst c.carried ~changed:[]) ])
+
+(* --- the rewritten per-pass routines = their reference ------------------ *)
+
+(* The list scheduler, the warm completion, the seed and the matchmaking
+   order were rewritten for speed; [List_reference] keeps them as they were.
+   On the seed cases above (frozen tasks, degenerate jobs, crashed
+   capacities, partial and stale carried plans), every schedule, the warm
+   candidate and the starting incumbent must come out identical: starts,
+   late count and tardiness, or the same exception.  The library side
+   prepares its passes on one scratch shared by every case, as a session
+   does pass after pass, so the working profiles carry over between
+   instances of different sizes and capacities. *)
+
+let scratch = Sched.Greedy.scratch ()
+
+let prop_schedules_match_reference =
+  QCheck.Test.make ~count:300
+    ~name:"list schedules = reference (every order, any sequence)"
+    QCheck.(pair arb_seed_case (int_bound 1_000_000))
+    (fun (c, salt) ->
+      let inst = c.inst in
+      let n = Array.length inst.Instance.jobs in
+      (* a permutation of the jobs drawn from [salt] *)
+      let sequence = Array.init n Fun.id in
+      let rng = Random.State.make [| salt |] in
+      for i = n - 1 downto 1 do
+        let j = Random.State.int rng (i + 1) in
+        let x = sequence.(i) in
+        sequence.(i) <- sequence.(j);
+        sequence.(j) <- x
+      done;
+      let pass = Sched.Greedy.prepare ~scratch inst
+      and ref_pass = List_reference.Greedy.prepare inst in
+      List.for_all
+        (fun order ->
+          agree same_solution
+            (fun () -> Sched.Greedy.schedule ~order pass)
+            (fun () -> List_reference.Greedy.schedule ~order ref_pass)
+          && agree same_solution
+               (fun () -> Sched.Greedy.solve ~order inst)
+               (fun () -> List_reference.Greedy.solve ~order inst))
+        [ Sched.Greedy.By_job_id; Sched.Greedy.Edf; Sched.Greedy.Least_laxity ]
+      && agree same_solution
+           (fun () -> Sched.Greedy.schedule_sequence pass sequence)
+           (fun () -> List_reference.Greedy.schedule_sequence ref_pass sequence)
+      && agree same_solution
+           (fun () -> Sched.Greedy.solve_with_sequence inst sequence)
+           (fun () -> List_reference.Greedy.solve_with_sequence inst sequence))
+
+let prop_seed_matches_reference =
+  QCheck.Test.make ~count:300
+    ~name:"bound, warm candidate and seed = reference"
+    arb_seed_case (fun c ->
+      let inc = incumbent_of_starts c.inst c.carried ~changed:[] in
+      let options =
+        { Cp.Solver.default_options with Cp.Solver.ordering = c.ordering }
+      in
+      let same (a, wa) (b, wb) = wa = wb && same_solution a b in
+      (* one pass serves the bound, the completion and both seeds, as it
+         serves a portfolio's seed check and its worker 0 *)
+      let pass = Cp.Solver.prepare ~scratch c.inst in
+      Cp.Solver.late_lower_bound pass
+      = List_reference.Seed.late_lower_bound c.inst
+      && agree (Option.equal same_solution)
+           (fun () -> Cp.Solver.warm_candidate pass inc)
+           (fun () -> List_reference.Seed.warm_candidate c.inst inc)
+      && List.for_all
+           (fun warm ->
+             agree same
+               (fun () ->
+                 Cp.Solver.starting_incumbent ~options ?warm ?lb:c.lb pass)
+               (fun () ->
+                 List_reference.Seed.starting_incumbent ~options ?warm
+                   ?lb:c.lb c.inst))
+           [ None; Some inc ])
+
+(* Larger instances than the seed cases, so every sort takes its merge
+   path (more than 16 jobs, or tasks in a job), with a carried plan built
+   from the reference schedule and corrupted. *)
+let large_params =
+  {
+    Gen.default_params with
+    Gen.n_jobs = (10, 40);
+    n_maps = (1, 24);
+    n_reduces = (0, 6);
+    cap = (1, 6);
+  }
+
+let prop_large_matches_reference =
+  QCheck.Test.make ~count:40 ~name:"large instances: seed = reference"
+    (QCheck.pair
+       (Gen.arb_instance_of ~p:large_params ())
+       (QCheck.int_bound 1000))
+    (fun (inst, salt) ->
+      let plan =
+        Seed_oracle.table_of inst
+          (List_reference.Greedy.solve inst).Solution.starts
+      in
+      let inc =
+        incumbent_of_starts inst (corrupt_starts ~salt plan) ~changed:[]
+      in
+      let same (a, wa) (b, wb) = wa = wb && same_solution a b in
+      let pass = Cp.Solver.prepare ~scratch inst in
+      List.for_all
+        (fun order ->
+          agree same_solution
+            (fun () -> Sched.Greedy.solve ~order inst)
+            (fun () -> List_reference.Greedy.solve ~order inst))
+        [ Sched.Greedy.By_job_id; Sched.Greedy.Edf; Sched.Greedy.Least_laxity ]
+      && agree (Option.equal same_solution)
+           (fun () -> Cp.Solver.warm_candidate pass inc)
+           (fun () -> List_reference.Seed.warm_candidate inst inc)
+      && agree same
+           (fun () ->
+             Cp.Solver.starting_incumbent ~options:Cp.Solver.default_options
+               ~warm:inc pass)
+           (fun () ->
+             List_reference.Seed.starting_incumbent
+               ~options:Cp.Solver.default_options ~warm:inc inst))
+
+(* A cluster with some resources down, the seed case's jobs on the
+   capacity that is up, running tasks pinned to random slots, and the
+   reference EDF schedule's starts: matchmade by one library matchmaker
+   reused (and reset) across two such passes, and by a fresh reference
+   one, the dispatches and their order must agree, or both must fail the
+   same way. *)
+let gen_match_case =
+  let open QCheck.Gen in
+  let* cluster = Gen.gen_cluster in
+  let m = Array.length cluster in
+  let* down = list_size (int_bound (m - 1)) (int_bound (m - 1)) in
+  let* busy = list_size (int_bound 4) (triple bool nat (int_range (-20) 200)) in
+  let* c = gen_seed_case in
+  return (cluster, List.sort_uniq compare down, busy, c)
+
+let print_match_case (cluster, down, busy, c) =
+  Printf.sprintf "%d resources, down [%s], %d busy slots; %s"
+    (Array.length cluster)
+    (String.concat " " (List.map string_of_int down))
+    (List.length busy) (print_seed_case c)
+
+let prop_matchmaking_matches_reference =
+  QCheck.Test.make ~count:300 ~name:"matchmaking = reference (resources down)"
+    (QCheck.make ~print:print_match_case gen_match_case)
+    (fun (cluster, down, busy, c) ->
+      let up select =
+        Array.fold_left
+          (fun acc (r : T.resource) ->
+            if List.mem r.T.res_id down then acc else acc + select r)
+          0 cluster
+      in
+      let map_capacity = up (fun r -> r.T.map_capacity)
+      and reduce_capacity = up (fun r -> r.T.reduce_capacity) in
+      let inst =
+        Instance.make ~now:c.inst.Instance.now ~map_capacity ~reduce_capacity
+          c.inst.Instance.jobs
+      in
+      let tasks = Instance.pending_tasks inst in
+      let starts =
+        (List_reference.Greedy.solve inst).Solution.starts
+      in
+      (* the same calls on the library's matchmaker and the reference's *)
+      let module Run (M : sig
+        type t
+
+        val map_slot_count : t -> int
+        val reduce_slot_count : t -> int
+        val disable_resource : t -> resource_id:int -> unit
+        val occupy : t -> kind:T.task_kind -> slot:int -> until:int -> unit
+
+        val assign_all :
+          ?on_assign:(int -> Dispatch.t -> unit) ->
+          t ->
+          starts:int array ->
+          tasks:T.task array ->
+          Dispatch.t list
+      end) =
+      struct
+        let pass mm =
+          List.iter
+            (fun resource_id -> M.disable_resource mm ~resource_id)
+            down;
+          List.iter
+            (fun (is_map, slot, until) ->
+              let kind, count =
+                if is_map then (T.Map_task, M.map_slot_count mm)
+                else (T.Reduce_task, M.reduce_slot_count mm)
+              in
+              M.occupy mm ~kind ~slot:(slot mod count) ~until)
+            busy;
+          let seen = ref [] in
+          let ds =
+            M.assign_all
+              ~on_assign:(fun k d -> seen := (k, d) :: !seen)
+              mm ~starts ~tasks
+          in
+          (ds, List.rev !seen)
+      end in
+      let module New = Run (Mrcp.Matchmaker) in
+      let module Ref = Run (List_reference.Matchmaker) in
+      let reused = Mrcp.Matchmaker.create ~cluster in
+      (* a first pass dirties it: slots taken, last starts advanced *)
+      ignore (try Some (New.pass reused) with _ -> None);
+      map_capacity = 0 || reduce_capacity = 0
+      || agree ( = )
+           (fun () ->
+             Mrcp.Matchmaker.reset reused;
+             New.pass reused)
+           (fun () -> Ref.pass (List_reference.Matchmaker.create ~cluster)))
 
 (* Two maps still running from before a crash now share a pool of one
    slot.  The carried plan's own start is clear of both, yet the candidate
@@ -313,9 +524,11 @@ let test_frozen_overload_rejected () =
   (* the waiting job's one map is the only pending task *)
   let inc = { Cp.Solver.carried_starts = [| 200 |]; changed_jobs = [] } in
   Alcotest.(check bool) "accepted before the crash" true
-    (Cp.Solver.warm_candidate (inst ~map_capacity:2) inc <> None);
+    (Cp.Solver.warm_candidate (Cp.Solver.prepare (inst ~map_capacity:2)) inc
+    <> None);
   Alcotest.(check bool) "rejected after it" true
-    (Cp.Solver.warm_candidate (inst ~map_capacity:1) inc = None);
+    (Cp.Solver.warm_candidate (Cp.Solver.prepare (inst ~map_capacity:1)) inc
+    = None);
   Alcotest.(check bool) "as the reference does" true
     (Seed_oracle.warm_candidate (inst ~map_capacity:1) inc = None)
 
@@ -559,6 +772,14 @@ let () =
                prop_warm_candidate_matches_reference;
                prop_starting_incumbent_matches_reference;
              ] );
+      ( "reference",
+        List.map QCheck_alcotest.to_alcotest
+          [
+            prop_schedules_match_reference;
+            prop_seed_matches_reference;
+            prop_large_matches_reference;
+            prop_matchmaking_matches_reference;
+          ] );
       ( "properties",
         List.map QCheck_alcotest.to_alcotest
           [
