@@ -7,20 +7,27 @@ type t =
   | List of t list
   | Obj of (string * t) list
 
+let add_escaped_char b c =
+  match c with
+  | '"' -> Buffer.add_string b "\\\""
+  | '\\' -> Buffer.add_string b "\\\\"
+  | '\n' -> Buffer.add_string b "\\n"
+  | '\t' -> Buffer.add_string b "\\t"
+  | '\r' -> Buffer.add_string b "\\r"
+  | c when Char.code c < 0x20 ->
+      Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
+  | c -> Buffer.add_char b c
+
+let needs_escape c = c = '"' || c = '\\' || Char.code c < 0x20
+
+(* Keys and most values need no escaping: copy those as they are. *)
+let add_escaped b s =
+  if String.exists needs_escape s then String.iter (add_escaped_char b) s
+  else Buffer.add_string b s
+
 let escape s =
   let b = Buffer.create (String.length s) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | '\t' -> Buffer.add_string b "\\t"
-      | '\r' -> Buffer.add_string b "\\r"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
+  add_escaped b s;
   Buffer.contents b
 
 (* Shortest of %.12g/%.17g that round-trips: journal consumers (the audit
@@ -29,16 +36,29 @@ let float_repr v =
   let s = Printf.sprintf "%.12g" v in
   if float_of_string s = v then s else Printf.sprintf "%.17g" v
 
+(* [string_of_int] goes through the C formatter; journals write many ints *)
+let rec add_digits b v =
+  if v >= 10 then add_digits b (v / 10);
+  Buffer.add_char b (Char.unsafe_chr (48 + (v mod 10)))
+
+let add_int b v =
+  if v >= 0 then add_digits b v
+  else if v = min_int then Buffer.add_string b (string_of_int v)
+  else begin
+    Buffer.add_char b '-';
+    add_digits b (-v)
+  end
+
 let rec to_buffer b = function
   | Null -> Buffer.add_string b "null"
   | Bool v -> Buffer.add_string b (if v then "true" else "false")
-  | Int v -> Buffer.add_string b (string_of_int v)
+  | Int v -> add_int b v
   | Float v ->
       if Float.is_finite v then Buffer.add_string b (float_repr v)
       else Buffer.add_string b "null"
   | String s ->
       Buffer.add_char b '"';
-      Buffer.add_string b (escape s);
+      add_escaped b s;
       Buffer.add_char b '"'
   | List vs ->
       Buffer.add_char b '[';
@@ -54,7 +74,7 @@ let rec to_buffer b = function
         (fun i (k, v) ->
           if i > 0 then Buffer.add_char b ',';
           Buffer.add_char b '"';
-          Buffer.add_string b (escape k);
+          add_escaped b k;
           Buffer.add_string b "\":";
           to_buffer b v)
         fields;

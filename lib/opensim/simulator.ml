@@ -35,38 +35,62 @@ type results = {
   lost_work_ms : int;
 }
 
-type job_progress = {
-  j : T.job;
-  mutable tasks_done : int;
-  mutable maps_done : int;
-  task_count : int;
-  map_count : int;
-}
-
-(* A started attempt: the dispatch as executed (a straggler's inflated
-   execution time replaces the nominal one) plus the handle of its pending
-   completion/failure event, so a crash can cancel it. *)
-type attempt = { r_d : Dispatch.t; r_done : Engine.handle }
-
+(* Every job is known when [run] starts, so the run numbers its jobs (in
+   list order) and their tasks (each job's maps, then its reduces) once,
+   and keeps its state in arrays over those indices.  Task ids from outside
+   (a plan's dispatches, the chaos plan) map to task indices through
+   [index_of]. *)
 type state = {
   driver : Driver.t;
   validate : bool;
   journal : Obs.Journal.t option;
-  engine : Engine.t;
-  progress : (int, job_progress) Hashtbl.t; (* job_id -> progress *)
-  planned : (int, Engine.handle * Dispatch.t) Hashtbl.t; (* unstarted *)
-  started : (int, attempt) Hashtbl.t;
-  completed : (int, unit) Hashtbl.t;
-  first_start : (int, int) Hashtbl.t; (* job_id -> first task start time *)
-  slot_busy_until : (T.task_kind * int, int * int) Hashtbl.t;
-      (* (kind, slot) -> (occupant task, busy until) *)
-  (* chaos: per-(task, attempt) fault lookups materialized from the plan,
-     the next attempt index per task, and the resources currently down *)
-  chaos_fail : (int * int, int) Hashtbl.t; (* -> frac_1000 *)
-  chaos_straggle : (int * int, int) Hashtbl.t; (* -> factor_1000 *)
-  attempts : (int, int) Hashtbl.t;
-  down : (int, unit) Hashtbl.t;
-  mutable wake : (int * Engine.handle) option;
+  jobs : T.job array;
+  job_of : int array; (* task index -> job index *)
+  id_base : int; (* smallest task id *)
+  by_id : int array;
+      (* task id - id_base -> task index (-1: none); [||] when the ids are
+         too sparse for a direct table, and [by_sparse_id] maps them *)
+  by_sparse_id : (int, int) Hashtbl.t;
+  (* per job *)
+  tasks_done : int array;
+  maps_done : int array;
+  first_start : int array; (* first task start time, [min_int] before it *)
+  (* per task.  A started attempt's dispatch is the one executed (a
+     straggler's inflated execution time replaces the nominal one); it
+     stays after the attempt completes and goes when it fails or is
+     killed.  Its handle is the pending completion or failure event, so a
+     crash can cancel it. *)
+  planned_d : Dispatch.t array; (* the unstarted task's start event *)
+  planned_h : Engine.handle array;
+  started_d : Dispatch.t array;
+  started_h : Engine.handle array;
+  completed : Bytes.t;
+  attempts : int array; (* attempts started so far *)
+  fail_at : (int * int) list array;
+      (* chaos: (attempt, frac_1000) failures; [||] without any *)
+  straggle_at : (int * int) list array; (* chaos: (attempt, factor_1000) *)
+  down : Bytes.t; (* resource id -> crashed now; sized by the crash plan *)
+  (* the planned tasks as a set: [planned_set.(0 .. n_planned - 1)], a
+     task's place in it at [planned_pos] *)
+  planned_set : int array;
+  planned_pos : int array;
+  mutable n_planned : int;
+  (* reconcile's scratch: a plan's task indices and dispatches by position
+     (duplicates of a task marked -1), each task's first position, and the
+     pass's stamp: [seen.(i)] is [stamp] while task i's new dispatch is to
+     be scheduled, [stamp + 1] once it is kept or in flight *)
+  mutable plan_idx : int array;
+  mutable plan_d : Dispatch.t array;
+  mutable cand : int array;
+  seen : int array;
+  first_pos : int array;
+  mutable stamp : int;
+  (* slot occupancy, read only by ~validate: [2 * slot + kind] ->
+     occupant task id and busy-until time *)
+  mutable busy_task : int array;
+  mutable busy_until : int array;
+  mutable wake_at : int; (* [min_int]: no wake-up pending *)
+  mutable wake_h : Engine.handle;
   mutable outcomes : job_outcome list;
   mutable map_busy_ms : int;
   mutable reduce_busy_ms : int;
@@ -80,29 +104,96 @@ type state = {
 
 let fail fmt = Format.kasprintf failwith fmt
 
+(* the absent dispatch of the per-task tables, told apart by [==] *)
+let no_dispatch =
+  {
+    Dispatch.task =
+      {
+        T.task_id = -1;
+        job_id = -1;
+        kind = T.Map_task;
+        exec_time = 0;
+        capacity_req = 0;
+      };
+    resource_id = -1;
+    slot = -1;
+    start = min_int;
+  }
+
+let index_of st id =
+  if Array.length st.by_id > 0 then begin
+    let k = id - st.id_base in
+    if k >= 0 && k < Array.length st.by_id then st.by_id.(k) else -1
+  end
+  else Option.value (Hashtbl.find_opt st.by_sparse_id id) ~default:(-1)
+
+let is_started st i = st.started_d.(i) != no_dispatch
+let is_completed st i = Bytes.get st.completed i <> '\000'
+
+let chaos_lookup table i attempt =
+  if Array.length table = 0 then None
+  else match table.(i) with [] -> None | l -> List.assoc_opt attempt l
+
 let record_busy st (task : T.task) ms =
   match task.T.kind with
   | T.Map_task -> st.map_busy_ms <- st.map_busy_ms + ms
   | T.Reduce_task -> st.reduce_busy_ms <- st.reduce_busy_ms + ms
 
-let record_first_start st (task : T.task) now =
-  if not (Hashtbl.mem st.first_start task.T.job_id) then
-    Hashtbl.replace st.first_start task.T.job_id now
+let busy_key (d : Dispatch.t) =
+  (2 * d.Dispatch.slot)
+  + match d.Dispatch.task.T.kind with T.Map_task -> 0 | T.Reduce_task -> 1
+
+(* Validation only: task [task_id] holds the dispatch's slot until
+   [until]. *)
+let set_busy st (d : Dispatch.t) ~task_id ~until =
+  if st.validate then begin
+    let key = busy_key d in
+    let len = Array.length st.busy_until in
+    if key >= len then begin
+      let len' = max (key + 1) (2 * len) in
+      let grow a fill =
+        let a' = Array.make len' fill in
+        Array.blit a 0 a' 0 len;
+        a'
+      in
+      st.busy_task <- grow st.busy_task (-1);
+      st.busy_until <- grow st.busy_until min_int
+    end;
+    st.busy_task.(key) <- task_id;
+    st.busy_until.(key) <- until
+  end
+
+let set_planned st i d h =
+  if st.planned_d.(i) == no_dispatch then begin
+    st.planned_pos.(i) <- st.n_planned;
+    st.planned_set.(st.n_planned) <- i;
+    st.n_planned <- st.n_planned + 1
+  end;
+  st.planned_d.(i) <- d;
+  st.planned_h.(i) <- h
+
+let remove_planned st i =
+  let p = st.planned_pos.(i) and last = st.n_planned - 1 in
+  let moved = st.planned_set.(last) in
+  st.planned_set.(p) <- moved;
+  st.planned_pos.(moved) <- p;
+  st.n_planned <- last;
+  st.planned_d.(i) <- no_dispatch;
+  st.planned_h.(i) <- Engine.none
 
 (* Terminal journal lines for one completed job: "job-done" with the
    lateness split into queue wait (first task start − s_j), execution
    (first start → completion) and — under the wall key, because it is
    measured in wall-clock seconds — the solver/matchmaking overhead the
    manager attributed to the job; then the job's final SLA verdict. *)
-let journal_job_done st (outcome : job_outcome) =
+let journal_job_done st jdx (outcome : job_outcome) =
   match st.journal with
   | None -> ()
   | Some jr ->
       let j = outcome.job in
       let first_start =
-        Option.value
-          (Hashtbl.find_opt st.first_start j.T.id)
-          ~default:outcome.completion
+        if st.first_start.(jdx) = min_int then outcome.completion
+        else st.first_start.(jdx)
       in
       Obs.Journal.event jr ~t_ms:outcome.completion "job-done"
         ~wall:
@@ -130,69 +221,65 @@ let journal_job_done st (outcome : job_outcome) =
           ("final", Obs.Json.Bool true);
         ]
 
-let check_start st (d : Dispatch.t) now =
+let check_start st i (d : Dispatch.t) now =
   let task = d.Dispatch.task in
-  if Hashtbl.mem st.started task.T.task_id then
-    fail "task %d started twice" task.T.task_id;
-  if Hashtbl.mem st.down d.Dispatch.resource_id then
-    fail "task %d dispatched to crashed resource %d" task.T.task_id
-      d.Dispatch.resource_id;
-  let jp =
-    match Hashtbl.find_opt st.progress task.T.job_id with
-    | Some jp -> jp
-    | None -> fail "task %d belongs to unknown job %d" task.T.task_id task.T.job_id
-  in
-  if now < jp.j.T.earliest_start then
+  if is_started st i then fail "task %d started twice" task.T.task_id;
+  let rid = d.Dispatch.resource_id in
+  if rid >= 0 && rid < Bytes.length st.down && Bytes.get st.down rid <> '\000'
+  then
+    fail "task %d dispatched to crashed resource %d" task.T.task_id rid;
+  let jdx = st.job_of.(i) in
+  let j = st.jobs.(jdx) in
+  if now < j.T.earliest_start then
     fail "task %d of job %d started at %d before s_j=%d" task.T.task_id
-      task.T.job_id now jp.j.T.earliest_start;
+      task.T.job_id now j.T.earliest_start;
   (match task.T.kind with
   | T.Reduce_task ->
-      if jp.maps_done < jp.map_count then
+      let map_count = Array.length j.T.map_tasks in
+      if st.maps_done.(jdx) < map_count then
         fail "reduce task %d of job %d started with %d/%d maps done"
-          task.T.task_id task.T.job_id jp.maps_done jp.map_count
+          task.T.task_id task.T.job_id st.maps_done.(jdx) map_count
   | T.Map_task -> ());
   (* a zero-length task occupies no slot time, so it neither conflicts with
      the slot's occupant nor replaces it *)
   if task.T.exec_time > 0 then begin
-    let key = (task.T.kind, d.Dispatch.slot) in
-    (match Hashtbl.find_opt st.slot_busy_until key with
-    | Some (other, until) when until > now ->
-        fail "%s slot %d double-booked at %d: task %d overlaps task %d"
-          (T.task_kind_to_string task.T.kind)
-          d.Dispatch.slot now task.T.task_id other
-    | Some _ | None -> ());
-    Hashtbl.replace st.slot_busy_until key
-      (task.T.task_id, now + task.T.exec_time)
+    if d.Dispatch.slot < 0 then
+      fail "task %d dispatched to slot %d" task.T.task_id d.Dispatch.slot;
+    let key = busy_key d in
+    if key < Array.length st.busy_until && st.busy_until.(key) > now then
+      fail "%s slot %d double-booked at %d: task %d overlaps task %d"
+        (T.task_kind_to_string task.T.kind)
+        d.Dispatch.slot now task.T.task_id st.busy_task.(key);
+    set_busy st d ~task_id:task.T.task_id ~until:(now + task.T.exec_time)
   end
 
-let rec on_task_complete st (d : Dispatch.t) sim =
+let rec on_task_complete st i (d : Dispatch.t) sim =
   let now = Engine.now sim in
   let task = d.Dispatch.task in
-  if st.validate then begin
-    if Hashtbl.mem st.completed task.T.task_id then
-      fail "task %d completed twice" task.T.task_id
-  end;
-  Hashtbl.replace st.completed task.T.task_id ();
+  if st.validate && is_completed st i then
+    fail "task %d completed twice" task.T.task_id;
+  Bytes.set st.completed i '\001';
   record_busy st task task.T.exec_time;
-  let jp = Hashtbl.find st.progress task.T.job_id in
-  jp.tasks_done <- jp.tasks_done + 1;
-  if task.T.kind = T.Map_task then jp.maps_done <- jp.maps_done + 1;
-  if jp.tasks_done = jp.task_count then begin
+  let jdx = st.job_of.(i) in
+  let j = st.jobs.(jdx) in
+  st.tasks_done.(jdx) <- st.tasks_done.(jdx) + 1;
+  if task.T.kind = T.Map_task then st.maps_done.(jdx) <- st.maps_done.(jdx) + 1;
+  if st.tasks_done.(jdx) = T.task_count j then begin
     let outcome =
       {
-        job = jp.j;
+        job = j;
         completion = now;
-        late = now > jp.j.T.deadline;
-        turnaround_ms = now - jp.j.T.earliest_start;
+        late = now > j.T.deadline;
+        turnaround_ms = now - j.T.earliest_start;
       }
     in
     st.outcomes <- outcome :: st.outcomes;
-    journal_job_done st outcome;
+    journal_job_done st jdx outcome;
     if Obs.Trace.enabled () then
       Obs.Trace.instant ~cat:"sim" "job-done"
         ~args:
           [
-            ("job", Obs.Trace.Int jp.j.T.id);
+            ("job", Obs.Trace.Int j.T.id);
             ("late", Obs.Trace.Bool outcome.late);
             ("completion_ms", Obs.Trace.Int now);
           ]
@@ -202,12 +289,12 @@ let rec on_task_complete st (d : Dispatch.t) sim =
 
 (* A chaos-injected attempt failure: the slot frees, the wasted work is
    accounted as lost, and the manager is told to re-enter the task. *)
-and on_attempt_fail st (d : Dispatch.t) ~attempt ~wasted sim =
+and on_attempt_fail st i (d : Dispatch.t) ~attempt ~wasted sim =
   let now = Engine.now sim in
   let task = d.Dispatch.task in
-  Hashtbl.remove st.started task.T.task_id;
-  Hashtbl.replace st.slot_busy_until (task.T.kind, d.Dispatch.slot)
-    (task.T.task_id, now);
+  st.started_d.(i) <- no_dispatch;
+  st.started_h.(i) <- Engine.none;
+  set_busy st d ~task_id:task.T.task_id ~until:now;
   record_busy st task wasted;
   st.lost_work_ms <- st.lost_work_ms + wasted;
   st.task_failures <- st.task_failures + 1;
@@ -229,15 +316,12 @@ and on_attempt_fail st (d : Dispatch.t) ~attempt ~wasted sim =
    attempt): a straggler inflates the executed duration (the manager is
    notified so its frozen record matches reality), an injected failure
    replaces the completion event with a failure event part-way through. *)
-and start_attempt st (d : Dispatch.t) sim =
+and start_attempt st i (d : Dispatch.t) sim =
   let now = Engine.now sim in
   let task = d.Dispatch.task in
-  let attempt =
-    Option.value (Hashtbl.find_opt st.attempts task.T.task_id) ~default:0
-  in
-  Hashtbl.replace st.attempts task.T.task_id (attempt + 1);
-  let key = (task.T.task_id, attempt) in
-  let straggle = Hashtbl.find_opt st.chaos_straggle key in
+  let attempt = st.attempts.(i) in
+  st.attempts.(i) <- attempt + 1;
+  let straggle = chaos_lookup st.straggle_at i attempt in
   let actual =
     match straggle with
     | Some factor_1000 ->
@@ -249,19 +333,21 @@ and start_attempt st (d : Dispatch.t) sim =
     if actual = task.T.exec_time then d
     else { d with Dispatch.task = { task with T.exec_time = actual } }
   in
-  if st.validate then check_start st d now;
-  record_first_start st d.Dispatch.task now;
+  if st.validate then check_start st i d now;
+  let jdx = st.job_of.(i) in
+  if st.first_start.(jdx) = min_int then st.first_start.(jdx) <- now;
   let handle =
-    match Hashtbl.find_opt st.chaos_fail key with
+    match chaos_lookup st.fail_at i attempt with
     | Some frac_1000 ->
         let wasted = min actual (max 1 (actual * frac_1000 / 1000)) in
         Engine.schedule_after ~rank:0 sim ~delay:wasted
-          (on_attempt_fail st d ~attempt ~wasted)
+          (on_attempt_fail st i d ~attempt ~wasted)
     | None ->
         Engine.schedule_after ~rank:0 sim ~delay:actual
-          (on_task_complete st d)
+          (on_task_complete st i d)
   in
-  Hashtbl.replace st.started task.T.task_id { r_d = d; r_done = handle };
+  st.started_d.(i) <- d;
+  st.started_h.(i) <- handle;
   match straggle with
   | None -> ()
   | Some factor_1000 ->
@@ -285,48 +371,49 @@ and start_attempt st (d : Dispatch.t) sim =
          the manager planned around, and pending starts may collide with it *)
       react st sim
 
-and on_task_start st (d : Dispatch.t) sim =
-  Hashtbl.remove st.planned d.Dispatch.task.T.task_id;
-  start_attempt st d sim
+and on_task_start st i (d : Dispatch.t) sim =
+  remove_planned st i;
+  start_attempt st i d sim
 
 and launch_now st (d : Dispatch.t) sim =
   (* immediate managers mark tasks running themselves; just execute *)
   let now = Engine.now sim in
+  let id = d.Dispatch.task.T.task_id in
   if d.Dispatch.start <> now then
-    fail "immediate dispatch of task %d at %d but now=%d"
-      d.Dispatch.task.T.task_id d.Dispatch.start now;
-  start_attempt st d sim
+    fail "immediate dispatch of task %d at %d but now=%d" id d.Dispatch.start
+      now;
+  let i = index_of st id in
+  if i < 0 then fail "launch of task %d, which no job of the run has" id;
+  start_attempt st i d sim
 
 (* A resource crash (rank 3: same-instant completions and starts settle
    first).  Every in-flight attempt on the resource dies, its partial work
    is lost, and the manager is notified before reacting. *)
 and on_crash st ~resource ~rejoin sim =
   let now = Engine.now sim in
-  Hashtbl.replace st.down resource ();
+  Bytes.set st.down resource '\001';
   st.crashes <- st.crashes + 1;
   st.last_fault_t <- now;
-  let victims =
-    Hashtbl.fold
-      (fun id (a : attempt) acc ->
-        if
-          a.r_d.Dispatch.resource_id = resource
-          && not (Hashtbl.mem st.completed id)
-        then (id, a) :: acc
-        else acc)
-      st.started []
-    |> List.sort (fun (a, _) (b, _) -> compare a b)
-  in
+  let victims = ref [] in
+  for i = Array.length st.started_d - 1 downto 0 do
+    let d = st.started_d.(i) in
+    if
+      d != no_dispatch && d.Dispatch.resource_id = resource
+      && not (is_completed st i)
+    then victims := (d.Dispatch.task.T.task_id, i) :: !victims
+  done;
+  let victims = List.sort (fun (a, _) (b, _) -> compare a b) !victims in
   let lost_ms = ref 0 in
   List.iter
-    (fun (id, (a : attempt)) ->
-      Engine.cancel sim a.r_done;
-      Hashtbl.remove st.started id;
-      let task = a.r_d.Dispatch.task in
-      let consumed = now - a.r_d.Dispatch.start in
+    (fun (id, i) ->
+      let d = st.started_d.(i) in
+      Engine.cancel sim st.started_h.(i);
+      st.started_d.(i) <- no_dispatch;
+      st.started_h.(i) <- Engine.none;
+      let consumed = now - d.Dispatch.start in
       lost_ms := !lost_ms + consumed;
-      record_busy st task consumed;
-      Hashtbl.replace st.slot_busy_until (task.T.kind, a.r_d.Dispatch.slot)
-        (id, now))
+      record_busy st d.Dispatch.task consumed;
+      set_busy st d ~task_id:id ~until:now)
     victims;
   st.lost_work_ms <- st.lost_work_ms + !lost_ms;
   let lost = List.map fst victims in
@@ -347,7 +434,7 @@ and on_crash st ~resource ~rejoin sim =
 
 and on_rejoin st ~resource sim =
   let now = Engine.now sim in
-  Hashtbl.remove st.down resource;
+  Bytes.set st.down resource '\000';
   st.rejoins <- st.rejoins + 1;
   st.last_fault_t <- now;
   (match st.journal with
@@ -358,73 +445,145 @@ and on_rejoin st ~resource sim =
   st.driver.Driver.resource_rejoined ~now ~resource_id:resource;
   react st sim
 
+(* Bring the pending start events in line with a new plan, touching only
+   the dispatches that moved or left.  Three walks, all over ints:
+   - the plan: number its tasks, stamping each as to be scheduled (a task
+     listed twice keeps its first place and its last dispatch);
+   - the planned tasks: an event whose start time is <= now is "in flight":
+     it fires later within this same instant (start events carry a later
+     rank than arrivals), and the manager has already classified its task
+     as started/frozen, so it is legitimately absent from the new plan —
+     keep it and ignore the plan's entry.  A later event stays when the
+     plan repeats its dispatch, is cancelled when its task left the plan,
+     and moves in the next walk otherwise;
+   - the stamped new or moved dispatches, scheduled (a moved event in one
+     heap operation).  A manager whose plan is only refreshed on re-solves
+     may re-present dispatches for tasks that started meanwhile: identical
+     dispatches are stale-but-consistent and skipped; a different dispatch
+     for a started task is a real manager bug.
+   Two start events at one instant fire in the order they were scheduled,
+   so the new ones are scheduled in a fixed order: the order in which a
+   [Hashtbl.create 64] of the plan keyed by task id iterates (ascending
+   bucket, the later-inserted first within a bucket; the table doubles
+   its buckets whenever it holds more than two entries per bucket), which
+   is how this walk was once made.  Only the ties on start time need it;
+   the plan is sorted by start, so the insertion sort below costs one
+   compare per dispatch beyond them. *)
 and reconcile st plan sim =
   let now = Engine.now sim in
-  let fresh = Hashtbl.create 64 in
+  let stamp = st.stamp + 2 in
+  st.stamp <- stamp;
+  let n = ref 0 and distinct = ref 0 in
   List.iter
     (fun (d : Dispatch.t) ->
-      Hashtbl.replace fresh d.Dispatch.task.T.task_id d)
-    plan;
-  (* drop or keep existing pending start events.  An event whose start time
-     is <= now is "in flight": it fires later within this same instant
-     (start events carry a later rank than arrivals), and the manager has
-     already classified its task as started/frozen, so it is legitimately
-     absent from the new plan — keep it. *)
-  let stale = ref [] in
-  Hashtbl.iter
-    (fun task_id ((handle, old_d) : Engine.handle * Dispatch.t) ->
-      if old_d.Dispatch.start > now then begin
-        match Hashtbl.find_opt fresh task_id with
-        | Some new_d when new_d = old_d -> Hashtbl.remove fresh task_id
-        | Some _ | None -> stale := (task_id, handle) :: !stale
+      let id = d.Dispatch.task.T.task_id in
+      let i = index_of st id in
+      if i < 0 then
+        fail "plan dispatches task %d, which no job of the run has" id;
+      let p = !n in
+      if p = Array.length st.plan_idx then begin
+        let len = max 64 (2 * p) in
+        st.plan_idx <- Array.append st.plan_idx (Array.make (len - p) (-1));
+        st.plan_d <- Array.append st.plan_d (Array.make (len - p) no_dispatch);
+        st.cand <- Array.make len 0
+      end;
+      if st.seen.(i) = stamp then begin
+        st.plan_d.(st.first_pos.(i)) <- d;
+        st.plan_idx.(p) <- -1
       end
-      else Hashtbl.remove fresh task_id)
-    st.planned;
-  List.iter
-    (fun (task_id, handle) ->
-      Engine.cancel sim handle;
-      Hashtbl.remove st.planned task_id)
-    !stale;
-  (* schedule the new or changed dispatches.  A manager whose plan is only
-     refreshed on re-solves may re-present dispatches for tasks that started
-     meanwhile: identical dispatches are stale-but-consistent and skipped;
-     a different dispatch for a started task is a real manager bug. *)
-  Hashtbl.iter
-    (fun task_id (d : Dispatch.t) ->
-      match Hashtbl.find_opt st.started task_id with
-      | Some a when a.r_d = d -> ()
-      | Some _ -> fail "plan re-schedules already-started task %d" task_id
-      | None ->
+      else begin
+        st.seen.(i) <- stamp;
+        st.first_pos.(i) <- p;
+        st.plan_idx.(p) <- i;
+        st.plan_d.(p) <- d;
+        incr distinct
+      end;
+      n := p + 1)
+    plan;
+  for k = st.n_planned - 1 downto 0 do
+    let i = st.planned_set.(k) in
+    let old_d = st.planned_d.(i) in
+    let listed = st.seen.(i) = stamp in
+    if old_d.Dispatch.start <= now then begin
+      if listed then st.seen.(i) <- stamp + 1
+    end
+    else if listed then begin
+      if Dispatch.equal st.plan_d.(st.first_pos.(i)) old_d then
+        st.seen.(i) <- stamp + 1
+    end
+    else begin
+      Engine.cancel sim st.planned_h.(i);
+      remove_planned st i
+    end
+  done;
+  let buckets = ref 64 in
+  while !distinct > 2 * !buckets do
+    buckets := 2 * !buckets
+  done;
+  let mask = !buckets - 1 in
+  let precedes p q =
+    let dp = st.plan_d.(p) and dq = st.plan_d.(q) in
+    let sp = dp.Dispatch.start and sq = dq.Dispatch.start in
+    sp < sq
+    || sp = sq
+       &&
+       let bucket (d : Dispatch.t) =
+         Hashtbl.hash d.Dispatch.task.T.task_id land mask
+       in
+       let bp = bucket dp and bq = bucket dq in
+       bp < bq || (bp = bq && p > q)
+  in
+  let m = ref 0 in
+  for p = 0 to !n - 1 do
+    let i = st.plan_idx.(p) in
+    if i >= 0 && st.seen.(i) = stamp then begin
+      let k = ref !m in
+      while !k > 0 && precedes p st.cand.(!k - 1) do
+        st.cand.(!k) <- st.cand.(!k - 1);
+        decr k
+      done;
+      st.cand.(!k) <- p;
+      incr m
+    end
+  done;
+  for k = 0 to !m - 1 do
+    let p = st.cand.(k) in
+    let i = st.plan_idx.(p) and d = st.plan_d.(p) in
+    if is_started st i then begin
+      if not (Dispatch.equal st.started_d.(i) d) then
+        fail "plan re-schedules already-started task %d"
+          d.Dispatch.task.T.task_id
+    end
+    else begin
       if d.Dispatch.start < now then
-        fail "plan schedules task %d at %d in the past (now=%d)" task_id
-          d.Dispatch.start now;
-      let handle =
-        Engine.schedule ~rank:2 sim ~at:d.Dispatch.start (on_task_start st d)
-      in
-      Hashtbl.replace st.planned task_id (handle, d))
-    fresh
+        fail "plan schedules task %d at %d in the past (now=%d)"
+          d.Dispatch.task.T.task_id d.Dispatch.start now;
+      set_planned st i d
+        (Engine.reschedule ~rank:2 sim st.planned_h.(i) ~at:d.Dispatch.start
+           (on_task_start st i d))
+    end
+  done
 
 and update_wake st sim =
   let now = Engine.now sim in
-  let desired = st.driver.Driver.next_wake ~now in
-  let desired = Option.map (fun w -> max w (now + 1)) desired in
-  match (st.wake, desired) with
-  | None, None -> ()
-  | Some (at, _), Some at' when at = at' -> ()
-  | prev, _ ->
-      (match prev with
-      | Some (_, handle) -> Engine.cancel sim handle
-      | None -> ());
-      st.wake <-
-        Option.map
-          (fun at ->
-            let handle =
-              Engine.schedule sim ~at (fun sim ->
-                  st.wake <- None;
-                  react st sim)
-            in
-            (at, handle))
-          desired
+  match st.driver.Driver.next_wake ~now with
+  | None ->
+      if st.wake_at <> min_int then begin
+        Engine.cancel sim st.wake_h;
+        st.wake_at <- min_int;
+        st.wake_h <- Engine.none
+      end
+  | Some w ->
+      let at = max w (now + 1) in
+      if at <> st.wake_at then begin
+        Engine.cancel sim st.wake_h;
+        st.wake_at <- at;
+        st.wake_h <-
+          Engine.schedule sim ~at (fun sim ->
+              st.wake_at <- min_int;
+              st.wake_h <- Engine.none;
+              react st sim)
+      end
 
 and react st sim =
   let now = Engine.now sim in
@@ -434,56 +593,143 @@ and react st sim =
   | Driver.No_change -> ());
   update_wake st sim
 
+(* One arrival: the job enters the system and is handed to the manager. *)
+let arrive st (job : T.job) sim =
+  if Obs.Trace.enabled () then
+    Obs.Trace.instant ~cat:"sim" "job-arrival"
+      ~args:[ ("job", Obs.Trace.Int job.T.id) ];
+  (match st.journal with
+  | None -> ()
+  | Some jr ->
+      Obs.Journal.event jr ~t_ms:(Engine.now sim) "arrival"
+        [
+          ("job", Obs.Json.Int job.T.id);
+          ("est", Obs.Json.Int job.T.earliest_start);
+          ("deadline", Obs.Json.Int job.T.deadline);
+          ("tasks", Obs.Json.Int (T.task_count job));
+        ]);
+  st.driver.Driver.submit ~now:(Engine.now sim) job
+
 (* With ~validate: every submitted task must have completed exactly once
    (the run-end completeness half of the oracle; the exactly-once half is
    the completed-twice check as events execute).  Tasks are never "lost":
    crash-killed and failed attempts re-enter the open set, so a missing
    completion is a manager/simulator bug, not an expected chaos outcome. *)
 let check_completeness st =
-  Hashtbl.iter
-    (fun _ jp ->
+  let i = ref 0 in
+  Array.iter
+    (fun (j : T.job) ->
       let check (task : T.task) =
-        if not (Hashtbl.mem st.completed task.T.task_id) then
+        if not (is_completed st !i) then
           fail "task %d of job %d was submitted but never completed"
-            task.T.task_id jp.j.T.id
+            task.T.task_id j.T.id;
+        incr i
       in
-      Array.iter check jp.j.T.map_tasks;
-      Array.iter check jp.j.T.reduce_tasks)
-    st.progress
+      Array.iter check j.T.map_tasks;
+      Array.iter check j.T.reduce_tasks)
+    st.jobs
+
+let create_state ~validate ~journal ~chaos ~driver jobs =
+  let jobs = Array.of_list jobs in
+  let n = Array.fold_left (fun acc j -> acc + T.task_count j) 0 jobs in
+  let job_of = Array.make n 0 in
+  let lo = ref max_int and hi = ref min_int and i = ref 0 in
+  Array.iteri
+    (fun jdx (j : T.job) ->
+      let number (task : T.task) =
+        job_of.(!i) <- jdx;
+        lo := min !lo task.T.task_id;
+        hi := max !hi task.T.task_id;
+        incr i
+      in
+      Array.iter number j.T.map_tasks;
+      Array.iter number j.T.reduce_tasks)
+    jobs;
+  (* the generators number a workload's tasks consecutively; a replayed
+     trace may use any ids *)
+  let dense = n > 0 && !hi - !lo < (4 * n) + 1024 in
+  let by_id = if dense then Array.make (!hi - !lo + 1) (-1) else [||] in
+  let by_sparse_id = Hashtbl.create (if dense then 1 else n) in
+  let i = ref 0 in
+  Array.iter
+    (fun (j : T.job) ->
+      let number (task : T.task) =
+        let id = task.T.task_id in
+        let known =
+          if dense then by_id.(id - !lo) >= 0 else Hashtbl.mem by_sparse_id id
+        in
+        if known then
+          invalid_arg
+            (Printf.sprintf "Simulator.run: task id %d appears twice" id);
+        if dense then by_id.(id - !lo) <- !i
+        else Hashtbl.replace by_sparse_id id !i;
+        incr i
+      in
+      Array.iter number j.T.map_tasks;
+      Array.iter number j.T.reduce_tasks)
+    jobs;
+  let task_faults =
+    List.exists (function Chaos.Crash _ -> false | _ -> true) chaos
+  in
+  let max_resource =
+    List.fold_left
+      (fun acc -> function
+        | Chaos.Crash { resource; _ } -> max acc resource | _ -> acc)
+      (-1) chaos
+  in
+  let nj = Array.length jobs in
+  {
+    driver;
+    validate;
+    journal;
+    jobs;
+    job_of;
+    id_base = !lo;
+    by_id;
+    by_sparse_id;
+    tasks_done = Array.make nj 0;
+    maps_done = Array.make nj 0;
+    first_start = Array.make nj min_int;
+    planned_d = Array.make n no_dispatch;
+    planned_h = Array.make n Engine.none;
+    started_d = Array.make n no_dispatch;
+    started_h = Array.make n Engine.none;
+    completed = Bytes.make n '\000';
+    attempts = Array.make n 0;
+    fail_at = (if task_faults then Array.make n [] else [||]);
+    straggle_at = (if task_faults then Array.make n [] else [||]);
+    down = Bytes.make (max_resource + 1) '\000';
+    planned_set = Array.make n 0;
+    planned_pos = Array.make n 0;
+    n_planned = 0;
+    plan_idx = [||];
+    plan_d = [||];
+    cand = [||];
+    seen = Array.make n (-1);
+    first_pos = Array.make n 0;
+    stamp = 0;
+    busy_task = [||];
+    busy_until = [||];
+    wake_at = min_int;
+    wake_h = Engine.none;
+    outcomes = [];
+    map_busy_ms = 0;
+    reduce_busy_ms = 0;
+    crashes = 0;
+    rejoins = 0;
+    task_failures = 0;
+    stragglers = 0;
+    lost_work_ms = 0;
+    last_fault_t = 0;
+  }
 
 let run ?(validate = false) ?journal ?metrics_every ?cluster
     ?(chaos = Chaos.no_faults) ~driver ~jobs () =
   if jobs = [] then invalid_arg "Simulator.run: no jobs";
   let engine = Engine.create () in
-  let st =
-    {
-      driver;
-      validate;
-      journal;
-      engine;
-      progress = Hashtbl.create 256;
-      planned = Hashtbl.create 256;
-      started = Hashtbl.create 1024;
-      completed = Hashtbl.create 1024;
-      first_start = Hashtbl.create 256;
-      slot_busy_until = Hashtbl.create 256;
-      chaos_fail = Hashtbl.create 16;
-      chaos_straggle = Hashtbl.create 16;
-      attempts = Hashtbl.create 64;
-      down = Hashtbl.create 8;
-      wake = None;
-      outcomes = [];
-      map_busy_ms = 0;
-      reduce_busy_ms = 0;
-      crashes = 0;
-      rejoins = 0;
-      task_failures = 0;
-      stragglers = 0;
-      lost_work_ms = 0;
-      last_fault_t = 0;
-    }
-  in
-  (* materialized fault plan -> lookup tables + scheduled crash events *)
+  let st = create_state ~validate ~journal ~chaos ~driver jobs in
+  (* materialized fault plan -> per-task lookup lists + scheduled crash
+     events; a later entry for the same (task, attempt) wins *)
   List.iter
     (function
       | Chaos.Crash { resource; at; rejoin } ->
@@ -494,38 +740,34 @@ let run ?(validate = false) ?journal ?metrics_every ?cluster
               ignore (Engine.schedule ~rank:3 engine ~at:rt (on_rejoin st ~resource))
           | None -> ())
       | Chaos.Task_failure { task; attempt; frac_1000 } ->
-          Hashtbl.replace st.chaos_fail (task, attempt) frac_1000
+          let i = index_of st task in
+          if i >= 0 then
+            st.fail_at.(i) <- (attempt, frac_1000) :: st.fail_at.(i)
       | Chaos.Straggler { task; attempt; factor_1000 } ->
-          Hashtbl.replace st.chaos_straggle (task, attempt) factor_1000)
+          let i = index_of st task in
+          if i >= 0 then
+            st.straggle_at.(i) <- (attempt, factor_1000) :: st.straggle_at.(i))
     chaos;
-  List.iter
-    (fun (job : T.job) ->
-      Hashtbl.replace st.progress job.T.id
-        {
-          j = job;
-          tasks_done = 0;
-          maps_done = 0;
-          task_count = T.task_count job;
-          map_count = Array.length job.T.map_tasks;
-        };
-      ignore
-        (Engine.schedule engine ~at:job.T.arrival (fun sim ->
-             if Obs.Trace.enabled () then
-               Obs.Trace.instant ~cat:"sim" "job-arrival"
-                 ~args:[ ("job", Obs.Trace.Int job.T.id) ];
-             (match st.journal with
-             | None -> ()
-             | Some jr ->
-                 Obs.Journal.event jr ~t_ms:(Engine.now sim) "arrival"
-                   [
-                     ("job", Obs.Json.Int job.T.id);
-                     ("est", Obs.Json.Int job.T.earliest_start);
-                     ("deadline", Obs.Json.Int job.T.deadline);
-                     ("tasks", Obs.Json.Int (T.task_count job));
-                   ]);
-             st.driver.Driver.submit ~now:(Engine.now sim) job;
-             react st sim)))
-    jobs;
+  (* one event per arrival instant: every job arriving then is submitted
+     (in list order), then the manager reacts once *)
+  let order = Array.init (Array.length st.jobs) Fun.id in
+  Array.stable_sort
+    (fun a b -> compare st.jobs.(a).T.arrival st.jobs.(b).T.arrival)
+    order;
+  let k = ref 0 in
+  while !k < Array.length order do
+    let first = !k and at = st.jobs.(order.(!k)).T.arrival in
+    while !k < Array.length order && st.jobs.(order.(!k)).T.arrival = at do
+      incr k
+    done;
+    let last = !k - 1 in
+    ignore
+      (Engine.schedule engine ~at (fun sim ->
+           for k = first to last do
+             arrive st st.jobs.(order.(k)) sim
+           done;
+           react st sim))
+  done;
   Obs.Trace.with_span ~cat:"sim" "simulate"
     ~args:[ ("jobs", Obs.Trace.Int (List.length jobs)) ]
     (fun () ->

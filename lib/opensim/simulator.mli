@@ -1,7 +1,9 @@
 (** Open-system discrete event simulation (paper §VI).
 
     A stream of jobs (with pre-generated Poisson arrival times) is fed to a
-    resource manager through a {!Driver.t}.  The simulator executes the
+    resource manager through a {!Driver.t}; the jobs that arrive at one
+    instant are submitted together, in list order, and the manager reacts
+    once to all of them.  The simulator executes the
     manager's dispatches on the virtual cluster: it fires task-start events
     at planned times, task-completion events [exec_time] later, and manager
     wake-ups (deferred-job releases, §V.E).  Completion of a job's last task
@@ -82,9 +84,12 @@ val run :
     additionally checks, as events execute, that no unit slot ever runs two
     tasks at once, that reduces never start before the job's maps are all
     done, that no task starts before its job's s_j, that no task starts on a
-    crashed resource, and that no task completes twice; at run end it checks
-    that every submitted task completed (completeness) — an end-to-end oracle
-    over the whole manager + matchmaker + simulator pipeline.
+    crashed resource or a negative slot, and that no task completes twice;
+    at run end it checks that every submitted task completed (completeness)
+    — an end-to-end oracle over the whole manager + matchmaker + simulator
+    pipeline.  Task ids must be unique across [jobs], and a plan may
+    dispatch only their tasks.
+    @raise Invalid_argument on a repeated task id.
 
     [~chaos] (default: {!Chaos.no_faults}) injects the given fault plan; the
     run remains fully deterministic (the plan is data, not randomness).

@@ -16,3 +16,7 @@ val finish : t -> int
 
 val pp : Format.formatter -> t -> unit
 val compare_by_start : t -> t -> int
+
+val equal : t -> t -> bool
+(** Structural equality, field by field on ints: the same task record
+    (every field), resource, slot and start. *)

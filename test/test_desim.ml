@@ -1,13 +1,14 @@
-(* Tests for the event heap and the discrete event engine: ordering, FIFO
-   tie-breaking, cancellation, horizons, and a small M/M/1-style smoke
-   simulation. *)
+(* Tests for the discrete event engine (ordering, FIFO tie-breaking,
+   cancellation, horizons, a small M/M/1-style smoke simulation, and
+   equivalence with its predecessor) and for that predecessor's binary
+   heap, kept with it in [Engine_reference]. *)
 
 let test_heap_ordering () =
-  let h = Desim.Heap.create () in
-  List.iter (fun k -> Desim.Heap.push h ~key:k k) [ 5; 1; 4; 1; 3; 9; 2 ];
+  let h = Engine_reference.Heap.create () in
+  List.iter (fun k -> Engine_reference.Heap.push h ~key:k k) [ 5; 1; 4; 1; 3; 9; 2 ];
   let drained = ref [] in
   let rec drain () =
-    match Desim.Heap.pop h with
+    match Engine_reference.Heap.pop h with
     | None -> ()
     | Some (k, _) ->
         drained := k :: !drained;
@@ -18,9 +19,9 @@ let test_heap_ordering () =
     (List.rev !drained)
 
 let test_heap_fifo_ties () =
-  let h = Desim.Heap.create () in
-  List.iter (fun v -> Desim.Heap.push h ~key:7 v) [ "a"; "b"; "c" ];
-  let pop () = snd (Option.get (Desim.Heap.pop h)) in
+  let h = Engine_reference.Heap.create () in
+  List.iter (fun v -> Engine_reference.Heap.push h ~key:7 v) [ "a"; "b"; "c" ];
+  let pop () = snd (Option.get (Engine_reference.Heap.pop h)) in
   let first = pop () in
   let second = pop () in
   let third = pop () in
@@ -28,28 +29,28 @@ let test_heap_fifo_ties () =
     [ first; second; third ]
 
 let test_heap_peek () =
-  let h = Desim.Heap.create () in
-  Alcotest.(check bool) "empty peek" true (Desim.Heap.peek h = None);
-  Desim.Heap.push h ~key:3 "x";
-  Desim.Heap.push h ~key:1 "y";
-  Alcotest.(check bool) "peek smallest" true (Desim.Heap.peek h = Some (1, "y"));
-  Alcotest.(check int) "length" 2 (Desim.Heap.length h)
+  let h = Engine_reference.Heap.create () in
+  Alcotest.(check bool) "empty peek" true (Engine_reference.Heap.peek h = None);
+  Engine_reference.Heap.push h ~key:3 "x";
+  Engine_reference.Heap.push h ~key:1 "y";
+  Alcotest.(check bool) "peek smallest" true (Engine_reference.Heap.peek h = Some (1, "y"));
+  Alcotest.(check int) "length" 2 (Engine_reference.Heap.length h)
 
 let test_heap_to_sorted_list_nondestructive () =
-  let h = Desim.Heap.create () in
-  List.iter (fun k -> Desim.Heap.push h ~key:k k) [ 3; 1; 2 ];
-  let l = Desim.Heap.to_sorted_list h in
-  Alcotest.(check int) "still 3 elements" 3 (Desim.Heap.length h);
+  let h = Engine_reference.Heap.create () in
+  List.iter (fun k -> Engine_reference.Heap.push h ~key:k k) [ 3; 1; 2 ];
+  let l = Engine_reference.Heap.to_sorted_list h in
+  Alcotest.(check int) "still 3 elements" 3 (Engine_reference.Heap.length h);
   Alcotest.(check (list int)) "sorted keys" [ 1; 2; 3 ] (List.map fst l)
 
 let prop_heap_sorts =
   QCheck.Test.make ~count:300 ~name:"heap drains in sorted order"
     QCheck.(list (int_range 0 10_000))
     (fun keys ->
-      let h = Desim.Heap.create () in
-      List.iter (fun k -> Desim.Heap.push h ~key:k ()) keys;
+      let h = Engine_reference.Heap.create () in
+      List.iter (fun k -> Engine_reference.Heap.push h ~key:k ()) keys;
       let rec drain acc =
-        match Desim.Heap.pop h with
+        match Engine_reference.Heap.pop h with
         | None -> List.rev acc
         | Some (k, ()) -> drain (k :: acc)
       in
@@ -175,6 +176,162 @@ let test_engine_mm1_smoke () =
   Alcotest.(check int) "all served" 500 !departures;
   Alcotest.(check int) "queue drained" 0 !queue
 
+(* --- the engine against its reference ---------------------------------- *)
+
+(* [Engine_reference] is the engine as it was before its event list became
+   a heap of pending events in recycled slots.  A random program of
+   schedules (some of whose events schedule a child or cancel a handle
+   when they fire), reschedules and cancels (of any handle issued so far:
+   pending, fired or already cancelled, so stale handles meet reused
+   slots), double cancels, steps and horizon runs is replayed on both; they
+   must fire the same (time, event) sequence and agree on [pending], the
+   executed count, the clock and every [step] result after each operation.
+   Delays of 0–4 and ranks 0–3 make same-instant events of different ranks
+   common. *)
+
+module type ENGINE = sig
+  type t
+  type handle
+
+  val create : ?start_time:int -> unit -> t
+  val now : t -> int
+  val schedule : ?rank:int -> t -> at:int -> (t -> unit) -> handle
+  val reschedule : ?rank:int -> t -> handle -> at:int -> (t -> unit) -> handle
+  val cancel : t -> handle -> unit
+  val pending : t -> int
+  val step : t -> bool
+  val run : ?until:int -> t -> unit
+  val events_executed : t -> int
+end
+
+type op =
+  | Schedule of {
+      delay : int;
+      rank : int;
+      child : (int * int) option;  (** (delay, rank) scheduled on firing *)
+      kill : int option;  (** handle index cancelled on firing *)
+    }
+  | Reschedule of { k : int; delay : int; rank : int }
+      (** handle index; issues a new handle *)
+  | Cancel of int  (** handle index, modulo the handles issued *)
+  | Cancel_twice of int
+  | Step
+  | Run_until of int  (** horizon, relative to the clock *)
+
+let pp_op = function
+  | Schedule { delay; rank; child; kill } ->
+      Printf.sprintf "schedule +%d r%d%s%s" delay rank
+        (match child with
+        | Some (d, r) -> Printf.sprintf " child(+%d r%d)" d r
+        | None -> "")
+        (match kill with Some k -> Printf.sprintf " kill %d" k | None -> "")
+  | Reschedule { k; delay; rank } ->
+      Printf.sprintf "reschedule %d +%d r%d" k delay rank
+  | Cancel k -> Printf.sprintf "cancel %d" k
+  | Cancel_twice k -> Printf.sprintf "cancel twice %d" k
+  | Step -> "step"
+  | Run_until d -> Printf.sprintf "run until +%d" d
+
+module Replay (E : ENGINE) = struct
+  let replay ops =
+    let sim = E.create () in
+    let handles = ref [||] and issued = ref 0 and labels = ref 0 in
+    let fired = ref [] and observed = ref [] in
+    let pick k = if !issued = 0 then None else Some !handles.(k mod !issued) in
+    let rec schedule ?from ~delay ~rank ~child ~kill () =
+      let label = !labels in
+      incr labels;
+      let at = E.now sim + delay in
+      let h =
+        (match from with
+        | None -> E.schedule ~rank sim ~at
+        | Some h -> E.reschedule ~rank sim h ~at) (fun sim ->
+            fired := (E.now sim, label) :: !fired;
+            Option.iter
+              (fun (delay, rank) ->
+                schedule ~delay ~rank ~child:None ~kill:None ())
+              child;
+            Option.iter (fun k -> Option.iter (E.cancel sim) (pick k)) kill)
+      in
+      if !issued = Array.length !handles then
+        handles := Array.append !handles (Array.make (max 8 !issued) h);
+      !handles.(!issued) <- h;
+      incr issued
+    in
+    List.iter
+      (fun op ->
+        let stepped =
+          match op with
+          | Schedule { delay; rank; child; kill } ->
+              schedule ~delay ~rank ~child ~kill ();
+              None
+          | Reschedule { k; delay; rank } ->
+              Option.iter
+                (fun h ->
+                  schedule ~from:h ~delay ~rank ~child:None ~kill:None ())
+                (pick k);
+              None
+          | Cancel k ->
+              Option.iter (E.cancel sim) (pick k);
+              None
+          | Cancel_twice k ->
+              Option.iter
+                (fun h ->
+                  E.cancel sim h;
+                  E.cancel sim h)
+                (pick k);
+              None
+          | Step -> Some (E.step sim)
+          | Run_until d ->
+              E.run ~until:(E.now sim + d) sim;
+              None
+        in
+        observed :=
+          (stepped, E.pending sim, E.events_executed sim, E.now sim)
+          :: !observed)
+      ops;
+    E.run sim;
+    (List.rev !fired, List.rev !observed, E.events_executed sim, E.now sim)
+end
+
+module New = Replay (Desim.Engine)
+(* the reference had no [reschedule]: it is [cancel] then [schedule] *)
+module Ref = Replay (struct
+  include Engine_reference
+
+  let reschedule ?rank t h ~at action =
+    cancel t h;
+    schedule ?rank t ~at action
+end)
+
+let gen_op =
+  QCheck.Gen.(
+    frequency
+      [
+        ( 5,
+          int_range 0 4 >>= fun delay ->
+          int_range 0 3 >>= fun rank ->
+          opt (pair (int_range 0 4) (int_range 0 3)) >>= fun child ->
+          opt small_nat >|= fun kill -> Schedule { delay; rank; child; kill } );
+        ( 2,
+          small_nat >>= fun k ->
+          int_range 0 4 >>= fun delay ->
+          int_range 0 3 >|= fun rank -> Reschedule { k; delay; rank } );
+        (2, small_nat >|= fun k -> Cancel k);
+        (1, small_nat >|= fun k -> Cancel_twice k);
+        (2, return Step);
+        (1, int_range 0 6 >|= fun d -> Run_until d);
+      ])
+
+let prop_engine_matches_reference =
+  QCheck.Test.make ~count:500 ~name:"engine = reference engine"
+    QCheck.(
+      make
+        ~print:(fun ops -> String.concat "; " (List.map pp_op ops))
+        ~shrink:Shrink.list
+        Gen.(list_size (int_range 0 60) gen_op))
+    (fun ops -> New.replay ops = Ref.replay ops)
+
 let () =
   Alcotest.run "desim"
     [
@@ -201,4 +358,6 @@ let () =
           Alcotest.test_case "mm1 smoke" `Quick test_engine_mm1_smoke;
         ] );
       ("properties", [ QCheck_alcotest.to_alcotest prop_heap_sorts ]);
+      ( "reference",
+        [ QCheck_alcotest.to_alcotest prop_engine_matches_reference ] );
     ]

@@ -290,6 +290,24 @@ let test_stop_reason_fail_limit () =
   Alcotest.(check bool) "no wall_limit stops" false
     (List.mem_assoc "wall_limit" rep.Report.Audit.stop_reasons)
 
+(* The writer emits ints digit by digit and copies strings that need no
+   escaping as they are: ints must print as [string_of_int] does, and any
+   string (control characters, quotes, backslashes) must parse back. *)
+let prop_json_ints_and_strings =
+  QCheck.Test.make ~count:500
+    ~name:"ints print as string_of_int, strings round-trip"
+    QCheck.(
+      pair
+        (oneof [ int; int_range (-20) 20; always min_int; always max_int ])
+        (string_gen_of_size Gen.(int_range 0 12) Gen.char))
+    (fun (i, str) ->
+      Obs.Json.to_string (Obs.Json.Int i) = string_of_int i
+      && Obs.Json.of_string (Obs.Json.to_string (Obs.Json.String str))
+         = Ok (Obs.Json.String str)
+      && Obs.Json.of_string
+           (Obs.Json.to_string (Obs.Json.Obj [ (str, Obs.Json.Int i) ]))
+         = Ok (Obs.Json.Obj [ (str, Obs.Json.Int i) ]))
+
 let () =
   Alcotest.run "journal"
     [
@@ -324,4 +342,5 @@ let () =
           Alcotest.test_case "fail budget attribution" `Slow
             test_stop_reason_fail_limit;
         ] );
+      ("json", [ QCheck_alcotest.to_alcotest prop_json_ints_and_strings ]);
     ]
