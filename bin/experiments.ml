@@ -119,15 +119,10 @@ let run_ids ids reps jobs fb_jobs seed budget out validate lambdas trace_out
           if metrics then begin
             print_string
               (Report.Obs_report.summary (Obs.Metrics.merge_all snaps));
-            (match Obs.Trace.dropped_by_domain () with
-            | [] -> ()
-            | drops ->
-                List.iter
-                  (fun (tid, dropped) ->
-                    Printf.printf
-                      "trace: domain %d dropped %d events (--trace-limit)\n"
-                      tid dropped)
-                  drops);
+            (match Obs.Trace.dropped () with
+            | 0 -> ()
+            | n ->
+                Printf.printf "trace: dropped %d events (--trace-limit)\n" n);
             print_newline ()
           end);
       match out with
@@ -235,8 +230,9 @@ let metrics_out =
 let trace_limit =
   Arg.(value & opt (some int) None
        & info [ "trace-limit" ]
-           ~doc:"With --trace: per-domain ring-buffer capacity in events; \
-                 drop counts are reported in the --metrics summary.")
+           ~doc:"With --trace: the most events to record; later ones are \
+                 dropped (the drop count is reported in the --metrics \
+                 summary).")
 
 let cmd =
   let term =

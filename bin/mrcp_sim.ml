@@ -19,14 +19,9 @@ let print_metrics = function
         "no metrics collected (manager without solver instrumentation)"
 
 let print_trace_drops () =
-  match Obs.Trace.dropped_by_domain () with
-  | [] -> ()
-  | drops ->
-      List.iter
-        (fun (tid, dropped) ->
-          Printf.printf "trace: domain %d dropped %d events (--trace-limit)\n"
-            tid dropped)
-        drops
+  match Obs.Trace.dropped () with
+  | 0 -> ()
+  | n -> Printf.printf "trace: dropped %d events (--trace-limit)\n" n
 
 let write_metrics_out path = function
   | Some snap ->
@@ -56,7 +51,7 @@ let check_inputs ~workload ~replay ~synthetic ~facebook ~cluster =
   | exception Invalid_argument msg -> Error (`Msg msg)
 
 let run workload manager jobs lambda e_max p s_max d_m m map_cap reduce_cap
-    seed budget ordering domains deferral validate verbose replay trace_out
+    seed budget ordering deferral validate verbose replay trace_out
     metrics journal_out metrics_every metrics_out trace_limit crash_rate
     straggler_p straggler_factor task_fail_p =
   let synthetic =
@@ -100,9 +95,6 @@ let run workload manager jobs lambda e_max p s_max d_m m map_cap reduce_cap
     Logs.set_reporter (Logs.format_reporter ());
     Logs.set_level (Some Logs.Debug)
   end;
-  let domains =
-    if domains = 0 then Domain.recommended_domain_count () else domains
-  in
   let config =
     {
       Expkit.Runner.n_jobs = jobs;
@@ -111,7 +103,6 @@ let run workload manager jobs lambda e_max p s_max d_m m map_cap reduce_cap
       manager;
       ordering;
       solver_time_limit = budget;
-      solver_domains = domains;
       deferral_window = deferral;
       validate;
       instrument = metrics;
@@ -244,11 +235,6 @@ let term =
     $ Arg.(value & opt float 0.2 & info [ "budget" ] ~doc:"CP time budget (s).")
     $ Arg.(value & opt ordering_conv Sched.Greedy.Edf
            & info [ "ordering" ] ~doc:"MRCP-RM job ordering strategy.")
-    $ Arg.(value & opt int 1
-           & info [ "domains" ]
-               ~doc:"Solver domains: 1 = sequential (deterministic), N > 1 \
-                     = parallel portfolio on N OCaml domains, 0 = use all \
-                     recommended domains.")
     $ Arg.(value & opt (some int) (Some 300_000)
            & info [ "deferral" ] ~doc:"Deferral window in ms (§V.E).")
     $ Arg.(value & flag & info [ "validate" ] ~doc:"Full feasibility oracle.")
@@ -282,9 +268,9 @@ let term =
                      (requires --metrics for solver instrumentation).")
     $ Arg.(value & opt (some int) None
            & info [ "trace-limit" ]
-               ~doc:"With --trace: per-domain ring-buffer capacity in \
-                     events; older events beyond it are dropped (drop counts \
-                     are reported in the --metrics summary).")
+               ~doc:"With --trace: the most events to record; later ones \
+                     are dropped (the drop count is reported in the \
+                     --metrics summary).")
     $ Arg.(value & opt float 0.
            & info [ "crash-rate" ]
                ~doc:"Chaos: expected resource crashes per resource per second \

@@ -9,7 +9,6 @@ module Log = (val Logs.src_log log_src : Logs.LOG)
 
 type config = {
   solver : Cp.Solver.options;
-  domains : int;
   deferral_window : int option;
   validate : bool;
   journal : Obs.Journal.t option;
@@ -18,7 +17,6 @@ type config = {
 let default_config =
   {
     solver = Cp.Solver.default_options;
-    domains = 1;
     deferral_window = Some 300_000 (* 300 s *);
     validate = false;
     journal = None;
@@ -106,7 +104,7 @@ let create ~cluster config =
     cache_hits = 0;
     scheduled_jobs = 0;
     last_stats = None;
-    session = Cp.Session.create ~domains:config.domains ();
+    session = Cp.Session.create ();
     matchmaker = Matchmaker.create ~cluster;
     registry =
       (if config.solver.Cp.Solver.instrument then Some (Obs.Metrics.create ())

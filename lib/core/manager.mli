@@ -31,12 +31,8 @@
 
 type config = {
   solver : Cp.Solver.options;
-  domains : int;
-      (** 1 (default): the session solves with the sequential,
-          deterministic {!Cp.Solver} pipeline over its persistent store,
-          diffed between invocations.  > 1: it runs a parallel portfolio on
-          that many OCaml domains ({!Cp.Session.create}), whose workers each
-          build their own model. *)
+      (** every pass solves with these through the manager's persistent
+          {!Cp.Session}, diffed between invocations *)
   deferral_window : int option;
       (** §V.E: [Some w] defers jobs with s_j > now + w; [None] disables *)
   validate : bool;
@@ -150,8 +146,7 @@ val jobs_scheduled : t -> int
     the denominator of O. *)
 
 val last_solver_stats : t -> Cp.Solver.stats option
-(** Stats of the most recent solve.  With [config.domains > 1] this is the
-    portfolio's aggregate over its workers. *)
+(** Stats of the most recent solve. *)
 
 val metrics : t -> Obs.Metrics.snapshot option
 (** Accumulated telemetry over every invocation so far — manager-level

@@ -4,9 +4,6 @@ type limits = {
   fail_limit : int;
   node_limit : int;
   wall_deadline : float option;
-  interrupt : (unit -> bool) option;
-  tighten_bound : (unit -> int) option;
-  on_improve : (int -> unit) option;
   target : int option;
 }
 
@@ -15,9 +12,6 @@ let no_limits =
     fail_limit = 0;
     node_limit = 0;
     wall_deadline = None;
-    interrupt = None;
-    tighten_bound = None;
-    on_improve = None;
     target = None;
   }
 
@@ -45,14 +39,12 @@ type stop_cause =
   | Node_budget
   | Fail_budget
   | Wall_clock
-  | Interrupt
 
 let stop_reason_of_cause = function
   | Exhausted | Target_met -> Obs.Solve_stats.Proved
   | Node_budget -> Obs.Solve_stats.Node_limit
   | Fail_budget -> Obs.Solve_stats.Fail_limit
   | Wall_clock -> Obs.Solve_stats.Wall_limit
-  | Interrupt -> Obs.Solve_stats.Interrupted
 
 type outcome = {
   best : Sched.Solution.t option;
@@ -107,19 +99,6 @@ let check_limits st =
   st.ticks <- st.ticks - 1;
   if st.ticks <= 0 then begin
     st.ticks <- 64;
-    (match st.limits.interrupt with
-    | Some stop when stop () ->
-        st.stop_cause <- Interrupt;
-        raise Limit_reached
-    | _ -> ());
-    (* Adopt an incumbent bound found by a sibling portfolio worker.  The
-       bound ref only ever tightens, and the objective cut is re-scheduled at
-       every node, so lowering it here is safe mid-search. *)
-    (match st.limits.tighten_bound with
-    | Some global ->
-        let g = global () in
-        if g < !(st.problem.bound) then st.problem.bound := g
-    | None -> ());
     match st.limits.wall_deadline with
     | Some deadline when Obs.Clock.now () > deadline ->
         st.stop_cause <- Wall_clock;
@@ -169,8 +148,7 @@ let select_start st postponed =
     if est <> Array.unsafe_get maxs info.svar then begin
       if Array.unsafe_get postponed i <> est then begin
         let slack = info.deadline - est - info.duration in
-        (* always prefer small est; the remaining tie-break is the
-           portfolio's diversification axis *)
+        (* always prefer small est, then the configured tie-break *)
         let k2 =
           match st.tie_break with
           | Slack_first -> slack
@@ -211,9 +189,6 @@ let record_solution st =
   if late_count < !(st.problem.bound) then begin
     st.best <- Some sol;
     st.problem.bound := late_count;
-    (match st.limits.on_improve with
-    | Some announce -> announce late_count
-    | None -> ());
     match st.limits.target with
     | Some target when late_count <= target ->
         st.stop_cause <- Target_met;

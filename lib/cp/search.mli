@@ -24,17 +24,6 @@ type limits = {
   wall_deadline : float option;
       (** {!Obs.Clock.now} cutoff (monotonic seconds, {e not}
           [Unix.gettimeofday]) *)
-  interrupt : (unit -> bool) option;
-      (** polled every ~64 nodes; [true] abandons the search (reported as not
-          proved).  The portfolio's first-to-prove-optimal cancellation. *)
-  tighten_bound : (unit -> int) option;
-      (** polled every ~64 nodes; when it returns a value below
-          [problem.bound] the bound is adopted, so this search prunes against
-          incumbents found by sibling portfolio workers.  The callback must be
-          safe to call from this search's domain (e.g. read an [Atomic]). *)
-  on_improve : (int -> unit) option;
-      (** called with the new Σ N_j whenever this search records a better
-          solution — the write side of the shared incumbent. *)
   target : int option;
       (** stop at the node that records a solution with Σ N_j at most this
           value, reported as {!Target_met}.  Pass a proved lower bound: no
@@ -43,7 +32,7 @@ type limits = {
 }
 
 val no_limits : limits
-(** No limits and no portfolio hooks — plain sequential search. *)
+(** No limits. *)
 
 type tie_break =
   | Slack_first  (** est, then least slack, then longest duration (default) *)
@@ -81,7 +70,6 @@ type stop_cause =
   | Node_budget
   | Fail_budget
   | Wall_clock
-  | Interrupt
 
 val stop_reason_of_cause : stop_cause -> Obs.Solve_stats.stop_reason
 (** The telemetry-level reason for a search-level cause ([Exhausted] and

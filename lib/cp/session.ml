@@ -83,7 +83,6 @@ type cert = {
 }
 
 type t = {
-  domains : int;
   mutable core : core option;
   mutable cert : cert option;
   (* task id -> its start in the last plan returned that placed it: a
@@ -107,9 +106,8 @@ type t = {
 (* The recorded start of a task no plan placed; never written *)
 let unplanned = ref min_int
 
-let create ?(domains = 1) () =
+let create () =
   {
-    domains;
     core = None;
     cert = None;
     plan = Ids.create 16;
@@ -655,57 +653,43 @@ let solve t ~options (inst : Instance.t) =
   (* one lookup per pending task: [record] writes through the same cells *)
   let present, cells, warm = open_pass t ~tasks inst in
   let carried_bound = cert_lower_bound t ~present ~pass inst in
-  (* what a returned plan leaves for the next instance; [true] for a proof
-     the classic bound alone could not have delivered *)
-  let keep sol (st : Solver.stats) =
+  (* The exact backend is the only place that syncs the store, so a pass
+     the fast path or LNS settles never pays for a diff ([sync] is a diff
+     against the instance, not an event log: a skipped pass folds into the
+     next searching one's). *)
+  let searched = ref None in
+  let exact ~registry ~bound_to_beat limits =
+    let t_sync = Obs.Clock.now () in
+    let core = sync t inst in
+    let sync_s = Obs.Clock.now () -. t_sync in
+    searched := Some core;
+    if registry <> None then Store.set_instrumented core.store true;
+    (search_core ~options core inst ~bound_to_beat limits, sync_s)
+  in
+  (* what a returned plan leaves for the next instance; [via_cert] for a
+     proof the classic bound alone could not have delivered *)
+  let on_settle registry sol (st : Solver.stats) =
     record t ~present ~tasks ~cells sol;
     update_cert t ~proved:st.Solver.proved_optimal inst sol;
     let via_cert = st.Solver.stop_reason = Obs.Solve_stats.Hit_carried_bound in
     if via_cert then t.cert_proofs <- t.cert_proofs + 1;
-    via_cert
+    Option.iter
+      (fun r ->
+        let count name v = Obs.Metrics.add (Obs.Metrics.counter r name) v in
+        count "session/retracted" (t.retracted - retracted0);
+        count "session/appended_jobs" (t.appended - appended0);
+        count "session/rebuilds" (t.rebuilds - rebuilds0);
+        count "session/cert_proofs" (Bool.to_int via_cert);
+        count "store/words_allocated"
+          (int_of_float (Gc.minor_words () -. words0));
+        (* harvested after the words count, which measures the solve and
+           not its telemetry; the store's counters run from the last
+           harvest, so the diff and the search of this pass are counted *)
+        Option.iter
+          (fun core ->
+            Store.harvest ?since:core.harvested r core.store;
+            core.harvested <- Some (Store.telemetry_mark core.store))
+          !searched)
+      registry
   in
-  if t.domains > 1 then begin
-    let sol, ps =
-      Portfolio.solve ~domains:t.domains ~options ~pass ?warm ~carried_bound
-        inst
-    in
-    ignore (keep sol ps.Portfolio.base : bool);
-    (sol, ps.Portfolio.base)
-  end
-  else
-    (* The exact backend is the only place that syncs the store, so a pass
-       the fast path or LNS settles never pays for a diff ([sync] is a diff
-       against the instance, not an event log: a skipped pass folds into
-       the next searching one's). *)
-    let searched = ref None in
-    let exact ~registry ~bound_to_beat limits =
-      let t_sync = Obs.Clock.now () in
-      let core = sync t inst in
-      let sync_s = Obs.Clock.now () -. t_sync in
-      searched := Some core;
-      if registry <> None then Store.set_instrumented core.store true;
-      (search_core ~options core inst ~bound_to_beat limits, sync_s)
-    in
-    let on_settle registry sol st =
-      let via_cert = keep sol st in
-      Option.iter
-        (fun r ->
-          let count name v = Obs.Metrics.add (Obs.Metrics.counter r name) v in
-          count "session/retracted" (t.retracted - retracted0);
-          count "session/appended_jobs" (t.appended - appended0);
-          count "session/rebuilds" (t.rebuilds - rebuilds0);
-          count "session/cert_proofs" (Bool.to_int via_cert);
-          count "store/words_allocated"
-            (int_of_float (Gc.minor_words () -. words0));
-          (* harvested after the words count, which measures the solve and
-             not its telemetry; the store's counters run from the last
-             harvest, so the diff and the search of this pass are counted *)
-          Option.iter
-            (fun core ->
-              Store.harvest ?since:core.harvested r core.store;
-              core.harvested <- Some (Store.telemetry_mark core.store))
-            !searched)
-        registry
-    in
-    Solver.solve_linked ~options ~link:Solver.null_link ~t0 ~pass
-      ~carried_bound ?warm ~exact ~on_settle inst
+  Solver.solve ~options ~t0 ~pass ~carried_bound ?warm ~exact ~on_settle inst

@@ -65,27 +65,25 @@
     ({!Solver.incumbent}) carries the recorded starts the clock has not
     passed, with the jobs new since the last solve as the changed ones.
 
-    The solve policy is {!Solver.solve_linked}'s; the session adds only
+    The solve policy is {!Solver.solve}'s; the session adds only
     its warm start, the carried bound, an exact search over its store and
     its bookkeeping.  Instances past [options.exact_task_limit] go to the
     pipeline's LNS on throwaway fragment models and never sync the store.
 
-    A session serves one manager sequentially — it is not thread-safe.
-    With [domains > 1] it runs {!Portfolio} on its warm start and carried
-    bound instead; the workers build their own models. *)
+    A session serves one manager sequentially — it is not thread-safe. *)
 
 type t
 
-val create : ?domains:int -> unit -> t
+val create : unit -> t
 (** An empty session; the store is built by the first searching {!solve},
-    and the options are read per call.  [domains]: see above (default 1). *)
+    and the options are read per call. *)
 
 val solve :
   t ->
   options:Solver.options ->
   Sched.Instance.t ->
   Sched.Solution.t * Solver.stats
-(** Run {!Solver.solve_linked} with the warm start, the certificate's bound
+(** Run {!Solver.solve} with the warm start, the certificate's bound
     and the persistent store as exact backend, and record the plan it
     returns, which the caller dispatches.  The sync is {e lazy}: an
     invocation settled by the bound or routed to LNS never touches the
@@ -94,8 +92,7 @@ val solve :
     [options.instrument] the stats carry the session counters
     ([session/retracted], [session/appended_jobs], [session/rebuilds],
     [session/cert_proofs], [store/words_allocated]) and the store counters
-    of the search that ran (with [domains > 1], the portfolio's aggregate
-    stats alone). *)
+    of the search that ran. *)
 
 val reset : t -> unit
 (** After a fault: drop the store and the certificate, keep the recorded

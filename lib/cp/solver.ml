@@ -30,26 +30,6 @@ let default_options =
     instrument = false;
   }
 
-(* Hooks a portfolio coordinator installs so concurrent workers share the
-   incumbent Σ N_j and stop as soon as one of them proves optimality.  The
-   null link (used by the plain sequential {!solve}) makes every hook a
-   no-op, so the linked code path is observably identical to the historical
-   sequential solver. *)
-type link = {
-  should_stop : unit -> bool;
-  global_bound : unit -> int;
-  announce : int -> unit;
-  isolated : bool;
-}
-
-let null_link =
-  {
-    should_stop = (fun () -> false);
-    global_bound = (fun () -> max_int);
-    announce = ignore;
-    isolated = true;
-  }
-
 type stats = Obs.Solve_stats.t = {
   seed_late : int;
   lower_bound : int;
@@ -261,8 +241,7 @@ let warm_in (pass : Greedy.pass) (inst : Instance.t) (inc : incumbent) =
   in
   if not !any then None
   else
-    (* fixed Edf completion order keeps the candidate identical across
-       portfolio workers whatever their own seed ordering is *)
+    (* a fixed Edf completion order, whatever the seed ordering *)
     match Greedy.complete pass ~carried ~covered with
     | sol, true -> Some sol
     | _, false -> None
@@ -415,18 +394,12 @@ let fast_path st =
     in
     Some (settle_with st ~proved:true ~stop st.seed)
 
-let settle ~options ?pass ?warm ?carried_bound inst =
-  fast_path (start ~options ?pass ?warm ?carried_bound inst)
-
-let exact_regime ~options ~link ~exact st =
+let exact_regime ~options ~exact st =
   let limits =
     {
       Search.fail_limit = options.fail_limit;
       node_limit = 0;
       wall_deadline = Some (st.t0 +. options.time_limit);
-      interrupt = Some link.should_stop;
-      tighten_bound = (if link.isolated then None else Some link.global_bound);
-      on_improve = Some link.announce;
       (* an improving solution that reaches [lb] is already optimal — stop
          at that node instead of exhausting the rest of the tree to
          re-prove it *)
@@ -452,7 +425,7 @@ let exact_regime ~options ~link ~exact st =
     ~sync_s ~search_s ~proved ~stop incumbent
 
 (* LNS over job neighbourhoods *)
-let lns_regime ~options ~link ?warm st (inst : Instance.t) =
+let lns_regime ~options ?warm st (inst : Instance.t) =
   let t_search = Obs.Clock.now () in
   let deadline = st.t0 +. options.time_limit in
   let rng = Simrand.Rng.create options.seed in
@@ -471,7 +444,6 @@ let lns_regime ~options ~link ?warm st (inst : Instance.t) =
     !incumbent.Solution.late_jobs > st.lb
     && !stall < options.lns_max_stall
     && Obs.Clock.now () < deadline
-    && not (link.should_stop ())
   in
   while continue () do
     incr lns_moves;
@@ -497,24 +469,14 @@ let lns_regime ~options ~link ?warm st (inst : Instance.t) =
         Search.fail_limit = options.fail_limit;
         node_limit = 0;
         wall_deadline = Some deadline;
-        interrupt = Some link.should_stop;
-        (* the subsearch walks a local neighbourhood; foreign bounds feed in
-           through [bound_to_beat] below, not mid-search, so the isolated
-           (sequential-replica) trajectory stays reproducible *)
-        tighten_bound = None;
-        on_improve = None;
         target = None;
       }
     in
-    (* prune against the best solution found anywhere: a fragment is only
-       worth exploring if it can beat the global incumbent *)
-    let bound_to_beat =
-      if link.isolated then !incumbent.Solution.late_jobs
-      else min !incumbent.Solution.late_jobs (link.global_bound ())
-    in
+    (* a fragment is only worth exploring if it can beat the incumbent *)
     let run () =
       fst
-        (model_search ~options sub ~registry:st.registry ~bound_to_beat limits)
+        (model_search ~options sub ~registry:st.registry
+           ~bound_to_beat:!incumbent.Solution.late_jobs limits)
     in
     let outcome =
       if Obs.Trace.enabled () then
@@ -535,8 +497,7 @@ let lns_regime ~options ~link ?warm st (inst : Instance.t) =
         let merged = merge_starts inst sub !incumbent partial in
         if Solution.better merged !incumbent then begin
           incumbent := merged;
-          stall := 0;
-          link.announce merged.Solution.late_jobs
+          stall := 0
         end
         else incr stall
     | None -> incr stall
@@ -547,24 +508,19 @@ let lns_regime ~options ~link ?warm st (inst : Instance.t) =
   let stop =
     if proved then bound_stop st !incumbent
     else if !stall >= options.lns_max_stall then Obs.Solve_stats.Lns_stall
-    else if not (Obs.Clock.now () < deadline) then Obs.Solve_stats.Wall_limit
-    else Obs.Solve_stats.Interrupted
+    else Obs.Solve_stats.Wall_limit
   in
   settle_with st ~nodes:!nodes ~failures:!failures ~lns_moves:!lns_moves
     ~search_s ~proved ~stop !incumbent
 
-let solve_linked ~options ~link ?t0 ?pass ?carried_bound ?warm ?exact
+let solve ?(options = default_options) ?t0 ?pass ?carried_bound ?warm ?exact
     ?on_settle (inst : Instance.t) =
   let st = start ~options ?t0 ?pass ?carried_bound ?warm ?on_settle inst in
-  link.announce st.seed.Solution.late_jobs;
   match fast_path st with
   | Some settled -> settled
   | None when Instance.pending_task_count inst <= options.exact_task_limit ->
       let exact =
         match exact with Some e -> e | None -> model_search ~options inst
       in
-      exact_regime ~options ~link ~exact st
-  | None -> lns_regime ~options ~link ?warm st inst
-
-let solve ?(options = default_options) ?warm (inst : Instance.t) =
-  solve_linked ~options ~link:null_link ?warm inst
+      exact_regime ~options ~exact st
+  | None -> lns_regime ~options ?warm st inst

@@ -1,7 +1,7 @@
 (** Anytime solver for a scheduling instance — the role CPLEX CP Optimizer
     plays in the paper (§IV–V).
 
-    Pipeline ({!solve_linked} holds it once for every caller):
+    Pipeline ({!solve} holds it once for every caller):
     + seed with greedy list schedules under the paper's three job orderings
       (§VI.B) plus a doomed-last variant and keep the best (or adopt a
       carried warm-start plan that is at least as good);
@@ -37,8 +37,7 @@ type options = {
   lns_max_stall : int;  (** stop after this many non-improving moves *)
   seed : int;  (** randomization seed for LNS *)
   tie_break : Search.tie_break;
-      (** SetTimes branching tie-break (default {!Search.Slack_first}); the
-          portfolio diversifies its B&B workers along this axis *)
+      (** SetTimes branching tie-break (default {!Search.Slack_first}) *)
   instrument : bool;
       (** collect per-propagator fire/fail/time metrics into
           [stats.metrics] (default [false]).  Metering never changes
@@ -62,7 +61,7 @@ type stats = Obs.Solve_stats.t = {
   stop_reason : Obs.Solve_stats.stop_reason;
       (** why the solve returned: [Cache_hit] on the warm-seeded fast path,
           [Proved] when search or the bound settled it, otherwise the limit
-          (or LNS stall / portfolio interrupt) that cut it *)
+          (or LNS stall) that cut it *)
   nodes : int;
   failures : int;
   lns_moves : int;
@@ -76,29 +75,6 @@ type stats = Obs.Solve_stats.t = {
   metrics : Obs.Metrics.snapshot option;
       (** [Some] iff [options.instrument] was set *)
 }
-
-type link = {
-  should_stop : unit -> bool;
-      (** polled between LNS moves and inside the tree search; [true] makes
-          the solver return its incumbent immediately (first-to-prove-optimal
-          cancellation) *)
-  global_bound : unit -> int;
-      (** best Σ N_j found by any portfolio worker ([max_int] when none);
-          non-isolated workers prune against it *)
-  announce : int -> unit;
-      (** called with every improved local Σ N_j — the write side of the
-          shared incumbent *)
-  isolated : bool;
-      (** [true]: never let foreign bounds steer this worker's own search —
-          its trajectory (and thus its result, absent cancellation) is
-          bit-identical to the sequential {!solve}.  The portfolio runs its
-          worker 0 isolated so the parallel solve can never return a worse
-          Σ N_j than the sequential one. *)
-}
-
-val null_link : link
-(** All hooks are no-ops, [isolated = true].  [solve = solve_linked
-    ~link:null_link]. *)
 
 type exact_search =
   registry:Obs.Metrics.t option ->
@@ -115,7 +91,7 @@ type exact_search =
 (** One instance's shared seed work: the list schedules'
     {!Sched.Greedy.pass}, each job's {!job_doomed} and their count, the
     classic bound.  Built once per solve; like the greedy pass it is
-    scratch space for one caller and one domain. *)
+    scratch space for one caller. *)
 type pass
 
 val prepare : ?scratch:Sched.Greedy.scratch -> Sched.Instance.t -> pass
@@ -133,45 +109,6 @@ val late_lower_bound : pass -> int
 
 val doomed : pass -> int -> bool
 (** [doomed p jdx]: {!job_doomed} of the instance's job [jdx]. *)
-
-val solve_linked :
-  options:options ->
-  link:link ->
-  ?t0:float ->
-  ?pass:pass ->
-  ?carried_bound:int ->
-  ?warm:incumbent ->
-  ?exact:exact_search ->
-  ?on_settle:(Obs.Metrics.t option -> Sched.Solution.t -> stats -> unit) ->
-  Sched.Instance.t ->
-  Sched.Solution.t * stats
-(** The pipeline above — the one copy of the solve policy, run by {!solve},
-    the {!Portfolio} workers and {!Session}.  The bound is [max
-    (late_lower_bound pass) carried_bound]; the seed is
-    {!starting_incumbent}'s, warm from [warm] when given, built on [pass]
-    (default: prepared here; a caller that needs the pending tasks or the
-    dooms first prepares it once and hands it in), and a seed meeting
-    the bound returns at once with [Proved], [Cache_hit] (adopted warm plan)
-    or [Hit_carried_bound] (only the carried bound settles it).  Instances with
-    at most [options.exact_task_limit] pending tasks go to [exact] (default:
-    a fresh {!Model}), larger ones to LNS on fresh fragment models; both stop
-    once an incumbent meets the bound.  The wall deadline and
-    [stats.elapsed] run from [t0] (default: now).  [on_settle registry
-    incumbent stats] runs once on every return path, before [elapsed] and
-    the metrics snapshot are read.  With the default [exact] the worker
-    shares only the read-only instance and [link], so it can run on its own
-    domain. *)
-
-val settle :
-  options:options ->
-  ?pass:pass ->
-  ?warm:incumbent ->
-  ?carried_bound:int ->
-  Sched.Instance.t ->
-  (Sched.Solution.t * stats) option
-(** The pipeline's fast path alone: [Some] with what {!solve_linked} returns
-    when the seed meets the bound, [None] when it would search.  [pass] as
-    in {!solve_linked}. *)
 
 val warm_candidate : pass -> incumbent -> Sched.Solution.t option
 (** Complete a carried-over plan into a full solution for the pass's
@@ -208,10 +145,28 @@ val job_doomed : Sched.Instance.t -> Sched.Instance.pending_job -> bool
 
 val solve :
   ?options:options ->
+  ?t0:float ->
+  ?pass:pass ->
+  ?carried_bound:int ->
   ?warm:incumbent ->
+  ?exact:exact_search ->
+  ?on_settle:(Obs.Metrics.t option -> Sched.Solution.t -> stats -> unit) ->
   Sched.Instance.t ->
   Sched.Solution.t * stats
-(** [solve_linked ~link:null_link]: the tests' reference.  Never fails: at
-    worst returns the greedy seed. *)
+(** The pipeline above — the one copy of the solve policy, run by the tests
+    and by {!Session}.  The bound is [max (late_lower_bound pass)
+    carried_bound]; the seed is {!starting_incumbent}'s, warm from [warm]
+    when given, built on [pass] (default: prepared here; a caller that
+    needs the pending tasks or the dooms first prepares it once and hands
+    it in), and a seed meeting the bound returns at once with [Proved],
+    [Cache_hit] (adopted warm plan) or [Hit_carried_bound] (only the
+    carried bound settles it).  Instances with at most
+    [options.exact_task_limit] pending tasks go to [exact] (default: a
+    fresh {!Model}), larger ones to LNS on fresh fragment models; both stop
+    once an incumbent meets the bound.  The wall deadline and
+    [stats.elapsed] run from [t0] (default: now).  [on_settle registry
+    incumbent stats] runs once on every return path, before [elapsed] and
+    the metrics snapshot are read.  Never fails: at worst returns the
+    greedy seed. *)
 
 val pp_stats : Format.formatter -> stats -> unit

@@ -124,8 +124,8 @@ and t = {
   mutable tt_edits : int;
   (* Per-propagator telemetry, off by default: the propagation loop guards on
      the single [instrumented] bool, so the uninstrumented hot path costs one
-     load.  All state lives in this record (store.mli's domain-locality
-     contract), so portfolio workers meter their own stores independently. *)
+     load.  All state lives in this record (store.mli's locality
+     contract), so every store meters itself independently. *)
   mutable instrumented : bool;
   mutable prop_names : string array;
   mutable prop_fires : int array;

@@ -8,15 +8,13 @@
 
     Failure is signalled with the {!Fail} exception, caught by the search.
 
-    {b Domain-locality (audited for the parallel portfolio).}  Every piece
-    of mutable state — bounds arrays, watcher lists, propagator queue, trail
-    vectors, statistics counters — lives inside the [t] record; the module
-    has no top-level mutable state and registered propagator closures only
-    capture variables of their own store.  A store is therefore {e not}
-    thread-safe to share, but distinct stores are fully independent:
-    {!Portfolio} gives each worker domain its own store/model and never
-    migrates one across domains mid-search.  Keep it that way — any new
-    global cache or counter added here must become a field of [t]. *)
+    {b Locality.}  Every piece of mutable state — bounds arrays, watcher
+    lists, propagator queue, trail vectors, statistics counters — lives
+    inside the [t] record; the module has no top-level mutable state and
+    registered propagator closures only capture variables of their own
+    store, so distinct stores are fully independent.  Keep it that way —
+    any new global cache or counter added here must become a field of
+    [t]. *)
 
 exception Fail of string
 (** Raised when a domain empties or a propagator detects inconsistency. *)

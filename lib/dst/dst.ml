@@ -86,7 +86,6 @@ let generate ~seed =
 let make_driver scenario cluster ~journal =
   Opensim.Driver.make scenario.manager ~cluster
     {
-      Mrcp.Manager.default_config with
       Mrcp.Manager.solver =
         {
           Cp.Solver.default_options with

@@ -8,7 +8,6 @@ type config = {
   manager : Opensim.Driver.kind;
   ordering : Sched.Greedy.order;
   solver_time_limit : float;
-  solver_domains : int;
   deferral_window : int option;
   validate : bool;
   instrument : bool;
@@ -29,7 +28,6 @@ let default_config =
     manager = Opensim.Driver.Mrcp_rm;
     ordering = Sched.Greedy.Edf;
     solver_time_limit = 0.2;
-    solver_domains = 1;
     deferral_window = Some 300_000;
     validate = false;
     instrument = false;
@@ -63,7 +61,6 @@ let make_driver config cluster ~seed =
           seed;
           instrument = config.instrument;
         };
-      domains = config.solver_domains;
       deferral_window = config.deferral_window;
       validate = config.validate;
       journal = config.journal;

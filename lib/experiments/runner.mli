@@ -10,9 +10,6 @@ type config = {
   manager : Opensim.Driver.kind;
   ordering : Sched.Greedy.order;  (** MRCP-RM job-ordering strategy *)
   solver_time_limit : float;  (** per-invocation CP budget, seconds *)
-  solver_domains : int;
-      (** > 1 solves through {!Cp.Portfolio} on that many domains; 1 keeps
-          the deterministic sequential solver and its persistent session *)
   deferral_window : int option;  (** §V.E, ms *)
   validate : bool;
   instrument : bool;

@@ -1,10 +1,9 @@
 (** Metrics registry: named counters, gauges and log-scale histograms, with
     an immutable snapshot/merge API.
 
-    A registry is a plain single-domain object — it is {e not} thread-safe.
-    The intended multi-domain pattern (used by {!Cp.Portfolio}) is
-    share-nothing: each domain owns a registry, takes a {!snapshot} when its
-    work is done, and the coordinator {!merge}s the snapshots after joining.
+    A registry is a plain mutable object — it is {e not} thread-safe.
+    Snapshots are immutable: each solve or run takes a {!snapshot} of its
+    own registry, and a caller {!merge}s the snapshots it collects.
 
     Metric names are flat strings; the repo convention is a [/]-separated
     path whose first segment is the subsystem, e.g. [solver/nodes],

@@ -6,7 +6,6 @@ type stop_reason =
   | Node_limit
   | Wall_limit
   | Lns_stall
-  | Interrupted
 
 let stop_reason_to_string = function
   | Proved -> "proved"
@@ -16,7 +15,6 @@ let stop_reason_to_string = function
   | Node_limit -> "node_limit"
   | Wall_limit -> "wall_limit"
   | Lns_stall -> "lns_stall"
-  | Interrupted -> "interrupted"
 
 let all_stop_reasons =
   [
@@ -27,7 +25,6 @@ let all_stop_reasons =
     Node_limit;
     Wall_limit;
     Lns_stall;
-    Interrupted;
   ]
 
 type t = {

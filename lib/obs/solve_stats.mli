@@ -1,9 +1,9 @@
 (** The canonical solver-telemetry record.
 
-    One solve — whether the MapReduce solver ({!Cp.Solver}) or a portfolio
-    worker ({!Cp.Portfolio}) — reports this shape; those modules re-export
-    it (OCaml's [type t = Obs.Solve_stats.t = {...}] idiom) rather than
-    each declaring its own copy of the node/failure/LNS fields. *)
+    Every solve of the MapReduce solver ({!Cp.Solver}, also run by
+    {!Cp.Session}) reports this shape; the solver re-exports it (OCaml's
+    [type t = Obs.Solve_stats.t = {...}] idiom) rather than declaring its
+    own copy of the node/failure/LNS fields. *)
 
 type stop_reason =
   | Proved  (** search (or a bound match) established optimality outright *)
@@ -19,8 +19,6 @@ type stop_reason =
   | Lns_stall
       (** large-neighbourhood search gave up after [lns_max_stall]
           non-improving moves *)
-  | Interrupted
-      (** an external interrupt (portfolio cancellation) cut the solve *)
 
 val stop_reason_to_string : stop_reason -> string
 (** Stable snake_case name, used for metrics counters

@@ -13,60 +13,34 @@ type event = {
   args : (string * arg) list;
 }
 
-(* Per-domain sink: only its owning domain ever touches [events]/[count], so
-   recording is lock-free.  The sink list itself is touched under a mutex,
-   but only once per domain (at first access) and at start/dump time, which
-   happen on the coordinating domain while no worker is recording. *)
-type sink = {
-  tid : int;
-  mutable events : event list;  (* newest first *)
-  mutable count : int;
-  mutable dropped : int;
-}
-
-let enabled_flag = Atomic.make false
-let origin = Atomic.make 0.
-let event_limit = Atomic.make (1 lsl 20)
-let sinks : sink list ref = ref []
-let sinks_mu = Mutex.create ()
-
-let sink_key =
-  Domain.DLS.new_key (fun () ->
-      let s =
-        { tid = (Domain.self () :> int); events = []; count = 0; dropped = 0 }
-      in
-      Mutex.lock sinks_mu;
-      sinks := s :: !sinks;
-      Mutex.unlock sinks_mu;
-      s)
-
-let enabled () = Atomic.get enabled_flag
+(* The one sink: events newest first, how many, and how many the cap
+   turned away since {!start}. *)
+let enabled_flag = ref false
+let origin = ref 0.
+let event_limit = ref (1 lsl 20)
+let events : event list ref = ref []
+let count = ref 0
+let dropped_count = ref 0
+let enabled () = !enabled_flag
 
 let start ?(limit = 1 lsl 20) () =
-  Atomic.set enabled_flag false;
-  Mutex.lock sinks_mu;
-  List.iter
-    (fun s ->
-      s.events <- [];
-      s.count <- 0;
-      s.dropped <- 0)
-    !sinks;
-  Mutex.unlock sinks_mu;
-  Atomic.set event_limit limit;
-  Atomic.set origin (Clock.now ());
-  Atomic.set enabled_flag true
+  events := [];
+  count := 0;
+  dropped_count := 0;
+  event_limit := limit;
+  origin := Clock.now ();
+  enabled_flag := true
 
-let stop () = Atomic.set enabled_flag false
+let stop () = enabled_flag := false
 
 (* Monotonic (Obs.Clock), so span durations survive wall-clock jumps. *)
-let now_us () = (Clock.now () -. Atomic.get origin) *. 1e6
+let now_us () = (Clock.now () -. !origin) *. 1e6
 
 let emit ev =
-  let s = Domain.DLS.get sink_key in
-  if s.count >= Atomic.get event_limit then s.dropped <- s.dropped + 1
+  if !count >= !event_limit then incr dropped_count
   else begin
-    s.events <- ev :: s.events;
-    s.count <- s.count + 1
+    events := ev :: !events;
+    incr count
   end
 
 let with_span ?(cat = "app") ?(args = []) name f =
@@ -105,23 +79,8 @@ let counter ?(cat = "app") name series =
         args = List.map (fun (k, v) -> (k, Float v)) series;
       }
 
-let collect () =
-  Mutex.lock sinks_mu;
-  let snap = !sinks in
-  Mutex.unlock sinks_mu;
-  snap
-
-let events_recorded () =
-  List.fold_left (fun acc s -> acc + s.count) 0 (collect ())
-
-let events_dropped () =
-  List.fold_left (fun acc s -> acc + s.dropped) 0 (collect ())
-
-let dropped_by_domain () =
-  collect ()
-  |> List.filter_map (fun s ->
-         if s.dropped > 0 then Some (s.tid, s.dropped) else None)
-  |> List.sort compare
+let events_recorded () = !count
+let dropped () = !dropped_count
 
 let json_of_arg = function
   | Int i -> Json.Int i
@@ -129,7 +88,7 @@ let json_of_arg = function
   | Str s -> Json.String s
   | Bool b -> Json.Bool b
 
-let json_of_event tid e =
+let json_of_event e =
   let base =
     [
       ("name", Json.String e.name);
@@ -137,7 +96,7 @@ let json_of_event tid e =
       ("ph", Json.String (String.make 1 e.ph));
       ("ts", Json.Float e.ts);
       ("pid", Json.Int 1);
-      ("tid", Json.Int tid);
+      ("tid", Json.Int 0);
     ]
   in
   let base = if e.ph = 'X' then base @ [ ("dur", Json.Float e.dur) ] else base in
@@ -152,14 +111,10 @@ let json_of_event tid e =
   Json.Obj base
 
 let dump_string () =
-  let snaps = collect () in
+  (* spans are recorded as they end: sort them by start *)
   let all =
-    List.concat_map (fun s -> List.rev_map (fun e -> (s.tid, e)) s.events) snaps
+    List.stable_sort (fun a b -> Float.compare a.ts b.ts) (List.rev !events)
   in
-  let all =
-    List.stable_sort (fun (_, a) (_, b) -> Float.compare a.ts b.ts) all
-  in
-  let dropped = List.fold_left (fun acc s -> acc + s.dropped) 0 snaps in
   let b = Buffer.create (4096 + (128 * List.length all)) in
   Buffer.add_string b "[\n";
   let meta =
@@ -172,7 +127,7 @@ let dump_string () =
       ]
   in
   Json.to_buffer b meta;
-  if dropped > 0 then begin
+  if !dropped_count > 0 then begin
     Buffer.add_string b ",\n";
     Json.to_buffer b
       (Json.Obj
@@ -180,13 +135,13 @@ let dump_string () =
            ("name", Json.String "events_dropped");
            ("ph", Json.String "M");
            ("pid", Json.Int 1);
-           ("args", Json.Obj [ ("dropped", Json.Int dropped) ]);
+           ("args", Json.Obj [ ("dropped", Json.Int !dropped_count) ]);
          ])
   end;
   List.iter
-    (fun (tid, e) ->
+    (fun e ->
       Buffer.add_string b ",\n";
-      Json.to_buffer b (json_of_event tid e))
+      Json.to_buffer b (json_of_event e))
     all;
   Buffer.add_string b "\n]\n";
   Buffer.contents b

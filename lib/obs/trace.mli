@@ -1,19 +1,14 @@
-(** Span-based tracing with a lock-free per-domain sink.
+(** Span-based tracing into one in-memory sink.
 
-    Disabled by default (the noop state): every probe first reads one atomic
-    bool and returns, so instrumented hot paths cost a single load — the
+    Disabled by default (the noop state): every probe first reads one bool
+    and returns, so instrumented hot paths cost a single load — the
     solver's search trajectory is bit-identical with tracing on or off (only
     wall-clock side channels differ).
-
-    When {!start}ed, each domain lazily allocates its own event buffer
-    (domain-local storage), so portfolio workers record spans without any
-    shared-memory contention; the buffers are merged at {!write} time, after
-    the workers have been joined.
 
     Output is the Chrome trace event format (one JSON event object per line,
     wrapped in a JSON array), loadable in [chrome://tracing] or
     {{:https://ui.perfetto.dev}Perfetto}.  Complete events ([ph = "X"])
-    carry microsecond start + duration; [tid] is the OCaml domain id. *)
+    carry microsecond start + duration; every event has [tid] 0. *)
 
 type arg =
   | Int of int
@@ -23,15 +18,15 @@ type arg =
 
 val start : ?limit:int -> unit -> unit
 (** Enable tracing and clear previously recorded events.  [limit] caps the
-    number of events each domain may record (default [2^20]); events beyond
-    the cap are counted and reported as a [dropped] metadata event rather
-    than recorded. *)
+    number of events recorded (default [2^20]); events beyond the cap are
+    counted and reported as a [dropped] metadata event rather than
+    recorded. *)
 
 val stop : unit -> unit
 (** Disable tracing.  Recorded events are kept until the next {!start}. *)
 
 val enabled : unit -> bool
-(** One atomic load — this is the hot-path guard. *)
+(** One load — this is the hot-path guard. *)
 
 val now_us : unit -> float
 (** Microseconds since {!start} ({!Clock}-monotonic). *)
@@ -53,15 +48,11 @@ val counter : ?cat:string -> string -> (string * float) list -> unit
     e.g. the simulator's virtual-clock-vs-wall-clock series. *)
 
 val events_recorded : unit -> int
-(** Total events currently buffered across all domains (for tests). *)
+(** Events currently buffered (for tests). *)
 
-val events_dropped : unit -> int
-(** Total events discarded over the per-domain cap since {!start}. *)
-
-val dropped_by_domain : unit -> (int * int) list
-(** [(tid, dropped)] for every domain that discarded events, sorted by
-    domain id; empty when nothing was dropped.  Lets CLI summaries report
-    the loss without parsing the trace file. *)
+val dropped : unit -> int
+(** Events discarded over the cap since {!start}; lets CLI summaries
+    report the loss without parsing the trace file. *)
 
 val dump_string : unit -> string
 (** Serialize the buffered events (sorted by timestamp) to the Chrome trace

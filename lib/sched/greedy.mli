@@ -24,7 +24,7 @@ val order_to_string : order -> string
     sorted once, and the jobs' EDF order once.  Every schedule from a
     [pass] equals the matching {!solve} / {!solve_with_sequence} on its
     instance.  A pass is scratch space for one caller: its schedules run
-    one at a time, and it must not be shared between domains. *)
+    one at a time. *)
 type pass
 
 (** Working profiles a caller keeps for the passes it prepares one after

@@ -357,8 +357,7 @@ module Seed = struct
     in
     if not (Array.exists Fun.id covered) then None
     else
-      (* fixed Edf completion order keeps the candidate identical across
-         portfolio workers whatever their own seed ordering is *)
+      (* a fixed Edf completion order, whatever the seed ordering *)
       match Greedy.complete pass ~carried:inc.carried_starts ~covered with
       | sol, true -> Some sol
       | _, false -> None

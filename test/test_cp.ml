@@ -392,132 +392,6 @@ let test_search_limits_honoured () =
   Alcotest.(check bool) "not proved under limits" false
     outcome.Cp.Search.proved_optimal
 
-(* --- parallel portfolio ----------------------------------------------- *)
-
-(* Exact equality of two solutions: same objective AND the same start time
-   for every task (bit-identical start maps). *)
-let check_same_solution msg (a : Solution.t) (b : Solution.t) =
-  Alcotest.(check int) (msg ^ ": late jobs") a.Solution.late_jobs
-    b.Solution.late_jobs;
-  Alcotest.(check int) (msg ^ ": tardiness") a.Solution.total_tardiness
-    b.Solution.total_tardiness;
-  Alcotest.(check (array int)) (msg ^ ": starts") a.Solution.starts
-    b.Solution.starts
-
-(* instances exercising all three solver regimes: seed-optimal fast path,
-   exact B&B, and LNS *)
-let portfolio_instances () =
-  [
-    ( "seed-optimal",
-      instance [ mk_job ~id:0 ~deadline:100_000 ~maps:[ 10; 20 ] ~reduces:[ 5 ] () ] );
-    ( "bnb",
-      instance ~map_cap:1 ~reduce_cap:1
-        [
-          mk_job ~id:0 ~deadline:15 ~maps:[ 10 ] ~reduces:[] ();
-          mk_job ~id:1 ~deadline:15 ~maps:[ 10 ] ~reduces:[] ();
-          mk_job ~id:2 ~deadline:40 ~maps:[ 10 ] ~reduces:[ 5 ] ();
-        ] );
-    ( "lns",
-      instance ~map_cap:2 ~reduce_cap:1
-        (List.init 12 (fun i ->
-             mk_job ~id:i
-               ~est:(7 * i)
-               ~deadline:(40 + (9 * i))
-               ~maps:[ 10; 8; 6 ] ~reduces:[ 7 ] ())) );
-  ]
-
-let portfolio_options =
-  {
-    Cp.Solver.default_options with
-    Cp.Solver.exact_task_limit = 12;
-    time_limit = 10. (* generous: stall/fail limits terminate *);
-    fail_limit = 5_000;
-    seed = 3;
-  }
-
-(* (a) domains=1 must be observably identical to the sequential solver. *)
-let test_portfolio_domains1_identical () =
-  List.iter
-    (fun (name, inst) ->
-      let seq_sol, seq_stats = Cp.Solver.solve ~options:portfolio_options inst in
-      let par_sol, pstats =
-        Cp.Portfolio.solve ~domains:1 ~options:portfolio_options inst
-      in
-      check_same_solution name seq_sol par_sol;
-      Alcotest.(check int) (name ^ ": nodes") seq_stats.Cp.Solver.nodes
-        pstats.Cp.Portfolio.base.Cp.Solver.nodes;
-      Alcotest.(check int) (name ^ ": failures") seq_stats.Cp.Solver.failures
-        pstats.Cp.Portfolio.base.Cp.Solver.failures;
-      Alcotest.(check int) (name ^ ": lns moves") seq_stats.Cp.Solver.lns_moves
-        pstats.Cp.Portfolio.base.Cp.Solver.lns_moves;
-      Alcotest.(check bool) (name ^ ": proof") seq_stats.Cp.Solver.proved_optimal
-        pstats.Cp.Portfolio.base.Cp.Solver.proved_optimal;
-      Alcotest.(check int) (name ^ ": one worker") 1
-        (Array.length pstats.Cp.Portfolio.workers))
-    (portfolio_instances ())
-
-(* (b) multi-domain runs are feasible and never worse than sequential. *)
-let test_portfolio_multi_domain_no_worse () =
-  List.iter
-    (fun (name, inst) ->
-      let seq_sol, _ = Cp.Solver.solve ~options:portfolio_options inst in
-      let par_sol, pstats =
-        Cp.Portfolio.solve ~domains:4 ~options:portfolio_options inst
-      in
-      check_feasible inst par_sol;
-      Alcotest.(check bool)
-        (name ^ ": portfolio no worse than sequential")
-        true
-        (par_sol.Solution.late_jobs <= seq_sol.Solution.late_jobs);
-      (* the winner is one of the strategies that ran *)
-      Alcotest.(check bool) (name ^ ": winner ran") true
-        (Array.exists
-           (fun (w : Cp.Portfolio.worker_stats) ->
-             w.Cp.Portfolio.strategy = pstats.Cp.Portfolio.winner)
-           pstats.Cp.Portfolio.workers);
-      (* aggregate counters are the per-worker sums *)
-      let sum f = Array.fold_left (fun acc w -> acc + f w) 0 pstats.Cp.Portfolio.workers in
-      Alcotest.(check int) (name ^ ": nodes add up")
-        (sum (fun w -> w.Cp.Portfolio.w_nodes))
-        pstats.Cp.Portfolio.base.Cp.Solver.nodes;
-      Alcotest.(check int) (name ^ ": lns moves add up")
-        (sum (fun w -> w.Cp.Portfolio.w_lns_moves))
-        pstats.Cp.Portfolio.base.Cp.Solver.lns_moves)
-    (portfolio_instances ())
-
-(* The seed-optimal fast path must not spawn domains: a single pseudo-worker
-   and a proof, identical to the sequential fast path. *)
-let test_portfolio_seed_shortcut () =
-  let inst =
-    instance [ mk_job ~id:0 ~deadline:100_000 ~maps:[ 10; 20 ] ~reduces:[ 5 ] () ]
-  in
-  let seq_sol, _ = Cp.Solver.solve inst in
-  let par_sol, pstats = Cp.Portfolio.solve ~domains:8 inst in
-  check_same_solution "seed shortcut" seq_sol par_sol;
-  Alcotest.(check bool) "proved" true
-    pstats.Cp.Portfolio.base.Cp.Solver.proved_optimal;
-  Alcotest.(check int) "no domains spawned" 1 pstats.Cp.Portfolio.domains_used;
-  Alcotest.(check int) "zero nodes" 0 pstats.Cp.Portfolio.base.Cp.Solver.nodes
-
-(* Proof parity: when sequential B&B proves optimality, a multi-domain run
-   reaches the same objective and also reports a proof. *)
-let test_portfolio_proves_optimal () =
-  let inst =
-    instance ~map_cap:1 ~reduce_cap:1
-      [
-        mk_job ~id:0 ~deadline:15 ~maps:[ 10 ] ~reduces:[] ();
-        mk_job ~id:1 ~deadline:15 ~maps:[ 10 ] ~reduces:[] ();
-      ]
-  in
-  let seq_sol, seq_stats = Cp.Solver.solve inst in
-  Alcotest.(check bool) "sequential proves" true seq_stats.Cp.Solver.proved_optimal;
-  let par_sol, pstats = Cp.Portfolio.solve ~domains:3 inst in
-  check_feasible inst par_sol;
-  Alcotest.(check int) "same optimum" seq_sol.Solution.late_jobs
-    par_sol.Solution.late_jobs;
-  Alcotest.(check bool) "portfolio proves" true
-    pstats.Cp.Portfolio.base.Cp.Solver.proved_optimal
-
 (* Search tie-breaks must not change the proved optimum, only the tree. *)
 let test_tie_breaks_agree () =
   let inst =
@@ -566,53 +440,6 @@ let prop_objective_at_least_lower_bound =
     (fun inst ->
       let sol, stats = solve inst in
       sol.Solution.late_jobs >= stats.Cp.Solver.lower_bound)
-
-(* The "sequential replica" guarantee from the portfolio PR, now checked on
-   random instances instead of three hand-written cases: a 1-domain portfolio
-   run must be bit-identical to the sequential solver — same start for every
-   task, same objective, same search counters, same proof flag. *)
-let prop_portfolio_domains1_bit_identical =
-  let options =
-    {
-      Cp.Solver.default_options with
-      Cp.Solver.exact_task_limit = 12;
-      time_limit = infinity
-      (* no wall clock at all: stall/fail limits terminate, and bit-identity
-         is only defined when neither arm can be cut short.  A finite cap
-         used to bind under core contention from parallel suites: LNS
-         fragments whose SetTimes postponements fail nothing can run
-         millions of nodes (one generated 28-task instance takes 7.2M nodes,
-         about 30 s per arm on a loaded x86-64 core). *);
-      fail_limit = 2_000;
-      seed = 7;
-    }
-  in
-  QCheck.Test.make ~count:200
-    ~name:"portfolio domains=1 bit-identical to sequential solver"
-    arb_instance (fun inst ->
-      let seq_sol, seq = Cp.Solver.solve ~options inst in
-      let par_sol, p = Cp.Portfolio.solve ~domains:1 ~options inst in
-      let base = p.Cp.Portfolio.base in
-      let same_starts = seq_sol.Solution.starts = par_sol.Solution.starts in
-      same_starts
-      && seq_sol.Solution.late_jobs = par_sol.Solution.late_jobs
-      && seq_sol.Solution.total_tardiness = par_sol.Solution.total_tardiness
-      && seq.Cp.Solver.nodes = base.Cp.Solver.nodes
-      && seq.Cp.Solver.failures = base.Cp.Solver.failures
-      && seq.Cp.Solver.lns_moves = base.Cp.Solver.lns_moves
-      && seq.Cp.Solver.proved_optimal = base.Cp.Solver.proved_optimal)
-
-let prop_portfolio_no_worse_than_sequential =
-  QCheck.Test.make ~count:40
-    ~name:"portfolio (2 domains) feasible and never worse than sequential"
-    arb_instance (fun inst ->
-      let options =
-        { Cp.Solver.default_options with Cp.Solver.time_limit = 5.; seed = 11 }
-      in
-      let seq, _ = solve ~options inst in
-      let par, _ = Cp.Portfolio.solve ~domains:2 ~options inst in
-      Solution.feasibility_errors inst par = []
-      && par.Solution.late_jobs <= seq.Solution.late_jobs)
 
 let prop_optimal_matches_bruteforce =
   (* On tiny instances, compare against brute-force over all job sequences
@@ -879,6 +706,8 @@ let () =
           Alcotest.test_case "deterministic" `Quick test_solver_deterministic;
           Alcotest.test_case "search limits" `Quick
             test_search_limits_honoured;
+          Alcotest.test_case "tie-breaks agree on the optimum" `Quick
+            test_tie_breaks_agree;
         ] );
       ( "trajectory",
         [
@@ -886,27 +715,12 @@ let () =
             test_dfs_snapshots;
           Alcotest.test_case "LNS snapshot unchanged" `Quick test_lns_snapshot;
         ] );
-      ( "portfolio",
-        [
-          Alcotest.test_case "domains=1 identical to sequential" `Quick
-            test_portfolio_domains1_identical;
-          Alcotest.test_case "multi-domain no worse" `Quick
-            test_portfolio_multi_domain_no_worse;
-          Alcotest.test_case "seed shortcut spawns nothing" `Quick
-            test_portfolio_seed_shortcut;
-          Alcotest.test_case "proves optimality" `Quick
-            test_portfolio_proves_optimal;
-          Alcotest.test_case "tie-breaks agree on the optimum" `Quick
-            test_tie_breaks_agree;
-        ] );
       ( "properties",
         List.map QCheck_alcotest.to_alcotest
           [
             prop_solution_feasible;
             prop_no_worse_than_greedy;
             prop_objective_at_least_lower_bound;
-            prop_portfolio_domains1_bit_identical;
-            prop_portfolio_no_worse_than_sequential;
             prop_optimal_matches_bruteforce;
             prop_target_stops_at_incumbent;
           ] );

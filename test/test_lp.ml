@@ -218,10 +218,9 @@ let test_milp_single_job () =
   | None -> Alcotest.fail "no solution"
 
 (* The MILP shares no code with the CP solver, so its proved optimum is an
-   independent ground truth for every CP entry point: the cold solver, a
-   fresh session and a two-domain portfolio.  [quantum] must make the MILP
-   exact (divide every time of the instance). *)
-let check_milp_matches_cp (i, quantum) =
+   independent ground truth for every CP entry point.  [quantum] must make
+   the MILP exact (divide every time of the instance). *)
+let milp_optimum (i, quantum) =
   let horizon = Lp.Milp_model.suggested_horizon_slots i ~quantum + 4 in
   let m = Lp.Milp_model.build i ~quantum ~horizon_slots:horizon in
   let milp_sol, outcome = Lp.Milp_model.solve m in
@@ -230,17 +229,21 @@ let check_milp_matches_cp (i, quantum) =
   | Some s ->
       Alcotest.(check (list string)) "milp feasible" []
         (Sched.Solution.feasibility_errors i s);
-      let agrees name (sol : Sched.Solution.t) =
-        Alcotest.(check int) (name ^ " finds the milp optimum")
-          s.Sched.Solution.late_jobs sol.Sched.Solution.late_jobs
-      in
-      agrees "solver" (fst (Cp.Solver.solve i));
-      agrees "session"
-        (fst
-           (Cp.Session.solve (Cp.Session.create ())
-              ~options:Cp.Solver.default_options i));
-      agrees "portfolio" (fst (Cp.Portfolio.solve ~domains:2 i))
+      s.Sched.Solution.late_jobs
   | None -> Alcotest.fail "milp found nothing"
+
+(* The cold solver and a fresh session both find the optimum. *)
+let check_milp_matches_cp (i, quantum) =
+  let optimum = milp_optimum (i, quantum) in
+  let agrees name (sol : Sched.Solution.t) =
+    Alcotest.(check int) (name ^ " finds the milp optimum") optimum
+      sol.Sched.Solution.late_jobs
+  in
+  agrees "solver" (fst (Cp.Solver.solve i));
+  agrees "session"
+    (fst
+       (Cp.Session.solve (Cp.Session.create ())
+          ~options:Cp.Solver.default_options i))
 
 let test_milp_matches_cp_on_small_instances () =
   let rng = Simrand.Rng.create 5 in
@@ -270,6 +273,56 @@ let test_milp_three_jobs_matches_cp () =
           mk_job ~id:2 ~est:5 ~deadline:60 ~maps:[ 10 ] ~reduces:[] ();
         ],
       5 )
+
+(* One session across invocations, as a manager drives it while jobs
+   arrive: each instance adds a job released no earlier than the last one,
+   and the session carries its store, its warm plan and its optimality
+   certificate from one invocation to the next.  At every invocation the
+   MILP's optimum of that instance checks the session's Σ N_j, and checks
+   that the lower bound it reports, the carried certificate included, is
+   sound.  Some invocation must owe its bound to the certificate, or the
+   second check shows nothing. *)
+let test_session_sequence_matches_milp () =
+  let rng = Simrand.Rng.create 11 in
+  let carried = ref 0 in
+  for _ = 1 to 20 do
+    let session = Cp.Session.create () in
+    let n = 2 + Simrand.Rng.int rng 2 in
+    let est = ref 0 in
+    let jobs =
+      List.init n (fun id ->
+          if id > 0 then est := !est + Simrand.Rng.int rng 3;
+          let maps = [ 1 + Simrand.Rng.int rng 3 ] in
+          let reduces =
+            if Simrand.Rng.bool rng then [ 1 + Simrand.Rng.int rng 2 ] else []
+          in
+          let total =
+            List.fold_left ( + ) 0 maps + List.fold_left ( + ) 0 reduces
+          in
+          mk_job ~id ~est:!est
+            ~deadline:(!est + total + Simrand.Rng.int rng 4)
+            ~maps ~reduces ())
+    in
+    for k = 1 to n do
+      let i = inst (List.filteri (fun id _ -> id < k) jobs) in
+      let optimum = milp_optimum (i, 1) in
+      let sol, stats =
+        Cp.Session.solve session ~options:Cp.Solver.default_options i
+      in
+      Alcotest.(check (list string)) "session plan feasible" []
+        (Sched.Solution.feasibility_errors i sol);
+      Alcotest.(check int)
+        (Printf.sprintf "invocation %d finds the milp optimum" k)
+        optimum sol.Sched.Solution.late_jobs;
+      let lb = stats.Cp.Solver.lower_bound in
+      if lb > optimum then
+        Alcotest.failf "invocation %d: lower bound %d above the optimum %d" k
+          lb optimum;
+      if lb > Cp.Solver.late_lower_bound (Cp.Solver.prepare i) then
+        incr carried
+    done
+  done;
+  Alcotest.(check bool) "the certificate raised some bound" true (!carried > 0)
 
 let test_milp_respects_est () =
   let i = inst [ mk_job ~id:0 ~est:5 ~deadline:30 ~maps:[ 2 ] ~reduces:[] () ] in
@@ -340,6 +393,8 @@ let () =
             test_milp_matches_cp_on_small_instances;
           Alcotest.test_case "three-job instance matches cp" `Quick
             test_milp_three_jobs_matches_cp;
+          Alcotest.test_case "session sequence matches milp" `Quick
+            test_session_sequence_matches_milp;
           Alcotest.test_case "respects est" `Quick test_milp_respects_est;
           Alcotest.test_case "rejects frozen" `Quick test_milp_rejects_frozen;
           Alcotest.test_case "variable explosion" `Quick

@@ -313,7 +313,7 @@ let test_instrumented_run_bit_identical () =
                  && v > 0)
                snap.M.counters))
 
-(* --- end-to-end: manager + portfolio + simulator spans ------------------- *)
+(* --- end-to-end: manager + search + simulator spans ---------------------- *)
 
 let test_trace_covers_all_layers () =
   task_counter := 0;
@@ -331,7 +331,6 @@ let test_trace_covers_all_layers () =
       Mrcp.Manager.default_config with
       Mrcp.Manager.solver =
         { Cp.Solver.default_options with instrument = true };
-      domains = 2;
     }
   in
   Fun.protect ~finally:Tr.stop (fun () ->
@@ -359,7 +358,6 @@ let test_trace_covers_all_layers () =
           {|"name":"invoke"|};      (* manager invocation *)
           {|"name":"search"|};      (* B&B search phase *)
           {|"name":"propagate"|};   (* store propagation inside search *)
-          "worker:";                (* portfolio worker span *)
           {|"name":"simulate"|};    (* whole-simulation span *)
           {|"name":"job-done"|};    (* per-job completion instant *)
         ];

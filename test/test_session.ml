@@ -317,11 +317,11 @@ let test_cert_proof () =
   Alcotest.(check int) "one certificate proof" 1
     (Cp.Session.stats_cert_proofs session)
 
-(* The portfolio route carries the certificate too.  The stream of
-   [test_cert_proof] through a manager on two domains: the t = 1 pass seeds
-   from the surviving plan at one late job, above the classic bound (0), and
-   only the certificate carried from the t = 0 proof settles it. *)
-let test_portfolio_cert () =
+(* The manager's passes carry the certificate too.  The stream of
+   [test_cert_proof] through a manager: the t = 1 pass seeds from the
+   surviving plan at one late job, above the classic bound (0), and only the
+   certificate carried from the t = 0 proof settles it. *)
+let test_manager_cert () =
   Gen.reset_tasks ();
   let jobs =
     [
@@ -337,7 +337,6 @@ let test_portfolio_cert () =
       {
         Mrcp.Manager.default_config with
         Mrcp.Manager.solver = proof_options;
-        domains = 2;
         validate = true;
       }
   in
@@ -683,7 +682,7 @@ let () =
             test_first_pass_matches_cold;
           Alcotest.test_case "instrumented session counters" `Quick
             test_session_metrics;
-          Alcotest.test_case "portfolio carries the certificate" `Quick
-            test_portfolio_cert;
+          Alcotest.test_case "manager pass proved by the certificate" `Quick
+            test_manager_cert;
         ] );
     ]

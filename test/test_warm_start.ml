@@ -9,14 +9,6 @@ module Instance = Sched.Instance
 module Solution = Sched.Solution
 module Dispatch = Sched.Dispatch
 
-(* CI runs the suite under a domains matrix: MRCP_TEST_DOMAINS picks how many
-   domains the manager-level tests solve with (default 1; the multi-domain
-   leg exercises the portfolio's warm-start plumbing end to end). *)
-let test_domains =
-  match Sys.getenv_opt "MRCP_TEST_DOMAINS" with
-  | Some s -> ( try max 1 (int_of_string (String.trim s)) with _ -> 1)
-  | None -> 1
-
 (* Proof-complete options: on Gen.tiny instances every solve runs the exact
    B&B to exhaustion, so warm and cold must both prove and land on the same
    objective. *)
@@ -337,7 +329,7 @@ let prop_seed_matches_reference =
       in
       let same (a, wa) (b, wb) = wa = wb && same_solution a b in
       (* one pass serves the bound, the completion and both seeds, as it
-         serves a portfolio's seed check and its worker 0 *)
+         serves a solve's seed check and its seed *)
       let pass = Cp.Solver.prepare ~scratch c.inst in
       Cp.Solver.late_lower_bound pass
       = List_reference.Seed.late_lower_bound c.inst
@@ -540,7 +532,6 @@ let base_config =
   {
     Mrcp.Manager.default_config with
     Mrcp.Manager.validate = true;
-    domains = test_domains;
   }
 
 let last_stats mgr =
@@ -581,8 +572,7 @@ let test_cache_hit_on_undisturbed_plan () =
 let test_fault_keeps_warm_plan () =
   Gen.reset_tasks ();
   let mgr =
-    Mrcp.Manager.create ~cluster:cluster2x2
-      { base_config with Mrcp.Manager.domains = 1 }
+    Mrcp.Manager.create ~cluster:cluster2x2 base_config
   in
   let j0 =
     Gen.mk_job ~id:0 ~est:5_000 ~deadline:100_000 ~maps:[ 1000; 1000 ]
