@@ -53,8 +53,8 @@ type config = {
 }
 
 val default_config : config
-(** EDF ordering, 1 domain (sequential, through the persistent session),
-    deferral window 300 s, validation off, journaling off. *)
+(** The default solver options (EDF ordering), deferral window 300 s,
+    validation off, journaling off. *)
 
 type t
 

@@ -123,7 +123,9 @@ let build ?(kernel = Propagators.capacity) (inst : Instance.t) ~horizon =
   let bound = ref (n_jobs + 1) in
   let lates = Array.sub lates 0 n_jobs in
   let completions = Array.sub completions 0 n_jobs in
-  let bound_pid = Propagators.sum_lt_bound store ~vars:lates ~bound in
+  let objective = Propagators.sum_lt_bound_dyn store ~bound in
+  Array.iter (Propagators.dyn_sum_add objective store) lates;
+  let bound_pid = Propagators.dyn_sum_pid objective in
   {
     store;
     instance = inst;

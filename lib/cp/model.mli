@@ -5,9 +5,12 @@
     a_t, realized as an interval of fixed length e_t).  Per job: an LFMT
     variable (max of map completions — constraint (3)), a completion variable
     (max of reduce completions / LFMT), and a 0/1 lateness variable N_j
-    (constraint (4)).  Two [cumulative] constraints — one over map slots,
-    one over reduce slots — encode constraints (5)/(6); frozen
-    (isPrevScheduled) tasks enter them as fixed occupations (§V.B line 11).
+    (constraint (4)).  Two time-table constraints — one over map slots, one
+    over reduce slots — encode constraints (5)/(6); frozen
+    (isPrevScheduled) tasks enter them as root-fixed start variables, so
+    their whole execution occupies the pool (§V.B line 11).  The objective
+    cut Σ N_j < [bound] is the session's growable cut, posted once over
+    every N_j.
     Matchmaking (constraint (1) / the x_tr variables) is resolved after
     solving by the matchmaker in [lib/core], exactly as §V.D separates the
     two concerns. *)
@@ -41,12 +44,15 @@ val build :
   t
 (** Construct and post all constraints.  Does not propagate; callers run
     {!Store.propagate} (and should catch {!Store.Fail} — an instance can be
-    infeasible only if the horizon is too small, since lateness is soft).
+    infeasible only if the horizon is too small, since lateness is soft, or
+    if running work overloads what is left of a pool).
 
     [kernel] posts the capacity constraint of each pool, map pool first.  It
     defaults to {!Propagators.capacity}, which every solve uses; the
     parameter is a seam for tests that compare the model under other
-    postings (a reference time table, the time table alone). *)
+    postings (a reference time table, the time table alone).
+    @raise Store.Fail when posting finds a task, pending or frozen, wider
+    than its pool. *)
 
 val default_horizon : Sched.Instance.t -> int
 (** A horizon provably large enough to contain some optimal semi-active

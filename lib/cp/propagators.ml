@@ -66,217 +66,6 @@ let lateness s ~late ~completion ~deadline =
   Store.watch_max s late pid;
   Store.schedule s pid
 
-let sum_lt_bound s ~vars ~bound =
-  let pid =
-    Store.register s ~priority:0 ~name:"sum_lt_bound" ~idempotent:true (fun s ->
-        let sum_min = Array.fold_left (fun acc v -> acc + Store.min_of s v) 0 vars in
-        if sum_min >= !bound then raise (Store.Fail "objective bound");
-        if sum_min = !bound - 1 then
-          (* no slack left: every undecided job must meet its deadline *)
-          Array.iter
-            (fun v -> if Store.min_of s v = 0 then Store.set_max s v 0)
-            vars)
-  in
-  (* only the lower bounds enter the sum *)
-  Array.iter (fun v -> Store.watch_min s v pid) vars;
-  Store.schedule s pid;
-  pid
-
-(* --- time-table cumulative ------------------------------------------------ *)
-
-let check_cumulative_args ~tasks ~capacity =
-  if capacity <= 0 then invalid_arg "cumulative: capacity must be positive";
-  Array.iter
-    (fun t ->
-      if t.duration < 0 || t.demand < 0 then
-        invalid_arg "cumulative: negative duration/demand";
-      if t.demand > capacity then raise (Store.Fail "task demand > capacity"))
-    tasks
-
-(* Allocation-free incremental time-table kernel.  The propagation is the
-   textbook one (segment profile + per-task overload test; the list-based
-   reference version is the test suite's oracle), computed without
-   allocating:
-
-   - every task owns two stable event slots (2i for the compulsory-part
-     start, 2i+1 for its end); frozen occupations live in the tail slots,
-     written once.  Absent compulsory parts park their slots at a [max_int]
-     time sentinel, which sorts past every real event.
-   - only tasks whose start bounds moved since the previous run rewrite
-     their slots (value-compared cache, so backtracking needs no hook);
-   - the sort is an insertion sort over a persistent permutation, which is
-     nearly sorted between consecutive runs;
-   - if the previous run completed without pruning anything and no bounds
-     moved since, the store state is a witnessed fixpoint of this
-     propagator and the run is skipped outright ([Store.note_scratch_reuse]).
-     [valid] is false from run entry to successful no-change completion, so
-     a state identical to one that pruned — or failed — is never skipped. *)
-let cumulative s ~tasks ~fixed ~capacity =
-  check_cumulative_args ~tasks ~capacity;
-  let n = Array.length tasks in
-  let nfix =
-    Array.fold_left
-      (fun acc (_, d, r) -> if d > 0 && r > 0 then acc + 1 else acc)
-      0 fixed
-  in
-  let ne = (2 * n) + (2 * nfix) in
-  let ev_time = Array.make (max 1 ne) max_int in
-  let ev_delta = Array.make (max 1 ne) 0 in
-  let k = ref (2 * n) in
-  Array.iter
-    (fun (start, d, r) ->
-      if d > 0 && r > 0 then begin
-        ev_time.(!k) <- start;
-        ev_delta.(!k) <- r;
-        ev_time.(!k + 1) <- start + d;
-        ev_delta.(!k + 1) <- -r;
-        k := !k + 2
-      end)
-    fixed;
-  let perm = Array.init (max 1 ne) (fun i -> i) in
-  let comp_lo = Array.make (max 1 n) max_int in
-  let comp_hi = Array.make (max 1 n) max_int in
-  (* start bounds each task's slots were last computed from *)
-  let cache_est = Array.make (max 1 n) min_int in
-  let cache_lst = Array.make (max 1 n) min_int in
-  let valid = ref false in
-  let seg_a = Array.make (ne + 1) 0 in
-  let seg_b = Array.make (ne + 1) 0 in
-  let seg_u = Array.make (ne + 1) 0 in
-  let run s =
-    (* 1. refresh event slots of tasks whose bounds moved *)
-    let moved = ref false in
-    for i = 0 to n - 1 do
-      let t = tasks.(i) in
-      if t.duration > 0 && t.demand > 0 then begin
-        let est = Store.min_of s t.start and lst = Store.max_of s t.start in
-        if est <> cache_est.(i) || lst <> cache_lst.(i) then begin
-          moved := true;
-          cache_est.(i) <- est;
-          cache_lst.(i) <- lst;
-          let lo = lst and hi = est + t.duration in
-          if lo < hi then begin
-            comp_lo.(i) <- lo;
-            comp_hi.(i) <- hi;
-            ev_time.(2 * i) <- lo;
-            ev_delta.(2 * i) <- t.demand;
-            ev_time.((2 * i) + 1) <- hi;
-            ev_delta.((2 * i) + 1) <- -t.demand
-          end
-          else begin
-            comp_lo.(i) <- max_int;
-            comp_hi.(i) <- max_int;
-            ev_time.(2 * i) <- max_int;
-            ev_delta.(2 * i) <- 0;
-            ev_time.((2 * i) + 1) <- max_int;
-            ev_delta.((2 * i) + 1) <- 0
-          end
-        end
-      end
-    done;
-    if (not !moved) && !valid then Store.note_scratch_reuse s
-    else begin
-      valid := false;
-      (* 2. insertion-sort the permutation by event time *)
-      for a = 1 to ne - 1 do
-        let pa = perm.(a) in
-        let ta = ev_time.(pa) in
-        let b = ref (a - 1) in
-        while !b >= 0 && ev_time.(perm.(!b)) > ta do
-          perm.(!b + 1) <- perm.(!b);
-          decr b
-        done;
-        perm.(!b + 1) <- pa
-      done;
-      (* 3. sweep into maximal segments with usage > 0; sentinel events
-         (absent compulsory parts) sit past every real event *)
-      let nseg = ref 0 in
-      let i = ref 0 and usage = ref 0 in
-      while !i < ne && ev_time.(perm.(!i)) < max_int do
-        let time = ev_time.(perm.(!i)) in
-        while !i < ne && ev_time.(perm.(!i)) = time do
-          usage := !usage + ev_delta.(perm.(!i));
-          incr i
-        done;
-        if !usage > capacity then raise (Store.Fail "cumulative overload");
-        let next =
-          if !i < ne && ev_time.(perm.(!i)) < max_int then ev_time.(perm.(!i))
-          else max_int
-        in
-        if !usage > 0 && next > time then begin
-          seg_a.(!nseg) <- time;
-          seg_b.(!nseg) <- next;
-          seg_u.(!nseg) <- !usage;
-          incr nseg
-        end
-      done;
-      let nseg = !nseg in
-      (* 4. prune — same rules and same order as the reference kernel *)
-      let changed = ref false in
-      if nseg > 0 then
-        for t = 0 to n - 1 do
-          let task = tasks.(t) in
-          if task.duration > 0 && task.demand > 0
-             && not (Store.is_fixed s task.start)
-          then begin
-            let own_lo = comp_lo.(t) and own_hi = comp_hi.(t) in
-            let overloaded k =
-              let u =
-                if own_lo < seg_b.(k) && own_hi > seg_a.(k) then
-                  seg_u.(k) - task.demand
-                else seg_u.(k)
-              in
-              u + task.demand > capacity
-            in
-            (* Segments are sorted and disjoint, so only those overlapping
-               the task's window can fire: binary-search the window edge and
-               stop at the first segment past it.  [est] only grows during
-               the scan (the window's far edge moves right), so a forward
-               scan with the live window test visits exactly the segments
-               the full scan would have triggered on. *)
-            let est = ref (Store.min_of s task.start) in
-            let lo = ref 0 and hi = ref nseg in
-            while !lo < !hi do
-              let mid = (!lo + !hi) / 2 in
-              if seg_b.(mid) > !est then hi := mid else lo := mid + 1
-            done;
-            let k = ref !lo in
-            while !k < nseg && seg_a.(!k) < !est + task.duration do
-              if seg_b.(!k) > !est && overloaded !k then est := seg_b.(!k);
-              incr k
-            done;
-            if !est > Store.min_of s task.start then changed := true;
-            Store.set_min s task.start !est;
-            (* mirror: [lst] only shrinks, and once a segment ends at or
-               before it no earlier segment can fire either *)
-            let lst = ref (Store.max_of s task.start) in
-            let lo = ref 0 and hi = ref nseg in
-            while !lo < !hi do
-              let mid = (!lo + !hi) / 2 in
-              if seg_a.(mid) < !lst + task.duration then lo := mid + 1
-              else hi := mid
-            done;
-            let k = ref (!lo - 1) in
-            let scanning = ref true in
-            while !scanning && !k >= 0 do
-              if seg_b.(!k) > !lst then begin
-                if seg_a.(!k) < !lst + task.duration && overloaded !k then
-                  lst := seg_a.(!k) - task.duration;
-                decr k
-              end
-              else scanning := false
-            done;
-            if !lst < Store.max_of s task.start then changed := true;
-            Store.set_max s task.start !lst
-          end
-        done;
-      if not !changed then valid := true
-    end
-  in
-  let pid = Store.register s ~priority:2 ~name:"cumulative" run in
-  Array.iter (fun t -> Store.watch s t.start pid) tasks;
-  Store.schedule s pid
-
 (* --- disjunctive edge finding --------------------------------------------- *)
 
 let disjunctive_applicable ~tasks ~fixed ~capacity =
@@ -428,23 +217,19 @@ let disjunctive s ~tasks ~fixed =
     Store.schedule s pid
   end
 
-(* --- the capacity constraint of one pool --------------------------------- *)
+(* --- the time table ---------------------------------------------------- *)
 
-let capacity s ~tasks ~fixed ~capacity =
-  cumulative s ~tasks ~fixed ~capacity;
-  (* on a unary-equivalent pool the Θ-tree rules prune what the time table
-     cannot; elsewhere they would be unsound *)
-  if disjunctive_applicable ~tasks ~fixed ~capacity then
-    disjunctive s ~tasks ~fixed
-
-(* --- dynamic registries (persistent sessions) ----------------------------- *)
-
-(* [cumulative]'s task set is fixed at posting time; a {!Session} needs one
-   capacity propagator per pool whose registry grows (job arrivals) and
-   shrinks (completed tasks retracted) across solver invocations.  The
-   kernel below applies the [cumulative] rules — the same overload test,
-   the same per-task pruning — to a mutable registry, and makes a run cost
-   what changed since the last one rather than the size of the pool:
+(* Time-table propagation for constraints (5)/(6): the compulsory parts of
+   a pool's tasks ([lst, est + duration), when non-empty) summed into a
+   segment profile; the pool fails where usage exceeds the capacity, and
+   each task's start is pushed past the segments that leave no room for its
+   demand beside the other tasks' parts.  One kernel serves every store: a
+   {!Model} registers its pool once and never changes it, and a {!Session}
+   grows the registry (job arrivals) and shrinks it (completed tasks
+   retracted) between searches.  Frozen occupations are registered as
+   root-fixed starts, whose compulsory part is their whole execution.  A
+   run costs what changed since the last one rather than the size of the
+   pool:
 
    - The profile is kept, not rebuilt.  It is the sum of the compulsory
      parts the slots last recorded ([dp_comp_lo]/[dp_comp_hi]), held as
@@ -452,8 +237,8 @@ let capacity s ~tasks ~fixed ~capacity =
      part ends (starts or finishes) lie, and [dp_bp_use.(k)] the usage from
      it to the next breakpoint (0 past the last).  A part that moves is
      edited in place ([dyn_set_comp]); a breakpoint goes when its last part
-     end does, so the segments are exactly those the static kernel's sweep
-     finds over the same parts.
+     end does, so the segments are exactly those a sweep over the same
+     parts finds.
    - Overload is checked where usage rose: under the hull of the usage
      added since the last check that passed ([dp_add_lo], [dp_add_hi]).  A
      failed check keeps the hull: a backtrack and the same fix bring the
@@ -475,8 +260,9 @@ let capacity s ~tasks ~fixed ~capacity =
 
    It runs to its own fixpoint, going on while its moves added usage, so it
    is registered idempotent and its own writes never re-queue it.  Every
-   bound it reaches is the static kernel's fixpoint, only the order of the
-   work differs.
+   bound it reaches is the fixpoint of the textbook kernel that rebuilds
+   and sweeps the profile on every run (the test suite's list-based
+   reference); only the order of the work differs.
 
    Unchecked accesses: per-slot arrays are read below [dp_n], which never
    exceeds their length (grown in [dyn_grow]); breakpoint arrays below
@@ -825,8 +611,8 @@ let[@inline] dyn_overloaded p k ~own_lo ~own_hi ~dem =
   let u = if own_lo < b && own_hi > a then u - dem else u in
   u + dem > p.dp_capacity
 
-(* Prune task [i] exactly as [cumulative] does; the segments are sorted
-   and disjoint, so binary-search the first candidate and stop past the
+(* Prune task [i] against the profile; the segments are sorted and
+   disjoint, so binary-search the first candidate and stop past the
    window.  Its cached bounds are the store's: the refresh before this
    pass read them, and only the task's own prune writes them.  Segment [k]
    spans breakpoints [k] and [k + 1], so there are [dp_nbp - 1] of them.
@@ -1049,7 +835,26 @@ let dyn_retire p s start =
   Store.unwatch s start pid;
   Store.schedule s pid
 
-(* Growable Σ N_j < bound — [sum_lt_bound] over a mutable variable set. *)
+(* --- the capacity constraint of one pool --------------------------------- *)
+
+let capacity s ~tasks ~fixed ~capacity =
+  let pool = cumulative_dyn s ~capacity in
+  Array.iter (dyn_add pool s) tasks;
+  Array.iter
+    (fun (start, duration, demand) ->
+      let start = Store.new_var s ~min:start ~max:start in
+      dyn_add pool s { start; duration; demand })
+    fixed;
+  (* on a unary-equivalent pool the Θ-tree rules prune what the time table
+     cannot; elsewhere they would be unsound *)
+  if disjunctive_applicable ~tasks ~fixed ~capacity then
+    disjunctive s ~tasks ~fixed
+
+(* --- the objective cut ---------------------------------------------------- *)
+
+(* Σ N_j < !bound over a growable variable set: fail once the minima reach
+   the bound, and with one unit of slack left force every undecided N_j to
+   0. *)
 type dyn_sum = {
   ds_bound : int ref;
   mutable ds_pid : Store.propagator_id option;

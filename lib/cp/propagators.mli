@@ -5,20 +5,20 @@
     - {!max_of}: y = max_i (x_i + c_i), for LFMT/LFRT;
     - {!lateness}: constraint (4), "completion > deadline ⟹ N_j = 1",
       together with the useful contrapositive "N_j = 0 ⟹ completion ≤ d";
-    - {!sum_lt_bound}: the branch-and-bound objective cut Σ N_j < bound;
-    - {!cumulative}: constraints (5)/(6), time-table propagation with overload
-      checking, handling both variable-start tasks and frozen
-      (isPrevScheduled) tasks;
+    - {!cumulative_dyn}: constraints (5)/(6), time-table propagation with
+      overload checking over a pool's variable-start tasks and frozen
+      (isPrevScheduled) tasks, the latter as root-fixed starts;
     - {!disjunctive}: Θ-tree overload checking + edge finding for pools that
       behave as a unary resource;
-    - {!capacity}: the two above combined, as the model posts them.
+    - {!capacity}: the two above combined, as {!Model.build} posts them;
+    - {!sum_lt_bound_dyn}: the branch-and-bound objective cut Σ N_j < bound.
 
     Each function registers the propagator, wires its watches (to exactly
     the variable events its rules read — see {!Store.watch_min} etc.), and
     schedules an initial run; callers then invoke {!Store.propagate}. *)
 
 type term = { start : Store.var; duration : int; demand : int }
-(** A task as seen by [cumulative]. *)
+(** A task as seen by a capacity propagator. *)
 
 val ge_offset : Store.t -> Store.var -> Store.var -> int -> unit
 (** [ge_offset s y x c] enforces y ≥ x + c (bounds in both directions). *)
@@ -44,30 +44,6 @@ val lateness :
     late = 0 forces completion ≤ deadline; completion_max ≤ deadline forces
     late = 0. *)
 
-val sum_lt_bound :
-  Store.t -> vars:Store.var array -> bound:int ref -> Store.propagator_id
-(** Σ vars < !bound (strict).  Re-schedule the returned token after lowering
-    [bound].  When Σ min reaches [!bound - 1], remaining free vars are forced
-    to 0. *)
-
-val cumulative :
-  Store.t ->
-  tasks:term array ->
-  fixed:(int * int * int) array ->
-  capacity:int ->
-  unit
-(** Time-table (compulsory part) propagation over [tasks] plus frozen
-    [(start, duration, demand)] occupations, under the capacity limit.
-    Prunes both start minima and start maxima; fails on profile overload.
-    Exact (overload = capacity violation) once all starts are fixed.
-
-    Allocation-free on the hot path: per-instance scratch arrays, stable
-    per-task event slots refreshed only when the task's bounds moved, an
-    insertion sort over the (nearly sorted) event permutation, and a
-    witnessed-fixpoint skip counted in the [prop/scratch_reuse] metric.  The
-    test suite checks its fixpoints and search trajectories against a
-    list-based reference implementation of the same rules. *)
-
 val disjunctive_applicable :
   tasks:term array -> fixed:(int * int * int) array -> capacity:int -> bool
 (** Whether the pool behaves as a unary resource, making {!disjunctive}
@@ -85,30 +61,20 @@ val disjunctive :
     is reported as an overload failure.  Prunes are counted in
     {!Store.stats_edge_finder_prunes}. *)
 
-val capacity :
-  Store.t ->
-  tasks:term array ->
-  fixed:(int * int * int) array ->
-  capacity:int ->
-  unit
-(** Post the capacity constraint of one pool (constraints (5)/(6)): {!cumulative} on every pool, plus {!disjunctive}
-    where {!disjunctive_applicable} holds (there edge finding prunes what
-    the time table cannot). *)
+(** {1 The time table}
 
-(** {1 Dynamic registries}
-
-    {!Session} keeps one store alive across solver invocations; the
-    propagators below are the growable/shrinkable counterparts of
-    {!cumulative} and {!sum_lt_bound} it posts once at store creation.
-    Their task/variable registries are mutated at the root between searches
-    — never during one. *)
+    One kernel serves every store.  {!Model.build} registers a pool through
+    {!capacity} and never changes it; {!Session} registers one per slot
+    type at store creation and grows and shrinks its registry — and the
+    cut's variable set — at the root between searches, never during one. *)
 
 type dyn_pool
-(** A capacity propagator over a mutable task registry: the {!cumulative}
-    overload test and pruning rules (identical fixpoint), made incremental
-    so that a run costs what changed since the last one.  It keeps its
-    segment profile and edits it in place when a task's compulsory part
-    moves, checking overload only where usage rose; it re-reads only the
+(** A capacity propagator over a mutable task registry: the time table's
+    overload test and pruning rules (the fixpoint of a kernel that rebuilds
+    and sweeps the profile on every run), made incremental so that a run
+    costs what changed since the last one.  It keeps its segment profile
+    and edits it in place when a task's compulsory part moves, checking
+    overload only where usage rose; it re-reads only the
     starts whose bound events it was sent ({!Store.register}'s [on_event]),
     and every start after a backtrack; and it re-prunes only the tasks
     whose bounds moved or whose est- or lst-window meets usage another
@@ -137,13 +103,31 @@ val dyn_retire : dyn_pool -> Store.t -> Store.var -> unit
     slot is found through a variable-indexed table, in constant time.
     @raise Invalid_argument when the variable is not in the registry. *)
 
+val capacity :
+  Store.t ->
+  tasks:term array ->
+  fixed:(int * int * int) array ->
+  capacity:int ->
+  unit
+(** Post the capacity constraint of one pool (constraints (5)/(6)): a
+    {!cumulative_dyn} pool holding [tasks] and, as root-fixed starts, the
+    frozen [(start, duration, demand)] occupations; plus {!disjunctive}
+    where {!disjunctive_applicable} holds (there edge finding prunes what
+    the time table cannot).
+    @raise Store.Fail when a task, frozen or not, demands more than
+    [capacity].
+    @raise Invalid_argument when [capacity <= 0] or on a negative duration
+    or demand. *)
+
 type dyn_sum
-(** Growable Σ N_j < bound over a mutable variable set. *)
+(** The objective cut Σ N_j < bound over a growable variable set. *)
 
 val sum_lt_bound_dyn : Store.t -> bound:int ref -> dyn_sum
-(** Register with an empty variable set.  With [!bound = max_int] the
-    propagator is inert — the session disarms the cut this way between
-    searches. *)
+(** Register with an empty variable set.  Σ vars < !bound (strict); when
+    Σ min reaches [!bound - 1], the remaining free vars are forced to 0.
+    Reschedule {!dyn_sum_pid} after lowering [bound].  With
+    [!bound = max_int] the propagator is inert — the session disarms the
+    cut this way between searches. *)
 
 val dyn_sum_add : dyn_sum -> Store.t -> Store.var -> unit
 val dyn_sum_remove : dyn_sum -> Store.t -> Store.var -> unit

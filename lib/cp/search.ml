@@ -15,13 +15,6 @@ let no_limits =
     target = None;
   }
 
-type tie_break = Slack_first | Duration_first | Deadline_first
-
-let tie_break_to_string = function
-  | Slack_first -> "slack"
-  | Duration_first -> "duration"
-  | Deadline_first -> "deadline"
-
 type start_info = { svar : Store.var; duration : int; deadline : int }
 
 type problem = {
@@ -59,7 +52,6 @@ exception Limit_reached
 type state = {
   problem : problem;
   limits : limits;
-  tie_break : tie_break;
   (* [Obs.Trace.enabled] sampled once per search, so the hot path tests a
      plain immutable bool instead of an atomic. *)
   tracing : bool;
@@ -137,9 +129,10 @@ let select_start st postponed =
   and maxs = Store.maxs st.problem.store in
   let starts = st.problem.starts in
   let best = ref (-1) in
-  (* the (est, k2, k3) selection key, kept in three int refs so the scan —
-     O(tasks) per node — never allocates or falls into polymorphic compare *)
-  let b_est = ref max_int and b_k2 = ref max_int and b_k3 = ref min_int in
+  (* the (est, slack, -duration) selection key, kept in three int refs so
+     the scan — O(tasks) per node — never allocates or falls into
+     polymorphic compare *)
+  let b_est = ref max_int and b_slack = ref max_int and b_dur = ref min_int in
   (* [postponed] has one entry per start, and [run_problem] checked every
      start variable against the bound arrays *)
   for i = 0 to Array.length starts - 1 do
@@ -148,24 +141,15 @@ let select_start st postponed =
     if est <> Array.unsafe_get maxs info.svar then begin
       if Array.unsafe_get postponed i <> est then begin
         let slack = info.deadline - est - info.duration in
-        (* always prefer small est, then the configured tie-break *)
-        let k2 =
-          match st.tie_break with
-          | Slack_first -> slack
-          | Duration_first -> -info.duration
-          | Deadline_first -> info.deadline
-        and k3 =
-          match st.tie_break with
-          | Slack_first | Deadline_first -> -info.duration
-          | Duration_first -> slack
-        in
+        let dur = info.duration in
         if
           est < !b_est
-          || (est = !b_est && (k2 < !b_k2 || (k2 = !b_k2 && k3 < !b_k3)))
+          || est = !b_est
+             && (slack < !b_slack || (slack = !b_slack && dur > !b_dur))
         then begin
           b_est := est;
-          b_k2 := k2;
-          b_k3 := k3;
+          b_slack := slack;
+          b_dur := dur;
           best := i
         end
       end
@@ -277,7 +261,7 @@ and branch_asym st postponed late_from i est cut =
   dfs st postponed late_from cut;
   postponed.(i) <- old
 
-let run_problem ?(tie_break = Slack_first) problem limits =
+let run_problem problem limits =
   let tracing = Obs.Trace.enabled () in
   let t0 = if tracing then Obs.Trace.now_us () else 0. in
   let n_lates = Array.length problem.lates in
@@ -288,7 +272,6 @@ let run_problem ?(tie_break = Slack_first) problem limits =
     {
       problem;
       limits;
-      tie_break;
       tracing;
       late_order;
       best = None;
@@ -331,7 +314,6 @@ let run_problem ?(tie_break = Slack_first) problem limits =
           ("nodes", Obs.Trace.Int st.nodes);
           ("failures", Obs.Trace.Int st.failures);
           ("proved_optimal", Obs.Trace.Bool proved_optimal);
-          ("tie_break", Obs.Trace.Str (tie_break_to_string tie_break));
         ];
   {
     best = st.best;
@@ -364,5 +346,4 @@ let problem_of_model (m : Model.t) =
     extract = (fun () -> Model.extract m);
   }
 
-let run ?tie_break model limits =
-  run_problem ?tie_break (problem_of_model model) limits
+let run model limits = run_problem (problem_of_model model) limits

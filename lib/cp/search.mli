@@ -34,13 +34,6 @@ type limits = {
 val no_limits : limits
 (** No limits. *)
 
-type tie_break =
-  | Slack_first  (** est, then least slack, then longest duration (default) *)
-  | Duration_first  (** est, then longest duration, then least slack *)
-  | Deadline_first  (** est, then earliest owning-job deadline *)
-
-val tie_break_to_string : tie_break -> string
-
 type start_info = {
   svar : Store.var;
   duration : int;
@@ -86,10 +79,10 @@ type outcome = {
   failures : int;
 }
 
-val run_problem : ?tie_break:tie_break -> problem -> limits -> outcome
+val run_problem : problem -> limits -> outcome
 (** Explore.  [problem.bound] must hold the strict bound to beat on entry.
-    [tie_break] picks the SetTimes tie-breaking rule (default
-    {!Slack_first}, the historical behaviour).
+    SetTimes branches on the unfixed start of smallest est, then least
+    slack to its job's deadline, then longest duration.
 
     The search treats the store level at entry as its base: the final
     unwind returns to that level, never below it, so a caller may set up
@@ -97,5 +90,5 @@ val run_problem : ?tie_break:tie_break -> problem -> limits -> outcome
     the search — {!Session} does.  Called at the root this is the
     historical behaviour exactly. *)
 
-val run : ?tie_break:tie_break -> Model.t -> limits -> outcome
+val run : Model.t -> limits -> outcome
 (** {!run_problem} specialized to the Table-1 MapReduce model. *)

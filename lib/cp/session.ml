@@ -531,7 +531,7 @@ let update_cert t ~proved (inst : Instance.t) (sol : Solution.t) =
 (* The session's exact search over the store [sync] just brought in line
    with [inst], on the views the sync walk wrote: arm the objective bound
    inside a guard level and search. *)
-let search_core ~options core (inst : Instance.t) ~bound_to_beat limits =
+let search_core core (inst : Instance.t) ~bound_to_beat limits =
   let s = core.store in
   let view = core.view in
   let extract () =
@@ -557,7 +557,7 @@ let search_core ~options core (inst : Instance.t) ~bound_to_beat limits =
           extract;
         }
       in
-      Search.run_problem ~tie_break:options.Solver.tie_break problem limits)
+      Search.run_problem problem limits)
 
 (* One walk over [inst] before the solve: its jobs by id into [present]
    (the session's spare table, emptied), each pending task's recorded-start
@@ -664,7 +664,7 @@ let solve t ~options (inst : Instance.t) =
     let sync_s = Obs.Clock.now () -. t_sync in
     searched := Some core;
     if registry <> None then Store.set_instrumented core.store true;
-    (search_core ~options core inst ~bound_to_beat limits, sync_s)
+    (search_core core inst ~bound_to_beat limits, sync_s)
   in
   (* what a returned plan leaves for the next instance; [via_cert] for a
      proof the classic bound alone could not have delivered *)

@@ -13,7 +13,6 @@ type options = {
   lns_neighbors : int;
   lns_max_stall : int;
   seed : int;
-  tie_break : Search.tie_break;
   instrument : bool;
 }
 
@@ -26,7 +25,6 @@ let default_options =
     lns_neighbors = 4;
     lns_max_stall = 12;
     seed = 0;
-    tie_break = Search.Slack_first;
     instrument = false;
   }
 
@@ -295,11 +293,11 @@ type exact_search =
 
 (* The default exact backend: a fresh Table-1 model of [inst].  LNS runs
    every fragment through it too. *)
-let model_search ~options inst ~registry ~bound_to_beat limits =
+let model_search inst ~registry ~bound_to_beat limits =
   let model = Model.build inst ~horizon:(Model.default_horizon inst) in
   model.Model.bound := bound_to_beat;
   if registry <> None then Store.set_instrumented model.Model.store true;
-  let outcome = Search.run ~tie_break:options.tie_break model limits in
+  let outcome = Search.run model limits in
   Option.iter (fun r -> Store.harvest r model.Model.store) registry;
   (outcome, 0.)
 
@@ -469,13 +467,17 @@ let lns_regime ~options ?warm st (inst : Instance.t) =
         Search.fail_limit = options.fail_limit;
         node_limit = 0;
         wall_deadline = Some deadline;
-        target = None;
+        (* a fragment keeps every job, so its late count is the merged
+           plan's: one that reaches [lb] can record nothing better, and
+           searching on would only spend the budget up to the fail limit
+           or the wall clock, whichever comes first *)
+        target = Some st.lb;
       }
     in
     (* a fragment is only worth exploring if it can beat the incumbent *)
     let run () =
       fst
-        (model_search ~options sub ~registry:st.registry
+        (model_search sub ~registry:st.registry
            ~bound_to_beat:!incumbent.Solution.late_jobs limits)
     in
     let outcome =
@@ -520,7 +522,7 @@ let solve ?(options = default_options) ?t0 ?pass ?carried_bound ?warm ?exact
   | Some settled -> settled
   | None when Instance.pending_task_count inst <= options.exact_task_limit ->
       let exact =
-        match exact with Some e -> e | None -> model_search ~options inst
+        match exact with Some e -> e | None -> model_search inst
       in
       exact_regime ~options ~exact st
   | None -> lns_regime ~options ?warm st inst

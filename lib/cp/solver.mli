@@ -36,8 +36,6 @@ type options = {
   lns_neighbors : int;  (** extra random jobs relaxed per LNS move *)
   lns_max_stall : int;  (** stop after this many non-improving moves *)
   seed : int;  (** randomization seed for LNS *)
-  tie_break : Search.tie_break;
-      (** SetTimes branching tie-break (default {!Search.Slack_first}) *)
   instrument : bool;
       (** collect per-propagator fire/fail/time metrics into
           [stats.metrics] (default [false]).  Metering never changes

@@ -118,7 +118,6 @@ and t = {
   mutable backtracks : int;  (* levels popped so far *)
   mutable propagations : int;
   mutable wakeups_skipped : int;
-  mutable scratch_reuse : int;
   mutable edge_finder_prunes : int;
   mutable tt_prunes : int;
   mutable tt_edits : int;
@@ -165,7 +164,6 @@ let create () =
     backtracks = 0;
     propagations = 0;
     wakeups_skipped = 0;
-    scratch_reuse = 0;
     edge_finder_prunes = 0;
     tt_prunes = 0;
     tt_edits = 0;
@@ -481,7 +479,6 @@ let stats_wakeups_skipped t = t.wakeups_skipped
 let stats_edge_finder_prunes t = t.edge_finder_prunes
 let stats_tt_prunes t = t.tt_prunes
 let stats_tt_edits t = t.tt_edits
-let note_scratch_reuse t = t.scratch_reuse <- t.scratch_reuse + 1
 let note_tt_prune t = t.tt_prunes <- t.tt_prunes + 1
 let note_tt_edits t n = t.tt_edits <- t.tt_edits + n
 
@@ -522,7 +519,6 @@ let counters t =
   [
     ("store/propagations", t.propagations);
     ("prop/wakeups_skipped", t.wakeups_skipped);
-    ("prop/scratch_reuse", t.scratch_reuse);
     ("prop/edge_finder_prunes", t.edge_finder_prunes);
     ("prop/tt_prunes", t.tt_prunes);
     ("prop/tt_edits", t.tt_edits);

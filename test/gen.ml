@@ -169,3 +169,121 @@ let arb_instance_of ?(p = default_params) () =
 
 let arb_instance = arb_instance_of ()
 let arb_tiny_instance = arb_instance_of ~p:tiny_params ()
+
+(* --- mid-stream instances ------------------------------------------------ *)
+
+(* One mid-stream invocation: [base] planned by [plan], the clock advanced
+   to [now] as Manager.classify sees it.  Tasks the plan finished by [now]
+   leave and raise their job's frozen floors, tasks it started keep running
+   as fixed tasks, the rest stay pending with est bumped to [now]; jobs with
+   nothing left leave.  [crash_*] slots are lost per pool afterwards, so the
+   running tasks may already exceed the capacity that remains. *)
+let advance (base : Instance.t) plan ~now ~crash_maps ~crash_reduces =
+  let step (pj : Instance.pending_job) =
+    let lfmt = ref 0 and completion = ref 0 in
+    let fixed_maps = ref [] and fixed_reduces = ref [] in
+    let pending_maps = ref [] and pending_reduces = ref [] in
+    let classify is_map (task : T.task) =
+      let start = Hashtbl.find plan task.T.task_id in
+      let finish = start + task.T.exec_time in
+      if start <= now then begin
+        if is_map && finish > !lfmt then lfmt := finish;
+        if finish > !completion then completion := finish;
+        if finish > now then
+          let f = { Instance.task; start } in
+          if is_map then fixed_maps := f :: !fixed_maps
+          else fixed_reduces := f :: !fixed_reduces
+      end
+      else if is_map then pending_maps := task :: !pending_maps
+      else pending_reduces := task :: !pending_reduces
+    in
+    Array.iter (classify true) pj.Instance.pending_maps;
+    Array.iter (classify false) pj.Instance.pending_reduces;
+    let arr l = Array.of_list (List.rev !l) in
+    if
+      !fixed_maps = [] && !fixed_reduces = [] && !pending_maps = []
+      && !pending_reduces = []
+    then None
+    else
+      Some
+        {
+          pj with
+          Instance.est = max pj.Instance.est now;
+          pending_maps = arr pending_maps;
+          pending_reduces = arr pending_reduces;
+          fixed_maps = arr fixed_maps;
+          fixed_reduces = arr fixed_reduces;
+          frozen_lfmt = !lfmt;
+          frozen_completion = !completion;
+        }
+  in
+  Instance.make ~now
+    ~map_capacity:(max 1 (base.Instance.map_capacity - crash_maps))
+    ~reduce_capacity:(max 1 (base.Instance.reduce_capacity - crash_reduces))
+    (Array.of_list (List.filter_map step (Array.to_list base.Instance.jobs)))
+
+(* The latest job completion of a plan. *)
+let plan_span (inst : Instance.t) starts =
+  let span = ref 0 in
+  Array.iteri
+    (fun jdx _ ->
+      span := max !span (Sched.Solution.job_completion inst jdx starts))
+    inst.Instance.jobs;
+  !span
+
+(* A plan's starts by task id. *)
+let plan_table (inst : Instance.t) starts =
+  let plan = Hashtbl.create 64 in
+  Array.iteri
+    (fun k (task : T.task) -> Hashtbl.replace plan task.T.task_id starts.(k))
+    (Instance.pending_tasks inst);
+  plan
+
+(* A fresh instance planned by the greedy list scheduler, then advanced to
+   a clock drawn over the plan's span, with 0–1 slots lost per pool: its
+   jobs carry running (fixed) tasks and raised frozen floors, and the
+   running work may overload what is left of a pool. *)
+let gen_midstream_instance =
+  let open QCheck.Gen in
+  let* base = gen_instance () in
+  let* now_pct = int_range 0 100 in
+  let* crash_maps = int_range 0 1 in
+  let* crash_reduces = int_range 0 1 in
+  let starts = (Sched.Greedy.solve base).Sched.Solution.starts in
+  return
+    (advance base (plan_table base starts)
+       ~now:(plan_span base starts * now_pct / 100)
+       ~crash_maps ~crash_reduces)
+
+(* An instance's running tasks, as id@start+duration. *)
+let fixed_to_string (inst : Instance.t) =
+  Array.to_list inst.Instance.jobs
+  |> List.concat_map (fun (pj : Instance.pending_job) ->
+         Array.to_list pj.Instance.fixed_maps
+         @ Array.to_list pj.Instance.fixed_reduces)
+  |> List.map (fun (f : Instance.fixed_task) ->
+         Printf.sprintf "%d@%d+%d" f.Instance.task.T.task_id f.Instance.start
+           f.Instance.task.T.exec_time)
+  |> String.concat " "
+
+let print_midstream inst =
+  Format.asprintf "%a fixed=[%s]" Instance.pp inst (fixed_to_string inst)
+
+(* Shrink by dropping whole jobs, running tasks and frozen floors with
+   them; what is left is a mid-stream instance of the same clock and
+   capacities. *)
+let shrink_jobs (inst : Instance.t) yield =
+  let jobs = inst.Instance.jobs in
+  let n = Array.length jobs in
+  if n > 1 then
+    for i = 0 to n - 1 do
+      yield
+        (Instance.with_jobs inst
+           (Array.of_list
+              (List.filteri (fun j _ -> j <> i) (Array.to_list jobs))))
+    done
+
+(* Fresh instances ({!gen_instance}) and mid-stream ones, half each. *)
+let arb_fresh_or_midstream =
+  QCheck.make ~print:print_midstream ~shrink:shrink_jobs
+    (QCheck.Gen.oneof [ gen_instance (); gen_midstream_instance ])

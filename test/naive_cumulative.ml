@@ -1,10 +1,11 @@
 (* Reference time-table kernel for the capacity constraints (5)/(6): the
-   oracle the library's [Cp.Propagators.cumulative] and the session's
-   [Cp.Propagators.cumulative_dyn] are checked against.  It rebuilds the
-   profile with list allocation and a full O(n log n) sort on every run, so
-   its fixpoint is easy to read off the code; the library kernels compute
-   the same fixpoint without allocating.  Same argument checks, same
-   priority, same pruning order. *)
+   oracle the library's one time table, [Cp.Propagators.cumulative_dyn]
+   (which every model and every session posts), is checked against.  It
+   rebuilds the profile with list allocation and a full O(n log n) sort on
+   every run, so its fixpoint is easy to read off the code; the library
+   kernel computes the same fixpoint incrementally.  Same priority; frozen
+   occupations enter as constants of the profile rather than as fixed
+   starts. *)
 
 module Store = Cp.Store
 module P = Cp.Propagators

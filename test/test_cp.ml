@@ -133,7 +133,7 @@ let test_propagator_cumulative_overload () =
   (* two unit-demand tasks of length 10 fixed at t=0 under capacity 1 *)
   let x = Cp.Store.new_var s ~min:0 ~max:0 in
   let y = Cp.Store.new_var s ~min:0 ~max:0 in
-  Cp.Propagators.cumulative s
+  Cp.Propagators.capacity s
     ~tasks:
       [|
         { Cp.Propagators.start = x; duration = 10; demand = 1 };
@@ -148,7 +148,7 @@ let test_propagator_cumulative_pushes () =
   (* a fixed task occupies [0,10) at demand 1, capacity 1: a second task of
      duration 5 must be pushed to start >= 10 *)
   let y = Cp.Store.new_var s ~min:0 ~max:100 in
-  Cp.Propagators.cumulative s
+  Cp.Propagators.capacity s
     ~tasks:[| { Cp.Propagators.start = y; duration = 5; demand = 1 } |]
     ~fixed:[| (0, 10, 1) |] ~capacity:1;
   Cp.Store.propagate s;
@@ -391,29 +391,6 @@ let test_search_limits_honoured () =
   Alcotest.(check bool) "node limit" true (outcome.Cp.Search.nodes <= 25);
   Alcotest.(check bool) "not proved under limits" false
     outcome.Cp.Search.proved_optimal
-
-(* Search tie-breaks must not change the proved optimum, only the tree. *)
-let test_tie_breaks_agree () =
-  let inst =
-    instance ~map_cap:1 ~reduce_cap:1
-      [
-        mk_job ~id:0 ~deadline:20 ~maps:[ 10 ] ~reduces:[ 10 ] ();
-        mk_job ~id:1 ~est:1 ~deadline:35 ~maps:[ 10 ] ~reduces:[ 5 ] ();
-        mk_job ~id:2 ~deadline:18 ~maps:[ 9 ] ~reduces:[] ();
-      ]
-  in
-  let solve_with tie_break =
-    let options = { Cp.Solver.default_options with Cp.Solver.tie_break } in
-    let sol, stats = Cp.Solver.solve ~options inst in
-    check_feasible inst sol;
-    Alcotest.(check bool) "proved" true stats.Cp.Solver.proved_optimal;
-    sol.Solution.late_jobs
-  in
-  let base = solve_with Cp.Search.Slack_first in
-  Alcotest.(check int) "duration tie-break agrees" base
-    (solve_with Cp.Search.Duration_first);
-  Alcotest.(check int) "deadline tie-break agrees" base
-    (solve_with Cp.Search.Deadline_first)
 
 (* --- qcheck properties ------------------------------------------------ *)
 
@@ -706,8 +683,6 @@ let () =
           Alcotest.test_case "deterministic" `Quick test_solver_deterministic;
           Alcotest.test_case "search limits" `Quick
             test_search_limits_honoured;
-          Alcotest.test_case "tie-breaks agree on the optimum" `Quick
-            test_tie_breaks_agree;
         ] );
       ( "trajectory",
         [

@@ -1,23 +1,29 @@
 (* Tests for the capacity propagators: event-granular watchers and
-   timestamp wakeup suppression in the store, the Θ-Λ tree, and differential
+   timestamp wakeup suppression in the store, the Θ-Λ tree, the time table
+   ({!Cp.Propagators.cumulative_dyn}) on random walks, and differential
    properties between capacity postings passed through [Model.build]'s
    [kernel] seam:
    - [naive]: the list-based reference time table ({!Naive_cumulative});
-   - [timetable]: the library's allocation-free time table alone;
+   - [timetable]: the library's time table alone, posted as
+     {!Cp.Propagators.capacity} posts it (a pool holding the pending tasks,
+     frozen occupations as root-fixed starts);
    - [edge_finding]: the Θ-tree filter alone where it is sound, the time
      table elsewhere;
    - [production]: what every solve posts, {!Cp.Propagators.capacity} (the
      time table everywhere, plus the Θ-tree filter on unary-equivalent
      pools).
 
-   The key invariants:
+   The key invariants, on fresh instances and on mid-stream ones whose
+   running work may overload a pool that lost a slot:
    - [timetable] computes exactly the reference fixpoints, so its search
      trajectory (nodes/failures/objective/proof) is bit-identical to
      [naive]'s on every instance;
    - edge finding only prunes — it never loses a solution the time-table
      search can reach, so proved objectives agree across all four
      postings;
-   - [production] engages the edge finder exactly on unary pools. *)
+   - [production] engages the edge finder exactly on unary pools.
+   The walks and the root-fixpoint property stand behind every model's
+   capacity constraint, the session's and [Model.build]'s alike. *)
 
 module Store = Cp.Store
 module P = Cp.Propagators
@@ -25,12 +31,20 @@ module Model = Cp.Model
 module Search = Cp.Search
 
 let naive = Naive_cumulative.post
-let timetable = P.cumulative
+
+let timetable s ~tasks ~fixed ~capacity =
+  let pool = P.cumulative_dyn s ~capacity in
+  Array.iter (P.dyn_add pool s) tasks;
+  Array.iter
+    (fun (start, duration, demand) ->
+      let start = Store.new_var s ~min:start ~max:start in
+      P.dyn_add pool s { P.start; duration; demand })
+    fixed
 
 let edge_finding s ~tasks ~fixed ~capacity =
   if P.disjunctive_applicable ~tasks ~fixed ~capacity then
     P.disjunctive s ~tasks ~fixed
-  else P.cumulative s ~tasks ~fixed ~capacity
+  else timetable s ~tasks ~fixed ~capacity
 
 let production = P.capacity
 let all_postings = [ naive; timetable; edge_finding; production ]
@@ -160,9 +174,14 @@ let test_edge_finding_prunes_textbook () =
 (* --- differential properties over generated instances ------------------- *)
 
 let root_bounds kernel inst =
-  let model = Model.build ~kernel inst ~horizon:(Model.default_horizon inst) in
-  match Store.propagate model.Model.store with
-  | () ->
+  match
+    let model =
+      Model.build ~kernel inst ~horizon:(Model.default_horizon inst)
+    in
+    Store.propagate model.Model.store;
+    model
+  with
+  | model ->
       let bounds v =
         (Store.min_of model.Model.store v, Store.max_of model.Model.store v)
       in
@@ -176,26 +195,23 @@ let root_bounds kernel inst =
            ])
   | exception Store.Fail _ -> None
 
-(* Root fixpoints: [timetable]'s are exactly [naive]'s; [production] is at
-   least as tight on every variable (or fails earlier). *)
+(* Root fixpoints: [timetable]'s are exactly [naive]'s, failures included
+   (running work that overloads a pool fails both at the root);
+   [production] is at least as tight on every variable, or fails where
+   they did not. *)
 let prop_root_fixpoint_no_looser =
-  QCheck.Test.make ~count:150 ~name:"root fixpoints: timetable = naive <= EF"
-    Gen.arb_instance (fun inst ->
-      match root_bounds naive inst with
-      | None -> true (* naive failed: nothing to compare *)
-      | Some naive -> (
-          (match root_bounds timetable inst with
-          | Some tt ->
-              if tt <> naive then
-                QCheck.Test.fail_report
-                  "timetable root fixpoint differs from naive"
-          | None -> QCheck.Test.fail_report "timetable failed where naive ran");
-          match root_bounds production inst with
-          | None -> true (* strictly stronger: found the inconsistency *)
-          | Some both ->
-              Array.for_all2
-                (fun (nmin, nmax) (bmin, bmax) -> bmin >= nmin && bmax <= nmax)
-                naive both))
+  QCheck.Test.make ~count:300 ~name:"root fixpoints: timetable = naive <= EF"
+    Gen.arb_fresh_or_midstream (fun inst ->
+      let naive = root_bounds naive inst in
+      if root_bounds timetable inst <> naive then
+        QCheck.Test.fail_report "timetable root fixpoint differs from naive";
+      match (naive, root_bounds production inst) with
+      | None, None | Some _, None -> true
+      | None, Some _ -> QCheck.Test.fail_report "EF ran where naive failed"
+      | Some naive, Some both ->
+          Array.for_all2
+            (fun (nmin, nmax) (bmin, bmax) -> bmin >= nmin && bmax <= nmax)
+            naive both)
 
 let search_outcome kernel inst =
   let model = Model.build ~kernel inst ~horizon:(Model.default_horizon inst) in
@@ -215,8 +231,8 @@ let search_outcome kernel inst =
    bit-identically: same nodes, same failures, same objective, same proof
    status. *)
 let prop_timetable_trajectory_bit_identical =
-  QCheck.Test.make ~count:40 ~name:"naive/timetable trajectories identical"
-    Gen.arb_instance (fun inst ->
+  QCheck.Test.make ~count:80 ~name:"naive/timetable trajectories identical"
+    Gen.arb_fresh_or_midstream (fun inst ->
       search_outcome naive inst = search_outcome timetable inst)
 
 (* Edge finding never prunes a reachable solution: on proof-complete runs

@@ -123,56 +123,6 @@ let prop_fast_path_iff_feasible_and_bound_optimal =
 
 (* --- the seed pipeline against its reference (test/seed_oracle.ml) ------- *)
 
-(* One mid-stream invocation: [base] planned by [plan], the clock advanced
-   to [now] as Manager.classify sees it.  Tasks the plan finished by [now]
-   leave and raise their job's frozen floors, tasks it started keep running
-   as fixed tasks, the rest stay pending with est bumped to [now]; jobs with
-   nothing left leave.  [crash_*] slots are lost per pool afterwards, so the
-   running tasks may already exceed the capacity that remains. *)
-let advance (base : Instance.t) plan ~now ~crash_maps ~crash_reduces =
-  let step (pj : Instance.pending_job) =
-    let lfmt = ref 0 and completion = ref 0 in
-    let fixed_maps = ref [] and fixed_reduces = ref [] in
-    let pending_maps = ref [] and pending_reduces = ref [] in
-    let classify is_map (task : T.task) =
-      let start = Hashtbl.find plan task.T.task_id in
-      let finish = start + task.T.exec_time in
-      if start <= now then begin
-        if is_map && finish > !lfmt then lfmt := finish;
-        if finish > !completion then completion := finish;
-        if finish > now then
-          let f = { Instance.task; start } in
-          if is_map then fixed_maps := f :: !fixed_maps
-          else fixed_reduces := f :: !fixed_reduces
-      end
-      else if is_map then pending_maps := task :: !pending_maps
-      else pending_reduces := task :: !pending_reduces
-    in
-    Array.iter (classify true) pj.Instance.pending_maps;
-    Array.iter (classify false) pj.Instance.pending_reduces;
-    let arr l = Array.of_list (List.rev !l) in
-    if
-      !fixed_maps = [] && !fixed_reduces = [] && !pending_maps = []
-      && !pending_reduces = []
-    then None
-    else
-      Some
-        {
-          pj with
-          Instance.est = max pj.Instance.est now;
-          pending_maps = arr pending_maps;
-          pending_reduces = arr pending_reduces;
-          fixed_maps = arr fixed_maps;
-          fixed_reduces = arr fixed_reduces;
-          frozen_lfmt = !lfmt;
-          frozen_completion = !completion;
-        }
-  in
-  Instance.make ~now
-    ~map_capacity:(max 1 (base.Instance.map_capacity - crash_maps))
-    ~reduce_capacity:(max 1 (base.Instance.reduce_capacity - crash_reduces))
-    (Array.of_list (List.filter_map step (Array.to_list base.Instance.jobs)))
-
 type seed_case = {
   inst : Instance.t;
   carried : (int, int) Hashtbl.t;
@@ -197,27 +147,14 @@ let gen_seed_case =
   let* lb = opt (int_range 0 3) in
   let starts = (Seed_oracle.greedy base).Solution.starts in
   let plan = Seed_oracle.table_of base starts in
-  let horizon = ref 0 in
-  Array.iteri
-    (fun jdx _ ->
-      horizon := max !horizon (Solution.job_completion base jdx starts))
-    base.Instance.jobs;
-  let horizon = !horizon in
   let inst =
-    advance base plan ~now:(horizon * now_pct / 100) ~crash_maps ~crash_reduces
+    Gen.advance base plan
+      ~now:(Gen.plan_span base starts * now_pct / 100)
+      ~crash_maps ~crash_reduces
   in
   return { inst; carried = corrupt_starts ~salt plan; ordering; lb }
 
 let print_seed_case c =
-  let fixed =
-    Array.to_list c.inst.Instance.jobs
-    |> List.concat_map (fun (pj : Instance.pending_job) ->
-           Array.to_list pj.Instance.fixed_maps
-           @ Array.to_list pj.Instance.fixed_reduces)
-    |> List.map (fun (f : Instance.fixed_task) ->
-           Printf.sprintf "%d@%d+%d" f.Instance.task.T.task_id f.Instance.start
-             f.Instance.task.T.exec_time)
-  in
   let carried =
     Hashtbl.fold (fun k v acc -> (k, v) :: acc) c.carried []
     |> List.sort compare
@@ -227,7 +164,7 @@ let print_seed_case c =
     c.inst
     (Sched.Greedy.order_to_string c.ordering)
     (match c.lb with Some b -> string_of_int b | None -> "-")
-    (String.concat " " fixed) (String.concat " " carried)
+    (Gen.fixed_to_string c.inst) (String.concat " " carried)
 
 let arb_seed_case = QCheck.make ~print:print_seed_case gen_seed_case
 
