@@ -24,6 +24,7 @@ type problem = {
   bound : int ref;
   bound_pid : Store.propagator_id;
   extract : unit -> Sched.Solution.t;
+  propose : (bool array -> Sched.Solution.t) option;
 }
 
 type stop_cause =
@@ -59,6 +60,9 @@ type state = {
      from the first entry not yet fixed on the current path instead of
      rescanning all jobs at every node *)
   late_order : int array;
+  (* the list-schedule leaf's argument: each job's lateness decision, by
+     [lates] index, rewritten before every proposal *)
+  decided_late : bool array;
   mutable best : Sched.Solution.t option;
   mutable nodes : int;
   mutable failures : int;
@@ -192,12 +196,48 @@ let propagate_child st s cut =
   propagate_st st s;
   bound
 
+(* The list-schedule leaf: one complete plan proposed where the lateness
+   phase ends on a path.  When its late count beats the bound, one level
+   fixes every pending start at the proposal, re-runs the cut and
+   propagates; the plan is recorded only if the propagators accept it, so
+   soundness never rests on the proposer.  The leaf prunes nothing: the
+   caller goes on with SetTimes either way. *)
+let list_leaf st propose =
+  let p = st.problem in
+  let s = p.store in
+  let mins = Store.mins s in
+  Array.iteri
+    (fun j (late, _) -> st.decided_late.(j) <- mins.(late) > 0)
+    p.lates;
+  let plan = propose st.decided_late in
+  if plan.Sched.Solution.late_jobs < !(p.bound) then begin
+    check_limits st;
+    st.nodes <- st.nodes + 1;
+    Store.push_level s;
+    (try
+       let starts = plan.Sched.Solution.starts in
+       Array.iteri (fun k info -> Store.fix s info.svar starts.(k)) p.starts;
+       Store.schedule s p.bound_pid;
+       propagate_st st s;
+       record_solution st
+     with Store.Fail _ -> st.failures <- st.failures + 1);
+    backtrack_st st s
+  end
+
 let rec dfs st postponed late_from cut =
   check_limits st;
   st.nodes <- st.nodes + 1;
   match select_late st late_from with
   | -1 ->
-      (* all lates decided: children resume past the whole order *)
+      (* all lates decided.  A node that resumed inside the order is the
+         first past the lateness phase on its path: the leaf's place. *)
+      (match st.problem.propose with
+      | Some propose
+        when late_from < Array.length st.late_order
+             && not (all_starts_fixed st) ->
+          list_leaf st propose
+      | _ -> ());
+      (* children resume past the whole order *)
       start_phase st postponed st.late_cursor cut
   | j ->
       let cur = st.late_cursor in
@@ -207,8 +247,10 @@ and start_phase st postponed late_from cut =
   match select_start st postponed with
   | -1 ->
       if all_starts_fixed st then record_solution st
-      (* else: every unfixed task is postponed at an unchanged est —
-         dominated dead end *)
+        (* else every unfixed task is postponed at an unchanged est: a
+           dominated dead end, counted as a failure so that [fail_limit]
+           bounds a SetTimes tree of postpones *)
+      else st.failures <- st.failures + 1
   | i ->
       branch_asym st postponed late_from i
         (Store.min_of st.problem.store st.problem.starts.(i).svar)
@@ -274,6 +316,7 @@ let run_problem problem limits =
       limits;
       tracing;
       late_order;
+      decided_late = Array.make n_lates false;
       best = None;
       nodes = 0;
       failures = 0;
@@ -344,6 +387,7 @@ let problem_of_model (m : Model.t) =
     bound = m.Model.bound;
     bound_pid = m.Model.bound_pid;
     extract = (fun () -> Model.extract m);
+    propose = None;
   }
 
 let run model limits = run_problem (problem_of_model model) limits

@@ -10,9 +10,19 @@
        left branch fixes start = est, right branch marks the task postponed.
        A postponed task becomes selectable again when propagation raises its
        est; a node where every unfixed task is postponed and no est moved is
-       a dominated dead end.  This scheme explores only semi-active
+       a dominated dead end, counted as a failure (so [fail_limit] bounds a
+       tree of postpones too).  This scheme explores only semi-active
        schedules, which is exhaustive for regular objectives such as the
        paper's Σ N_j.
+
+    Between the two, where the lateness phase ends on a path, a problem
+    with a [propose] function tries one {e list-schedule leaf}: the
+    proposal's starts are fixed in one child level, the cut re-runs, and
+    the plan is recorded only if propagation accepts it.  The leaf counts
+    one node (and one failure when rejected), and is tried only when the
+    proposal's late count beats the bound and some start is still open.
+    It prunes nothing: SetTimes runs after it as before, so an exhausted
+    tree is still a proof.
 
     The search is one chronological DFS; the snapshot tests in
     [test/test_cp.ml] pin its trajectory (nodes, failures) on five fixed
@@ -49,6 +59,11 @@ type problem = {
   extract : unit -> Sched.Solution.t;
       (** the schedule at a full leaf; only solutions whose true late count
           ([late_jobs]) strictly improves on the bound are kept *)
+  propose : (bool array -> Sched.Solution.t) option;
+      (** the list-schedule leaf's proposer: given each job's lateness
+          decision ([true] for N_j = 1), by [lates] index, a plan whose
+          [starts] follow [starts]' order.  It may be any plan at all: the
+          store checks it before it is recorded.  [None]: no leaf. *)
 }
 (** The variables the search branches on, in a store it does not own:
     {!run} builds one from a {!Model}, {!Session} one over its persistent

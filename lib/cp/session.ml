@@ -531,7 +531,7 @@ let update_cert t ~proved (inst : Instance.t) (sol : Solution.t) =
 (* The session's exact search over the store [sync] just brought in line
    with [inst], on the views the sync walk wrote: arm the objective bound
    inside a guard level and search. *)
-let search_core core (inst : Instance.t) ~bound_to_beat limits =
+let search_core core (inst : Instance.t) ~propose ~bound_to_beat limits =
   let s = core.store in
   let view = core.view in
   let extract () =
@@ -555,6 +555,7 @@ let search_core core (inst : Instance.t) ~bound_to_beat limits =
           bound = core.bound;
           bound_pid = Propagators.dyn_sum_pid core.objective;
           extract;
+          propose = Some propose;
         }
       in
       Search.run_problem problem limits)
@@ -642,7 +643,7 @@ let stats_footprint t =
         task_slots = !task_slots;
       }
 
-let solve t ~options (inst : Instance.t) =
+let solve ?wrap_leaf t ~options (inst : Instance.t) =
   let t0 = Obs.Clock.now () in
   let words0 = Gc.minor_words () in
   let retracted0 = t.retracted
@@ -664,7 +665,11 @@ let solve t ~options (inst : Instance.t) =
     let sync_s = Obs.Clock.now () -. t_sync in
     searched := Some core;
     if registry <> None then Store.set_instrumented core.store true;
-    (search_core core inst ~bound_to_beat limits, sync_s)
+    let propose = Solver.list_leaf pass in
+    let propose =
+      match wrap_leaf with Some wrap -> wrap propose | None -> propose
+    in
+    (search_core core inst ~propose ~bound_to_beat limits, sync_s)
   in
   (* what a returned plan leaves for the next instance; [via_cert] for a
      proof the classic bound alone could not have delivered *)

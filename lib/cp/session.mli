@@ -79,13 +79,18 @@ val create : unit -> t
     and the options are read per call. *)
 
 val solve :
+  ?wrap_leaf:
+    ((bool array -> Sched.Solution.t) -> bool array -> Sched.Solution.t) ->
   t ->
   options:Solver.options ->
   Sched.Instance.t ->
   Sched.Solution.t * Solver.stats
 (** Run {!Solver.solve} with the warm start, the certificate's bound
     and the persistent store as exact backend, and record the plan it
-    returns, which the caller dispatches.  The sync is {e lazy}: an
+    returns, which the caller dispatches.  The store's search tries the
+    list-schedule leaf {!Solver.list_leaf} ({!Search.problem.propose});
+    [wrap_leaf] (default: none) wraps that proposer, for tests that hand
+    the search a corrupted plan.  The sync is {e lazy}: an
     invocation settled by the bound or routed to LNS never touches the
     store.  [elapsed], the wall deadline and [store/words_allocated] cover
     the whole call.  Never fails, at worst returns the greedy seed.  With

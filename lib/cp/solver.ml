@@ -123,6 +123,36 @@ let doomed_last_sequence p =
   take true;
   seq
 
+(* The exact search's list-schedule leaf ({!Search.problem.propose}), the
+   doomed-last sequence's counterpart inside the tree: given each job's
+   lateness decision, the jobs decided on time go first in EDF order, then
+   the jobs decided late, least pending work first (ties in EDF order), so
+   that the small ones still finish soon.  Both orders are sorted once per
+   search. *)
+let list_leaf p =
+  let edf = Greedy.edf_order p.greedy in
+  let n = Array.length edf in
+  let by_work = Array.copy edf and rank = Array.make n 0 in
+  Array.iteri (fun i jdx -> rank.(jdx) <- i) edf;
+  Sched.Index_sort.sort by_work ~lo:0 ~hi:n
+    ~key:(Array.map Instance.pending_exec_total p.inst.Instance.jobs)
+    ~tie:rank;
+  let seq = Array.make n 0 in
+  fun late ->
+    let k = ref 0 in
+    let take order decided =
+      Array.iter
+        (fun jdx ->
+          if late.(jdx) = decided then begin
+            seq.(!k) <- jdx;
+            incr k
+          end)
+        order
+    in
+    take edf false;
+    take by_work true;
+    Greedy.schedule_sequence p.greedy seq
+
 (* Best greedy seed across the orderings (plus the doomed-last variant),
    preferring the configured one on ties.  [?preferred] lets a caller that
    already ran the configured ordering hand the result in. *)

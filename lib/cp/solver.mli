@@ -108,6 +108,17 @@ val late_lower_bound : pass -> int
 val doomed : pass -> int -> bool
 (** [doomed p jdx]: {!job_doomed} of the instance's job [jdx]. *)
 
+val list_leaf : pass -> bool array -> Sched.Solution.t
+(** [list_leaf p] is a {!Search.problem.propose} over the pass's instance:
+    given each job's lateness decision by job index ([true]: decided
+    late), the list schedule of the jobs decided on time in EDF order,
+    then of those decided late by ascending pending work
+    ({!Sched.Instance.pending_exec_total}), ties in EDF order.  Like the doomed-last seed it keeps the
+    savable jobs ahead of the rest.  The proposal is any list schedule: the
+    search records it only once its store accepts it.  Shares the pass's
+    {!Sched.Greedy.pass}, so it runs between the pass's other schedules,
+    not beside them. *)
+
 val warm_candidate : pass -> incumbent -> Sched.Solution.t option
 (** Complete a carried-over plan into a full solution for the pass's
     (updated) instance: jobs whose pending tasks all still have non-stale

@@ -5,6 +5,27 @@ type t = { buf : Buffer.t; mutable seq : int }
 let create () = { buf = Buffer.create 4096; seq = 0 }
 let events t = t.seq
 
+let wall_marker = ",\"wall\":{"
+
+(* The wall object, closing the line's object too.  A finite float field
+   is formatted once with [%.17g], which round-trips every float, where
+   {!Json.Float}'s shortest form formats twice and parses once to find it.
+   The wall is outside the canonical form, so its longer text moves no
+   fingerprint, and a reader still recovers the exact float.  Any other
+   value (a metrics snapshot) is written as {!Json} writes it. *)
+let add_wall b wall =
+  Buffer.add_string b wall_marker;
+  List.iteri
+    (fun i (k, v) ->
+      if i > 0 then Buffer.add_char b ',';
+      Json.to_buffer b (Json.String k);
+      Buffer.add_char b ':';
+      match v with
+      | Json.Float f when Float.is_finite f -> Printf.bprintf b "%.17g" f
+      | v -> Json.to_buffer b v)
+    wall;
+  Buffer.add_string b "}}"
+
 let event t ~t_ms ?(wall = []) ev fields =
   let seq = t.seq in
   t.seq <- seq + 1;
@@ -16,10 +37,15 @@ let event t ~t_ms ?(wall = []) ev fields =
       ("ev", Json.String ev);
     ]
   in
-  (* [wall] MUST stay the final key: canonicalization strips it textually. *)
-  let tail = match wall with [] -> [] | w -> [ ("wall", Json.Obj w) ] in
-  Json.to_buffer t.buf (Json.Obj (base @ fields @ tail));
-  Buffer.add_char t.buf '\n'
+  let b = t.buf in
+  Json.to_buffer b (Json.Obj (base @ fields));
+  (* [wall] MUST stay the final key: canonicalization strips it textually.
+     It reopens the object just closed. *)
+  if wall <> [] then begin
+    Buffer.truncate b (Buffer.length b - 1);
+    add_wall b wall
+  end;
+  Buffer.add_char b '\n'
 
 let to_string t = Buffer.contents t.buf
 
@@ -28,8 +54,6 @@ let write t ~path =
   Fun.protect
     ~finally:(fun () -> close_out oc)
     (fun () -> output_string oc (to_string t))
-
-let wall_marker = ",\"wall\":{"
 
 let last_index_of ~sub s =
   let n = String.length sub and m = String.length s in

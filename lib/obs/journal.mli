@@ -46,8 +46,10 @@ val event :
   unit
 (** [event j ~t_ms kind payload] appends one line.  [t_ms] is virtual
     time; [wall] fields are wall-clock measurements, kept out of the
-    canonical form.  Payload keys must not collide with the envelope
-    ([v]/[seq]/[t]/[ev]/[wall]). *)
+    canonical form.  A finite [Float] field of [wall] is written with
+    [%.17g]: exact, in one format, but not always the shortest form
+    {!Json.Float} takes elsewhere.  Payload keys must not collide with the
+    envelope ([v]/[seq]/[t]/[ev]/[wall]). *)
 
 val events : t -> int
 (** Number of lines appended so far (the next line's [seq]). *)

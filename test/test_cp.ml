@@ -461,12 +461,18 @@ let prop_optimal_matches_bruteforce =
 (* --- DFS trajectory snapshots ------------------------------------------- *)
 
 (* (nodes, failures, late, proved) of the branch-and-bound search at fail
-   limit 50k on five fixed instances, unchanged since the propagation-kernel
-   overhaul.  Any drift means the search no longer makes the same decisions
-   in the same order, which silently invalidates every historical
-   benchmark.  The second tuple pins the whole {!Cp.Solver.solve} pipeline
-   (seed, bound, fast path, B&B) on the same instances: (nodes, failures,
-   stop_reason, seed_late, lower_bound, late). *)
+   limit 50k on five fixed instances.  The nodes are unchanged since the
+   propagation-kernel overhaul.  The failures were re-pinned once, when
+   SetTimes began to count its dominated dead end (every open task
+   postponed at an unchanged est) as a failure: that node was already
+   explored and ended the same way, so only the count moved (tight-6
+   6727 -> 7317, mixed-5 46 -> 55, ar-8 190 -> 210, unary-4 28 -> 36,
+   loose-10 435 -> 465).  Any other drift means the search no longer makes
+   the same decisions in the same order, which silently invalidates every
+   historical benchmark.  The second tuple pins the whole
+   {!Cp.Solver.solve} pipeline (seed, bound, fast path, B&B) on the same
+   instances: (nodes, failures, stop_reason, seed_late, lower_bound,
+   late). *)
 let snapshot_cases () =
   let reset = Gen.reset_tasks in
   [
@@ -477,8 +483,8 @@ let snapshot_cases () =
               mk_job ~id:i
                 ~deadline:(25 + (4 * i))
                 ~maps:[ 9; 7 ] ~reduces:[ 4 ] ()))),
-      (7908, 6727, 1, true),
-      (7907, 6726, Obs.Solve_stats.Proved, 2, 0, 1) );
+      (7908, 7317, 1, true),
+      (7907, 7316, Obs.Solve_stats.Proved, 2, 0, 1) );
     ( "mixed-5",
       (reset ();
        instance ~map_cap:2 ~reduce_cap:2
@@ -489,7 +495,7 @@ let snapshot_cases () =
            mk_job ~id:3 ~deadline:18 ~maps:[ 6; 6; 6 ] ~reduces:[] ();
            mk_job ~id:4 ~deadline:60 ~maps:[ 15 ] ~reduces:[ 9 ] ();
          ]),
-      (65, 46, 0, true),
+      (65, 55, 0, true),
       (0, 0, Obs.Solve_stats.Proved, 0, 0, 0) );
     ( "ar-8",
       (reset ();
@@ -501,7 +507,7 @@ let snapshot_cases () =
                 ~maps:[ 7; 5 + (i mod 4) ]
                 ~reduces:(if i mod 2 = 0 then [ 4 ] else [])
                 ()))),
-      (231, 190, 0, true),
+      (231, 210, 0, true),
       (0, 0, Obs.Solve_stats.Proved, 0, 0, 0) );
     ( "unary-4",
       (reset ();
@@ -510,7 +516,7 @@ let snapshot_cases () =
               mk_job ~id:i
                 ~deadline:(20 + (6 * i))
                 ~maps:[ 5 + i ] ~reduces:[ 3 ] ()))),
-      (45, 28, 0, true),
+      (45, 36, 0, true),
       (0, 0, Obs.Solve_stats.Proved, 0, 0, 0) );
     ( "loose-10",
       (reset ();
@@ -519,7 +525,7 @@ let snapshot_cases () =
               mk_job ~id:i
                 ~deadline:(40 + (7 * i))
                 ~maps:[ 6; 4 ] ~reduces:[ 5 ] ()))),
-      (496, 435, 0, true),
+      (496, 465, 0, true),
       (0, 0, Obs.Solve_stats.Proved, 0, 0, 0) );
   ]
 
@@ -570,13 +576,15 @@ let test_dfs_snapshots () =
     (snapshot_cases ())
 
 (* The LNS regime's trajectory on the one snapshot instance whose seed is
-   not already optimal: (nodes, failures, lns_moves, stop_reason, late). *)
+   not already optimal: (nodes, failures, lns_moves, stop_reason, late).
+   The failures went 333 -> 369 when the dominated dead end began to count
+   as one, with the same nodes. *)
 let test_lns_snapshot () =
   let name, inst, _, _ = List.hd (snapshot_cases ()) in
   let options = { pin_options with Cp.Solver.exact_task_limit = 0 } in
   let sol, st = solve ~options inst in
   Alcotest.(check int) (name ^ " nodes") 394 st.Cp.Solver.nodes;
-  Alcotest.(check int) (name ^ " failures") 333 st.Cp.Solver.failures;
+  Alcotest.(check int) (name ^ " failures") 369 st.Cp.Solver.failures;
   Alcotest.(check int) (name ^ " moves") 13 st.Cp.Solver.lns_moves;
   Alcotest.check stop_reason (name ^ " stop") Obs.Solve_stats.Lns_stall
     st.Cp.Solver.stop_reason;

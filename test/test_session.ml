@@ -654,6 +654,168 @@ let test_footprint_bounded () =
   Alcotest.(check bool) "the tables held far fewer jobs than the stream"
     true (!peak < 30)
 
+(* --- the list-schedule leaf ------------------------------------------- *)
+
+(* One task's occupation of its pool under a plan: [index] is its task
+   index, or -1 for a running task. *)
+type occupation = {
+  index : int;
+  job : int;
+  is_map : bool;
+  start : int;
+  duration : int;
+  demand : int;
+}
+
+let occupations (inst : Instance.t) (plan : Solution.t) =
+  let acc = ref [] in
+  Array.iteri
+    (fun jdx (pj : Instance.pending_job) ->
+      let off = inst.Instance.first.(jdx) in
+      let add ~index ~is_map ~start (task : T.task) =
+        acc :=
+          {
+            index;
+            job = jdx;
+            is_map;
+            start;
+            duration = task.T.exec_time;
+            demand = task.T.capacity_req;
+          }
+          :: !acc
+      in
+      let n_maps = Array.length pj.Instance.pending_maps in
+      Array.iteri
+        (fun i task ->
+          add ~index:(off + i) ~is_map:true
+            ~start:plan.Solution.starts.(off + i) task)
+        pj.Instance.pending_maps;
+      Array.iteri
+        (fun i task ->
+          let k = off + n_maps + i in
+          add ~index:k ~is_map:false ~start:plan.Solution.starts.(k) task)
+        pj.Instance.pending_reduces;
+      let running ~is_map (f : Instance.fixed_task) =
+        add ~index:(-1) ~is_map ~start:f.Instance.start f.Instance.task
+      in
+      Array.iter (running ~is_map:true) pj.Instance.fixed_maps;
+      Array.iter (running ~is_map:false) pj.Instance.fixed_reduces)
+    inst.Instance.jobs;
+  !acc
+
+(* [plan] with one pending start moved onto an instant its pool cannot
+   take: the start of some occupation, at or after the task's est and
+   outside its own window, where the pool's usage, running work included,
+   leaves less room than the task needs.  A move that keeps the job's
+   completion is preferred, since it keeps the plan's late count: a store
+   that failed to check the plan would then record it.  [None] when the
+   plan has no such instant. *)
+let onto_full_instant (inst : Instance.t) (plan : Solution.t) =
+  let occ = occupations inst plan in
+  let covers t o = o.start <= t && t < o.start + o.duration in
+  let usage is_map t =
+    List.fold_left
+      (fun acc o ->
+        if o.is_map = is_map && covers t o then acc + o.demand else acc)
+      0 occ
+  in
+  let capacity is_map =
+    if is_map then inst.Instance.map_capacity
+    else inst.Instance.reduce_capacity
+  in
+  let moves =
+    List.concat_map
+      (fun o ->
+        if o.index < 0 || o.duration = 0 then []
+        else
+          List.filter_map
+            (fun at ->
+              let t = at.start in
+              if
+                at.is_map = o.is_map
+                && t >= inst.Instance.jobs.(o.job).Instance.est
+                && (not (covers t o))
+                && usage o.is_map t + o.demand > capacity o.is_map
+              then Some (o, t)
+              else None)
+            occ)
+      occ
+  in
+  let keeps_completion (o, t) =
+    t + o.duration
+    <= Solution.job_completion inst o.job plan.Solution.starts
+  in
+  let kept, rest = List.partition keeps_completion moves in
+  match kept @ rest with
+  | [] -> None
+  | (o, t) :: _ ->
+      let starts = Array.copy plan.Solution.starts in
+      starts.(o.index) <- t;
+      Some { plan with Solution.starts }
+
+(* [plan] with its first pending start one step below its job's est *)
+let below_est (inst : Instance.t) (plan : Solution.t) =
+  let jdx = ref 0 in
+  while inst.Instance.first.(!jdx + 1) = 0 do
+    incr jdx
+  done;
+  let starts = Array.copy plan.Solution.starts in
+  starts.(0) <- inst.Instance.jobs.(!jdx).Instance.est - 1;
+  { plan with Solution.starts }
+
+(* The leaf's soundness does not rest on its proposer: the search records a
+   proposal only once the store accepts it.  A proposer that corrupts one
+   start of every proposal — onto an instant already full, or one step
+   below its est — keeps its late count, so the search still tries it.  The
+   run must still return a feasible plan, and no fewer late jobs than the
+   cold model search proves optimal (that search has no leaf).  Where the
+   runs prove, the corrupt run's Σ N_j is the honest run's and the cold
+   optimum.  The session's store has no edge finding, so on a unary pool it
+   may stop at the fail limit where the cold model proves at its root. *)
+let leaf_options = { proof_options with Cp.Solver.fail_limit = 5_000 }
+
+let prop_leaf_sound =
+  QCheck.Test.make ~count:300 ~name:"a corrupt list leaf is never recorded"
+    (QCheck.pair Gen.arb_fresh_or_midstream QCheck.bool)
+    (fun (inst, overload) ->
+      (* a mid-stream instance whose running work overloads a pool has no
+         feasible plan; the greedy list schedule, feasible around any
+         running work that fits, tells them apart *)
+      QCheck.assume
+        (Solution.feasibility_errors inst (Sched.Greedy.solve inst) = []);
+      let options = leaf_options in
+      let corrupt propose late =
+        let plan = propose late in
+        match if overload then onto_full_instant inst plan else None with
+        | Some bad -> bad
+        | None -> below_est inst plan
+      in
+      let bad, bad_st =
+        Cp.Session.solve ~wrap_leaf:corrupt (Cp.Session.create ()) ~options
+          inst
+      in
+      let honest, honest_st =
+        Cp.Session.solve (Cp.Session.create ()) ~options inst
+      in
+      let cold, cold_st = Cp.Solver.solve ~options inst in
+      let late (sol : Solution.t) = sol.Solution.late_jobs in
+      let proved (st : Cp.Solver.stats) = st.Cp.Solver.proved_optimal in
+      (match Solution.feasibility_errors inst bad with
+      | [] -> ()
+      | errs ->
+          QCheck.Test.fail_reportf "the corrupt run's plan is infeasible: %s"
+            (String.concat "; " errs));
+      if proved cold_st && late bad < late cold then
+        QCheck.Test.fail_reportf "corrupt %d late, below the cold optimum %d"
+          (late bad) (late cold);
+      if proved bad_st && proved cold_st && late bad <> late cold then
+        QCheck.Test.fail_reportf "corrupt %d late, cold %d" (late bad)
+          (late cold);
+      if proved bad_st && proved honest_st && late bad <> late honest then
+        QCheck.Test.fail_reportf "corrupt %d late, honest %d" (late bad)
+          (late honest);
+      true)
+
 let qsuite tests = List.map (QCheck_alcotest.to_alcotest ~verbose:false) tests
 
 let () =
@@ -666,6 +828,7 @@ let () =
             prop_session_counters;
           ] );
       ("plan", qsuite [ prop_recorded_starts_bounded ]);
+      ("leaf", qsuite [ prop_leaf_sound ]);
       ( "deterministic",
         [
           Alcotest.test_case "counters over contending pairs" `Quick

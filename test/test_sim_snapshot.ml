@@ -1,13 +1,20 @@
-(* Simulator snapshots: digests of three fixed runs' outcomes, run totals
-   and canonical decision journals, pinned as the simulator computed them
-   before its event path was rewritten for speed (the event heap of
-   pending events in recycled slots, the per-run arrays over a numbering
-   of the run's tasks, the reconcile that touches only moved dispatches).
-   The rewrite keeps the order in which same-instant events fire, so every
-   digest must stay as it was:
+(* Simulator snapshots: two digests of each of three fixed runs.
+   - The plan digest covers the job outcomes and every reaction the
+     manager returned (each pass's plan or launches), in order: what the
+     run decided.
+   - The journal digest covers the outcomes, the run totals and the
+     canonical decision journal, whose [invoke] lines also carry the
+     solver's counters (nodes, failures, stop reason).
+   A change that moves only the journal digest moved a counter, not a
+   decision.  The runs:
    - a fault-free contended stream under MRCP-RM;
    - the same stream with crashes, rejoins, stragglers and failed attempts;
    - a MinEDF-WC stream (immediate dispatch, no plan to reconcile).
+   The simulator's event path was rewritten for speed (the event heap of
+   pending events in recycled slots, the per-run arrays over a numbering
+   of the run's tasks, the reconcile that touches only moved dispatches)
+   under these digests, keeping the order in which same-instant events
+   fire.  They moved since only with the solver's plans and counters.
    None of these streams has two jobs arriving at one instant.  The one
    intended change of behaviour, one manager pass per arrival instant, has
    its own case below. *)
@@ -54,13 +61,45 @@ let chaos_config =
     task_failure_p = 0.05;
   }
 
-let digest (r : Sim.results) journal =
-  let b = Buffer.create 1024 in
+let add_outcomes b (r : Sim.results) =
   List.iter
     (fun (o : Sim.job_outcome) ->
       Printf.bprintf b "%d:%d:%b:%d;" o.Sim.job.T.id o.Sim.completion o.Sim.late
         o.Sim.turnaround_ms)
-    r.Sim.outcomes;
+    r.Sim.outcomes
+
+(* [driver] with every reaction it returns written to [log]: the instant,
+   then each dispatch as task@resource/slot:start *)
+let logging log (driver : Opensim.Driver.t) =
+  let add tag now ds =
+    Printf.bprintf log "%s %d" tag now;
+    List.iter
+      (fun (d : Sched.Dispatch.t) ->
+        Printf.bprintf log " %d@%d/%d:%d" d.Sched.Dispatch.task.T.task_id
+          d.Sched.Dispatch.resource_id d.Sched.Dispatch.slot
+          d.Sched.Dispatch.start)
+      ds;
+    Buffer.add_char log '\n'
+  in
+  let react ~now =
+    let reaction = driver.Opensim.Driver.react ~now in
+    (match reaction with
+    | Opensim.Driver.Full_plan ds -> add "plan" now ds
+    | Opensim.Driver.Launch ds -> add "launch" now ds
+    | Opensim.Driver.No_change -> Printf.bprintf log "keep %d\n" now);
+    reaction
+  in
+  { driver with Opensim.Driver.react }
+
+let plan_digest (r : Sim.results) log =
+  let b = Buffer.create 1024 in
+  add_outcomes b r;
+  Buffer.add_buffer b log;
+  Digest.to_hex (Digest.string (Buffer.contents b))
+
+let digest (r : Sim.results) journal =
+  let b = Buffer.create 1024 in
+  add_outcomes b r;
   Printf.bprintf b "|events %d solves %d makespan %d busy %d/%d"
     r.Sim.events_executed r.Sim.solves r.Sim.makespan_ms r.Sim.map_busy_ms
     r.Sim.reduce_busy_ms;
@@ -76,31 +115,39 @@ let snapshot ?(chaos = false) kind ~seed =
     if chaos then Opensim.Chaos.materialize chaos_config ~cluster ~jobs ~seed
     else Opensim.Chaos.no_faults
   in
-  let journal = Obs.Journal.create () in
-  let driver = Opensim.Driver.make kind ~cluster (config journal) in
+  let journal = Obs.Journal.create () and log = Buffer.create 4096 in
+  let driver =
+    logging log (Opensim.Driver.make kind ~cluster (config journal))
+  in
   let r = Sim.run ~validate:true ~journal ~cluster ~chaos ~driver ~jobs () in
-  (r, digest r journal)
+  (r, plan_digest r log, digest r journal)
 
-let check_pinned name pinned (r, got) =
+let check_pinned name ~plans ~journal (r, got_plans, got_journal) =
   Alcotest.(check int)
     (name ^ ": every job done")
     params.n_jobs r.Sim.jobs_total;
-  Alcotest.(check string) (name ^ ": digest") pinned got
+  Alcotest.(check string) (name ^ ": plan digest") plans got_plans;
+  Alcotest.(check string) (name ^ ": journal digest") journal got_journal
 
 let test_contended () =
-  check_pinned "contended" "5b17ee33f6919a5d0d9fbcee7960e50e"
+  check_pinned "contended" ~plans:"6f9d8213df856e62f78255361b02da2a"
+    ~journal:"b19dbfa179dde5d36e0c7abbb9303621"
     (snapshot Opensim.Driver.Mrcp_rm ~seed:5)
 
 let test_chaos () =
-  let ((r, _) as run) = snapshot ~chaos:true Opensim.Driver.Mrcp_rm ~seed:5 in
+  let ((r, _, _) as run) =
+    snapshot ~chaos:true Opensim.Driver.Mrcp_rm ~seed:5
+  in
   Alcotest.(check bool)
     "the plan crashes, straggles and fails attempts" true
     (r.Sim.crashes > 0 && r.Sim.rejoins > 0 && r.Sim.stragglers > 0
     && r.Sim.task_failures > 0);
-  check_pinned "chaos" "29651f405336a7a433e7e7d9a0cf42eb" run
+  check_pinned "chaos" ~plans:"59314aa22508459af7acb796a5a78090"
+    ~journal:"caf602fe27a68ebedc54091a502c6733" run
 
 let test_baseline () =
-  check_pinned "minedf-wc" "d0f7c515993f14e91035dc4e2a7b7a0e"
+  check_pinned "minedf-wc" ~plans:"23df96238ca87e32f99675507332930a"
+    ~journal:"d0f7c515993f14e91035dc4e2a7b7a0e"
     (snapshot Opensim.Driver.Min_edf_wc ~seed:5)
 
 (* Jobs that arrive at one instant are submitted together before the
