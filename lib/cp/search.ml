@@ -46,6 +46,9 @@ type outcome = {
   stopped : stop_cause;
   nodes : int;
   failures : int;
+  leaf_asked : int;
+  leaf_tried : int;
+  leaf_accepted : int;
 }
 
 exception Limit_reached
@@ -66,6 +69,9 @@ type state = {
   mutable best : Sched.Solution.t option;
   mutable nodes : int;
   mutable failures : int;
+  mutable leaf_asked : int;
+  mutable leaf_tried : int;
+  mutable leaf_accepted : int;
   mutable stop_cause : stop_cause;  (* which hard limit cut the search *)
   mutable late_cursor : int;  (* out-param of [select_late] *)
   mutable ticks : int;  (* countdown to the next wall-clock check *)
@@ -210,7 +216,9 @@ let list_leaf st propose =
     (fun j (late, _) -> st.decided_late.(j) <- mins.(late) > 0)
     p.lates;
   let plan = propose st.decided_late in
+  st.leaf_asked <- st.leaf_asked + 1;
   if plan.Sched.Solution.late_jobs < !(p.bound) then begin
+    st.leaf_tried <- st.leaf_tried + 1;
     check_limits st;
     st.nodes <- st.nodes + 1;
     Store.push_level s;
@@ -219,6 +227,7 @@ let list_leaf st propose =
        Array.iteri (fun k info -> Store.fix s info.svar starts.(k)) p.starts;
        Store.schedule s p.bound_pid;
        propagate_st st s;
+       st.leaf_accepted <- st.leaf_accepted + 1;
        record_solution st
      with Store.Fail _ -> st.failures <- st.failures + 1);
     backtrack_st st s
@@ -320,6 +329,9 @@ let run_problem problem limits =
       best = None;
       nodes = 0;
       failures = 0;
+      leaf_asked = 0;
+      leaf_tried = 0;
+      leaf_accepted = 0;
       stop_cause = Exhausted;
       late_cursor = 0;
       ticks = 1;
@@ -364,6 +376,9 @@ let run_problem problem limits =
     stopped = (if proved_optimal then Exhausted else st.stop_cause);
     nodes = st.nodes;
     failures = st.failures;
+    leaf_asked = st.leaf_asked;
+    leaf_tried = st.leaf_tried;
+    leaf_accepted = st.leaf_accepted;
   }
 
 (* --- MapReduce-model entry point -------------------------------------- *)

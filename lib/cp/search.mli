@@ -92,6 +92,10 @@ type outcome = {
           the search *)
   nodes : int;
   failures : int;
+  leaf_asked : int;  (** proposals the list-schedule leaf made *)
+  leaf_tried : int;  (** of which their late count beat the bound *)
+  leaf_accepted : int;
+      (** of which the store accepted the plan, and the search recorded it *)
 }
 
 val run_problem : problem -> limits -> outcome

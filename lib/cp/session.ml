@@ -658,7 +658,7 @@ let solve ?wrap_leaf t ~options (inst : Instance.t) =
      the fast path or LNS settles never pays for a diff ([sync] is a diff
      against the instance, not an event log: a skipped pass folds into the
      next searching one's). *)
-  let searched = ref None in
+  let searched = ref None and leaf = ref (0, 0, 0) in
   let exact ~registry ~bound_to_beat limits =
     let t_sync = Obs.Clock.now () in
     let core = sync t inst in
@@ -669,7 +669,10 @@ let solve ?wrap_leaf t ~options (inst : Instance.t) =
     let propose =
       match wrap_leaf with Some wrap -> wrap propose | None -> propose
     in
-    (search_core core inst ~propose ~bound_to_beat limits, sync_s)
+    let outcome = search_core core inst ~propose ~bound_to_beat limits in
+    leaf :=
+      Search.(outcome.leaf_asked, outcome.leaf_tried, outcome.leaf_accepted);
+    (outcome, sync_s)
   in
   (* what a returned plan leaves for the next instance; [via_cert] for a
      proof the classic bound alone could not have delivered *)
@@ -685,6 +688,10 @@ let solve ?wrap_leaf t ~options (inst : Instance.t) =
         count "session/appended_jobs" (t.appended - appended0);
         count "session/rebuilds" (t.rebuilds - rebuilds0);
         count "session/cert_proofs" (Bool.to_int via_cert);
+        let asked, tried, accepted = !leaf in
+        count "search/leaf_asked" asked;
+        count "search/leaf_tried" tried;
+        count "search/leaf_accepted" accepted;
         count "store/words_allocated"
           (int_of_float (Gc.minor_words () -. words0));
         (* harvested after the words count, which measures the solve and

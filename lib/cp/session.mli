@@ -96,8 +96,10 @@ val solve :
     the whole call.  Never fails, at worst returns the greedy seed.  With
     [options.instrument] the stats carry the session counters
     ([session/retracted], [session/appended_jobs], [session/rebuilds],
-    [session/cert_proofs], [store/words_allocated]) and the store counters
-    of the search that ran. *)
+    [session/cert_proofs], [store/words_allocated]), the list-schedule
+    leaf's work ([search/leaf_asked], [search/leaf_tried],
+    [search/leaf_accepted]: {!Search.outcome}'s, 0 on a pass that did not
+    search the store) and the store counters of the search that ran. *)
 
 val reset : t -> unit
 (** After a fault: drop the store and the certificate, keep the recorded

@@ -99,6 +99,7 @@ let prepare ?scratch (inst : Instance.t) =
   { inst; greedy; dooms; lb_classic; prepare_s = Obs.Clock.now () -. t0 }
 
 let pass_tasks p = Greedy.tasks p.greedy
+let schedules_run p = Greedy.schedules_run p.greedy
 let late_lower_bound p = p.lb_classic
 let doomed p jdx = p.dooms.(jdx)
 
@@ -128,7 +129,14 @@ let doomed_last_sequence p =
    lateness decision, the jobs decided on time go first in EDF order, then
    the jobs decided late, least pending work first (ties in EDF order), so
    that the small ones still finish soon.  Both orders are sorted once per
-   search. *)
+   search.
+
+   The sequence then repairs itself: while some job decided on time ends
+   late, the first such job in the sequence moves to the front of the
+   on-time block and the jobs are list-scheduled again, unless it is at the
+   front already or has jumped before in this ask.  Each job jumps at most
+   once, so an ask runs at most (on-time jobs + 1) schedules; it returns
+   the best plan seen. *)
 let list_leaf p =
   let edf = Greedy.edf_order p.greedy in
   let n = Array.length edf in
@@ -137,7 +145,12 @@ let list_leaf p =
   Sched.Index_sort.sort by_work ~lo:0 ~hi:n
     ~key:(Array.map Instance.pending_exec_total p.inst.Instance.jobs)
     ~tie:rank;
-  let seq = Array.make n 0 in
+  let deadlines =
+    Array.map
+      (fun (j : Instance.pending_job) -> j.Instance.job.T.deadline)
+      p.inst.Instance.jobs
+  in
+  let seq = Array.make n 0 and jumped = Array.make n false in
   fun late ->
     let k = ref 0 in
     let take order decided =
@@ -150,8 +163,34 @@ let list_leaf p =
         order
     in
     take edf false;
+    let on_time = !k in
     take by_work true;
-    Greedy.schedule_sequence p.greedy seq
+    Array.fill jumped 0 n false;
+    (* the first job of the on-time block that the last schedule left late,
+       or [on_time] *)
+    let first_late () =
+      let i = ref 0 in
+      while
+        !i < on_time
+        && Greedy.completion p.greedy seq.(!i) <= deadlines.(seq.(!i))
+      do
+        incr i
+      done;
+      !i
+    in
+    let rec repair best =
+      let i = first_late () in
+      if i = 0 || i = on_time || jumped.(seq.(i)) then best
+      else begin
+        let jdx = seq.(i) in
+        Array.blit seq 0 seq 1 i;
+        seq.(0) <- jdx;
+        jumped.(jdx) <- true;
+        let plan = Greedy.schedule_sequence p.greedy seq in
+        repair (if Solution.better plan best then plan else best)
+      end
+    in
+    repair (Greedy.schedule_sequence p.greedy seq)
 
 (* Best greedy seed across the orderings (plus the doomed-last variant),
    preferring the configured one on ties.  [?preferred] lets a caller that

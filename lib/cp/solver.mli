@@ -99,6 +99,10 @@ val prepare : ?scratch:Sched.Greedy.scratch -> Sched.Instance.t -> pass
 val pass_tasks : pass -> Mapreduce.Types.task array
 (** {!Sched.Greedy.tasks}: the pending tasks by task index, shared. *)
 
+val schedules_run : pass -> int
+(** {!Sched.Greedy.schedules_run} of the pass's list schedules: the seeds,
+    the warm completion and every {!list_leaf} ask count. *)
+
 val late_lower_bound : pass -> int
 (** The classic bound: the number of the instance's jobs that are late in
     {e every} schedule ({!job_doomed}: est plus the single-job wave lower
@@ -113,11 +117,21 @@ val list_leaf : pass -> bool array -> Sched.Solution.t
     given each job's lateness decision by job index ([true]: decided
     late), the list schedule of the jobs decided on time in EDF order,
     then of those decided late by ascending pending work
-    ({!Sched.Instance.pending_exec_total}), ties in EDF order.  Like the doomed-last seed it keeps the
-    savable jobs ahead of the rest.  The proposal is any list schedule: the
-    search records it only once its store accepts it.  Shares the pass's
-    {!Sched.Greedy.pass}, so it runs between the pass's other schedules,
-    not beside them. *)
+    ({!Sched.Instance.pending_exec_total}), ties in EDF order.  Like the
+    doomed-last seed it keeps the savable jobs ahead of the rest.
+
+    The sequence then repairs itself.  While the last schedule leaves some
+    job decided on time late, the first such job in the sequence moves to
+    the front of the on-time block and the jobs are list-scheduled again;
+    the repair stops when no job decided on time is late, when the first
+    late one is already at the front, or when it has jumped once before in
+    this ask.  Each job jumps at most once, so one ask runs at most
+    (on-time jobs + 1) list schedules; it returns the best plan seen
+    ({!Sched.Solution.better}), never worse than the first.
+
+    The proposal is any list schedule: the search records it only once its
+    store accepts it.  Shares the pass's {!Sched.Greedy.pass}, so it runs
+    between the pass's other schedules, not beside them. *)
 
 val warm_candidate : pass -> incumbent -> Sched.Solution.t option
 (** Complete a carried-over plan into a full solution for the pass's

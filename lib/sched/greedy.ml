@@ -34,6 +34,7 @@ type pass = {
   deadlines : int array;
   completion : int array;  (* the schedule under construction's, per job *)
   mutable edf : int array option;  (* the jobs in EDF order, once asked *)
+  mutable sheets : int;  (* the schedules and completions run so far *)
 }
 
 let occupy profile (f : Instance.fixed_task) =
@@ -117,6 +118,7 @@ let prepare ?scratch (inst : Instance.t) =
     deadlines;
     completion = Array.make n 0;
     edf = None;
+    sheets = 0;
   }
 
 let tasks p = p.tasks
@@ -142,6 +144,7 @@ let sort_job p jdx =
 (* A fresh start array for one schedule; the working profiles and the
    per-job completions start from the frozen tasks. *)
 let open_sheet p =
+  p.sheets <- p.sheets + 1;
   Profile.copy_into ~src:p.map_frozen p.map_work;
   Profile.copy_into ~src:p.reduce_frozen p.reduce_work;
   let jobs = p.inst.Instance.jobs in
@@ -202,6 +205,9 @@ let schedule_sequence p sequence =
   let starts = open_sheet p in
   Array.iter (place_job p starts) sequence;
   result p starts
+
+let completion p jdx = p.completion.(jdx)
+let schedules_run p = p.sheets
 
 (* The jobs sorted by [order]; ties on the key go to the lower job id. *)
 let sorted_jobs p order =

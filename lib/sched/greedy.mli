@@ -54,6 +54,14 @@ val schedule_sequence : pass -> int array -> Solution.t
 (** [solve_with_sequence] on the prepared instance, without the permutation
     check. *)
 
+val completion : pass -> int -> int
+(** [completion p jdx]: job [jdx]'s completion in the last schedule (or
+    completion) run on [p], its frozen floor included; what that
+    schedule's late count was tallied from. *)
+
+val schedules_run : pass -> int
+(** The schedules and completions run on [p] so far. *)
+
 val complete :
   pass -> carried:int array -> covered:bool array -> Solution.t * bool
 (** Warm-start completion.  Every pending task of a job flagged in

@@ -538,7 +538,14 @@ let test_session_metrics () =
   Alcotest.(check bool) "session/cert_proofs present" true
     (List.mem_assoc "session/cert_proofs" merged.Obs.Metrics.counters);
   Alcotest.(check bool) "store/words_allocated present" true
-    (List.mem_assoc "store/words_allocated" merged.Obs.Metrics.counters)
+    (List.mem_assoc "store/words_allocated" merged.Obs.Metrics.counters);
+  (* the leaf's proposals narrow down: asked, of which tried, of which
+     accepted *)
+  let asked = counter "search/leaf_asked"
+  and tried = counter "search/leaf_tried"
+  and accepted = counter "search/leaf_accepted" in
+  Alcotest.(check bool) "leaf asked >= tried >= accepted >= 0" true
+    (asked >= tried && tried >= accepted && accepted >= 0)
 
 (* (c) The recorded plan holds no finished work: the store retires a
    completed task at its recorded start and drops the entry, and a job's
@@ -816,6 +823,58 @@ let prop_leaf_sound =
           (late honest);
       true)
 
+(* The repaired leaf against its plain reference ([Leaf_reference]), twice
+   on one proposer (it keeps its sequence between asks) with random
+   lateness decisions: the same plan, never worse than the plain EDF-then-
+   work schedule it starts from, at most (on-time jobs + 1) list schedules
+   per ask, and feasible. *)
+let prop_leaf_reference =
+  QCheck.Test.make ~count:300 ~name:"the repaired leaf = its reference"
+    (QCheck.pair Gen.arb_fresh_or_midstream QCheck.int)
+    (fun (inst, seed) ->
+      (* as above: running work that overloads a pool leaves no feasible
+         list schedule *)
+      QCheck.assume
+        (Solution.feasibility_errors inst (Sched.Greedy.solve inst) = []);
+      let rng = Random.State.make [| seed |] in
+      let n = Array.length inst.Instance.jobs in
+      let pass = Cp.Solver.prepare inst in
+      let propose = Cp.Solver.list_leaf pass in
+      let ask () =
+        let late = Array.init n (fun _ -> Random.State.bool rng) in
+        let on_time =
+          Array.fold_left (fun acc l -> if l then acc else acc + 1) 0 late
+        in
+        let before = Cp.Solver.schedules_run pass in
+        let plan = propose late in
+        let schedules = Cp.Solver.schedules_run pass - before in
+        let expected, plain, _ = Leaf_reference.leaf inst late in
+        if
+          plan.Solution.starts <> expected.Solution.starts
+          || plan.Solution.late_jobs <> expected.Solution.late_jobs
+          || plan.Solution.total_tardiness
+             <> expected.Solution.total_tardiness
+        then
+          QCheck.Test.fail_reportf
+            "leaf %d late (tardiness %d), reference %d late (tardiness %d)"
+            plan.Solution.late_jobs plan.Solution.total_tardiness
+            expected.Solution.late_jobs expected.Solution.total_tardiness;
+        if Solution.better plain plan then
+          QCheck.Test.fail_reportf "leaf %d late, the plain schedule %d"
+            plan.Solution.late_jobs plain.Solution.late_jobs;
+        if schedules > on_time + 1 then
+          QCheck.Test.fail_reportf "%d schedules for %d on-time jobs"
+            schedules on_time;
+        match Solution.feasibility_errors inst plan with
+        | [] -> ()
+        | errs ->
+            QCheck.Test.fail_reportf "the leaf's plan is infeasible: %s"
+              (String.concat "; " errs)
+      in
+      ask ();
+      ask ();
+      true)
+
 let qsuite tests = List.map (QCheck_alcotest.to_alcotest ~verbose:false) tests
 
 let () =
@@ -828,7 +887,7 @@ let () =
             prop_session_counters;
           ] );
       ("plan", qsuite [ prop_recorded_starts_bounded ]);
-      ("leaf", qsuite [ prop_leaf_sound ]);
+      ("leaf", qsuite [ prop_leaf_sound; prop_leaf_reference ]);
       ( "deterministic",
         [
           Alcotest.test_case "counters over contending pairs" `Quick

@@ -142,8 +142,8 @@ let test_chaos () =
     "the plan crashes, straggles and fails attempts" true
     (r.Sim.crashes > 0 && r.Sim.rejoins > 0 && r.Sim.stragglers > 0
     && r.Sim.task_failures > 0);
-  check_pinned "chaos" ~plans:"59314aa22508459af7acb796a5a78090"
-    ~journal:"caf602fe27a68ebedc54091a502c6733" run
+  check_pinned "chaos" ~plans:"c1d63784666c6bf30968256039fef2a2"
+    ~journal:"a1e4c9053141d33768fe03c3e0796d35" run
 
 let test_baseline () =
   check_pinned "minedf-wc" ~plans:"23df96238ca87e32f99675507332930a"
