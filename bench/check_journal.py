@@ -61,7 +61,7 @@ WALL_TIMERS = {"elapsed_s", "classify_s", "seed_s", "bound_s", "warm_s",
                "list_s", "sync_s", "search_s", "match_s"}
 
 STOP_REASONS = {"proved", "hit_carried_bound", "cache_hit", "fail_limit",
-                "node_limit", "wall_limit", "lns_stall"}
+                "node_limit", "wall_limit"}
 
 
 def main(path):

@@ -150,7 +150,7 @@ let run workload manager jobs lambda e_max p s_max d_m m map_cap reduce_cap
           1
       | Ok trace_jobs ->
           let cluster = cluster () in
-          let driver = Expkit.Runner.make_driver config cluster ~seed in
+          let driver = Expkit.Runner.make_driver config cluster in
           let plan =
             match chaos with
             | None -> Opensim.Chaos.no_faults

@@ -446,10 +446,6 @@ let invoke t ~now =
     let t_classified = Obs.Clock.now () in
     (* lines 19–20: generate and solve the model; the session warm-starts
        it from what survives of the plan it returned last *)
-    let options =
-      { t.config.solver with
-        Cp.Solver.seed = t.config.solver.Cp.Solver.seed + t.solves }
-    in
     (* session counters before the solve, so the journal can report this
        invocation's store-diff work as deltas *)
     let sess_before =
@@ -457,7 +453,9 @@ let invoke t ~now =
       | None -> []
       | Some _ -> List.map (fun (_, count) -> count t.session) session_counters
     in
-    let solution, stats = Cp.Session.solve t.session ~options inst in
+    let solution, stats =
+      Cp.Session.solve t.session ~options:t.config.solver inst
+    in
     let t_solved = Obs.Clock.now () in
     (* plan cache hit: the carried plan, completed around the new arrivals,
        was still feasible and already met the lower bound, so the solver

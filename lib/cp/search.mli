@@ -82,7 +82,7 @@ type stop_cause =
 val stop_reason_of_cause : stop_cause -> Obs.Solve_stats.stop_reason
 (** The telemetry-level reason for a search-level cause ([Exhausted] and
     [Target_met] map to [Proved]; callers with richer context — cache hits,
-    carried certificates, LNS stalls — substitute their own). *)
+    carried certificates — substitute their own). *)
 
 type outcome = {
   best : Sched.Solution.t option;

@@ -565,20 +565,17 @@ let search_core core (inst : Instance.t) ~propose ~bound_to_beat limits =
    cell ([unplanned] when no plan placed it), and the warm start.  A
    pending task carries its recorded start while that is still ahead of the
    clock: a start the clock has passed belongs to an attempt a fault lost.
-   The changed jobs are those the last solved instance did not have.  The
-   warm start is [None] when nothing is carried. *)
+   The warm start is [None] when nothing is carried. *)
 let open_pass t ~tasks (inst : Instance.t) =
   let present = t.spare in
   Ids.clear present;
   let n = Array.length tasks in
   let cells = Array.make n unplanned and carried = Array.make n min_int in
   let now = inst.Instance.now and first = inst.Instance.first in
-  let any = ref false and changed = ref [] in
+  let any = ref false in
   Array.iteri
     (fun jdx (pj : Instance.pending_job) ->
-      let id = pj.Instance.job.T.id in
-      Ids.replace present id pj.Instance.job;
-      if not (Ids.mem t.kept id) then changed := id :: !changed;
+      Ids.replace present pj.Instance.job.T.id pj.Instance.job;
       for k = first.(jdx) to first.(jdx + 1) - 1 do
         let cell = find_or t.plan tasks.(k).T.task_id ~default:unplanned in
         cells.(k) <- cell;
@@ -588,12 +585,7 @@ let open_pass t ~tasks (inst : Instance.t) =
         end
       done)
     inst.Instance.jobs;
-  let warm =
-    if !any then
-      Some { Solver.carried_starts = carried; changed_jobs = !changed }
-    else None
-  in
-  (present, cells, warm)
+  (present, cells, if !any then Some carried else None)
 
 (* Every returned plan is dispatched: record its starts.  A job that has
    left keeps its plan while the store holds its slot (the sync that
@@ -655,9 +647,9 @@ let solve ?wrap_leaf t ~options (inst : Instance.t) =
   let present, cells, warm = open_pass t ~tasks inst in
   let carried_bound = cert_lower_bound t ~present ~pass inst in
   (* The exact backend is the only place that syncs the store, so a pass
-     the fast path or LNS settles never pays for a diff ([sync] is a diff
-     against the instance, not an event log: a skipped pass folds into the
-     next searching one's). *)
+     the fast path settles never pays for a diff ([sync] is a diff against
+     the instance, not an event log: a skipped pass folds into the next
+     searching one's). *)
   let searched = ref None and leaf = ref (0, 0, 0) in
   let exact ~registry ~bound_to_beat limits =
     let t_sync = Obs.Clock.now () in
@@ -677,6 +669,11 @@ let solve ?wrap_leaf t ~options (inst : Instance.t) =
   (* what a returned plan leaves for the next instance; [via_cert] for a
      proof the classic bound alone could not have delivered *)
   let on_settle registry sol (st : Solver.stats) =
+    (* a dive the wall clock stopped leaves the store's trail grown to its
+       whole depth, one node per pending task: drop the store, as a fault
+       does (the certificate stays), and the next searching pass builds a
+       fresh one *)
+    if st.Solver.stop_reason = Obs.Solve_stats.Wall_limit then t.core <- None;
     record t ~present ~tasks ~cells sol;
     update_cert t ~proved:st.Solver.proved_optimal inst sol;
     let via_cert = st.Solver.stop_reason = Obs.Solve_stats.Hit_carried_bound in

@@ -63,12 +63,15 @@
     Last, the session records each task's start in the plans it returns: a
     completed task is retired there, and the next warm start
     ({!Solver.incumbent}) carries the recorded starts the clock has not
-    passed, with the jobs new since the last solve as the changed ones.
+    passed.
 
     The solve policy is {!Solver.solve}'s; the session adds only
     its warm start, the carried bound, an exact search over its store and
-    its bookkeeping.  Instances past [options.exact_task_limit] go to the
-    pipeline's LNS on throwaway fragment models and never sync the store.
+    its bookkeeping.  A pass whose search the wall clock stopped
+    ([Wall_limit]) drops the store: that dive is the one search whose trail
+    can grow to one entry per pending task, and a trail keeps its grown
+    size.  The certificate and the recorded plan stay, and the next
+    searching pass builds a fresh store, as after {!reset}.
 
     A session serves one manager sequentially — it is not thread-safe. *)
 
@@ -90,10 +93,11 @@ val solve :
     returns, which the caller dispatches.  The store's search tries the
     list-schedule leaf {!Solver.list_leaf} ({!Search.problem.propose});
     [wrap_leaf] (default: none) wraps that proposer, for tests that hand
-    the search a corrupted plan.  The sync is {e lazy}: an
-    invocation settled by the bound or routed to LNS never touches the
-    store.  [elapsed], the wall deadline and [store/words_allocated] cover
-    the whole call.  Never fails, at worst returns the greedy seed.  With
+    the search a corrupted plan.  The sync is {e lazy}: an invocation
+    settled by the bound, or past [options.exact_task_limit], never
+    touches the store; one stopped by the wall clock drops it.  [elapsed],
+    the wall deadline and [store/words_allocated] cover the whole call.
+    Never fails, at worst returns the greedy seed.  With
     [options.instrument] the stats carry the session counters
     ([session/retracted], [session/appended_jobs], [session/rebuilds],
     [session/cert_proofs], [store/words_allocated]), the list-schedule
@@ -142,6 +146,6 @@ type footprint = {
 
 val stats_footprint : t -> footprint
 (** The session's table sizes now (not cumulative); all 0 before the first
-    searching solve and after {!reset}.  Variables and propagators of
-    departed jobs are not in these counts: they stay in the store, inert,
-    until a rebuild. *)
+    searching solve, after a [Wall_limit] pass and after {!reset}.
+    Variables and propagators of departed jobs are not in these counts:
+    they stay in the store, inert, until a rebuild. *)

@@ -3,28 +3,22 @@ module Instance = Sched.Instance
 module Solution = Sched.Solution
 module Greedy = Sched.Greedy
 
-type incumbent = { carried_starts : int array; changed_jobs : int list }
+type incumbent = int array
 
 type options = {
   ordering : Greedy.order;
   exact_task_limit : int;
   fail_limit : int;
   time_limit : float;
-  lns_neighbors : int;
-  lns_max_stall : int;
-  seed : int;
   instrument : bool;
 }
 
 let default_options =
   {
     ordering = Greedy.Edf;
-    exact_task_limit = 120;
+    exact_task_limit = max_int;
     fail_limit = 20_000;
     time_limit = 0.5;
-    lns_neighbors = 4;
-    lns_max_stall = 12;
-    seed = 0;
     instrument = false;
   }
 
@@ -215,68 +209,6 @@ let greedy_seed ?preferred ~ordering p =
   let doomed_last = Greedy.schedule_sequence pass (doomed_last_sequence p) in
   if Solution.better doomed_last best then doomed_last else best
 
-(* Freeze the pending tasks of every non-relaxed job at their incumbent
-   start times, producing the LNS subproblem.  A relaxed job keeps its
-   pending tasks, so the subproblem's task index lists exactly theirs, job
-   by job. *)
-let freeze_except (inst : Instance.t) (incumbent : Solution.t) relaxed =
-  let jobs =
-    Array.mapi
-      (fun jdx (j : Instance.pending_job) ->
-        if relaxed.(jdx) then j
-        else begin
-          let freeze off i (task : T.task) =
-            { Instance.task; start = incumbent.Solution.starts.(off + i) }
-          in
-          let off = inst.Instance.first.(jdx) in
-          let new_fixed_maps =
-            Array.mapi (freeze off) j.Instance.pending_maps
-          in
-          let new_fixed_reduces =
-            Array.mapi
-              (freeze (off + Array.length j.Instance.pending_maps))
-              j.Instance.pending_reduces
-          in
-          let completion_of (f : Instance.fixed_task) =
-            f.Instance.start + f.Instance.task.T.exec_time
-          in
-          let fold = Array.fold_left (fun acc f -> max acc (completion_of f)) in
-          let frozen_lfmt = fold j.Instance.frozen_lfmt new_fixed_maps in
-          let frozen_completion =
-            fold (fold (max j.Instance.frozen_completion frozen_lfmt)
-                    new_fixed_maps)
-              new_fixed_reduces
-          in
-          {
-            j with
-            Instance.pending_maps = [||];
-            pending_reduces = [||];
-            fixed_maps = Array.append j.Instance.fixed_maps new_fixed_maps;
-            fixed_reduces =
-              Array.append j.Instance.fixed_reduces new_fixed_reduces;
-            frozen_lfmt;
-            frozen_completion;
-          }
-        end)
-      inst.Instance.jobs
-  in
-  Instance.with_jobs inst jobs
-
-(* The incumbent with the relaxed jobs' starts replaced by the subproblem
-   [sub]'s solution [partial]: job [jdx]'s block of [sub]'s task index is
-   either empty (frozen) or the same tasks as its block of [inst]'s. *)
-let merge_starts (inst : Instance.t) (sub : Instance.t)
-    (incumbent : Solution.t) (partial : Solution.t) =
-  let merged = Array.copy incumbent.Solution.starts in
-  for jdx = 0 to Array.length sub.Instance.jobs - 1 do
-    let from = sub.Instance.first.(jdx) in
-    let len = sub.Instance.first.(jdx + 1) - from in
-    if len > 0 then
-      Array.blit partial.Solution.starts from merged inst.Instance.first.(jdx)
-        len
-  done;
-  Solution.evaluate inst merged
-
 (* Complete a carried-over plan into a full candidate solution for the
    updated instance.  A job is "covered" when every one of its pending tasks
    still has a carried (non-stale) start; covered jobs keep those starts and
@@ -286,8 +218,7 @@ let merge_starts (inst : Instance.t) (sub : Instance.t)
    ({!Greedy.complete}: per-task est and precedence arithmetic plus the
    finished profiles' peaks), so a warm start can never inject an
    infeasible incumbent. *)
-let warm_in (pass : Greedy.pass) (inst : Instance.t) (inc : incumbent) =
-  let carried = inc.carried_starts in
+let warm_in (pass : Greedy.pass) (inst : Instance.t) (carried : incumbent) =
   (* a carried start below the job's current est is stale (the clock or a
      deferral release bumped s_j past it) and poisons the whole job; a task
      without a carried start holds [min_int], below every est *)
@@ -360,8 +291,7 @@ type exact_search =
   Search.limits ->
   Search.outcome * float
 
-(* The default exact backend: a fresh Table-1 model of [inst].  LNS runs
-   every fragment through it too. *)
+(* The default exact backend: a fresh Table-1 model of [inst]. *)
 let model_search inst ~registry ~bound_to_beat limits =
   let model = Model.build inst ~horizon:(Model.default_horizon inst) in
   model.Model.bound := bound_to_beat;
@@ -416,8 +346,8 @@ let timed f =
 (* Every return of the pipeline goes through here: the caller's hook sees
    the result first, then the clock and the metrics snapshot are read, so
    both cover the hook's work as well. *)
-let settle_with st ?(nodes = 0) ?(failures = 0) ?(lns_moves = 0)
-    ?(sync_s = 0.) ?(search_s = 0.) ~proved ~stop incumbent =
+let settle_with st ?(nodes = 0) ?(failures = 0) ?(sync_s = 0.)
+    ?(search_s = 0.) ~proved ~stop incumbent =
   let stats elapsed metrics =
     {
       seed_late = st.seed.Solution.late_jobs;
@@ -427,7 +357,7 @@ let settle_with st ?(nodes = 0) ?(failures = 0) ?(lns_moves = 0)
       stop_reason = stop;
       nodes;
       failures;
-      lns_moves;
+      lns_moves = 0;
       elapsed;
       seed_s = st.bound_s +. st.warm_s +. st.list_s;
       bound_s = st.bound_s;
@@ -491,107 +421,16 @@ let exact_regime ~options ~exact st =
   settle_with st ~nodes:outcome.Search.nodes ~failures:outcome.Search.failures
     ~sync_s ~search_s ~proved ~stop incumbent
 
-(* LNS over job neighbourhoods *)
-let lns_regime ~options ?warm st (inst : Instance.t) =
-  let t_search = Obs.Clock.now () in
-  let deadline = st.t0 +. options.time_limit in
-  let rng = Simrand.Rng.create options.seed in
-  let n_jobs = Array.length inst.Instance.jobs in
-  let incumbent = ref st.seed in
-  let stall = ref 0 and nodes = ref 0 and failures = ref 0 in
-  let lns_moves = ref 0 in
-  (* warm start: the jobs the caller flagged as changed since the last
-     solve (new arrivals, repaired jobs) are relaxed on the first move, so
-     the search immediately re-optimizes around the delta instead of a
-     random neighbourhood *)
-  let changed =
-    match warm with Some inc -> inc.changed_jobs | None -> []
-  in
-  let continue () =
-    !incumbent.Solution.late_jobs > st.lb
-    && !stall < options.lns_max_stall
-    && Obs.Clock.now () < deadline
-  in
-  while continue () do
-    incr lns_moves;
-    let relaxed = Array.make n_jobs false in
-    (* the changed jobs on the first move, all currently-late jobs ... *)
-    Array.iteri
-      (fun jdx (j : Instance.pending_job) ->
-        let completion =
-          Solution.job_completion inst jdx !incumbent.Solution.starts
-        in
-        if
-          completion > j.Instance.job.T.deadline
-          || (!lns_moves = 1 && List.mem j.Instance.job.T.id changed)
-        then relaxed.(jdx) <- true)
-      inst.Instance.jobs;
-    (* ... plus a few random neighbours *)
-    for _ = 1 to options.lns_neighbors do
-      relaxed.(Simrand.Rng.int rng n_jobs) <- true
-    done;
-    let sub = freeze_except inst !incumbent relaxed in
-    let limits =
-      {
-        Search.fail_limit = options.fail_limit;
-        node_limit = 0;
-        wall_deadline = Some deadline;
-        (* a fragment keeps every job, so its late count is the merged
-           plan's: one that reaches [lb] can record nothing better, and
-           searching on would only spend the budget up to the fail limit
-           or the wall clock, whichever comes first *)
-        target = Some st.lb;
-      }
-    in
-    (* a fragment is only worth exploring if it can beat the incumbent *)
-    let run () =
-      fst
-        (model_search sub ~registry:st.registry
-           ~bound_to_beat:!incumbent.Solution.late_jobs limits)
-    in
-    let outcome =
-      if Obs.Trace.enabled () then
-        Obs.Trace.with_span ~cat:"search" "lns-move"
-          ~args:
-            [
-              ( "relaxed_jobs",
-                Obs.Trace.Int
-                  (Array.fold_left (fun n r -> n + Bool.to_int r) 0 relaxed) );
-            ]
-          run
-      else run ()
-    in
-    nodes := !nodes + outcome.Search.nodes;
-    failures := !failures + outcome.Search.failures;
-    match outcome.Search.best with
-    | Some partial ->
-        let merged = merge_starts inst sub !incumbent partial in
-        if Solution.better merged !incumbent then begin
-          incumbent := merged;
-          stall := 0
-        end
-        else incr stall
-    | None -> incr stall
-  done;
-  let search_s = Obs.Clock.now () -. t_search in
-  let proved = !incumbent.Solution.late_jobs <= st.lb in
-  (* mirror [continue]'s evaluation order for the attributed cause *)
-  let stop =
-    if proved then bound_stop st !incumbent
-    else if !stall >= options.lns_max_stall then Obs.Solve_stats.Lns_stall
-    else Obs.Solve_stats.Wall_limit
-  in
-  settle_with st ~nodes:!nodes ~failures:!failures ~lns_moves:!lns_moves
-    ~search_s ~proved ~stop !incumbent
-
 let solve ?(options = default_options) ?t0 ?pass ?carried_bound ?warm ?exact
     ?on_settle (inst : Instance.t) =
   let st = start ~options ?t0 ?pass ?carried_bound ?warm ?on_settle inst in
   match fast_path st with
   | Some settled -> settled
-  | None when Instance.pending_task_count inst <= options.exact_task_limit ->
+  | None when Instance.pending_task_count inst > options.exact_task_limit ->
+      (* a pass past the limit gets a node budget of zero: the seed *)
+      settle_with st ~proved:false ~stop:Obs.Solve_stats.Node_limit st.seed
+  | None ->
       let exact =
         match exact with Some e -> e | None -> model_search inst
       in
       exact_regime ~options ~exact st
-  | None -> lns_regime ~options ?warm st inst

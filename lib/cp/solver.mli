@@ -10,32 +10,28 @@
       schedule); if the seed meets the bound it is optimal — the common case
       in the paper's open system, which is what keeps the measured overhead
       O small;
-    + otherwise run exact branch-and-bound when the instance is small enough,
-      or large-neighbourhood search (relax the late jobs plus a few random
-      ones, fix everything else, exactly re-solve the fragment) under a time
-      budget — the same anytime regime CP Optimizer applies to models of this
-      shape. *)
+    + otherwise run the exact branch-and-bound under a fail and a wall
+      budget, with the list-schedule leaf ({!list_leaf}) at the end of the
+      lateness decisions — anytime, as CP Optimizer is on models of this
+      shape, and stopped as soon as an incumbent meets the bound. *)
 
-(** A carried-over plan from a previous solve, the pipeline's warm start.
-    [carried_starts] is an array over the instance's task index
-    ({!Sched.Instance.t}) holding the start the previous schedule gave each
-    pending task, or [min_int] for a task it did not plan (a start below
-    the job's est is stale either way); [changed_jobs] lists the job ids
-    that changed since that schedule was produced (new arrivals) — LNS
-    relaxes them on its first move so the search re-optimizes around the
-    delta first.  {!Session} builds it from the plans it returned. *)
-type incumbent = { carried_starts : int array; changed_jobs : int list }
+(** A carried-over plan from a previous solve, the pipeline's warm start:
+    an array over the instance's task index ({!Sched.Instance.t}) holding
+    the start the previous schedule gave each pending task, or [min_int]
+    for a task it did not plan (a start below the job's est is stale
+    either way).  {!Session} builds it from the plans it returned. *)
+type incumbent = int array
 
 type options = {
   ordering : Sched.Greedy.order;
       (** job-ordering strategy for the greedy seed (paper §VI.B) *)
   exact_task_limit : int;
-      (** run global B&B when #pending tasks ≤ this (default 120) *)
+      (** search a pass with at most this many pending tasks (default
+          [max_int]: every pass); a larger one returns its seed with
+          [Node_limit], as a node budget of zero would, and 0 makes the
+          greedy-only manager *)
   fail_limit : int;  (** failure budget per exact search (default 20_000) *)
   time_limit : float;  (** wall-clock seconds for the whole solve *)
-  lns_neighbors : int;  (** extra random jobs relaxed per LNS move *)
-  lns_max_stall : int;  (** stop after this many non-improving moves *)
-  seed : int;  (** randomization seed for LNS *)
   instrument : bool;
       (** collect per-propagator fire/fail/time metrics into
           [stats.metrics] (default [false]).  Metering never changes
@@ -59,17 +55,17 @@ type stats = Obs.Solve_stats.t = {
   stop_reason : Obs.Solve_stats.stop_reason;
       (** why the solve returned: [Cache_hit] on the warm-seeded fast path,
           [Proved] when search or the bound settled it, otherwise the limit
-          (or LNS stall) that cut it *)
+          that cut it *)
   nodes : int;
   failures : int;
-  lns_moves : int;
+  lns_moves : int;  (** always 0 ({!Obs.Solve_stats.t}) *)
   elapsed : float;  (** wall-clock seconds spent *)
   seed_s : float;  (** of which the bound and the starting incumbent *)
   bound_s : float;  (** of [seed_s], preparing the pass ({!prepare}) *)
   warm_s : float;  (** of [seed_s], the {!warm_candidate} completion *)
   list_s : float;  (** of [seed_s], the list schedules *)
   sync_s : float;  (** of which the session store's sync ({!Session}) *)
-  search_s : float;  (** of which the exact search or LNS *)
+  search_s : float;  (** of which the exact search *)
   metrics : Obs.Metrics.snapshot option;
       (** [Some] iff [options.instrument] was set *)
 }
@@ -183,10 +179,10 @@ val solve :
     needs the pending tasks or the dooms first prepares it once and hands
     it in), and a seed meeting the bound returns at once with [Proved],
     [Cache_hit] (adopted warm plan) or [Hit_carried_bound] (only the
-    carried bound settles it).  Instances with at most
-    [options.exact_task_limit] pending tasks go to [exact] (default: a
-    fresh {!Model}), larger ones to LNS on fresh fragment models; both stop
-    once an incumbent meets the bound.  The wall deadline and
+    carried bound settles it).  Otherwise an instance with at most
+    [options.exact_task_limit] pending tasks goes to [exact] (default: a
+    fresh {!Model}), which stops once an incumbent meets the bound; a
+    larger one returns its seed with [Node_limit].  The wall deadline and
     [stats.elapsed] run from [t0] (default: now).  [on_settle registry
     incumbent stats] runs once on every return path, before [elapsed] and
     the metrics snapshot are read.  Never fails: at worst returns the

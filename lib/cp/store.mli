@@ -216,5 +216,5 @@ val harvest : ?since:telemetry_mark -> Obs.Metrics.t -> t -> unit
     [prop/edge_finder_prunes], [prop/tt_prunes], [prop/tt_edits]) and
     per-propagator [prop/<name>/fires], [/fails] and [/time_s] into a
     registry, counted since [since] (a mark of this store) or since
-    creation.  Every searched store reports through it: models, LNS
-    fragments and sessions. *)
+    creation.  Every searched store reports through it: models and
+    sessions. *)

@@ -92,7 +92,6 @@ let make_driver scenario cluster ~journal =
           Cp.Solver.exact_task_limit = 400;
           fail_limit = 2_000;
           time_limit = 1e9;
-          seed = scenario.seed;
         };
       validate = true;
       deferral_window = Some 2_000;

@@ -50,7 +50,7 @@ type point = {
   metrics : Obs.Metrics.snapshot option;
 }
 
-let make_driver config cluster ~seed =
+let make_driver config cluster =
   Opensim.Driver.make config.manager ~cluster
     {
       Mrcp.Manager.solver =
@@ -58,7 +58,6 @@ let make_driver config cluster ~seed =
           Cp.Solver.default_options with
           Cp.Solver.ordering = config.ordering;
           time_limit = config.solver_time_limit;
-          seed;
           instrument = config.instrument;
         };
       deferral_window = config.deferral_window;
@@ -109,7 +108,7 @@ let replicate ~label ~config ~make_jobs ~cluster =
     List.init config.reps (fun i ->
         let seed = config.base_seed + (7919 * i) in
         let jobs = make_jobs ~seed in
-        let driver = make_driver config cluster ~seed in
+        let driver = make_driver config cluster in
         let chaos =
           match config.chaos with
           | None -> Opensim.Chaos.no_faults

@@ -70,10 +70,9 @@ val run_facebook :
   point
 (** Table-4 Facebook workload on the 64×(1,1) cluster of Fig. 2/3. *)
 
-val make_driver :
-  config -> Mapreduce.Types.resource array -> seed:int -> Opensim.Driver.t
-(** The driver of [config.manager] on the cluster ({!Opensim.Driver.make}),
-    its solver seeded with [seed]: one replication's manager. *)
+val make_driver : config -> Mapreduce.Types.resource array -> Opensim.Driver.t
+(** The driver of [config.manager] on the cluster ({!Opensim.Driver.make}):
+    one replication's manager. *)
 
 val point_row : point -> string list
 (** [label; O; T; P; N] formatted for {!Report.Table}. *)

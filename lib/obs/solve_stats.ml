@@ -5,7 +5,6 @@ type stop_reason =
   | Fail_limit
   | Node_limit
   | Wall_limit
-  | Lns_stall
 
 let stop_reason_to_string = function
   | Proved -> "proved"
@@ -14,18 +13,9 @@ let stop_reason_to_string = function
   | Fail_limit -> "fail_limit"
   | Node_limit -> "node_limit"
   | Wall_limit -> "wall_limit"
-  | Lns_stall -> "lns_stall"
 
 let all_stop_reasons =
-  [
-    Proved;
-    Hit_carried_bound;
-    Cache_hit;
-    Fail_limit;
-    Node_limit;
-    Wall_limit;
-    Lns_stall;
-  ]
+  [ Proved; Hit_carried_bound; Cache_hit; Fail_limit; Node_limit; Wall_limit ]
 
 type t = {
   seed_late : int;
@@ -49,12 +39,12 @@ type t = {
 let pp fmt s =
   Format.fprintf fmt
     "cp-stats<seed_late=%d lb=%d optimal=%b%s stop=%s nodes=%d fails=%d \
-     lns=%d t=%.4fs seed=%.4fs (bound=%.4fs warm=%.4fs list=%.4fs) \
-     sync=%.4fs search=%.4fs>"
+     t=%.4fs seed=%.4fs (bound=%.4fs warm=%.4fs list=%.4fs) sync=%.4fs \
+     search=%.4fs>"
     s.seed_late s.lower_bound s.proved_optimal
     (if s.warm_seeded then " warm" else "")
     (stop_reason_to_string s.stop_reason)
-    s.nodes s.failures s.lns_moves s.elapsed s.seed_s s.bound_s s.warm_s
+    s.nodes s.failures s.elapsed s.seed_s s.bound_s s.warm_s
     s.list_s s.sync_s s.search_s
 
 let to_metrics s =

@@ -3,7 +3,7 @@
     Every solve of the MapReduce solver ({!Cp.Solver}, also run by
     {!Cp.Session}) reports this shape; the solver re-exports it (OCaml's
     [type t = Obs.Solve_stats.t = {...}] idiom) rather than declaring its
-    own copy of the node/failure/LNS fields. *)
+    own copy of the node/failure fields. *)
 
 type stop_reason =
   | Proved  (** search (or a bound match) established optimality outright *)
@@ -14,11 +14,10 @@ type stop_reason =
       (** warm-start plan cache hit: the carried plan already met the
           bound, no search ran *)
   | Fail_limit  (** stopped by [fail_limit] with the incumbent unproved *)
-  | Node_limit  (** stopped by [node_limit] *)
+  | Node_limit
+      (** stopped by [node_limit], or not searched: the pass was past
+          [exact_task_limit] *)
   | Wall_limit  (** stopped by the wall-clock deadline *)
-  | Lns_stall
-      (** large-neighbourhood search gave up after [lns_max_stall]
-          non-improving moves *)
 
 val stop_reason_to_string : stop_reason -> string
 (** Stable snake_case name, used for metrics counters
@@ -39,7 +38,10 @@ type t = {
           reconstructed from counters *)
   nodes : int;  (** branch-and-bound nodes explored *)
   failures : int;  (** search failures (dead ends) *)
-  lns_moves : int;  (** large-neighbourhood moves attempted (0: pure B&B) *)
+  lns_moves : int;
+      (** always 0: the solver has no large-neighbourhood search.  The
+          field stays for the readers that still print it (the journal's
+          [solve] object, [solver/lns_moves], perfbench's report). *)
   elapsed : float;  (** wall-clock seconds spent *)
   seed_s : float;
       (** wall-clock seconds of [elapsed] spent on the lower bound and the
@@ -62,7 +64,7 @@ type t = {
           seed settled the solve *)
   search_s : float;
       (** wall-clock seconds of [elapsed] spent in the exact search (after
-          the sync) or in LNS; 0 when the seed settled the solve *)
+          the sync); 0 when the seed settled the solve *)
   metrics : Metrics.snapshot option;
       (** per-propagator and solver metrics; [None] unless the solve ran
           with instrumentation enabled *)

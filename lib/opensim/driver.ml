@@ -115,12 +115,7 @@ let make kind ~cluster (config : Mrcp.Manager.config) =
   | Mrcp_rm -> of_mrcp (Mrcp.Manager.create ~cluster config)
   | Greedy_only ->
       let solver =
-        {
-          config.Mrcp.Manager.solver with
-          Cp.Solver.exact_task_limit = 0;
-          lns_max_stall = 0;
-          time_limit = 0.;
-        }
+        { config.Mrcp.Manager.solver with Cp.Solver.exact_task_limit = 0 }
       in
       let mgr = Mrcp.Manager.create ~cluster { config with solver } in
       { (of_mrcp mgr) with name = kind_to_string Greedy_only }

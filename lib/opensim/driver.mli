@@ -87,6 +87,6 @@ val make :
   kind -> cluster:Mapreduce.Types.resource array -> Mrcp.Manager.config -> t
 (** The driver a kind names, on [cluster].  The plan-based kinds create an
     {!Mrcp.Manager} from the config; [Greedy_only] first zeroes its solver's
-    exact-search task limit, LNS stall limit and time limit, so every pass
-    keeps the greedy seed; its driver is named ["greedy-only"].  The slot
-    schedulers ignore the config. *)
+    exact-search task limit, so every pass keeps the greedy seed; its
+    driver is named ["greedy-only"].  The slot schedulers ignore the
+    config. *)

@@ -60,7 +60,7 @@ type report = {
       (** Σ invoke [wall.sync_s]: the session store's sync (0 for journals
           without it) *)
   search_s : float;
-      (** Σ invoke [wall.search_s]: the exact search or LNS *)
+      (** Σ invoke [wall.search_s]: the exact search *)
   match_s : float;
       (** Σ invoke [wall.match_s]: matchmaking and installing the plan *)
   crashes : int;  (** counted "resource-crash" events (v2 journals) *)

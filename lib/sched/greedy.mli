@@ -7,7 +7,7 @@
     finishing map task.  Fixed (running) tasks pre-occupy the profiles.
 
     The result is always feasible.  It serves as (a) the seed/incumbent for
-    the CP solver's branch-and-bound and LNS, and (b) a baseline in its own
+    the CP solver's branch-and-bound, and (b) a baseline in its own
     right (a deadline-aware but non-backtracking scheduler). *)
 
 type order =
@@ -78,5 +78,5 @@ val solve : ?order:order -> Instance.t -> Solution.t
 
 val solve_with_sequence : Instance.t -> int array -> Solution.t
 (** Schedule jobs in the explicit sequence of indices into [inst.jobs]
-    (building block for LNS neighbourhood moves).  The sequence must be a
+    (one list schedule of a given job order).  The sequence must be a
     permutation of all job indices. *)

@@ -36,7 +36,7 @@ val add : t -> start:int -> duration:int -> amount:int -> unit
     occupy nothing.  No overflow check — see {!fits} / {!val-max_usage}. *)
 
 val remove : t -> start:int -> duration:int -> amount:int -> unit
-(** Inverse of {!add} (used by LNS relaxation). *)
+(** Inverse of {!add}. *)
 
 val usage_at : t -> int -> int
 (** Units in use at time [t]. *)

@@ -6,7 +6,7 @@
    map phases, optional reduce phases, AR jobs with s_j > arrival, deadlines
    derived from est + a contention factor over the execution time — so qcheck
    counter-examples stay small and readable while still covering all three
-   solver regimes (seed-optimal, exact B&B, LNS). *)
+   solver paths (seed-optimal, exact B&B, the list-schedule leaf). *)
 
 module T = Mapreduce.Types
 module Instance = Sched.Instance

@@ -243,10 +243,7 @@ module Seed = struct
   module Instance = Sched.Instance
   module Solution = Sched.Solution
 
-  type incumbent = Cp.Solver.incumbent = {
-    carried_starts : int array;
-    changed_jobs : int list;
-  }
+  type incumbent = Cp.Solver.incumbent
 
   (* Wave-based lower bound on the span of a task set under a capacity:
      no schedule can beat the longest task, nor total-work/capacity. *)
@@ -325,10 +322,6 @@ module Seed = struct
     in
     if Solution.better doomed_last best then doomed_last else best
 
-  (* Freeze the pending tasks of every non-relaxed job at their incumbent
-     start times, producing the LNS subproblem.  A relaxed job keeps its
-     pending tasks, so the subproblem's task index lists exactly theirs, job
-     by job. *)
   (* Complete a carried-over plan into a full candidate solution for the
      updated instance.  A job is "covered" when every one of its pending tasks
      still has a carried (non-stale) start; covered jobs keep those starts and
@@ -338,8 +331,7 @@ module Seed = struct
      ({!Greedy.complete}: per-task est and precedence arithmetic plus the
      finished profiles' peaks), so a warm start can never inject an
      infeasible incumbent. *)
-  let warm_in (pass : Greedy.pass) (inst : Instance.t) (inc : incumbent) =
-    let carried = inc.carried_starts in
+  let warm_in (pass : Greedy.pass) (inst : Instance.t) (carried : incumbent) =
     (* a carried start below the job's current est is stale (the clock or a
        deferral release bumped s_j past it) and poisons the whole job; a task
        without a carried start holds [min_int], below every est *)
@@ -358,7 +350,7 @@ module Seed = struct
     if not (Array.exists Fun.id covered) then None
     else
       (* a fixed Edf completion order, whatever the seed ordering *)
-      match Greedy.complete pass ~carried:inc.carried_starts ~covered with
+      match Greedy.complete pass ~carried ~covered with
       | sol, true -> Some sol
       | _, false -> None
 

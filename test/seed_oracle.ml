@@ -251,7 +251,7 @@ let candidate_feasible (inst : Instance.t) starts =
   && capacity_ok reduce_events inst.Instance.reduce_capacity
 
 let warm_candidate (inst : Instance.t) (inc : Cp.Solver.incumbent) =
-  let carried = table_of inst inc.Cp.Solver.carried_starts in
+  let carried = table_of inst inc in
   let fresh j (task : T.task) =
     match Hashtbl.find_opt carried task.T.task_id with
     | Some s -> s >= j.Instance.est

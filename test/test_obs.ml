@@ -290,9 +290,6 @@ let test_instrumented_run_bit_identical () =
       Alcotest.(check int)
         "same failure count" plain_stats.Cp.Solver.failures
         obs_stats.Cp.Solver.failures;
-      Alcotest.(check int)
-        "same LNS moves" plain_stats.Cp.Solver.lns_moves
-        obs_stats.Cp.Solver.lns_moves;
       Alcotest.(check bool)
         "plain run carries no metrics" true
         (plain_stats.Cp.Solver.metrics = None);

@@ -23,7 +23,6 @@ let proof_options =
     Cp.Solver.exact_task_limit = 200;
     fail_limit = 1_000_000;
     time_limit = 60.;
-    seed = 7;
   }
 
 (* --- mini-driver: Table-2 classification against an installed plan ------ *)
@@ -182,8 +181,8 @@ let prop_session_matches_cold =
       true)
 
 (* (b) Session bookkeeping under lazy sync: the store only sees the jobs of
-   invocations that actually searched (seed-optimal and LNS invocations
-   never touch it), so the exact stream totals are upper bounds — but the
+   invocations that actually searched (seed-optimal invocations never
+   touch it), so the exact stream totals are upper bounds — but the
    counters must stay consistent with them, and nothing on these tiny
    streams may force a rebuild. *)
 let prop_session_counters =
@@ -359,15 +358,15 @@ let test_manager_cert () =
   Alcotest.check stop_reason "t=1 proved by the certificate"
     Obs.Solve_stats.Hit_carried_bound st1.Cp.Solver.stop_reason
 
-(* The carried bound reaches the LNS regime too.  At t = 0 the contending
-   pair costs one late job, which only search can prove (the classic bound
-   is 0).  At t = 1 a second contending pair arrives and the invocation is
-   forced into LNS ([exact_task_limit = 0]).  Its seed (three late: EDF
-   runs the doomed-by-contention job 1 ahead of the second pair) is above
-   the carried bound (one: the certificate pair, whose plan ran job 0
-   first, plus no solo dooms), so the pipeline runs LNS against that bound
-   and reports it as the invocation's lower bound. *)
-let test_cert_bound_in_lns () =
+(* The carried bound reaches a pass that is not searched.  At t = 0 the
+   contending pair costs one late job, which only search can prove (the
+   classic bound is 0).  At t = 1 a second contending pair arrives and the
+   pass is past the task limit ([exact_task_limit = 0]).  Its seed (three
+   late: EDF runs the doomed-by-contention job 1 ahead of the second pair)
+   is above the carried bound (one: the certificate pair, whose plan ran
+   job 0 first, plus no solo dooms), so the pass returns its seed with
+   [Node_limit] and reports the carried bound as its lower bound. *)
+let test_cert_bound_unsearched () =
   Gen.reset_tasks ();
   let pair =
     [
@@ -404,11 +403,73 @@ let test_cert_bound_in_lns () =
   Alcotest.(check int) "t=1 classic bound" 0
     (Cp.Solver.late_lower_bound (Cp.Solver.prepare inst1));
   Alcotest.(check int) "t=1 seed" 3 st1.Cp.Solver.seed_late;
+  Alcotest.(check int) "t=1 seed returned" 3 sol1.Solution.late_jobs;
   Alcotest.(check int) "t=1 carried bound" 1 st1.Cp.Solver.lower_bound;
-  Alcotest.(check bool) "t=1 ran LNS" true (st1.Cp.Solver.lns_moves > 0);
+  Alcotest.check stop_reason "t=1 not searched" Obs.Solve_stats.Node_limit
+    st1.Cp.Solver.stop_reason;
+  Alcotest.(check int) "t=1 no nodes" 0 st1.Cp.Solver.nodes;
   Alcotest.(check (list string))
     "t=1 feasible" []
     (Solution.feasibility_errors inst1 sol1)
+
+(* A pass the wall clock stops drops the session's store and keeps its
+   certificate.  At t = 0 the contending pair of [test_cert_bound_unsearched]
+   is proved at one late job.  At t = 1 eight more jobs of one map each
+   contend for the single slot: the seed misses the carried bound, and a
+   fresh session needs well over 64 nodes to prove the pass.  With no time
+   at all the search stops at its first clock check, and the store is gone
+   after that pass.  At t = 2 the proved pass rebuilds it, still carries the
+   certificate's bound, which a fresh session on the same instance does not
+   have, and returns the fresh session's plan. *)
+let test_wall_capped_pass_drops_store () =
+  Gen.reset_tasks ();
+  let jobs =
+    [
+      Gen.mk_job ~id:0 ~deadline:10 ~maps:[ 10 ] ~reduces:[] ();
+      Gen.mk_job ~id:1 ~deadline:12 ~maps:[ 10 ] ~reduces:[] ();
+    ]
+    @ List.init 8 (fun i ->
+          Gen.mk_job ~id:(i + 2) ~arrival:1 ~est:1
+            ~deadline:(29 + (2 * i))
+            ~maps:[ 10 ] ~reduces:[] ())
+  in
+  let session = Cp.Session.create () in
+  let dispatch = Hashtbl.create 16 in
+  let inst_at now = instance_at ~now ~map_cap:1 ~reduce_cap:1 dispatch jobs in
+  let fresh inst =
+    Cp.Session.solve (Cp.Session.create ()) ~options:proof_options inst
+  in
+  let solve_at ~options now =
+    let inst = inst_at now in
+    let sol, st = Cp.Session.solve session ~options inst in
+    install dispatch inst sol;
+    (inst, sol, st)
+  in
+  let _, _, st0 = solve_at ~options:proof_options 0 in
+  Alcotest.check stop_reason "t=0 proved by search" Obs.Solve_stats.Proved
+    st0.Cp.Solver.stop_reason;
+  let _, fst1 = fresh (inst_at 1) in
+  Alcotest.(check bool) "t=1 needs more than 64 nodes" true
+    (fst1.Cp.Solver.nodes > 64);
+  let _, _, st1 = solve_at ~options:{ proof_options with time_limit = 0. } 1 in
+  Alcotest.(check bool) "t=1 seed misses the bound" true
+    (st1.Cp.Solver.seed_late > st1.Cp.Solver.lower_bound);
+  Alcotest.check stop_reason "t=1 wall-capped" Obs.Solve_stats.Wall_limit
+    st1.Cp.Solver.stop_reason;
+  let fp = Cp.Session.stats_footprint session in
+  Alcotest.(check (list int))
+    "t=1 store dropped" [ 0; 0; 0 ]
+    Cp.Session.[ fp.root_trail; fp.job_slots; fp.task_slots ];
+  let fsol2, fst2 = fresh (inst_at 2) in
+  let inst2, sol2, st2 = solve_at ~options:proof_options 2 in
+  Alcotest.(check bool) "t=2 proved" true st2.Cp.Solver.proved_optimal;
+  Alcotest.(check int) "t=2 certificate kept" 1 st2.Cp.Solver.lower_bound;
+  Alcotest.(check int) "t=2 fresh bound" 0 fst2.Cp.Solver.lower_bound;
+  Alcotest.(check (list string))
+    "t=2 feasible" []
+    (Solution.feasibility_errors inst2 sol2);
+  Alcotest.(check (array int))
+    "t=2 fresh session's plan" fsol2.Solution.starts sol2.Solution.starts
 
 (* An empty invocation (every job already departed) must come back optimal
    with zero late jobs and leave the session healthy for a later arrival. *)
@@ -498,8 +559,7 @@ let test_first_pass_matches_cold () =
   let inst =
     Instance.of_fresh_jobs ~now:0 ~map_capacity:1 ~reduce_capacity:1 jobs'
   in
-  (* the manager salts the LNS seed with its solve counter (0 here) and
-     has nothing to warm-start from on a first invocation *)
+  (* the manager has nothing to warm-start from on a first invocation *)
   let dsol, dstats = Cp.Solver.solve ~options:proof_options inst in
   Alcotest.(check int) "seed_late" dstats.Cp.Solver.seed_late
     mstats.Cp.Solver.seed_late;
@@ -894,8 +954,10 @@ let () =
             test_counters_deterministic;
           Alcotest.test_case "certificate carries a proof" `Quick
             test_cert_proof;
-          Alcotest.test_case "carried bound reaches LNS" `Quick
-            test_cert_bound_in_lns;
+          Alcotest.test_case "carried bound reaches an unsearched pass"
+            `Quick test_cert_bound_unsearched;
+          Alcotest.test_case "wall-capped pass drops the store" `Quick
+            test_wall_capped_pass_drops_store;
           Alcotest.test_case "empty invocation mid-stream" `Quick
             test_empty_invocation;
           Alcotest.test_case "footprint bounded over a long stream" `Quick

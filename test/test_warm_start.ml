@@ -18,21 +18,15 @@ let proof_options =
     Cp.Solver.exact_task_limit = 200;
     fail_limit = 1_000_000;
     time_limit = 60.;
-    seed = 5;
   }
 
 (* A carried plan given as a task-id table, as the incumbent's start array
    over [inst]'s task index ([min_int] where the table has no entry). *)
-let incumbent_of_starts inst carried ~changed =
-  {
-    Cp.Solver.carried_starts =
-      Array.map
-        (fun (task : T.task) ->
-          Option.value (Hashtbl.find_opt carried task.T.task_id)
-            ~default:min_int)
-        (Instance.pending_tasks inst);
-    changed_jobs = changed;
-  }
+let incumbent_of_starts inst carried : Cp.Solver.incumbent =
+  Array.map
+    (fun (task : T.task) ->
+      Option.value (Hashtbl.find_opt carried task.T.task_id) ~default:min_int)
+    (Instance.pending_tasks inst)
 
 (* Deterministically corrupt a carried plan: drop some entries (partial
    carry-over), shift others (possibly below est, i.e. stale; possibly
@@ -67,7 +61,7 @@ let prop_warm_never_worse_than_cold =
       in
       let warm_sol, warm_stats =
         Cp.Solver.solve ~options:proof_options
-          ~warm:(incumbent_of_starts inst carried ~changed:[])
+          ~warm:(incumbent_of_starts inst carried)
           inst
       in
       QCheck.assume cold_stats.Cp.Solver.proved_optimal;
@@ -88,7 +82,7 @@ let prop_warm_candidate_always_feasible =
       in
       match
         Cp.Solver.warm_candidate (Cp.Solver.prepare inst)
-          (incumbent_of_starts inst carried ~changed:[])
+          (incumbent_of_starts inst carried)
       with
       | None -> true
       | Some cand -> Solution.feasibility_errors inst cand = [])
@@ -105,7 +99,7 @@ let prop_fast_path_iff_feasible_and_bound_optimal =
       let carried =
         corrupt_starts ~salt (Seed_oracle.table_of inst base.Solution.starts)
       in
-      let inc = incumbent_of_starts inst carried ~changed:[] in
+      let inc = incumbent_of_starts inst carried in
       let pass = Cp.Solver.prepare inst in
       let lb = Cp.Solver.late_lower_bound pass in
       let expect_hit =
@@ -185,7 +179,7 @@ let prop_warm_candidate_matches_reference =
   QCheck.Test.make ~count:500
     ~name:"warm candidate = reference (same option, starts, objective)"
     arb_seed_case (fun c ->
-      let inc = incumbent_of_starts c.inst c.carried ~changed:[] in
+      let inc = incumbent_of_starts c.inst c.carried in
       agree (Option.equal same_solution)
         (fun () -> Cp.Solver.warm_candidate (Cp.Solver.prepare c.inst) inc)
         (fun () -> Seed_oracle.warm_candidate c.inst inc))
@@ -206,7 +200,7 @@ let prop_starting_incumbent_matches_reference =
                 (Cp.Solver.prepare c.inst))
             (fun () ->
               Seed_oracle.starting_incumbent ~options ?warm ?lb:c.lb c.inst))
-        [ None; Some (incumbent_of_starts c.inst c.carried ~changed:[]) ])
+        [ None; Some (incumbent_of_starts c.inst c.carried) ])
 
 (* --- the rewritten per-pass routines = their reference ------------------ *)
 
@@ -260,7 +254,7 @@ let prop_seed_matches_reference =
   QCheck.Test.make ~count:300
     ~name:"bound, warm candidate and seed = reference"
     arb_seed_case (fun c ->
-      let inc = incumbent_of_starts c.inst c.carried ~changed:[] in
+      let inc = incumbent_of_starts c.inst c.carried in
       let options =
         { Cp.Solver.default_options with Cp.Solver.ordering = c.ordering }
       in
@@ -306,7 +300,7 @@ let prop_large_matches_reference =
           (List_reference.Greedy.solve inst).Solution.starts
       in
       let inc =
-        incumbent_of_starts inst (corrupt_starts ~salt plan) ~changed:[]
+        incumbent_of_starts inst (corrupt_starts ~salt plan)
       in
       let same (a, wa) (b, wb) = wa = wb && same_solution a b in
       let pass = Cp.Solver.prepare ~scratch inst in
@@ -451,7 +445,7 @@ let test_frozen_overload_rejected () =
       [| running a; running b; waiting |]
   in
   (* the waiting job's one map is the only pending task *)
-  let inc = { Cp.Solver.carried_starts = [| 200 |]; changed_jobs = [] } in
+  let inc = [| 200 |] in
   Alcotest.(check bool) "accepted before the crash" true
     (Cp.Solver.warm_candidate (Cp.Solver.prepare (inst ~map_capacity:2)) inc
     <> None);
