@@ -2,7 +2,8 @@
    simulator: model a small batch matchmaking-and-scheduling problem
    (Table 1 of the paper) and inspect the solution and search statistics.
    This is the "closed system" usage mode from the paper's §III/IV: a fixed
-   batch of jobs, one solve.
+   batch of jobs, one solve (then the same solve again, on the session
+   that keeps the first one's store and proof).
 
    Run with:  dune exec examples/solver_playground.exe *)
 
@@ -73,8 +74,12 @@ let () =
         Sched.Solution.pp g)
     [ Sched.Greedy.By_job_id; Sched.Greedy.Edf; Sched.Greedy.Least_laxity ];
 
-  (* 2. the full CP solve (seed + lower bound + exact branch-and-bound) *)
-  let solution, stats = Cp.Solver.solve inst in
+  (* 2. the full CP solve (seed + lower bound + exact branch-and-bound),
+        through a solver session: the one model the manager re-solves at
+        every invocation *)
+  let session = Cp.Session.create () in
+  let options = Cp.Solver.default_options in
+  let solution, stats = Cp.Session.solve session ~options inst in
   Format.printf "@.cp solver  -> %a@." Sched.Solution.pp solution;
   Format.printf "           %a@.@." Cp.Solver.pp_stats stats;
   print_schedule inst solution;
@@ -98,13 +103,11 @@ let () =
   in
   Format.printf "@.%s@." (Report.Gantt.render ~width:60 dispatches);
 
-  (* 5. drive the branch-and-bound machinery by hand for full control *)
-  let model = Cp.Model.build inst ~horizon:(Cp.Model.default_horizon inst) in
-  let outcome = Cp.Search.run model Cp.Search.no_limits in
-  Format.printf
-    "@.manual search: %d nodes, %d failures, optimal=%b, best late count=%s@."
-    outcome.Cp.Search.nodes outcome.Cp.Search.failures
-    outcome.Cp.Search.proved_optimal
-    (match outcome.Cp.Search.best with
-    | Some s -> string_of_int s.Sched.Solution.late_jobs
-    | None -> "(no improvement over bound)")
+  (* 5. solve the same instance again: the session kept its store, the
+        plan it returned and the proof, so the second solve adopts the
+        plan without searching *)
+  let _, again = Cp.Session.solve session ~options inst in
+  Format.printf "@.re-solve: %a@." Cp.Solver.pp_stats again;
+  Format.printf "session: %d job blocks appended, %d store rebuilds@."
+    (Cp.Session.stats_appended_jobs session)
+    (Cp.Session.stats_rebuilds session)

@@ -8,10 +8,9 @@
     - {!cumulative_dyn}: constraints (5)/(6), time-table propagation with
       overload checking over a pool's variable-start tasks and frozen
       (isPrevScheduled) tasks, the latter as root-fixed starts;
-    - {!disjunctive}: Θ-tree overload checking + edge finding for pools that
-      behave as a unary resource;
-    - {!capacity}: the two above combined, as {!Model.build} posts them;
     - {!sum_lt_bound_dyn}: the branch-and-bound objective cut Σ N_j < bound.
+
+    {!Session} posts all of them, job by job, on its persistent store.
 
     Each function registers the propagator, wires its watches (to exactly
     the variable events its rules read — see {!Store.watch_min} etc.), and
@@ -44,29 +43,11 @@ val lateness :
     late = 0 forces completion ≤ deadline; completion_max ≤ deadline forces
     late = 0. *)
 
-val disjunctive_applicable :
-  tasks:term array -> fixed:(int * int * int) array -> capacity:int -> bool
-(** Whether the pool behaves as a unary resource, making {!disjunctive}
-    sound on its own: at least one active variable task, and every active
-    task (variable or frozen) has [demand = capacity].  (With capacity 1
-    this is the usual disjunctive machine.) *)
-
-val disjunctive :
-  Store.t -> tasks:term array -> fixed:(int * int * int) array -> unit
-(** Unary-resource filtering via a Θ-Λ tree (Vilím, O(n log n) per run):
-    overload checking plus edge finding on both bound sides (the max side
-    runs the est-side pass on the reflected time axis).  Demands are
-    ignored — post only where {!disjunctive_applicable} holds.  Frozen
-    occupations participate as immutable tasks; a bound strengthened on one
-    is reported as an overload failure.  Prunes are counted in
-    {!Store.stats_edge_finder_prunes}. *)
-
 (** {1 The time table}
 
-    One kernel serves every store.  {!Model.build} registers a pool through
-    {!capacity} and never changes it; {!Session} registers one per slot
-    type at store creation and grows and shrinks its registry — and the
-    cut's variable set — at the root between searches, never during one. *)
+    One kernel serves every pool.  {!Session} registers one per slot type
+    at store creation and grows and shrinks its registry — and the cut's
+    variable set — at the root between searches, never during one. *)
 
 type dyn_pool
 (** A capacity propagator over a mutable task registry: the time table's
@@ -102,22 +83,6 @@ val dyn_retire : dyn_pool -> Store.t -> Store.var -> unit
     never loosens the profile seen by the remaining tasks.  The registry
     slot is found through a variable-indexed table, in constant time.
     @raise Invalid_argument when the variable is not in the registry. *)
-
-val capacity :
-  Store.t ->
-  tasks:term array ->
-  fixed:(int * int * int) array ->
-  capacity:int ->
-  unit
-(** Post the capacity constraint of one pool (constraints (5)/(6)): a
-    {!cumulative_dyn} pool holding [tasks] and, as root-fixed starts, the
-    frozen [(start, duration, demand)] occupations; plus {!disjunctive}
-    where {!disjunctive_applicable} holds (there edge finding prunes what
-    the time table cannot).
-    @raise Store.Fail when a task, frozen or not, demands more than
-    [capacity].
-    @raise Invalid_argument when [capacity <= 0] or on a negative duration
-    or demand. *)
 
 type dyn_sum
 (** The objective cut Σ N_j < bound over a growable variable set. *)

@@ -66,8 +66,7 @@ type problem = {
           store checks it before it is recorded.  [None]: no leaf. *)
 }
 (** The variables the search branches on, in a store it does not own:
-    {!run} builds one from a {!Model}, {!Session} one over its persistent
-    store. *)
+    {!Session} builds one over its persistent store. *)
 
 (** Which condition ended the search.  [Exhausted] means the tree was
     explored to completion (or cut to emptiness by the bound) — the proof
@@ -108,6 +107,3 @@ val run_problem : problem -> limits -> outcome
     trailed state (the armed objective cut) in a pushed guard level around
     the search — {!Session} does.  Called at the root this is the
     historical behaviour exactly. *)
-
-val run : Model.t -> limits -> outcome
-(** {!run_problem} specialized to the Table-1 MapReduce model. *)

@@ -162,7 +162,7 @@ let make_core (inst : Instance.t) =
      rebuilds to O(log T) over an open stream, and the additive floor keeps
      short-horizon streams (tests, small simulations) from ever rebuilding
      just because the clock ticked past an idle stretch. *)
-  let horizon = (4 * Model.default_horizon inst) + 65_536 in
+  let horizon = (4 * Instance.default_horizon inst) + 65_536 in
   let value_horizon = 2 * horizon in
   let bound = ref max_int in
   {
@@ -195,10 +195,11 @@ let[@inline] set_view core k sl =
   core.view.(k) <- sl;
   core.starts.(k) <- sl.t_info
 
-(* Append one job's constraint block — the Table-1 rows of Model.build, with
-   two differences: frozen tasks become root-fixed variables (so they live
-   in the same dynamic pool registries their pending siblings do), and the
-   pool/objective propagators are the session's dynamic registries. *)
+(* Append one job's constraint block, its Table-1 rows: start variables
+   from est (2), the LFMT and completion [max_of]s (3), reduces after the
+   LFMT, lateness (4), and entries in the pool registries (5)/(6) and the
+   objective sum.  Frozen tasks become root-fixed variables, so they live
+   in the same pool registries their pending siblings do. *)
 let append_job t core (inst : Instance.t) jdx =
   let pj = inst.Instance.jobs.(jdx) in
   let s = core.store in
@@ -448,7 +449,7 @@ let sync t (inst : Instance.t) =
     end
   in
   match t.core with
-  | Some core when Model.default_horizon inst <= core.horizon -> (
+  | Some core when Instance.default_horizon inst <= core.horizon -> (
       try
         apply core;
         core

@@ -1,8 +1,8 @@
 (** Persistent solver session: the zero-rebuild hot path.
 
-    The cold pipeline ({!Solver.solve}) builds a fresh {!Store} and
-    {!Model} at every manager invocation — variable allocation, propagator
-    registration, watch wiring and first propagation all land on the
+    The manager re-solves the Table-1 model at every invocation.  Built
+    afresh each time, its store would put variable allocation, propagator
+    registration, watch wiring and first propagation on the
     per-invocation overhead O the paper measures.  A session keeps {e one}
     store alive for the manager's lifetime and {e diffs} the job set
     between invocations instead:
@@ -30,7 +30,8 @@
     index) as it goes, so the search starts without rebuilding them.
 
     Search then re-enters the {e same} store, with all propagation scratch —
-    pool event permutations, Θ-tree buffers, watch pools — already warm.
+    the pools' segment profiles and prune marks, the watch lists — already
+    warm.
     The armed objective bound lives in a guard level pushed around each
     search, because root state must stay valid across invocations whose
     objectives differ.
@@ -52,13 +53,15 @@
     streams, where the expensive part of every cold invocation is
     re-proving optimality the previous invocation already established.
 
-    The session store's domains are a superset of the cold model's (the
-    horizon is doubled at creation), and the search is complete, so per
-    invocation the session proves the {e same optimum} a cold solve does —
-    the differential property test in [test/test_session.ml] checks exactly
-    that.  When an instance outgrows the horizon — or any root operation
-    fails unexpectedly — the session rebuilds from scratch, which is
-    precisely a cold store.
+    The session store's domains are a superset of a fresh model's: its
+    horizon is [4 × default_horizon + 65_536] of the instance that created
+    it ({!Sched.Instance.default_horizon}).  The search is complete, so per
+    invocation the session proves the {e same optimum} a fresh store does
+    — the differential property tests in [test/test_session.ml] check
+    exactly that against the tests' cold model.  When an instance's
+    default horizon exceeds the store's — or any root operation fails
+    unexpectedly — the session rebuilds from scratch, which is precisely a
+    fresh store.
 
     Last, the session records each task's start in the plans it returns: a
     completed task is retired there, and the next warm start

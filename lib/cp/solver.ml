@@ -291,15 +291,6 @@ type exact_search =
   Search.limits ->
   Search.outcome * float
 
-(* The default exact backend: a fresh Table-1 model of [inst]. *)
-let model_search inst ~registry ~bound_to_beat limits =
-  let model = Model.build inst ~horizon:(Model.default_horizon inst) in
-  model.Model.bound := bound_to_beat;
-  if registry <> None then Store.set_instrumented model.Model.store true;
-  let outcome = Search.run model limits in
-  Option.iter (fun r -> Store.harvest r model.Model.store) registry;
-  (outcome, 0.)
-
 (* What the pipeline knows once it has seeded and bounded the instance. *)
 type start = {
   t0 : float;
@@ -421,7 +412,7 @@ let exact_regime ~options ~exact st =
   settle_with st ~nodes:outcome.Search.nodes ~failures:outcome.Search.failures
     ~sync_s ~search_s ~proved ~stop incumbent
 
-let solve ?(options = default_options) ?t0 ?pass ?carried_bound ?warm ?exact
+let solve ?(options = default_options) ?t0 ?pass ?carried_bound ?warm ~exact
     ?on_settle (inst : Instance.t) =
   let st = start ~options ?t0 ?pass ?carried_bound ?warm ?on_settle inst in
   match fast_path st with
@@ -429,8 +420,4 @@ let solve ?(options = default_options) ?t0 ?pass ?carried_bound ?warm ?exact
   | None when Instance.pending_task_count inst > options.exact_task_limit ->
       (* a pass past the limit gets a node budget of zero: the seed *)
       settle_with st ~proved:false ~stop:Obs.Solve_stats.Node_limit st.seed
-  | None ->
-      let exact =
-        match exact with Some e -> e | None -> model_search inst
-      in
-      exact_regime ~options ~exact st
+  | None -> exact_regime ~options ~exact st

@@ -118,7 +118,6 @@ and t = {
   mutable backtracks : int;  (* levels popped so far *)
   mutable propagations : int;
   mutable wakeups_skipped : int;
-  mutable edge_finder_prunes : int;
   mutable tt_prunes : int;
   mutable tt_edits : int;
   (* Per-propagator telemetry, off by default: the propagation loop guards on
@@ -164,7 +163,6 @@ let create () =
     backtracks = 0;
     propagations = 0;
     wakeups_skipped = 0;
-    edge_finder_prunes = 0;
     tt_prunes = 0;
     tt_edits = 0;
     instrumented = false;
@@ -476,14 +474,10 @@ let backtrack_to t target =
 
 let stats_propagations t = t.propagations
 let stats_wakeups_skipped t = t.wakeups_skipped
-let stats_edge_finder_prunes t = t.edge_finder_prunes
 let stats_tt_prunes t = t.tt_prunes
 let stats_tt_edits t = t.tt_edits
 let note_tt_prune t = t.tt_prunes <- t.tt_prunes + 1
 let note_tt_edits t n = t.tt_edits <- t.tt_edits + n
-
-let note_edge_finder_prunes t n =
-  t.edge_finder_prunes <- t.edge_finder_prunes + n
 
 let set_instrumented t on = t.instrumented <- on
 let instrumented t = t.instrumented
@@ -519,7 +513,6 @@ let counters t =
   [
     ("store/propagations", t.propagations);
     ("prop/wakeups_skipped", t.wakeups_skipped);
-    ("prop/edge_finder_prunes", t.edge_finder_prunes);
     ("prop/tt_prunes", t.tt_prunes);
     ("prop/tt_edits", t.tt_edits);
   ]

@@ -162,25 +162,18 @@ val stats_wakeups_skipped : t -> int
     propagators already at fixpoint for the change (idempotent
     self-notifications).  Each would have been a queued no-op execution. *)
 
-val stats_edge_finder_prunes : t -> int
-(** Bound tightenings performed by the disjunctive edge-finding propagator
-    (see {!Propagators.disjunctive}); bumped via {!note_edge_finder_prunes}. *)
-
 val stats_tt_prunes : t -> int
 val stats_tt_edits : t -> int
 (** The time table's work so far: tasks pruned and profile edits (see
     {!note_tt_prune}). *)
 
-val note_edge_finder_prunes : t -> int -> unit
 val note_tt_prune : t -> unit
 val note_tt_edits : t -> int -> unit
-(** Counter hooks for propagator kernels (all state lives in [t]).  The
-    edge finder adds the bounds it tightened ([prop/edge_finder_prunes]).
-    The time table ({!Propagators.cumulative_dyn}) counts its work:
-    [note_tt_prune] once per task it prunes ([prop/tt_prunes]),
-    [note_tt_edits] once per compulsory part it adds to, removes from or
-    moves in its profile ([prop/tt_edits]).  All three are deterministic: a
-    function of the search, not of the clock. *)
+(** Counter hooks for the time table ({!Propagators.cumulative_dyn}; all
+    state lives in [t]): [note_tt_prune] once per task it prunes
+    ([prop/tt_prunes]), [note_tt_edits] once per compulsory part it adds
+    to, removes from or moves in its profile ([prop/tt_edits]).  Both are
+    deterministic: a function of the search, not of the clock. *)
 
 (** {2 Per-propagator telemetry}
 
@@ -213,8 +206,7 @@ val telemetry_mark : t -> telemetry_mark
 
 val harvest : ?since:telemetry_mark -> Obs.Metrics.t -> t -> unit
 (** Add the store's counters ([store/propagations], [prop/wakeups_skipped],
-    [prop/edge_finder_prunes], [prop/tt_prunes], [prop/tt_edits]) and
-    per-propagator [prop/<name>/fires], [/fails] and [/time_s] into a
-    registry, counted since [since] (a mark of this store) or since
-    creation.  Every searched store reports through it: models and
-    sessions. *)
+    [prop/tt_prunes], [prop/tt_edits]) and per-propagator
+    [prop/<name>/fires], [/fails] and [/time_s] into a registry, counted
+    since [since] (a mark of this store) or since creation.  Every searched
+    store reports through it. *)

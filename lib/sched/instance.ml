@@ -91,6 +91,25 @@ let pending_exec_total j =
 
 let laxity j = j.job.T.deadline - j.est - pending_exec_total j
 
+let default_horizon (inst : t) =
+  let work = ref 0 and max_est = ref inst.now and frozen = ref 0 in
+  Array.iter
+    (fun (j : pending_job) ->
+      if j.est > !max_est then max_est := j.est;
+      let add (task : T.task) = work := !work + task.T.exec_time in
+      Array.iter add j.pending_maps;
+      Array.iter add j.pending_reduces;
+      let add_fixed (f : fixed_task) =
+        let finish = f.start + f.task.T.exec_time in
+        if finish > !frozen then frozen := finish
+      in
+      Array.iter add_fixed j.fixed_maps;
+      Array.iter add_fixed j.fixed_reduces;
+      if j.frozen_completion > !frozen then
+        frozen := j.frozen_completion)
+    inst.jobs;
+  max (max !max_est !frozen) inst.now + !work + 1
+
 let pp fmt t =
   Format.fprintf fmt "instance<now=%d cap=(%d,%d) jobs=%d pending=%d fixed=%d>"
     t.now t.map_capacity t.reduce_capacity (Array.length t.jobs)

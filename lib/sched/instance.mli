@@ -82,4 +82,8 @@ val pending_exec_total : pending_job -> int
 val laxity : pending_job -> int
 (** d_j - est - Σ pending e_t, the least-laxity-first key (§VI.B). *)
 
+val default_horizon : t -> int
+(** A horizon provably large enough to contain some optimal semi-active
+    schedule: max est + total pending work + max frozen end. *)
+
 val pp : Format.formatter -> t -> unit

@@ -178,8 +178,10 @@ let boundary_at t time =
   let f = floor_index t time in
   if f >= 0 && t.times.(f) = time then f else -f - 2
 
-let apply t ~start ~duration ~amount =
-  if duration > 0 && amount <> 0 then begin
+let add t ~start ~duration ~amount =
+  if duration < 0 then invalid_arg "Profile.add: negative duration";
+  if amount < 0 then invalid_arg "Profile.add: negative amount";
+  if duration > 0 && amount > 0 then begin
     let at = boundary_at t start in
     let finish = start + duration in
     let e = ref (if at >= 0 then at + 1 else -at - 1) in
@@ -190,16 +192,6 @@ let apply t ~start ~duration ~amount =
     done;
     occupy_window t ~start ~finish ~at ~e:!e ~amount
   end
-
-let add t ~start ~duration ~amount =
-  if duration < 0 then invalid_arg "Profile.add: negative duration";
-  if amount < 0 then invalid_arg "Profile.add: negative amount";
-  apply t ~start ~duration ~amount
-
-let remove t ~start ~duration ~amount =
-  if duration < 0 then invalid_arg "Profile.remove: negative duration";
-  if amount < 0 then invalid_arg "Profile.remove: negative amount";
-  apply t ~start ~duration ~amount:(-amount)
 
 let fits t ~start ~duration ~amount =
   if duration <= 0 || amount = 0 then true

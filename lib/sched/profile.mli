@@ -22,8 +22,7 @@ val clear : t -> unit
 (** Empty the profile, keeping its arrays for reuse. *)
 
 val copy : t -> t
-(** An independent copy: adding to or removing from one leaves the other
-    unchanged. *)
+(** An independent copy: adding to one leaves the other unchanged. *)
 
 val copy_into : src:t -> t -> unit
 (** [copy_into ~src dst] makes [dst] equal to [src], reusing [dst]'s
@@ -34,9 +33,6 @@ val copy_into : src:t -> t -> unit
 val add : t -> start:int -> duration:int -> amount:int -> unit
 (** Occupy [amount] units over [start, start+duration).  Zero-duration tasks
     occupy nothing.  No overflow check — see {!fits} / {!val-max_usage}. *)
-
-val remove : t -> start:int -> duration:int -> amount:int -> unit
-(** Inverse of {!add}. *)
 
 val usage_at : t -> int -> int
 (** Units in use at time [t]. *)

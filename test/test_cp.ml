@@ -12,7 +12,7 @@ let mk_task = Gen.mk_task
 let mk_job = Gen.mk_job
 let instance = Gen.instance
 
-let solve ?options inst = Cp.Solver.solve ?options inst
+let solve ?options inst = Cold.Solver.solve ?options inst
 
 let check_feasible inst sol =
   match Solution.feasibility_errors inst sol with
@@ -133,7 +133,7 @@ let test_propagator_cumulative_overload () =
   (* two unit-demand tasks of length 10 fixed at t=0 under capacity 1 *)
   let x = Cp.Store.new_var s ~min:0 ~max:0 in
   let y = Cp.Store.new_var s ~min:0 ~max:0 in
-  Cp.Propagators.capacity s
+  Cold.Edge_finding.capacity s
     ~tasks:
       [|
         { Cp.Propagators.start = x; duration = 10; demand = 1 };
@@ -148,7 +148,7 @@ let test_propagator_cumulative_pushes () =
   (* a fixed task occupies [0,10) at demand 1, capacity 1: a second task of
      duration 5 must be pushed to start >= 10 *)
   let y = Cp.Store.new_var s ~min:0 ~max:100 in
-  Cp.Propagators.capacity s
+  Cold.Edge_finding.capacity s
     ~tasks:[| { Cp.Propagators.start = y; duration = 5; demand = 1 } |]
     ~fixed:[| (0, 10, 1) |] ~capacity:1;
   Cp.Store.propagate s;
@@ -367,10 +367,10 @@ let test_search_limits_honoured () =
         mk_job ~id:i ~deadline:(28 + i) ~maps:[ 10; 10 ] ~reduces:[] ())
   in
   let inst = instance ~map_cap:1 ~reduce_cap:1 jobs in
-  let model = Cp.Model.build inst ~horizon:(Cp.Model.default_horizon inst) in
-  model.Cp.Model.bound := 10;
+  let model = Cold.Model.build inst ~horizon:(Instance.default_horizon inst) in
+  model.Cold.Model.bound := 10;
   let outcome =
-    Cp.Search.run model
+    Cold.Search.run model
       { Cp.Search.no_limits with Cp.Search.node_limit = 25 }
   in
   Alcotest.(check bool) "node limit" true (outcome.Cp.Search.nodes <= 25);
@@ -535,12 +535,12 @@ let test_dfs_snapshots () =
            (nodes, failures, late, proved),
            (s_nodes, s_failures, s_stop, s_seed, s_lb, s_late) ) ->
       let model =
-        Cp.Model.build inst ~horizon:(Cp.Model.default_horizon inst)
+        Cold.Model.build inst ~horizon:(Instance.default_horizon inst)
       in
       let greedy = Sched.Greedy.solve inst in
-      model.Cp.Model.bound := greedy.Solution.late_jobs + 1;
+      model.Cold.Model.bound := greedy.Solution.late_jobs + 1;
       let o =
-        Cp.Search.run model
+        Cold.Search.run model
           { Cp.Search.no_limits with Cp.Search.fail_limit = 50_000 }
       in
       let best = Option.value o.Cp.Search.best ~default:greedy in
@@ -565,10 +565,10 @@ let test_dfs_snapshots () =
 (* A B&B run on a fresh model of [inst] under [limits]: (late count and
    starts of the incumbent, nodes, stop cause). *)
 let target_run inst limits =
-  let model = Cp.Model.build inst ~horizon:(Cp.Model.default_horizon inst) in
+  let model = Cold.Model.build inst ~horizon:(Instance.default_horizon inst) in
   let greedy = Sched.Greedy.solve inst in
-  model.Cp.Model.bound := greedy.Solution.late_jobs + 1;
-  let o = Cp.Search.run model limits in
+  model.Cold.Model.bound := greedy.Solution.late_jobs + 1;
+  let o = Cold.Search.run model limits in
   let best =
     Option.map
       (fun (sol : Solution.t) ->

@@ -1,17 +1,17 @@
 (* Tests for the capacity propagators: event-granular watchers and
    timestamp wakeup suppression in the store, the Θ-Λ tree, the time table
    ({!Cp.Propagators.cumulative_dyn}) on random walks, and differential
-   properties between capacity postings passed through [Model.build]'s
-   [kernel] seam:
+   properties between capacity postings passed through the cold model's
+   ({!Cold.Model.build}) [kernel] seam:
    - [naive]: the list-based reference time table ({!Naive_cumulative});
-   - [timetable]: the library's time table alone, posted as
-     {!Cp.Propagators.capacity} posts it (a pool holding the pending tasks,
-     frozen occupations as root-fixed starts);
+   - [timetable]: the library's time table alone, posted as the session
+     posts it (a pool holding the pending tasks, frozen occupations as
+     root-fixed starts);
    - [edge_finding]: the Θ-tree filter alone where it is sound, the time
      table elsewhere;
-   - [production]: what every solve posts, {!Cp.Propagators.capacity} (the
-     time table everywhere, plus the Θ-tree filter on unary-equivalent
-     pools).
+   - [production]: what the cold model posts by default,
+     {!Cold.Edge_finding.capacity} (the time table everywhere, plus the
+     Θ-tree filter on unary-equivalent pools).
 
    The key invariants, on fresh instances and on mid-stream ones whose
    running work may overload a pool that lost a slot:
@@ -22,13 +22,15 @@
      search can reach, so proved objectives agree across all four
      postings;
    - [production] engages the edge finder exactly on unary pools.
-   The walks and the root-fixpoint property stand behind every model's
-   capacity constraint, the session's and [Model.build]'s alike. *)
+   The walks and the root-fixpoint property stand behind the library's one
+   capacity constraint, the time table every session pool runs. *)
 
 module Store = Cp.Store
 module P = Cp.Propagators
-module Model = Cp.Model
+module Instance = Sched.Instance
+module Model = Cold.Model
 module Search = Cp.Search
+module Ef = Cold.Edge_finding
 
 let naive = Naive_cumulative.post
 
@@ -42,11 +44,11 @@ let timetable s ~tasks ~fixed ~capacity =
     fixed
 
 let edge_finding s ~tasks ~fixed ~capacity =
-  if P.disjunctive_applicable ~tasks ~fixed ~capacity then
-    P.disjunctive s ~tasks ~fixed
+  if Ef.disjunctive_applicable ~tasks ~fixed ~capacity then
+    Ef.disjunctive s ~tasks ~fixed
   else timetable s ~tasks ~fixed ~capacity
 
-let production = P.capacity
+let production = Ef.capacity
 let all_postings = [ naive; timetable; edge_finding; production ]
 
 (* --- event-granular watchers ------------------------------------------- *)
@@ -101,47 +103,47 @@ let test_wakeup_suppression () =
 (* --- Θ-Λ tree ----------------------------------------------------------- *)
 
 let test_theta_tree_ect () =
-  let tr = Cp.Theta_tree.create () in
-  Cp.Theta_tree.prepare tr 3;
-  Alcotest.(check int) "empty ect" Cp.Theta_tree.neg_inf
-    (Cp.Theta_tree.ect tr);
+  let tr = Cold.Theta_tree.create () in
+  Cold.Theta_tree.prepare tr 3;
+  Alcotest.(check int) "empty ect" Cold.Theta_tree.neg_inf
+    (Cold.Theta_tree.ect tr);
   (* leaves in est order: (0,5) (4,5) (30,4) *)
-  Cp.Theta_tree.add tr 0 ~est:0 ~p:5;
-  Cp.Theta_tree.add tr 1 ~est:4 ~p:5;
-  Alcotest.(check int) "ect{t0,t1} chains" 10 (Cp.Theta_tree.ect tr);
-  Cp.Theta_tree.add tr 2 ~est:30 ~p:4;
-  Alcotest.(check int) "ect{t0,t1,t2}" 34 (Cp.Theta_tree.ect tr);
-  Cp.Theta_tree.remove tr 2;
-  Alcotest.(check int) "remove restores" 10 (Cp.Theta_tree.ect tr);
+  Cold.Theta_tree.add tr 0 ~est:0 ~p:5;
+  Cold.Theta_tree.add tr 1 ~est:4 ~p:5;
+  Alcotest.(check int) "ect{t0,t1} chains" 10 (Cold.Theta_tree.ect tr);
+  Cold.Theta_tree.add tr 2 ~est:30 ~p:4;
+  Alcotest.(check int) "ect{t0,t1,t2}" 34 (Cold.Theta_tree.ect tr);
+  Cold.Theta_tree.remove tr 2;
+  Alcotest.(check int) "remove restores" 10 (Cold.Theta_tree.ect tr);
   (* gray t1: Θ = {t0}, Λ = {t1}; ect_bar extends Θ by t1 *)
-  Cp.Theta_tree.gray tr 1;
-  Alcotest.(check int) "ect of Θ alone" 5 (Cp.Theta_tree.ect tr);
+  Cold.Theta_tree.gray tr 1;
+  Alcotest.(check int) "ect of Θ alone" 5 (Cold.Theta_tree.ect tr);
   Alcotest.(check int) "ect_bar extends by the gray task" 10
-    (Cp.Theta_tree.ect_bar tr);
+    (Cold.Theta_tree.ect_bar tr);
   Alcotest.(check int) "gray task is responsible" 1
-    (Cp.Theta_tree.responsible tr)
+    (Cold.Theta_tree.responsible tr)
 
 (* The edge finder engages only on unary-equivalent pools. *)
 let test_disjunctive_applicable () =
   let tsk start duration demand = { P.start; duration; demand } in
   Alcotest.(check bool) "cap 1, demand 1" true
-    (P.disjunctive_applicable
+    (Ef.disjunctive_applicable
        ~tasks:[| tsk 0 5 1; tsk 1 3 1 |]
        ~fixed:[||] ~capacity:1);
   Alcotest.(check bool) "all demands = capacity" true
-    (P.disjunctive_applicable
+    (Ef.disjunctive_applicable
        ~tasks:[| tsk 0 5 3; tsk 1 3 3 |]
        ~fixed:[||] ~capacity:3);
   Alcotest.(check bool) "a sub-capacity demand disables it" false
-    (P.disjunctive_applicable
+    (Ef.disjunctive_applicable
        ~tasks:[| tsk 0 5 1; tsk 1 3 2 |]
        ~fixed:[||] ~capacity:2);
   Alcotest.(check bool) "sub-capacity frozen occupation disables it" false
-    (P.disjunctive_applicable
+    (Ef.disjunctive_applicable
        ~tasks:[| tsk 0 5 2 |]
        ~fixed:[| (0, 4, 1) |] ~capacity:2);
   Alcotest.(check bool) "no variable task disables it" false
-    (P.disjunctive_applicable ~tasks:[||] ~fixed:[| (0, 4, 1) |] ~capacity:1)
+    (Ef.disjunctive_applicable ~tasks:[||] ~fixed:[| (0, 4, 1) |] ~capacity:1)
 
 (* Edge finding prunes a textbook case the time table cannot: three unary
    tasks where t3 must go last, so its est rises past the others' joint
@@ -176,7 +178,7 @@ let test_edge_finding_prunes_textbook () =
 let root_bounds kernel inst =
   match
     let model =
-      Model.build ~kernel inst ~horizon:(Model.default_horizon inst)
+      Model.build ~kernel inst ~horizon:(Instance.default_horizon inst)
     in
     Store.propagate model.Model.store;
     model
@@ -214,11 +216,13 @@ let prop_root_fixpoint_no_looser =
             naive both)
 
 let search_outcome kernel inst =
-  let model = Model.build ~kernel inst ~horizon:(Model.default_horizon inst) in
+  let model =
+    Model.build ~kernel inst ~horizon:(Instance.default_horizon inst)
+  in
   let greedy = Sched.Greedy.solve inst in
   model.Model.bound := greedy.Sched.Solution.late_jobs + 1;
   let o =
-    Search.run model { Search.no_limits with Search.fail_limit = 50_000 }
+    Cold.Search.run model { Search.no_limits with Search.fail_limit = 50_000 }
   in
   let late =
     match o.Search.best with
@@ -277,19 +281,19 @@ let unary_instance () =
 (* One branch-and-bound from the greedy bound under [fail_limit] 20k:
    (nodes, proved, edge-finder prunes, propagations). *)
 let search_counters ?kernel inst =
+  let prunes = Ef.prunes () in
   let model =
-    Model.build ?kernel inst ~horizon:(Model.default_horizon inst)
+    Model.build ?kernel inst ~horizon:(Instance.default_horizon inst)
   in
   let greedy = Sched.Greedy.solve inst in
   model.Model.bound := greedy.Sched.Solution.late_jobs + 1;
   let o =
-    Search.run model { Search.no_limits with Search.fail_limit = 20_000 }
+    Cold.Search.run model { Search.no_limits with Search.fail_limit = 20_000 }
   in
-  let store = model.Model.store in
   ( o.Search.nodes,
     o.Search.proved_optimal,
-    Store.stats_edge_finder_prunes store,
-    Store.stats_propagations store )
+    Ef.prunes () - prunes,
+    Store.stats_propagations model.Model.store )
 
 let test_default_edge_finds_unary_pools () =
   let inst = unary_instance () in
@@ -332,10 +336,10 @@ let test_wakeups_skipped_on_search () =
   in
   let model =
     Model.build ~kernel:timetable inst
-      ~horizon:(Model.default_horizon inst)
+      ~horizon:(Instance.default_horizon inst)
   in
   model.Model.bound := 5;
-  ignore (Search.run model Search.no_limits);
+  ignore (Cold.Search.run model Search.no_limits);
   Alcotest.(check bool) "wakeups were suppressed" true
     (Store.stats_wakeups_skipped model.Model.store > 0)
 

@@ -239,7 +239,7 @@ let check_milp_matches_cp (i, quantum) =
     Alcotest.(check int) (name ^ " finds the milp optimum") optimum
       sol.Sched.Solution.late_jobs
   in
-  agrees "solver" (fst (Cp.Solver.solve i));
+  agrees "solver" (fst (Cold.Solver.solve i));
   agrees "session"
     (fst
        (Cp.Session.solve (Cp.Session.create ())

@@ -267,13 +267,13 @@ let test_instrumented_run_bit_identical () =
      wall-clock cutoff would make node counts depend on machine speed and
      metering overhead, which is exactly what this test must not measure *)
   let options = { Cp.Solver.default_options with time_limit = 30.0 } in
-  let plain_sol, plain_stats = Cp.Solver.solve ~options inst in
+  let plain_sol, plain_stats = Cold.Solver.solve ~options inst in
   task_counter := 0;
   let inst' = contended_instance () in
   Fun.protect ~finally:Tr.stop (fun () ->
       Tr.start ();
       let obs_sol, obs_stats =
-        Cp.Solver.solve ~options:{ options with instrument = true } inst'
+        Cold.Solver.solve ~options:{ options with instrument = true } inst'
       in
       Tr.stop ();
       Alcotest.(check int)

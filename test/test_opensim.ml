@@ -111,7 +111,7 @@ let test_closed_batch_matches_solver () =
       ~reduce_capacity:(T.total_reduce_slots cluster)
       jobs
   in
-  let direct, _ = Cp.Solver.solve inst in
+  let direct, _ = Cold.Solver.solve inst in
   let r = run (mrcp_driver cluster) jobs in
   (* the eight arrivals share one instant, so the simulator submits them
      all before the manager reacts: one pass sees the full batch with

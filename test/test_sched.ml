@@ -49,14 +49,6 @@ let test_profile_earliest_fit_gap () =
   Alcotest.(check int) "from inside gap" 11
     (Profile.earliest_fit p ~from:11 ~duration:4 ~amount:1)
 
-let test_profile_remove () =
-  let p = Profile.create ~capacity:1 in
-  Profile.add p ~start:0 ~duration:10 ~amount:1;
-  Profile.remove p ~start:0 ~duration:10 ~amount:1;
-  Alcotest.(check int) "usage back to 0" 0 (Profile.usage_at p 5);
-  Alcotest.(check bool) "fits again" true
-    (Profile.fits p ~start:0 ~duration:10 ~amount:1)
-
 (* A copy and its original share no state, whether a change lands inside
    the existing steps or grows the step arrays. *)
 let test_profile_copy_independent () =
@@ -73,7 +65,7 @@ let test_profile_copy_independent () =
   Alcotest.(check steps) "original untouched by the copy" before
     (Profile.steps p);
   let grown = Profile.steps c in
-  Profile.remove p ~start:0 ~duration:10 ~amount:1;
+  Profile.add p ~start:0 ~duration:10 ~amount:1;
   Profile.add p ~start:3 ~duration:4 ~amount:3;
   Alcotest.(check steps) "copy untouched by the original" grown
     (Profile.steps c);
@@ -417,7 +409,6 @@ let () =
           Alcotest.test_case "fits capacity" `Quick test_profile_fits_capacity;
           Alcotest.test_case "earliest fit gaps" `Quick
             test_profile_earliest_fit_gap;
-          Alcotest.test_case "remove" `Quick test_profile_remove;
           Alcotest.test_case "zero duration" `Quick test_profile_zero_duration;
           Alcotest.test_case "copy shares no state" `Quick
             test_profile_copy_independent;

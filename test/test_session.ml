@@ -98,7 +98,7 @@ let drive ~options ~map_cap ~reduce_cap jobs check =
     (fun now ->
       let inst = instance_at ~now ~map_cap ~reduce_cap dispatch jobs in
       let ssol, sst = Cp.Session.solve session ~options inst in
-      let csol, cst = Cp.Solver.solve ~options inst in
+      let csol, cst = Cold.Solver.solve ~options inst in
       check inst (ssol, sst) (csol, cst);
       install dispatch inst ssol)
     (event_times jobs);
@@ -471,6 +471,55 @@ let test_wall_capped_pass_drops_store () =
   Alcotest.(check (array int))
     "t=2 fresh session's plan" fsol2.Solution.starts sol2.Solution.starts
 
+(* An instance whose default horizon outgrows the store's rebuilds the
+   store.  The session is created on two jobs contending for one map slot
+   at t = 0 (a search builds its store, with horizon 4 × default_horizon +
+   65 536 of that instance); the next pass comes after that horizon, with
+   three new jobs contending again, so it searches, and its sync rebuilds
+   the store once.  The rebuilt store proves the cold model's optimum with
+   a feasible plan. *)
+let test_horizon_rebuild () =
+  Gen.reset_tasks ();
+  let early =
+    [
+      Gen.mk_job ~id:0 ~deadline:10 ~maps:[ 10 ] ~reduces:[] ();
+      Gen.mk_job ~id:1 ~deadline:12 ~maps:[ 10 ] ~reduces:[] ();
+    ]
+  in
+  let session = Cp.Session.create () in
+  let dispatch = Hashtbl.create 16 in
+  let solve_at now jobs =
+    let inst = instance_at ~now ~map_cap:1 ~reduce_cap:1 dispatch jobs in
+    let sol, st = Cp.Session.solve session ~options:proof_options inst in
+    install dispatch inst sol;
+    (inst, sol, st)
+  in
+  let inst0, _, st0 = solve_at 0 early in
+  Alcotest.check stop_reason "t=0 proved by search" Obs.Solve_stats.Proved
+    st0.Cp.Solver.stop_reason;
+  Alcotest.(check int) "t=0 store holds both jobs" 2
+    (Cp.Session.stats_footprint session).Cp.Session.job_slots;
+  Alcotest.(check int) "no rebuild at t=0" 0
+    (Cp.Session.stats_rebuilds session);
+  let later = (4 * Instance.default_horizon inst0) + 65_536 + 1 in
+  let late_jobs =
+    List.init 3 (fun i ->
+        Gen.mk_job ~id:(i + 2) ~arrival:later ~est:later
+          ~deadline:(later + 10 + (2 * i))
+          ~maps:[ 10 ] ~reduces:[] ())
+  in
+  let inst, sol, st = solve_at later (early @ late_jobs) in
+  let cold, _ = Cold.Solver.solve ~options:proof_options inst in
+  Alcotest.(check int) "one rebuild" 1 (Cp.Session.stats_rebuilds session);
+  Alcotest.(check int) "the rebuilt store holds the new jobs" 3
+    (Cp.Session.stats_footprint session).Cp.Session.job_slots;
+  Alcotest.(check bool) "proved" true st.Cp.Solver.proved_optimal;
+  Alcotest.(check int) "cold model's optimum" cold.Solution.late_jobs
+    sol.Solution.late_jobs;
+  Alcotest.(check (list string))
+    "feasible" []
+    (Solution.feasibility_errors inst sol)
+
 (* An empty invocation (every job already departed) must come back optimal
    with zero late jobs and leave the session healthy for a later arrival. *)
 let test_empty_invocation () =
@@ -505,8 +554,9 @@ let test_empty_invocation () =
     (Solution.feasibility_errors inst100 sol100)
 
 (* The manager's first pass on the default config (persistent session, warm
-   start) must end where a cold Cp.Solver.solve on the equivalent fresh-jobs
-   instance ends: same seed, bound, proof and objective.  That also checks
+   start) must end where a cold solve ({!Cold.Solver.solve}) on the
+   equivalent fresh-jobs instance ends: same seed, bound, proof and
+   objective.  That also checks
    that classify builds the cold instance.  Nodes and failures are not
    compared: the session store has its own horizon. *)
 let test_first_pass_matches_cold () =
@@ -560,7 +610,7 @@ let test_first_pass_matches_cold () =
     Instance.of_fresh_jobs ~now:0 ~map_capacity:1 ~reduce_capacity:1 jobs'
   in
   (* the manager has nothing to warm-start from on a first invocation *)
-  let dsol, dstats = Cp.Solver.solve ~options:proof_options inst in
+  let dsol, dstats = Cold.Solver.solve ~options:proof_options inst in
   Alcotest.(check int) "seed_late" dstats.Cp.Solver.seed_late
     mstats.Cp.Solver.seed_late;
   Alcotest.(check int) "lower_bound" dstats.Cp.Solver.lower_bound
@@ -864,7 +914,7 @@ let prop_leaf_sound =
       let honest, honest_st =
         Cp.Session.solve (Cp.Session.create ()) ~options inst
       in
-      let cold, cold_st = Cp.Solver.solve ~options inst in
+      let cold, cold_st = Cold.Solver.solve ~options inst in
       let late (sol : Solution.t) = sol.Solution.late_jobs in
       let proved (st : Cp.Solver.stats) = st.Cp.Solver.proved_optimal in
       (match Solution.feasibility_errors inst bad with
@@ -958,6 +1008,8 @@ let () =
             `Quick test_cert_bound_unsearched;
           Alcotest.test_case "wall-capped pass drops the store" `Quick
             test_wall_capped_pass_drops_store;
+          Alcotest.test_case "outgrown horizon rebuilds the store" `Quick
+            test_horizon_rebuild;
           Alcotest.test_case "empty invocation mid-stream" `Quick
             test_empty_invocation;
           Alcotest.test_case "footprint bounded over a long stream" `Quick

@@ -54,13 +54,15 @@ let prop_warm_never_worse_than_cold =
   QCheck.Test.make ~count:75
     ~name:"warm solve never worse than cold (equal under proofs)"
     arb_instance_with_salt (fun (inst, salt) ->
-      let cold_sol, cold_stats = Cp.Solver.solve ~options:proof_options inst in
+      let cold_sol, cold_stats =
+        Cold.Solver.solve ~options:proof_options inst
+      in
       let carried =
         corrupt_starts ~salt
           (Seed_oracle.table_of inst cold_sol.Solution.starts)
       in
       let warm_sol, warm_stats =
-        Cp.Solver.solve ~options:proof_options
+        Cold.Solver.solve ~options:proof_options
           ~warm:(incumbent_of_starts inst carried)
           inst
       in
@@ -76,7 +78,7 @@ let prop_warm_candidate_always_feasible =
   QCheck.Test.make ~count:200
     ~name:"warm candidate always passes the Table-1 oracle"
     arb_instance_with_salt (fun (inst, salt) ->
-      let base, _ = Cp.Solver.solve ~options:proof_options inst in
+      let base, _ = Cold.Solver.solve ~options:proof_options inst in
       let carried =
         corrupt_starts ~salt (Seed_oracle.table_of inst base.Solution.starts)
       in
@@ -95,7 +97,7 @@ let prop_fast_path_iff_feasible_and_bound_optimal =
     ~name:"cache-hit fast path fires iff carried plan feasible and \
            bound-optimal"
     arb_instance_with_salt (fun (inst, salt) ->
-      let base, _ = Cp.Solver.solve ~options:proof_options inst in
+      let base, _ = Cold.Solver.solve ~options:proof_options inst in
       let carried =
         corrupt_starts ~salt (Seed_oracle.table_of inst base.Solution.starts)
       in
@@ -107,7 +109,7 @@ let prop_fast_path_iff_feasible_and_bound_optimal =
         | Some cand -> cand.Solution.late_jobs <= lb
         | None -> false
       in
-      let _, stats = Cp.Solver.solve ~options:proof_options ~warm:inc inst in
+      let _, stats = Cold.Solver.solve ~options:proof_options ~warm:inc inst in
       let hit =
         stats.Cp.Solver.warm_seeded
         && stats.Cp.Solver.seed_late <= stats.Cp.Solver.lower_bound
